@@ -16,21 +16,21 @@
 //! [`BeamOutcome`] out (results in brute-force-comparable `(dist, id)`
 //! order, plus that query's own `dist_comps` and `expansions`). The
 //! provided [`SweepSearch::search_batch`] shards a query set across the
-//! thread pool with the order-preserving parallel map, so every adapter is
+//! thread pool with the order-preserving parallel map — the same map
+//! `QueryEngine::batch_beam_detailed` runs — so every adapter is
 //! batch-sweepable and **thread-count invariant** by construction.
-//! [`EngineIndex`] additionally routes batches through
-//! [`QueryEngine::batch_beam_detailed`] — the same engine path the serving
-//! system uses — with the engine built **once**, so timed sweeps measure
-//! pure search work, never setup.
 //!
-//! # `ef` semantics (uniform across adapters)
+//! # `ef` semantics
 //!
-//! `ef` is the *effort axis* a frontier sweep walks: the beam width for
-//! graph indexes and HNSW (effective width `ef.max(k)`; larger `ef` buys
-//! recall with distance computations), and deliberately **ignored** by
-//! [`BruteIndex`] — brute force always scans all `n` points, so its
-//! frontier is a single point repeated along the axis, which is exactly
-//! what makes it the fixed reference line of a recall/QPS plot.
+//! `ef` is the *effort axis* a frontier sweep walks: the beam width of the
+//! one shared walk ([`pg_core::beam_walk`]); larger `ef` buys recall with
+//! distance computations. The adapters differ in how a width below `k` is
+//! treated: [`GraphIndex`] keeps `ef` as given, so a result list has
+//! `min(k, ef, reachable)` entries, while [`Hnsw`](crate::Hnsw) widens its
+//! ground-layer beam to `ef.max(k)`. [`BruteIndex`] deliberately **ignores**
+//! `ef` — brute force always scans all `n` points, so its frontier is a
+//! single point repeated along the axis, which is exactly what makes it the
+//! fixed reference line of a recall/QPS plot.
 //!
 //! # Example
 //!
@@ -56,8 +56,8 @@
 //! assert!(approx.results[0].1 >= exact.results[0].1);
 //! ```
 
-use pg_core::{beam_search_detailed, beam_search_quantized, BeamOutcome, Graph, QueryEngine};
-use pg_metric::{CompactPoints, Dataset, Metric, QuantKind};
+use pg_core::{beam_search_detailed, beam_search_quantized, BeamOutcome, Graph};
+use pg_metric::{CompactPoints, Dataset, Metric};
 
 /// One batched top-`k` search interface over every index family — see the
 /// [module docs](self) for the adapter map and the uniform `ef` semantics.
@@ -100,21 +100,32 @@ pub trait SweepSearch<P: Sync, M: Metric<P> + Sync>: Sync {
 /// e.g. a medoid) to keep sweeps reproducible; frontier differences between
 /// entry choices are themselves measurable by sweeping two adapters.
 ///
-/// For timed sweeps prefer [`EngineIndex`], which serves batches through a
-/// pre-built [`QueryEngine`]; this adapter is the dependency-light choice
-/// for one-off scoring and tests.
+/// With a compact store attached ([`GraphIndex::with_compact`]) the same
+/// graph is searched **quantized** ([`pg_core::beam_search_quantized`]):
+/// navigation runs on the compact surrogate (`f32` or SQ8), then the whole
+/// candidate set is re-ranked with exact `f64` distances before truncating
+/// to `k`. Reported results are therefore in the same exact `(dist, id)`
+/// order, so frontiers for f64/f32/SQ8 storage are directly comparable on
+/// one plot, and per-query `dist_comps` counts the quantized evaluations
+/// **plus** one exact evaluation per re-ranked candidate.
 #[derive(Debug, Clone)]
 pub struct GraphIndex {
     /// The routed graph.
     pub graph: Graph,
     /// The fixed entry vertex every search starts from.
     pub entry: u32,
+    /// The compact store navigation runs on, if any (`None`: exact `f64`).
+    pub compact: Option<CompactPoints>,
 }
 
 impl GraphIndex {
-    /// Wraps a graph with entry vertex `0`.
+    /// Wraps a graph with entry vertex `0` and exact `f64` scoring.
     pub fn new(graph: Graph) -> Self {
-        GraphIndex { graph, entry: 0 }
+        GraphIndex {
+            graph,
+            entry: 0,
+            compact: None,
+        }
     }
 
     /// Overrides the entry vertex (must be `< graph.n()`, checked at search
@@ -123,156 +134,22 @@ impl GraphIndex {
         self.entry = entry;
         self
     }
-}
 
-impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for GraphIndex {
-    fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
-        beam_search_detailed(&self.graph, data, self.entry, q, ef, k)
-    }
-}
-
-/// Adapter that owns a ready-to-serve [`QueryEngine`] — the batch path for
-/// plain-graph indexes in **timed** sweeps: the engine (graph + dataset)
-/// is constructed once, up front, so a timed `search_batch` measures pure
-/// search work with zero per-call setup, exactly like production traffic.
-/// ([`GraphIndex`] routes identically but re-shards through the generic
-/// map; outcomes are bit-identical, only the engine plumbing differs.)
-///
-/// The dataset passed to the search methods must hold the same points the
-/// engine was built over (same contract as [`GraphIndex`] and every
-/// routing call): `search_one` routes over the caller's dataset,
-/// `search_batch` over the engine's — identical by that contract.
-#[derive(Debug, Clone)]
-pub struct EngineIndex<P, M> {
-    engine: QueryEngine<P, M>,
-    entry: u32,
-}
-
-impl<P, M: Metric<P>> EngineIndex<P, M> {
-    /// Wraps a built engine with entry vertex `0`.
-    pub fn new(engine: QueryEngine<P, M>) -> Self {
-        EngineIndex { engine, entry: 0 }
-    }
-
-    /// Overrides the entry vertex.
-    pub fn with_entry(mut self, entry: u32) -> Self {
-        self.entry = entry;
+    /// Navigates in `compact` (e.g. `QueryEngine::quantize`'s output, or a
+    /// store loaded from a version-2 snapshot), which must describe exactly
+    /// the points of the dataset passed to the search methods.
+    pub fn with_compact(mut self, compact: CompactPoints) -> Self {
+        self.compact = Some(compact);
         self
     }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &QueryEngine<P, M> {
-        &self.engine
-    }
 }
 
-impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for EngineIndex<P, M> {
+impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> SweepSearch<P, M> for GraphIndex {
     fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
-        beam_search_detailed(self.engine.graph(), data, self.entry, q, ef, k)
-    }
-
-    /// [`QueryEngine::batch_beam_detailed`] over the pre-built engine — no
-    /// per-call construction, no clones inside a caller's timing window.
-    fn search_batch(
-        &self,
-        _data: &Dataset<P, M>,
-        queries: &[P],
-        ef: usize,
-        k: usize,
-    ) -> Vec<BeamOutcome> {
-        let starts = vec![self.entry; queries.len()];
-        self.engine
-            .batch_beam_detailed(&starts, queries, ef, k)
-            .outcomes
-    }
-}
-
-/// Adapter that serves **quantized** search through a pre-built
-/// [`QueryEngine`] plus a [`CompactPoints`] store: beam navigation runs on
-/// the compact surrogate (`f32` or SQ8), then the whole candidate set is
-/// re-ranked with exact `f64` distances before truncating to `k` — the
-/// re-rank contract of `pg_metric::quant`. Reported results are therefore
-/// in the same exact `(dist, id)` order every other adapter reports, so
-/// frontiers for f64/f32/SQ8 storage are directly comparable on one plot.
-///
-/// Per-query `dist_comps` counts quantized surrogate evaluations **plus**
-/// one exact evaluation per re-ranked candidate — the true cost of the
-/// two-phase search, never just the cheap phase.
-#[derive(Debug, Clone)]
-pub struct QuantizedEngineIndex<P, M> {
-    engine: QueryEngine<P, M>,
-    compact: CompactPoints,
-    entry: u32,
-}
-
-impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> QuantizedEngineIndex<P, M> {
-    /// Quantizes the engine's own points at `kind` and wraps both with
-    /// entry vertex `0`. Fails (with a description) only if the points
-    /// cannot be encoded — empty set, ragged rows, non-finite coordinates.
-    pub fn new(engine: QueryEngine<P, M>, kind: QuantKind) -> Result<Self, String> {
-        let compact = engine.quantize(kind)?;
-        Ok(QuantizedEngineIndex {
-            engine,
-            compact,
-            entry: 0,
-        })
-    }
-
-    /// Wraps an engine with an already-built compact store (e.g. one loaded
-    /// from a version-2 snapshot). The store must describe exactly the
-    /// engine's points.
-    pub fn from_parts(engine: QueryEngine<P, M>, compact: CompactPoints) -> Self {
-        QuantizedEngineIndex {
-            engine,
-            compact,
-            entry: 0,
+        match &self.compact {
+            None => beam_search_detailed(&self.graph, data, self.entry, q, ef, k),
+            Some(c) => beam_search_quantized(&self.graph, data, c, self.entry, q, ef, k),
         }
-    }
-
-    /// Overrides the entry vertex.
-    pub fn with_entry(mut self, entry: u32) -> Self {
-        self.entry = entry;
-        self
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &QueryEngine<P, M> {
-        &self.engine
-    }
-
-    /// The compact store navigation runs on.
-    pub fn compact(&self) -> &CompactPoints {
-        &self.compact
-    }
-}
-
-impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> SweepSearch<P, M> for QuantizedEngineIndex<P, M> {
-    fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
-        beam_search_quantized(
-            self.engine.graph(),
-            data,
-            &self.compact,
-            self.entry,
-            q,
-            ef,
-            k,
-        )
-    }
-
-    /// [`QueryEngine::batch_beam_quantized_detailed`] over the pre-built
-    /// engine and store — the quantized analogue of [`EngineIndex`]'s
-    /// batch path, with zero per-call setup.
-    fn search_batch(
-        &self,
-        _data: &Dataset<P, M>,
-        queries: &[P],
-        ef: usize,
-        k: usize,
-    ) -> Vec<BeamOutcome> {
-        let starts = vec![self.entry; queries.len()];
-        self.engine
-            .batch_beam_quantized_detailed(&self.compact, &starts, queries, ef, k)
-            .outcomes
     }
 }
 
@@ -312,8 +189,8 @@ impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for crate::Hnsw {
 mod tests {
     use super::*;
     use crate::{nsw, vamana, Hnsw, HnswParams, NswParams, VamanaParams};
-    use pg_core::GNet;
-    use pg_metric::{Euclidean, FlatPoints, FlatRow};
+    use pg_core::{GNet, QueryEngine};
+    use pg_metric::{Euclidean, FlatPoints, FlatRow, QuantKind};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -371,31 +248,24 @@ mod tests {
     }
 
     #[test]
-    fn engine_adapter_agrees_with_graph_adapter_exactly() {
+    fn graph_adapter_batch_is_the_engine_batch() {
         let ds = random_dataset(220, 9);
         let pg = GNet::build(&ds, 1.0);
-        let plain = GraphIndex::new(pg.graph.clone()).with_entry(3);
-        let engined = EngineIndex::new(QueryEngine::new(pg.graph, ds.clone())).with_entry(3);
+        let index = GraphIndex::new(pg.graph.clone()).with_entry(3);
+        let engine = QueryEngine::new(pg.graph, ds.clone());
         let queries = random_queries(16, 10);
-        for threads in [1, 4] {
-            let a = rayon::with_threads(threads, || plain.search_batch(&ds, &queries, 9, 2));
-            let b = rayon::with_threads(threads, || {
-                // Engines resolve their worker count at construction, so
-                // rebuild inside the pool override like a caller would.
-                EngineIndex::new(QueryEngine::new(plain.graph.clone(), ds.clone()))
-                    .with_entry(3)
-                    .search_batch(&ds, &queries, 9, 2)
-            });
-            assert_eq!(a, b, "adapters diverged at {threads} threads");
-        }
-        // And the long-lived engine path agrees too.
+        let starts = vec![3u32; queries.len()];
         assert_eq!(
-            engined.search_batch(&ds, &queries, 9, 2),
-            plain.search_batch(&ds, &queries, 9, 2)
+            index.search_batch(&ds, &queries, 9, 2),
+            engine.batch_beam_detailed(&starts, &queries, 9, 2).outcomes
         );
+        let quantized = index.with_compact(engine.quantize(QuantKind::Sq8).unwrap());
+        let compact = quantized.compact.as_ref().unwrap();
         assert_eq!(
-            engined.search_one(&ds, &queries[0], 9, 2),
-            plain.search_one(&ds, &queries[0], 9, 2)
+            quantized.search_batch(&ds, &queries, 9, 2),
+            engine
+                .batch_beam_quantized_detailed(compact, &starts, &queries, 9, 2)
+                .outcomes
         );
     }
 
@@ -413,22 +283,24 @@ mod tests {
         }
     }
 
+    fn quantized(graph: &Graph, ds: &Dataset<FlatRow, Euclidean>, kind: QuantKind) -> GraphIndex {
+        let rows: Vec<&[f64]> = ds.points().iter().map(|p| p.as_ref()).collect();
+        GraphIndex::new(graph.clone()).with_compact(CompactPoints::from_rows(kind, &rows).unwrap())
+    }
+
     #[test]
-    fn quantized_adapter_at_full_width_matches_the_exact_engine_adapter() {
+    fn quantized_adapter_at_full_width_matches_the_exact_adapter() {
         // At ef = n the candidate set is the whole (connected) graph, and
         // the exact re-rank makes the quantized adapter's output identical
         // to full-precision search — for both representations.
         let ds = random_dataset(130, 11);
         let pg = GNet::build(&ds, 1.0);
-        let exact = EngineIndex::new(QueryEngine::new(pg.graph.clone(), ds.clone()));
+        let exact = GraphIndex::new(pg.graph.clone());
         let queries = random_queries(10, 12);
         let n = ds.len();
         let want = exact.search_batch(&ds, &queries, n, 5);
         for kind in [QuantKind::F32, QuantKind::Sq8] {
-            let quant =
-                QuantizedEngineIndex::new(QueryEngine::new(pg.graph.clone(), ds.clone()), kind)
-                    .unwrap();
-            let got = quant.search_batch(&ds, &queries, n, 5);
+            let got = quantized(&pg.graph, &ds, kind).search_batch(&ds, &queries, n, 5);
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.results, w.results, "{} diverged", kind.name());
             }
@@ -441,23 +313,14 @@ mod tests {
         let pg = GNet::build(&ds, 1.0);
         let queries = random_queries(20, 14);
         for kind in [QuantKind::F32, QuantKind::Sq8] {
-            let solo: Vec<BeamOutcome> = {
-                let index =
-                    QuantizedEngineIndex::new(QueryEngine::new(pg.graph.clone(), ds.clone()), kind)
-                        .unwrap()
-                        .with_entry(2);
-                queries
-                    .iter()
-                    .map(|q| index.search_one(&ds, q, 12, 3))
-                    .collect()
-            };
+            let index = quantized(&pg.graph, &ds, kind).with_entry(2);
+            let solo: Vec<BeamOutcome> = queries
+                .iter()
+                .map(|q| index.search_one(&ds, q, 12, 3))
+                .collect();
             for threads in [1, 2, 4] {
-                let batch = rayon::with_threads(threads, || {
-                    QuantizedEngineIndex::new(QueryEngine::new(pg.graph.clone(), ds.clone()), kind)
-                        .unwrap()
-                        .with_entry(2)
-                        .search_batch(&ds, &queries, 12, 3)
-                });
+                let batch =
+                    rayon::with_threads(threads, || index.search_batch(&ds, &queries, 12, 3));
                 assert_eq!(batch, solo, "{} diverged at {threads} threads", kind.name());
             }
         }

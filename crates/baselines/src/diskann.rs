@@ -16,7 +16,7 @@
 //!   a random regular graph improved by two passes of beam search +
 //!   α-robust-prune, with reverse-edge insertion.
 
-use pg_core::{Graph, GraphBuilder};
+use pg_core::{beam_walk, Graph, GraphBuilder};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -120,9 +120,21 @@ pub fn vamana<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, params: Vamana
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut rng);
         for &p in &order {
-            // Beam search for p from the medoid over the current graph.
-            let visited = beam_visited(data, &adj, medoid, data.point(p), params.l);
-            let mut candidates: Vec<u32> = visited;
+            // Beam search for p from the medoid over the current graph; the
+            // candidate pool for robust pruning is every vertex it visited,
+            // which is exactly what the walk scored.
+            let q = data.point(p);
+            let mut candidates: Vec<u32> = Vec::new();
+            beam_walk(
+                n,
+                &[medoid as u32],
+                params.l,
+                |v| &adj[v as usize],
+                |v| {
+                    candidates.push(v);
+                    data.dist_to(v as usize, q)
+                },
+            );
             candidates.extend_from_slice(&adj[p]);
             candidates.sort_unstable();
             candidates.dedup();
@@ -170,66 +182,6 @@ fn robust_prune<P: Sync, M: Metric<P> + Sync>(
         });
     }
     kept
-}
-
-/// Beam search over a mutable adjacency list; returns the visited set
-/// (the candidate pool for robust pruning).
-fn beam_visited<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    adj: &[Vec<u32>],
-    start: usize,
-    q: &P,
-    ef: usize,
-) -> Vec<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct C(f64, u32);
-    impl Eq for C {}
-    impl PartialOrd for C {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for C {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    let mut visited = vec![false; data.len()];
-    let mut visited_list = Vec::new();
-    let d0 = data.dist_to(start, q);
-    visited[start] = true;
-    visited_list.push(start as u32);
-    let mut frontier = BinaryHeap::new();
-    let mut results: BinaryHeap<C> = BinaryHeap::new();
-    frontier.push(Reverse(C(d0, start as u32)));
-    results.push(C(d0, start as u32));
-    while let Some(Reverse(C(d, v))) = frontier.pop() {
-        let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        for &nb in &adj[v as usize] {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            visited_list.push(nb);
-            let dn = data.dist_to(nb as usize, q);
-            let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(C(dn, nb)));
-                results.push(C(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-            }
-        }
-    }
-    visited_list
 }
 
 /// Approximate medoid: the sampled point minimizing distance to a random

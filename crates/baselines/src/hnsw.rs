@@ -10,12 +10,10 @@
 //! bidirectional edges and degree capping (`M_max`, `2M` on the ground
 //! layer).
 
-use pg_core::{BeamOutcome, Graph};
+use pg_core::{beam_walk, BeamOutcome, BeamSurrogate, Graph};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// HNSW construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -53,20 +51,6 @@ pub struct Hnsw {
     /// Entry point (a point on the top layer).
     entry: u32,
     params: HnswParams,
-}
-
-#[derive(PartialEq)]
-struct C(f64, u32);
-impl Eq for C {}
-impl PartialOrd for C {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for C {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
 }
 
 impl Hnsw {
@@ -117,7 +101,12 @@ impl Hnsw {
             let start_lvl = p_level.min(entry_level);
             let mut eps = vec![cur];
             for l in (0..=start_lvl).rev() {
-                let found = search_layer(data, &layers[l], &eps, q, params.ef_construction);
+                let found: Vec<(f64, u32)> =
+                    search_layer(data, &layers[l], &eps, q, params.ef_construction)
+                        .results
+                        .into_iter()
+                        .map(|(v, d)| (d, v))
+                        .collect();
                 let m_max = if l == 0 { 2 * params.m } else { params.m };
                 let selected = if params.heuristic {
                     select_heuristic(data, p, &found, params.m)
@@ -205,15 +194,12 @@ impl Hnsw {
             cur =
                 greedy_layer_detailed(data, &self.layers[lvl], cur, q, &mut comps, &mut expansions);
         }
-        let (found, c, e) = search_layer_detailed(data, &self.layers[0], &[cur], q, ef.max(k));
-        comps += c;
-        expansions += e;
-        let mut out: Vec<(u32, f64)> = found.into_iter().map(|(d, v)| (v, d)).collect();
-        out.truncate(k);
+        let mut found = search_layer(data, &self.layers[0], &[cur], q, ef.max(k));
+        found.results.truncate(k);
         BeamOutcome {
-            results: out,
-            dist_comps: comps,
-            expansions,
+            results: found.results,
+            dist_comps: comps + found.dist_comps,
+            expansions: expansions + found.expansions,
         }
     }
 
@@ -296,69 +282,23 @@ fn greedy_layer_detailed<P, M: Metric<P>>(
     }
 }
 
-/// `SEARCH-LAYER` of \[22\]: beam of width `ef` from the given entry points.
-/// Returns `(dist, id)` ascending.
+/// `SEARCH-LAYER` of \[22\]: the shared [`beam_walk`] of width `ef` from the
+/// given entry points over one layer's adjacency, scored by true distance.
+/// Returns `(id, dist)` ascending by `(dist, id)`.
 fn search_layer<P, M: Metric<P>>(
     data: &Dataset<P, M>,
     layer: &[Vec<u32>],
     entries: &[u32],
     q: &P,
     ef: usize,
-) -> Vec<(f64, u32)> {
-    search_layer_detailed(data, layer, entries, q, ef).0
-}
-
-fn search_layer_detailed<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    layer: &[Vec<u32>],
-    entries: &[u32],
-    q: &P,
-    ef: usize,
-) -> (Vec<(f64, u32)>, u64, u64) {
-    let mut comps = 0u64;
-    let mut expansions = 0u64;
-    let mut visited = vec![false; data.len()];
-    let mut frontier: BinaryHeap<Reverse<C>> = BinaryHeap::new();
-    let mut results: BinaryHeap<C> = BinaryHeap::new();
-    for &e in entries {
-        if visited[e as usize] {
-            continue;
-        }
-        visited[e as usize] = true;
-        comps += 1;
-        let d = data.dist_to(e as usize, q);
-        frontier.push(Reverse(C(d, e)));
-        results.push(C(d, e));
-        if results.len() > ef {
-            results.pop();
-        }
-    }
-    while let Some(Reverse(C(d, v))) = frontier.pop() {
-        let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        for &nb in &layer[v as usize] {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            comps += 1;
-            let dn = data.dist_to(nb as usize, q);
-            let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(C(dn, nb)));
-                results.push(C(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-            }
-        }
-    }
-    let mut out: Vec<(f64, u32)> = results.into_iter().map(|C(d, v)| (d, v)).collect();
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    (out, comps, expansions)
+) -> BeamSurrogate {
+    beam_walk(
+        data.len(),
+        entries,
+        ef,
+        |v| &layer[v as usize],
+        |v| data.dist_to(v as usize, q),
+    )
 }
 
 /// `SELECT-NEIGHBORS-HEURISTIC` of \[22\]: keep a candidate only if it is

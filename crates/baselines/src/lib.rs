@@ -58,8 +58,66 @@ pub(crate) fn label_dists<P: Sync, M: Metric<P> + Sync>(
     }
 }
 
-pub use adapter::{BruteIndex, EngineIndex, GraphIndex, QuantizedEngineIndex, SweepSearch};
+pub use adapter::{BruteIndex, GraphIndex, SweepSearch};
 pub use brute::brute_force_nn;
 pub use diskann::{slow_preprocessing, vamana, VamanaParams};
 pub use hnsw::{Hnsw, HnswParams};
 pub use nsw::{nsw, NswParams};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pg_core::Graph;
+    use pg_metric::{Euclidean, FlatPoints, FlatRow};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    fn random_dataset(n: usize, d: usize, seed: u64) -> Dataset<FlatRow, Euclidean> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        FlatPoints::from_fn(n, d, |_, out| {
+            out.extend((0..d).map(|_| rng.random_range(0.0..30.0)))
+        })
+        .into_dataset(Euclidean)
+    }
+
+    /// `(edge_count, FNV-1a over the CSR offsets then targets)`.
+    fn fingerprint(g: &Graph) -> (usize, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let offsets = g.csr_offsets().iter().map(|&o| o as u64);
+        let targets = g.csr_targets().iter().map(|&t| u64::from(t));
+        for b in offsets.chain(targets).flat_map(u64::to_le_bytes) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (g.edge_count(), h)
+    }
+
+    /// The three constructions run their insertion-time beams through the
+    /// shared `pg_core::beam_walk`. These fingerprints were recorded with
+    /// the private per-baseline loops that walk replaced, so they pin the
+    /// built graphs edge for edge, not merely "still deterministic".
+    #[test]
+    fn constructions_are_graph_identical_to_the_recorded_builds() {
+        type Pins = [(usize, u64); 3];
+        const D2: Pins = [
+            (5814, 18157890350318510441),
+            (5890, 14243995548373718534),
+            (3072, 13073816266793016316),
+        ];
+        const D16: Pins = [
+            (3846, 14976913564604238733),
+            (3890, 16795163857144911411),
+            (4472, 13671497826922419090),
+        ];
+        for (n, d, seed, want) in [(300, 2, 41, D2), (200, 16, 42, D16)] {
+            let ds = random_dataset(n, d, seed);
+            let h = Hnsw::build(&ds, HnswParams::default());
+            assert_eq!(h.entry_point(), 82, "d = {d}: hnsw entry point");
+            let got = [
+                fingerprint(&h.ground_layer()),
+                fingerprint(&nsw(&ds, NswParams::default())),
+                fingerprint(&vamana(&ds, VamanaParams::default())),
+            ];
+            assert_eq!(got, want, "d = {d}: (hnsw, nsw, vamana) fingerprints");
+        }
+    }
+}

@@ -12,16 +12,15 @@
 //! width `ef.max(k)` is *not* applied here — `beam_search` keeps `ef` as
 //! given and truncates to `k` at the end — and all orderings break distance
 //! ties by smaller id, identically to brute force. The construction-time
-//! beam below mirrors that rule (its candidate heap orders by `(dist, id)`),
-//! so the built graph is deterministic for a seed at every thread count.
+//! beam is the same [`pg_core::beam_walk`] (scored by true distance over the
+//! adjacency built so far), so it follows that rule too and the built graph
+//! is deterministic for a seed at every thread count.
 
-use pg_core::Graph;
+use pg_core::{beam_walk, Graph};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// NSW construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -59,69 +58,21 @@ pub fn nsw<P, M: Metric<P>>(data: &Dataset<P, M>, params: NswParams) -> Graph {
             inserted.push(p as u32);
             continue;
         }
-        let entry = inserted[0];
-        let found = beam(data, &adj, entry, data.point(p), params.ef_construction);
-        for &(_, v) in found.iter().take(params.m) {
+        let q = data.point(p);
+        let found = beam_walk(
+            n,
+            &inserted[..1],
+            params.ef_construction,
+            |v| &adj[v as usize],
+            |v| data.dist_to(v as usize, q),
+        );
+        for &(v, _) in found.results.iter().take(params.m) {
             adj[p].push(v);
             adj[v as usize].push(p as u32);
         }
         inserted.push(p as u32);
     }
     Graph::from_adjacency(adj)
-}
-
-#[derive(PartialEq)]
-struct C(f64, u32);
-impl Eq for C {}
-impl PartialOrd for C {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for C {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
-fn beam<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    adj: &[Vec<u32>],
-    start: u32,
-    q: &P,
-    ef: usize,
-) -> Vec<(f64, u32)> {
-    let mut visited = vec![false; data.len()];
-    visited[start as usize] = true;
-    let d0 = data.dist_to(start as usize, q);
-    let mut frontier = BinaryHeap::new();
-    let mut results: BinaryHeap<C> = BinaryHeap::new();
-    frontier.push(Reverse(C(d0, start)));
-    results.push(C(d0, start));
-    while let Some(Reverse(C(d, v))) = frontier.pop() {
-        let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        for &nb in &adj[v as usize] {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            let dn = data.dist_to(nb as usize, q);
-            let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(C(dn, nb)));
-                results.push(C(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-            }
-        }
-    }
-    let mut out: Vec<(f64, u32)> = results.into_iter().map(|C(d, v)| (d, v)).collect();
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out
 }
 
 #[cfg(test)]

@@ -99,8 +99,8 @@ fn main() {
 
         let beam_row = |table: &mut Table, name: &str, g: &Graph, bd: u64, bs: f64| {
             let engine = QueryEngine::new(g.clone(), data.clone());
-            let batch = engine.batch_beam(&beam_starts, &queries, 12, 1);
-            let answers: Vec<(u32, f64)> = batch.results.iter().map(|res| res[0]).collect();
+            let batch = engine.batch_beam_detailed(&beam_starts, &queries, 12, 1);
+            let answers: Vec<(u32, f64)> = batch.outcomes.iter().map(|o| o.results[0]).collect();
             let (recall, ratio) = quality(&truth, &answers);
             table.row(vec![
                 name.into(),

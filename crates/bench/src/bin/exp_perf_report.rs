@@ -218,10 +218,10 @@ fn main() {
         assert_eq!(a.result_dist, b.result_dist);
     }
     let greedy_comps = bf.dist_comps;
-    let ef_flat = flat_engine.batch_beam(&starts, &q_flat, ef, k);
-    let ef_nested = nested_engine.batch_beam(&starts, &q_nested, ef, k);
+    let ef_flat = flat_engine.batch_beam_detailed(&starts, &q_flat, ef, k);
+    let ef_nested = nested_engine.batch_beam_detailed(&starts, &q_nested, ef, k);
     assert_eq!(
-        ef_flat.results, ef_nested.results,
+        ef_flat.outcomes, ef_nested.outcomes,
         "layouts diverged in beam results"
     );
     let beam_comps = ef_flat.dist_comps;
@@ -238,11 +238,14 @@ fn main() {
     let greedy_flat_qps = time_qps(&mut || flat_engine.batch_greedy(&starts, &q_flat).dist_comps);
     let greedy_nested_qps =
         time_qps(&mut || nested_engine.batch_greedy(&starts, &q_nested).dist_comps);
-    let beam_flat_qps =
-        time_qps(&mut || flat_engine.batch_beam(&starts, &q_flat, ef, k).dist_comps);
+    let beam_flat_qps = time_qps(&mut || {
+        flat_engine
+            .batch_beam_detailed(&starts, &q_flat, ef, k)
+            .dist_comps
+    });
     let beam_nested_qps = time_qps(&mut || {
         nested_engine
-            .batch_beam(&starts, &q_nested, ef, k)
+            .batch_beam_detailed(&starts, &q_nested, ef, k)
             .dist_comps
     });
 

@@ -23,11 +23,11 @@
 //! 2. **Locality.** Per workload, the mean |u − v| over directed edges of
 //!    the `G_net` graph before and after `bfs_degree_order` — the
 //!    cache-locality statistic the relabeling exists to improve.
-//! 3. **Frontiers.** Per workload, the `ef` axis for `f64`
-//!    (`EngineIndex`), `f32` and `sq8` (`QuantizedEngineIndex`), scored
-//!    against exact cached ground truth. Quantized rows report exact
-//!    re-ranked recall; `dist_comps` counts surrogate evaluations plus one
-//!    exact evaluation per re-ranked candidate.
+//! 3. **Frontiers.** Per workload, the `ef` axis for `f64`, `f32` and
+//!    `sq8` (one `GraphIndex` each, the latter two with a compact store
+//!    attached), scored against exact cached ground truth. Quantized rows
+//!    report exact re-ranked recall; `dist_comps` counts surrogate
+//!    evaluations plus one exact evaluation per re-ranked candidate.
 //!
 //! Results land in `BENCH_<label>.json` with a `quant` section:
 //!
@@ -59,7 +59,7 @@
 
 use std::fmt::Write as _;
 
-use pg_baselines::{EngineIndex, QuantizedEngineIndex, SweepSearch};
+use pg_baselines::{GraphIndex, SweepSearch};
 use pg_bench::{fmt, full_mode, init_threads, spread_start, value_flag, Table};
 use pg_core::{beam_search_detailed, greedy, mean_edge_gap, GNet, QueryEngine};
 use pg_eval::{CacheStatus, FrontierPoint, FrontierSweep, GroundTruth};
@@ -294,11 +294,13 @@ fn main() {
 
         // Frontiers: identical graph, identical queries — only the stored
         // representation of the points changes between the three sweeps.
-        let exact = EngineIndex::new(engine.clone());
-        let f32_index = QuantizedEngineIndex::new(engine.clone(), QuantKind::F32)
-            .expect("finite workload encodes");
-        let sq8_index = QuantizedEngineIndex::new(engine.clone(), QuantKind::Sq8)
-            .expect("finite workload encodes");
+        let exact = GraphIndex::new(engine.graph().clone());
+        let quantized = |kind| {
+            let compact = engine.quantize(kind).expect("finite workload encodes");
+            exact.clone().with_compact(compact)
+        };
+        let f32_index = quantized(QuantKind::F32);
+        let sq8_index = quantized(QuantKind::Sq8);
         let sweeps: Vec<(&'static str, &dyn SweepSearch<FlatRow, Euclidean>)> =
             vec![("f64", &exact), ("f32", &f32_index), ("sq8", &sq8_index)];
 

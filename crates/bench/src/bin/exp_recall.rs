@@ -50,8 +50,7 @@
 use std::fmt::Write as _;
 
 use pg_baselines::{
-    nsw, vamana, BruteIndex, EngineIndex, GraphIndex, Hnsw, HnswParams, NswParams, SweepSearch,
-    VamanaParams,
+    nsw, vamana, BruteIndex, GraphIndex, Hnsw, HnswParams, NswParams, SweepSearch, VamanaParams,
 };
 use pg_bench::{fmt, full_mode, init_threads, spread_start, value_flag, Table};
 use pg_core::{GNet, QueryEngine, ThetaGraph};
@@ -160,16 +159,15 @@ fn main() {
         );
 
         // ---- build the selected indexes -----------------------------------
-        // Two adapters per graph family: the `gate` (plain GraphIndex, whose
-        // default parallel map genuinely follows the `with_threads` override
-        // — so the invariance check exercises real 1/2/machine sharding) and
-        // the `timed` EngineIndex (engine built HERE, outside any timing
-        // window, so the q/s column measures pure search work). The
-        // timed-vs-gate score assertion below bridges the two paths.
+        // One adapter per family, built HERE, outside any timing window (so
+        // the q/s column measures pure search work). Its default parallel
+        // map follows the `with_threads` override, so the invariance gate
+        // below exercises real 1/2/machine sharding on the very index the
+        // timed sweep then runs.
         let theta = if dim <= 2 { 0.25 } else { 0.7 };
         let selected = |name: &str| algo_filter.as_deref().is_none_or(|a| a == name);
         let gnet = selected("gnet").then(|| GNet::build_fast(&data, 1.0));
-        let mut indexes: Vec<(&'static str, DynIndex, Option<DynIndex>)> = Vec::new();
+        let mut indexes: Vec<(&'static str, DynIndex)> = Vec::new();
         for name in ALGOS {
             if !selected(name) {
                 continue;
@@ -181,31 +179,23 @@ fn main() {
                 "nsw" => Some(nsw(&data, NswParams::default())),
                 _ => None,
             };
-            let (gate, timed): (DynIndex, Option<DynIndex>) = match graph {
-                Some(g) => (
-                    Box::new(GraphIndex::new(g.clone())),
-                    Some(Box::new(EngineIndex::new(QueryEngine::new(
-                        g,
-                        data.clone(),
-                    )))),
-                ),
-                None if name == "hnsw" => {
-                    (Box::new(Hnsw::build(&data, HnswParams::default())), None)
-                }
-                None => (Box::new(BruteIndex), None),
+            let index: DynIndex = match graph {
+                Some(g) => Box::new(GraphIndex::new(g)),
+                None if name == "hnsw" => Box::new(Hnsw::build(&data, HnswParams::default())),
+                None => Box::new(BruteIndex),
             };
-            indexes.push((name, gate, timed));
+            indexes.push((name, index));
         }
 
         let mut table = Table::new(&[
             "algo", "ef", "recall@k", "ratio", "succ@1", "dists/q", "hops/q", "q/s",
         ]);
-        for (name, gate, timed) in &indexes {
+        for (name, index) in &indexes {
             // ---- determinism gate: scores at 1/2/machine threads ----------
             let score_all = |t: usize| -> Vec<Score> {
                 rayon::with_threads(t, || {
                     efs.iter()
-                        .map(|&ef| sweep.score_at(gate.as_ref(), &data, &queries, &truth, ef))
+                        .map(|&ef| sweep.score_at(index.as_ref(), &data, &queries, &truth, ef))
                         .collect()
                 })
             };
@@ -226,8 +216,7 @@ fn main() {
             }
 
             // ---- timed frontier (scores re-checked against the gate) ------
-            let timed_index = timed.as_deref().unwrap_or(gate.as_ref());
-            let pts = sweep.run(timed_index, &data, &queries, &truth);
+            let pts = sweep.run(index.as_ref(), &data, &queries, &truth);
             for (p, b) in pts.iter().zip(base.iter()) {
                 assert_eq!(&p.score, b, "{wname}/{name}: timed run changed a metric");
                 table.row(vec![

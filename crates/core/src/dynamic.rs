@@ -49,8 +49,15 @@ pub struct DynamicAnswer {
     pub dist_comps: u64,
 }
 
+/// `buffer_pos` entry of a point that is not in the buffer.
+const NOT_BUFFERED: usize = usize::MAX;
+
 /// An insert/delete/query `(1+ε)`-ANN index with the Theorem 1.1 graph as
 /// its core (see module docs).
+///
+/// Bookkeeping is `O(1)` per update outside rebuilds: the live count is a
+/// counter and a buffered id is found through `buffer_pos`, so loading `n`
+/// points costs `n` counter bumps, not `Θ(n²)` flag reads.
 #[derive(Debug)]
 pub struct DynamicGNet<P, M> {
     metric: M,
@@ -59,11 +66,15 @@ pub struct DynamicGNet<P, M> {
     points: Vec<P>,
     /// `alive[id]`: not removed.
     alive: Vec<bool>,
+    /// Number of `true` entries in `alive`.
+    live: usize,
     /// Snapshot: a dataset clone + graph over the points present at the
     /// last rebuild. `snap_ids[v]` maps graph vertex -> global id.
     snapshot: Option<(Dataset<P, M>, GNet, Vec<u64>)>,
     /// Global ids inserted since the last rebuild.
     buffer: Vec<u64>,
+    /// `buffer_pos[id]`: index of `id` in `buffer`, or [`NOT_BUFFERED`].
+    buffer_pos: Vec<usize>,
     /// Tombstones inside the snapshot (removed after the last rebuild).
     snap_tombstones: usize,
     rebuilds: usize,
@@ -82,8 +93,10 @@ impl<P: Clone + Sync, M: Metric<P> + Clone + Sync> DynamicGNet<P, M> {
             epsilon,
             points: Vec::new(),
             alive: Vec::new(),
+            live: 0,
             snapshot: None,
             buffer: Vec::new(),
+            buffer_pos: Vec::new(),
             snap_tombstones: 0,
             rebuilds: 0,
             rebuild_fraction: 0.5,
@@ -96,6 +109,8 @@ impl<P: Clone + Sync, M: Metric<P> + Clone + Sync> DynamicGNet<P, M> {
         let id = self.points.len() as u64;
         self.points.push(p);
         self.alive.push(true);
+        self.live += 1;
+        self.buffer_pos.push(self.buffer.len());
         self.buffer.push(id);
         self.maybe_rebuild();
         id
@@ -110,12 +125,17 @@ impl<P: Clone + Sync, M: Metric<P> + Clone + Sync> DynamicGNet<P, M> {
             return false;
         }
         *alive = false;
+        self.live -= 1;
         // Either it was buffered (drop it) or it is in the snapshot
         // (tombstone it).
-        if let Some(pos) = self.buffer.iter().position(|&b| b == id) {
-            self.buffer.swap_remove(pos);
-        } else {
+        let pos = std::mem::replace(&mut self.buffer_pos[id as usize], NOT_BUFFERED);
+        if pos == NOT_BUFFERED {
             self.snap_tombstones += 1;
+        } else {
+            self.buffer.swap_remove(pos);
+            if let Some(&moved) = self.buffer.get(pos) {
+                self.buffer_pos[moved as usize] = pos;
+            }
         }
         self.maybe_rebuild();
         true
@@ -123,7 +143,7 @@ impl<P: Clone + Sync, M: Metric<P> + Clone + Sync> DynamicGNet<P, M> {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.live
     }
 
     /// Whether no live points remain.
@@ -169,8 +189,17 @@ impl<P: Clone + Sync, M: Metric<P> + Clone + Sync> DynamicGNet<P, M> {
         let ids: Vec<u64> = (0..self.points.len() as u64)
             .filter(|&id| self.alive[id as usize])
             .collect();
+        for &id in &self.buffer {
+            self.buffer_pos[id as usize] = NOT_BUFFERED;
+        }
+        self.snap_tombstones = 0;
         if ids.len() < 2 {
+            // Too small for a snapshot: whatever is alive stays buffered.
             self.snapshot = None;
+            for (pos, &id) in ids.iter().enumerate() {
+                self.buffer_pos[id as usize] = pos;
+            }
+            self.buffer = ids;
         } else {
             let pts: Vec<P> = ids
                 .iter()
@@ -180,15 +209,7 @@ impl<P: Clone + Sync, M: Metric<P> + Clone + Sync> DynamicGNet<P, M> {
             let gnet = GNet::build_fast(&data, self.epsilon);
             self.snapshot = Some((data, gnet, ids));
             self.rebuilds += 1;
-        }
-        self.buffer.clear();
-        self.snap_tombstones = 0;
-        // Anything alive but not in the snapshot must be re-buffered (only
-        // possible when the snapshot was skipped for being too small).
-        if self.snapshot.is_none() {
-            self.buffer = (0..self.points.len() as u64)
-                .filter(|&id| self.alive[id as usize])
-                .collect();
+            self.buffer.clear();
         }
     }
 
@@ -337,6 +358,47 @@ mod tests {
         }
         assert!(idx.is_empty());
         assert!(idx.query(&vec![0.0, 0.0]).is_none());
+    }
+
+    #[test]
+    fn len_and_buffer_index_match_a_brute_count_at_every_step() {
+        let check = |idx: &DynamicGNet<Vec<f64>, Euclidean>| {
+            assert_eq!(idx.len(), idx.alive.iter().filter(|&&a| a).count());
+            assert_eq!(idx.stats().live, idx.len());
+            let buffered = idx.buffer_pos.iter().filter(|&&p| p != NOT_BUFFERED);
+            assert_eq!(buffered.count(), idx.buffer.len());
+            for (pos, &id) in idx.buffer.iter().enumerate() {
+                assert!(idx.alive[id as usize], "dead id {id} left in the buffer");
+                assert_eq!(idx.buffer_pos[id as usize], pos);
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut idx = DynamicGNet::new(Euclidean, 1.0);
+        let mut ids: Vec<u64> = Vec::new();
+        for step in 0..300 {
+            // Two inserts per remove; victims are drawn from every id ever
+            // issued, so buffered, snapshot and already-dead ids all occur.
+            if step % 3 == 2 {
+                let victim = ids[rng.random_range(0..ids.len())];
+                let was_alive = idx.alive[victim as usize];
+                assert_eq!(idx.remove(victim), was_alive);
+            } else {
+                ids.push(idx.insert(vec![
+                    rng.random_range(0.0..50.0),
+                    rng.random_range(0.0..50.0),
+                ]));
+            }
+            check(&idx);
+        }
+        assert!(idx.stats().rebuilds >= 2, "the run must cross rebuilds");
+        idx.rebuild();
+        check(&idx);
+        // Shrinking below two live points drops the snapshot and re-buffers.
+        for id in ids {
+            idx.remove(id);
+            check(&idx);
+        }
+        assert!(idx.is_empty());
     }
 
     #[test]

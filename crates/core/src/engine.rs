@@ -94,16 +94,6 @@ pub struct BatchOutcome {
     pub dist_comps: u64,
 }
 
-/// The result of a [`QueryEngine::batch_beam`] call.
-#[derive(Debug, Clone)]
-pub struct BatchBeamOutcome {
-    /// Per-query `(id, dist)` result lists (ascending by distance, ties by
-    /// id), in the order the queries were given.
-    pub results: Vec<Vec<(u32, f64)>>,
-    /// Total distance computations across the batch.
-    pub dist_comps: u64,
-}
-
 /// The result of a [`QueryEngine::batch_beam_detailed`] call: one full
 /// [`BeamOutcome`] per query, so evaluation code can score recall and plot
 /// per-query cost (`dist_comps`, `expansions`) without re-deriving anything
@@ -178,6 +168,26 @@ impl<P, M: Metric<P>> QueryEngine<P, M> {
 }
 
 impl<P: Sync, M: Metric<P> + Sync> QueryEngine<P, M> {
+    /// The shared body of every `batch_*` method: runs `one(starts[i],
+    /// &queries[i])` for every pair through the order-preserving pool and
+    /// sums the per-outcome distance counts (`cost`).
+    fn batch<T: Send>(
+        &self,
+        starts: &[u32],
+        queries: &[P],
+        one: impl Fn(u32, &P) -> T + Sync,
+        cost: impl Fn(&T) -> u64,
+    ) -> (Vec<T>, u64) {
+        assert_eq!(
+            starts.len(),
+            queries.len(),
+            "one start vertex per query required"
+        );
+        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |i, q| one(starts[i], q));
+        let dist_comps = outcomes.iter().map(cost).sum();
+        (outcomes, dist_comps)
+    }
+
     /// Runs [`greedy`](crate::search::greedy) for every `(start, query)`
     /// pair, sharded across the pool. `starts` and `queries` must have equal
     /// lengths; outcome `i` is exactly `greedy(graph, data, starts[i],
@@ -190,42 +200,20 @@ impl<P: Sync, M: Metric<P> + Sync> QueryEngine<P, M> {
     /// `(start, query)` pair, sharded across the pool. Outcome `i` is exactly
     /// `query(graph, data, starts[i], &queries[i], budget)`.
     pub fn batch_query(&self, starts: &[u32], queries: &[P], budget: u64) -> BatchOutcome {
-        assert_eq!(
-            starts.len(),
-            queries.len(),
-            "one start vertex per query required"
+        let (outcomes, dist_comps) = self.batch(
+            starts,
+            queries,
+            |s, q| query(&self.graph, &self.data, s, q, budget),
+            |o| o.dist_comps,
         );
-        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |i, q| {
-            query(&self.graph, &self.data, starts[i], q, budget)
-        });
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
         BatchOutcome {
             outcomes,
             dist_comps,
         }
     }
 
-    /// Runs [`beam_search`](crate::search::beam_search) (width `ef`, top
-    /// `k`) for every `(start, query)` pair, sharded across the pool. Result
-    /// `i` is exactly `beam_search(graph, data, starts[i], &queries[i], ef,
-    /// k)`. Delegates to [`QueryEngine::batch_beam_detailed`] and discards
-    /// the per-query accounting.
-    pub fn batch_beam(
-        &self,
-        starts: &[u32],
-        queries: &[P],
-        ef: usize,
-        k: usize,
-    ) -> BatchBeamOutcome {
-        let detail = self.batch_beam_detailed(starts, queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
-        }
-    }
-
-    /// Runs [`beam_search_detailed`] for every `(start, query)` pair,
-    /// sharded across the pool: outcome `i` is exactly
+    /// Runs [`beam_search_detailed`] (width `ef`, top `k`) for every
+    /// `(start, query)` pair, sharded across the pool: outcome `i` is exactly
     /// `beam_search_detailed(graph, data, starts[i], &queries[i], ef, k)`,
     /// carrying that query's own `dist_comps` and `expansions` — the
     /// per-query detail evaluation sweeps (`pg_eval`) score from, with the
@@ -237,15 +225,12 @@ impl<P: Sync, M: Metric<P> + Sync> QueryEngine<P, M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamDetail {
-        assert_eq!(
-            starts.len(),
-            queries.len(),
-            "one start vertex per query required"
+        let (outcomes, dist_comps) = self.batch(
+            starts,
+            queries,
+            |s, q| beam_search_detailed(&self.graph, &self.data, s, q, ef, k),
+            |o| o.dist_comps,
         );
-        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |i, q| {
-            beam_search_detailed(&self.graph, &self.data, starts[i], q, ef, k)
-        });
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
         BatchBeamDetail {
             outcomes,
             dist_comps,
@@ -282,35 +267,15 @@ impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> QueryEngine<P, M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamDetail {
-        assert_eq!(
-            starts.len(),
-            queries.len(),
-            "one start vertex per query required"
+        let (outcomes, dist_comps) = self.batch(
+            starts,
+            queries,
+            |s, q| beam_search_quantized(&self.graph, &self.data, compact, s, q, ef, k),
+            |o| o.dist_comps,
         );
-        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |i, q| {
-            beam_search_quantized(&self.graph, &self.data, compact, starts[i], q, ef, k)
-        });
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
         BatchBeamDetail {
             outcomes,
             dist_comps,
-        }
-    }
-
-    /// [`QueryEngine::batch_beam_quantized_detailed`] without the per-query
-    /// accounting — the quantized counterpart of [`QueryEngine::batch_beam`].
-    pub fn batch_beam_quantized<C: Quantized + Sync>(
-        &self,
-        compact: &C,
-        starts: &[u32],
-        queries: &[P],
-        ef: usize,
-        k: usize,
-    ) -> BatchBeamOutcome {
-        let detail = self.batch_beam_quantized_detailed(compact, starts, queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
         }
     }
 }
@@ -399,11 +364,11 @@ mod tests {
         let queries = random_queries(30, 6);
         let starts: Vec<u32> = (0..30).map(|i| (i * 13) % 180).collect();
         let engine = QueryEngine::new(pg.graph.clone(), ds.clone()).with_threads(3);
-        let batch = engine.batch_beam(&starts, &queries, 16, 4);
+        let batch = engine.batch_beam_detailed(&starts, &queries, 16, 4);
         let mut comps_total = 0u64;
         for (i, q) in queries.iter().enumerate() {
             let (solo, c) = beam_search(&pg.graph, &ds, starts[i], q, 16, 4);
-            assert_eq!(batch.results[i], solo);
+            assert_eq!(batch.outcomes[i].results, solo);
             comps_total += c;
         }
         assert_eq!(batch.dist_comps, comps_total);

@@ -8,7 +8,8 @@
 //! * [`graph`] — CSR directed graphs over dataset ids, plus failure
 //!   injection (edge removal) and the merge operation of Section 5;
 //! * [`search`] — the `greedy` walk and budgeted `query` of Section 1.1,
-//!   verbatim, counting distance computations; beam search as an extension;
+//!   verbatim, counting distance computations; the one best-first walk
+//!   (`beam_walk`) every beam search and baseline construction composes;
 //! * [`navigability`] — the `(1+ε)`-navigability checker of Fact 2.1 and an
 //!   exhaustive operational PG checker;
 //! * [`params`] — `η` and `φ` (Eqs. 3–4);
@@ -68,7 +69,7 @@ pub mod snapshot;
 pub mod theta;
 
 pub use dynamic::{DynamicAnswer, DynamicGNet, DynamicStats};
-pub use engine::{BatchBeamDetail, BatchBeamOutcome, BatchOutcome, QueryEngine};
+pub use engine::{BatchBeamDetail, BatchOutcome, QueryEngine};
 pub use gnet::{gnet_edges_with_phi, GNet, GNetIndependent};
 pub use graph::{Graph, GraphBuilder};
 pub use merged::{MergedGraph, MergedParams};
@@ -77,8 +78,7 @@ pub use params::GNetParams;
 pub use reorder::{bfs_degree_order, mean_edge_gap, Reordering};
 pub use search::{
     beam_search, beam_search_detailed, beam_search_quantized, beam_search_quantized_surrogate,
-    beam_search_surrogate, greedy, query, BeamOutcome, BeamSurrogate, GreedyOutcome,
-    QuantBeamSurrogate,
+    beam_walk, greedy, query, BeamOutcome, BeamSurrogate, GreedyOutcome,
 };
 pub use sharded::{ShardAssignment, ShardedEngine};
 pub use snapshot::{AnyEngine, SnapshotMetric};

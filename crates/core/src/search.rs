@@ -165,18 +165,162 @@ pub struct BeamOutcome {
     pub expansions: u64,
 }
 
+/// The result of one [`beam_walk`]: the gathered candidates, still keyed by
+/// what the walk's `score` closure returned. For the search routines of this
+/// module that is **surrogate space** (squared distance under `L_2`), the
+/// merge-ready form a sharded search needs: per-shard lists can be merged on
+/// the exact surrogate keys (with ids remapped to a global id space) and
+/// mapped to true distances once, reproducing the single-index
+/// `(distance, id)` order bit-for-bit — mapping to distances *before*
+/// merging would round away ties the surrogate keys still distinguish.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BeamSurrogate {
+    /// The candidates as `(id, score)`, ascending by score with ties broken
+    /// by id. Under a metric surrogate, [`Metric::dist_from_surrogate`]
+    /// (`pg_metric::Metric::dist_from_surrogate`) maps each key to the true
+    /// distance; equal surrogates always map to equal distances, so this
+    /// order refines the [`BeamOutcome::results`] order.
+    pub results: Vec<(u32, f64)>,
+    /// Number of distance computations (one per `score` evaluation —
+    /// identical accounting to [`BeamOutcome`]).
+    pub dist_comps: u64,
+    /// Number of vertices expanded (see [`BeamOutcome::expansions`]).
+    pub expansions: u64,
+}
+
+impl BeamSurrogate {
+    /// Maps the surrogate keys to true distances under `data`'s metric.
+    pub(crate) fn into_outcome<P, M: Metric<P>>(mut self, data: &Dataset<P, M>) -> BeamOutcome {
+        for e in &mut self.results {
+            e.1 = data.dist_from_surrogate(e.1);
+        }
+        BeamOutcome {
+            results: self.results,
+            dist_comps: self.dist_comps,
+            expansions: self.expansions,
+        }
+    }
+}
+
+/// Sorts `(id, key)` pairs ascending by key, ties broken by smaller id — the
+/// result order of every search in the workspace.
+pub(crate) fn sort_by_key_then_id(list: &mut [(u32, f64)]) {
+    list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+}
+
+/// A scored vertex ordered by `(score, id)`: the heap key of [`beam_walk`].
+#[derive(PartialEq)]
+struct Cand(f64, u32);
+impl Eq for Cand {}
+impl PartialOrd for Cand {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Cand {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+/// The one best-first walk of the workspace (HNSW's `SEARCH-LAYER`): a
+/// width-`ef` beam over vertices `0..n`, started from `entries`, following
+/// `neighbors(v)` and ranking by `score(v)` — lower is better, ties broken
+/// by smaller id. Every other search is a composition of it:
+/// [`beam_search_detailed`] scores with the metric surrogate over a
+/// [`Graph`]; [`beam_search_quantized`] scores with a compact store's
+/// surrogate and re-ranks exactly afterwards; the sharded engine merges one
+/// walk per shard; the HNSW/NSW/Vamana constructions score with true
+/// distances over their adjacency lists under construction.
+///
+/// The entries are scanned like an out-neighbor list, so duplicates are
+/// scored once. `score` is called exactly once per visited vertex, in
+/// visiting order — a closure may record what the walk touched. Returns the
+/// best `<= ef` vertices gathered, ascending by `(score, id)`; fewer than
+/// `ef` only when fewer are reachable.
+///
+/// # Panics
+/// If `ef == 0` or an entry is `>= n`.
+pub fn beam_walk<'g, N, S>(
+    n: usize,
+    entries: &[u32],
+    ef: usize,
+    neighbors: N,
+    mut score: S,
+) -> BeamSurrogate
+where
+    N: Fn(u32) -> &'g [u32],
+    S: FnMut(u32) -> f64,
+{
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    assert!(ef >= 1, "beam width must be at least 1");
+    assert!(
+        entries.iter().all(|&e| (e as usize) < n),
+        "start vertex out of range"
+    );
+    let mut dist_comps: u64 = 0;
+    let mut expansions: u64 = 0;
+    let mut visited = vec![false; n];
+
+    // `frontier`: min-heap of candidates to expand; `results`: max-heap of
+    // the best `ef` seen. `worst` mirrors `results.peek()` and is refreshed
+    // only when the heap changes, instead of re-peeking per neighbor.
+    let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
+    let mut results: BinaryHeap<Cand> = BinaryHeap::new();
+    let mut worst = f64::INFINITY;
+    let mut scan: &[u32] = entries;
+    loop {
+        for &v in scan {
+            if visited[v as usize] {
+                continue;
+            }
+            visited[v as usize] = true;
+            dist_comps += 1;
+            let d = score(v);
+            if results.len() < ef || d < worst {
+                frontier.push(Reverse(Cand(d, v)));
+                results.push(Cand(d, v));
+                if results.len() > ef {
+                    results.pop();
+                }
+                worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
+            }
+        }
+        let Some(Reverse(Cand(d, v))) = frontier.pop() else {
+            break;
+        };
+        if results.len() >= ef && d > worst {
+            break;
+        }
+        expansions += 1;
+        scan = neighbors(v);
+    }
+
+    BeamSurrogate {
+        results: results
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Cand(d, v)| (v, d))
+            .collect(),
+        dist_comps,
+        expansions,
+    }
+}
+
 /// Beam search (best-first with a width-`ef` frontier), the de-facto search
-/// routine of practical systems (HNSW's `SEARCH-LAYER`). Not part of the
-/// paper's model — provided as an extension so the comparison experiments
-/// can report recall under the search procedure practitioners actually use.
+/// routine of practical systems. Not part of the paper's model — provided as
+/// an extension so the comparison experiments can report recall under the
+/// search procedure practitioners actually use.
 ///
 /// Returns up to `k` results ascending by distance and the number of
 /// distance computations. [`beam_search_detailed`] additionally reports the
 /// expansion count; this wrapper discards it.
 ///
-/// Heap ordering and the frontier cutoff run in surrogate space (squared
-/// distance under `L_2`; ties still break by id, identically in both
-/// spaces); only the `k` reported distances are mapped back.
+/// The walk ([`beam_walk`]) runs in surrogate space (squared distance under
+/// `L_2`; ties still break by id, identically in both spaces); only the `k`
+/// reported distances are mapped back.
 pub fn beam_search<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -193,6 +337,9 @@ pub fn beam_search<P, M: Metric<P>>(
 /// results and `dist_comps` (the plain wrapper delegates here), plus the
 /// number of expanded vertices — the detail the evaluation layer scores
 /// from.
+///
+/// # Panics
+/// If `ef == 0` or `p_start` is out of range.
 pub fn beam_search_detailed<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -201,51 +348,13 @@ pub fn beam_search_detailed<P, M: Metric<P>>(
     ef: usize,
     k: usize,
 ) -> BeamOutcome {
-    let BeamSurrogate {
-        mut results,
-        dist_comps,
-        expansions,
-    } = beam_search_surrogate(graph, data, p_start, q, ef, k);
-    for e in &mut results {
-        e.1 = data.dist_from_surrogate(e.1);
-    }
-    BeamOutcome {
-        results,
-        dist_comps,
-        expansions,
-    }
+    beam_search_surrogate(graph, data, p_start, q, ef, k).into_outcome(data)
 }
 
-/// The result of one [`beam_search_surrogate`] call: the same walk as
-/// [`beam_search_detailed`], but with the result list still in **surrogate
-/// space** (squared distance under `L_2`), sorted by `(surrogate, id)` and
-/// truncated to `k`. This is the merge-ready form a sharded search needs:
-/// per-shard top-`k` lists can be merged on the exact surrogate keys (with
-/// ids remapped to a global id space) and mapped to true distances once,
-/// reproducing the single-index `(distance, id)` order bit-for-bit — mapping
-/// to distances *before* merging would round away ties the surrogate keys
-/// still distinguish.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BeamSurrogate {
-    /// Up to `k` results as `(id, surrogate)`, ascending by surrogate with
-    /// ties broken by id. [`Metric::dist_from_surrogate`]
-    /// (`pg_metric::Metric::dist_from_surrogate`) maps each key to the true
-    /// distance; equal surrogates always map to equal distances, so this
-    /// order refines the [`BeamOutcome::results`] order.
-    pub results: Vec<(u32, f64)>,
-    /// Number of distance computations performed by this query (one per
-    /// surrogate evaluation — identical accounting to [`BeamOutcome`]).
-    pub dist_comps: u64,
-    /// Number of vertices expanded (see [`BeamOutcome::expansions`]).
-    pub expansions: u64,
-}
-
-/// The surrogate-space core of [`beam_search_detailed`]: identical walk,
-/// identical accounting, but the `(id, surrogate)` result list is returned
-/// before the final map to true distances (see [`BeamSurrogate`] for why a
-/// sharded merge needs exactly this form). [`beam_search_detailed`] is this
-/// plus one `dist_from_surrogate` per result.
-pub fn beam_search_surrogate<P, M: Metric<P>>(
+/// [`beam_search_detailed`] before the final map to true distances: the
+/// `k` best candidates of the walk, still in surrogate space (see
+/// [`BeamSurrogate`] for why a sharded merge needs exactly this form).
+pub(crate) fn beam_search_surrogate<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
     p_start: u32,
@@ -253,116 +362,41 @@ pub fn beam_search_surrogate<P, M: Metric<P>>(
     ef: usize,
     k: usize,
 ) -> BeamSurrogate {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Cand(f64, u32);
-    impl Eq for Cand {}
-    impl PartialOrd for Cand {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Cand {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    assert!(ef >= 1);
-    let mut comps: u64 = 0;
-    let mut expansions: u64 = 0;
-    let mut visited = vec![false; data.len()];
-    visited[p_start as usize] = true;
-    comps += 1;
-    let d0 = data.surrogate_to(p_start as usize, q);
-
-    // `frontier`: min-heap of candidates to expand; `results`: max-heap of
-    // the best `ef` seen. `worst` mirrors `results.peek()` and is refreshed
-    // only when the heap changes, instead of re-peeking per neighbor.
-    let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-    let mut results: BinaryHeap<Cand> = BinaryHeap::new();
-    frontier.push(Reverse(Cand(d0, p_start)));
-    results.push(Cand(d0, p_start));
-    let mut worst = d0;
-
-    while let Some(Reverse(Cand(d, v))) = frontier.pop() {
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        for &nb in graph.neighbors(v) {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            comps += 1;
-            let dn = data.surrogate_to(nb as usize, q);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(Cand(dn, nb)));
-                results.push(Cand(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-                worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            }
-        }
-    }
-
-    let mut out: Vec<(u32, f64)> = results.into_iter().map(|Cand(d, v)| (v, d)).collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    out.truncate(k);
-    BeamSurrogate {
-        results: out,
-        dist_comps: comps,
-        expansions,
-    }
-}
-
-/// The result of one [`beam_search_quantized_surrogate`] call. The walk ran
-/// in the **quantized** surrogate space, but `results` carries **exact**
-/// `f64` surrogates: every gathered candidate was re-ranked against the
-/// full-precision points before truncation (the re-rank contract of
-/// `pg_metric::quant`). The list is therefore in the same merge-ready
-/// `(exact surrogate, id)` order as [`BeamSurrogate`], and a sharded merge
-/// can consume either interchangeably.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantBeamSurrogate {
-    /// Up to `k` results as `(id, exact surrogate)`, ascending by surrogate
-    /// with ties broken by id — identical ordering semantics to
-    /// [`BeamSurrogate::results`].
-    pub results: Vec<(u32, f64)>,
-    /// Size of the candidate set that was re-ranked (`<= ef`; smaller only
-    /// when fewer vertices are reachable). Whenever the exact top-`k` is
-    /// among these candidates, `results` **equals** the exact top-`k`.
-    pub candidates: usize,
-    /// Distance computations: quantized surrogate evaluations during the
-    /// walk **plus** one exact evaluation per re-ranked candidate. Counting
-    /// both keeps quantized frontier rows honest — the re-rank is not free.
-    pub dist_comps: u64,
-    /// Number of vertices expanded (see [`BeamOutcome::expansions`]).
-    pub expansions: u64,
+    let mut walk = beam_walk(
+        data.len(),
+        &[p_start],
+        ef,
+        |v| graph.neighbors(v),
+        |v| data.surrogate_to(v as usize, q),
+    );
+    walk.results.truncate(k);
+    walk
 }
 
 /// Beam search navigating in a compact representation with an exact `f64`
 /// re-rank before truncation: the quantized counterpart of
-/// [`beam_search_surrogate`].
+/// [`beam_search_detailed`], with the result list still in (exact)
+/// surrogate space.
 ///
-/// The walk is the same best-first loop, but every heap/cutoff comparison
-/// uses `compact.surrogate(...)` — the approximate squared distance on the
-/// quantized codes — so the hot loop streams 4 bytes (`pg_metric::F32Points`)
-/// or 1 byte (`pg_metric::Sq8Points`) per coordinate instead of 8. When the
-/// walk
-/// finishes, the **entire** `ef`-candidate set (not just the top `k` by
-/// quantized order) is re-scored with exact surrogates from `data`, sorted
-/// by `(exact surrogate, id)`, and only then truncated to `k`. Quantization
-/// can thus only affect which candidates are gathered, never their reported
-/// order or values.
+/// The walk is the same [`beam_walk`], scored with `compact.surrogate(...)`
+/// — the approximate squared distance on the quantized codes — so the hot
+/// loop streams 4 bytes (`pg_metric::F32Points`) or 1 byte
+/// (`pg_metric::Sq8Points`) per coordinate instead of 8. As a separate step
+/// after the walk, the **entire** gathered candidate set (not just the top
+/// `k` by quantized order) is re-scored with exact surrogates from `data`,
+/// sorted by `(exact surrogate, id)`, and only then truncated to `k`.
+/// Quantization can thus only affect which candidates are gathered, never
+/// their reported order or values: whenever the exact top-`k` is among the
+/// candidates, `results` **equals** it, and the list is in the same
+/// merge-ready order as the full-precision path.
+///
+/// `dist_comps` counts the quantized surrogate evaluations of the walk
+/// **plus** one exact evaluation per re-ranked candidate (`<= ef` of them),
+/// which keeps quantized frontier rows honest — the re-rank is not free.
 ///
 /// # Panics
 /// If `compact` does not describe exactly the points of `data` (length
-/// mismatch), or `ef == 0`.
+/// mismatch), `ef == 0`, or `p_start` is out of range.
 pub fn beam_search_quantized_surrogate<P, M, C>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -371,97 +405,40 @@ pub fn beam_search_quantized_surrogate<P, M, C>(
     q: &P,
     ef: usize,
     k: usize,
-) -> QuantBeamSurrogate
+) -> BeamSurrogate
 where
     P: AsRef<[f64]>,
     M: Metric<P>,
     C: Quantized + ?Sized,
 {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Cand(f64, u32);
-    impl Eq for Cand {}
-    impl PartialOrd for Cand {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Cand {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    assert!(ef >= 1);
     assert_eq!(
         compact.len(),
         data.len(),
         "compact store and dataset must describe the same points"
     );
     let pq = compact.prepare(q.as_ref());
-    let mut comps: u64 = 0;
-    let mut expansions: u64 = 0;
-    let mut visited = vec![false; data.len()];
-    visited[p_start as usize] = true;
-    comps += 1;
-    let d0 = compact.surrogate(p_start as usize, &pq);
-
-    let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-    let mut results: BinaryHeap<Cand> = BinaryHeap::new();
-    frontier.push(Reverse(Cand(d0, p_start)));
-    results.push(Cand(d0, p_start));
-    let mut worst = d0;
-
-    while let Some(Reverse(Cand(d, v))) = frontier.pop() {
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        for &nb in graph.neighbors(v) {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            comps += 1;
-            let dn = compact.surrogate(nb as usize, &pq);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(Cand(dn, nb)));
-                results.push(Cand(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-                worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            }
-        }
-    }
-
+    let mut walk = beam_walk(
+        data.len(),
+        &[p_start],
+        ef,
+        |v| graph.neighbors(v),
+        |v| compact.surrogate(v as usize, &pq),
+    );
     // Exact re-rank of the full candidate set: one full-precision surrogate
     // per candidate, counted like any other distance computation.
-    let candidates = results.len();
-    let mut out: Vec<(u32, f64)> = results
-        .into_iter()
-        .map(|Cand(_, v)| {
-            comps += 1;
-            (v, data.surrogate_to(v as usize, q))
-        })
-        .collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    out.truncate(k);
-    QuantBeamSurrogate {
-        results: out,
-        candidates,
-        dist_comps: comps,
-        expansions,
+    walk.dist_comps += walk.results.len() as u64;
+    for e in &mut walk.results {
+        e.1 = data.surrogate_to(e.0 as usize, q);
     }
+    sort_by_key_then_id(&mut walk.results);
+    walk.results.truncate(k);
+    walk
 }
 
 /// [`beam_search_quantized_surrogate`] with the exact surrogates mapped to
 /// true distances: the quantized counterpart of [`beam_search_detailed`],
 /// returning the same [`BeamOutcome`] shape so scoring layers and adapters
-/// consume either path uniformly. The re-ranked `candidates` count is
-/// dropped by this wrapper.
+/// consume either path uniformly.
 pub fn beam_search_quantized<P, M, C>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -476,20 +453,7 @@ where
     M: Metric<P>,
     C: Quantized + ?Sized,
 {
-    let QuantBeamSurrogate {
-        mut results,
-        dist_comps,
-        expansions,
-        ..
-    } = beam_search_quantized_surrogate(graph, data, compact, p_start, q, ef, k);
-    for e in &mut results {
-        e.1 = data.dist_from_surrogate(e.1);
-    }
-    BeamOutcome {
-        results,
-        dist_comps,
-        expansions,
-    }
+    beam_search_quantized_surrogate(graph, data, compact, p_start, q, ef, k).into_outcome(data)
 }
 
 #[cfg(test)]
@@ -747,6 +711,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "start vertex out of range")]
+    fn beam_rejects_an_out_of_range_start_like_query_does() {
+        let ds = line_dataset(10);
+        let _ = beam_search(&path_graph(10), &ds, 10, &vec![3.0], 4, 1);
+    }
+
+    #[test]
     fn beam_with_ef_one_behaves_like_greedy_result_quality() {
         let ds = line_dataset(40);
         let g = path_graph(40);
@@ -776,9 +747,7 @@ mod tests {
 
             // Accounting: the quantized walk visited all n vertices and then
             // re-ranked all n candidates.
-            let sur = beam_search_quantized_surrogate(&g, &ds, &compact, 0, &q, n, 5);
-            assert_eq!(sur.candidates, n);
-            assert_eq!(sur.dist_comps, 2 * n as u64);
+            assert_eq!(quant.dist_comps, 2 * n as u64);
         }
     }
 

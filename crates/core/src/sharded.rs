@@ -21,7 +21,7 @@
 //!   (`rayon::par_map_indexed_with`), so the schedule can never reorder
 //!   results.
 //! * **Surrogate-space merge** — per-shard top-`k` lists come back still
-//!   in surrogate space ([`beam_search_surrogate`]) and are merged on the
+//!   in surrogate space ([`BeamSurrogate`]) and are merged on the
 //!   key `(surrogate, global id)`, then mapped to true distances once.
 //!   Merging *after* the distance map would round away ties the surrogate
 //!   keys still distinguish; merging in surrogate space makes the result
@@ -79,11 +79,14 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::engine::{BatchBeamDetail, BatchBeamOutcome, QueryEngine};
+use crate::engine::{BatchBeamDetail, QueryEngine};
 use crate::gnet::GNet;
 use crate::graph::Graph;
 use crate::params::GNetParams;
-use crate::search::{beam_search_quantized_surrogate, beam_search_surrogate, BeamOutcome};
+use crate::search::{
+    beam_search_quantized_surrogate, beam_search_surrogate, sort_by_key_then_id, BeamOutcome,
+    BeamSurrogate,
+};
 use crate::snapshot::SnapshotMetric;
 
 /// How points are assigned to shards. Every strategy is a pure function of
@@ -240,48 +243,43 @@ impl<M> ShardedEngine<M> {
 }
 
 impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
-    /// Searches every query against every shard in parallel (width `ef`,
-    /// top `k` per shard, each shard entered at its local vertex 0) and
-    /// merges per-shard results on `(surrogate, global id)` — the
-    /// deterministic tie-break that makes the output identical across
-    /// shard counts and thread counts (module docs). Each outcome carries
-    /// the aggregate `dist_comps`/`expansions` of its `S` shard searches;
-    /// results are global ids with true distances, ascending by
-    /// `(distance, id)` like every search routine in the workspace.
-    pub fn batch_beam_detailed(&self, queries: &[FlatRow], ef: usize, k: usize) -> BatchBeamDetail {
+    /// The one fan-out + merge: runs `search(shard index, query)` — a
+    /// surrogate-space top-`k` in shard-local ids — for the whole
+    /// `(query × shard)` cross product through the order-preserving pool,
+    /// then per query remaps ids to global, merges on
+    /// `(surrogate, global id)`, keeps `k` and maps to true distances once.
+    fn fan_out(
+        &self,
+        queries: &[FlatRow],
+        k: usize,
+        search: impl Fn(usize, &FlatRow) -> BeamSurrogate + Sync,
+    ) -> BatchBeamDetail {
         let s = self.shards.len();
         let pairs: Vec<(usize, usize)> = (0..queries.len())
             .flat_map(|q| (0..s).map(move |i| (q, i)))
             .collect();
-        let per_pair = rayon::par_map_indexed_with(self.threads, &pairs, |_, &(q, i)| {
-            let shard = &self.shards[i];
-            beam_search_surrogate(shard.graph(), shard.data(), 0, &queries[q], ef, k)
-        });
-        let outcomes: Vec<BeamOutcome> = (0..queries.len())
-            .map(|q| {
-                let mut merged: Vec<(u32, f64)> = Vec::with_capacity(s * k);
-                let mut dist_comps = 0u64;
-                let mut expansions = 0u64;
-                for i in 0..s {
-                    let out = &per_pair[q * s + i];
-                    dist_comps += out.dist_comps;
-                    expansions += out.expansions;
-                    for &(local, sur) in &out.results {
-                        merged.push((self.global_ids[i][local as usize], sur));
-                    }
+        let per_pair =
+            rayon::par_map_indexed_with(self.threads, &pairs, |_, &(q, i)| search(i, &queries[q]));
+        let outcomes: Vec<BeamOutcome> = per_pair
+            .chunks(s)
+            .map(|per_shard| {
+                let mut merged = BeamSurrogate {
+                    results: Vec::with_capacity(s * k),
+                    dist_comps: 0,
+                    expansions: 0,
+                };
+                for (out, ids) in per_shard.iter().zip(&self.global_ids) {
+                    merged.dist_comps += out.dist_comps;
+                    merged.expansions += out.expansions;
+                    let global = out
+                        .results
+                        .iter()
+                        .map(|&(local, sur)| (ids[local as usize], sur));
+                    merged.results.extend(global);
                 }
-                merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                merged.truncate(k);
-                let data = self.shards[0].data();
-                let results = merged
-                    .into_iter()
-                    .map(|(id, sur)| (id, data.dist_from_surrogate(sur)))
-                    .collect();
-                BeamOutcome {
-                    results,
-                    dist_comps,
-                    expansions,
-                }
+                sort_by_key_then_id(&mut merged.results);
+                merged.results.truncate(k);
+                merged.into_outcome(self.shards[0].data())
             })
             .collect();
         let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
@@ -291,14 +289,19 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
         }
     }
 
-    /// [`ShardedEngine::batch_beam_detailed`] without the per-query
-    /// accounting — result lists plus the batch distance total.
-    pub fn batch_beam(&self, queries: &[FlatRow], ef: usize, k: usize) -> BatchBeamOutcome {
-        let detail = self.batch_beam_detailed(queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
-        }
+    /// Searches every query against every shard in parallel (width `ef`,
+    /// top `k` per shard, each shard entered at its local vertex 0) and
+    /// merges per-shard results on `(surrogate, global id)` — the
+    /// deterministic tie-break that makes the output identical across
+    /// shard counts and thread counts (module docs). Each outcome carries
+    /// the aggregate `dist_comps`/`expansions` of its `S` shard searches;
+    /// results are global ids with true distances, ascending by
+    /// `(distance, id)` like every search routine in the workspace.
+    pub fn batch_beam_detailed(&self, queries: &[FlatRow], ef: usize, k: usize) -> BatchBeamDetail {
+        self.fan_out(queries, k, |i, q| {
+            let shard = &self.shards[i];
+            beam_search_surrogate(shard.graph(), shard.data(), 0, q, ef, k)
+        })
     }
 
     /// Encodes every shard's points into the compact representation `kind`,
@@ -330,71 +333,15 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamDetail {
-        let s = self.shards.len();
-        assert_eq!(compacts.len(), s, "one compact store per shard required");
-        let pairs: Vec<(usize, usize)> = (0..queries.len())
-            .flat_map(|q| (0..s).map(move |i| (q, i)))
-            .collect();
-        let per_pair = rayon::par_map_indexed_with(self.threads, &pairs, |_, &(q, i)| {
+        assert_eq!(
+            compacts.len(),
+            self.shards.len(),
+            "one compact store per shard required"
+        );
+        self.fan_out(queries, k, |i, q| {
             let shard = &self.shards[i];
-            beam_search_quantized_surrogate(
-                shard.graph(),
-                shard.data(),
-                &compacts[i],
-                0,
-                &queries[q],
-                ef,
-                k,
-            )
-        });
-        let outcomes: Vec<BeamOutcome> = (0..queries.len())
-            .map(|q| {
-                let mut merged: Vec<(u32, f64)> = Vec::with_capacity(s * k);
-                let mut dist_comps = 0u64;
-                let mut expansions = 0u64;
-                for i in 0..s {
-                    let out = &per_pair[q * s + i];
-                    dist_comps += out.dist_comps;
-                    expansions += out.expansions;
-                    for &(local, sur) in &out.results {
-                        merged.push((self.global_ids[i][local as usize], sur));
-                    }
-                }
-                merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                merged.truncate(k);
-                let data = self.shards[0].data();
-                let results = merged
-                    .into_iter()
-                    .map(|(id, sur)| (id, data.dist_from_surrogate(sur)))
-                    .collect();
-                BeamOutcome {
-                    results,
-                    dist_comps,
-                    expansions,
-                }
-            })
-            .collect();
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
-        BatchBeamDetail {
-            outcomes,
-            dist_comps,
-        }
-    }
-
-    /// [`ShardedEngine::batch_beam_quantized_detailed`] without the
-    /// per-query accounting.
-    pub fn batch_beam_quantized<C: Quantized + Sync>(
-        &self,
-        compacts: &[C],
-        queries: &[FlatRow],
-        ef: usize,
-        k: usize,
-    ) -> BatchBeamOutcome {
-        let detail = self.batch_beam_quantized_detailed(compacts, queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
-        }
+            beam_search_quantized_surrogate(shard.graph(), shard.data(), &compacts[i], 0, q, ef, k)
+        })
     }
 }
 
@@ -640,30 +587,6 @@ mod tests {
         assert_eq!(counting.count(), batch.dist_comps);
         // ef >= n visits every point in every shard exactly once.
         assert_eq!(batch.dist_comps, (qs.len() * 60) as u64);
-    }
-
-    #[test]
-    fn batch_beam_is_the_detailed_call_without_accounting() {
-        let points = grid(48);
-        let engine = ShardedEngine::build(
-            &points,
-            Euclidean,
-            1.0,
-            2,
-            &ShardAssignment::SeededRandom { seed: 3 },
-        );
-        let qs = queries(4);
-        let detail = engine.batch_beam_detailed(&qs, 16, 3);
-        let plain = engine.batch_beam(&qs, 16, 3);
-        assert_eq!(plain.dist_comps, detail.dist_comps);
-        assert_eq!(
-            plain.results,
-            detail
-                .outcomes
-                .iter()
-                .map(|o| o.results.clone())
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! ([`pg_store::Snapshot`]) and the typed world of this crate: a
 //! [`Graph`] plus a flat-backed [`Dataset`](pg_metric::Dataset) goes out as raw CSR and
 //! coordinate arrays, and comes back **bit-identical** — a loaded engine
-//! answers `batch_greedy` / `batch_query` / `batch_beam` exactly like the
-//! engine that was saved, across every thread count (pinned by
+//! answers `batch_greedy` / `batch_query` / `batch_beam_detailed` exactly
+//! like the engine that was saved, across every thread count (pinned by
 //! `tests/snapshot_parity.rs` at the workspace root, mirroring
 //! `tests/flat_parity.rs`).
 //!
@@ -156,8 +156,8 @@ impl From<GNetParams> for BuildParams {
 /// assert_eq!(any.dims(), 2);
 ///
 /// let queries = vec![vec![7.2, 1.0].into()];
-/// let batch = any.batch_beam(&[meta.entry_point], &queries, 8, 3);
-/// assert_eq!(batch.results.len(), 1);
+/// let batch = any.batch_beam_detailed(&[meta.entry_point], &queries, 8, 3);
+/// assert_eq!(batch.outcomes.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub enum AnyEngine {
@@ -240,17 +240,6 @@ impl AnyEngine {
             AnyEngine::Manhattan(e) => AnyEngine::Manhattan(e.with_threads(threads)),
             AnyEngine::Chebyshev(e) => AnyEngine::Chebyshev(e.with_threads(threads)),
         }
-    }
-
-    /// Forwards to [`QueryEngine::batch_beam`] on the wrapped engine.
-    pub fn batch_beam(
-        &self,
-        starts: &[u32],
-        queries: &[FlatRow],
-        ef: usize,
-        k: usize,
-    ) -> crate::engine::BatchBeamOutcome {
-        dispatch!(self, e => e.batch_beam(starts, queries, ef, k))
     }
 
     /// Forwards to [`QueryEngine::batch_beam_detailed`] on the wrapped
@@ -700,15 +689,6 @@ mod tests {
                 let through = any.batch_beam_detailed(&starts, &queries, 8, 3);
                 assert_eq!(through.outcomes, direct.outcomes);
                 assert_eq!(through.dist_comps, direct.dist_comps);
-                let beam = any.batch_beam(&starts, &queries, 8, 3);
-                assert_eq!(
-                    beam.results,
-                    direct
-                        .outcomes
-                        .iter()
-                        .map(|o| o.results.clone())
-                        .collect::<Vec<_>>()
-                );
             }};
         }
         check_metric!(Euclidean, MetricTag::Euclidean, AnyEngine::Euclidean);
@@ -767,9 +747,9 @@ mod tests {
                 .map(|i| FlatRow::from(vec![(i * 9 % 50) as f64, (i % 5) as f64]))
                 .collect();
             let starts = vec![0u32; queries.len()];
-            let a = engine.batch_beam_quantized(&compact, &starts, &queries, 8, 3);
-            let b = loaded.batch_beam_quantized(&back, &starts, &queries, 8, 3);
-            assert_eq!(a.results, b.results);
+            let a = engine.batch_beam_quantized_detailed(&compact, &starts, &queries, 8, 3);
+            let b = loaded.batch_beam_quantized_detailed(&back, &starts, &queries, 8, 3);
+            assert_eq!(a.outcomes, b.outcomes);
             assert_eq!(a.dist_comps, b.dist_comps);
         }
     }

@@ -104,12 +104,12 @@ proptest! {
         let (data, graph, queries, starts) = random_instance(n, m, seed);
         for threads in thread_counts() {
             let engine = QueryEngine::new(graph.clone(), data.clone()).with_threads(threads);
-            let batch = engine.batch_beam(&starts, &queries, ef, k);
-            prop_assert_eq!(batch.results.len(), m);
+            let batch = engine.batch_beam_detailed(&starts, &queries, ef, k);
+            prop_assert_eq!(batch.outcomes.len(), m);
             let mut total = 0u64;
-            for (i, res) in batch.results.iter().enumerate() {
+            for (i, out) in batch.outcomes.iter().enumerate() {
                 let (solo, comps) = beam_search(&graph, &data, starts[i], &queries[i], ef, k);
-                prop_assert_eq!(res, &solo);
+                prop_assert_eq!(&out.results, &solo);
                 total += comps;
             }
             prop_assert_eq!(batch.dist_comps, total);

@@ -1,5 +1,5 @@
 //! Micro-batching: coalescing concurrent single queries into one
-//! `batch_beam` dispatch.
+//! `batch_beam_detailed` dispatch.
 //!
 //! Every connection thread that receives a query enqueues a [`Pending`]
 //! and blocks on its private reply channel. A single dispatcher thread
@@ -14,9 +14,9 @@
 //!
 //! Two properties make coalescing safe:
 //!
-//! * **Answers cannot change.** `batch_beam` runs each query independently
-//!   — outcome `i` is exactly `beam_search(graph, data, starts[i],
-//!   &queries[i], ef, k)` — so a query answered in a batch of 40 returns
+//! * **Answers cannot change.** `batch_beam_detailed` runs each query
+//!   independently — outcome `i` is exactly `beam_search_detailed(graph,
+//!   data, starts[i], &queries[i], ef, k)` — so a query answered in a batch of 40 returns
 //!   bit-identical results to the same query answered alone (pinned by
 //!   `tests/equivalence.rs`).
 //! * **Hot-swap atomicity is preserved.** The serving generation is
@@ -142,7 +142,7 @@ struct StatsInner {
 pub struct BatcherStats {
     /// Queries answered through the queue.
     pub requests: u64,
-    /// `batch_beam` dispatches issued.
+    /// `batch_beam_detailed` dispatches issued.
     pub batches: u64,
     /// Dispatches that coalesced more than one query.
     pub coalesced_batches: u64,

@@ -19,15 +19,15 @@
 //!   requests, and every response carries the epoch of the generation that
 //!   answered it.
 //! * [`batcher`] — micro-batching: concurrent single queries coalesce into
-//!   one [`batch_beam`](pg_core::AnyEngine::batch_beam) dispatch,
-//!   amortizing per-dispatch overhead without changing any answer.
+//!   one [`batch_beam_detailed`](pg_core::AnyEngine::batch_beam_detailed)
+//!   dispatch, amortizing per-dispatch overhead without changing any answer.
 //! * [`server`] / [`client`] — the blocking TCP endpoints. A request that
 //!   fails — malformed frame, unknown index, wrong dimensionality — costs
 //!   its sender an error frame, not the connection.
 //!
 //! Serving answers are **bit-identical** to a direct
-//! [`QueryEngine::batch_beam`](pg_core::QueryEngine::batch_beam) run over
-//! the same snapshot (pinned by `tests/equivalence.rs`), so every
+//! [`QueryEngine::batch_beam_detailed`](pg_core::QueryEngine::batch_beam_detailed)
+//! run over the same snapshot (pinned by `tests/equivalence.rs`), so every
 //! determinism guarantee from the engine layer — identical results at any
 //! thread count, sequential-equivalent outcomes — extends to the wire.
 //!

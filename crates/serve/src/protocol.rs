@@ -116,7 +116,7 @@ pub struct QueryReply {
     /// Vertices whose neighbor list was scanned.
     pub expansions: u64,
     /// `(id, dist)` pairs, ascending by distance with ties by id — exactly
-    /// the order `QueryEngine::batch_beam` returns.
+    /// the order `QueryEngine::batch_beam_detailed` returns.
     pub results: Vec<(u32, f64)>,
 }
 

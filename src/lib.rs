@@ -79,8 +79,8 @@
 //!     let solo = greedy(engine.graph(), engine.data(), starts[i], &queries[i]);
 //!     assert_eq!(out.result, solo.result);
 //! }
-//! // Budgeted batches (`batch_query`) and beam batches (`batch_beam`) work
-//! // the same way; `batch.dist_comps` aggregates the whole batch's cost.
+//! // Budgeted batches (`batch_query`) and beam batches
+//! // (`batch_beam_detailed`) work the same way; `batch.dist_comps` aggregates the whole batch's cost.
 //! ```
 //!
 //! For serving workloads, store points in the contiguous
@@ -172,7 +172,7 @@
 //! length-prefixed and FNV-checksummed (the byte-level spec lives in
 //! `ARCHITECTURE.md` § "Serving protocol"); malformed input yields typed
 //! error responses, never panics. Concurrent single queries coalesce into
-//! `batch_beam` micro-batches, and a named-index registry supports atomic
+//! `batch_beam_detailed` micro-batches, and a named-index registry supports atomic
 //! snapshot hot-swap with zero dropped requests — every reply carries the
 //! epoch of the exact snapshot that answered it:
 //!
@@ -198,8 +198,8 @@
 //! ```
 //!
 //! Responses are **bit-identical** to calling
-//! [`QueryEngine::batch_beam`](core::QueryEngine::batch_beam) directly —
-//! single or coalesced, at any thread count — pinned by
+//! [`QueryEngine::batch_beam_detailed`](core::QueryEngine::batch_beam_detailed)
+//! directly — single or coalesced, at any thread count — pinned by
 //! `crates/serve/tests/equivalence.rs`. The load-generator experiment is
 //! `exp_serve` (`pg_bench`), which asserts that equivalence before timing
 //! anything.

@@ -132,9 +132,9 @@ proptest! {
             let expect = *reference.get_or_insert(bf.dist_comps);
             prop_assert_eq!(bf.dist_comps, expect);
 
-            let ebf = flat_engine.clone().with_threads(threads).batch_beam(&starts, &q_flat, ef, k);
-            let ebn = nested_engine.clone().with_threads(threads).batch_beam(&starts, &q_nested, ef, k);
-            prop_assert_eq!(&ebf.results, &ebn.results);
+            let ebf = flat_engine.clone().with_threads(threads).batch_beam_detailed(&starts, &q_flat, ef, k);
+            let ebn = nested_engine.clone().with_threads(threads).batch_beam_detailed(&starts, &q_nested, ef, k);
+            prop_assert_eq!(&ebf.outcomes, &ebn.outcomes);
             prop_assert_eq!(ebf.dist_comps, ebn.dist_comps);
         }
     }

@@ -249,6 +249,42 @@ proptest! {
             );
         }
     }
+
+    /// The quantized path is the exact path plus a scorer. Small integer
+    /// coordinates (and half-integer queries) are exact in `f32`, and so
+    /// are their squared distances, so the `F32Points` surrogate equals the
+    /// `f64` one bit for bit: at **every** `ef` the quantized search must
+    /// take the very same walk — results, order, `expansions` — and cost
+    /// exactly one more distance computation per re-ranked candidate.
+    #[test]
+    fn lossless_f32_search_is_the_exact_search_plus_the_rerank_cost(
+        cells in prop::collection::vec((0i32..24, 0i32..24), 8..70),
+        query in (0i32..48, 0i32..48),
+    ) {
+        let mut cells = cells;
+        cells.sort_unstable();
+        cells.dedup();
+        prop_assume!(cells.len() >= 8);
+        let n = cells.len();
+        let rows: Vec<Vec<f64>> =
+            cells.iter().map(|&(x, y)| vec![f64::from(x), f64::from(y)]).collect();
+        let data = Dataset::new(rows.clone(), Euclidean);
+        let g = GNet::build_fast(&data, 1.0);
+        let compact = CompactPoints::from_rows(QuantKind::F32, &rows).unwrap();
+        let q = vec![f64::from(query.0) / 2.0, f64::from(query.1) / 2.0];
+        for ef in 1..=n {
+            // k = n exposes the whole gathered candidate list.
+            let exact = beam_search_detailed(&g.graph, &data, 0, &q, ef, n);
+            let quant = beam_search_quantized(&g.graph, &data, &compact, 0, &q, ef, n);
+            prop_assert_eq!(&quant.results, &exact.results, "results diverged at ef = {}", ef);
+            prop_assert_eq!(quant.expansions, exact.expansions, "walk diverged at ef = {}", ef);
+            prop_assert_eq!(
+                quant.dist_comps,
+                exact.dist_comps + exact.results.len() as u64,
+                "re-rank cost is one exact evaluation per candidate (ef = {})", ef
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 //! Snapshot parity: a saved-then-loaded `QueryEngine` must be
 //! **observationally identical** to the engine it was saved from — same
 //! graph, same coordinates bit for bit, and identical `batch_greedy` /
-//! `batch_query` / `batch_beam` answers (results, hops, `dist_comps`) at
-//! every thread count. Persistence, like parallelism and the flat layout
+//! `batch_query` / `batch_beam_detailed` answers (results, hops,
+//! `dist_comps`) at every thread count. Persistence, like parallelism and the flat layout
 //! (`tests/flat_parity.rs`), is allowed to change the wall clock only.
 
 use proptest::prelude::*;
@@ -92,9 +92,9 @@ proptest! {
                 prop_assert_eq!(x.self_terminated, y.self_terminated);
             }
 
-            let ba = a.batch_beam(&starts, &queries, ef, k);
-            let bb = b.batch_beam(&starts, &queries, ef, k);
-            prop_assert_eq!(&ba.results, &bb.results, "beam at {} threads", threads);
+            let ba = a.batch_beam_detailed(&starts, &queries, ef, k);
+            let bb = b.batch_beam_detailed(&starts, &queries, ef, k);
+            prop_assert_eq!(&ba.outcomes, &bb.outcomes, "beam at {} threads", threads);
             prop_assert_eq!(ba.dist_comps, bb.dist_comps);
         }
     }
