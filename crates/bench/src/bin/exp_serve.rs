@@ -1,6 +1,7 @@
 //! **Experiment: serve** — the online serving layer under closed-loop
-//! client load: micro-batched vs unbatched latency/throughput, and
-//! snapshot hot-swap under fire.
+//! client load: batched (leader/follower slots) vs unbatched
+//! latency/throughput from 1 to 16·cores connections, and snapshot
+//! hot-swap under fire.
 //!
 //! Protocol (in order, and nothing is timed until step 2 passes):
 //!
@@ -11,9 +12,10 @@
 //!    to a direct `QueryEngine::batch_beam_detailed` run over the same
 //!    snapshot. A divergence aborts the experiment.
 //! 3. Closed-loop load: C client threads issue single queries as fast as
-//!    responses return, against the micro-batched server and then against
-//!    an unbatched one. Reported per mode: p50/p99 request latency and
-//!    aggregate QPS, plus the observed mean batch size.
+//!    responses return, against the batched server and then against an
+//!    unbatched one, for C ∈ {1, cores, 4·cores, 16·cores} — the same
+//!    number of requests per row. Reported per row: p50/p99 request
+//!    latency, aggregate QPS, and the observed mean group size.
 //! 4. Hot-swap demo: under the same load, the registry swaps between two
 //!    snapshots; the run asserts **zero** dropped or failed requests and
 //!    that every response's epoch belongs to a generation the registry
@@ -23,29 +25,33 @@
 //!    connection that keeps serving — asserted, not sampled — and a
 //!    retrying client must classify that refusal as transient, burn its
 //!    whole retry budget, and surface the typed error. Then a burst run
-//!    against a tiny queue reports how many requests shed and how many
-//!    retries the clients spent riding it out (every request must still
-//!    succeed eventually).
+//!    of 16·cores clients against a queue of one reports how many
+//!    requests shed and how many retries the clients spent riding it out
+//!    (every request must still succeed eventually).
 //!
-//! On this workspace's 1-CPU reference container the batching win comes
-//! from dispatch amortization (one pool entry per group instead of per
-//! query), not parallel execution — read the batched-vs-unbatched delta
-//! with that in mind, and always alongside the recall frontiers of
-//! `BENCH_pr5.json` (quality does not change: same engine, same answers).
+//! How to read the sweep: the batcher runs at most one search per core
+//! and answers each query on the connection thread that received it, so
+//! up to C = cores the two arms are the same path (mean group 1.00) and
+//! should measure the same. Followers, groups and hand-offs only exist
+//! past that, where the batched arm trades the unbatched arm's
+//! oversubscribed cores for a bounded queue. Nothing here amortizes
+//! "pool entry": a group is answered member by member on one thread.
+//! Read the numbers alongside the recall frontiers of `BENCH_pr5.json`
+//! (quality does not change: same engine, same answers).
 //!
 //! Results land in `BENCH_<label>.json` (schema_version 1, label `pr6` /
 //! `smoke`). Existing committed artifacts are never overwritten without
 //! `--force` or a non-default `--label`.
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_serve
-//! [--smoke | --full] [--overload] [--threads N] [--clients C]
-//! [--label NAME] [--force]`
+//! [--smoke | --full] [--overload] [--threads N] [--label NAME]
+//! [--force]`
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use pg_bench::{fmt, full_mode, init_threads, value_flag, Table};
@@ -67,6 +73,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 struct LoadOutcome {
+    clients: usize,
     p50_us: f64,
     p99_us: f64,
     qps: f64,
@@ -120,6 +127,7 @@ fn closed_loop(
     let delta_req = after.requests - before.requests;
     let delta_batches = after.batches - before.batches;
     LoadOutcome {
+        clients,
         p50_us: percentile(&lat, 0.50) as f64 / 1_000.0,
         p99_us: percentile(&lat, 0.99) as f64 / 1_000.0,
         qps: requests as f64 / wall,
@@ -144,18 +152,15 @@ fn main() {
     } else {
         (6_000, 3, 128, 8, 4, 8)
     };
-    let clients = value_flag("--clients")
-        .and_then(|v| v.parse().ok())
-        .filter(|&c| c >= 1)
-        .unwrap_or(clients);
     let label_flag = value_flag("--label");
     let label_is_default = label_flag.is_none();
     let label = label_flag.unwrap_or_else(|| if smoke { "smoke".into() } else { "pr6".into() });
 
-    println!("# serve: micro-batched TCP serving, hot-swap under load");
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    println!("# serve: leader/follower TCP serving, hot-swap under load");
     println!(
         "(n = {n}, d = {d}, m = {m} queries, {clients} client(s) x {rounds} round(s), \
-         ef = {EF}, k = {K}, {threads} thread(s), label: {label})\n"
+         ef = {EF}, k = {K}, {threads} thread(s), {cores} core(s), label: {label})\n"
     );
 
     // ---- 1. Build two snapshots (A serves; B is the swap target) -----------
@@ -262,45 +267,53 @@ fn main() {
         m * clients
     );
 
-    // ---- 3. Closed-loop load: batched vs unbatched --------------------------
-    let batched = closed_loop(&server, clients, rounds, &queries);
+    // ---- 3. Closed-loop load: batched vs unbatched, 1 to 16·cores clients ---
     drop(server);
-
-    let registry_u = Arc::new(IndexRegistry::new());
-    registry_u
-        .register_from_path(INDEX, &path_a)
-        .expect("registering snapshot A (unbatched)");
-    let server_u = Server::bind(
-        "127.0.0.1:0",
-        registry_u,
-        ServeConfig {
-            batching: false,
+    let mut sweep = vec![1, cores, 4 * cores, 16 * cores];
+    sweep.dedup();
+    // Every row issues (about) the same number of requests.
+    let rounds_at = |c: usize| (clients * rounds).div_ceil(c);
+    let arm = |batching: bool| -> Vec<LoadOutcome> {
+        let registry = Arc::new(IndexRegistry::new());
+        registry
+            .register_from_path(INDEX, &path_a)
+            .expect("registering snapshot A (load run)");
+        let config = ServeConfig {
+            batching,
             ..ServeConfig::default()
-        },
-    )
-    .expect("binding the unbatched server");
-    let unbatched = closed_loop(&server_u, clients, rounds, &queries);
-    drop(server_u);
+        };
+        let server = Server::bind("127.0.0.1:0", registry, config).expect("binding a load server");
+        sweep
+            .iter()
+            .map(|&c| closed_loop(&server, c, rounds_at(c), &queries))
+            .collect()
+    };
+    let batched = arm(true);
+    let unbatched = arm(false);
 
     let mut t = Table::new(&[
         "mode",
+        "clients",
         "requests",
         "p50 us",
         "p99 us",
         "QPS",
-        "mean batch",
+        "mean group",
         "coalesced",
     ]);
-    for (name, o) in [("batched", &batched), ("unbatched", &unbatched)] {
-        t.row(vec![
-            name.into(),
-            o.requests.to_string(),
-            fmt(o.p50_us, 1),
-            fmt(o.p99_us, 1),
-            fmt(o.qps, 0),
-            fmt(o.mean_batch, 2),
-            o.coalesced_batches.to_string(),
-        ]);
+    for (name, rows) in [("batched", &batched), ("unbatched", &unbatched)] {
+        for o in rows {
+            t.row(vec![
+                name.into(),
+                o.clients.to_string(),
+                o.requests.to_string(),
+                fmt(o.p50_us, 1),
+                fmt(o.p99_us, 1),
+                fmt(o.qps, 0),
+                fmt(o.mean_batch, 2),
+                o.coalesced_batches.to_string(),
+            ]);
+        }
     }
     t.print();
     println!();
@@ -434,10 +447,12 @@ fn main() {
             lameduck_policy.max_retries + 1
         );
 
-        // 5b. Burst: concurrent closed-loop clients against a one-slot
-        // queue. Shedding here depends on timing, so the counts are
-        // reported rather than asserted — but every request must still
-        // succeed once its retries ride the burst out.
+        // 5b. Burst: 16·cores closed-loop clients against one search slot
+        // per core and a queue of one, so most arrivals find both full.
+        // Shedding here depends on timing, so the counts are reported
+        // rather than asserted — but every request must still succeed
+        // once its retries ride the burst out.
+        let burst_clients = 16 * cores;
         let server_b = Server::bind(
             "127.0.0.1:0",
             Arc::clone(&registry_s),
@@ -454,12 +469,17 @@ fn main() {
             backoff_start: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(8),
         };
-        let burst_workers: Vec<_> = (0..clients)
+        // Connected clients start together: at smoke size a client is done
+        // in a millisecond, and staggered starts would never overlap.
+        let start = Arc::new(Barrier::new(burst_clients));
+        let burst_workers: Vec<_> = (0..burst_clients)
             .map(|_| {
                 let queries = Arc::clone(&queries);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || -> u64 {
                     let mut client =
                         RetryingClient::connect(addr_b, burst_policy).expect("burst client");
+                    start.wait();
                     for _ in 0..rounds {
                         for q in queries.iter() {
                             client
@@ -475,11 +495,11 @@ fn main() {
         for w in burst_workers {
             burst_retries += w.join().expect("a burst client failed");
         }
-        let burst_requests = (clients * rounds * m) as u64;
+        let burst_requests = (burst_clients * rounds * m) as u64;
         let burst_shed = server_b.stats().shed;
         drop(server_b);
         println!(
-            "overload (burst): {burst_requests} requests through a 1-slot queue, \
+            "overload (burst): {burst_requests} requests from {burst_clients} clients through a 1-deep queue, \
              {burst_shed} shed, {burst_retries} retries, 0 failures\n"
         );
 
@@ -502,19 +522,29 @@ fn main() {
     let _ = writeln!(
         j,
         "    \"n\": {n}, \"d\": {d}, \"m\": {m}, \"ef\": {EF}, \"k\": {K}, \
-         \"clients\": {clients}, \"rounds\": {rounds},"
+         \"clients\": {clients}, \"rounds\": {rounds}, \"cores\": {cores},"
     );
-    for (name, o) in [("batched", &batched), ("unbatched", &unbatched)] {
+    for (name, rows) in [("batched", &batched), ("unbatched", &unbatched)] {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|o| {
+                format!(
+                    "{{ \"clients\": {}, \"requests\": {}, \"p50_us\": {}, \"p99_us\": {}, \
+                     \"qps\": {}, \"mean_batch\": {}, \"coalesced_batches\": {} }}",
+                    o.clients,
+                    o.requests,
+                    fmt(o.p50_us, 1),
+                    fmt(o.p99_us, 1),
+                    fmt(o.qps, 1),
+                    fmt(o.mean_batch, 3),
+                    o.coalesced_batches
+                )
+            })
+            .collect();
         let _ = writeln!(
             j,
-            "    \"{name}\": {{ \"requests\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"qps\": {}, \"mean_batch\": {}, \"coalesced_batches\": {} }},",
-            o.requests,
-            fmt(o.p50_us, 1),
-            fmt(o.p99_us, 1),
-            fmt(o.qps, 1),
-            fmt(o.mean_batch, 3),
-            o.coalesced_batches
+            "    \"{name}\": {{ \"rows\": [\n      {}\n    ] }},",
+            rows.join(",\n      ")
         );
     }
     let _ = writeln!(

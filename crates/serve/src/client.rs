@@ -24,8 +24,8 @@ use crate::protocol::{
 };
 
 /// A connected client. Not thread-safe by design — one connection carries
-/// one request at a time; open more clients for concurrency (that is what
-/// makes the server's micro-batching observable in the first place).
+/// one request at a time; open more clients for concurrency (past one
+/// connection per core, that is what makes the server form groups).
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,

@@ -93,8 +93,8 @@ pub enum ServeError {
     /// always safe.
     Overloaded,
     /// The worker executing the request panicked. The panic was contained
-    /// (queued neighbors still get answers, the dispatcher survives), but
-    /// this request produced no result.
+    /// (waiting neighbors still get answers, the search slot is handed on
+    /// or released), but this request produced no result.
     WorkerPanicked,
 }
 

@@ -1,6 +1,6 @@
 //! Online serving for proximity-graph indexes: a dependency-free TCP
-//! server with micro-batched queries, snapshot hot-swap, and multi-index
-//! tenancy.
+//! server with bounded, per-core query dispatch, snapshot hot-swap, and
+//! multi-index tenancy.
 //!
 //! The offline half of this workspace builds indexes (`pg_core`) and
 //! persists them (`pg_store`); this crate is the online half that answers
@@ -18,9 +18,11 @@
 //!   snapshot replaces an old one under live traffic with zero dropped
 //!   requests, and every response carries the epoch of the generation that
 //!   answered it.
-//! * [`batcher`] — micro-batching: concurrent single queries coalesce into
-//!   one [`batch_beam_detailed`](pg_core::AnyEngine::batch_beam_detailed)
-//!   dispatch, amortizing per-dispatch overhead without changing any answer.
+//! * [`batcher`] — leader/follower group dispatch: a query is answered on
+//!   the connection thread that received it while a per-core search slot
+//!   is free; arrivals beyond that wait in a bounded queue and are
+//!   answered as a group by whoever is handed the next slot. No thread of
+//!   its own, and no answer ever changes.
 //! * [`server`] / [`client`] — the blocking TCP endpoints. A request that
 //!   fails — malformed frame, unknown index, wrong dimensionality — costs
 //!   its sender an error frame, not the connection.
@@ -91,9 +93,10 @@ pub mod sites {
     /// treated as "queue full" and shed with
     /// [`ServeError::Overloaded`](crate::error::ServeError::Overloaded).
     pub const BATCH_QUEUE: &str = "serve.batcher.queue";
-    /// Handing a query (or batch group) to the engine. Runs inside the
-    /// panic-containment guard, so a `Panic` fault here exercises
-    /// `WorkerPanicked` instead of killing the dispatcher.
+    /// Handing one query to the engine. Runs inside the panic-containment
+    /// guard, so a `Panic` fault here exercises `WorkerPanicked` for that
+    /// one request; a `Stall` holds a leader inside the engine while
+    /// followers queue behind it.
     pub const ENGINE_DISPATCH: &str = "serve.engine.dispatch";
     /// Every failpoint site this crate instruments.
     pub const ALL: &[&str] = &[CONN_READ, CONN_WRITE, BATCH_QUEUE, ENGINE_DISPATCH];
@@ -116,7 +119,7 @@ pub(crate) fn failpoint(_site: &str) -> Result<(), error::ServeError> {
     Ok(())
 }
 
-pub use batcher::{Batcher, BatcherStats, Pending};
+pub use batcher::{Batcher, BatcherStats, Pending, Wake};
 pub use client::{Client, RetryPolicy, RetryingClient};
 pub use error::{ErrorCode, ServeError};
 pub use protocol::{IndexInfo, QueryReply, Request, Response, PROTOCOL_VERSION};

@@ -2,10 +2,14 @@
 //!
 //! One thread accepts connections; each connection gets its own handler
 //! thread that reads frames, dispatches requests, and writes responses.
-//! Query execution is shared: with batching on (the default), handler
-//! threads enqueue into the [`Batcher`] and concurrent queries coalesce
-//! into micro-batches; with batching off, each handler calls the engine
-//! directly. Both paths produce structurally identical responses.
+//! Queries are answered on the handler threads themselves. With batching
+//! on (the default) a handler goes through the [`Batcher`]: it takes one of
+//! the per-core search slots and answers its query on its own thread, or —
+//! with every slot held — waits in the bounded queue until a finishing
+//! leader hands the slot, and the waiting group, to the head of that
+//! queue. With batching off each handler calls the engine directly, with
+//! no bound on concurrent searches and no shedding. Both paths produce
+//! structurally identical responses.
 //!
 //! # Error discipline
 //!
@@ -44,19 +48,23 @@ const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Route queries through the micro-batcher (default) or run each one
-    /// directly on its connection thread. `exp_serve` measures the two
-    /// against each other; correctness is identical either way.
+    /// Route queries through the [`Batcher`] (default) — at most one
+    /// search per core at a time, the rest waiting in a bounded queue — or
+    /// run each one directly on its connection thread, unbounded.
+    /// `exp_serve` measures the two against each other at 1 to 16·cores
+    /// connections; correctness is identical either way.
     pub batching: bool,
-    /// Largest number of queued queries one dispatch may coalesce.
+    /// Largest group one leader answers: a finishing leader hands at most
+    /// this many waiting queries to the head follower, which bounds how
+    /// long that follower's own reply waits on the group.
     pub max_batch: usize,
-    /// Largest number of queries that may wait in the batcher queue at
-    /// once (default 1024). A request that would exceed it is refused
-    /// with an `Overloaded` error frame instead of queueing without bound
-    /// — load shedding keeps latency and memory bounded under overload.
-    /// `0` sheds every batched query (lame-duck mode). Ignored when
-    /// `batching` is off: the unbatched path has no queue, its natural
-    /// bound is one in-flight query per connection.
+    /// Largest number of queries that may wait for a search slot at once
+    /// (default 1024). A request that would exceed it is refused with an
+    /// `Overloaded` error frame instead of queueing without bound — load
+    /// shedding keeps latency and memory bounded under overload. `0`
+    /// sheds every batched query, free slots or not (lame-duck mode).
+    /// Ignored when `batching` is off: the unbatched path has no queue,
+    /// its natural bound is one in-flight query per connection.
     pub max_queue: usize,
     /// How long a response write may block before the peer is declared
     /// slow and disconnected (default 5 s). A peer that stops reading
@@ -137,7 +145,7 @@ impl Server {
         &self.shared.registry
     }
 
-    /// Coalescing counters (all zero when batching is off).
+    /// The batcher's counters (all zero when batching is off).
     pub fn stats(&self) -> BatcherStats {
         self.shared
             .batcher

@@ -1,5 +1,5 @@
-//! Serving-equivalence suite: responses that crossed the wire — single
-//! and micro-batched — are **bit-identical** to a direct
+//! Serving-equivalence suite: responses that crossed the wire — answered
+//! alone or as a member of a group — are **bit-identical** to a direct
 //! `QueryEngine::batch_beam_detailed` run over the same snapshot, across
 //! engine thread counts 1, 2, and the machine's parallelism. This is the
 //! serving layer's core claim: the network and the batcher add transport
@@ -77,8 +77,9 @@ fn tcp_responses_match_the_direct_engine_at_every_thread_count() {
 }
 
 /// Concurrent clients hammering the batched server: answers stay
-/// bit-identical to the direct run no matter how the dispatcher groups
-/// them, and the batcher's counters account for every request.
+/// bit-identical to the direct run no matter which connection thread led
+/// which group, and the batcher's counters account for every request
+/// exactly once however many leaders updated them.
 #[test]
 fn concurrent_coalesced_responses_match_the_direct_engine() {
     let engine = common::build_engine(240, 5);
@@ -116,14 +117,20 @@ fn concurrent_coalesced_responses_match_the_direct_engine() {
 
     let stats = server.stats();
     assert_eq!(stats.requests, (CLIENTS * ROUNDS * queries.len()) as u64);
+    assert_eq!(
+        stats.answered, stats.requests,
+        "group sizes must sum to the requests: {stats:?}"
+    );
     assert!(stats.batches >= 1 && stats.batches <= stats.requests);
+    assert!(stats.batches + stats.coalesced_batches <= stats.requests);
     assert!(stats.max_batch >= 1);
+    assert_eq!(stats.shed, 0);
 }
 
-/// The deterministic coalescing proof: `submit_many` lands a group in the
-/// queue under one lock, so the dispatcher must answer it as **one**
-/// engine batch — and those coalesced answers match per-query direct runs
-/// bit for bit.
+/// The deterministic coalescing proof: `submit_many` parks a group in the
+/// queue, so the next thread to take a slot must answer all of it together
+/// with its own query as **one** group — and those answers match per-query
+/// direct runs bit for bit.
 #[test]
 fn a_guaranteed_coalesced_batch_answers_like_single_queries() {
     let engine = common::build_engine(240, 5);
@@ -133,7 +140,8 @@ fn a_guaranteed_coalesced_batch_answers_like_single_queries() {
     let serving = registry.get("main").unwrap();
 
     let batcher = Batcher::start(256, 1024);
-    let queries = common::flat_queries(&common::queries(40, 9));
+    let mut queries = common::flat_queries(&common::queries(40, 9));
+    let own = queries.pop().expect("the leader's own query");
     let mut receivers = Vec::new();
     let mut group = Vec::new();
     for q in &queries {
@@ -148,8 +156,14 @@ fn a_guaranteed_coalesced_batch_answers_like_single_queries() {
         receivers.push(rx);
     }
     batcher.submit_many(group).unwrap();
-    for (i, rx) in receivers.into_iter().enumerate() {
-        let reply = rx.recv().expect("dispatcher dropped a reply").unwrap();
+    let own_reply = batcher.run(Arc::clone(&serving), own, EF, K).unwrap();
+    assert_reply_matches(
+        &own_reply,
+        &expected.outcomes[queries.len()],
+        "the leader's own query",
+    );
+    for (i, rx) in receivers.iter().enumerate() {
+        let reply = common::parked_answer(rx, &format!("coalesced query {i}")).unwrap();
         assert_reply_matches(
             &reply,
             &expected.outcomes[i],
@@ -157,11 +171,13 @@ fn a_guaranteed_coalesced_batch_answers_like_single_queries() {
         );
     }
 
+    let total = queries.len() as u64 + 1;
     let stats = batcher.stats();
-    assert_eq!(stats.requests, queries.len() as u64);
-    assert_eq!(stats.batches, 1, "the group must run as one dispatch");
+    assert_eq!(stats.requests, total);
+    assert_eq!(stats.answered, total);
+    assert_eq!(stats.batches, 1, "the group must be answered as one");
     assert_eq!(stats.coalesced_batches, 1);
-    assert_eq!(stats.max_batch, queries.len() as u64);
+    assert_eq!(stats.max_batch, total);
 }
 
 /// Batched and unbatched servers produce identical responses for the same

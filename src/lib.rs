@@ -18,7 +18,7 @@
 //! | [`workloads`] | seeded dataset and query generators |
 //! | [`store`] | versioned on-disk index snapshots (`QueryEngine::save`/`load` live in [`core::snapshot`]) |
 //! | [`eval`] | the self-scoring layer: exact ground truth with fingerprinted caching, recall/quality metrics, recall-vs-QPS frontier sweeps |
-//! | [`serve`] | the online serving layer: TCP server with a length-prefixed checksummed protocol, micro-batched query coalescing, multi-index registry with zero-drop snapshot hot-swap |
+//! | [`serve`] | the online serving layer: TCP server with a length-prefixed checksummed protocol, bounded per-core query dispatch, multi-index registry with zero-drop snapshot hot-swap |
 //!
 //! The architecture — crate dependency diagram, flat-storage design,
 //! surrogate-comparison semantics, compat-shim policy, and the snapshot
@@ -171,8 +171,9 @@
 //! `std::net::TcpListener` — no external dependencies. Frames are
 //! length-prefixed and FNV-checksummed (the byte-level spec lives in
 //! `ARCHITECTURE.md` § "Serving protocol"); malformed input yields typed
-//! error responses, never panics. Concurrent single queries coalesce into
-//! `batch_beam_detailed` micro-batches, and a named-index registry supports atomic
+//! error responses, never panics. Each query is answered on the connection
+//! thread that received it, at most one search per core at a time (the rest
+//! wait in a bounded queue), and a named-index registry supports atomic
 //! snapshot hot-swap with zero dropped requests — every reply carries the
 //! epoch of the exact snapshot that answered it:
 //!
@@ -199,7 +200,7 @@
 //!
 //! Responses are **bit-identical** to calling
 //! [`QueryEngine::batch_beam_detailed`](core::QueryEngine::batch_beam_detailed)
-//! directly — single or coalesced, at any thread count — pinned by
+//! directly — answered alone or in a group, at any thread count — pinned by
 //! `crates/serve/tests/equivalence.rs`. The load-generator experiment is
 //! `exp_serve` (`pg_bench`), which asserts that equivalence before timing
 //! anything.
