@@ -12,6 +12,11 @@
 //! columns while the distance counts (the paper's cost model) stay exactly
 //! the same.
 //!
+//! At every `n`, before anything is timed, the fast, naive and cover-tree
+//! graphs are asserted equal on one hierarchy. A second table splits the
+//! fast build's seconds by phase (hierarchy, cascade, candidate tests, CSR
+//! assembly), stamped from [`GNet::build_fast_on_observed`]'s callbacks.
+//!
 //! `--save-index PATH` makes this the **offline half** of the experiment
 //! pair: after the sweep, the index at the largest `n` is rebuilt on plain
 //! `Euclidean` and persisted through the `pg_store` snapshot format, ready
@@ -23,8 +28,9 @@ use std::time::Instant;
 
 use pg_baselines::slow_preprocessing;
 use pg_bench::{fmt, full_mode, init_threads, loglog_slope, value_flag, Table};
-use pg_core::{GNet, QueryEngine};
+use pg_core::{BuildPhase, GNet, QueryEngine};
 use pg_metric::{Counting, Euclidean};
+use pg_nets::NetHierarchy;
 use pg_workloads as workloads;
 
 fn main() {
@@ -49,6 +55,13 @@ fn main() {
         "naive s",
         "slow s",
     ]);
+    let mut phases = Table::new(&[
+        "n",
+        "hierarchy s",
+        "cascade s",
+        "candidates s",
+        "assembly s",
+    ]);
     let mut xs = Vec::new();
     let mut fast_d = Vec::new();
     let mut naive_d = Vec::new();
@@ -60,19 +73,49 @@ fn main() {
         let data = workloads::uniform_cube_flat(n, 2, (n as f64).sqrt() * 4.0, 7)
             .into_dataset(Counting::new(Euclidean));
 
+        // Gate, before any timing: the three builders agree edge for edge.
+        // The cover-tree build is the slow one, so its distance count is
+        // taken here instead of building it a second time.
+        let hierarchy = NetHierarchy::build(&data);
+        let hierarchy_dists = data.metric().take();
+        let fast = GNet::build_fast_on(&data, 1.0, hierarchy.clone());
+        let naive = GNet::build_naive_on(&data, 1.0, hierarchy.clone());
         data.metric().reset();
+        let covertree = GNet::build_covertree_on(&data, 1.0, hierarchy);
+        let cd = (hierarchy_dists + data.metric().take()) as f64;
+        assert!(fast.graph == naive.graph, "n = {n}: fast != naive");
+        assert!(
+            covertree.graph == naive.graph,
+            "n = {n}: cover-tree != naive"
+        );
+        drop((fast, naive, covertree));
+
         let t0 = Instant::now();
-        let _g = GNet::build_fast(&data, 1.0);
+        let hierarchy = NetHierarchy::build(&data);
+        let mut last = Instant::now();
+        // hierarchy, cascade, candidates, assembly
+        let mut split = [last.duration_since(t0).as_secs_f64(), 0.0, 0.0, 0.0];
+        let _g = GNet::build_fast_on_observed(&data, 1.0, hierarchy, |phase| {
+            let now = Instant::now();
+            split[match phase {
+                BuildPhase::Cascade => 1,
+                BuildPhase::Candidates => 2,
+                BuildPhase::Assembly => 3,
+            }] += now.duration_since(last).as_secs_f64();
+            last = now;
+        });
         let fast_secs = t0.elapsed().as_secs_f64();
         let fd = data.metric().take() as f64;
+        phases.row(
+            std::iter::once(n.to_string())
+                .chain(split.iter().map(|&secs| fmt(secs, 3)))
+                .collect(),
+        );
 
         let t0 = Instant::now();
         let _g = GNet::build_naive(&data, 1.0);
         let naive_secs = t0.elapsed().as_secs_f64();
         let nd = data.metric().take() as f64;
-
-        let _g = GNet::build_covertree(&data, 1.0);
-        let cd = data.metric().take() as f64;
 
         let (sd, slow_secs) = if n <= slow_cap {
             let t0 = Instant::now();
@@ -129,7 +172,11 @@ fn main() {
             loglog_slope(&slow_x, &slow_d)
         );
     }
-    println!("\nAll three G_net builders produce identical graphs (asserted in tests).");
+    println!("\nAll three G_net builders produced identical graphs at every n (asserted above).");
+
+    println!("\nFast build, seconds by phase (hierarchy promotion and the prefix sum / final");
+    println!("check of assembly are sequential; the rest runs on the pool):");
+    phases.print();
 
     // ---- Offline half: persist the largest index --------------------------
     if let Some(path) = value_flag("--save-index") {

@@ -16,6 +16,8 @@
 //!   parallel maps (`par_iter().map().collect()` morally);
 //! * [`par_chunks`] — parallel map over contiguous chunks, results in chunk
 //!   order;
+//! * [`par_for_each_mut`] — parallel in-place update of a mutable slice
+//!   (`par_iter_mut().enumerate().for_each()` morally);
 //! * [`scope`] / [`Scope::spawn`] — structured fork/join on borrowed data;
 //! * [`current_num_threads`], [`set_default_threads`], [`with_threads`] —
 //!   pool sizing, overridable per call site, per process, or via the
@@ -35,6 +37,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0); // 0 = unset
 
@@ -163,6 +166,14 @@ where
     par_map_indexed_with(current_num_threads(), &chunks, |_, c| f(c))
 }
 
+/// How many workers to start for `n` items on a pool of `threads`, and the
+/// block size they claim work in (about four blocks per worker). At most
+/// one worker per item; one worker means "run sequentially".
+fn workers_and_block(threads: usize, n: usize) -> (usize, usize) {
+    let threads = threads.max(1).min(n.max(1));
+    (threads, n.div_ceil(threads * 4).max(1))
+}
+
 /// [`par_map_indexed`] with an explicit worker count — the primitive every
 /// other helper lowers to.
 ///
@@ -178,12 +189,11 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
+    let (threads, block) = workers_and_block(threads, n);
+    if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    let block = n.div_ceil(threads * 4).max(1);
     let cursor = AtomicUsize::new(0);
     let mut parts: Vec<(usize, Vec<U>)> = Vec::with_capacity(n.div_ceil(block));
     std::thread::scope(|s| {
@@ -224,6 +234,60 @@ where
         out.append(&mut v);
     }
     out
+}
+
+/// Parallel in-place update: semantically
+/// `items.iter_mut().enumerate().for_each(|(i, t)| f(i, t))`, computed on
+/// [`current_num_threads`] workers. Each element is visited exactly once and
+/// by one worker, so when `f(i, t)` depends only on `i` and `*t` the result
+/// is the sequential one for any thread count. Elements may own disjoint
+/// `&mut` sub-slices of one buffer (from `split_at_mut`) — the safe way to
+/// have workers fill a shared allocation in place.
+pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    par_for_each_mut_with(current_num_threads(), items, f)
+}
+
+/// [`par_for_each_mut`] with an explicit worker count.
+///
+/// Same block scheduling as [`par_map_indexed_with`]; the blocks are
+/// `chunks_mut` of the input handed out from a mutex-guarded iterator, held
+/// only while a worker claims its next block.
+pub fn par_for_each_mut_with<T, F>(threads: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let (threads, block) = workers_and_block(threads, items.len());
+    if threads <= 1 {
+        items.iter_mut().enumerate().for_each(|(i, t)| f(i, t));
+        return;
+    }
+
+    let queue = Mutex::new(items.chunks_mut(block).enumerate());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| loop {
+                    // `f` runs outside the lock, so a panic in it cannot
+                    // poison the queue.
+                    let claimed = queue.lock().expect("no holder can panic").next();
+                    let Some((b, chunk)) = claimed else { break };
+                    for (j, t) in chunk.iter_mut().enumerate() {
+                        f(b * block + j, t);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// A structured fork/join scope over borrowed data; see [`scope`].
@@ -292,6 +356,36 @@ mod tests {
         let expect: Vec<u32> = items.chunks(7).map(|c| c.iter().sum()).collect();
         assert_eq!(sums, expect);
         assert_eq!(sums.len(), 100usize.div_ceil(7));
+    }
+
+    #[test]
+    fn par_for_each_mut_visits_every_element_once_with_its_index() {
+        let expect: Vec<usize> = (0..613).map(|i| i * 2 + 1).collect();
+        for threads in [1, 2, 3, 8] {
+            let mut items = vec![1usize; 613];
+            par_for_each_mut_with(threads, &mut items, |i, t| *t += i * 2);
+            assert_eq!(items, expect, "diverged at {threads} threads");
+        }
+        par_for_each_mut_with(4, &mut [] as &mut [u8], |_, _| unreachable!());
+    }
+
+    #[test]
+    fn par_for_each_mut_fills_disjoint_slices_of_one_buffer() {
+        // The CSR-assembly shape: elements own `split_at_mut` pieces.
+        let mut buffer = vec![0u32; 100];
+        let mut rest = buffer.as_mut_slice();
+        let mut pieces = Vec::new();
+        for len in [0, 7, 33, 1, 59] {
+            let (head, tail) = rest.split_at_mut(len);
+            pieces.push(head);
+            rest = tail;
+        }
+        par_for_each_mut_with(3, &mut pieces, |i, piece| piece.fill(i as u32));
+        let expect: Vec<u32> = [(1, 7), (2, 33), (3, 1), (4, 59)]
+            .iter()
+            .flat_map(|&(v, len)| std::iter::repeat_n(v, len))
+            .collect();
+        assert_eq!(buffer, expect);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! # `Sync` bounds
 //!
 //! The batch methods (and every parallel construction path in this
-//! workspace: [`GNet::build_fast_on`](crate::gnet::GNet::build_fast_on),
+//! workspace: `pg_nets`' `NetHierarchy::build` and `RelativesCascade`,
+//! every [`GNet`](crate::gnet::GNet) builder (the fast and naive ones run
+//! on the pool; `build_covertree` builds a hierarchy),
 //! [`gnet_edges_with_phi`](crate::gnet::gnet_edges_with_phi),
 //! [`DynamicGNet`](crate::dynamic::DynamicGNet),
 //! [`MergedGraph`](crate::merged::MergedGraph)) require `P: Sync` and

@@ -19,13 +19,56 @@
 //! * [`GNet::build_covertree`] — the Section 2.4 procedure verbatim: a
 //!   dynamic 2-ANN structure (`pg-covertree`) per level, with the retrieval
 //!   of `S` by repeated 2-ANN + delete + restore.
+//!
+//! # Construction pipeline
+//!
+//! The fast builder tests each (point, center) pair **once**, by the
+//! top-level rule: `(p, y)` is an edge iff `D(p, y) <= φ * r_i` at the
+//! *highest* level `i` with `y ∈ Y_i`. Proof: the ladder is nested, so `y`
+//! is a center of exactly the levels `0..=i`, and `φ * r_j` only grows with
+//! `j`, so the test passes at some level `j <= i` iff it passes at `i`. By
+//! [`NetLevel`](pg_nets::NetLevel)'s position invariant the centers whose
+//! highest level is `i` are the positions `>= |Y_{i+1}|` of level `i`, so
+//! each level tests only those of its relatives and every edge is found
+//! exactly once — the rows need sorting but no deduplication.
+//!
+//! Phases, top level down: [`NetHierarchy::build`] promotes centers
+//! sequentially in id order and computes friends lists on the thread pool;
+//! per level, [`RelativesCascade::descend`] (parallel over centers) and the
+//! candidate tests (parallel over blocks of 1024 points; a level that
+//! promoted nothing runs none); then one assembly: a sequential prefix sum
+//! over the per-level degrees, a parallel in-place fill and sort of the one
+//! CSR `targets` allocation, a sequential [`Graph::try_from_csr`] check.
+//! Every parallel step is an order-preserving map or a one-worker-per-block
+//! update, so the graph does not depend on the thread count. Memory
+//! high-water: the per-level `(degrees, targets)` buffers (4 bytes per
+//! edge, plus 4 per point for every level that found its block an edge)
+//! and the CSR itself — no `Vec` per point per level.
 
 use pg_covertree::CoverTree;
 use pg_metric::{Dataset, Metric};
 use pg_nets::{NetHierarchy, RelativesCascade};
 
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::{Graph, GraphBuilder, RowBlock};
 use crate::params::GNetParams;
+
+/// Points per [`RowBlock`] of the fast builder: the unit of work of its
+/// candidate and assembly phases. A constant (not a function of the thread
+/// count) so the buffers a build allocates are the same on any machine.
+const BLOCK: usize = 1024;
+
+/// The phases [`GNet::build_fast_on`] alternates between after the
+/// hierarchy is built; see [`GNet::build_fast_on_observed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildPhase {
+    /// One [`RelativesCascade::descend`].
+    Cascade,
+    /// One level's candidate tests. Levels that promoted no center run none
+    /// (and make no pool call).
+    Candidates,
+    /// Prefix sum, in-place fill and sort of the CSR, final validation.
+    Assembly,
+}
 
 /// Shards the "which centers lie within `reach` of each point" scan across
 /// the thread pool: entry `p` of the returned vector lists, in center order,
@@ -73,53 +116,81 @@ impl GNet {
         Self::build_fast_on(data, epsilon, hierarchy)
     }
 
-    /// Fast construction on a pre-built hierarchy.
-    ///
-    /// The per-level candidate-generation loop is sharded across the thread
-    /// pool (`crates/compat/rayon`): each point's candidate set depends only
-    /// on the immutable level snapshot, and the per-point target lists are
-    /// re-assembled in id order, so the resulting graph is **bit-identical
-    /// to the sequential construction for any thread count** (asserted in
-    /// tests) and the distance-computation total is unchanged.
+    /// Fast construction on a pre-built hierarchy — the pipeline of the
+    /// module docs. The graph is **bit-identical for any thread count**
+    /// (asserted in tests), and so is the distance-computation total.
     pub fn build_fast_on<P: Sync, M: Metric<P> + Sync>(
         data: &Dataset<P, M>,
         epsilon: f64,
         hierarchy: NetHierarchy,
     ) -> Self {
+        Self::build_fast_on_observed(data, epsilon, hierarchy, |_| {})
+    }
+
+    /// [`GNet::build_fast_on`], calling `phase_ended` each time a stretch
+    /// of one [`BuildPhase`] ends. This crate reads no clock, so this is how
+    /// `exp_t11_build` times the phases: it stamps the calls.
+    pub fn build_fast_on_observed<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        epsilon: f64,
+        hierarchy: NetHierarchy,
+        mut phase_ended: impl FnMut(BuildPhase),
+    ) -> Self {
         let params = GNetParams::new(epsilon);
         let n = data.len();
-        let mut builder = GraphBuilder::new(n);
+        let mut blocks: Vec<Vec<RowBlock>> = vec![Vec::new(); n.div_ceil(BLOCK)];
 
         // K = φ + 1: a center y with D(p, y) <= φ r is within (φ+1) r of
         // p's covering center, hence among that center's relatives.
         let mut cascade = RelativesCascade::new(data, &hierarchy, params.phi + 1.0);
         loop {
-            let lvl = hierarchy.level(cascade.level_idx());
-            let rel = cascade.relatives();
-            let reach = params.phi * lvl.radius;
-            let per_point = rayon::par_map_range(n, |p| {
-                let cpos = lvl.cover[p] as usize;
-                let mut targets = Vec::new();
-                for &ypos in &rel[cpos] {
-                    let y = lvl.centers[ypos as usize];
-                    if y != p as u32 && data.dist(p, y as usize) <= reach {
-                        targets.push(y);
+            let level_idx = cascade.level_idx();
+            let lvl = hierarchy.level(level_idx);
+            // Position invariant: the centers this level promoted sit after
+            // the |Y_{i+1}| it carried over (the top level carries none).
+            let first_fresh = hierarchy
+                .levels()
+                .get(level_idx + 1)
+                .map_or(0, |above| above.len());
+            if first_fresh < lvl.len() {
+                let rel = cascade.relatives();
+                let reach = params.phi * lvl.radius;
+                let found = rayon::par_map_range(blocks.len(), |b| {
+                    let points = b * BLOCK..n.min((b + 1) * BLOCK);
+                    let mut degrees = Vec::with_capacity(points.len());
+                    let mut targets = Vec::new();
+                    for p in points {
+                        let before = targets.len();
+                        for &ypos in &rel[lvl.cover[p] as usize] {
+                            if (ypos as usize) < first_fresh {
+                                continue; // tested at the level that promoted it
+                            }
+                            let y = lvl.centers[ypos as usize];
+                            if y != p as u32 && data.dist(p, y as usize) <= reach {
+                                targets.push(y);
+                            }
+                        }
+                        degrees.push((targets.len() - before) as u32);
+                    }
+                    RowBlock { degrees, targets }
+                });
+                for (passes, pass) in blocks.iter_mut().zip(found) {
+                    if !pass.targets.is_empty() {
+                        passes.push(pass);
                     }
                 }
-                targets
-            });
-            for (p, targets) in per_point.into_iter().enumerate() {
-                for y in targets {
-                    builder.add_edge(p as u32, y);
-                }
+                phase_ended(BuildPhase::Candidates);
             }
             if !cascade.descend() {
                 break;
             }
+            phase_ended(BuildPhase::Cascade);
         }
 
+        let graph = Graph::from_row_blocks(n, BLOCK, blocks);
+        phase_ended(BuildPhase::Assembly);
         GNet {
-            graph: builder.build(),
+            graph,
             params,
             hierarchy,
         }
@@ -165,7 +236,10 @@ impl GNet {
     /// a 2-ANN `y` of `p` from `T`, adding it to `S` if `D(p, y) <= φ 2^i`,
     /// and deleting it from `T`, until `D(p, y) > 2 φ 2^i`; afterwards the
     /// deleted points are re-inserted.
-    pub fn build_covertree<P, M: Metric<P>>(data: &Dataset<P, M>, epsilon: f64) -> Self {
+    pub fn build_covertree<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        epsilon: f64,
+    ) -> Self {
         let hierarchy = NetHierarchy::build(data);
         Self::build_covertree_on(data, epsilon, hierarchy)
     }
@@ -361,16 +435,19 @@ mod tests {
 
     #[test]
     fn parallel_build_is_thread_count_invariant() {
-        // The sharded candidate generation must produce the same graph as
-        // the single-threaded run, bit for bit — for both builders.
+        // Hierarchy, cascade, candidate tests and assembly all run on the
+        // pool; the result must be the single-threaded one, bit for bit —
+        // for both builders.
         let ds = random_dataset(140, 2, 12);
-        let h = NetHierarchy::build(&ds);
-        let fast1 = rayon::with_threads(1, || GNet::build_fast_on(&ds, 1.0, h.clone()));
-        let naive1 = rayon::with_threads(1, || GNet::build_naive_on(&ds, 1.0, h.clone()));
+        let fast1 = rayon::with_threads(1, || GNet::build_fast(&ds, 1.0));
+        let naive1 = rayon::with_threads(1, || GNet::build_naive(&ds, 1.0));
         for threads in [2, 4, 7] {
-            let fast_t = rayon::with_threads(threads, || GNet::build_fast_on(&ds, 1.0, h.clone()));
-            let naive_t =
-                rayon::with_threads(threads, || GNet::build_naive_on(&ds, 1.0, h.clone()));
+            let fast_t = rayon::with_threads(threads, || GNet::build_fast(&ds, 1.0));
+            let naive_t = rayon::with_threads(threads, || GNet::build_naive(&ds, 1.0));
+            assert_eq!(
+                fast1.hierarchy, fast_t.hierarchy,
+                "hierarchy diverged at {threads} threads"
+            );
             assert_eq!(
                 fast1.graph, fast_t.graph,
                 "fast diverged at {threads} threads"
@@ -379,6 +456,90 @@ mod tests {
                 naive1.graph, naive_t.graph,
                 "naive diverged at {threads} threads"
             );
+        }
+    }
+
+    /// Asserts fast == naive on `h` at 1, 2 and 7 threads; returns how many
+    /// candidate passes the fast build ran.
+    fn fast_matches_naive(
+        ds: &Dataset<Vec<f64>, Euclidean>,
+        epsilon: f64,
+        h: &NetHierarchy,
+    ) -> usize {
+        let naive = GNet::build_naive_on(ds, epsilon, h.clone());
+        let mut passes = 0;
+        for threads in [1, 2, 7] {
+            passes = 0;
+            let fast = rayon::with_threads(threads, || {
+                GNet::build_fast_on_observed(ds, epsilon, h.clone(), |phase| {
+                    passes += usize::from(phase == BuildPhase::Candidates);
+                })
+            });
+            assert_eq!(fast.graph, naive.graph, "{threads} threads");
+        }
+        passes
+    }
+
+    #[test]
+    fn two_points() {
+        let ds = Dataset::new(vec![vec![0.0, 0.0], vec![3.0, 4.0]], Euclidean);
+        fast_matches_naive(&ds, 1.0, &NetHierarchy::build(&ds));
+        assert_eq!(GNet::build_fast(&ds, 1.0).graph, Graph::complete(2));
+    }
+
+    #[test]
+    fn small_epsilon_matches_naive() {
+        let ds = random_dataset(90, 2, 13);
+        fast_matches_naive(&ds, 0.25, &NetHierarchy::build(&ds));
+    }
+
+    #[test]
+    fn idle_levels_of_a_huge_aspect_ratio_line_run_no_candidate_pass() {
+        // Collinear, aspect ratio 2^45: three tight clusters very far apart,
+        // so most of the ~50 levels promote no center at all.
+        let xs = [0.0, 1.0, 3.0, 1e7, 1e7 + 2.0, 3.5e13, 3.5e13 + 1.0];
+        let ds = Dataset::new(xs.iter().map(|&x| vec![x, 0.0]).collect(), Euclidean);
+        let h = NetHierarchy::build(&ds);
+        assert!(h.num_levels() >= 45, "{} levels", h.num_levels());
+        let passes = fast_matches_naive(&ds, 1.0, &h);
+
+        // Centers each level promoted (the top level's single center counts).
+        let fresh: Vec<usize> = (0..h.num_levels())
+            .map(|i| h.level(i).len() - h.levels().get(i + 1).map_or(0, |up| up.len()))
+            .collect();
+        let promoting = fresh.iter().filter(|&&f| f > 0).count();
+        assert_eq!(passes, promoting, "one candidate pass per promoting level");
+        assert!(promoting <= xs.len() && promoting < h.num_levels() / 2);
+        // Some level's only fresh center is a single point: its own row
+        // gets nothing there (the self-loop is filtered), the others may.
+        assert!(fresh.contains(&1));
+    }
+
+    /// `(edge_count, FNV-1a over the CSR offsets then targets)`.
+    fn fingerprint(g: &Graph) -> (usize, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let offsets = g.csr_offsets().iter().map(|&o| o as u64);
+        let targets = g.csr_targets().iter().map(|&t| u64::from(t));
+        for b in offsets.chain(targets).flat_map(u64::to_le_bytes) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (g.edge_count(), h)
+    }
+
+    /// These fingerprints were recorded with the pipeline that tested every
+    /// relative at every level and deduplicated in `from_adjacency`, so
+    /// they pin the top-level rule to that graph edge for edge, not merely
+    /// to "still deterministic".
+    #[test]
+    fn fast_build_is_graph_identical_to_the_recorded_builds() {
+        const PINS: [[(usize, u64); 2]; 2] = [
+            [(45811, 12524310369935858606), (80829, 13294512684692027464)],
+            [(56695, 9962593776645143348), (80053, 1953374670923677137)],
+        ];
+        for ((n, d, seed), want) in [(400, 2, 21), (300, 3, 22)].into_iter().zip(PINS) {
+            let ds = random_dataset(n, d, seed);
+            let got = [1.0, 0.5].map(|eps| fingerprint(&GNet::build_fast(&ds, eps).graph));
+            assert_eq!(got, want, "d = {d}: (ε = 1, ε = 0.5) fingerprints");
         }
     }
 

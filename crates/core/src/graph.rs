@@ -21,7 +21,7 @@ impl Graph {
     pub fn from_adjacency(adj: Vec<Vec<u32>>) -> Self {
         let n = adj.len();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
+        let mut targets = Vec::with_capacity(adj.iter().map(Vec::len).sum());
         offsets.push(0);
         for (v, mut list) in adj.into_iter().enumerate() {
             list.sort_unstable();
@@ -68,6 +68,59 @@ impl Graph {
             offsets.push(targets.len());
         }
         Graph { offsets, targets }
+    }
+
+    /// Assembles a graph from the [`RowBlock`]s several passes of a builder
+    /// left for each block of `block` consecutive vertices: `blocks[b]`
+    /// holds, in any order, what the passes found for vertices
+    /// `b * block ..`. Every edge must have been found by exactly one pass,
+    /// without self-loops — the rows are sorted but not deduplicated.
+    ///
+    /// One prefix sum sizes the single `targets` allocation of exactly `E`
+    /// entries; the blocks then copy and sort their rows in place on the
+    /// thread pool, each through its own `split_at_mut` slice, and drop
+    /// their pass buffers as they finish. [`Graph::try_from_csr`] checks
+    /// the result (panicking on a builder bug), so the output is the same
+    /// canonical CSR [`Graph::from_adjacency`] would produce.
+    pub(crate) fn from_row_blocks(n: usize, block: usize, blocks: Vec<Vec<RowBlock>>) -> Graph {
+        assert_eq!(blocks.len(), n.div_ceil(block), "one entry per block");
+        let rows_of = |b: usize| block.min(n - b * block);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for (b, passes) in blocks.iter().enumerate() {
+            for j in 0..rows_of(b) {
+                let degree: usize = passes.iter().map(|p| p.degrees[j] as usize).sum();
+                offsets.push(offsets[offsets.len() - 1] + degree);
+            }
+        }
+
+        let mut targets = vec![0u32; offsets[n]];
+        let mut rest = targets.as_mut_slice();
+        let mut jobs = Vec::with_capacity(blocks.len());
+        for (b, passes) in blocks.into_iter().enumerate() {
+            let first = b * block;
+            let (slice, tail) = rest.split_at_mut(offsets[first + rows_of(b)] - offsets[first]);
+            jobs.push((slice, passes));
+            rest = tail;
+        }
+        rayon::par_for_each_mut(&mut jobs, |b, (slice, passes)| {
+            let passes = std::mem::take(passes);
+            let mut cursors = vec![0usize; passes.len()];
+            let mut filled = 0;
+            for j in 0..rows_of(b) {
+                let row_start = filled;
+                for (pass, cursor) in passes.iter().zip(&mut cursors) {
+                    let degree = pass.degrees[j] as usize;
+                    slice[filled..filled + degree]
+                        .copy_from_slice(&pass.targets[*cursor..*cursor + degree]);
+                    *cursor += degree;
+                    filled += degree;
+                }
+                slice[row_start..filled].sort_unstable();
+            }
+        });
+
+        Graph::try_from_csr(offsets, targets).expect("builder passes emit each edge exactly once")
     }
 
     /// Rebuilds a graph from raw CSR arrays, validating every invariant the
@@ -302,6 +355,18 @@ impl Graph {
     }
 }
 
+/// The out-edges one pass of a builder found for one block of consecutive
+/// vertices: the block's `j`-th vertex has `degrees[j]` targets, stored back
+/// to back in `targets` — two flat buffers per block instead of a `Vec` per
+/// vertex. Consumed by [`Graph::from_row_blocks`].
+#[derive(Debug, Clone)]
+pub(crate) struct RowBlock {
+    /// Out-degree contributed to each vertex of the block.
+    pub degrees: Vec<u32>,
+    /// The targets, concatenated in vertex order.
+    pub targets: Vec<u32>,
+}
+
 /// Incremental adjacency builder.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
@@ -366,6 +431,42 @@ mod tests {
     #[should_panic(expected = "not strictly ascending")]
     fn from_sorted_adjacency_rejects_duplicates() {
         let _ = Graph::from_sorted_adjacency(vec![vec![1, 1], vec![0]]);
+    }
+
+    fn row_block(rows: &[&[u32]]) -> RowBlock {
+        RowBlock {
+            degrees: rows.iter().map(|r| r.len() as u32).collect(),
+            targets: rows.concat(),
+        }
+    }
+
+    #[test]
+    fn from_row_blocks_matches_from_adjacency() {
+        // Five vertices in blocks of two: a block with two passes, a block
+        // no pass found an edge for, and a short last block.
+        let blocks = vec![
+            vec![row_block(&[&[4, 1], &[]]), row_block(&[&[3], &[2, 0]])],
+            vec![],
+            vec![row_block(&[&[2, 0, 1]])],
+        ];
+        let expect = Graph::from_adjacency(vec![
+            vec![4, 1, 3],
+            vec![2, 0],
+            vec![],
+            vec![],
+            vec![2, 0, 1],
+        ]);
+        for threads in [1, 2, 5] {
+            let got = rayon::with_threads(threads, || Graph::from_row_blocks(5, 2, blocks.clone()));
+            assert_eq!(got, expect, "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly once")]
+    fn from_row_blocks_rejects_an_edge_found_by_two_passes() {
+        let blocks = vec![vec![row_block(&[&[1], &[]]), row_block(&[&[1], &[0]])]];
+        let _ = Graph::from_row_blocks(2, 2, blocks);
     }
 
     #[test]

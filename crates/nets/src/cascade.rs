@@ -28,7 +28,7 @@ pub struct RelativesCascade<'h, 'd, P, M> {
     rel: Vec<Vec<u32>>,
 }
 
-impl<'h, 'd, P, M: Metric<P>> RelativesCascade<'h, 'd, P, M> {
+impl<'h, 'd, P: Sync, M: Metric<P> + Sync> RelativesCascade<'h, 'd, P, M> {
     /// Starts a cascade at the top level. `k` must be at least 4 for the
     /// level-to-level recurrence to be complete.
     pub fn new(data: &'d Dataset<P, M>, hierarchy: &'h NetHierarchy, k: f64) -> Self {
@@ -81,26 +81,28 @@ impl<'h, 'd, P, M: Metric<P>> RelativesCascade<'h, 'd, P, M> {
             new_by_parent[below.parent_pos[pos] as usize].push(pos as u32);
         }
 
-        let mut next_rel: Vec<Vec<u32>> = Vec::with_capacity(below.len());
-        for pos in 0..below.len() {
+        // Each list reads only the level above, so the order-preserving
+        // parallel map returns exactly what the sequential loop would, at
+        // any thread count.
+        let (data, k, rel) = (self.data, self.k, &self.rel);
+        let next_rel = rayon::par_map_range(below.len(), |pos| {
             let y = below.centers[pos] as usize;
-            let ppos = below.parent_pos[pos] as usize;
             let mut list = Vec::new();
-            for &f in &self.rel[ppos] {
+            for &f in &rel[below.parent_pos[pos] as usize] {
                 // Carried-over center: same position at both levels.
                 let old_pid = above.centers[f as usize];
-                if self.data.dist(y, old_pid as usize) <= self.k * r_below {
+                if data.dist(y, old_pid as usize) <= k * r_below {
                     list.push(f);
                 }
                 for &np in &new_by_parent[f as usize] {
                     let new_pid = below.centers[np as usize];
-                    if self.data.dist(y, new_pid as usize) <= self.k * r_below {
+                    if data.dist(y, new_pid as usize) <= k * r_below {
                         list.push(np);
                     }
                 }
             }
-            next_rel.push(list);
-        }
+            list
+        });
 
         self.rel = next_rel;
         self.level_idx -= 1;
@@ -145,28 +147,38 @@ mod tests {
             .collect()
     }
 
+    /// The relatives lists of every level, top-down, as the cascade
+    /// produced them (unsorted).
+    fn all_levels(
+        ds: &Dataset<Vec<f64>, Euclidean>,
+        h: &NetHierarchy,
+        k: f64,
+    ) -> Vec<Vec<Vec<u32>>> {
+        let mut cascade = RelativesCascade::new(ds, h, k);
+        let mut levels = vec![cascade.relatives().to_vec()];
+        while cascade.descend() {
+            levels.push(cascade.relatives().to_vec());
+        }
+        levels
+    }
+
     #[test]
     fn cascade_matches_brute_force_at_every_level() {
         let ds = random_dataset(150, 5);
         let h = NetHierarchy::build(&ds);
         for k in [4.0, 6.0, 10.0] {
-            let mut cascade = RelativesCascade::new(&ds, &h, k);
-            loop {
-                let lvl = h.level(cascade.level_idx());
+            let sequential = rayon::with_threads(1, || all_levels(&ds, &h, k));
+            for (lvl, got) in h.levels().iter().rev().zip(&sequential) {
                 let expect = brute_rel(&ds, &lvl.centers, k, lvl.radius);
-                let got: Vec<Vec<u32>> = cascade
-                    .relatives()
-                    .iter()
-                    .map(|v| {
-                        let mut v = v.clone();
-                        v.sort_unstable();
-                        v
-                    })
-                    .collect();
-                assert_eq!(got, expect, "k = {k}, level = {}", cascade.level_idx());
-                if !cascade.descend() {
-                    break;
-                }
+                let mut got = got.clone();
+                got.iter_mut().for_each(|v| v.sort_unstable());
+                assert_eq!(got, expect, "k = {k}, radius = {}", lvl.radius);
+            }
+            // The parallel descent must reproduce the lists entry for entry,
+            // order included.
+            for threads in [2, 4, 7] {
+                let parallel = rayon::with_threads(threads, || all_levels(&ds, &h, k));
+                assert_eq!(parallel, sequential, "k = {k}, {threads} threads");
             }
         }
     }

@@ -13,7 +13,7 @@ pub(crate) const NOT_A_CENTER: u32 = u32::MAX;
 /// level `i+1` occupy the same positions (indices into `centers`) as they do
 /// at level `i+1`; newly promoted centers are appended after them. Several
 /// algorithms (friends lists, [`crate::RelativesCascade`]) rely on this.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetLevel {
     /// Net radius `r_i` of this level.
     pub radius: f64,
@@ -69,7 +69,7 @@ impl NetLevel {
 /// * `bottom_radius() ∈ [d_min/2, d_min)` and `top_radius() ∈
 ///   [diam, 2 diam]` — the `d̂`-estimates of the Section 2.4 remark come for
 ///   free.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetHierarchy {
     levels: Vec<NetLevel>,
 }
@@ -87,17 +87,22 @@ impl NetHierarchy {
     /// the friends lists of the previous level, so the whole construction
     /// costs `2^{O(λ)}` distances per point per level instead of a full
     /// scan. Construction is deterministic (no randomness): points are
-    /// processed in id order.
+    /// promoted sequentially in id order (a promotion changes what later
+    /// points see), and only the per-center friends lists that follow are
+    /// computed on the thread pool.
     ///
     /// Panics if the dataset contains duplicate points (`max_levels`, default
     /// 192, exceeded) — the paper assumes a finite aspect ratio, which
     /// requires distinct points.
-    pub fn build<P, M: Metric<P>>(data: &Dataset<P, M>) -> Self {
+    pub fn build<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>) -> Self {
         Self::build_with_max_levels(data, 192)
     }
 
     /// [`NetHierarchy::build`] with an explicit level cap.
-    pub fn build_with_max_levels<P, M: Metric<P>>(data: &Dataset<P, M>, max_levels: usize) -> Self {
+    pub fn build_with_max_levels<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        max_levels: usize,
+    ) -> Self {
         let n = data.len();
         assert!(n >= 2, "hierarchy needs at least two points");
 
@@ -181,12 +186,13 @@ impl NetHierarchy {
             // Friends lists for the next level, from the parents' friends.
             // Completeness for factor C >= 4: centers y, z at distance
             // <= C * r_next have parents within (C/2 + 2) * r_cur <= C * r_cur.
-            let mut next_friends: Vec<Vec<u32>> = Vec::with_capacity(centers.len());
-            for i in 0..centers.len() {
+            // Each list reads only this level's finished state, so the
+            // order-preserving parallel map returns exactly what the
+            // sequential loop would, at any thread count.
+            let next_friends = rayon::par_map_range(centers.len(), |i| {
                 let y = centers[i] as usize;
-                let ppos = parent_pos[i] as usize;
                 let mut list = Vec::new();
-                for &f in &friends[ppos] {
+                for &f in &friends[parent_pos[i] as usize] {
                     let old_pid = cur.centers[f as usize];
                     if data.dist(y, old_pid as usize) <= BUILD_FRIEND_FACTOR * r_next {
                         list.push(f);
@@ -198,8 +204,8 @@ impl NetHierarchy {
                         }
                     }
                 }
-                next_friends.push(list);
-            }
+                list
+            });
 
             friends = next_friends;
             levels_topdown.push(NetLevel {
@@ -423,6 +429,33 @@ mod tests {
             for p in 0..60u32 {
                 let c = lvl.cover_center(p);
                 assert!(ds.dist(p as usize, c as usize) <= lvl.radius * (1.0 + 1e-12));
+            }
+        }
+    }
+
+    /// `(levels, FNV-1a over every level's centers, cover and parent_pos)`.
+    fn fingerprint(h: &NetHierarchy) -> (usize, u64) {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for lvl in h.levels() {
+            let words = lvl.centers.iter().chain(&lvl.cover).chain(&lvl.parent_pos);
+            for b in words.flat_map(|w| w.to_le_bytes()) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        (h.num_levels(), hash)
+    }
+
+    /// Recorded with the fully sequential builder, so the parallel friends
+    /// map is pinned to that ladder position for position — at every thread
+    /// count, since each list depends only on the level above.
+    #[test]
+    fn hierarchy_is_identical_to_the_recorded_builds_at_any_thread_count() {
+        const PINS: [(usize, u64); 2] = [(11, 17165890937852418709), (8, 16089218590529004846)];
+        for ((n, d, seed), want) in [(400, 2, 21), (300, 3, 22)].into_iter().zip(PINS) {
+            let ds = random_dataset(n, d, seed);
+            for threads in [1, 2, 4, 7] {
+                let h = rayon::with_threads(threads, || NetHierarchy::build(&ds));
+                assert_eq!(fingerprint(&h), want, "d = {d}, {threads} threads");
             }
         }
     }

@@ -19,6 +19,9 @@
 //!   the near-linear bound Theorem 1.1 needs. Every level is an **exact**
 //!   `r`-net (no slack factors), and the ladder is nested
 //!   (`Y_{i+1} ⊆ Y_i`), which only strengthens the paper's requirements.
+//!   Promotion is sequential in id order; the per-center friends lists
+//!   (and [`RelativesCascade`]'s relatives lists) are order-preserving
+//!   parallel maps, so the ladder is the same at any thread count.
 //!
 //! The hierarchy also recovers, for free, the `d̂_min`/`d̂_max` estimates of
 //! the Section 2.4 remark: the top radius is the 2-approximate diameter and

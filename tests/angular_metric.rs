@@ -33,11 +33,14 @@ fn gnet_is_a_pg_under_angular_distance() {
 fn all_three_builders_agree_on_the_sphere() {
     let data = sphere_dataset(80, 3, 4);
     let h = NetHierarchy::build(&data);
-    let fast = GNet::build_fast_on(&data, 1.0, h.clone());
     let naive = GNet::build_naive_on(&data, 1.0, h.clone());
     let ct = GNet::build_covertree_on(&data, 1.0, h);
-    assert_eq!(fast.graph, naive.graph);
     assert_eq!(ct.graph, naive.graph);
+    // The fast pipeline end to end (hierarchy included) on the pool.
+    for threads in [1, 2, 7] {
+        let fast = rayon::with_threads(threads, || GNet::build_fast(&data, 1.0));
+        assert_eq!(fast.graph, naive.graph, "{threads} threads");
+    }
 }
 
 #[test]

@@ -35,6 +35,20 @@ fn builders_agree_on_euclidean_workloads() {
 }
 
 #[test]
+fn fast_and_naive_agree_across_several_row_blocks() {
+    // The fast builder works in blocks of 1024 points; 2500 points make two
+    // full blocks and a short one, so the candidate passes and the CSR fill
+    // really run as several pool items.
+    let data = Dataset::new(workloads::uniform_cube(2500, 2, 200.0, 7), Euclidean);
+    let h = NetHierarchy::build(&data);
+    let naive = GNet::build_naive_on(&data, 1.0, h.clone());
+    for threads in [1, 2, 7] {
+        let fast = rayon::with_threads(threads, || GNet::build_fast_on(&data, 1.0, h.clone()));
+        assert_eq!(fast.graph, naive.graph, "{threads} threads");
+    }
+}
+
+#[test]
 fn builders_agree_for_small_epsilon() {
     let points = workloads::uniform_cube(80, 2, 60.0, 4);
     let data = Dataset::new(points, Euclidean);

@@ -4,8 +4,11 @@
 //! counts, not wall clock).
 
 use proximity_graphs::baselines::{nsw, vamana, Hnsw, HnswParams, NswParams, VamanaParams};
-use proximity_graphs::core::{beam_search, greedy, query, GNet, MergedGraph, MergedParams};
+use proximity_graphs::core::{
+    beam_search, greedy, query, GNet, GNetParams, MergedGraph, MergedParams,
+};
 use proximity_graphs::metric::{Counting, Dataset, Euclidean};
+use proximity_graphs::nets::{NetHierarchy, RelativesCascade};
 use proximity_graphs::workloads;
 
 #[test]
@@ -20,6 +23,45 @@ fn fast_builder_uses_fewer_distances_than_naive() {
         fast * 3 < naive,
         "fast ({fast}) should be well below naive ({naive})"
     );
+}
+
+#[test]
+fn fast_build_distance_accounting_is_exact_and_thread_invariant() {
+    // build_fast = hierarchy + cascade + one test per (point, fresh relative
+    // of its covering centre): a centre is tested at the level it was
+    // promoted at and never again below it.
+    let points = workloads::uniform_cube(600, 2, 100.0, 1);
+    let n = points.len();
+    let data = Dataset::new(points, Counting::new(Euclidean));
+    let hierarchy = NetHierarchy::build(&data);
+    let hierarchy_cost = data.metric().take();
+
+    let mut cascade = RelativesCascade::new(&data, &hierarchy, GNetParams::new(1.0).phi + 1.0);
+    let mut fresh_tests = 0u64;
+    loop {
+        let i = cascade.level_idx();
+        let lvl = hierarchy.level(i);
+        let first_fresh = hierarchy.levels().get(i + 1).map_or(0, |up| up.len());
+        for p in 0..n {
+            fresh_tests += cascade.relatives()[lvl.cover[p] as usize]
+                .iter()
+                .filter(|&&y| y as usize >= first_fresh && lvl.centers[y as usize] != p as u32)
+                .count() as u64;
+        }
+        if !cascade.descend() {
+            break;
+        }
+    }
+    let cascade_cost = data.metric().take();
+
+    let expect = hierarchy_cost + cascade_cost + fresh_tests;
+    for threads in [1, 2, 7] {
+        let _ = rayon::with_threads(threads, || GNet::build_fast(&data, 1.0));
+        assert_eq!(data.metric().take(), expect, "{threads} threads");
+    }
+    // The pipeline this replaced re-tested carried-over centres at every
+    // level and spent 476 646 distances on this input.
+    assert!(expect < 476_646, "{expect} distances");
 }
 
 #[test]
