@@ -9,8 +9,11 @@
 //!    `ShardedEngine` at `ef = n` is **bit-identical** to a single
 //!    `QueryEngine` — result ids, distances, merge order, and aggregate
 //!    `dist_comps` — for shard counts {1, 2, 3, 8} × thread counts
-//!    {1, 2, machine}. Any divergence aborts the run; the JSON artifact
-//!    records `"failures": 0` only because the process survived.
+//!    {1, 2, machine}. The same gate asserts that the build itself —
+//!    several shards side by side on the pool — equals a one-thread
+//!    build shard by shard (graph and points). Any divergence aborts the
+//!    run; the JSON artifact records `"failures": 0` only because the
+//!    process survived.
 //! 2. **Build frontier.** For each shard count `S` it builds the sharded
 //!    index under a `Counting` metric (the clone-shared counter aggregates
 //!    across shards) and reports total build distance computations, build
@@ -55,6 +58,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use pg_bench::{fmt, full_mode, init_threads, value_flag, Table};
+use pg_core::sharded::thread_split;
 use pg_core::{GNet, QueryEngine, ShardAssignment, ShardedEngine};
 use pg_eval::{CacheStatus, FrontierSweep, GroundTruth};
 use pg_metric::{Counting, Euclidean, FlatRow};
@@ -111,13 +115,26 @@ fn parity_gate(n_gate: usize, d: usize, side: f64, k: usize) -> (usize, Vec<usiz
     let want = single.batch_beam_detailed(&starts, &queries, n_gate, k);
     let thread_counts = vec![1, 2, machine_threads()];
     for shards in [1usize, 2, 3, 8] {
-        let engine = ShardedEngine::build(
-            &points,
-            Euclidean,
-            EPSILON,
-            shards,
-            &ShardAssignment::SeededRandom { seed: ASSIGN_SEED },
-        );
+        let build = || {
+            ShardedEngine::build(
+                &points,
+                Euclidean,
+                EPSILON,
+                shards,
+                &ShardAssignment::SeededRandom { seed: ASSIGN_SEED },
+            )
+        };
+        let engine = build();
+        let sequential = rayon::with_threads(1, build);
+        for (i, (got, want)) in engine.shards().iter().zip(sequential.shards()).enumerate() {
+            let same_points = (0..want.data().len())
+                .all(|p| got.data().point(p).coords() == want.data().point(p).coords());
+            assert!(
+                got.graph() == want.graph() && got.data().len() == want.data().len() && same_points,
+                "PARITY FAILURE: shard {i} of {shards} built concurrently differs from its \
+                 one-thread build"
+            );
+        }
         for &t in &thread_counts {
             let got = engine
                 .clone()
@@ -193,7 +210,8 @@ fn main() {
     let (gate_n, gate_threads) = parity_gate(n.min(1_500), d, side, k.min(5));
     println!(
         "Parity gate passed: sharded == single engine bit-for-bit at n = {gate_n}, \
-         shard counts {{1, 2, 3, 8}} x thread counts {gate_threads:?}.\n"
+         shard counts {{1, 2, 3, 8}} x thread counts {gate_threads:?}; every shard built \
+         on the {threads}-thread pool == its one-thread build.\n"
     );
 
     // ---- workload and sampled ground truth --------------------------------
@@ -239,8 +257,10 @@ fn main() {
         );
         let seconds = t0.elapsed().as_secs_f64();
         let build_comps = counting.count();
+        let (outer, inner) = thread_split(threads, shards);
         println!(
-            "built {shards} shard(s) of n = {n} in {:.1}s ({build_comps} build dist comps)",
+            "built {shards} shard(s) of n = {n} in {:.1}s, {outer} shard(s) at a time x \
+             {inner} thread(s) each ({build_comps} build dist comps)",
             seconds
         );
 

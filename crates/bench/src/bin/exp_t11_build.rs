@@ -15,7 +15,9 @@
 //! At every `n`, before anything is timed, the fast, naive and cover-tree
 //! graphs are asserted equal on one hierarchy. A second table splits the
 //! fast build's seconds by phase (hierarchy, cascade, candidate tests, CSR
-//! assembly), stamped from [`GNet::build_fast_on_observed`]'s callbacks.
+//! assembly), stamped from [`GNet::build_fast_on_observed`]'s callbacks, at
+//! one and at two threads side by side: the per-phase decomposition of
+//! `pg_ladder`'s `gnet.build_speedup`.
 //!
 //! `--save-index PATH` makes this the **offline half** of the experiment
 //! pair: after the sweep, the index at the largest `n` is rebuilt on plain
@@ -29,9 +31,33 @@ use std::time::Instant;
 use pg_baselines::slow_preprocessing;
 use pg_bench::{fmt, full_mode, init_threads, loglog_slope, value_flag, Table};
 use pg_core::{BuildPhase, GNet, QueryEngine};
-use pg_metric::{Counting, Euclidean};
+use pg_metric::{Counting, Dataset, Euclidean, FlatRow, Metric};
 use pg_nets::NetHierarchy;
 use pg_workloads as workloads;
+
+/// One timed fast build on a pool of `threads`: seconds spent in
+/// (hierarchy, cascade, candidates, assembly).
+fn phase_seconds<M: Metric<FlatRow> + Sync>(
+    data: &Dataset<FlatRow, M>,
+    threads: usize,
+) -> [f64; 4] {
+    rayon::with_threads(threads, || {
+        let t0 = Instant::now();
+        let hierarchy = NetHierarchy::build(data);
+        let mut last = Instant::now();
+        let mut split = [last.duration_since(t0).as_secs_f64(), 0.0, 0.0, 0.0];
+        let _g = GNet::build_fast_on_observed(data, 1.0, hierarchy, |phase| {
+            let now = Instant::now();
+            split[match phase {
+                BuildPhase::Cascade => 1,
+                BuildPhase::Candidates => 2,
+                BuildPhase::Assembly => 3,
+            }] += now.duration_since(last).as_secs_f64();
+            last = now;
+        });
+        split
+    })
+}
 
 fn main() {
     let threads = init_threads();
@@ -61,6 +87,7 @@ fn main() {
         "cascade s",
         "candidates s",
         "assembly s",
+        "total s",
     ]);
     let mut xs = Vec::new();
     let mut fast_d = Vec::new();
@@ -70,8 +97,8 @@ fn main() {
     let mut slow_x: Vec<f64> = Vec::new();
 
     for &n in &ns {
-        let data = workloads::uniform_cube_flat(n, 2, (n as f64).sqrt() * 4.0, 7)
-            .into_dataset(Counting::new(Euclidean));
+        let points = workloads::uniform_cube_flat(n, 2, (n as f64).sqrt() * 4.0, 7);
+        let data = points.clone().into_dataset(Counting::new(Euclidean));
 
         // Gate, before any timing: the three builders agree edge for edge.
         // The cover-tree build is the slow one, so its distance count is
@@ -90,25 +117,17 @@ fn main() {
         );
         drop((fast, naive, covertree));
 
-        let t0 = Instant::now();
-        let hierarchy = NetHierarchy::build(&data);
-        let mut last = Instant::now();
-        // hierarchy, cascade, candidates, assembly
-        let mut split = [last.duration_since(t0).as_secs_f64(), 0.0, 0.0, 0.0];
-        let _g = GNet::build_fast_on_observed(&data, 1.0, hierarchy, |phase| {
-            let now = Instant::now();
-            split[match phase {
-                BuildPhase::Cascade => 1,
-                BuildPhase::Candidates => 2,
-                BuildPhase::Assembly => 3,
-            }] += now.duration_since(last).as_secs_f64();
-            last = now;
-        });
-        let fast_secs = t0.elapsed().as_secs_f64();
+        let fast_secs: f64 = phase_seconds(&data, threads).iter().sum();
         let fd = data.metric().take() as f64;
+        // On the plain metric: two threads bumping `Counting`'s one shared
+        // counter would be timed as a slower cascade.
+        let plain = points.into_dataset(Euclidean);
+        let (one, two) = (phase_seconds(&plain, 1), phase_seconds(&plain, 2));
+        let totals = [one.iter().sum::<f64>(), two.iter().sum()];
+        let cells = one.iter().zip(&two).chain([(&totals[0], &totals[1])]);
         phases.row(
             std::iter::once(n.to_string())
-                .chain(split.iter().map(|&secs| fmt(secs, 3)))
+                .chain(cells.map(|(a, b)| format!("{a:.3} -> {b:.3} ({:.2}x)", a / b)))
                 .collect(),
         );
 
@@ -174,8 +193,9 @@ fn main() {
     }
     println!("\nAll three G_net builders produced identical graphs at every n (asserted above).");
 
-    println!("\nFast build, seconds by phase (hierarchy promotion and the prefix sum / final");
-    println!("check of assembly are sequential; the rest runs on the pool):");
+    println!("\nFast build, seconds by phase at 1 thread -> at 2 threads (speed-up). Hierarchy");
+    println!("promotion and the prefix sum / final check of assembly are sequential; the rest");
+    println!("runs on the pool, one task per block of 1024 centers or points:");
     phases.print();
 
     // ---- Offline half: persist the largest index --------------------------

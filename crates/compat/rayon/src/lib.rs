@@ -423,6 +423,28 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_obeys_its_own_with_threads_and_not_the_spawners() {
+        // The nesting rule `ShardedEngine::build` splits its budget by.
+        let unscoped = current_num_threads();
+        let seen = with_threads(unscoped + 1, || {
+            par_map_range_with(2, 2, |_| {
+                let me = std::thread::current().id();
+                let inline = with_threads(1, || {
+                    par_map_range(64, |_| std::thread::current().id())
+                        .iter()
+                        .all(|&id| id == me)
+                });
+                (
+                    current_num_threads(),
+                    with_threads(3, current_num_threads),
+                    inline,
+                )
+            })
+        });
+        assert_eq!(seen, vec![(unscoped, 3, true); 2]);
+    }
+
+    #[test]
     fn with_threads_restores_after_panic() {
         let before = current_num_threads();
         let caught = std::panic::catch_unwind(|| {

@@ -32,6 +32,10 @@
 //! be propagated (this is the PR-2 API change the sequential seed didn't
 //! need). The sequential entry points ([`greedy`](crate::search::greedy),
 //! [`query`], [`beam_search`](crate::search::beam_search)) remain bound-free.
+//! [`ShardedEngine::build`](crate::sharded::ShardedEngine::build) and
+//! [`load`](crate::sharded::ShardedEngine::load) also require `M: Send`:
+//! their pool workers hand back whole per-shard engines, which own a clone
+//! of the metric. Every metric in the workspace is `Send` as well.
 //!
 //! # Persistence
 //!

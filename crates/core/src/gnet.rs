@@ -34,7 +34,8 @@
 //!
 //! Phases, top level down: [`NetHierarchy::build`] promotes centers
 //! sequentially in id order and computes friends lists on the thread pool;
-//! per level, [`RelativesCascade::descend`] (parallel over centers) and the
+//! per level, [`RelativesCascade::descend`] (parallel over blocks of 1024
+//! centers, each block one flat `(offsets, items)` pair) and the
 //! candidate tests (parallel over blocks of 1024 points; a level that
 //! promoted nothing runs none); then one assembly: a sequential prefix sum
 //! over the per-level degrees, a parallel in-place fill and sort of the one
@@ -43,7 +44,8 @@
 //! update, so the graph does not depend on the thread count. Memory
 //! high-water: the per-level `(degrees, targets)` buffers (4 bytes per
 //! edge, plus 4 per point for every level that found its block an edge)
-//! and the CSR itself — no `Vec` per point per level.
+//! and the CSR itself — no `Vec` per point or per center per level. A
+//! build of at most 1024 points makes no pool call at all.
 
 use pg_covertree::CoverTree;
 use pg_metric::{Dataset, Metric};
@@ -153,7 +155,6 @@ impl GNet {
                 .get(level_idx + 1)
                 .map_or(0, |above| above.len());
             if first_fresh < lvl.len() {
-                let rel = cascade.relatives();
                 let reach = params.phi * lvl.radius;
                 let found = rayon::par_map_range(blocks.len(), |b| {
                     let points = b * BLOCK..n.min((b + 1) * BLOCK);
@@ -161,7 +162,7 @@ impl GNet {
                     let mut targets = Vec::new();
                     for p in points {
                         let before = targets.len();
-                        for &ypos in &rel[lvl.cover[p] as usize] {
+                        for &ypos in cascade.relatives(lvl.cover[p] as usize) {
                             if (ypos as usize) < first_fresh {
                                 continue; // tested at the level that promoted it
                             }
@@ -485,6 +486,28 @@ mod tests {
         let ds = Dataset::new(vec![vec![0.0, 0.0], vec![3.0, 4.0]], Euclidean);
         fast_matches_naive(&ds, 1.0, &NetHierarchy::build(&ds));
         assert_eq!(GNet::build_fast(&ds, 1.0).graph, Graph::complete(2));
+    }
+
+    #[test]
+    fn a_build_of_one_block_makes_no_pool_call() {
+        /// Euclidean, recording which threads computed a distance.
+        struct ThreadProbe(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+        impl Metric<Vec<f64>> for ThreadProbe {
+            fn dist(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                Euclidean.dist(a, b)
+            }
+        }
+        // Pool workers are spawned threads and the caller only joins them,
+        // so a distance computed anywhere else is a pool call.
+        for n in [2, BLOCK, BLOCK + 1] {
+            let points = (0..n).map(|i| vec![(i % 37) as f64, (i / 37) as f64]);
+            let ds = Dataset::new(points.collect(), ThreadProbe(Default::default()));
+            rayon::with_threads(4, || GNet::build_fast(&ds, 1.0));
+            let me = std::thread::current().id();
+            let inline = ds.metric().0.lock().unwrap().iter().all(|&id| id == me);
+            assert_eq!(inline, n <= BLOCK, "n = {n}");
+        }
     }
 
     #[test]

@@ -149,13 +149,24 @@ pub struct ShardedEngine<M> {
     n: usize,
 }
 
-impl<M: Metric<FlatRow> + Clone + Sync> ShardedEngine<M> {
+/// How [`ShardedEngine::build`] and [`ShardedEngine::load`] spend `threads`
+/// on per-shard work: `(outer, inner)` = shards in flight, pool threads
+/// inside each. With `shards >= threads` every shard runs sequentially on
+/// its own core and makes no pool call; the spare threads of fewer go inside.
+pub fn thread_split(threads: usize, shards: usize) -> (usize, usize) {
+    let outer = threads.min(shards).max(1);
+    (outer, (threads / outer).max(1))
+}
+
+impl<M: Metric<FlatRow> + Clone + Send + Sync> ShardedEngine<M> {
     /// Builds a sharded engine: partitions `points` with `assignment`,
-    /// then builds one `G_net` + [`QueryEngine`] per shard (each shard's
-    /// build runs its inner loops on the shared pool). The metric is
-    /// cloned per shard — a `Counting` wrapper's shared counter therefore
-    /// aggregates build *and* search distance computations across all
-    /// shards, exactly like the unsharded engines.
+    /// then builds one `G_net` + [`QueryEngine`] per shard, `outer` shards
+    /// side by side on `inner` pool threads each ([`thread_split`]; the
+    /// builders are thread-count invariant, so the split moves only the wall
+    /// clock and the memory high-water). The metric is cloned per shard — a
+    /// `Counting` wrapper's shared counter therefore aggregates build *and*
+    /// search distance computations across all shards, exactly like the
+    /// unsharded engines.
     pub fn build(
         points: &FlatPoints,
         metric: M,
@@ -166,9 +177,12 @@ impl<M: Metric<FlatRow> + Clone + Sync> ShardedEngine<M> {
         let n = points.len();
         let global_ids = assignment.assign(n, shard_count);
         let dim = points.dim();
-        let shards: Vec<QueryEngine<FlatRow, M>> = global_ids
-            .iter()
-            .map(|ids| {
+        let threads = rayon::current_num_threads();
+        let (outer, inner) = thread_split(threads, shard_count);
+        let shards = rayon::par_map_indexed_with(outer, &global_ids, |_, ids| {
+            // Pinned here, not around the map: a pool worker does not
+            // inherit the spawning thread's `with_threads` scope.
+            rayon::with_threads(inner, || {
                 let mut shard_points = FlatPoints::with_capacity(ids.len(), dim);
                 for &id in ids {
                     shard_points.push(points.row(id as usize));
@@ -181,14 +195,14 @@ impl<M: Metric<FlatRow> + Clone + Sync> ShardedEngine<M> {
                 } else {
                     GNet::build(&data, epsilon).graph
                 };
-                QueryEngine::new(graph, data)
+                QueryEngine::new(graph, data).with_threads(threads)
             })
-            .collect();
+        });
         ShardedEngine {
             shards,
             global_ids,
             build: Some(GNetParams::new(epsilon).into()),
-            threads: rayon::current_num_threads(),
+            threads,
             n,
         }
     }
@@ -360,55 +374,62 @@ impl<M: Metric<FlatRow> + SnapshotMetric + Sync> ShardedEngine<M> {
         let manifest = ShardManifest::new(self.n as u64, self.global_ids.clone())?;
         manifest.save(dir.join(SHARD_MANIFEST_FILE))
     }
+}
 
+impl<M: Metric<FlatRow> + SnapshotMetric + Send + Sync> ShardedEngine<M> {
     /// Loads a sharded engine saved by [`ShardedEngine::save`].
     /// All-or-nothing: the manifest is validated first (partition
     /// invariant included), then every shard file must load, match the
     /// manifest's shard size, agree on dimensionality, and carry `M`'s
     /// metric tag — any failure returns the typed [`SnapshotError`] and no
-    /// engine. A loaded engine answers bit-identically to the saved one.
+    /// engine, the lowest-numbered failing shard's when several fail (shard
+    /// files are read [`thread_split`]'s `outer` at a time). A loaded engine
+    /// answers bit-identically to the saved one.
     pub fn load(dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         let dir = dir.as_ref();
         let manifest = ShardManifest::load(dir.join(SHARD_MANIFEST_FILE))?;
         let n = manifest.n() as usize;
         let global_ids = manifest.into_shards();
-        let mut shards: Vec<QueryEngine<FlatRow, M>> = Vec::with_capacity(global_ids.len());
-        let mut build: Option<BuildParams> = None;
-        let mut dims: Option<usize> = None;
-        for (i, ids) in global_ids.iter().enumerate() {
-            let (engine, meta) =
-                QueryEngine::<FlatRow, M>::load_with_meta(dir.join(shard_file_name(i)))?;
-            if engine.data().len() != ids.len() {
-                return Err(SnapshotError::Invalid {
-                    reason: format!(
-                        "shard {i} holds {} points, the manifest assigns it {}",
-                        engine.data().len(),
-                        ids.len()
-                    ),
-                });
-            }
-            let shard_dims = engine.data().point(0).dim();
-            match dims {
-                None => dims = Some(shard_dims),
-                Some(d) if d != shard_dims => {
+        let threads = rayon::current_num_threads();
+        let (outer, inner) = thread_split(threads, global_ids.len());
+        let loaded = rayon::par_map_indexed_with(outer, &global_ids, |i, ids| {
+            rayon::with_threads(inner, || {
+                let (engine, meta) =
+                    QueryEngine::<FlatRow, M>::load_with_meta(dir.join(shard_file_name(i)))?;
+                if engine.data().len() != ids.len() {
                     return Err(SnapshotError::Invalid {
                         reason: format!(
-                            "shard {i} stores {shard_dims}-dimensional points, shard 0 stores {d}"
+                            "shard {i} holds {} points, the manifest assigns it {}",
+                            engine.data().len(),
+                            ids.len()
                         ),
                     });
                 }
-                Some(_) => {}
+                Ok((engine.with_threads(threads), meta))
+            })
+        });
+        let mut shards: Vec<QueryEngine<FlatRow, M>> = Vec::with_capacity(global_ids.len());
+        let mut build: Option<BuildParams> = None;
+        let mut dims: Option<usize> = None;
+        for (i, shard) in loaded.into_iter().enumerate() {
+            let (engine, meta) = shard?;
+            let shard_dims = engine.data().point(0).dim();
+            let d = *dims.get_or_insert(shard_dims);
+            if d != shard_dims {
+                return Err(SnapshotError::Invalid {
+                    reason: format!(
+                        "shard {i} stores {shard_dims}-dimensional points, shard 0 stores {d}"
+                    ),
+                });
             }
-            if build.is_none() {
-                build = meta.build;
-            }
+            build = build.or(meta.build);
             shards.push(engine);
         }
         Ok(ShardedEngine {
             shards,
             global_ids,
             build,
-            threads: rayon::current_num_threads(),
+            threads,
             n,
         })
     }
@@ -587,6 +608,59 @@ mod tests {
         assert_eq!(counting.count(), batch.dist_comps);
         // ef >= n visits every point in every shard exactly once.
         assert_eq!(batch.dist_comps, (qs.len() * 60) as u64);
+    }
+
+    fn rows<M: Metric<FlatRow>>(data: &pg_metric::Dataset<FlatRow, M>) -> Vec<&[f64]> {
+        (0..data.len()).map(|i| data.point(i).coords()).collect()
+    }
+
+    #[test]
+    fn concurrent_build_equals_building_each_shard_alone() {
+        let points = grid(97);
+        let assignment = ShardAssignment::SeededRandom { seed: 3 };
+        // 97 points in 97 shards would be all one-point shards; 49 gives
+        // two-point shards and a single one-point shard (97 = 48 * 2 + 1).
+        for shards in [1, 2, 3, 8, 49] {
+            let alone: Vec<QueryEngine<FlatRow, Euclidean>> = assignment
+                .assign(97, shards)
+                .iter()
+                .map(|ids| {
+                    let mut own = FlatPoints::with_capacity(ids.len(), 2);
+                    ids.iter().for_each(|&id| own.push(points.row(id as usize)));
+                    let data = own.into_dataset(Euclidean);
+                    let graph = match ids.len() {
+                        1 => Graph::empty(1),
+                        _ => rayon::with_threads(1, || GNet::build(&data, 1.0)).graph,
+                    };
+                    QueryEngine::new(graph, data)
+                })
+                .collect();
+            assert!(shards != 49 || alone.iter().any(|e| e.data().len() == 1));
+
+            let mut costs = Vec::new();
+            for threads in [1, 2, 3, 7] {
+                let counting = Counting::new(Euclidean);
+                let engine = rayon::with_threads(threads, || {
+                    ShardedEngine::build(&points, counting.clone(), 1.0, shards, &assignment)
+                });
+                costs.push(counting.count());
+                assert_eq!(engine.threads(), threads);
+                assert_eq!(engine.shard_count(), shards);
+                for (got, want) in engine.shards().iter().zip(&alone) {
+                    assert_eq!(got.threads(), threads, "{shards} shards");
+                    assert_eq!(
+                        got.graph(),
+                        want.graph(),
+                        "{shards} shards, {threads} threads"
+                    );
+                    assert_eq!(rows(got.data()), rows(want.data()));
+                }
+            }
+            assert!(
+                costs.iter().all(|&c| c == costs[0]),
+                "{shards} shards: {costs:?}"
+            );
+        }
     }
 
     #[test]

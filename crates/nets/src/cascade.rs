@@ -12,6 +12,7 @@
 use pg_metric::{Dataset, Metric};
 
 use crate::hierarchy::NetHierarchy;
+use crate::lists::BlockLists;
 
 /// Iterator-style descent through a [`NetHierarchy`], maintaining relatives
 /// lists for one level at a time (memory stays proportional to a single
@@ -23,9 +24,9 @@ pub struct RelativesCascade<'h, 'd, P, M> {
     k: f64,
     /// Index of the current level (bottom-up indexing; starts at the top).
     level_idx: usize,
-    /// `rel[pos]` = positions (within the current level) of all centers
+    /// `rel.get(pos)` = positions (within the current level) of all centers
     /// within `k * radius` of the center at `pos`. Includes `pos` itself.
-    rel: Vec<Vec<u32>>,
+    rel: BlockLists,
 }
 
 impl<'h, 'd, P: Sync, M: Metric<P> + Sync> RelativesCascade<'h, 'd, P, M> {
@@ -38,7 +39,7 @@ impl<'h, 'd, P: Sync, M: Metric<P> + Sync> RelativesCascade<'h, 'd, P, M> {
             data,
             k,
             level_idx: hierarchy.num_levels() - 1,
-            rel: vec![vec![0]],
+            rel: BlockLists::top(),
         }
     }
 
@@ -52,10 +53,10 @@ impl<'h, 'd, P: Sync, M: Metric<P> + Sync> RelativesCascade<'h, 'd, P, M> {
         self.k
     }
 
-    /// Relatives lists for the current level: `relatives()[pos]` holds the
-    /// positions of every center within `k * radius` of center `pos`.
-    pub fn relatives(&self) -> &[Vec<u32>] {
-        &self.rel
+    /// The relatives of the current level's center at `pos`: the positions
+    /// of every center within `k * radius` of it.
+    pub fn relatives(&self, pos: usize) -> &[u32] {
+        self.rel.get(pos)
     }
 
     /// Moves one level down, recomputing relatives. Returns `false` (and
@@ -71,40 +72,9 @@ impl<'h, 'd, P: Sync, M: Metric<P> + Sync> RelativesCascade<'h, 'd, P, M> {
         if self.level_idx == 0 {
             return false;
         }
-        let above = self.hierarchy.level(self.level_idx);
+        let above_len = self.hierarchy.level(self.level_idx).len();
         let below = self.hierarchy.level(self.level_idx - 1);
-        let r_below = below.radius;
-
-        // Freshly promoted centers of `below`, grouped by parent position.
-        let mut new_by_parent: Vec<Vec<u32>> = vec![Vec::new(); above.len()];
-        for pos in above.len()..below.len() {
-            new_by_parent[below.parent_pos[pos] as usize].push(pos as u32);
-        }
-
-        // Each list reads only the level above, so the order-preserving
-        // parallel map returns exactly what the sequential loop would, at
-        // any thread count.
-        let (data, k, rel) = (self.data, self.k, &self.rel);
-        let next_rel = rayon::par_map_range(below.len(), |pos| {
-            let y = below.centers[pos] as usize;
-            let mut list = Vec::new();
-            for &f in &rel[below.parent_pos[pos] as usize] {
-                // Carried-over center: same position at both levels.
-                let old_pid = above.centers[f as usize];
-                if data.dist(y, old_pid as usize) <= k * r_below {
-                    list.push(f);
-                }
-                for &np in &new_by_parent[f as usize] {
-                    let new_pid = below.centers[np as usize];
-                    if data.dist(y, new_pid as usize) <= k * r_below {
-                        list.push(np);
-                    }
-                }
-            }
-            list
-        });
-
-        self.rel = next_rel;
+        self.rel = self.rel.refine(self.data, below, above_len, self.k);
         self.level_idx -= 1;
         true
     }
@@ -116,15 +86,19 @@ mod tests {
     use pg_metric::Euclidean;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    fn random_points(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| vec![rng.random_range(0.0..64.0), rng.random_range(0.0..64.0)])
+            .collect()
+    }
 
     fn random_dataset(n: usize, seed: u64) -> Dataset<Vec<f64>, Euclidean> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Dataset::new(
-            (0..n)
-                .map(|_| vec![rng.random_range(0.0..64.0), rng.random_range(0.0..64.0)])
-                .collect(),
-            Euclidean,
-        )
+        Dataset::new(random_points(n, seed), Euclidean)
     }
 
     /// Brute-force relatives at a level, for comparison.
@@ -148,16 +122,58 @@ mod tests {
     }
 
     /// The relatives lists of every level, top-down, as the cascade
-    /// produced them (unsorted).
-    fn all_levels(
-        ds: &Dataset<Vec<f64>, Euclidean>,
+    /// produced them (unsorted), one `Vec` per center.
+    fn all_levels<M: Metric<Vec<f64>> + Sync>(
+        ds: &Dataset<Vec<f64>, M>,
         h: &NetHierarchy,
         k: f64,
     ) -> Vec<Vec<Vec<u32>>> {
         let mut cascade = RelativesCascade::new(ds, h, k);
-        let mut levels = vec![cascade.relatives().to_vec()];
-        while cascade.descend() {
-            levels.push(cascade.relatives().to_vec());
+        let mut levels = Vec::new();
+        loop {
+            let len = h.level(cascade.level_idx()).len();
+            levels.push(
+                (0..len)
+                    .map(|pos| cascade.relatives(pos).to_vec())
+                    .collect(),
+            );
+            if !cascade.descend() {
+                return levels;
+            }
+        }
+    }
+
+    /// [`all_levels`] computed the way `descend` did before the lists went
+    /// flat: one `Vec` per center, fresh centers in one `Vec` per parent.
+    fn nested_levels(
+        ds: &Dataset<Vec<f64>, Euclidean>,
+        h: &NetHierarchy,
+        k: f64,
+    ) -> Vec<Vec<Vec<u32>>> {
+        let mut levels = vec![vec![vec![0u32]]];
+        for idx in (0..h.h()).rev() {
+            let (above, below) = (h.level(idx + 1), h.level(idx));
+            let rel = levels.last().unwrap();
+            let mut new_by_parent: Vec<Vec<u32>> = vec![Vec::new(); above.len()];
+            for pos in above.len()..below.len() {
+                new_by_parent[below.parent_pos[pos] as usize].push(pos as u32);
+            }
+            let within = |y: u32, pos: u32| {
+                ds.dist(y as usize, below.centers[pos as usize] as usize) <= k * below.radius
+            };
+            let next = (0..below.len())
+                .map(|pos| {
+                    let y = below.centers[pos];
+                    let mut list = Vec::new();
+                    for &f in &rel[below.parent_pos[pos] as usize] {
+                        list.extend(within(y, f).then_some(f));
+                        let fresh = new_by_parent[f as usize].iter();
+                        list.extend(fresh.filter(|&&np| within(y, np)));
+                    }
+                    list
+                })
+                .collect();
+            levels.push(next);
         }
         levels
     }
@@ -184,19 +200,71 @@ mod tests {
     }
 
     #[test]
+    fn flat_blocks_hold_the_nested_lists_at_sizes_around_the_block_boundary() {
+        // The bottom level has all n centers: one block short of full, one
+        // full block, two blocks with a single position in the second, and
+        // three. k = 4 is the hierarchy's own friends factor, so the
+        // hierarchy comparison covers the friends lists too.
+        for n in [1023, 1024, 1025, 2049] {
+            let ds = random_dataset(n, n as u64);
+            let h = rayon::with_threads(1, || NetHierarchy::build(&ds));
+            let nested = nested_levels(&ds, &h, 4.0);
+            assert_eq!(nested.last().unwrap().len(), n);
+            for threads in [1, 2, 4, 7] {
+                let (h_t, flat) = rayon::with_threads(threads, || {
+                    (NetHierarchy::build(&ds), all_levels(&ds, &h, 4.0))
+                });
+                assert_eq!(h_t, h, "n = {n}, {threads} threads");
+                assert_eq!(flat, nested, "n = {n}, {threads} threads");
+            }
+        }
+    }
+
+    /// Euclidean, recording which threads computed a distance.
+    #[derive(Default)]
+    struct ThreadProbe(Mutex<HashSet<ThreadId>>);
+
+    impl Metric<Vec<f64>> for ThreadProbe {
+        fn dist(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+            self.0.lock().unwrap().insert(std::thread::current().id());
+            Euclidean.dist(a, b)
+        }
+    }
+
+    /// The threads that computed a distance while building the ladder over
+    /// `points` and walking a cascade down it, on a pool of four.
+    fn threads_used(points: Vec<Vec<f64>>) -> HashSet<ThreadId> {
+        let ds = Dataset::new(points, ThreadProbe::default());
+        rayon::with_threads(4, || {
+            let h = NetHierarchy::build(&ds);
+            all_levels(&ds, &h, 4.0);
+        });
+        let used = ds.metric().0.lock().unwrap().clone();
+        used
+    }
+
+    #[test]
+    fn single_block_levels_make_no_pool_call() {
+        // The shim's workers are spawned threads and the caller only joins
+        // them, so "every distance was computed on the calling thread" says
+        // no pool call did any of the work.
+        let me = HashSet::from([std::thread::current().id()]);
+        assert_eq!(threads_used(vec![vec![0.0, 0.0], vec![3.0, 4.0]]), me);
+        assert_eq!(threads_used(random_points(1024, 8)), me);
+        // The probe does see workers once a level has a second block.
+        assert!(threads_used(random_points(1025, 9)).len() > 1);
+    }
+
+    #[test]
     fn relatives_always_include_self() {
         let ds = random_dataset(80, 6);
         let h = NetHierarchy::build(&ds);
-        let mut cascade = RelativesCascade::new(&ds, &h, 4.0);
-        loop {
-            for (pos, list) in cascade.relatives().iter().enumerate() {
+        for (depth, level) in all_levels(&ds, &h, 4.0).iter().enumerate() {
+            for (pos, list) in level.iter().enumerate() {
                 assert!(
                     list.contains(&(pos as u32)),
-                    "center {pos} missing from its own relatives"
+                    "center {pos} missing from its own relatives, {depth} levels down"
                 );
-            }
-            if !cascade.descend() {
-                break;
             }
         }
     }

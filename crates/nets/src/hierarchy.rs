@@ -4,6 +4,8 @@
 use pg_metric::aspect::approx_diameter;
 use pg_metric::{Dataset, Metric};
 
+use crate::lists::BlockLists;
+
 /// Sentinel for "not a center at this level".
 pub(crate) const NOT_A_CENTER: u32 = u32::MAX;
 
@@ -89,7 +91,11 @@ impl NetHierarchy {
     /// scan. Construction is deterministic (no randomness): points are
     /// promoted sequentially in id order (a promotion changes what later
     /// points see), and only the per-center friends lists that follow are
-    /// computed on the thread pool.
+    /// computed on the thread pool, one task per block of 1024 centers.
+    /// A point that is already a center keeps covering itself without a
+    /// scan; the scan would agree, because it replaces its best only on a
+    /// strictly smaller distance, the center is at distance 0 from itself,
+    /// and every other center is a distinct point: no tie can pick another.
     ///
     /// Panics if the dataset contains duplicate points (`max_levels`, default
     /// 192, exceeded) — the paper assumes a finite aspect ratio, which
@@ -126,8 +132,9 @@ impl NetHierarchy {
             parent_pos: vec![0],
         };
         let mut levels_topdown: Vec<NetLevel> = vec![top];
-        // friends[pos] = positions of centers within BUILD_FRIEND_FACTOR * r.
-        let mut friends: Vec<Vec<u32>> = vec![vec![0]];
+        // friends.get(pos) = positions of centers within
+        // BUILD_FRIEND_FACTOR * r.
+        let mut friends = BlockLists::top();
 
         while levels_topdown.last().unwrap().len() < n {
             assert!(
@@ -149,6 +156,11 @@ impl NetHierarchy {
             let mut new_by_parent: Vec<Vec<u32>> = vec![Vec::new(); cur.len()];
 
             for p in 0..n as u32 {
+                // Already a center: covers itself (see the doc comment).
+                if cur.pos_of[p as usize] != NOT_A_CENTER {
+                    cover[p as usize] = cur.pos_of[p as usize];
+                    continue;
+                }
                 let cpos = cur.cover[p as usize] as usize;
                 // Find the nearest candidate center within r_next among the
                 // friends of p's current cover and their freshly promoted
@@ -156,7 +168,7 @@ impl NetHierarchy {
                 // has a parent within r_next + 2*r_next of p, hence within
                 // (3 + 2) * r_next = 2.5 * r_cur <= 4 * r_cur of cpos.
                 let mut best: Option<(f64, u32)> = None;
-                for &f in &friends[cpos] {
+                for &f in friends.get(cpos) {
                     let old_pid = cur.centers[f as usize];
                     let d = data.dist(p as usize, old_pid as usize);
                     if d <= r_next && best.is_none_or(|(bd, _)| d < bd) {
@@ -183,31 +195,9 @@ impl NetHierarchy {
                 }
             }
 
-            // Friends lists for the next level, from the parents' friends.
-            // Completeness for factor C >= 4: centers y, z at distance
-            // <= C * r_next have parents within (C/2 + 2) * r_cur <= C * r_cur.
-            // Each list reads only this level's finished state, so the
-            // order-preserving parallel map returns exactly what the
-            // sequential loop would, at any thread count.
-            let next_friends = rayon::par_map_range(centers.len(), |i| {
-                let y = centers[i] as usize;
-                let mut list = Vec::new();
-                for &f in &friends[parent_pos[i] as usize] {
-                    let old_pid = cur.centers[f as usize];
-                    if data.dist(y, old_pid as usize) <= BUILD_FRIEND_FACTOR * r_next {
-                        list.push(f);
-                    }
-                    for &np in &new_by_parent[f as usize] {
-                        let new_pid = centers[np as usize];
-                        if data.dist(y, new_pid as usize) <= BUILD_FRIEND_FACTOR * r_next {
-                            list.push(np);
-                        }
-                    }
-                }
-                list
-            });
-
-            friends = next_friends;
+            // Friends lists for the next level, from the parents' friends
+            // (complete for any factor >= 4: `RelativesCascade::descend`).
+            let above_len = cur.len();
             levels_topdown.push(NetLevel {
                 radius: r_next,
                 centers,
@@ -215,6 +205,8 @@ impl NetHierarchy {
                 pos_of,
                 parent_pos,
             });
+            let below = levels_topdown.last().expect("just pushed");
+            friends = friends.refine(data, below, above_len, BUILD_FRIEND_FACTOR);
         }
 
         levels_topdown.reverse();

@@ -21,7 +21,8 @@
 //!   (`Y_{i+1} ⊆ Y_i`), which only strengthens the paper's requirements.
 //!   Promotion is sequential in id order; the per-center friends lists
 //!   (and [`RelativesCascade`]'s relatives lists) are order-preserving
-//!   parallel maps, so the ladder is the same at any thread count.
+//!   parallel maps over blocks of 1024 centers, each block stored flat, so
+//!   the ladder is the same at any thread count.
 //!
 //! The hierarchy also recovers, for free, the `d̂_min`/`d̂_max` estimates of
 //! the Section 2.4 remark: the top radius is the 2-approximate diameter and
@@ -41,6 +42,7 @@
 mod cascade;
 mod greedy;
 mod hierarchy;
+mod lists;
 
 pub use cascade::RelativesCascade;
 pub use greedy::{greedy_net, independent_hierarchy, validate_net};

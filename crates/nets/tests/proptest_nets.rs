@@ -69,8 +69,8 @@ proptest! {
         loop {
             let lvl = h.level(cascade.level_idx());
             // Brute-force verify completeness at this level.
-            for (pos, rel) in cascade.relatives().iter().enumerate() {
-                let y = lvl.centers[pos];
+            for (pos, &y) in lvl.centers.iter().enumerate() {
+                let rel = cascade.relatives(pos);
                 for (pos2, &z) in lvl.centers.iter().enumerate() {
                     let within = data.dist(y as usize, z as usize) <= k * lvl.radius;
                     let listed = rel.contains(&(pos2 as u32));

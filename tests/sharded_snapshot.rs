@@ -121,6 +121,26 @@ fn corrupting_any_single_shard_file_fails_the_whole_load() {
 }
 
 #[test]
+fn with_several_damaged_shards_the_lowest_numbered_one_is_reported() {
+    // Shards load side by side, so "first to fail" must not depend on which
+    // worker gets there first.
+    let dir = temp_dir("two_damaged");
+    build(60, 4).save(&dir).unwrap();
+    std::fs::remove_file(dir.join(shard_file_name(1))).unwrap();
+    let path = dir.join(shard_file_name(3));
+    let mut bad = std::fs::read(&path).unwrap();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0x01;
+    std::fs::write(&path, &bad).unwrap();
+    for threads in [1, 2, 7] {
+        let err =
+            rayon::with_threads(threads, || ShardedEngine::<Euclidean>::load(&dir)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Io(_)), "{threads}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn manifest_damage_fails_the_whole_load() {
     let engine = build(40, 2);
     let dir = temp_dir("corrupt_manifest");
