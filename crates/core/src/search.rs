@@ -1,6 +1,10 @@
 //! Routing over proximity graphs: the `greedy` procedure of Section 1.1,
 //! its budgeted `query` wrapper, and beam search as a practical extension.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use pg_metric::{Dataset, Metric, Quantized};
 
 use crate::graph::Graph;
@@ -208,7 +212,8 @@ pub(crate) fn sort_by_key_then_id(list: &mut [(u32, f64)]) {
     list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 }
 
-/// A scored vertex ordered by `(score, id)`: the heap key of [`beam_walk`].
+/// A scored vertex ordered by `(score, id)`: the key of [`beam_walk`]'s
+/// frontier heap and of both forms of its result set.
 #[derive(PartialEq)]
 struct Cand(f64, u32);
 impl Eq for Cand {}
@@ -220,6 +225,226 @@ impl PartialOrd for Cand {
 impl Ord for Cand {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+/// The best `<= ef` candidates a walk has seen. Both forms keep exactly the
+/// `ef` smallest [`Cand`]s pushed, so a walk is the same walk on either.
+trait Best {
+    fn len(&self) -> usize;
+    /// Score of the largest kept candidate (`INFINITY` when empty).
+    fn worst(&self) -> f64;
+    /// Adds `c`, then evicts the largest candidate if more than `ef` are kept.
+    fn push(&mut self, c: Cand, ef: usize);
+    /// Empties the set into `(id, score)` pairs ascending by `(score, id)`.
+    fn take_sorted(&mut self) -> Vec<(u32, f64)>;
+}
+
+/// Ascending array: an insertion shifts at most `ef` 16-byte entries, which
+/// up to [`SORTED_MAX_EF`] is cheaper than a heap's push + pop + peek, and
+/// the final list needs no sort.
+impl Best for Vec<Cand> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn worst(&self) -> f64 {
+        self.last().map_or(f64::INFINITY, |c| c.0)
+    }
+    fn push(&mut self, c: Cand, ef: usize) {
+        let at = self.iter().rposition(|kept| *kept < c).map_or(0, |i| i + 1);
+        self.insert(at, c);
+        self.truncate(ef);
+    }
+    fn take_sorted(&mut self) -> Vec<(u32, f64)> {
+        self.drain(..).map(|Cand(d, v)| (v, d)).collect()
+    }
+}
+
+/// Max-heap, for beams too wide for the array (the full-width `ef >= n`
+/// beams of the parity suites included).
+impl Best for BinaryHeap<Cand> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn worst(&self) -> f64 {
+        self.peek().map_or(f64::INFINITY, |c| c.0)
+    }
+    fn push(&mut self, c: Cand, ef: usize) {
+        self.push(c);
+        if self.len() > ef {
+            self.pop();
+        }
+    }
+    fn take_sorted(&mut self) -> Vec<(u32, f64)> {
+        let mut out: Vec<(u32, f64)> = self.drain().map(|Cand(d, v)| (v, d)).collect();
+        sort_by_key_then_id(&mut out);
+        out
+    }
+}
+
+/// Widest beam whose result set is the sorted array; wider beams keep the
+/// max-heap. Chosen by the `ef` sweep in EXPERIMENTS.md § Query path (PR 16).
+const SORTED_MAX_EF: usize = 32;
+
+/// The working memory of one [`beam_walk`], reused from walk to walk so a
+/// query allocates and clears nothing proportional to `n`.
+///
+/// `stamps[v] == epoch` marks `v` visited in the current walk. The epoch is
+/// one **byte** per vertex — an eighth of the cache footprint of a `u32`
+/// stamp, and unlike a bitset a store touches no neighbouring vertex's state
+/// — and advances once per walk, so the array is cleared only when the byte
+/// wraps, once every 255 walks.
+#[derive(Default)]
+struct SearchScratch {
+    stamps: Vec<u8>,
+    epoch: u8,
+    frontier: BinaryHeap<Reverse<Cand>>,
+    sorted: Vec<Cand>,
+    heap: BinaryHeap<Cand>,
+}
+
+/// Scratch of finished walks, waiting for the next one. Process-wide rather
+/// than per thread, so live scratch memory is bounded by the walks running
+/// at once, not by the threads that ever searched (`pg_serve` runs a thread
+/// per connection; the pool shim spawns workers per batch call).
+static SCRATCH_POOL: Mutex<Vec<SearchScratch>> = Mutex::new(Vec::new());
+
+/// Scratches kept at rest; a walk that finds the pool full drops its own.
+const SCRATCH_POOL_MAX: usize = 64;
+
+fn scratch_pool() -> MutexGuard<'static, Vec<SearchScratch>> {
+    // Only `Vec::pop`/`push` run under the lock, and neither leaves the
+    // vector half-updated, so a poisoned lock still guards a valid pool.
+    SCRATCH_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl SearchScratch {
+    /// Readies the scratch for a walk over vertices `0..n`: a fresh epoch,
+    /// empty heaps. Stamps beyond `n` (left by a walk over a larger graph)
+    /// stay as they are; the wrap clears them with the rest.
+    fn begin(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.frontier.clear();
+        self.sorted.clear();
+        self.heap.clear();
+    }
+
+    fn walk<'g, N, S>(
+        &mut self,
+        n: usize,
+        entries: &[u32],
+        ef: usize,
+        neighbors: N,
+        score: S,
+    ) -> BeamSurrogate
+    where
+        N: Fn(u32) -> &'g [u32],
+        S: FnMut(u32) -> f64,
+    {
+        self.begin(n);
+        let visited = Visited {
+            stamps: &mut self.stamps[..n],
+            epoch: self.epoch,
+        };
+        let frontier = &mut self.frontier;
+        if ef <= SORTED_MAX_EF {
+            walk_on(
+                visited,
+                frontier,
+                &mut self.sorted,
+                entries,
+                ef,
+                neighbors,
+                score,
+            )
+        } else {
+            walk_on(
+                visited,
+                frontier,
+                &mut self.heap,
+                entries,
+                ef,
+                neighbors,
+                score,
+            )
+        }
+    }
+}
+
+/// The visited set of one walk: the stamps of its vertices and its epoch.
+struct Visited<'s> {
+    stamps: &'s mut [u8],
+    epoch: u8,
+}
+
+impl Visited<'_> {
+    /// Marks `v` visited; `true` the first time.
+    #[inline]
+    fn first_visit(&mut self, v: u32) -> bool {
+        let stamp = &mut self.stamps[v as usize];
+        if *stamp == self.epoch {
+            return false;
+        }
+        *stamp = self.epoch;
+        true
+    }
+}
+
+/// The loop of [`beam_walk`] over one form of result set.
+fn walk_on<'g, B, N, S>(
+    mut visited: Visited<'_>,
+    frontier: &mut BinaryHeap<Reverse<Cand>>,
+    best: &mut B,
+    entries: &[u32],
+    ef: usize,
+    neighbors: N,
+    mut score: S,
+) -> BeamSurrogate
+where
+    B: Best,
+    N: Fn(u32) -> &'g [u32],
+    S: FnMut(u32) -> f64,
+{
+    let mut dist_comps: u64 = 0;
+    let mut expansions: u64 = 0;
+    // `frontier`: min-heap of candidates to expand; `best`: the best `ef`
+    // seen. `worst` mirrors `best.worst()` and is refreshed only when the
+    // set changes, instead of per neighbor.
+    let mut worst = f64::INFINITY;
+    let mut scan: &[u32] = entries;
+    loop {
+        for &v in scan {
+            if !visited.first_visit(v) {
+                continue;
+            }
+            dist_comps += 1;
+            let d = score(v);
+            if best.len() < ef || d < worst {
+                frontier.push(Reverse(Cand(d, v)));
+                best.push(Cand(d, v), ef);
+                worst = best.worst();
+            }
+        }
+        let Some(Reverse(Cand(d, v))) = frontier.pop() else {
+            break;
+        };
+        if best.len() >= ef && d > worst {
+            break;
+        }
+        expansions += 1;
+        scan = neighbors(v);
+    }
+    BeamSurrogate {
+        results: best.take_sorted(),
+        dist_comps,
+        expansions,
     }
 }
 
@@ -239,6 +464,13 @@ impl Ord for Cand {
 /// best `<= ef` vertices gathered, ascending by `(score, id)`; fewer than
 /// `ef` only when fewer are reachable.
 ///
+/// The walk's working memory (visited stamps, frontier, result set) is
+/// checked out of a process-wide pool for the length of the call and handed
+/// back after it; the pool's lock is held only for the two hand-overs. A
+/// `score` that panics unwinds through here with the scratch still checked
+/// out, so it is dropped, never pooled; a `score` that itself walks checks
+/// out a scratch of its own.
+///
 /// # Panics
 /// If `ef == 0` or an entry is `>= n`.
 pub fn beam_walk<'g, N, S>(
@@ -246,67 +478,24 @@ pub fn beam_walk<'g, N, S>(
     entries: &[u32],
     ef: usize,
     neighbors: N,
-    mut score: S,
+    score: S,
 ) -> BeamSurrogate
 where
     N: Fn(u32) -> &'g [u32],
     S: FnMut(u32) -> f64,
 {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     assert!(ef >= 1, "beam width must be at least 1");
     assert!(
         entries.iter().all(|&e| (e as usize) < n),
         "start vertex out of range"
     );
-    let mut dist_comps: u64 = 0;
-    let mut expansions: u64 = 0;
-    let mut visited = vec![false; n];
-
-    // `frontier`: min-heap of candidates to expand; `results`: max-heap of
-    // the best `ef` seen. `worst` mirrors `results.peek()` and is refreshed
-    // only when the heap changes, instead of re-peeking per neighbor.
-    let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-    let mut results: BinaryHeap<Cand> = BinaryHeap::new();
-    let mut worst = f64::INFINITY;
-    let mut scan: &[u32] = entries;
-    loop {
-        for &v in scan {
-            if visited[v as usize] {
-                continue;
-            }
-            visited[v as usize] = true;
-            dist_comps += 1;
-            let d = score(v);
-            if results.len() < ef || d < worst {
-                frontier.push(Reverse(Cand(d, v)));
-                results.push(Cand(d, v));
-                if results.len() > ef {
-                    results.pop();
-                }
-                worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            }
-        }
-        let Some(Reverse(Cand(d, v))) = frontier.pop() else {
-            break;
-        };
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        scan = neighbors(v);
+    let mut scratch = scratch_pool().pop().unwrap_or_default();
+    let out = scratch.walk(n, entries, ef, neighbors, score);
+    let mut pool = scratch_pool();
+    if pool.len() < SCRATCH_POOL_MAX {
+        pool.push(scratch);
     }
-
-    BeamSurrogate {
-        results: results
-            .into_sorted_vec()
-            .into_iter()
-            .map(|Cand(d, v)| (v, d))
-            .collect(),
-        dist_comps,
-        expansions,
-    }
+    out
 }
 
 /// Beam search (best-first with a width-`ef` frontier), the de-facto search
@@ -667,6 +856,238 @@ mod tests {
         let brute = ds.k_nearest_brute(&q, 6);
         let brute_ids: Vec<(u32, f64)> = brute.into_iter().map(|(i, d)| (i as u32, d)).collect();
         assert_eq!(res, brute_ids);
+    }
+
+    /// The two-heap walk `beam_walk` replaced, kept as the reference: a
+    /// fresh visited vector, a min-heap frontier and a max-heap of results
+    /// per call.
+    fn two_heap_walk(
+        n: usize,
+        entries: &[u32],
+        ef: usize,
+        g: &Graph,
+        score: &[f64],
+    ) -> BeamSurrogate {
+        let (mut dist_comps, mut expansions) = (0u64, 0u64);
+        let mut visited = vec![false; n];
+        let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
+        let mut results: BinaryHeap<Cand> = BinaryHeap::new();
+        let mut worst = f64::INFINITY;
+        let mut scan: &[u32] = entries;
+        loop {
+            for &v in scan {
+                if std::mem::replace(&mut visited[v as usize], true) {
+                    continue;
+                }
+                dist_comps += 1;
+                let d = score[v as usize];
+                if results.len() < ef || d < worst {
+                    frontier.push(Reverse(Cand(d, v)));
+                    results.push(Cand(d, v));
+                    if results.len() > ef {
+                        results.pop();
+                    }
+                    worst = results.peek().map_or(f64::INFINITY, |c| c.0);
+                }
+            }
+            let Some(Reverse(Cand(d, v))) = frontier.pop() else {
+                break;
+            };
+            if results.len() >= ef && d > worst {
+                break;
+            }
+            expansions += 1;
+            scan = g.neighbors(v);
+        }
+        BeamSurrogate {
+            results: results
+                .into_sorted_vec()
+                .into_iter()
+                .map(|Cand(d, v)| (v, d))
+                .collect(),
+            dist_comps,
+            expansions,
+        }
+    }
+
+    /// A connected graph on `n` vertices (a ring plus `extra` seeded random
+    /// out-edges per vertex) and a score per vertex drawn from `levels`
+    /// distinct values, so most comparisons are ties broken by id.
+    fn tie_heavy_instance(n: usize, extra: usize, levels: u32, seed: u64) -> (Graph, Vec<f64>) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let adjacency = (0..n)
+            .map(|v| {
+                let mut row = vec![((v + 1) % n) as u32, ((v + n - 1) % n) as u32];
+                row.extend((0..extra).map(|_| rng.random_range(0..n) as u32));
+                row
+            })
+            .collect();
+        let score = (0..n)
+            .map(|_| f64::from(rng.random_range(0..levels)))
+            .collect();
+        (Graph::from_adjacency(adjacency), score)
+    }
+
+    fn walk_scores(
+        s: &mut SearchScratch,
+        g: &Graph,
+        score: &[f64],
+        entry: u32,
+        ef: usize,
+    ) -> BeamSurrogate {
+        s.walk(
+            score.len(),
+            &[entry],
+            ef,
+            |v| g.neighbors(v),
+            |v| score[v as usize],
+        )
+    }
+
+    #[test]
+    fn sorted_array_and_heap_walks_equal_the_two_heap_reference_under_ties() {
+        // Duplicate points and few distinct scores: the beam boundary falls
+        // inside a tie group at every width, on both sides of the cutoff.
+        let n = 400;
+        let (g, score) = tie_heavy_instance(n, 3, 9, 41);
+        let cut = SORTED_MAX_EF;
+        for ef in [1, cut - 1, cut, cut + 1, 2 * cut, n] {
+            for entry in [0u32, 57, 399] {
+                let want = two_heap_walk(n, &[entry], ef, &g, &score);
+                let got = beam_walk(n, &[entry], ef, |v| g.neighbors(v), |v| score[v as usize]);
+                assert_eq!(got, want, "ef = {ef}, entry = {entry}");
+                assert!(got.results.len() == ef.min(n));
+            }
+        }
+    }
+
+    #[test]
+    fn one_scratch_across_the_epoch_wrap_answers_like_a_fresh_one() {
+        let n = 300;
+        let (g, score) = tie_heavy_instance(n, 2, 1000, 7);
+        let mut reused = SearchScratch::default();
+        // 600 walks: the byte epoch wraps (and the stamps are cleared) twice.
+        for i in 0..600u32 {
+            let (entry, ef) = (i * 7 % n as u32, 1 + i as usize % 40);
+            let got = walk_scores(&mut reused, &g, &score, entry, ef);
+            let fresh = walk_scores(&mut SearchScratch::default(), &g, &score, entry, ef);
+            assert_eq!(got, fresh, "walk {i}");
+        }
+        assert_eq!(reused.epoch, (600 % 255) as u8);
+    }
+
+    #[test]
+    fn stale_stamps_beyond_a_smaller_graph_never_read_as_visited() {
+        let (big_g, big_score) = tie_heavy_instance(5_000, 2, 1000, 3);
+        let (small_g, small_score) = tie_heavy_instance(50, 2, 1000, 4);
+        let mut s = SearchScratch::default();
+        let want_big = walk_scores(&mut SearchScratch::default(), &big_g, &big_score, 9, 5_000);
+        let want_small = walk_scores(&mut SearchScratch::default(), &small_g, &small_score, 9, 50);
+        // The big walk stamps all 5 000 vertices with epoch 2. Of the 254
+        // small walks after it the last one wraps the byte, and the big
+        // walk after that runs at epoch 2 again: every stamp the first one
+        // left beyond vertex 50 would read as visited had the wrap cleared
+        // only the vertices then in use.
+        assert_eq!(
+            walk_scores(&mut s, &small_g, &small_score, 9, 50),
+            want_small
+        );
+        assert_eq!(walk_scores(&mut s, &big_g, &big_score, 9, 5_000), want_big);
+        for _ in 0..254 {
+            assert_eq!(
+                walk_scores(&mut s, &small_g, &small_score, 9, 50),
+                want_small
+            );
+        }
+        assert_eq!(s.epoch, 1);
+        assert_eq!(walk_scores(&mut s, &big_g, &big_score, 9, 5_000), want_big);
+        assert_eq!(s.epoch, 2);
+        assert_eq!(s.stamps.len(), 5_000);
+    }
+
+    #[test]
+    fn a_panicking_score_leaves_later_walks_correct() {
+        let n = 200;
+        let (g, score) = tie_heavy_instance(n, 2, 1000, 11);
+        let want = two_heap_walk(n, &[0], 8, &g, &score);
+        for _ in 0..3 {
+            let mut calls = 0;
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                beam_walk(
+                    n,
+                    &[0],
+                    8,
+                    |v| g.neighbors(v),
+                    |v| {
+                        calls += 1;
+                        assert!(calls < 20, "score gave up mid-walk");
+                        score[v as usize]
+                    },
+                )
+            }));
+            assert!(caught.is_err());
+            // The half-stamped scratch unwound with the walk; the pool's
+            // lock was not held, so it is not poisoned either.
+            assert!(!SCRATCH_POOL.is_poisoned());
+            let got = beam_walk(n, &[0], 8, |v| g.neighbors(v), |v| score[v as usize]);
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_score_that_walks_gets_a_scratch_of_its_own() {
+        let n = 120;
+        let (g, score) = tie_heavy_instance(n, 2, 1000, 13);
+        let inner_want = two_heap_walk(n, &[5], 4, &g, &score);
+        let outer_want = two_heap_walk(n, &[0], 6, &g, &score);
+        let outer = beam_walk(
+            n,
+            &[0],
+            6,
+            |v| g.neighbors(v),
+            |v| {
+                let inner = beam_walk(n, &[5], 4, |u| g.neighbors(u), |u| score[u as usize]);
+                assert_eq!(inner, inner_want);
+                score[v as usize]
+            },
+        );
+        assert_eq!(outer, outer_want);
+    }
+
+    #[test]
+    fn pooled_walks_from_eight_threads_equal_the_sequential_answers() {
+        let n = 2_000;
+        let (g, score) = tie_heavy_instance(n, 4, 50, 17);
+        let job = |t: u32, i: u32| ((t * 500 + i) * 13 % n as u32, 1 + (t + i) as usize % 48);
+        let want: Vec<Vec<BeamSurrogate>> = (0..8)
+            .map(|t| {
+                (0..500)
+                    .map(|i| {
+                        let (entry, ef) = job(t, i);
+                        two_heap_walk(n, &[entry], ef, &g, &score)
+                    })
+                    .collect()
+            })
+            .collect();
+        // All eight start together, so scratches change hands between
+        // threads through the pool while other walks are in flight.
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for (t, want) in want.iter().enumerate() {
+                let (g, score, start) = (&g, &score, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for (i, want) in want.iter().enumerate() {
+                        let (entry, ef) = job(t as u32, i as u32);
+                        let got =
+                            beam_walk(n, &[entry], ef, |v| g.neighbors(v), |v| score[v as usize]);
+                        assert_eq!(&got, want, "thread {t}, walk {i}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -158,7 +158,7 @@ pub fn thread_split(threads: usize, shards: usize) -> (usize, usize) {
     (outer, (threads / outer).max(1))
 }
 
-impl<M: Metric<FlatRow> + Clone + Send + Sync> ShardedEngine<M> {
+impl<M: Metric<FlatRow> + Metric<[f64]> + Clone + Send + Sync> ShardedEngine<M> {
     /// Builds a sharded engine: partitions `points` with `assignment`,
     /// then builds one `G_net` + [`QueryEngine`] per shard, `outer` shards
     /// side by side on `inner` pool threads each ([`thread_split`]; the

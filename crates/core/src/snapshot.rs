@@ -72,7 +72,11 @@ use crate::params::GNetParams;
 /// Version 1 of the format covers the three stateless `L_p` metrics.
 /// Stateful wrappers (`Counting`, `Scaled`) deliberately do not implement
 /// this: persist the underlying metric and re-wrap after loading.
-pub trait SnapshotMetric {
+///
+/// Snapshot points are flat `f64` rows, so the metric must score slices: a
+/// loaded dataset is built by `FlatPoints::into_dataset` and reads its
+/// buffer directly.
+pub trait SnapshotMetric: Metric<[f64]> {
     /// The tag written to and checked against the file's `META` section.
     const TAG: MetricTag;
 

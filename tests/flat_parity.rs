@@ -7,8 +7,13 @@
 //! share) is allowed to change the wall clock only.
 
 use proptest::prelude::*;
-use proximity_graphs::core::{beam_search, greedy, query, GNet, QueryEngine};
-use proximity_graphs::metric::{Counting, Dataset, Euclidean, FlatRow};
+use proximity_graphs::core::{
+    beam_search, greedy, query, GNet, QueryEngine, ShardAssignment, ShardedEngine,
+};
+use proximity_graphs::metric::{
+    Angular, Chebyshev, Counting, Dataset, Euclidean, FlatPoints, FlatRow, Manhattan, Metric,
+    Scaled,
+};
 use proximity_graphs::workloads;
 
 type CountingDataset<P> = Dataset<P, Counting<Euclidean>>;
@@ -138,4 +143,104 @@ proptest! {
             prop_assert_eq!(ebf.dist_comps, ebn.dist_comps);
         }
     }
+}
+
+/// A dataset from `FlatPoints::into_dataset` scores from its row-major
+/// buffer; `Dataset::new` over the same handles scores through them. Every
+/// accessor must agree to the last bit, and count the same work.
+fn buffer_path_matches_handle_path<M>(points: &FlatPoints, queries: &[FlatRow], metric: M)
+where
+    M: Metric<FlatRow> + Metric<[f64]> + Clone,
+{
+    let counter = Counting::new(metric);
+    let buffer = points.clone().into_dataset(counter.clone());
+    let handles = Dataset::new(points.clone().into_rows(), counter.clone());
+    assert!(buffer.reads_row_major_buffer());
+    assert!(!handles.reads_row_major_buffer());
+    assert_eq!(buffer.points(), handles.points());
+
+    // Each call on one path is followed by the same call on the other, so
+    // the shared counter must advance by exactly one per call.
+    let same = |a: f64, b: f64| {
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(
+            counter.take(),
+            2,
+            "each accessor is one distance computation"
+        );
+    };
+    let n = buffer.len();
+    for i in 0..n {
+        for j in [0, i, (i * 7 + 3) % n, n - 1] {
+            same(buffer.dist(i, j), handles.dist(i, j));
+            same(buffer.dist_surrogate(i, j), handles.dist_surrogate(i, j));
+        }
+        for q in queries {
+            same(buffer.dist_to(i, q), handles.dist_to(i, q));
+            same(buffer.surrogate_to(i, q), handles.surrogate_to(i, q));
+        }
+    }
+    for q in queries {
+        for k in [1, 5, n] {
+            assert_eq!(buffer.k_nearest_brute(q, k), handles.k_nearest_brute(q, k));
+            assert_eq!(counter.take(), 2 * n as u64);
+        }
+    }
+}
+
+#[test]
+fn buffer_path_is_bit_identical_under_every_metric() {
+    for (d, seed) in [(1, 5u64), (2, 6), (7, 7), (16, 8)] {
+        let points = workloads::uniform_cube_flat(60, d, 25.0, seed);
+        let queries = workloads::uniform_queries_flat(6, d, -3.0, 28.0, seed ^ 0xF00).into_rows();
+        buffer_path_matches_handle_path(&points, &queries, Euclidean);
+        buffer_path_matches_handle_path(&points, &queries, Manhattan);
+        buffer_path_matches_handle_path(&points, &queries, Chebyshev);
+        buffer_path_matches_handle_path(&points, &queries, Scaled::new(Euclidean, 0.37));
+    }
+    let sphere = workloads::unit_sphere_flat(60, 5, 9);
+    let queries = workloads::unit_sphere_flat(6, 5, 10).into_rows();
+    buffer_path_matches_handle_path(&sphere, &queries, Angular);
+}
+
+#[test]
+fn map_metric_drops_the_buffer_path_and_keeps_the_answers() {
+    let points = workloads::uniform_cube_flat(40, 3, 10.0, 21);
+    let flat = points.clone().into_dataset(Euclidean);
+    let mapped = points.into_dataset(Euclidean).map_metric(Manhattan);
+    assert!(flat.reads_row_major_buffer());
+    assert!(!mapped.reads_row_major_buffer());
+    assert_eq!(mapped.points(), flat.points());
+    for i in 0..40 {
+        let want = Manhattan.dist(flat.point(i), flat.point(39 - i));
+        assert_eq!(mapped.dist(i, 39 - i).to_bits(), want.to_bits());
+    }
+}
+
+#[test]
+fn loaded_and_sharded_engines_score_from_the_buffer() {
+    let points = workloads::uniform_cube_flat(120, 2, 30.0, 33);
+    let data = points.clone().into_dataset(Euclidean);
+    let graph = GNet::build_fast(&data, 1.0).graph;
+    let built = QueryEngine::new(graph, data);
+    assert!(built.data().reads_row_major_buffer());
+
+    let snapshot = built
+        .to_snapshot(0, None)
+        .expect("a built engine snapshots");
+    let (loaded, _) =
+        QueryEngine::<FlatRow, Euclidean>::from_snapshot(snapshot).expect("its own snapshot loads");
+    assert!(loaded.data().reads_row_major_buffer());
+
+    let sharded = ShardedEngine::build(
+        &points,
+        Euclidean,
+        1.0,
+        3,
+        &ShardAssignment::SeededRandom { seed: 4 },
+    );
+    assert!(sharded
+        .shards()
+        .iter()
+        .all(|shard| shard.data().reads_row_major_buffer()));
 }
