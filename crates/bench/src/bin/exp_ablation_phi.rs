@@ -15,19 +15,20 @@
 
 #![forbid(unsafe_code)]
 
-use pg_bench::{fmt, full_mode, measure_greedy, Table};
+use pg_bench::{fmt, measure_greedy, Args, Table};
 use pg_core::{check_navigable, gnet_edges_with_phi, GNetParams};
 use pg_metric::{Euclidean, FlatPoints};
 use pg_nets::NetHierarchy;
 use pg_workloads as workloads;
 
 fn main() {
+    let full = Args::parse(&["--full"], &[]).has("--full");
     println!("# ABL-phi: is the paper's reach constant phi = 1 + 2^(eta+1) tight?\n");
     let eps = 1.0;
     let paper_phi = GNetParams::new(eps).phi;
     println!("paper constant at ε = {eps}: φ = {paper_phi}\n");
 
-    let n = if full_mode() { 1000 } else { 400 };
+    let n = if full { 1000 } else { 400 };
     let datasets: Vec<(&str, FlatPoints)> = vec![
         ("uniform", workloads::uniform_cube_flat(n, 2, 120.0, 61)),
         (

@@ -12,14 +12,15 @@
 
 #![forbid(unsafe_code)]
 
-use pg_bench::{fmt, full_mode, Table};
+use pg_bench::{fmt, Args, Table};
 use pg_core::{GNet, Graph};
 use pg_hardness::TreeInstance;
 
 fn main() {
+    let full = Args::parse(&["--full"], &[]).has("--full");
     println!("# LB1 (Thm 1.2(1), Fig 1): forced edges on the tree instance\n");
 
-    let ks: Vec<u32> = if full_mode() {
+    let ks: Vec<u32> = if full {
         vec![2, 3, 4, 5, 6, 7]
     } else {
         vec![2, 3, 4, 5, 6]

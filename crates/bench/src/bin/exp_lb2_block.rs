@@ -11,11 +11,12 @@
 
 #![forbid(unsafe_code)]
 
-use pg_bench::{fmt, full_mode, Table};
+use pg_bench::{fmt, Args, Table};
 use pg_core::{GNet, Graph};
 use pg_hardness::BlockInstance;
 
 fn main() {
+    let full = Args::parse(&["--full"], &[]).has("--full");
     println!("# LB2 (Thm 1.2(2), Fig 2): forced intra-block edges, eps = 1/(2s)\n");
 
     let mut combos = vec![
@@ -28,7 +29,7 @@ fn main() {
         (2, 3, 2),
         (4, 2, 2),
     ];
-    if full_mode() {
+    if full {
         combos.extend_from_slice(&[(3, 3, 2), (5, 2, 2), (4, 2, 6), (2, 2, 32)]);
     }
 

@@ -19,42 +19,23 @@
 //! 4. additionally walks the **paper's axis** — the greedy distance budget
 //!    of the Section 1.1 `query` — for the `G_net` index.
 //!
-//! Results land in `BENCH_<label>.json`, extending the `schema_version`-1
-//! trajectory format (README § Performance) with a `frontiers` section:
-//!
-//! ```json
-//! {
-//!   "schema_version": 1, "label": "pr5", "smoke": false, "threads": 1,
-//!   "suite": {"n": 1200, "m": 80, "k": 10, "eps": 1.0},
-//!   "frontiers": [
-//!     {"workload": "uniform-2d", "algo": "gnet", "axis": "ef", "k": 10,
-//!      "rows": [{"param": 4.0, "recall": 0.9, "mean_dist_ratio": 1.01,
-//!                "success_at_eps": 1.0, "dist_comps": 60.1, "hops": 9.2,
-//!                "qps": 120000.0}]}
-//!   ]
-//! }
-//! ```
-//!
-//! `axis` is `"ef"` (beam width; `brute` ignores it — its rows are the flat
-//! reference line) or `"budget"` (greedy distance budget, `k = 1`).
-//! Non-finite metric values serialize as `null`. How to read the frontier —
-//! and this schema — is documented in `EXPERIMENTS.md` at the repository
-//! root.
+//! The tables are the result: the `ef` axis is the beam width (`brute`
+//! ignores it — its rows are the flat reference line), the `budget` axis
+//! the greedy distance budget at `k = 1`. How to read the frontier is
+//! documented in `EXPERIMENTS.md` at the repository root; the committed
+//! `BENCH_pr5.json` is this binary's output as of PR 5.
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_recall
-//! [--smoke | --full] [--threads N] [--algo NAME] [--label NAME]
-//! [--gt-cache DIR]`
+//! [--smoke | --full] [--threads N] [--algo NAME] [--gt-cache DIR]`
 
 #![forbid(unsafe_code)]
-
-use std::fmt::Write as _;
 
 use pg_baselines::{
     nsw, vamana, BruteIndex, GraphIndex, Hnsw, HnswParams, NswParams, SweepSearch, VamanaParams,
 };
-use pg_bench::{fmt, full_mode, init_threads, spread_start, value_flag, Table};
+use pg_bench::{fmt, spread_start, Args, Table};
 use pg_core::{GNet, QueryEngine, ThetaGraph};
-use pg_eval::{CacheStatus, FrontierPoint, FrontierSweep, GroundTruth, Score};
+use pg_eval::{CacheStatus, FrontierSweep, GroundTruth, Score};
 use pg_metric::{Euclidean, FlatRow};
 use pg_workloads as workloads;
 
@@ -63,32 +44,18 @@ const ALGOS: [&str; 6] = ["gnet", "theta", "hnsw", "vamana", "nsw", "brute"];
 /// A boxed adapter over the flat Euclidean layout every sweep runs on.
 type DynIndex = Box<dyn SweepSearch<FlatRow, Euclidean>>;
 
-/// One frontier destined for the JSON artifact.
-struct FrontierRecord {
-    workload: &'static str,
-    algo: String,
-    axis: &'static str,
-    k: usize,
-    rows: Vec<FrontierPoint>,
-}
-
-/// `f64` as a JSON number, with non-finite values as `null`.
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
-
 fn machine_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |t| t.get())
 }
 
 fn main() {
-    let threads = init_threads();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let full = full_mode();
+    let args = Args::parse(
+        &["--smoke", "--full"],
+        &["--threads", "--algo", "--gt-cache"],
+    );
+    let threads = args.init_threads();
+    let smoke = args.has("--smoke");
+    let full = args.has("--full");
     let (n, m, k) = if smoke {
         (300, 32, 5)
     } else if full {
@@ -111,23 +78,22 @@ fn main() {
     } else {
         vec![1, 4, 16, 64, 256]
     };
-    let label_flag = value_flag("--label");
-    let label_is_default = label_flag.is_none();
-    let label = label_flag.unwrap_or_else(|| if smoke { "smoke".into() } else { "pr5".into() });
-    let algo_filter = value_flag("--algo");
+    let algo_filter = args.value("--algo");
     if let Some(a) = &algo_filter {
         assert!(
             ALGOS.contains(&a.as_str()),
             "--algo must be one of {ALGOS:?}, got {a}"
         );
     }
-    let gt_dir = value_flag("--gt-cache").unwrap_or_else(|| "target/gt-cache".into());
+    let gt_dir = args
+        .value("--gt-cache")
+        .unwrap_or_else(|| "target/gt-cache".into());
     let machine = machine_threads();
     let sweep = FrontierSweep::new(k, efs.clone());
 
     println!(
         "# RECALL: quality-cost frontiers on the standard suite \
-         (n = {n}, m = {m}, k = {k}, {threads} thread(s), label: {label})\n"
+         (n = {n}, m = {m}, k = {k}, {threads} thread(s))\n"
     );
     let brute_selected = algo_filter.as_deref().is_none_or(|a| a == "brute");
     println!(
@@ -139,8 +105,6 @@ fn main() {
             " (brute not selected: its recall == 1.0 self-check does not run)"
         }
     );
-
-    let mut records: Vec<FrontierRecord> = Vec::new();
 
     for (wname, points, queries) in workloads::eval_suite_flat(n, m, 99) {
         let dim = points.dim();
@@ -230,13 +194,6 @@ fn main() {
                     fmt(p.qps, 0),
                 ]);
             }
-            records.push(FrontierRecord {
-                workload: wname,
-                algo: (*name).to_string(),
-                axis: "ef",
-                k,
-                rows: pts,
-            });
         }
         table.print();
 
@@ -287,13 +244,6 @@ fn main() {
             }
             println!("\nGreedy budget frontier (the Section 1.1 `query(p, q, Q)` axis, k = 1):\n");
             btable.print();
-            records.push(FrontierRecord {
-                workload: wname,
-                algo: "gnet".into(),
-                axis: "budget",
-                k: 1,
-                rows: pts,
-            });
         }
         println!();
     }
@@ -301,55 +251,4 @@ fn main() {
     println!("Reading guide: each (workload, algo) traces a frontier — recall rises with ef");
     println!("while dists/q grows and q/s falls; curves closer to the top-left dominate.");
     println!("`brute` is the exact reference (recall 1.0 at n dists/q); see EXPERIMENTS.md.");
-
-    // ---- JSON trajectory artifact ------------------------------------------
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 1,");
-    let _ = writeln!(j, "  \"label\": \"{label}\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(
-        j,
-        "  \"suite\": {{\"n\": {n}, \"m\": {m}, \"k\": {k}, \"eps\": {:.1}}},",
-        sweep.eps
-    );
-    let _ = writeln!(j, "  \"frontiers\": [");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"workload\": \"{}\", \"algo\": \"{}\", \"axis\": \"{}\", \"k\": {},",
-            r.workload, r.algo, r.axis, r.k
-        );
-        let _ = writeln!(j, "     \"rows\": [");
-        for (ri, p) in r.rows.iter().enumerate() {
-            let _ = writeln!(
-                j,
-                "       {{\"param\": {}, \"recall\": {}, \"mean_dist_ratio\": {}, \"success_at_eps\": {}, \"dist_comps\": {}, \"hops\": {}, \"qps\": {}}}{}",
-                jf(p.param),
-                jf(p.score.recall),
-                jf(p.score.mean_dist_ratio),
-                jf(p.score.success_at_eps),
-                jf(p.score.dist_comps),
-                jf(p.score.hops),
-                jf(p.qps),
-                if ri + 1 < r.rows.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(
-            j,
-            "     ]}}{}",
-            if i + 1 < records.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-
-    match pg_bench::write_bench_artifact(&label, label_is_default, &j) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
 }

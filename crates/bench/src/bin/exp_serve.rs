@@ -36,25 +36,19 @@
 //! past that, where the batched arm trades the unbatched arm's
 //! oversubscribed cores for a bounded queue. Nothing here amortizes
 //! "pool entry": a group is answered member by member on one thread.
-//! Read the numbers alongside the recall frontiers of `BENCH_pr5.json`
+//! Read the numbers alongside the recall frontiers of `exp_recall`
 //! (quality does not change: same engine, same answers).
 //!
-//! Results land in `BENCH_<label>.json` (schema_version 1, label `pr6` /
-//! `smoke`). Existing committed artifacts are never overwritten without
-//! `--force` or a non-default `--label`.
-//!
 //! Run: `cargo run --release -p pg_bench --bin exp_serve
-//! [--smoke | --full] [--overload] [--threads N] [--label NAME]
-//! [--force]`
+//! [--smoke | --full] [--overload] [--threads N]`
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use pg_bench::{fmt, full_mode, init_threads, value_flag, Table};
+use pg_bench::{fmt, Args, Table};
 use pg_core::{AnyEngine, GNet, QueryEngine};
 use pg_metric::Euclidean;
 use pg_serve::client::{Client, RetryPolicy, RetryingClient};
@@ -142,9 +136,10 @@ fn closed_loop(
 }
 
 fn main() {
-    let threads = init_threads();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let full = full_mode();
+    let args = Args::parse(&["--smoke", "--full", "--overload"], &["--threads"]);
+    let threads = args.init_threads();
+    let smoke = args.has("--smoke");
+    let full = args.has("--full");
     let (n, d, m, clients, rounds, swaps) = if smoke {
         (400, 2, 32, 4, 2, 3)
     } else if full {
@@ -152,15 +147,12 @@ fn main() {
     } else {
         (6_000, 3, 128, 8, 4, 8)
     };
-    let label_flag = value_flag("--label");
-    let label_is_default = label_flag.is_none();
-    let label = label_flag.unwrap_or_else(|| if smoke { "smoke".into() } else { "pr6".into() });
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     println!("# serve: leader/follower TCP serving, hot-swap under load");
     println!(
         "(n = {n}, d = {d}, m = {m} queries, {clients} client(s) x {rounds} round(s), \
-         ef = {EF}, k = {K}, {threads} thread(s), {cores} core(s), label: {label})\n"
+         ef = {EF}, k = {K}, {threads} thread(s), {cores} core(s))\n"
     );
 
     // ---- 1. Build two snapshots (A serves; B is the swap target) -----------
@@ -392,9 +384,7 @@ fn main() {
     );
 
     // ---- 5. Overload and shedding (--overload) ------------------------------
-    let overload = std::env::args().any(|a| a == "--overload");
-    let mut overload_json = String::new();
-    if overload {
+    if args.has("--overload") {
         // 5a. Lame-duck determinism: a zero-capacity queue must shed every
         // query with an `Overloaded` error frame — and shedding costs an
         // error frame, never the connection.
@@ -502,68 +492,5 @@ fn main() {
             "overload (burst): {burst_requests} requests from {burst_clients} clients through a 1-deep queue, \
              {burst_shed} shed, {burst_retries} retries, 0 failures\n"
         );
-
-        overload_json = format!(
-            "    \"overload\": {{ \"lameduck_requests\": {}, \"lameduck_shed\": {lameduck_shed}, \
-             \"burst_requests\": {burst_requests}, \"burst_shed\": {burst_shed}, \
-             \"burst_retries\": {burst_retries}, \"burst_failures\": 0 }}",
-            m as u64 + 1 + lameduck_policy.max_retries as u64
-        );
-    }
-
-    // ---- 6. Artifact ---------------------------------------------------------
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 1,");
-    let _ = writeln!(j, "  \"label\": \"{label}\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"serve\": {{");
-    let _ = writeln!(
-        j,
-        "    \"n\": {n}, \"d\": {d}, \"m\": {m}, \"ef\": {EF}, \"k\": {K}, \
-         \"clients\": {clients}, \"rounds\": {rounds}, \"cores\": {cores},"
-    );
-    for (name, rows) in [("batched", &batched), ("unbatched", &unbatched)] {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{ \"clients\": {}, \"requests\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                     \"qps\": {}, \"mean_batch\": {}, \"coalesced_batches\": {} }}",
-                    o.clients,
-                    o.requests,
-                    fmt(o.p50_us, 1),
-                    fmt(o.p99_us, 1),
-                    fmt(o.qps, 1),
-                    fmt(o.mean_batch, 3),
-                    o.coalesced_batches
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            j,
-            "    \"{name}\": {{ \"rows\": [\n      {}\n    ] }},",
-            rows.join(",\n      ")
-        );
-    }
-    let _ = writeln!(
-        j,
-        "    \"hotswap\": {{ \"swaps\": {swaps}, \"requests\": {served}, \
-         \"errors\": {errors}, \"distinct_epochs\": {epochs} }}{}",
-        if overload { "," } else { "" }
-    );
-    if overload {
-        let _ = writeln!(j, "{overload_json}");
-    }
-    let _ = writeln!(j, "  }}");
-    let _ = writeln!(j, "}}");
-
-    match pg_bench::write_bench_artifact(&label, label_is_default, &j) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
     }
 }

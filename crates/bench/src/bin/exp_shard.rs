@@ -12,8 +12,7 @@
 //!    {1, 2, machine}. The same gate asserts that the build itself —
 //!    several shards side by side on the pool — equals a one-thread
 //!    build shard by shard (graph and points). Any divergence aborts the
-//!    run; the JSON artifact records `"failures": 0` only because the
-//!    process survived.
+//!    run.
 //! 2. **Build frontier.** For each shard count `S` it builds the sharded
 //!    index under a `Counting` metric (the clone-shared counter aggregates
 //!    across shards) and reports total build distance computations, build
@@ -28,36 +27,18 @@
 //!    full ground truth at `n = 10^6` would cost `n · m` ≈ 10^9 distance
 //!    computations before the experiment even starts.
 //!
-//! Results land in `BENCH_<label>.json` with a `shard` section:
-//!
-//! ```json
-//! {
-//!   "schema_version": 1, "label": "pr9", "smoke": false, "threads": 1,
-//!   "shard": {
-//!     "parity": {"n": 1500, "shard_counts": [1, 2, 3, 8],
-//!                "thread_counts": [1, 2, 8], "failures": 0},
-//!     "build": [{"shards": 8, "n": 1000000, "dist_comps": 123456789,
-//!                "seconds": 42.0, "ef": 64, "k": 10, "recall": 0.95}],
-//!     "search": [{"shards": 8, "n": 1000000, "ef": 64, "k": 10,
-//!                 "sampled_queries": 100, "recall": 0.95,
-//!                 "dist_comps": 812.0, "qps": 900.0}]
-//!   }
-//! }
-//! ```
-//!
 //! Run: `cargo run --release -p pg_bench --bin exp_shard
 //! [--smoke | --full] [--n N] [--shards S1,S2,…] [--sampled-queries C]
-//! [--threads N] [--label NAME] [--gt-cache DIR] [--force]`
+//! [--threads N] [--gt-cache DIR]`
 //!
-//! `--full` is the committed configuration: `n = 10^6`. See EXPERIMENTS.md
-//! for expected runtimes.
+//! `--full` is the configuration behind the committed `BENCH_pr9.json`:
+//! `n = 10^6`. See EXPERIMENTS.md for expected runtimes.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use pg_bench::{fmt, full_mode, init_threads, value_flag, Table};
+use pg_bench::{fmt, Args, Table};
 use pg_core::sharded::thread_split;
 use pg_core::{GNet, QueryEngine, ShardAssignment, ShardedEngine};
 use pg_eval::{CacheStatus, FrontierSweep, GroundTruth};
@@ -69,15 +50,6 @@ const DATA_SEED: u64 = 4242;
 const QUERY_SEED: u64 = 7177;
 const ASSIGN_SEED: u64 = 7;
 const SAMPLE_SEED: u64 = 909;
-
-/// `f64` as a JSON number, with non-finite values as `null`.
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 fn machine_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |t| t.get())
@@ -154,9 +126,19 @@ fn parity_gate(n_gate: usize, d: usize, side: f64, k: usize) -> (usize, Vec<usiz
 }
 
 fn main() {
-    let threads = init_threads();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let full = full_mode();
+    let args = Args::parse(
+        &["--smoke", "--full"],
+        &[
+            "--threads",
+            "--n",
+            "--shards",
+            "--sampled-queries",
+            "--gt-cache",
+        ],
+    );
+    let threads = args.init_threads();
+    let smoke = args.has("--smoke");
+    let full = args.has("--full");
     let (n_default, m, sample_default, shards_default, efs): (
         usize,
         usize,
@@ -170,17 +152,20 @@ fn main() {
     } else {
         (50_000, 400, 50, &[1, 4, 16], vec![8, 32, 128])
     };
-    let n: usize = value_flag("--n")
+    let n: usize = args
+        .value("--n")
         .map(|v| v.parse().expect("--n takes a positive integer"))
         .unwrap_or(n_default);
-    let shard_list: Vec<usize> = value_flag("--shards")
+    let shard_list: Vec<usize> = args
+        .value("--shards")
         .map(|v| {
             v.split(',')
                 .map(|s| s.trim().parse().expect("--shards takes S1,S2,…"))
                 .collect()
         })
         .unwrap_or_else(|| shards_default.to_vec());
-    let sample_count: usize = value_flag("--sampled-queries")
+    let sample_count: usize = args
+        .value("--sampled-queries")
         .map(|v| {
             v.parse()
                 .expect("--sampled-queries takes a positive integer")
@@ -195,15 +180,14 @@ fn main() {
     let d = 2usize;
     let side = 1_000.0;
     let ef_ref = efs[efs.len() / 2];
-    let label_flag = value_flag("--label");
-    let label_is_default = label_flag.is_none();
-    let label = label_flag.unwrap_or_else(|| if smoke { "smoke".into() } else { "pr9".into() });
-    let gt_dir = value_flag("--gt-cache").unwrap_or_else(|| "target/gt-cache".into());
+    let gt_dir = args
+        .value("--gt-cache")
+        .unwrap_or_else(|| "target/gt-cache".into());
 
     println!(
         "# SHARD: sharded build/search frontiers \
          (n = {n}, d = {d}, k = {k}, shards {shard_list:?}, \
-         {sample_count}/{m} sampled queries, {threads} thread(s), label: {label})\n"
+         {sample_count}/{m} sampled queries, {threads} thread(s))\n"
     );
 
     // ---- phase 1: parity gate, before any timing --------------------------
@@ -319,64 +303,5 @@ fn main() {
     println!("\nReading guide: more shards cut build dist comps (each G_net is built on a");
     println!("smaller set) but spend more search dists/q at fixed ef (every shard is probed);");
     println!("recall at matched ef stays close because each shard returns its exact local");
-    println!("top-k candidates. See EXPERIMENTS.md for the schema and expected runtimes.");
-
-    // ---- JSON artifact ----------------------------------------------------
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 1,");
-    let _ = writeln!(j, "  \"label\": \"{label}\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"shard\": {{");
-    let _ = writeln!(
-        j,
-        "    \"parity\": {{\"n\": {gate_n}, \"shard_counts\": [1, 2, 3, 8], \
-         \"thread_counts\": [{}], \"failures\": 0}},",
-        gate_threads
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(j, "    \"build\": [");
-    for (i, r) in build_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "      {{\"shards\": {}, \"n\": {n}, \"dist_comps\": {}, \"seconds\": {}, \
-             \"ef\": {ef_ref}, \"k\": {k}, \"recall\": {}}}{}",
-            r.shards,
-            r.dist_comps,
-            jf(r.seconds),
-            jf(r.recall),
-            if i + 1 < build_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "    ],");
-    let _ = writeln!(j, "    \"search\": [");
-    for (i, r) in search_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "      {{\"shards\": {}, \"n\": {n}, \"ef\": {}, \"k\": {k}, \
-             \"sampled_queries\": {sample_count}, \"recall\": {}, \"dist_comps\": {}, \
-             \"qps\": {}}}{}",
-            r.shards,
-            r.ef,
-            jf(r.recall),
-            jf(r.dist_comps),
-            jf(r.qps),
-            if i + 1 < search_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "    ]");
-    let _ = writeln!(j, "  }}");
-    let _ = writeln!(j, "}}");
-
-    match pg_bench::write_bench_artifact(&label, label_is_default, &j) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+    println!("top-k candidates. See EXPERIMENTS.md for expected runtimes.");
 }

@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use pg_baselines::slow_preprocessing;
-use pg_bench::{fmt, full_mode, init_threads, loglog_slope, value_flag, Table};
+use pg_bench::{fmt, loglog_slope, Args, Table};
 use pg_core::{BuildPhase, GNet, QueryEngine};
 use pg_metric::{Counting, Dataset, Euclidean, FlatRow, Metric};
 use pg_nets::NetHierarchy;
@@ -60,16 +60,18 @@ fn phase_seconds<M: Metric<FlatRow> + Sync>(
 }
 
 fn main() {
-    let threads = init_threads();
+    let args = Args::parse(&["--full"], &["--threads", "--save-index"]);
+    let full = args.has("--full");
+    let threads = args.init_threads();
     println!("# T1.1-build: construction cost vs n (distance computations and seconds)");
     println!("(parallel candidate generation on {threads} thread(s); dist counts are thread-invariant)\n");
 
-    let ns: Vec<usize> = if full_mode() {
+    let ns: Vec<usize> = if full {
         vec![1000, 2000, 4000, 8000, 16000]
     } else {
         vec![500, 1000, 2000, 4000]
     };
-    let slow_cap = if full_mode() { 8000 } else { 2000 };
+    let slow_cap = if full { 8000 } else { 2000 };
 
     let mut t = Table::new(&[
         "n",
@@ -199,7 +201,7 @@ fn main() {
     phases.print();
 
     // ---- Offline half: persist the largest index --------------------------
-    if let Some(path) = value_flag("--save-index") {
+    if let Some(path) = args.value("--save-index") {
         let n = *ns.last().unwrap();
         // Same generator and seed as the sweep row, on the plain metric (the
         // snapshot stores the metric tag, not the Counting instrumentation).

@@ -22,20 +22,20 @@
 
 use std::time::Instant;
 
-use pg_bench::{
-    fmt, full_mode, init_threads, measure_greedy_batch, spread_start, value_flag, Table,
-};
+use pg_bench::{fmt, measure_greedy_batch, spread_start, Args, Table};
 use pg_core::{GNet, QueryEngine};
 use pg_metric::{Euclidean, FlatRow};
 use pg_workloads as workloads;
 
 fn main() {
-    let threads = init_threads();
+    let args = Args::parse(&["--full"], &["--threads", "--load-index"]);
+    let full = args.has("--full");
+    let threads = args.init_threads();
     println!("# T1.1-query: greedy cost = O((1/eps)^lambda * log^2 Delta), any start");
     println!("(query batches sharded over {threads} thread(s))\n");
 
     // ---- Query cost vs n ----------------------------------------------------
-    let ns: Vec<usize> = if full_mode() {
+    let ns: Vec<usize> = if full {
         vec![1000, 2000, 4000, 8000, 16000, 32000]
     } else {
         vec![500, 1000, 2000, 4000, 8000]
@@ -75,7 +75,7 @@ fn main() {
     println!("hops never exceed the proven h+1 ceiling; worst ratio <= 1+ε = 2.\n");
 
     // ---- Query cost vs epsilon ----------------------------------------------
-    let n = if full_mode() { 4000 } else { 2000 };
+    let n = if full { 4000 } else { 2000 };
     let data = workloads::uniform_cube_flat(n, 2, 260.0, 23).into_dataset(Euclidean);
     let queries = workloads::uniform_queries_flat(40, 2, -20.0, 280.0, 24).into_rows();
     let mut t = Table::new(&[
@@ -105,8 +105,8 @@ fn main() {
     println!("exactly the (1/ε)^λ trade-off of Theorem 1.1.\n");
 
     // ---- Batched throughput vs thread count ---------------------------------
-    let m = if full_mode() { 4096 } else { 1024 };
-    let (engine, n, dims) = match value_flag("--load-index") {
+    let m = if full { 4096 } else { 1024 };
+    let (engine, n, dims) = match args.value("--load-index") {
         Some(path) => {
             // Online half: serve a persisted index instead of rebuilding.
             let t0 = Instant::now();
@@ -123,7 +123,7 @@ fn main() {
             (engine, n, meta.dims as usize)
         }
         None => {
-            let n = if full_mode() { 16000 } else { 8000 };
+            let n = if full { 16000 } else { 8000 };
             let data = workloads::uniform_cube_flat(n, 2, (n as f64).sqrt() * 4.0, 25)
                 .into_dataset(Euclidean);
             let g = GNet::build_fast(&data, 1.0);

@@ -10,16 +10,17 @@
 
 #![forbid(unsafe_code)]
 
-use pg_bench::{fmt, full_mode, loglog_slope, Table};
+use pg_bench::{fmt, loglog_slope, Args, Table};
 use pg_core::GNet;
 use pg_metric::Euclidean;
 use pg_workloads as workloads;
 
 fn main() {
+    let full = Args::parse(&["--full"], &[]).has("--full");
     println!("# T1.1-size: |E(G_net)| = O((1/eps)^lambda * n log Delta)\n");
 
     // ---- Table 1: n sweep --------------------------------------------------
-    let ns: Vec<usize> = if full_mode() {
+    let ns: Vec<usize> = if full {
         vec![1000, 2000, 4000, 8000, 16000, 32000]
     } else {
         vec![500, 1000, 2000, 4000, 8000]
@@ -50,7 +51,7 @@ fn main() {
     );
 
     // ---- Table 2: epsilon sweep -------------------------------------------
-    let n = if full_mode() { 4000 } else { 1500 };
+    let n = if full { 4000 } else { 1500 };
     let data = workloads::uniform_cube_flat(n, 2, 200.0, 43).into_dataset(Euclidean);
     let mut t = Table::new(&["ε", "η", "φ", "edges", "edges/n", "edges/(n·φ²·logΔ)"]);
     for eps in [1.0, 0.5, 0.25, 0.125] {

@@ -7,15 +7,16 @@
 
 #![forbid(unsafe_code)]
 
-use pg_bench::{fmt, full_mode, measure_greedy, Table};
+use pg_bench::{fmt, measure_greedy, Args, Table};
 use pg_core::{greedy, MergedGraph, MergedParams};
 use pg_metric::Euclidean;
 use pg_workloads as workloads;
 
 fn main() {
+    let full = Args::parse(&["--full"], &[]).has("--full");
     println!("# T1.3-query: merged-graph greedy cost and the Section 5.2 walk structure\n");
 
-    let ns: Vec<usize> = if full_mode() {
+    let ns: Vec<usize> = if full {
         vec![1000, 2000, 4000, 8000, 16000]
     } else {
         vec![500, 1000, 2000, 4000]

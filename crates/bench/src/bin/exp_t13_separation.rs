@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use pg_bench::{fmt, full_mode, linear_slope, Table};
+use pg_bench::{fmt, linear_slope, Args, Table};
 use pg_core::{GNet, MergedGraph, MergedParams};
 use pg_hardness::TreeInstance;
 use pg_metric::{Euclidean, FlatPoints};
@@ -36,11 +36,12 @@ fn line_plus_satellite(n: usize, spread: f64) -> FlatPoints {
 }
 
 fn main() {
+    let full = Args::parse(&["--full"], &[]).has("--full");
     println!("# T1.3-sep: the log Δ edge tax — forced in general metrics, absent in R^d\n");
 
     // ---- Table A: tree instance (general metric, forced growth) ------------
     println!("## A. General metric (Section 3 tree): forced edges per point vs log Δ\n");
-    let ks: Vec<u32> = if full_mode() {
+    let ks: Vec<u32> = if full {
         vec![3, 4, 5, 6, 7, 8]
     } else {
         vec![3, 4, 5, 6, 7]
@@ -71,9 +72,9 @@ fn main() {
     t.print();
 
     // ---- Table B: Euclidean line + satellite (fixed n, Δ sweep) ------------
-    let n = if full_mode() { 1024 } else { 512 };
+    let n = if full { 1024 } else { 512 };
     println!("\n## B. Euclidean (line + satellite, n = {n} fixed): edges per point vs log Δ\n");
-    let js: Vec<i32> = if full_mode() {
+    let js: Vec<i32> = if full {
         vec![11, 13, 15, 17, 19, 21, 23]
     } else {
         vec![11, 14, 17, 20, 23]

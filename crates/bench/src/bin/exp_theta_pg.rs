@@ -12,12 +12,13 @@
 
 #![forbid(unsafe_code)]
 
-use pg_bench::{fmt, full_mode, Table};
+use pg_bench::{fmt, Args, Table};
 use pg_core::{check_navigable, ConeSet, ThetaGraph};
 use pg_metric::Euclidean;
 use pg_workloads as workloads;
 
 fn main() {
+    let full = Args::parse(&["--full"], &[]).has("--full");
     println!("# Fig 3-6 / Lemma 5.1: cone families and theta-graph navigability\n");
 
     // ---- Cone family quality ------------------------------------------------
@@ -31,7 +32,7 @@ fn main() {
         (4, 0.9),
     ] {
         let cs = ConeSet::covering(d, theta);
-        let gap = cs.covering_gap(if full_mode() { 20000 } else { 4000 }, 77);
+        let gap = cs.covering_gap(if full { 20000 } else { 4000 }, 77);
         assert!(gap <= theta / 2.0 + 1e-9, "covering property violated");
         t.row(vec![
             d.to_string(),
@@ -46,7 +47,7 @@ fn main() {
     println!("proof of Lemma 5.1 needs), with O((1/θ)^(d-1)) cones.\n");
 
     // ---- Lemma 5.1: navigability vs θ ---------------------------------------
-    let n = if full_mode() { 600 } else { 250 };
+    let n = if full { 600 } else { 250 };
     let data = workloads::uniform_cube_flat(n, 2, 50.0, 13).into_dataset(Euclidean);
     let queries = workloads::uniform_queries_flat(40, 2, -5.0, 55.0, 14).into_rows();
     let eps = 1.0;

@@ -2,9 +2,10 @@
 //! slope fitting, and query-cost measurement.
 //!
 //! Every experiment in DESIGN.md §3 has a binary in `src/bin/` that prints
-//! the corresponding paper-shaped table; `benches/` holds the criterion
-//! wall-clock micro-benchmarks. Binaries accept `--full` for the larger
-//! parameter sweeps recorded in EXPERIMENTS.md.
+//! the corresponding paper-shaped table; wall-clock belongs to
+//! `src/bin/pg_ladder/`. Binaries accept `--full` for the larger parameter
+//! sweeps recorded in EXPERIMENTS.md, and refuse flags they do not declare
+//! ([`Args`]).
 //!
 //! Where this crate sits in the workspace is mapped in `ARCHITECTURE.md`
 //! at the repository root.
@@ -166,27 +167,101 @@ pub fn fmt(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// True when the binary was invoked with `--full` (bigger sweeps).
-pub fn full_mode() -> bool {
-    std::env::args().any(|a| a == "--full")
+/// The command line of one `exp_*` binary, checked against the flags that
+/// binary declares: an argument it does not know, or a value flag without
+/// its value, is a usage error (exit 2) rather than a silently different
+/// run.
+pub struct Args {
+    argv: Vec<String>,
+    switches: &'static [&'static str],
+    value_flags: &'static [&'static str],
 }
 
-/// The value of a `--name VALUE` / `--name=VALUE` flag, if present.
-///
-/// This is the shared flag-parsing primitive of the experiment binaries:
-/// `--threads` goes through it, and the snapshot pair uses it for
-/// `--save-index PATH` / `--load-index PATH` (the offline/online split of
-/// `exp_t11_build` / `exp_t11_query`).
-pub fn value_flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    parse_value_flag(&args, name)
+impl Args {
+    /// Parses the process arguments. `switches` are the bare flags the
+    /// binary accepts (`--full`, `--smoke`), `value_flags` the ones that
+    /// take a value (`--threads N` or `--threads=N`); names include the
+    /// leading dashes. On a usage error, prints the problem and a usage
+    /// line to stderr and exits 2.
+    pub fn parse(switches: &'static [&'static str], value_flags: &'static [&'static str]) -> Args {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        let bin = bin.rsplit('/').next().unwrap_or_default();
+        Args::parse_from(argv.collect(), switches, value_flags).unwrap_or_else(|problem| {
+            let usage: Vec<String> = switches
+                .iter()
+                .map(|s| format!("[{s}]"))
+                .chain(value_flags.iter().map(|v| format!("[{v} VALUE]")))
+                .collect();
+            eprintln!("{bin}: {problem}\nusage: {bin} {}", usage.join(" "));
+            std::process::exit(2)
+        })
+    }
+
+    /// Core of [`Args::parse`], split out for testability: `argv` is the
+    /// command line without the binary's name.
+    fn parse_from(
+        argv: Vec<String>,
+        switches: &'static [&'static str],
+        value_flags: &'static [&'static str],
+    ) -> Result<Args, String> {
+        let args = Args {
+            argv,
+            switches,
+            value_flags,
+        };
+        let mut i = 0;
+        while i < args.argv.len() {
+            let arg = args.argv[i].as_str();
+            let name = arg.split_once('=').map_or(arg, |(name, _)| name);
+            if switches.contains(&arg) {
+                i += 1;
+            } else if value_flags.contains(&name) {
+                let Some(value) = parse_value_flag(&args.argv[i..], name) else {
+                    return Err(format!("{name} needs a value"));
+                };
+                if name == "--threads" && !value.parse().is_ok_and(|t: usize| t >= 1) {
+                    return Err(format!("--threads takes a positive integer, got `{value}`"));
+                }
+                i += if arg == name { 2 } else { 1 };
+            } else {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+        }
+        Ok(args)
+    }
+
+    /// True when the bare flag `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        assert!(self.switches.contains(&switch), "undeclared {switch}");
+        self.argv.iter().any(|a| a == switch)
+    }
+
+    /// The value of `--name VALUE` / `--name=VALUE`, if given — e.g.
+    /// `--save-index PATH` / `--load-index PATH`, the offline/online split
+    /// of `exp_t11_build` / `exp_t11_query`.
+    pub fn value(&self, name: &str) -> Option<String> {
+        assert!(self.value_flags.contains(&name), "undeclared {name}");
+        parse_value_flag(&self.argv, name)
+    }
+
+    /// Applies `--threads` (if given) to the global pool default and
+    /// returns the effective worker count, so `--threads 1` reproduces the
+    /// sequential wall-clock and the default engages the whole machine (or
+    /// `PG_THREADS`).
+    pub fn init_threads(&self) -> usize {
+        if let Some(t) = self.value("--threads").and_then(|v| v.parse().ok()) {
+            rayon::set_default_threads(t);
+        }
+        rayon::current_num_threads()
+    }
 }
 
-/// Flag-parsing core of [`value_flag`], split out for testability. `name`
-/// includes the leading dashes (e.g. `"--threads"`). In the space-separated
-/// form, a following token that is itself a flag (`--…`) is not consumed as
-/// the value — `exp --save-index --full` means the path is missing, not
-/// that the index goes to a file named `--full`. Use `--name=--value` if a
+/// Finds `--name VALUE` / `--name=VALUE` in `args`. `name` includes the
+/// leading dashes (e.g. `"--threads"`). In the space-separated form, a
+/// following token that is itself a flag (`--…`) is not consumed as the
+/// value — `exp --save-index --full` means the path is missing, not that
+/// the index goes to a file named `--full`. Use `--name=--value` if a
 /// dash-leading value is really intended.
 fn parse_value_flag(args: &[String], name: &str) -> Option<String> {
     let prefix = format!("{name}=");
@@ -199,86 +274,6 @@ fn parse_value_flag(args: &[String], name: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// The `--threads N` / `--threads=N` flag, if present and valid.
-pub fn threads_flag() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    parse_threads_flag(&args)
-}
-
-/// Flag-parsing core of [`threads_flag`].
-fn parse_threads_flag(args: &[String]) -> Option<usize> {
-    parse_value_flag(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .filter(|&t| t >= 1)
-}
-
-/// Applies the `--threads` flag (if any) to the global pool default and
-/// returns the effective worker count. Every `exp_*` binary calls this
-/// first, so `--threads 1` reproduces the sequential wall-clock and the
-/// default engages the whole machine (or `PG_THREADS`).
-pub fn init_threads() -> usize {
-    if let Some(t) = threads_flag() {
-        rayon::set_default_threads(t);
-    }
-    rayon::current_num_threads()
-}
-
-/// True when the binary was invoked with `--force` (allow clobbering a
-/// committed `BENCH_*.json`).
-pub fn force_flag() -> bool {
-    std::env::args().any(|a| a == "--force")
-}
-
-/// The overwrite rule for committed benchmark artifacts: writing
-/// `BENCH_<label>.json` is allowed when the file does not exist yet, when
-/// `--force` was given, or when the label is not the binary's default
-/// (scratch runs under `--label mytest` never endanger committed numbers).
-///
-/// This exists because a bare re-run of an experiment binary used to
-/// silently overwrite the committed artifact of its original PR (see
-/// CHANGES.md, PR 5) — now it refuses with a pointer to `--force`.
-pub fn bench_overwrite_allowed(exists: bool, label_is_default: bool, force: bool) -> bool {
-    !exists || force || !label_is_default
-}
-
-/// Writes `BENCH_<label>.json` into the current directory, honoring
-/// [`bench_overwrite_allowed`] (with `--force` read from the arguments).
-/// On refusal, returns an error message for the binary to print before
-/// exiting non-zero.
-pub fn write_bench_artifact(
-    label: &str,
-    label_is_default: bool,
-    json: &str,
-) -> Result<std::path::PathBuf, String> {
-    write_bench_artifact_in(
-        std::path::Path::new("."),
-        label,
-        label_is_default,
-        force_flag(),
-        json,
-    )
-}
-
-/// Core of [`write_bench_artifact`], parameterized for testability.
-pub fn write_bench_artifact_in(
-    dir: &std::path::Path,
-    label: &str,
-    label_is_default: bool,
-    force: bool,
-    json: &str,
-) -> Result<std::path::PathBuf, String> {
-    let path = dir.join(format!("BENCH_{label}.json"));
-    if !bench_overwrite_allowed(path.exists(), label_is_default, force) {
-        return Err(format!(
-            "refusing to overwrite existing {}: pass --force to replace the committed \
-             artifact, or use --label <name> for a scratch run",
-            path.display()
-        ));
-    }
-    std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -308,101 +303,67 @@ mod tests {
         t.print();
     }
 
+    fn parse(
+        argv: &[&str],
+        switches: &'static [&'static str],
+        value_flags: &'static [&'static str],
+    ) -> Result<Args, String> {
+        let argv = argv.iter().map(|s| s.to_string()).collect();
+        Args::parse_from(argv, switches, value_flags)
+    }
+
     #[test]
     fn threads_flag_parsing() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let threads =
+            |argv: &[&str]| parse(argv, &["--full"], &["--threads"]).map(|a| a.value("--threads"));
+        assert_eq!(threads(&["--threads", "4"]), Ok(Some("4".to_string())));
+        assert_eq!(threads(&["--threads=2"]), Ok(Some("2".to_string())));
+        assert_eq!(threads(&["--full"]), Ok(None));
+        // A thread count the pool cannot use is a usage error, not a run at
+        // the default.
+        assert!(threads(&["--threads"]).is_err());
+        assert!(threads(&["--threads", "0"]).is_err());
+        assert!(threads(&["--threads", "x"]).is_err());
+        // The typo this parser exists for: `--thread 2` used to be ignored.
         assert_eq!(
-            parse_threads_flag(&to_args(&["exp", "--threads", "4"])),
-            Some(4)
-        );
-        assert_eq!(
-            parse_threads_flag(&to_args(&["exp", "--threads=2"])),
-            Some(2)
-        );
-        assert_eq!(parse_threads_flag(&to_args(&["exp", "--full"])), None);
-        assert_eq!(parse_threads_flag(&to_args(&["exp", "--threads"])), None);
-        assert_eq!(
-            parse_threads_flag(&to_args(&["exp", "--threads", "0"])),
-            None
-        );
-        assert_eq!(
-            parse_threads_flag(&to_args(&["exp", "--threads", "x"])),
-            None
+            threads(&["--thread", "2"]).unwrap_err(),
+            "unknown argument `--thread`"
         );
     }
 
     #[test]
     fn value_flag_parsing() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let save = |argv: &[&str]| {
+            parse(argv, &["--full", "--smoke"], &["--save-index"]).map(|a| a.value("--save-index"))
+        };
         assert_eq!(
-            parse_value_flag(
-                &to_args(&["exp", "--save-index", "/tmp/i.pgix"]),
-                "--save-index"
-            ),
-            Some("/tmp/i.pgix".to_string())
+            save(&["--save-index", "/tmp/i.pgix"]),
+            Ok(Some("/tmp/i.pgix".to_string()))
         );
         assert_eq!(
-            parse_value_flag(&to_args(&["exp", "--load-index=idx.pgix"]), "--load-index"),
-            Some("idx.pgix".to_string())
+            save(&["--full", "--save-index=idx.pgix"]),
+            Ok(Some("idx.pgix".to_string()))
         );
+        assert_eq!(save(&["--full"]), Ok(None));
+        // A bare value flag is a usage error…
         assert_eq!(
-            parse_value_flag(&to_args(&["exp", "--full"]), "--save-index"),
-            None
+            save(&["--save-index"]).unwrap_err(),
+            "--save-index needs a value"
         );
-        // A bare flag with no value yields nothing to parse downstream.
-        assert_eq!(
-            parse_value_flag(&to_args(&["exp", "--save-index"]), "--save-index"),
-            None
-        );
-        // A following flag is not swallowed as the value…
-        assert_eq!(
-            parse_value_flag(&to_args(&["exp", "--save-index", "--full"]), "--save-index"),
-            None
-        );
+        // …and a following flag is not swallowed as the value…
+        assert!(save(&["--save-index", "--full"]).is_err());
         // …but the explicit `=` form can still pass anything.
-        assert_eq!(
-            parse_value_flag(&to_args(&["exp", "--save-index=--odd"]), "--save-index"),
-            Some("--odd".to_string())
-        );
-    }
-
-    #[test]
-    fn overwrite_guard_truth_table() {
-        // (exists, default label, force) → allowed.
-        assert!(bench_overwrite_allowed(false, true, false)); // first write
-        assert!(bench_overwrite_allowed(false, false, false));
-        assert!(bench_overwrite_allowed(true, true, true)); // forced
-        assert!(bench_overwrite_allowed(true, false, false)); // scratch label
-                                                              // The regression case (PR 5): a bare re-run with the default label
-                                                              // over a committed artifact is the one refused combination.
-        assert!(!bench_overwrite_allowed(true, true, false));
-    }
-
-    #[test]
-    fn write_bench_artifact_refuses_then_obeys_force_and_scratch_labels() {
-        let dir = std::env::temp_dir().join(format!("pg_bench_guard_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // First default-label write lands.
-        let p = write_bench_artifact_in(&dir, "pr0", true, false, "{\"a\":1}").unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "{\"a\":1}");
-
-        // A bare re-run is refused and the committed bytes survive.
-        let err = write_bench_artifact_in(&dir, "pr0", true, false, "{\"a\":2}").unwrap_err();
-        assert!(
-            err.contains("--force"),
-            "message must point at --force: {err}"
-        );
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "{\"a\":1}");
-
-        // --force replaces; a non-default label writes beside it freely.
-        write_bench_artifact_in(&dir, "pr0", true, true, "{\"a\":3}").unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "{\"a\":3}");
-        let scratch = write_bench_artifact_in(&dir, "scratch", false, false, "{}").unwrap();
-        write_bench_artifact_in(&dir, "scratch", false, false, "{\"b\":1}").unwrap();
-        assert_eq!(std::fs::read_to_string(&scratch).unwrap(), "{\"b\":1}");
-
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(save(&["--save-index=--odd"]), Ok(Some("--odd".to_string())));
+        // Unknown flags, misspelt switches and stray words are refused; a
+        // flag another binary accepts is unknown here.
+        for bad in ["--smok", "--load-index=x", "--save-indexes=x", "stray"] {
+            assert_eq!(
+                save(&["--full", bad]).unwrap_err(),
+                format!("unknown argument `{bad}`")
+            );
+        }
+        let args = parse(&["--smoke"], &["--full", "--smoke"], &[]).unwrap();
+        assert!(args.has("--smoke") && !args.has("--full"));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! [`set_default_threads`] (process-global, e.g. a `--threads` flag) >
 //! `PG_THREADS` > `std::thread::available_parallelism()`.
 //!
-//! Unlike the `rand`/`proptest`/`criterion` stand-ins, this API is *not*
+//! Unlike the `rand` and `proptest` stand-ins, this API is *not*
 //! call-site-compatible with the real crate (rayon's iterator traits cannot
 //! be reproduced small); swapping the real rayon back in would mean porting
 //! call sites to `par_iter`.

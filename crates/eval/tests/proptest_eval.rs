@@ -136,7 +136,7 @@ proptest! {
 
 /// Non-property regression: scoring through a `Counting`-wrapped dataset
 /// leaves the counter consistent with the reported per-query costs (the
-/// `exp_compare` wiring relies on this).
+/// `exp_shard` build frontier relies on this).
 #[test]
 fn counting_metric_agrees_with_reported_dist_comps() {
     use pg_metric::Counting;

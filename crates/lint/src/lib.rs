@@ -3,17 +3,15 @@
 //! `pg_lint` machine-checks the invariants this workspace's documentation
 //! promises but `rustc`/`clippy` cannot see: never-panic decode paths,
 //! determinism of result paths, surrogate-space discipline on the hot
-//! path, the frozen wire protocol, the `unsafe`-free build, the
-//! no-external-crates compat policy, and the schema of committed
-//! benchmark artifacts. The rule catalogue with rationale lives in
-//! `ARCHITECTURE.md` § "Static analysis".
+//! path, the frozen wire protocol, the `unsafe`-free build, and the
+//! no-external-crates compat policy. The rule catalogue with rationale
+//! lives in `ARCHITECTURE.md` § "Static analysis".
 //!
 //! ## Design
 //!
 //! - **Zero dependencies, even internal ones.** The linter enforces the
 //!   dependency policy, so it depends on nothing itself: a hand-rolled
-//!   [tokenizer], a minimal [json] parser, and a TOML-lite manifest
-//!   scanner in [workspace].
+//!   [tokenizer] and a TOML-lite manifest scanner in [workspace].
 //! - **Token-stream, not regex.** Rules run over a real token stream
 //!   ([`tokenizer::SourceFile`]) that understands nested block comments,
 //!   raw strings, char-vs-lifetime, and inline `#[cfg(test)]` spans — so
@@ -30,14 +28,12 @@
 //! ```text
 //! cargo run --release -p pg_lint -- --deny        # the CI gate
 //! cargo run -p pg_lint -- --list-rules            # catalogue
-//! cargo run -p pg_lint -- --json                  # machine-readable report
 //! cargo run -p pg_lint -- --write-wire-lock       # after a reviewed protocol change
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod manifest_rules;
 pub mod rules;
 pub mod source_rules;

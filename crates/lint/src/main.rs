@@ -1,16 +1,16 @@
 //! The `pg_lint` binary: runs the rule engine over the workspace and
-//! reports findings in human or JSON form. See the crate docs
-//! (`cargo doc -p pg_lint`) and `ARCHITECTURE.md` § "Static analysis".
+//! reports the findings. See the crate docs (`cargo doc -p pg_lint`) and
+//! `ARCHITECTURE.md` § "Static analysis".
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use pg_lint::manifest_rules;
 use pg_lint::rules::{self, Severity, RULES};
 use pg_lint::tokenizer::SourceFile;
 use pg_lint::workspace::{self, Workspace};
-use pg_lint::{json, manifest_rules};
 
 const USAGE: &str = "\
 pg_lint — invariant-enforcement lint pass over the workspace
@@ -22,7 +22,6 @@ OPTIONS:
     --root <PATH>       Workspace root (default: walk up from cwd to a
                         Cargo.toml containing [workspace])
     --deny              Exit 1 if any deny-severity finding remains
-    --json              Emit the report as JSON on stdout
     --list-rules        Print the rule catalogue and exit
     --write-wire-lock   Regenerate crates/serve/wire.lock from the
                         sources (after a *reviewed* protocol change)
@@ -32,7 +31,6 @@ OPTIONS:
 struct Options {
     root: Option<PathBuf>,
     deny: bool,
-    json: bool,
     list_rules: bool,
     write_wire_lock: bool,
 }
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: None,
         deny: false,
-        json: false,
         list_rules: false,
         write_wire_lock: false,
     };
@@ -53,7 +50,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.root = Some(PathBuf::from(path));
             }
             "--deny" => opts.deny = true,
-            "--json" => opts.json = true,
             "--list-rules" => opts.list_rules = true,
             "--write-wire-lock" => opts.write_wire_lock = true,
             "--help" | "-h" => {
@@ -112,52 +108,6 @@ fn write_wire_lock(root: &Path) -> Result<(), String> {
         consts.len()
     );
     Ok(())
-}
-
-/// Escapes a string for a JSON report.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn print_json(report: &rules::Report) {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, f) in report.findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"severity\": {}, \"path\": {}, \"line\": {}, \"message\": {}}}{}\n",
-            json_str(f.rule),
-            json_str(f.severity.label()),
-            json_str(&f.path),
-            f.line,
-            json_str(&f.message),
-            if i + 1 < report.findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"suppressed\": {},\n  \"files_scanned\": {}\n}}",
-        report.suppressed.len(),
-        report.files_scanned
-    ));
-    // The report must itself be valid JSON — parse it back with our own
-    // parser before printing, so a quoting bug cannot ship garbage to CI.
-    if let Err(e) = json::parse(&out) {
-        eprintln!("internal error: emitted invalid JSON ({e})");
-        std::process::exit(2);
-    }
-    println!("{out}");
 }
 
 fn print_human(report: &rules::Report, deny: bool) {
@@ -223,11 +173,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if opts.json {
-        print_json(&report);
-    } else {
-        print_human(&report, opts.deny);
-    }
+    print_human(&report, opts.deny);
     if opts.deny && report.has_deny() {
         return ExitCode::FAILURE;
     }

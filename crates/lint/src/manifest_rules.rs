@@ -1,7 +1,5 @@
-//! Manifest-backed rules: `wire-freeze`, `no-external-deps`,
-//! `bench-artifact-schema`.
+//! Manifest-backed rules: `wire-freeze`, `no-external-deps`.
 
-use crate::json::{self, Value};
 use crate::rules::{Finding, Severity};
 use crate::tokenizer::{SourceFile, Tok};
 use crate::workspace;
@@ -310,312 +308,6 @@ pub fn check_external_deps(manifest_path: &str, text: &str) -> Vec<Finding> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// bench-artifact-schema
-// ---------------------------------------------------------------------------
-
-/// `bench-artifact-schema`: a committed `BENCH_*.json` must parse fully
-/// and match the documented envelope (EXPERIMENTS.md § "The
-/// `BENCH_<label>.json` trajectory format"): `schema_version: 1`, `label`
-/// string, `smoke` bool, `threads` positive integer, at least one known
-/// payload section, bounded scores, and a zero `hotswap.errors` — so a
-/// hand-edited or truncated artifact fails before it poisons the perf
-/// trajectory.
-pub fn check_bench_artifact(path: &str, text: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut push = |line: u32, message: String| {
-        out.push(finding("bench-artifact-schema", path, line, message));
-    };
-    let root = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => {
-            push(e.line, format!("artifact does not parse: {}", e.message));
-            return out;
-        }
-    };
-    if !matches!(root, Value::Obj(_)) {
-        push(
-            1,
-            format!("top level must be an object, found {}", root.type_name()),
-        );
-        return out;
-    }
-    match root.get("schema_version").and_then(Value::as_num) {
-        Some(v) if (v - 1.0).abs() < f64::EPSILON => {}
-        Some(v) => push(
-            1,
-            format!("schema_version {v} is not the documented version 1"),
-        ),
-        None => push(1, "missing numeric `schema_version`".to_string()),
-    }
-    if root.get("label").and_then(Value::as_str).is_none() {
-        push(1, "missing string `label`".to_string());
-    }
-    if !matches!(root.get("smoke"), Some(Value::Bool(_))) {
-        push(1, "missing boolean `smoke`".to_string());
-    }
-    match root.get("threads").and_then(Value::as_num) {
-        Some(t) if t >= 1.0 && t.fract() == 0.0 => {}
-        Some(t) => push(
-            1,
-            format!("`threads` must be a positive integer, found {t}"),
-        ),
-        None => push(1, "missing numeric `threads`".to_string()),
-    }
-    let known = [
-        "kernels",
-        "queries",
-        "suite",
-        "frontiers",
-        "serve",
-        "shard",
-        "quant",
-    ];
-    if !known.iter().any(|k| root.get(k).is_some()) {
-        push(
-            1,
-            format!("no known payload section (expected one of {known:?})"),
-        );
-    }
-    if let Some(kernels) = root.get("kernels") {
-        check_rows(kernels, "kernels", &["kernel", "d"], &mut push);
-    }
-    if let Some(frontiers) = root.get("frontiers") {
-        match frontiers {
-            Value::Arr(items) => {
-                for (i, f) in items.iter().enumerate() {
-                    let ctx = format!("frontiers[{i}]");
-                    for key in ["workload", "algo", "axis"] {
-                        if f.get(key).and_then(Value::as_str).is_none() {
-                            push(1, format!("{ctx}.{key} must be a string"));
-                        }
-                    }
-                    match f.get("rows") {
-                        Some(Value::Arr(rows)) => {
-                            for (j, row) in rows.iter().enumerate() {
-                                for key in ["recall", "success_at_eps"] {
-                                    if let Some(v) = row.get(key).and_then(Value::as_num) {
-                                        if !(0.0..=1.0).contains(&v) {
-                                            push(
-                                                1,
-                                                format!(
-                                                    "{ctx}.rows[{j}].{key} = {v} is outside [0, 1] — a score cannot exceed 1"
-                                                ),
-                                            );
-                                        }
-                                    } else {
-                                        push(1, format!("{ctx}.rows[{j}].{key} must be a number"));
-                                    }
-                                }
-                                for key in ["param", "dist_comps"] {
-                                    if row.get(key).and_then(Value::as_num).is_none() {
-                                        push(1, format!("{ctx}.rows[{j}].{key} must be a number"));
-                                    }
-                                }
-                            }
-                        }
-                        _ => push(1, format!("{ctx}.rows must be an array")),
-                    }
-                }
-            }
-            other => push(
-                1,
-                format!("`frontiers` must be an array, found {}", other.type_name()),
-            ),
-        }
-    }
-    if let Some(serve) = root.get("serve") {
-        if !matches!(serve, Value::Obj(_)) {
-            push(
-                1,
-                format!("`serve` must be an object, found {}", serve.type_name()),
-            );
-        } else {
-            for key in ["batched", "unbatched", "hotswap"] {
-                if !matches!(serve.get(key), Some(Value::Obj(_))) {
-                    push(1, format!("serve.{key} must be an object"));
-                }
-            }
-            if let Some(errors) = serve.get("hotswap").and_then(|h| h.get("errors")) {
-                if errors.as_num() != Some(0.0) {
-                    push(
-                        1,
-                        format!(
-                            "serve.hotswap.errors must be 0 (the binary gates on it), found {errors:?}"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    if let Some(shard) = root.get("shard") {
-        if !matches!(shard, Value::Obj(_)) {
-            push(
-                1,
-                format!("`shard` must be an object, found {}", shard.type_name()),
-            );
-        } else {
-            match shard.get("parity") {
-                Some(parity @ Value::Obj(_)) => {
-                    if parity.get("failures").and_then(Value::as_num) != Some(0.0) {
-                        push(
-                            1,
-                            "shard.parity.failures must be 0 (exp_shard asserts sharded/unsharded \
-                             bit-equality before any timing)"
-                                .to_string(),
-                        );
-                    }
-                }
-                _ => push(1, "shard.parity must be an object".to_string()),
-            }
-            for sec in ["build", "search"] {
-                match shard.get(sec) {
-                    Some(Value::Arr(rows)) => {
-                        for (j, row) in rows.iter().enumerate() {
-                            match row.get("recall").and_then(Value::as_num) {
-                                Some(v) if (0.0..=1.0).contains(&v) => {}
-                                Some(v) => push(
-                                    1,
-                                    format!(
-                                        "shard.{sec}[{j}].recall = {v} is outside [0, 1] — a score cannot exceed 1"
-                                    ),
-                                ),
-                                None => push(
-                                    1,
-                                    format!("shard.{sec}[{j}].recall must be a number"),
-                                ),
-                            }
-                            for key in ["shards", "n"] {
-                                if row.get(key).and_then(Value::as_num).is_none() {
-                                    push(1, format!("shard.{sec}[{j}].{key} must be a number"));
-                                }
-                            }
-                        }
-                    }
-                    _ => push(1, format!("shard.{sec} must be an array")),
-                }
-            }
-        }
-    }
-    if let Some(quant) = root.get("quant") {
-        if !matches!(quant, Value::Obj(_)) {
-            push(
-                1,
-                format!("`quant` must be an object, found {}", quant.type_name()),
-            );
-        } else {
-            match quant.get("parity") {
-                Some(parity @ Value::Obj(_)) => {
-                    if parity.get("failures").and_then(Value::as_num) != Some(0.0) {
-                        push(
-                            1,
-                            "quant.parity.failures must be 0 (exp_quant asserts the exact \
-                             re-rank and reorder bit-equality before any timing)"
-                                .to_string(),
-                        );
-                    }
-                }
-                _ => push(1, "quant.parity must be an object".to_string()),
-            }
-            match quant.get("locality") {
-                Some(Value::Arr(rows)) => {
-                    for (j, row) in rows.iter().enumerate() {
-                        if row.get("workload").and_then(Value::as_str).is_none() {
-                            push(1, format!("quant.locality[{j}].workload must be a string"));
-                        }
-                        for key in ["mean_gap_before", "mean_gap_after"] {
-                            if row.get(key).and_then(Value::as_num).is_none() {
-                                push(1, format!("quant.locality[{j}].{key} must be a number"));
-                            }
-                        }
-                    }
-                }
-                _ => push(1, "quant.locality must be an array".to_string()),
-            }
-            match quant.get("frontiers") {
-                Some(Value::Arr(items)) => {
-                    let mut has_f64_baseline = false;
-                    for (i, f) in items.iter().enumerate() {
-                        let ctx = format!("quant.frontiers[{i}]");
-                        for key in ["workload", "precision"] {
-                            if f.get(key).and_then(Value::as_str).is_none() {
-                                push(1, format!("{ctx}.{key} must be a string"));
-                            }
-                        }
-                        if f.get("precision").and_then(Value::as_str) == Some("f64") {
-                            has_f64_baseline = true;
-                        }
-                        match f.get("rows") {
-                            Some(Value::Arr(rows)) => {
-                                for (j, row) in rows.iter().enumerate() {
-                                    for key in ["recall", "success_at_eps"] {
-                                        match row.get(key).and_then(Value::as_num) {
-                                            Some(v) if (0.0..=1.0).contains(&v) => {}
-                                            Some(v) => push(
-                                                1,
-                                                format!(
-                                                    "{ctx}.rows[{j}].{key} = {v} is outside [0, 1] — a score cannot exceed 1"
-                                                ),
-                                            ),
-                                            None => push(
-                                                1,
-                                                format!("{ctx}.rows[{j}].{key} must be a number"),
-                                            ),
-                                        }
-                                    }
-                                    for key in ["param", "dist_comps"] {
-                                        if row.get(key).and_then(Value::as_num).is_none() {
-                                            push(
-                                                1,
-                                                format!("{ctx}.rows[{j}].{key} must be a number"),
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                            _ => push(1, format!("{ctx}.rows must be an array")),
-                        }
-                    }
-                    if !items.is_empty() && !has_f64_baseline {
-                        push(
-                            1,
-                            "quant.frontiers has no precision \"f64\" entry — quantized rows \
-                             are meaningless without the exact baseline on the same axes"
-                                .to_string(),
-                        );
-                    }
-                }
-                _ => push(1, "quant.frontiers must be an array".to_string()),
-            }
-        }
-    }
-    out
-}
-
-/// Checks that `section` is an array of objects each carrying `required`
-/// keys (shallow — deeper fields are machine-dependent numbers).
-fn check_rows(section: &Value, name: &str, required: &[&str], push: &mut impl FnMut(u32, String)) {
-    match section {
-        Value::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                if !matches!(item, Value::Obj(_)) {
-                    push(1, format!("{name}[{i}] must be an object"));
-                    continue;
-                }
-                for key in required {
-                    if item.get(key).is_none() {
-                        push(1, format!("{name}[{i}] is missing `{key}`"));
-                    }
-                }
-            }
-        }
-        other => push(
-            1,
-            format!("`{name}` must be an array, found {}", other.type_name()),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,156 +441,5 @@ impl ErrorCode {
         let good =
             "[dependencies]\npg_core.workspace = true\nrand = { path = \"crates/compat/rand\" }\n";
         assert!(check_external_deps("crates/x/Cargo.toml", good).is_empty());
-    }
-
-    const GOOD_ARTIFACT: &str = r#"{
-  "schema_version": 1, "label": "pr5", "smoke": false, "threads": 1,
-  "suite": {"n": 1200, "m": 80, "k": 10, "eps": 1.0},
-  "frontiers": [
-    {"workload": "uniform-2d", "algo": "gnet", "axis": "ef", "k": 10,
-     "rows": [{"param": 2.0, "recall": 0.2, "mean_dist_ratio": 1.0,
-               "success_at_eps": 1.0, "dist_comps": 277.3, "hops": 3.8,
-               "qps": null}]}
-  ]
-}"#;
-
-    #[test]
-    fn good_artifact_passes() {
-        let findings = check_bench_artifact("BENCH_x.json", GOOD_ARTIFACT);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn truncated_artifact_fails_to_parse() {
-        let cut = &GOOD_ARTIFACT[..GOOD_ARTIFACT.len() / 2];
-        let findings = check_bench_artifact("BENCH_x.json", cut);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("does not parse"));
-    }
-
-    #[test]
-    fn hand_edited_recall_above_one_fails() {
-        let poisoned = GOOD_ARTIFACT.replace("\"recall\": 0.2", "\"recall\": 1.2");
-        let findings = check_bench_artifact("BENCH_x.json", &poisoned);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("outside [0, 1]"));
-    }
-
-    #[test]
-    fn missing_envelope_fields_fail() {
-        let findings = check_bench_artifact("BENCH_x.json", r#"{"kernels": []}"#);
-        let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-        assert!(
-            msgs.iter().any(|m| m.contains("schema_version")),
-            "{msgs:?}"
-        );
-        assert!(msgs.iter().any(|m| m.contains("label")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("smoke")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("threads")), "{msgs:?}");
-    }
-
-    #[test]
-    fn nonzero_hotswap_errors_fail() {
-        let artifact = r#"{
-  "schema_version": 1, "label": "pr6", "smoke": false, "threads": 2,
-  "serve": {"batched": {}, "unbatched": {}, "hotswap": {"swaps": 14, "errors": 3}}
-}"#;
-        let findings = check_bench_artifact("BENCH_x.json", artifact);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("hotswap.errors"));
-    }
-
-    const SHARD_ARTIFACT: &str = r#"{
-  "schema_version": 1, "label": "pr9", "smoke": false, "threads": 1,
-  "shard": {
-    "parity": {"n": 1500, "shard_counts": [1, 2, 3, 8], "thread_counts": [1, 2, 1], "failures": 0},
-    "build": [{"shards": 8, "n": 1000000, "dist_comps": 9, "seconds": 1.5,
-               "ef": 64, "k": 10, "recall": 0.97}],
-    "search": [{"shards": 8, "n": 1000000, "ef": 64, "k": 10,
-                "sampled_queries": 100, "recall": 0.97, "dist_comps": 812.0, "qps": 900.0}]
-  }
-}"#;
-
-    #[test]
-    fn good_shard_artifact_passes() {
-        let findings = check_bench_artifact("BENCH_pr9.json", SHARD_ARTIFACT);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn shard_parity_failures_and_bad_scores_fail() {
-        // A recorded parity failure is the one thing that must never ship.
-        let poisoned = SHARD_ARTIFACT.replace("\"failures\": 0", "\"failures\": 1");
-        let findings = check_bench_artifact("BENCH_pr9.json", &poisoned);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("parity.failures"));
-
-        // Hand-edited recall above 1 fails in both row sections.
-        let poisoned = SHARD_ARTIFACT.replace("\"recall\": 0.97", "\"recall\": 1.97");
-        let findings = check_bench_artifact("BENCH_pr9.json", &poisoned);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings
-            .iter()
-            .all(|f| f.message.contains("outside [0, 1]")));
-
-        // A shard section without its parity gate is malformed.
-        let gateless = SHARD_ARTIFACT.replace("\"parity\"", "\"prty\"");
-        let findings = check_bench_artifact("BENCH_pr9.json", &gateless);
-        assert!(
-            findings.iter().any(|f| f.message.contains("shard.parity")),
-            "{findings:?}"
-        );
-    }
-
-    const QUANT_ARTIFACT: &str = r#"{
-  "schema_version": 1, "label": "pr10", "smoke": false, "threads": 2,
-  "suite": {"n": 1200, "m": 80, "k": 10, "eps": 1.0},
-  "quant": {
-    "parity": {"rerank_checks": 4, "reorder_checks": 40, "thread_checks": 6, "failures": 0},
-    "locality": [{"workload": "uniform-2d", "mean_gap_before": 434.9, "mean_gap_after": 417.0}],
-    "frontiers": [
-      {"workload": "uniform-2d", "precision": "f64", "axis": "ef", "k": 10,
-       "rows": [{"param": 2, "recall": 0.21, "mean_dist_ratio": 1.1,
-                 "success_at_eps": 0.9, "dist_comps": 120.0, "hops": 4.1, "qps": 90000.0}]},
-      {"workload": "uniform-2d", "precision": "sq8", "axis": "ef", "k": 10,
-       "rows": [{"param": 2, "recall": 0.2, "mean_dist_ratio": 1.2,
-                 "success_at_eps": 0.88, "dist_comps": 118.0, "hops": 4.0, "qps": 110000.0}]}
-    ]
-  }
-}"#;
-
-    #[test]
-    fn good_quant_artifact_passes() {
-        let findings = check_bench_artifact("BENCH_pr10.json", QUANT_ARTIFACT);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn quant_parity_failures_bad_scores_and_missing_baseline_fail() {
-        // A recorded parity failure is the one thing that must never ship.
-        let poisoned = QUANT_ARTIFACT.replace("\"failures\": 0", "\"failures\": 2");
-        let findings = check_bench_artifact("BENCH_pr10.json", &poisoned);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("quant.parity.failures"));
-
-        // Hand-edited recall above 1.
-        let poisoned = QUANT_ARTIFACT.replace("\"recall\": 0.2,", "\"recall\": 3.2,");
-        let findings = check_bench_artifact("BENCH_pr10.json", &poisoned);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("outside [0, 1]"));
-
-        // Quantized frontiers without the exact f64 baseline are meaningless.
-        let baseless = QUANT_ARTIFACT.replace("\"precision\": \"f64\"", "\"precision\": \"f32\"");
-        let findings = check_bench_artifact("BENCH_pr10.json", &baseless);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("f64"));
-
-        // A quant section without its parity gate is malformed.
-        let gateless = QUANT_ARTIFACT.replace("\"parity\"", "\"prty\"");
-        let findings = check_bench_artifact("BENCH_pr10.json", &gateless);
-        assert!(
-            findings.iter().any(|f| f.message.contains("quant.parity")),
-            "{findings:?}"
-        );
     }
 }

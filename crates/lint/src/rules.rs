@@ -71,7 +71,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-nondeterminism",
         severity: Severity::Deny,
-        describes: "no Instant::now/SystemTime/entropy outside pg_bench and compat/criterion",
+        describes: "no Instant::now/SystemTime/entropy outside pg_bench",
     },
     RuleInfo {
         id: "surrogate-discipline",
@@ -94,11 +94,6 @@ pub const RULES: &[RuleInfo] = &[
         describes: "every manifest references only workspace/compat crates (path or workspace deps)",
     },
     RuleInfo {
-        id: "bench-artifact-schema",
-        severity: Severity::Deny,
-        describes: "committed BENCH_*.json artifacts parse and match the documented schema",
-    },
-    RuleInfo {
         id: "lint-pragma",
         severity: Severity::Deny,
         describes: "pg-lint pragmas are well-formed, name a known rule, and suppress something",
@@ -117,7 +112,7 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Findings silenced by a pragma (kept for reporting counts).
     pub suppressed: Vec<Finding>,
-    /// Number of files scanned (sources + manifests + artifacts).
+    /// Number of files scanned (sources + manifests).
     pub files_scanned: usize,
 }
 
@@ -256,13 +251,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
         lock_text.as_deref(),
         workspace::WIRE_LOCK,
     ));
-
-    // --- bench-artifact-schema ----------------------------------------
-    for rel in ws.bench_artifacts()? {
-        let text = ws.read(&rel)?;
-        files_scanned += 1;
-        findings.extend(manifest_rules::check_bench_artifact(&rel, &text));
-    }
 
     Ok(Report {
         findings,

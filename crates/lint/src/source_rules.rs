@@ -109,8 +109,8 @@ pub fn check_no_panic(file: &SourceFile) -> Vec<Finding> {
 }
 
 /// `no-nondeterminism`: no wall-clock or entropy sources (`Instant::now`,
-/// `SystemTime`, `thread_rng`, `from_entropy`) outside `pg_bench` and
-/// `compat/criterion`. Protects the bit-identical-across-thread-counts
+/// `SystemTime`, `thread_rng`, `from_entropy`) outside `pg_bench`.
+/// Protects the bit-identical-across-thread-counts
 /// discipline: a timestamp or random draw on a result path makes runs
 /// unreproducible.
 pub fn check_nondeterminism(file: &SourceFile) -> Vec<Finding> {
@@ -139,7 +139,7 @@ pub fn check_nondeterminism(file: &SourceFile) -> Vec<Finding> {
                 "no-nondeterminism",
                 file,
                 toks[i].line,
-                format!("`{name}` is a nondeterminism source; only pg_bench and compat/criterion may measure time or draw entropy"),
+                format!("`{name}` is a nondeterminism source; only pg_bench may measure time or draw entropy"),
             ));
         }
     }

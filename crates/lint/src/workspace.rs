@@ -31,9 +31,9 @@ pub const SURROGATE_PATHS: &[&str] = &[
     "crates/metric/src/quant.rs",
 ];
 
-/// Crates exempt from `no-nondeterminism`: the benchmark harness and the
-/// criterion stand-in exist to measure wall-clock time.
-pub const NONDETERMINISM_EXEMPT: &[&str] = &["crates/bench", "crates/compat/criterion"];
+/// Crates exempt from `no-nondeterminism`: the benchmark harness exists to
+/// measure wall-clock time.
+pub const NONDETERMINISM_EXEMPT: &[&str] = &["crates/bench"];
 
 /// The committed wire-constant manifest `wire-freeze` checks against.
 pub const WIRE_LOCK: &str = "crates/serve/wire.lock";
@@ -132,17 +132,6 @@ impl Workspace {
     /// Reads a workspace-relative file.
     pub fn read(&self, rel: &str) -> Result<String, String> {
         fs::read_to_string(self.root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
-    }
-
-    /// Workspace-relative paths of the committed `BENCH_*.json` artifacts
-    /// at the root, sorted.
-    pub fn bench_artifacts(&self) -> Result<Vec<String>, String> {
-        let mut out: Vec<String> = sorted_entries(&self.root)?
-            .into_iter()
-            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
-            .collect();
-        out.sort();
-        Ok(out)
     }
 }
 

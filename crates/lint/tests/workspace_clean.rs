@@ -153,8 +153,8 @@ fn a_broken_mini_workspace_fires_the_file_level_rules() {
         "Cargo.toml",
         "[workspace]\nmembers = [\n    \"crates/bad\",\n]\n",
     );
-    // External dep + missing forbid-unsafe + a bad artifact + an unknown
-    // pragma, all in one workspace.
+    // External dep + missing forbid-unsafe + an unknown pragma, all in one
+    // workspace.
     ws.write(
         "crates/bad/Cargo.toml",
         "[package]\nname = \"bad\"\n\n[dependencies]\nserde = \"1.0\"\n",
@@ -163,7 +163,6 @@ fn a_broken_mini_workspace_fires_the_file_level_rules() {
         "crates/bad/src/lib.rs",
         "// pg-lint: allow(not-a-rule, nonsense)\npub fn f() {}\n",
     );
-    ws.write("BENCH_bad.json", "{\"schema_version\": 2}");
     // wire-freeze needs the serve sources; a mini workspace without them
     // is a setup error, so give it a consistent trio.
     ws.write(
@@ -191,10 +190,6 @@ fn a_broken_mini_workspace_fires_the_file_level_rules() {
     let rules_fired: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
     assert!(rules_fired.contains(&"no-external-deps"), "{rules_fired:?}");
     assert!(rules_fired.contains(&"forbid-unsafe"), "{rules_fired:?}");
-    assert!(
-        rules_fired.contains(&"bench-artifact-schema"),
-        "{rules_fired:?}"
-    );
     assert!(rules_fired.contains(&"lint-pragma"), "{rules_fired:?}");
     assert!(report.has_deny());
 }

@@ -14,11 +14,10 @@
 //! lanes** plus a scalar remainder, which breaks the loop-carried dependency
 //! chain of the naive loop (the add/max latency, not throughput, bounds the
 //! naive loop) and lets LLVM auto-vectorize without any target-feature gates
-//! or external dependencies. The `*_scalar` variants
-//! keep the original single-accumulator loops as a reference: the unit tests
-//! pin the unrolled kernels against them (exactly on integer-valued inputs,
-//! to relative `1e-12` otherwise — only the summation *order* differs), and
-//! `exp_perf_report` benchmarks the speedup PR over PR.
+//! or external dependencies. The unit tests keep the original
+//! single-accumulator loops (`*_scalar`) as a reference and pin the unrolled
+//! kernels against them: exactly on integer-valued inputs, to relative
+//! `1e-12` otherwise — only the summation *order* differs.
 
 use crate::metric::Metric;
 
@@ -76,10 +75,10 @@ pub fn l2(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Chebyshev distance on raw slices. Eight-lane unrolled; `max` over finite
-/// values is exact and order-independent, so this is bit-identical to
-/// [`linf_scalar`] on the finite inputs metrics require. The lane update is
-/// written as a compare-and-select (not `f64::max`) so it lowers to the
-/// packed-max instruction.
+/// values is exact and order-independent, so this is bit-identical to the
+/// single-accumulator loop on the finite inputs metrics require. The lane
+/// update is written as a compare-and-select (not `f64::max`) so it lowers
+/// to the packed-max instruction.
 #[inline]
 pub fn linf(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
@@ -120,48 +119,6 @@ pub fn l1(a: &[f64], b: &[f64]) -> f64 {
     (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) + tail
 }
 
-/// Reference single-accumulator squared-Euclidean loop (the seed's kernel).
-/// Kept for kernel pinning tests and the `exp_perf_report` trajectory; use
-/// [`l2_squared`] everywhere else.
-#[inline]
-pub fn l2_squared_scalar(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b.iter()) {
-        let d = x - y;
-        acc += d * d;
-    }
-    acc
-}
-
-/// Reference scalar Euclidean distance; see [`l2_squared_scalar`].
-#[inline]
-pub fn l2_scalar(a: &[f64], b: &[f64]) -> f64 {
-    l2_squared_scalar(a, b).sqrt()
-}
-
-/// Reference scalar Chebyshev loop; see [`l2_squared_scalar`].
-#[inline]
-pub fn linf_scalar(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut acc: f64 = 0.0;
-    for (x, y) in a.iter().zip(b.iter()) {
-        acc = acc.max((x - y).abs());
-    }
-    acc
-}
-
-/// Reference scalar Manhattan loop; see [`l2_squared_scalar`].
-#[inline]
-pub fn l1_scalar(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b.iter()) {
-        acc += (x - y).abs();
-    }
-    acc
-}
-
 impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Euclidean {
     #[inline]
     fn dist(&self, a: &P, b: &P) -> f64 {
@@ -196,6 +153,38 @@ impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Manhattan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference single-accumulator squared-Euclidean loop (the seed's
+    /// kernel), kept as what [`l2_squared`] is pinned against.
+    fn l2_squared_scalar(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
+        let mut acc = 0.0;
+        for (x, y) in a.iter().zip(b.iter()) {
+            let d = x - y;
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// Reference scalar Chebyshev loop; see [`l2_squared_scalar`].
+    fn linf_scalar(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
+        let mut acc: f64 = 0.0;
+        for (x, y) in a.iter().zip(b.iter()) {
+            acc = acc.max((x - y).abs());
+        }
+        acc
+    }
+
+    /// Reference scalar Manhattan loop; see [`l2_squared_scalar`].
+    fn l1_scalar(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
+        let mut acc = 0.0;
+        for (x, y) in a.iter().zip(b.iter()) {
+            acc += (x - y).abs();
+        }
+        acc
+    }
 
     #[test]
     fn l2_matches_hand_computation() {

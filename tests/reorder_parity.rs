@@ -53,6 +53,15 @@ fn relabeling_preserves_every_search_family_bit_for_bit() {
             .collect();
         let rdata = Dataset::new(permuted, Euclidean);
 
+        // `QueryEngine::reorder_bfs` is this relabeling and nothing else, so
+        // the walks below pin the engine-level pass too.
+        let (reordered, rmap) = QueryEngine::new(graph.clone(), data.clone()).reorder_bfs(0);
+        assert_eq!(reordered.graph(), &relabeled, "{name}: reorder_bfs graph");
+        for v in 0..n {
+            assert_eq!(rmap.to_old(v as u32), map.to_old(v as u32), "{name}: map");
+            assert_eq!(reordered.data().point(v), rdata.point(v), "{name}: points");
+        }
+
         for (qi, q) in queries.iter().enumerate() {
             for &start in &spread_starts(5, n) {
                 let rstart = map.to_new(start);
