@@ -196,7 +196,7 @@ fn main() {
     println!("\nAll three G_net builders produced identical graphs at every n (asserted above).");
 
     println!("\nFast build, seconds by phase at 1 thread -> at 2 threads (speed-up). Hierarchy");
-    println!("promotion and the prefix sum / final check of assembly are sequential; the rest");
+    println!("promotion and the prefix sum / ladder join of assembly are sequential; the rest");
     println!("runs on the pool, one task per block of 1024 centers or points:");
     phases.print();
 

@@ -383,80 +383,4 @@ mod tests {
             assert_eq!(seq, par, "helpers diverged at {threads} threads");
         }
     }
-
-    /// The pay-or-delete measurement behind EXPERIMENTS.md's BFS-reorder
-    /// row: single-thread beam walks on `gnet2d-batch`- and
-    /// `hnsw128-batch`-shaped indexes with ids as built, relabelled by
-    /// `QueryEngine::reorder_bfs` (handles into the old buffer, permuted),
-    /// and relabelled with the row-major buffer permuted to match. Timing
-    /// only, so not part of the suite: `cargo test --release -p pg_bench
-    /// --lib reorder_walk_timing -- --ignored --nocapture` (~30 s).
-    #[test]
-    #[ignore = "wall-clock measurement, not a check"]
-    fn reorder_walk_timing() {
-        use pg_baselines::{Hnsw, HnswParams};
-        use pg_core::{beam_search_detailed, GNet};
-        use pg_metric::{Euclidean, FlatPoints, FlatRow};
-        use std::time::Instant;
-
-        type Arm = (&'static str, Graph, Dataset<FlatRow, Euclidean>, u32);
-        let time = |(arm, graph, data, entry): &Arm, queries: &[FlatRow], ef: usize| {
-            let mut rounds: Vec<f64> = (0..12)
-                .map(|_| {
-                    let t = Instant::now();
-                    for q in queries {
-                        std::hint::black_box(beam_search_detailed(graph, data, *entry, q, ef, 10));
-                    }
-                    t.elapsed().as_secs_f64() * 1e6 / queries.len() as f64
-                })
-                .skip(1)
-                .collect();
-            rounds.sort_by(f64::total_cmp);
-            let at = |p: f64| rounds[((rounds.len() - 1) as f64 * p).round() as usize];
-            println!(
-                "  {arm:<22} {:7.2} us/query  [{:.2} .. {:.2}]",
-                at(0.5),
-                at(0.25),
-                at(0.75)
-            );
-        };
-        let arms = |points: FlatPoints, graph: Graph, entry: u32| -> Vec<Arm> {
-            let engine = QueryEngine::new(graph, points.clone().into_dataset(Euclidean));
-            let (reordered, map) = engine.reorder_bfs(entry);
-            let permuted = FlatPoints::from_fn(points.len(), points.dim(), |new, out| {
-                out.extend_from_slice(points.row(map.to_old(new as u32) as usize))
-            });
-            let (graph, data) = engine.into_parts();
-            let (rgraph, rdata) = reordered.into_parts();
-            vec![
-                ("ids as built", graph, data, entry),
-                ("reorder_bfs", rgraph.clone(), rdata, map.to_new(entry)),
-                (
-                    "reorder + moved buffer",
-                    rgraph,
-                    permuted.into_dataset(Euclidean),
-                    map.to_new(entry),
-                ),
-            ]
-        };
-
-        println!("gnet2d-batch shape (n = 100000, d = 2, G_net eps = 1, ef = 16):");
-        let points = pg_workloads::uniform_cube_flat(100_000, 2, 1000.0, 1);
-        let queries = pg_workloads::uniform_queries_flat(2000, 2, 0.0, 1000.0, 2).into_rows();
-        let graph = GNet::build_fast(&points.clone().into_dataset(Euclidean), 1.0).graph;
-        for arm in arms(points, graph, 0) {
-            time(&arm, &queries, 16);
-        }
-
-        println!("hnsw128-batch shape (n = 30000, d = 128, HNSW ground layer, ef = 64):");
-        let points = pg_workloads::gaussian_clusters_flat(30_000, 128, 64, 600.0, 1000.0, 1);
-        let queries = pg_workloads::perturbed_queries_flat(&points, 2000, 45.0, 2).into_rows();
-        let hnsw = Hnsw::build(
-            &points.clone().into_dataset(Euclidean),
-            HnswParams::default(),
-        );
-        for arm in arms(points, hnsw.ground_layer(), hnsw.entry_point()) {
-            time(&arm, &queries, 64);
-        }
-    }
 }

@@ -6,7 +6,8 @@
 //! (Lemma 2.2), has `O((1/ε)^λ * n log Δ)` edges (Fact 2.3 packing), and
 //! `greedy` reaches a `(1+ε)`-ANN within `h` hops (the log-drop property).
 //!
-//! Three constructions are provided, all producing **identical** graphs on
+//! Three constructions are provided, all producing **identical** graphs —
+//! the same edges in the same banded layout ([`graph`](crate::graph)) — on
 //! the same net hierarchy:
 //!
 //! * [`GNet::build_naive`] — full per-level scans, `O(n * Σ_i |Y_i|)`
@@ -30,7 +31,12 @@
 //! [`NetLevel`](pg_nets::NetLevel)'s position invariant the centers whose
 //! highest level is `i` are the positions `>= |Y_{i+1}|` of level `i`, so
 //! each level tests only those of its relatives and every edge is found
-//! exactly once — the rows need sorting but no deduplication.
+//! exactly once — the rows need sorting but no deduplication. The distance
+//! that test computes is the edge's length, so the edge leaves the pass
+//! with its band (the length's binary exponent) beside its target: banding
+//! costs the fast builder no distance computation. The naive and cover-tree
+//! builders recompute the lengths instead ([`Graph::with_bands`], `E`
+//! distances) and must arrive at the same graph.
 //!
 //! Phases, top level down: [`NetHierarchy::build`] promotes centers
 //! sequentially in id order and computes friends lists on the thread pool;
@@ -38,12 +44,14 @@
 //! centers, each block one flat `(offsets, items)` pair) and the
 //! candidate tests (parallel over blocks of 1024 points; a level that
 //! promoted nothing runs none); then one assembly: a sequential prefix sum
-//! over the per-level degrees, a parallel in-place fill and sort of the one
-//! CSR `targets` allocation, a sequential [`Graph::try_from_csr`] check.
+//! over the per-level degrees, a parallel fill of the one CSR `targets`
+//! allocation — each row bucketed by band, ids sorted inside each bucket,
+//! checked as it is laid — and a sequential join of the per-block band
+//! ladders.
 //! Every parallel step is an order-preserving map or a one-worker-per-block
 //! update, so the graph does not depend on the thread count. Memory
-//! high-water: the per-level `(degrees, targets)` buffers (4 bytes per
-//! edge, plus 4 per point for every level that found its block an edge)
+//! high-water: the per-level `(degrees, targets, bands)` buffers (6 bytes
+//! per edge, plus 4 per point for every level that found its block an edge)
 //! and the CSR itself — no `Vec` per point or per center per level. A
 //! build of at most 1024 points makes no pool call at all.
 
@@ -51,7 +59,7 @@ use pg_covertree::CoverTree;
 use pg_metric::{Dataset, Metric};
 use pg_nets::{NetHierarchy, RelativesCascade};
 
-use crate::graph::{Graph, GraphBuilder, RowBlock};
+use crate::graph::{band_of, Graph, GraphBuilder, RowBlock};
 use crate::params::GNetParams;
 
 /// Points per [`RowBlock`] of the fast builder: the unit of work of its
@@ -68,7 +76,7 @@ pub enum BuildPhase {
     /// One level's candidate tests. Levels that promoted no center run none
     /// (and make no pool call).
     Candidates,
-    /// Prefix sum, in-place fill and sort of the CSR, final validation.
+    /// Prefix sum, fill of the CSR by `(band, id)`, join of the ladders.
     Assembly,
 }
 
@@ -160,6 +168,7 @@ impl GNet {
                     let points = b * BLOCK..n.min((b + 1) * BLOCK);
                     let mut degrees = Vec::with_capacity(points.len());
                     let mut targets = Vec::new();
+                    let mut bands = Vec::new();
                     for p in points {
                         let before = targets.len();
                         for &ypos in cascade.relatives(lvl.cover[p] as usize) {
@@ -167,13 +176,24 @@ impl GNet {
                                 continue; // tested at the level that promoted it
                             }
                             let y = lvl.centers[ypos as usize];
-                            if y != p as u32 && data.dist(p, y as usize) <= reach {
+                            if y == p as u32 {
+                                continue;
+                            }
+                            // The one distance of the candidate test also
+                            // files the edge under its band.
+                            let d = data.dist(p, y as usize);
+                            if d <= reach {
                                 targets.push(y);
+                                bands.push(band_of(d));
                             }
                         }
                         degrees.push((targets.len() - before) as u32);
                     }
-                    RowBlock { degrees, targets }
+                    RowBlock {
+                        degrees,
+                        targets,
+                        bands,
+                    }
                 });
                 for (passes, pass) in blocks.iter_mut().zip(found) {
                     if !pass.targets.is_empty() {
@@ -225,7 +245,7 @@ impl GNet {
             }
         }
         GNet {
-            graph: builder.build(),
+            graph: builder.build().with_bands(data),
             params,
             hierarchy,
         }
@@ -280,7 +300,7 @@ impl GNet {
         }
 
         GNet {
-            graph: builder.build(),
+            graph: builder.build().with_bands(data),
             params,
             hierarchy,
         }
@@ -303,6 +323,11 @@ impl GNet {
     /// distances, plus one for the start vertex. This is the concrete
     /// instantiation of Theorem 1.1's `O((1/ε)^λ log² Δ)` bound on this
     /// dataset.
+    ///
+    /// The graph is banded, so `query` scans each row under the annulus
+    /// rule ([`search`](crate::search)) and scores a subset of it: hops and
+    /// result are those of the whole-row scan, and each iteration costs *at
+    /// most* `max_out_degree` — the budget stays valid, with room to spare.
     pub fn certified_query_budget(&self) -> u64 {
         let h = self.hierarchy.h() as u64;
         let deg = self.graph.max_out_degree() as u64;
@@ -485,7 +510,10 @@ mod tests {
     fn two_points() {
         let ds = Dataset::new(vec![vec![0.0, 0.0], vec![3.0, 4.0]], Euclidean);
         fast_matches_naive(&ds, 1.0, &NetHierarchy::build(&ds));
-        assert_eq!(GNet::build_fast(&ds, 1.0).graph, Graph::complete(2));
+        assert_eq!(
+            GNet::build_fast(&ds, 1.0).graph,
+            Graph::complete(2).with_bands(&ds)
+        );
     }
 
     #[test]
@@ -538,11 +566,16 @@ mod tests {
         assert!(fresh.contains(&1));
     }
 
-    /// `(edge_count, FNV-1a over the CSR offsets then targets)`.
+    /// `(edge_count, FNV-1a over the CSR offsets then targets)`, the rows
+    /// re-sorted by id: a fingerprint of the edge set, not of the layout.
     fn fingerprint(g: &Graph) -> (usize, u64) {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let offsets = g.csr_offsets().iter().map(|&o| o as u64);
-        let targets = g.csr_targets().iter().map(|&t| u64::from(t));
+        let mut by_id = g.csr_targets().to_vec();
+        for row in g.csr_offsets().windows(2) {
+            by_id[row[0]..row[1]].sort_unstable();
+        }
+        let targets = by_id.iter().map(|&t| u64::from(t));
         for b in offsets.chain(targets).flat_map(u64::to_le_bytes) {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }

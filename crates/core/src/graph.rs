@@ -4,15 +4,170 @@
 //! Every proximity-graph variant in this workspace (`G_net`, θ-graphs, the
 //! merged graph, the baselines) produces a [`Graph`]; the `greedy` routine of
 //! Section 1.1 and the navigability checker of Fact 2.1 consume one.
+//!
+//! # Bands
+//!
+//! A builder that knows the length `D(p, u)` of every edge it creates (the
+//! [`GNet`](crate::gnet::GNet) builders) stores each row by **band**: the
+//! band of an edge is the biased binary exponent of its length
+//! (`d.to_bits() >> 52`), so band `e >= 1` holds lengths in
+//! `[2^(e-1023), 2^(e-1022))` and band 0 holds `[0, 2^-1022)` — no anchor,
+//! no table, one rule for every builder and loader. A row lists its bands
+//! in ascending order, ids ascending inside each, and carries a small
+//! ladder of band ends. The walks of [`search`](crate::search) use the
+//! ladder to skip whole bands the triangle inequality rules out. Every
+//! other graph is *un-banded*: its rows are one run ascending by id, and
+//! the walks scan them whole.
+
+use pg_metric::{Dataset, Metric};
 
 /// An immutable simple directed graph on vertices `0..n` (dataset ids).
 ///
-/// Adjacency lists are sorted and deduplicated; self-loops are removed at
-/// construction (the paper's graphs are simple).
+/// Adjacency lists are sorted (by id; by `(band, id)` on a banded graph,
+/// see the module docs) and deduplicated; self-loops are removed at
+/// construction (the paper's graphs are simple). Two graphs are equal when
+/// they hold the same edges **in the same layout**: a banded graph never
+/// equals an un-banded one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<usize>,
     targets: Vec<u32>,
+    bands: Option<Bands>,
+}
+
+/// The band ladders of a banded graph, all rows back to back: row `v` owns
+/// entries `offsets[v]..offsets[v + 1]` of `exps` and `ends`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct Bands {
+    offsets: Vec<usize>,
+    /// The band of each run, strictly ascending within a row.
+    exps: Vec<u16>,
+    /// Where each run ends, counted from the start of its row: strictly
+    /// increasing within a row, the last one the row's degree.
+    ends: Vec<u32>,
+}
+
+/// The band of an edge of length `d >= 0`: the biased exponent field of the
+/// `f64`, so `band_lower(b) <= d < band_lower(b + 1)`.
+#[inline]
+pub(crate) fn band_of(d: f64) -> u16 {
+    ((d.to_bits() >> 52) & 0x7ff) as u16
+}
+
+/// The smallest length of band `b <= 0x7ff` (`0.0` for band 0, `INFINITY`
+/// for `0x7ff`).
+#[inline]
+pub(crate) fn band_lower(b: u16) -> f64 {
+    f64::from_bits(u64::from(b) << 52)
+}
+
+/// One adjacency row as the walks read it: the targets, and — on a banded
+/// graph — the ladder that cuts them into bands. A plain slice converts
+/// into the one-run row of an un-banded graph.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'g> {
+    pub(crate) targets: &'g [u32],
+    pub(crate) exps: &'g [u16],
+    pub(crate) ends: &'g [u32],
+}
+
+impl<'g> From<&'g [u32]> for Row<'g> {
+    fn from(targets: &'g [u32]) -> Self {
+        Row {
+            targets,
+            exps: &[],
+            ends: &[],
+        }
+    }
+}
+
+/// Lays one row out by `(band, id)`: `targets[i]` is filed under `bands[i]`
+/// into `out` (same length) — a counting sort over the row's few distinct
+/// bands, then an id sort inside each — and one `(band, end)` entry per
+/// non-empty band is appended to the ladder. `counts` is scratch.
+fn lay_row(
+    targets: &[u32],
+    bands: &[u16],
+    counts: &mut Vec<u32>,
+    out: &mut [u32],
+    exps: &mut Vec<u16>,
+    ends: &mut Vec<u32>,
+) {
+    let Some(&lowest) = bands.iter().min() else {
+        return;
+    };
+    let highest = bands.iter().fold(lowest, |hi, &b| hi.max(b));
+    counts.clear();
+    counts.resize(usize::from(highest - lowest) + 1, 0);
+    for &b in bands {
+        counts[usize::from(b - lowest)] += 1;
+    }
+    // counts[b] becomes where band b's next target goes, and in the end
+    // where the band ends.
+    let mut filled = 0;
+    for count in counts.iter_mut() {
+        filled += std::mem::replace(count, filled);
+    }
+    for (&t, &b) in targets.iter().zip(bands) {
+        let slot = &mut counts[usize::from(b - lowest)];
+        out[*slot as usize] = t;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for (b, &end) in (lowest..).zip(counts.iter()) {
+        if end > start {
+            out[start as usize..end as usize].sort_unstable();
+            exps.push(b);
+            ends.push(end);
+            start = end;
+        }
+    }
+}
+
+/// Checks a CSR-style offsets array (`what`) against the length of the array
+/// it indexes (`counted`); returns the number of rows.
+fn check_offsets(
+    offsets: &[usize],
+    len: usize,
+    what: &str,
+    counted: &str,
+) -> Result<usize, String> {
+    let n = match offsets.len().checked_sub(1) {
+        Some(n) => n,
+        None => return Err(format!("{what}s array is empty")),
+    };
+    if offsets[0] != 0 {
+        return Err(format!("{what}s must start at 0, found {}", offsets[0]));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(format!("{what}s must be non-decreasing"));
+    }
+    if offsets[n] != len {
+        return Err(format!(
+            "final {what} {} does not match {counted} count {len}",
+            offsets[n]
+        ));
+    }
+    Ok(n)
+}
+
+/// Checks one ascending run of row `v`: in range, self-loop-free, strictly
+/// ascending.
+fn check_run(v: usize, n: usize, run: &[u32]) -> Result<(), String> {
+    let mut prev: Option<u32> = None;
+    for &t in run {
+        if t as usize >= n {
+            return Err(format!("edge target {t} out of range (n = {n})"));
+        }
+        if t as usize == v {
+            return Err(format!("self-loop ({v}, {t})"));
+        }
+        if prev.is_some_and(|p| p >= t) {
+            return Err(format!("adjacency of {v} not strictly ascending at {t}"));
+        }
+        prev = Some(t);
+    }
+    Ok(())
 }
 
 impl Graph {
@@ -33,7 +188,11 @@ impl Graph {
             targets.extend_from_slice(&list);
             offsets.push(targets.len());
         }
-        Graph { offsets, targets }
+        Graph {
+            offsets,
+            targets,
+            bands: None,
+        }
     }
 
     /// Builds from adjacency lists that are **already sorted ascending,
@@ -67,21 +226,27 @@ impl Graph {
             targets.extend_from_slice(&list);
             offsets.push(targets.len());
         }
-        Graph { offsets, targets }
+        Graph {
+            offsets,
+            targets,
+            bands: None,
+        }
     }
 
-    /// Assembles a graph from the [`RowBlock`]s several passes of a builder
-    /// left for each block of `block` consecutive vertices: `blocks[b]`
-    /// holds, in any order, what the passes found for vertices
+    /// Assembles a **banded** graph from the [`RowBlock`]s several passes of
+    /// a builder left for each block of `block` consecutive vertices:
+    /// `blocks[b]` holds, in any order, what the passes found for vertices
     /// `b * block ..`. Every edge must have been found by exactly one pass,
-    /// without self-loops — the rows are sorted but not deduplicated.
+    /// without self-loops — the rows are sorted by `(band, id)` but not
+    /// deduplicated.
     ///
     /// One prefix sum sizes the single `targets` allocation of exactly `E`
-    /// entries; the blocks then copy and sort their rows in place on the
-    /// thread pool, each through its own `split_at_mut` slice, and drop
-    /// their pass buffers as they finish. [`Graph::try_from_csr`] checks
-    /// the result (panicking on a builder bug), so the output is the same
-    /// canonical CSR [`Graph::from_adjacency`] would produce.
+    /// entries; the blocks then lay their rows out in place on the thread
+    /// pool, each through its own `split_at_mut` slice, and drop their pass
+    /// buffers as they finish; each checks its rows as it lays them
+    /// (panicking, after the join, on a builder bug). The per-block ladders
+    /// are joined sequentially. The output is the graph
+    /// [`Graph::from_adjacency`] + [`Graph::with_bands`] would produce.
     pub(crate) fn from_row_blocks(n: usize, block: usize, blocks: Vec<Vec<RowBlock>>) -> Graph {
         assert_eq!(blocks.len(), n.div_ceil(block), "one entry per block");
         let rows_of = |b: usize| block.min(n - b * block);
@@ -100,27 +265,109 @@ impl Graph {
         for (b, passes) in blocks.into_iter().enumerate() {
             let first = b * block;
             let (slice, tail) = rest.split_at_mut(offsets[first + rows_of(b)] - offsets[first]);
-            jobs.push((slice, passes));
+            // What the block's job leaves: its rows' ladder (offsets
+            // block-local, no leading 0) and what it found wrong.
+            jobs.push((slice, passes, Bands::default(), Ok(())));
             rest = tail;
         }
-        rayon::par_for_each_mut(&mut jobs, |b, (slice, passes)| {
+        rayon::par_for_each_mut(&mut jobs, |b, (slice, passes, ladder, checked)| {
             let passes = std::mem::take(passes);
             let mut cursors = vec![0usize; passes.len()];
+            let (mut row_targets, mut row_bands) = (Vec::<u32>::new(), Vec::<u16>::new());
+            let mut counts = Vec::new();
             let mut filled = 0;
             for j in 0..rows_of(b) {
-                let row_start = filled;
+                row_targets.clear();
+                row_bands.clear();
                 for (pass, cursor) in passes.iter().zip(&mut cursors) {
-                    let degree = pass.degrees[j] as usize;
-                    slice[filled..filled + degree]
-                        .copy_from_slice(&pass.targets[*cursor..*cursor + degree]);
-                    *cursor += degree;
-                    filled += degree;
+                    let found = *cursor..*cursor + pass.degrees[j] as usize;
+                    row_targets.extend_from_slice(&pass.targets[found.clone()]);
+                    row_bands.extend_from_slice(&pass.bands[found.clone()]);
+                    *cursor = found.end;
                 }
-                slice[row_start..filled].sort_unstable();
+                let before = ladder.exps.len();
+                let row = &mut slice[filled..filled + row_targets.len()];
+                lay_row(
+                    &row_targets,
+                    &row_bands,
+                    &mut counts,
+                    row,
+                    &mut ladder.exps,
+                    &mut ladder.ends,
+                );
+                ladder.offsets.push(ladder.exps.len());
+                filled += row.len();
+                // An edge has one length, so a second copy of it lands in
+                // the same band, next to the first: checking each band's
+                // run checks the whole row.
+                let mut start = 0;
+                for &end in &ladder.ends[before..] {
+                    if checked.is_ok() {
+                        *checked = check_run(b * block + j, n, &row[start..end as usize]);
+                    }
+                    start = end as usize;
+                }
             }
         });
 
-        Graph::try_from_csr(offsets, targets).expect("builder passes emit each edge exactly once")
+        let mut bands = Bands {
+            offsets: Vec::with_capacity(n + 1),
+            ..Bands::default()
+        };
+        bands.offsets.push(0);
+        for (_, _, ladder, checked) in jobs {
+            checked.expect("builder passes emit each edge exactly once");
+            let base = bands.exps.len();
+            bands
+                .offsets
+                .extend(ladder.offsets.iter().map(|o| base + o));
+            bands.exps.extend(ladder.exps);
+            bands.ends.extend(ladder.ends);
+        }
+        Graph {
+            offsets,
+            targets,
+            bands: Some(bands),
+        }
+    }
+
+    /// This graph with its rows stored by band, the length of every edge
+    /// **recomputed** from `data` (`E` distance computations): the layout
+    /// [`GNet::build_fast`](crate::gnet::GNet::build_fast) produces from the
+    /// distances it computes anyway, for the builders that do not keep them.
+    /// Equal edge sets give equal graphs, ladders included.
+    ///
+    /// # Panics
+    /// If the graph's vertex count differs from the dataset size.
+    pub fn with_bands<P, M: Metric<P>>(&self, data: &Dataset<P, M>) -> Graph {
+        assert_eq!(self.n(), data.len(), "graph and dataset sizes must match");
+        let mut targets = vec![0u32; self.targets.len()];
+        let mut bands = Bands {
+            offsets: Vec::with_capacity(self.n() + 1),
+            ..Bands::default()
+        };
+        bands.offsets.push(0);
+        let (mut row_bands, mut counts) = (Vec::<u16>::new(), Vec::new());
+        for v in 0..self.n() {
+            let row = self.neighbors(v as u32);
+            row_bands.clear();
+            row_bands.extend(row.iter().map(|&t| band_of(data.dist(v, t as usize))));
+            let out = &mut targets[self.offsets[v]..self.offsets[v + 1]];
+            lay_row(
+                row,
+                &row_bands,
+                &mut counts,
+                out,
+                &mut bands.exps,
+                &mut bands.ends,
+            );
+            bands.offsets.push(bands.exps.len());
+        }
+        Graph {
+            offsets: self.offsets.clone(),
+            targets,
+            bands: Some(bands),
+        }
     }
 
     /// Rebuilds a graph from raw CSR arrays, validating every invariant the
@@ -130,40 +377,88 @@ impl Graph {
     /// be non-decreasing and end at `targets.len()`, and every adjacency
     /// row must be strictly ascending, self-loop-free and in range.
     pub fn try_from_csr(offsets: Vec<usize>, targets: Vec<u32>) -> Result<Graph, String> {
-        let n = match offsets.len().checked_sub(1) {
-            Some(n) => n,
-            None => return Err("offsets array is empty".into()),
-        };
-        if offsets[0] != 0 {
-            return Err(format!("offsets must start at 0, found {}", offsets[0]));
+        let n = check_offsets(&offsets, targets.len(), "offset", "edge")?;
+        for v in 0..n {
+            check_run(v, n, &targets[offsets[v]..offsets[v + 1]])?;
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets must be non-decreasing".into());
-        }
-        if offsets[n] != targets.len() {
+        Ok(Graph {
+            offsets,
+            targets,
+            bands: None,
+        })
+    }
+
+    /// [`Graph::try_from_csr`] for a banded graph: the CSR arrays with rows
+    /// in `(band, id)` order plus the three ladder arrays
+    /// ([`Graph::band_ladder`]). On top of the CSR checks, every row's
+    /// ladder must have strictly ascending bands `<= 0x7ff` and strictly
+    /// increasing ends whose last is the row's degree (none for an empty
+    /// row), every band must be strictly ascending by id, and no target may
+    /// appear in two bands of one row. What cannot be checked without the
+    /// points is that the bands are the *true* exponents of the edge
+    /// lengths; a wrong one costs a walk candidates, never memory safety.
+    pub fn try_from_banded_csr(
+        offsets: Vec<usize>,
+        targets: Vec<u32>,
+        band_offsets: Vec<usize>,
+        band_exps: Vec<u16>,
+        band_ends: Vec<u32>,
+    ) -> Result<Graph, String> {
+        let n = check_offsets(&offsets, targets.len(), "offset", "edge")?;
+        if band_ends.len() != band_exps.len() {
             return Err(format!(
-                "final offset {} does not match edge count {}",
-                offsets[n],
-                targets.len()
+                "{} band ends for {} bands",
+                band_ends.len(),
+                band_exps.len()
             ));
         }
+        if check_offsets(&band_offsets, band_exps.len(), "band offset", "band")? != n {
+            return Err(format!(
+                "band offsets describe {} rows, the graph has {n}",
+                band_offsets.len() - 1
+            ));
+        }
+        let mut in_row = vec![false; n];
         for v in 0..n {
             let row = &targets[offsets[v]..offsets[v + 1]];
-            let mut prev: Option<u32> = None;
+            let ladder = band_offsets[v]..band_offsets[v + 1];
+            let (exps, ends) = (&band_exps[ladder.clone()], &band_ends[ladder]);
+            if exps.windows(2).any(|w| w[0] >= w[1]) || exps.last().is_some_and(|&e| e > 0x7ff) {
+                return Err(format!("bands of {v} not strictly ascending exponents"));
+            }
+            if ends.last().map_or(0, |&e| e as usize) != row.len() {
+                return Err(format!(
+                    "band ladder of {v} does not end at its degree {}",
+                    row.len()
+                ));
+            }
+            let mut start = 0usize;
+            for &end in ends {
+                let end = end as usize;
+                if end <= start || end > row.len() {
+                    return Err(format!("band ends of {v} not strictly increasing"));
+                }
+                check_run(v, n, &row[start..end])?;
+                start = end;
+            }
             for &t in row {
-                if t as usize >= n {
-                    return Err(format!("edge target {t} out of range (n = {n})"));
+                if std::mem::replace(&mut in_row[t as usize], true) {
+                    return Err(format!("target {t} appears in two bands of {v}"));
                 }
-                if t as usize == v {
-                    return Err(format!("self-loop ({v}, {t})"));
-                }
-                if prev.is_some_and(|p| p >= t) {
-                    return Err(format!("adjacency of {v} not strictly ascending at {t}"));
-                }
-                prev = Some(t);
+            }
+            for &t in row {
+                in_row[t as usize] = false;
             }
         }
-        Ok(Graph { offsets, targets })
+        Ok(Graph {
+            offsets,
+            targets,
+            bands: Some(Bands {
+                offsets: band_offsets,
+                exps: band_exps,
+                ends: band_ends,
+            }),
+        })
     }
 
     /// The raw CSR row-offset array (length `n + 1`) — the serialization
@@ -173,10 +468,26 @@ impl Graph {
     }
 
     /// The raw CSR target array (all adjacency rows concatenated, each
-    /// sorted ascending) — the serialization counterpart of
-    /// [`Graph::try_from_csr`].
+    /// ascending by id within each band — one band on an un-banded graph)
+    /// — the serialization counterpart of [`Graph::try_from_csr`].
     pub fn csr_targets(&self) -> &[u32] {
         &self.targets
+    }
+
+    /// Whether the rows are stored by band (see the module docs). Decided
+    /// by the builder that made the graph.
+    pub fn is_banded(&self) -> bool {
+        self.bands.is_some()
+    }
+
+    /// The raw ladder arrays of a banded graph, `None` on an un-banded one:
+    /// `(band_offsets, band_exps, band_ends)` — row `v`'s ladder is entries
+    /// `band_offsets[v]..band_offsets[v + 1]` of the other two; see
+    /// [`Graph::try_from_banded_csr`], their serialization counterpart.
+    pub fn band_ladder(&self) -> Option<(&[usize], &[u16], &[u32])> {
+        self.bands
+            .as_ref()
+            .map(|b| (&b.offsets[..], &b.exps[..], &b.ends[..]))
     }
 
     /// The empty graph on `n` vertices.
@@ -184,6 +495,7 @@ impl Graph {
         Graph {
             offsets: vec![0; n + 1],
             targets: Vec::new(),
+            bands: None,
         }
     }
 
@@ -200,7 +512,11 @@ impl Graph {
             targets.extend((0..n as u32).filter(|&t| t != v));
             offsets.push(targets.len());
         }
-        Graph { offsets, targets }
+        Graph {
+            offsets,
+            targets,
+            bands: None,
+        }
     }
 
     /// Number of vertices.
@@ -213,10 +529,54 @@ impl Graph {
         self.targets.len()
     }
 
-    /// Out-neighbors of `v`, ascending by id.
+    /// Out-neighbors of `v`, ascending by id within each band (one band —
+    /// the whole row ascending — on an un-banded graph).
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    /// The row of `v` with its band ladder, as the walks read it.
+    #[inline]
+    pub(crate) fn row(&self, v: u32) -> Row<'_> {
+        let mut row = Row::from(self.neighbors(v));
+        if let Some(b) = &self.bands {
+            let ladder = b.offsets[v as usize]..b.offsets[v as usize + 1];
+            row.exps = &b.exps[ladder.clone()];
+            row.ends = &b.ends[ladder];
+        }
+        row
+    }
+
+    /// The bands of `v`'s row as `(band, targets)` runs, ascending by band;
+    /// an un-banded row is one run (band 0), an empty row none.
+    fn runs(&self, v: u32) -> impl Iterator<Item = (u16, &[u32])> + '_ {
+        let row = self.row(v);
+        let plain = (row.exps.is_empty() && !row.targets.is_empty()).then_some((0, row.targets));
+        let mut start = 0;
+        let banded = row.exps.iter().zip(row.ends).map(move |(&band, &end)| {
+            let run = &row.targets[start..end as usize];
+            start = end as usize;
+            (band, run)
+        });
+        plain.into_iter().chain(banded)
+    }
+
+    /// The same edges in the canonical un-banded layout, every row ascending
+    /// by id: what [`Graph::from_adjacency`] builds from this graph's rows,
+    /// and what a walk must be given to scan them whole.
+    pub fn without_bands(&self) -> Graph {
+        let mut plain = Graph {
+            offsets: self.offsets.clone(),
+            targets: self.targets.clone(),
+            bands: None,
+        };
+        if self.bands.is_some() {
+            for row in self.offsets.windows(2) {
+                plain.targets[row[0]..row[1]].sort_unstable();
+            }
+        }
+        plain
     }
 
     /// Out-degree of `v`.
@@ -241,15 +601,21 @@ impl Graph {
         }
     }
 
-    /// Whether the directed edge `(u, v)` exists (binary search).
+    /// Whether the directed edge `(u, v)` exists (one binary search per
+    /// band of `u`'s row).
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        self.runs(u).any(|(_, run)| run.binary_search(&v).is_ok())
     }
 
     /// A copy of the graph with the single directed edge `(u, v)` removed —
     /// used for failure injection in the lower-bound experiments. A direct
     /// CSR copy (the stored lists are already canonical): `O(E)`, no re-sort.
+    /// The copy of a banded graph is **un-banded** (rows re-sorted by id):
+    /// row-rewriting operations return canonical graphs.
     pub fn without_edge(&self, u: u32, v: u32) -> Graph {
+        if self.bands.is_some() {
+            return self.without_bands().without_edge(u, v);
+        }
         let pos = match self.neighbors(u).binary_search(&v) {
             Ok(pos) => self.offsets[u as usize] + pos,
             Err(_) => return self.clone(), // edge absent: plain copy
@@ -263,16 +629,25 @@ impl Graph {
             .enumerate()
             .map(|(w, &o)| if w > u as usize { o - 1 } else { o })
             .collect();
-        Graph { offsets, targets }
+        Graph {
+            offsets,
+            targets,
+            bands: None,
+        }
     }
 
     /// Vertex-wise union of two graphs on the same vertex set — the merge
     /// operation of Section 5 ("the out-edge set of each point `p` in `G` is
     /// the union of those in `G'_net` and `G_geo`"). Per vertex, the two
     /// stored lists are already sorted, so they are merged directly into the
-    /// new CSR arrays: `O(E)` total instead of sort-based `O(E log E)`.
+    /// new CSR arrays: `O(E)` total instead of sort-based `O(E log E)` (the
+    /// rows of a banded operand are sorted by id first). The union is
+    /// always **un-banded**.
     pub fn union(&self, other: &Graph) -> Graph {
         assert_eq!(self.n(), other.n(), "vertex sets must match");
+        if self.bands.is_some() || other.bands.is_some() {
+            return self.without_bands().union(&other.without_bands());
+        }
         let mut offsets = Vec::with_capacity(self.n() + 1);
         let mut targets = Vec::with_capacity(self.edge_count() + other.edge_count());
         offsets.push(0);
@@ -300,7 +675,11 @@ impl Graph {
             targets.extend_from_slice(&b[j..]);
             offsets.push(targets.len());
         }
-        Graph { offsets, targets }
+        Graph {
+            offsets,
+            targets,
+            bands: None,
+        }
     }
 
     /// Iterates all directed edges `(u, v)`.
@@ -348,23 +727,33 @@ impl Graph {
         count
     }
 
-    /// Approximate in-memory footprint of the CSR representation in bytes.
+    /// Approximate in-memory footprint of the CSR representation in bytes,
+    /// the band ladder of a banded graph included.
     pub fn memory_bytes(&self) -> usize {
+        let ladder = self.bands.as_ref().map_or(0, |b| {
+            b.offsets.len() * std::mem::size_of::<usize>()
+                + b.exps.len() * std::mem::size_of::<u16>()
+                + b.ends.len() * std::mem::size_of::<u32>()
+        });
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.targets.len() * std::mem::size_of::<u32>()
+            + ladder
     }
 }
 
 /// The out-edges one pass of a builder found for one block of consecutive
 /// vertices: the block's `j`-th vertex has `degrees[j]` targets, stored back
 /// to back in `targets` — two flat buffers per block instead of a `Vec` per
-/// vertex. Consumed by [`Graph::from_row_blocks`].
+/// vertex, plus the band of every edge. Consumed by
+/// [`Graph::from_row_blocks`].
 #[derive(Debug, Clone)]
 pub(crate) struct RowBlock {
     /// Out-degree contributed to each vertex of the block.
     pub degrees: Vec<u32>,
     /// The targets, concatenated in vertex order.
     pub targets: Vec<u32>,
+    /// The band ([`band_of`] the edge's length) of each target.
+    pub bands: Vec<u16>,
 }
 
 /// Incremental adjacency builder.
@@ -433,10 +822,12 @@ mod tests {
         let _ = Graph::from_sorted_adjacency(vec![vec![1, 1], vec![0]]);
     }
 
-    fn row_block(rows: &[&[u32]]) -> RowBlock {
+    /// A pass over one block: per vertex, `(target, band)` pairs.
+    fn row_block(rows: &[&[(u32, u16)]]) -> RowBlock {
         RowBlock {
             degrees: rows.iter().map(|r| r.len() as u32).collect(),
-            targets: rows.concat(),
+            targets: rows.concat().iter().map(|&(t, _)| t).collect(),
+            bands: rows.concat().iter().map(|&(_, band)| band).collect(),
         }
     }
 
@@ -445,28 +836,219 @@ mod tests {
         // Five vertices in blocks of two: a block with two passes, a block
         // no pass found an edge for, and a short last block.
         let blocks = vec![
-            vec![row_block(&[&[4, 1], &[]]), row_block(&[&[3], &[2, 0]])],
+            vec![
+                row_block(&[&[(4, 9), (1, 7)], &[]]),
+                row_block(&[&[(3, 7)], &[(2, 5), (0, 5)]]),
+            ],
             vec![],
-            vec![row_block(&[&[2, 0, 1]])],
+            vec![row_block(&[&[(2, 8), (0, 3), (1, 8)]])],
         ];
-        let expect = Graph::from_adjacency(vec![
-            vec![4, 1, 3],
-            vec![2, 0],
-            vec![],
-            vec![],
-            vec![2, 0, 1],
-        ]);
         for threads in [1, 2, 5] {
-            let got = rayon::with_threads(threads, || Graph::from_row_blocks(5, 2, blocks.clone()));
-            assert_eq!(got, expect, "{threads} threads");
+            let g = rayon::with_threads(threads, || Graph::from_row_blocks(5, 2, blocks.clone()));
+            assert!(g.is_banded());
+            // The edges `from_adjacency` would hold, each row by (band, id).
+            let edges = vec![vec![4, 1, 3], vec![2, 0], vec![], vec![], vec![2, 0, 1]];
+            assert_eq!(g.without_bands(), Graph::from_adjacency(edges));
+            let rows: Vec<&[u32]> = (0..5).map(|v| g.neighbors(v)).collect();
+            let want: [&[u32]; 5] = [&[1, 3, 4], &[0, 2], &[], &[], &[0, 1, 2]];
+            assert_eq!(rows, want, "{threads} threads");
+            let (offsets, exps, ends) = g.band_ladder().unwrap();
+            assert_eq!(offsets, [0, 2, 3, 3, 3, 5]);
+            assert_eq!(exps, [7, 9, 5, 3, 8]);
+            assert_eq!(ends, [2, 3, 2, 1, 3]);
+            let runs: Vec<(u16, &[u32])> = g.runs(4).collect();
+            assert_eq!(runs, [(3, &[0][..]), (8, &[1, 2][..])]);
         }
     }
 
     #[test]
     #[should_panic(expected = "exactly once")]
     fn from_row_blocks_rejects_an_edge_found_by_two_passes() {
-        let blocks = vec![vec![row_block(&[&[1], &[]]), row_block(&[&[1], &[0]])]];
+        let blocks = vec![vec![
+            row_block(&[&[(1, 4)], &[]]),
+            row_block(&[&[(1, 4)], &[(0, 4)]]),
+        ]];
         let _ = Graph::from_row_blocks(2, 2, blocks);
+    }
+
+    fn line(xs: &[f64]) -> Dataset<Vec<f64>, pg_metric::Euclidean> {
+        Dataset::new(xs.iter().map(|&x| vec![x]).collect(), pg_metric::Euclidean)
+    }
+
+    #[test]
+    fn band_of_is_the_binary_exponent_and_band_lower_its_inverse() {
+        for (d, e) in [(1.0, 0), (1.5, 0), (2.0, 1), (7.9, 2), (0.5, -1), (0.3, -2)] {
+            assert_eq!(i32::from(band_of(d)), 1023 + e, "{d}");
+        }
+        assert_eq!(band_of(0.0), 0);
+        assert_eq!(
+            band_of(f64::MIN_POSITIVE / 2.0),
+            0,
+            "subnormals share band 0"
+        );
+        assert_eq!(band_of(f64::INFINITY), 0x7ff);
+        assert_eq!(band_lower(0), 0.0);
+        assert_eq!(band_lower(0x7ff), f64::INFINITY);
+        for d in [1e-300, 0.7, 1.0, 3.0, 1e300] {
+            let b = band_of(d);
+            assert!(band_lower(b) <= d && d < band_lower(b + 1), "{d}");
+        }
+    }
+
+    #[test]
+    fn with_bands_files_every_edge_under_its_length() {
+        // Lengths from vertex 0: 1, 3, 2.5, 100, 0 (a duplicate point).
+        let data = line(&[0.0, 1.0, 3.0, -2.5, 100.0, 0.0]);
+        let plain = Graph::from_adjacency(vec![
+            vec![1, 2, 3, 4, 5],
+            vec![0],
+            vec![],
+            vec![],
+            vec![],
+            vec![0],
+        ]);
+        let g = plain.with_bands(&data);
+        assert!(g.is_banded() && !plain.is_banded());
+        assert_ne!(g, plain, "layout is part of equality");
+        assert_eq!(g.csr_offsets(), plain.csr_offsets());
+        // Band 0 (length 0), then 2^0, 2^1 (ids ascending inside), 2^6.
+        assert_eq!(g.neighbors(0), &[5, 1, 2, 3, 4]);
+        let runs: Vec<(u16, &[u32])> = g.runs(0).collect();
+        assert_eq!(
+            runs,
+            [
+                (0, &[5][..]),
+                (1023, &[1][..]),
+                (1024, &[2, 3][..]),
+                (1029, &[4][..])
+            ]
+        );
+        assert_eq!(g.runs(2).count(), 0);
+        assert_eq!(plain.runs(0).count(), 1);
+        // Same edges, whatever the layout.
+        for (u, v) in plain.edges() {
+            assert!(g.has_edge(u, v));
+        }
+        assert!(!g.has_edge(0, 0) && !g.has_edge(2, 0) && !g.has_edge(1, 5));
+        assert_eq!(g.edge_count(), plain.edge_count());
+        assert!(g.memory_bytes() > plain.memory_bytes());
+        // Banding is idempotent and survives its own serialization arrays.
+        assert_eq!(g.with_bands(&data), g);
+        let (bo, be, bn) = g.band_ladder().unwrap();
+        let back = Graph::try_from_banded_csr(
+            g.csr_offsets().to_vec(),
+            g.csr_targets().to_vec(),
+            bo.to_vec(),
+            be.to_vec(),
+            bn.to_vec(),
+        );
+        assert_eq!(back.unwrap(), g);
+    }
+
+    #[test]
+    fn with_bands_reproduces_the_fast_builders_layout() {
+        // The fast builder files each edge under the exponent of the one
+        // distance its candidate test computes; recomputing them from the
+        // stripped graph must give the same graph, ladder and all.
+        use crate::gnet::GNet;
+        use pg_metric::{Chebyshev, Euclidean, Manhattan};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(44);
+        let spread = |_| {
+            vec![
+                rng.random_range(0.0f64..1.0).powi(4) * 1e3,
+                rng.random_range(0.0..9.0),
+            ]
+        };
+        let points: Vec<Vec<f64>> = (0..300).map(spread).collect();
+        fn check<M: Metric<Vec<f64>> + Sync>(points: Vec<Vec<f64>>, metric: M) {
+            let data = Dataset::new(points, metric);
+            let built = GNet::build_fast(&data, 1.0).graph;
+            let (offsets, exps, _) = built.band_ladder().unwrap();
+            assert!(exps.len() > 3 * built.n(), "several bands per row");
+            assert_eq!(offsets.len(), built.n() + 1);
+            assert_eq!(built.without_bands().with_bands(&data), built);
+            // Every edge sits in the band of its length.
+            for v in 0..built.n() as u32 {
+                for (band, run) in built.runs(v) {
+                    for &t in run {
+                        assert_eq!(band_of(data.dist(v as usize, t as usize)), band);
+                    }
+                }
+            }
+        }
+        check(points.clone(), Euclidean);
+        check(points.clone(), Manhattan);
+        check(points, Chebyshev);
+    }
+
+    #[test]
+    fn row_rewriting_operations_return_unbanded_canonical_graphs() {
+        let data = line(&[0.0, 1.0, 3.0, -2.5]);
+        let plain = Graph::from_adjacency(vec![vec![1, 2, 3], vec![0, 2], vec![], vec![0]]);
+        let g = plain.with_bands(&data);
+        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        let other = Graph::from_adjacency(vec![vec![], vec![3], vec![0], vec![]]);
+        assert_eq!(g.union(&other), plain.union(&other));
+        assert_eq!(other.union(&g), plain.union(&other));
+        assert_eq!(g.without_edge(0, 2), plain.without_edge(0, 2));
+        assert_eq!(
+            g.without_edge(2, 0),
+            plain,
+            "absent edge: the stripped copy"
+        );
+        assert_eq!(g.without_bands(), plain);
+        assert_eq!(plain.without_bands(), plain);
+    }
+
+    #[test]
+    fn try_from_banded_csr_rejects_every_bad_ladder() {
+        // Row 0: band 5 = {1, 3}, band 9 = {2}; row 1: band 5 = {0}; rows
+        // 2 and 3 empty.
+        let offsets = vec![0, 3, 4, 4, 4];
+        let targets = vec![1, 3, 2, 0];
+        let (bo, be, bn) = (vec![0, 2, 3, 3, 3], vec![5, 9, 5], vec![2, 3, 1]);
+        let build = |t: &[u32], bo: &[usize], be: &[u16], bn: &[u32]| {
+            Graph::try_from_banded_csr(
+                offsets.clone(),
+                t.to_vec(),
+                bo.to_vec(),
+                be.to_vec(),
+                bn.to_vec(),
+            )
+        };
+        let ok = build(&targets, &bo, &be, &bn).unwrap();
+        assert_eq!(ok.neighbors(0), &[1, 3, 2]);
+
+        let bad = |t: &[u32], bo: &[usize], be: &[u16], bn: &[u32], why: &str| {
+            let err = build(t, bo, be, bn).expect_err(why);
+            assert!(err.contains(why), "{err:?} should mention {why:?}");
+        };
+        // Ladder arrays of different lengths; offsets not covering them.
+        bad(&targets, &bo, &be, &[2, 3], "band ends for");
+        bad(&targets, &[0, 2, 2, 2, 2], &be, &bn, "band count");
+        bad(&targets, &[0, 2, 3, 3], &be, &bn, "rows");
+        bad(&targets, &[1, 2, 3, 3, 3], &be, &bn, "start at 0");
+        bad(&targets, &[0, 3, 2, 3, 3], &be, &bn, "non-decreasing");
+        // Bands not ascending, or not a biased exponent.
+        bad(&targets, &bo, &[9, 5, 5], &bn, "ascending exponents");
+        bad(&targets, &bo, &[5, 5, 5], &bn, "ascending exponents");
+        bad(&targets, &bo, &[5, 0x800, 5], &bn, "ascending exponents");
+        // Ends not monotone, past the row, or short of the degree.
+        bad(&[1, 2, 3, 0], &bo, &be, &[3, 3, 1], "strictly increasing");
+        bad(&targets, &bo, &be, &[0, 3, 1], "strictly increasing");
+        bad(&targets, &bo, &be, &[7, 3, 1], "strictly increasing");
+        bad(&targets, &bo, &be, &[2, 2, 1], "end at its degree");
+        bad(&targets, &bo, &be, &[2, 3, 0], "end at its degree");
+        bad(&targets, &[0, 2, 2, 3, 3], &be, &bn, "end at its degree");
+        // Ids not ascending inside a band, a duplicate across bands, a
+        // self-loop, an out-of-range target.
+        bad(&[3, 1, 2, 0], &bo, &be, &bn, "not strictly ascending");
+        bad(&[1, 3, 3, 0], &bo, &be, &bn, "two bands");
+        bad(&[1, 3, 0, 0], &bo, &be, &bn, "self-loop");
+        bad(&[1, 4, 2, 0], &bo, &be, &bn, "out of range");
     }
 
     #[test]

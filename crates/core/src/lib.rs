@@ -62,7 +62,6 @@ pub mod graph;
 pub mod merged;
 pub mod navigability;
 pub mod params;
-pub mod reorder;
 pub mod search;
 pub mod sharded;
 pub mod snapshot;
@@ -75,7 +74,6 @@ pub use graph::{Graph, GraphBuilder};
 pub use merged::{MergedGraph, MergedParams};
 pub use navigability::{check_navigable, check_pg_exhaustive, Starts, Violation};
 pub use params::GNetParams;
-pub use reorder::{bfs_degree_order, mean_edge_gap, Reordering};
 pub use search::{
     beam_search, beam_search_detailed, beam_search_quantized, beam_search_quantized_surrogate,
     beam_walk, greedy, query, BeamOutcome, BeamSurrogate, GreedyOutcome,

@@ -1,5 +1,23 @@
 //! Routing over proximity graphs: the `greedy` procedure of Section 1.1,
 //! its budgeted `query` wrapper, and beam search as a practical extension.
+//!
+//! # The annulus rule
+//!
+//! Every walk here expands a vertex `p` at distance `r = D(p, q)` from the
+//! query while holding a bound `w`: a neighbour can only matter if it is
+//! closer to `q` than `w` (the beam's worst kept distance; for `greedy`,
+//! the best neighbour seen so far, at most `r`). By the triangle
+//! inequality `D(u, q) >= |D(p, u) - r|`, so a neighbour whose edge length
+//! lies outside `(r - w, r + w)` cannot matter and need not be scored. On a
+//! banded [`Graph`] (rows stored by edge-length band, see
+//! [`graph`](crate::graph)) the walks therefore scan a row's bands
+//! **outward** from the one holding `r` — nearest candidates first, which
+//! shrinks `w` soonest — re-read `w` before each band, and close a side at
+//! the first band wholly outside the annulus. The cut keeps a relative
+//! slack (`1e-9`, `ANNULUS_SLACK`) so rounding in the three computed distances
+//! can never skip a candidate the plain scan would keep. An un-banded row
+//! is the one-band case: it is scanned whole and no distance is ever
+//! mapped back from a score.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -7,7 +25,161 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pg_metric::{Dataset, Metric, Quantized};
 
-use crate::graph::Graph;
+use crate::graph::{band_lower, band_of, Graph, Row};
+
+/// Relative slack of the annulus cut: a band is skipped only when its gap to
+/// `r` exceeds `w` by more than this fraction of the larger of the two
+/// lengths compared. The `L_p` kernels compute a distance to within
+/// `≈ d · 2⁻⁵³` of its value, seven orders of magnitude inside the slack;
+/// a metric whose computed values break the triangle inequality by more
+/// (e.g. `arccos`-based angles below `10⁻⁴` rad, resolved to `≈ 10⁻⁸`
+/// absolute) may lose candidates within that error of the bound.
+const ANNULUS_SLACK: f64 = 1e-9;
+
+/// Where a walk reads adjacency rows: the neighbour source of the loop
+/// behind [`beam_walk`].
+///
+/// Any `Fn(u32) -> &[u32]` is a source of un-banded rows — what every
+/// caller of [`beam_walk`] passes. A source of banded rows also says how a
+/// walk score maps to the distance the band bounds are lengths of.
+trait Rows<'g> {
+    /// The out-neighbours of `v`.
+    fn row(&self, v: u32) -> Row<'g>;
+
+    /// The distance a walk score stands for — monotone, and on the scale
+    /// of the edge lengths the bands were cut from. Called for banded rows
+    /// only.
+    fn dist_of(&self, score: f64) -> f64 {
+        score
+    }
+}
+
+impl<'g, F: Fn(u32) -> &'g [u32]> Rows<'g> for F {
+    #[inline]
+    fn row(&self, v: u32) -> Row<'g> {
+        self(v).into()
+    }
+}
+
+/// The rows of `graph` for walks scored by `data`'s metric surrogate.
+struct MetricRows<'g, P, M> {
+    graph: &'g Graph,
+    data: &'g Dataset<P, M>,
+}
+
+impl<'g, P, M: Metric<P>> Rows<'g> for MetricRows<'g, P, M> {
+    #[inline]
+    fn row(&self, v: u32) -> Row<'g> {
+        self.graph.row(v)
+    }
+
+    #[inline]
+    fn dist_of(&self, score: f64) -> f64 {
+        self.data.dist_from_surrogate(score)
+    }
+}
+
+/// A score and the distance it stands for, mapped again only when the score
+/// has moved — a walk re-reads its bound before every band.
+struct Bound {
+    score: f64,
+    dist: f64,
+}
+
+impl Bound {
+    fn unset() -> Self {
+        Bound {
+            score: f64::NAN,
+            dist: f64::NAN,
+        }
+    }
+
+    fn of(&mut self, score: f64, dist_of: impl FnOnce(f64) -> f64) -> f64 {
+        if self.score.to_bits() != score.to_bits() {
+            *self = Bound {
+                score,
+                dist: dist_of(score),
+            };
+        }
+        self.dist
+    }
+}
+
+/// The bands of one row in scanning order (the annulus rule of the module
+/// docs): outward from the band holding `r`, the side whose next band can
+/// hold the nearer candidate first, each side closed for good at the first
+/// band wholly outside `(r - w, r + w)`.
+struct Outward<'g> {
+    row: Row<'g>,
+    r: f64,
+    /// Bands `..lo` and `hi..` are still to scan.
+    lo: usize,
+    hi: usize,
+    /// An un-banded row not yet handed out.
+    whole: bool,
+}
+
+impl<'g> Outward<'g> {
+    /// The scan of `row` from a vertex at distance `r()` of the query; `r`
+    /// is evaluated for a banded row only.
+    fn new(row: Row<'g>, r: impl FnOnce() -> f64) -> Self {
+        let mut scan = Outward {
+            row,
+            r: 0.0,
+            lo: 0,
+            hi: 0,
+            whole: row.exps.is_empty() && !row.targets.is_empty(),
+        };
+        if !row.exps.is_empty() {
+            scan.r = r();
+            let home = band_of(scan.r);
+            scan.lo = row.exps.partition_point(|&e| e < home);
+            scan.hi = scan.lo;
+        }
+        scan
+    }
+
+    /// The next band to scan under the bound `w()` (read only when a band
+    /// is left), `None` when both sides are done.
+    fn next(&mut self, w: impl FnOnce() -> f64) -> Option<&'g [u32]> {
+        if std::mem::take(&mut self.whole) {
+            return Some(self.row.targets);
+        }
+        let bands = self.row.exps.len();
+        if self.lo == 0 && self.hi == bands {
+            return None;
+        }
+        let w = w();
+        // Lower bounds on D(u, q) over the nearest unscanned band of each
+        // side: every u there has D(p, u) < top, resp. >= bottom.
+        let (mut down, mut up) = (f64::INFINITY, f64::INFINITY);
+        if self.lo > 0 {
+            let top = band_lower(self.row.exps[self.lo - 1] + 1);
+            down = self.r - top;
+            if down > w + ANNULUS_SLACK * self.r {
+                self.lo = 0;
+            }
+        }
+        if self.hi < bands {
+            let bottom = band_lower(self.row.exps[self.hi]);
+            up = bottom - self.r;
+            if up > w + ANNULUS_SLACK * bottom {
+                self.hi = bands;
+            }
+        }
+        let band = if self.lo > 0 && (self.hi == bands || down <= up) {
+            self.lo -= 1;
+            self.lo
+        } else if self.hi < bands {
+            self.hi += 1;
+            self.hi - 1
+        } else {
+            return None;
+        };
+        let start = band.checked_sub(1).map_or(0, |b| self.row.ends[b] as usize);
+        Some(&self.row.targets[start..self.row.ends[band] as usize])
+    }
+}
 
 /// The result of running [`greedy`] or [`query`].
 #[derive(Debug, Clone)]
@@ -68,9 +240,19 @@ pub fn greedy<P, M: Metric<P>>(
 /// * The initial `D(p_start, q)` evaluation always happens (the result
 ///   distance must be known), so the effective budget is at least 1.
 ///
+/// On a banded graph each scan follows the annulus rule of the module docs
+/// with `w` = the best neighbor so far, initially `D(cur, q)`: a neighbor
+/// farther from `cur` than `2 D(cur, q)` is never scored. The skipped
+/// neighbors are strictly farther from `q` than the scan's minimum, and the
+/// minimum is taken by `(surrogate, id)`, so result, hops and termination
+/// flag do not depend on the row layout; `dist_comps` only falls, so a
+/// budget that suffices on the plain graph suffices here.
+///
 /// All comparisons run in the metric's monotone surrogate space
 /// ([`Metric::surrogate`] — squared distance under `L_2`, so the per-hop
-/// `sqrt`s disappear); the single reported `result_dist` is mapped back to
+/// `sqrt`s disappear; a banded scan maps `D(cur, q)` and each improved
+/// bound back, a float transform and not a distance computation); the
+/// single reported `result_dist` is mapped back to
 /// the true distance at the end. Each surrogate evaluation counts as one
 /// distance computation, so the accounting is identical to evaluating `D`
 /// directly. Surrogate order refines distance order (equal surrogates map
@@ -87,6 +269,7 @@ pub fn query<P, M: Metric<P>>(
     budget: u64,
 ) -> GreedyOutcome {
     assert!((p_start as usize) < data.len(), "start vertex out of range");
+    let rows = MetricRows { graph, data };
     let mut comps: u64 = 0;
     let mut cur = p_start;
     let mut hops = vec![cur];
@@ -95,18 +278,27 @@ pub fn query<P, M: Metric<P>>(
     let mut s_cur = data.surrogate_to(cur as usize, q);
 
     loop {
-        // Line 3: the out-neighbor of cur closest to q.
+        // Line 3: the out-neighbor of cur closest to q, ties to the smaller
+        // id. Only a neighbor closer than the best so far — to begin with,
+        // than cur itself — can change the outcome, which is the bound the
+        // band scan runs under.
         let mut best: Option<(u32, f64)> = None;
         let mut truncated = false;
-        for &nb in graph.neighbors(cur) {
-            if comps >= budget {
-                truncated = true;
-                break;
-            }
-            comps += 1;
-            let s = data.surrogate_to(nb as usize, q);
-            if best.is_none_or(|(_, bs)| s < bs) {
-                best = Some((nb, s));
+        let mut limit = s_cur;
+        let mut bound = Bound::unset();
+        let mut bands = Outward::new(rows.row(cur), || rows.dist_of(s_cur));
+        'scan: while let Some(band) = bands.next(|| bound.of(limit, |s| rows.dist_of(s))) {
+            for &nb in band {
+                if comps >= budget {
+                    truncated = true;
+                    break 'scan;
+                }
+                comps += 1;
+                let s = data.surrogate_to(nb as usize, q);
+                if best.is_none_or(|(b, bs)| s < bs || (s == bs && nb < b)) {
+                    best = Some((nb, s));
+                    limit = limit.min(s);
+                }
             }
         }
         if truncated {
@@ -339,13 +531,13 @@ impl SearchScratch {
     fn walk<'g, N, S>(
         &mut self,
         n: usize,
-        entries: &[u32],
+        entries: &'g [u32],
         ef: usize,
         neighbors: N,
         score: S,
     ) -> BeamSurrogate
     where
-        N: Fn(u32) -> &'g [u32],
+        N: Rows<'g>,
         S: FnMut(u32) -> f64,
     {
         self.begin(n);
@@ -402,34 +594,44 @@ fn walk_on<'g, B, N, S>(
     mut visited: Visited<'_>,
     frontier: &mut BinaryHeap<Reverse<Cand>>,
     best: &mut B,
-    entries: &[u32],
+    entries: &'g [u32],
     ef: usize,
     neighbors: N,
     mut score: S,
 ) -> BeamSurrogate
 where
     B: Best,
-    N: Fn(u32) -> &'g [u32],
+    N: Rows<'g>,
     S: FnMut(u32) -> f64,
 {
     let mut dist_comps: u64 = 0;
     let mut expansions: u64 = 0;
     // `frontier`: min-heap of candidates to expand; `best`: the best `ef`
     // seen. `worst` mirrors `best.worst()` and is refreshed only when the
-    // set changes, instead of per neighbor.
+    // set changes, instead of per neighbor; `bound` is the distance it
+    // stands for, mapped only when a banded row asks.
     let mut worst = f64::INFINITY;
-    let mut scan: &[u32] = entries;
+    let mut bound = Bound::unset();
+    let mut bands = Outward::new(entries.into(), || 0.0);
     loop {
-        for &v in scan {
-            if !visited.first_visit(v) {
-                continue;
+        // The annulus bound: nothing is ruled out while the beam has room.
+        while let Some(band) = bands.next(|| {
+            if best.len() < ef {
+                return f64::INFINITY;
             }
-            dist_comps += 1;
-            let d = score(v);
-            if best.len() < ef || d < worst {
-                frontier.push(Reverse(Cand(d, v)));
-                best.push(Cand(d, v), ef);
-                worst = best.worst();
+            bound.of(worst, |s| neighbors.dist_of(s))
+        }) {
+            for &v in band {
+                if !visited.first_visit(v) {
+                    continue;
+                }
+                dist_comps += 1;
+                let d = score(v);
+                if best.len() < ef || d < worst {
+                    frontier.push(Reverse(Cand(d, v)));
+                    best.push(Cand(d, v), ef);
+                    worst = best.worst();
+                }
             }
         }
         let Some(Reverse(Cand(d, v))) = frontier.pop() else {
@@ -439,7 +641,7 @@ where
             break;
         }
         expansions += 1;
-        scan = neighbors(v);
+        bands = Outward::new(neighbors.row(v), || neighbors.dist_of(d));
     }
     BeamSurrogate {
         results: best.take_sorted(),
@@ -450,8 +652,11 @@ where
 
 /// The one best-first walk of the workspace (HNSW's `SEARCH-LAYER`): a
 /// width-`ef` beam over vertices `0..n`, started from `entries`, following
-/// `neighbors(v)` and ranking by `score(v)` — lower is better, ties broken
-/// by smaller id. Every other search is a composition of it:
+/// `neighbors(v)` and ranking by `score(v)` — lower is better. A scored vertex
+/// enters the beam while the beam has room or when its score is
+/// **strictly** below the beam's worst, so among equal scores at the beam
+/// boundary the first one scored stays; the returned list is always
+/// ordered by `(score, id)`. Every other search is a composition of it:
 /// [`beam_search_detailed`] scores with the metric surrogate over a
 /// [`Graph`]; [`beam_search_quantized`] scores with a compact store's
 /// surrogate and re-ranks exactly afterwards; the sharded engine merges one
@@ -464,6 +669,22 @@ where
 /// best `<= ef` vertices gathered, ascending by `(score, id)`; fewer than
 /// `ef` only when fewer are reachable.
 ///
+/// **Banded rows** — what [`beam_search_detailed`] and its wrappers read
+/// from a banded [`Graph`]; a `neighbors` closure always yields plain ones
+/// — are scanned by the annulus rule of the module docs with
+/// `w` = the beam's worst kept distance (`∞` while fewer than `ef` are
+/// kept). `w` never increases and every skipped vertex is strictly farther
+/// than `w` when it is skipped, so the plain scan would score and reject
+/// it with no effect on the beam, on the frontier entries that can still
+/// be popped, or on the stop test: after each row both walks hold the same
+/// best-`ef` set and the same poppable frontier. The contract: **banded
+/// and plain walks return bit-identical results and `expansions` whenever
+/// no scored value equals the beam's worst at the moment it is scored**
+/// (there the scan order decides which of the equals stays), and the
+/// banded `dist_comps` is never larger. With such ties the banded result
+/// is still safe: every vertex it skipped is no closer than its final
+/// worst.
+///
 /// The walk's working memory (visited stamps, frontier, result set) is
 /// checked out of a process-wide pool for the length of the call and handed
 /// back after it; the pool's lock is held only for the two hand-overs. A
@@ -475,13 +696,30 @@ where
 /// If `ef == 0` or an entry is `>= n`.
 pub fn beam_walk<'g, N, S>(
     n: usize,
-    entries: &[u32],
+    entries: &'g [u32],
     ef: usize,
     neighbors: N,
     score: S,
 ) -> BeamSurrogate
 where
     N: Fn(u32) -> &'g [u32],
+    S: FnMut(u32) -> f64,
+{
+    walk_rows(n, entries, ef, neighbors, score)
+}
+
+/// [`beam_walk`] over any [`Rows`]: the way in for the banded source, which
+/// only this module builds — whether a walk reads bands is decided by the
+/// graph it is given, never by a caller.
+fn walk_rows<'g, N, S>(
+    n: usize,
+    entries: &'g [u32],
+    ef: usize,
+    neighbors: N,
+    score: S,
+) -> BeamSurrogate
+where
+    N: Rows<'g>,
     S: FnMut(u32) -> f64,
 {
     assert!(ef >= 1, "beam width must be at least 1");
@@ -508,8 +746,9 @@ where
 /// expansion count; this wrapper discards it.
 ///
 /// The walk ([`beam_walk`]) runs in surrogate space (squared distance under
-/// `L_2`; ties still break by id, identically in both spaces); only the `k`
-/// reported distances are mapped back.
+/// `L_2`; the list is ordered by `(surrogate, id)`, which refines
+/// `(distance, id)`); only the `k` reported distances are mapped back — and,
+/// on a banded graph, the few the annulus rule reads its bounds from.
 pub fn beam_search<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -551,11 +790,11 @@ pub(crate) fn beam_search_surrogate<P, M: Metric<P>>(
     ef: usize,
     k: usize,
 ) -> BeamSurrogate {
-    let mut walk = beam_walk(
+    let mut walk = walk_rows(
         data.len(),
         &[p_start],
         ef,
-        |v| graph.neighbors(v),
+        MetricRows { graph, data },
         |v| data.surrogate_to(v as usize, q),
     );
     walk.results.truncate(k);
@@ -570,7 +809,10 @@ pub(crate) fn beam_search_surrogate<P, M: Metric<P>>(
 /// The walk is the same [`beam_walk`], scored with `compact.surrogate(...)`
 /// — the approximate squared distance on the quantized codes — so the hot
 /// loop streams 4 bytes (`pg_metric::F32Points`) or 1 byte
-/// (`pg_metric::Sq8Points`) per coordinate instead of 8. As a separate step
+/// (`pg_metric::Sq8Points`) per coordinate instead of 8. It scans **whole
+/// rows**, banded graph or not: its scores are not distances to the stored
+/// points, so the triangle inequality the annulus rule rests on does not
+/// hold between them and the stored edge lengths. As a separate step
 /// after the walk, the **entire** gathered candidate set (not just the top
 /// `k` by quantized order) is re-scored with exact surrogates from `data`,
 /// sorted by `(exact surrogate, id)`, and only then truncated to `k`.
@@ -1088,6 +1330,175 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A row of five bands — lengths in [0.5, 1), [1, 2), [2, 4), [4, 8)
+    /// and [8, 16) — holding targets 10, 11, 12, 13 and 14, 15.
+    const LADDER: ([u32; 6], [u16; 5], [u32; 5]) = (
+        [10, 11, 12, 13, 14, 15],
+        [1022, 1023, 1024, 1025, 1026],
+        [1, 2, 3, 4, 6],
+    );
+
+    fn ladder_row() -> Row<'static> {
+        Row {
+            targets: &LADDER.0,
+            exps: &LADDER.1,
+            ends: &LADDER.2,
+        }
+    }
+
+    /// The bands `scan` hands out when the bound is `w[i]` before band `i`
+    /// (the last value repeating).
+    fn scanned(mut scan: Outward<'static>, w: &[f64]) -> Vec<&'static [u32]> {
+        let mut out = Vec::new();
+        while let Some(band) = scan.next(|| w[out.len().min(w.len() - 1)]) {
+            out.push(band);
+        }
+        out
+    }
+
+    #[test]
+    fn outward_scan_takes_the_nearer_side_first_and_closes_sides_at_the_annulus() {
+        let from = |r: f64| Outward::new(ladder_row(), || r);
+        let all: [&[u32]; 5] = [&[12], &[11], &[10], &[13], &[14, 15]];
+        // r = 2.5 sits in [2, 4). Gaps: [1, 2) 0.5, [0.5, 1) 1.5, [4, 8) 1.5
+        // (the tie goes down), [8, 16) 5.5.
+        assert_eq!(scanned(from(2.5), &[f64::INFINITY]), all);
+        assert_eq!(scanned(from(2.5), &[6.0]), all);
+        assert_eq!(scanned(from(2.5), &[5.5]), all, "a gap equal to w is kept");
+        assert_eq!(scanned(from(2.5), &[5.4]), all[..4]);
+        assert_eq!(scanned(from(2.5), &[1.5]), all[..4]);
+        assert_eq!(scanned(from(2.5), &[1.4]), all[..2]);
+        assert_eq!(scanned(from(2.5), &[0.5]), all[..2]);
+        assert_eq!(scanned(from(2.5), &[0.4]), all[..1]);
+        assert_eq!(
+            scanned(from(2.5), &[0.0]),
+            all[..1],
+            "the home band is never cut"
+        );
+        // The bound is re-read before each band, and a closed side stays
+        // closed: with w = 1.4 after the first band the far bands go, and
+        // raising w again (a walk never does) does not bring them back.
+        assert_eq!(scanned(from(2.5), &[9.0, 9.0, 1.4, 9.0]), all[..2]);
+        // Within the slack of the bound, a band is kept: 1.5 (1 - 1e-10).
+        assert_eq!(scanned(from(2.5), &[1.5 - 1.5e-10]), all[..4]);
+        // r below every band, above every band, in a gap between two.
+        let up: [&[u32]; 5] = [&[10], &[11], &[12], &[13], &[14, 15]];
+        assert_eq!(scanned(from(0.1), &[f64::INFINITY]), up);
+        assert_eq!(scanned(from(0.1), &[0.95]), up[..2]);
+        let down: [&[u32]; 5] = [&[14, 15], &[13], &[12], &[11], &[10]];
+        assert_eq!(scanned(from(100.0), &[f64::INFINITY]), down);
+        assert_eq!(scanned(from(100.0), &[91.9]), down[..1]);
+        assert_eq!(scanned(from(100.0), &[83.9]), Vec::<&[u32]>::new());
+        let gap_row = Row {
+            targets: &LADDER.0[..2],
+            exps: &[1020, 1030],
+            ends: &[1, 2],
+        };
+        let got = scanned(Outward::new(gap_row, || 3.0), &[f64::INFINITY]);
+        assert_eq!(got, [&[10u32][..], &[11][..]]);
+        // A NaN distance or bound rules nothing out.
+        assert_eq!(scanned(from(f64::NAN), &[1.0]).len(), 5);
+        assert_eq!(scanned(from(2.5), &[f64::NAN]).len(), 5);
+    }
+
+    #[test]
+    fn an_unbanded_row_is_one_band_and_asks_for_no_distance() {
+        let none = || -> f64 { panic!("no distance is mapped for a plain row") };
+        let plain: &[u32] = &[3, 1, 2];
+        assert_eq!(scanned(Outward::new(plain.into(), none), &[0.0]), [plain]);
+        let empty: &[u32] = &[];
+        let mut scan = Outward::new(empty.into(), none);
+        assert!(scan.next(none).is_none());
+    }
+
+    fn plane_dataset(n: usize, seed: u64) -> Dataset<Vec<f64>, Euclidean> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let point = |_| vec![rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)];
+        Dataset::new((0..n).map(point).collect(), Euclidean)
+    }
+
+    #[test]
+    fn banded_walk_skips_only_what_the_plain_walk_scores_and_rejects() {
+        let n = 600;
+        let data = plane_dataset(n, 5);
+        let banded = crate::gnet::GNet::build_fast(&data, 1.0).graph;
+        let plain = banded.without_bands();
+        let mut saved = 0;
+        for (i, ef) in [1usize, 3, 16, 32, 33, 64, n].into_iter().enumerate() {
+            let q = vec![13.0 * i as f64 + 0.37, 91.0 - 11.0 * i as f64];
+            let entry = [(i * 97 % n) as u32];
+            let scorer = |log: &mut Vec<u32>, v: u32| {
+                log.push(v);
+                data.surrogate_to(v as usize, &q)
+            };
+            let (mut seen_b, mut seen_p) = (Vec::new(), Vec::new());
+            let rows = MetricRows {
+                graph: &banded,
+                data: &data,
+            };
+            let b = walk_rows(n, &entry, ef, rows, |v| scorer(&mut seen_b, v));
+            let p = beam_walk(
+                n,
+                &entry,
+                ef,
+                |v| plain.neighbors(v),
+                |v| scorer(&mut seen_p, v),
+            );
+            assert_eq!(b.results, p.results, "ef = {ef}");
+            assert_eq!(b.expansions, p.expansions, "ef = {ef}");
+            assert_eq!(b.dist_comps, seen_b.len() as u64);
+            // Every vertex the banded walk scored, the plain walk scored;
+            // what it skipped is strictly beyond the final worst.
+            let worst = b.results.last().unwrap().1;
+            for v in &seen_b {
+                assert!(
+                    seen_p.contains(v),
+                    "ef = {ef}: {v} scored by the banded walk only"
+                );
+            }
+            for &v in seen_p.iter().filter(|v| !seen_b.contains(v)) {
+                assert!(data.surrogate_to(v as usize, &q) > worst, "ef = {ef}: {v}");
+            }
+            saved += seen_p.len() - seen_b.len();
+            // The public wrappers take the same two walks.
+            let det = beam_search_detailed(&banded, &data, entry[0], &q, ef, ef);
+            assert_eq!(det.dist_comps, b.dist_comps);
+
+            let (gb, gp) = (
+                greedy(&banded, &data, entry[0], &q),
+                greedy(&plain, &data, entry[0], &q),
+            );
+            assert_eq!((gb.result, &gb.hops), (gp.result, &gp.hops));
+            assert_eq!(gb.result_dist, gp.result_dist);
+            assert!(gb.dist_comps < gp.dist_comps);
+            // A budget that suffices on the plain rows suffices on the bands.
+            let budgeted = query(&banded, &data, entry[0], &q, gp.dist_comps);
+            assert!(budgeted.self_terminated);
+            assert_eq!(budgeted.hops, gp.hops);
+        }
+        assert!(saved > 100, "the bands saved only {saved} scores");
+    }
+
+    #[test]
+    fn greedy_takes_the_smallest_id_among_equally_near_neighbors_in_any_row_order() {
+        // Vertex 0 at the origin sees 1..=4 at the corners of a square the
+        // query is the centre of, filed under two bands in the order 3, 4,
+        // 1, 2 (lengths 1, 1, then 2.2, 2.2 from vertex 0's point of view).
+        let pts = [[0.0, 0.0], [3.0, 1.0], [3.0, -1.0], [1.0, 1.0], [1.0, -1.0]];
+        let data = Dataset::new(pts.iter().map(|p| p.to_vec()).collect(), Euclidean);
+        let plain = Graph::from_adjacency(vec![vec![1, 2, 3, 4], vec![], vec![], vec![], vec![]]);
+        let banded = plain.with_bands(&data);
+        assert_eq!(banded.neighbors(0), &[3, 4, 1, 2]);
+        let q = vec![2.0, 0.0];
+        for g in [&plain, &banded] {
+            let out = greedy(g, &data, 0, &q);
+            assert_eq!(out.hops, vec![0, 1]);
+            assert_eq!(out.dist_comps, 5);
+        }
     }
 
     #[test]

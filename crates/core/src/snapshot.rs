@@ -19,6 +19,11 @@
 //! (see `ARCHITECTURE.md` at the repository root for the byte-level format
 //! spec and the layout rationale).
 //!
+//! A banded graph (`G_net`; see [`graph`](crate::graph)) is saved with its
+//! band ladder as format version 3 and reloads banded, so the loaded engine
+//! matches the saved one in `dist_comps` too; an un-banded graph writes the
+//! version 1/2 bytes it always did.
+//!
 //! What is *not* stored: the net hierarchy, the thread count, and any
 //! `Counting` instrumentation. A loaded engine serves queries (which need
 //! only the graph and the points); rebuilding or extending the index needs
@@ -60,7 +65,9 @@ use pg_metric::{
     Chebyshev, CompactPoints, Euclidean, F32Points, FlatPoints, FlatRow, Manhattan, Metric,
     Quantized, Sq8Points,
 };
-use pg_store::{BuildParams, IndexMeta, MetricTag, QuantSection, Snapshot, SnapshotError};
+use pg_store::{
+    BandSection, BuildParams, IndexMeta, MetricTag, QuantSection, Snapshot, SnapshotError,
+};
 
 use crate::engine::QueryEngine;
 use crate::graph::Graph;
@@ -324,6 +331,17 @@ impl<P: AsRef<[f64]>, M: Metric<P> + SnapshotMetric> QueryEngine<P, M> {
             targets: self.graph().csr_targets().to_vec(),
             coords,
             quant: None,
+            // A banded graph stays banded across the disk (format version
+            // 3), with or without `build` params: the ladder is part of the
+            // graph, and `dist_comps` depends on it.
+            bands: self
+                .graph()
+                .band_ladder()
+                .map(|(offsets, exps, ends)| BandSection {
+                    offsets: offsets.iter().map(|&o| o as u64).collect(),
+                    exps: exps.to_vec(),
+                    ends: ends.to_vec(),
+                }),
         };
         snap.validate()?;
         Ok(snap)
@@ -490,7 +508,9 @@ impl<M: Metric<FlatRow> + SnapshotMetric> QueryEngine<FlatRow, M> {
 
     /// Reconstructs an engine from an in-memory [`Snapshot`]. The graph- and
     /// buffer-level invariants are (re-)established here through
-    /// [`Graph::try_from_csr`] and `FlatPoints::try_from_raw` — untrusted
+    /// [`Graph::try_from_csr`] (or [`Graph::try_from_banded_csr`] when the
+    /// snapshot carries a band ladder — the loaded graph is then banded like
+    /// the saved one) and `FlatPoints::try_from_raw` — untrusted
     /// hand-built snapshots are as safe as files, without repeating the full
     /// [`Snapshot::validate`] scan a file read already performed.
     pub fn from_snapshot(snap: Snapshot) -> Result<(Self, IndexMeta), SnapshotError> {
@@ -513,17 +533,30 @@ impl<M: Metric<FlatRow> + SnapshotMetric> QueryEngine<FlatRow, M> {
             targets,
             coords,
             quant: _,
+            bands,
         } = snap;
-        let offsets: Vec<usize> = offsets
-            .into_iter()
-            .map(|o| {
-                o.try_into().map_err(|_| SnapshotError::Invalid {
-                    reason: format!("offset {o} exceeds addressable memory"),
+        let addressable = |offsets: Vec<u64>| -> Result<Vec<usize>, SnapshotError> {
+            offsets
+                .into_iter()
+                .map(|o| {
+                    o.try_into().map_err(|_| SnapshotError::Invalid {
+                        reason: format!("offset {o} exceeds addressable memory"),
+                    })
                 })
-            })
-            .collect::<Result<_, _>>()?;
-        let graph = Graph::try_from_csr(offsets, targets)
-            .map_err(|reason| SnapshotError::Invalid { reason })?;
+                .collect()
+        };
+        let offsets = addressable(offsets)?;
+        let graph = match bands {
+            None => Graph::try_from_csr(offsets, targets),
+            Some(b) => Graph::try_from_banded_csr(
+                offsets,
+                targets,
+                addressable(b.offsets)?,
+                b.exps,
+                b.ends,
+            ),
+        }
+        .map_err(|reason| SnapshotError::Invalid { reason })?;
         let points = FlatPoints::try_from_raw(coords, meta.dims as usize)
             .map_err(|reason| SnapshotError::Invalid { reason })?;
         // try_from_csr / try_from_raw cover everything but the O(1)

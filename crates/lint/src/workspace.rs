@@ -22,12 +22,11 @@ pub const NO_PANIC_PATHS: &[&str] = &[
 /// (`surrogate-discipline` applies): raw `.dist(` calls here would
 /// silently undo the PR 3 squared-space optimization. The quantized
 /// compare path (PR 10) lives in `search.rs`/`engine.rs` and the compact
-/// kernels in `metric/quant.rs`; the reorder pass must stay distance-free.
+/// kernels in `metric/quant.rs`.
 pub const SURROGATE_PATHS: &[&str] = &[
     "crates/core/src/search.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/sharded.rs",
-    "crates/core/src/reorder.rs",
     "crates/metric/src/quant.rs",
 ];
 

@@ -23,7 +23,7 @@
 //! (`QueryEngine::save` / `QueryEngine::load`) and re-validates the
 //! graph-level invariants on load.
 //!
-//! # File format (versions 1 and 2)
+//! # File format (versions 1, 2 and 3)
 //!
 //! Everything is **little-endian**. The byte-level layout table lives in
 //! `ARCHITECTURE.md` at the repository root (§ "Index snapshots"); in
@@ -41,6 +41,12 @@
 //! stays loadable forever. A typed loader whose quantization expectation
 //! disagrees with the file gets [`SnapshotError::QuantMismatch`], never a
 //! panic.
+//!
+//! Version 3 appends one more framed section, `BAND`, after the version 1
+//! **or** version 2 body: the band ladder of a graph whose rows are stored
+//! by edge-length band ([`BandSection`]; `GRPH`'s rows are then in band
+//! order). A snapshot without a ladder still writes version 1 or 2,
+//! byte-for-byte.
 //!
 //! Corrupt, truncated, or incompatible files **never panic and never yield
 //! a partially-read index**: every failure is a typed [`SnapshotError`],
@@ -70,6 +76,7 @@
 //!     targets: vec![1, 2, 0, 0],
 //!     coords: vec![0.0, 0.0, 3.0, 4.0, 0.0, 1.0],
 //!     quant: None,
+//!     bands: None,
 //! };
 //! let bytes = snap.to_bytes().unwrap();
 //! let back = Snapshot::from_bytes(&bytes).unwrap();
@@ -89,15 +96,20 @@ pub const MAGIC: [u8; 8] = *b"PGIXSNAP";
 /// quantized section — the original three-section layout, byte-for-byte.
 ///
 /// Versioning rule: readers accept exactly the versions they know
-/// (currently `1` and [`FORMAT_VERSION_QUANT`]) and reject anything newer
+/// (currently `1`, [`FORMAT_VERSION_QUANT`] and [`FORMAT_VERSION_BANDS`])
+/// and reject anything newer
 /// with [`SnapshotError::UnsupportedVersion`] — a new layout means a
 /// version bump, never a silent reinterpretation of old bytes.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// The snapshot format version written when a quantized-points section
-/// ([`QuantSection`]; tag `PN32` or `PNQ8`) is appended after `PNTS`. The
-/// newest version this crate reads.
+/// ([`QuantSection`]; tag `PN32` or `PNQ8`) is appended after `PNTS`.
 pub const FORMAT_VERSION_QUANT: u32 = 2;
+
+/// The snapshot format version written when the graph is banded: the
+/// version 1 or version 2 body with one [`BandSection`] (tag `BAND`)
+/// appended — four or five sections. The newest version this crate reads.
+pub const FORMAT_VERSION_BANDS: u32 = 3;
 
 /// Bytes of the fixed file header: magic + `format_version` +
 /// `section_count`.
@@ -202,8 +214,9 @@ impl fmt::Display for MetricTag {
     }
 }
 
-/// The sections of a snapshot, in file order. Versions 1 and 2 share the
-/// first three; version 2 appends exactly one of the two quantized tags.
+/// The sections of a snapshot, in file order. Every version shares the
+/// first three; version 2 appends exactly one of the two quantized tags;
+/// version 3 appends `BAND` to either body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionTag {
     /// `META`: index metadata ([`IndexMeta`]).
@@ -218,6 +231,9 @@ pub enum SectionTag {
     /// `PNQ8` (the "PNTSQ8" section): 8-bit scalar-quantized codes with
     /// per-dimension affine parameters — version 2 only.
     PointsSq8,
+    /// `BAND`: the band ladder of a banded graph ([`BandSection`]) —
+    /// version 3 only, always last.
+    Bands,
     /// `MANI`: the single checksummed payload of a [`ShardManifest`] file
     /// (not a section of `PGIXSNAP` snapshots — named here so manifest
     /// corruption reports through the same [`SnapshotError::ChecksumMismatch`]).
@@ -233,6 +249,7 @@ impl SectionTag {
             SectionTag::Points => *b"PNTS",
             SectionTag::Points32 => *b"PN32",
             SectionTag::PointsSq8 => *b"PNQ8",
+            SectionTag::Bands => *b"BAND",
             SectionTag::Manifest => *b"MANI",
         }
     }
@@ -340,6 +357,25 @@ impl QuantSection {
     }
 }
 
+/// The payload of a version-3 `BAND` section: the band ladder of a graph
+/// whose rows are stored by edge-length band, exactly as `pg_core`'s `Graph`
+/// holds it. Row `v` owns entries `offsets[v]..offsets[v + 1]` of `exps` and
+/// `ends`: its bands (biased binary exponents of the edge lengths, strictly
+/// ascending, `<= 0x7ff`) and where each ends inside the row (counted from
+/// the row's start, strictly increasing, the last one the row's degree).
+/// With a ladder present, [`Snapshot::targets`] lists each row in band order,
+/// ids ascending inside a band.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BandSection {
+    /// Ladder offsets, length `n + 1`, `offsets[0] == 0`, non-decreasing,
+    /// ending at the band count.
+    pub offsets: Vec<u64>,
+    /// The band of every run.
+    pub exps: Vec<u16>,
+    /// The end of every run within its row.
+    pub ends: Vec<u32>,
+}
+
 /// Everything a snapshot stores, in memory: metadata plus the raw CSR and
 /// coordinate arrays. See the module docs for the invariants
 /// ([`Snapshot::validate`] checks them on both the write and the read path).
@@ -360,6 +396,10 @@ pub struct Snapshot {
     /// byte-identical to snapshots from before quantization existed;
     /// `Some` writes version 2 with the extra section appended.
     pub quant: Option<QuantSection>,
+    /// The band ladder of a banded graph. `None` leaves the version (1 or
+    /// 2) and every byte as they were; `Some` writes version 3 with the
+    /// ladder appended last.
+    pub bands: Option<BandSection>,
 }
 
 /// Every way reading or writing a snapshot can fail. No variant is ever
@@ -418,7 +458,7 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::UnsupportedVersion { found } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported version {FORMAT_VERSION_QUANT}"
+                "snapshot format version {found} is newer than the supported version {FORMAT_VERSION_BANDS}"
             ),
             SnapshotError::Truncated { context } => {
                 write!(f, "snapshot truncated while reading {context}")
@@ -592,7 +632,9 @@ fn push_f64(buf: &mut Vec<u8>, v: f64) {
 impl Snapshot {
     /// Serializes into the on-disk byte layout — version 1 when
     /// [`Snapshot::quant`] is `None` (byte-identical to pre-quantization
-    /// writers), version 2 with the quantized section appended otherwise.
+    /// writers), version 2 with the quantized section appended otherwise;
+    /// version 3, the same body plus the `BAND` section, when
+    /// [`Snapshot::bands`] is `Some`.
     /// Runs [`Snapshot::validate`] first, so a structurally broken
     /// `Snapshot` is refused at write time rather than producing an
     /// unreadable file.
@@ -608,7 +650,7 @@ impl Snapshot {
             (SectionTag::Graph, graph),
             (SectionTag::Points, points),
         ];
-        let version = match &self.quant {
+        let mut version = match &self.quant {
             None => FORMAT_VERSION,
             Some(q) => {
                 framed.push((
@@ -618,6 +660,10 @@ impl Snapshot {
                 FORMAT_VERSION_QUANT
             }
         };
+        if let Some(bands) = &self.bands {
+            framed.push((SectionTag::Bands, encode_bands(bands, self.meta.n)));
+            version = FORMAT_VERSION_BANDS;
+        }
 
         let total = HEADER_LEN
             + framed.len() * SECTION_HEADER_LEN
@@ -814,6 +860,74 @@ impl Snapshot {
                 }
             }
         }
+        match &self.bands {
+            None => Ok(()),
+            Some(bands) => self.validate_bands(bands),
+        }
+    }
+
+    /// The ladder half of [`Snapshot::validate`] (the CSR offsets are already
+    /// vetted): shape of the three arrays, then per row strictly ascending
+    /// bands and strictly increasing ends that stop at the row's degree.
+    /// What needs the targets row by row — ids ascending inside a band, no
+    /// id in two bands — is re-validated by the typed loader in `pg_core`,
+    /// with the other graph-level invariants.
+    fn validate_bands(&self, bands: &BandSection) -> Result<(), SnapshotError> {
+        if bands.offsets.len() != self.offsets.len() {
+            return Err(invalid(format!(
+                "band offsets length {} does not match n + 1 = {}",
+                bands.offsets.len(),
+                self.offsets.len()
+            )));
+        }
+        if bands.ends.len() != bands.exps.len() {
+            return Err(invalid(format!(
+                "{} band ends for {} bands",
+                bands.ends.len(),
+                bands.exps.len()
+            )));
+        }
+        if bands.offsets.first() != Some(&0) {
+            return Err(invalid("band offsets must start at 0"));
+        }
+        if bands.offsets.last() != Some(&(bands.exps.len() as u64)) {
+            return Err(invalid(format!(
+                "final band offset does not match band count {}",
+                bands.exps.len()
+            )));
+        }
+        let rows = bands.offsets.windows(2).zip(self.offsets.windows(2));
+        for (v, (ladder, row)) in rows.enumerate() {
+            let (&[from, to], &[start, end]) = (ladder, row) else {
+                continue; // windows(2) yields exactly 2-element slices
+            };
+            // `to <= band count` for every row once the offsets are
+            // non-decreasing and end there, so the slices below exist.
+            if from > to || to > bands.exps.len() as u64 {
+                return Err(invalid("band offsets must be non-decreasing"));
+            }
+            let ladder = from as usize..to as usize;
+            let exps = bands.exps.get(ladder.clone()).unwrap_or_default();
+            let ends = bands.ends.get(ladder).unwrap_or_default();
+            if exps.windows(2).any(|w| matches!(w, [a, b] if a >= b))
+                || exps.last().is_some_and(|&e| e > 0x7ff)
+            {
+                return Err(invalid(format!(
+                    "bands of row {v} are not strictly ascending exponents"
+                )));
+            }
+            if ends.first() == Some(&0) || ends.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
+                return Err(invalid(format!(
+                    "band ends of row {v} are not strictly increasing"
+                )));
+            }
+            if ends.last().map_or(0, |&e| u64::from(e)) != end - start {
+                return Err(invalid(format!(
+                    "band ladder of row {v} does not end at its degree {}",
+                    end - start
+                )));
+            }
+        }
         Ok(())
     }
 
@@ -834,24 +948,40 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = cur.u32("format version")?;
-        if version != FORMAT_VERSION && version != FORMAT_VERSION_QUANT {
+        if !(FORMAT_VERSION..=FORMAT_VERSION_BANDS).contains(&version) {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
         let sections = cur.u32("section count")?;
-        let expect_sections = if version == FORMAT_VERSION { 3 } else { 4 };
-        if sections != expect_sections {
-            return Err(invalid(format!(
-                "version {version} snapshots have exactly {expect_sections} sections, found {sections}"
-            )));
-        }
+        // The version dictates the sections: 3 for a plain body, one more
+        // for a quantized store, and version 3 is either body plus `BAND`.
+        let (has_quant, has_bands) = match (version, sections) {
+            (FORMAT_VERSION, 3) => (false, false),
+            (FORMAT_VERSION_QUANT, 4) => (true, false),
+            (FORMAT_VERSION_BANDS, 4) => (false, true),
+            (FORMAT_VERSION_BANDS, 5) => (true, true),
+            (FORMAT_VERSION_BANDS, _) => {
+                return Err(invalid(format!(
+                    "version {version} snapshots have 4 or 5 sections, found {sections}"
+                )));
+            }
+            _ => {
+                let expect_sections = version + 2;
+                return Err(invalid(format!(
+                    "version {version} snapshots have exactly {expect_sections} sections, found {sections}"
+                )));
+            }
+        };
 
         let meta_payload = cur.section(SectionTag::Meta)?;
         let graph_payload = cur.section(SectionTag::Graph)?;
         let points_payload = cur.section(SectionTag::Points)?;
-        let quant_framed = if version == FORMAT_VERSION_QUANT {
-            Some(cur.quant_section()?)
-        } else {
-            None
+        let quant_framed = match has_quant {
+            true => Some(cur.quant_section()?),
+            false => None,
+        };
+        let bands_payload = match has_bands {
+            true => Some(cur.section(SectionTag::Bands)?),
+            false => None,
         };
         if cur.pos != bytes.len() {
             return Err(invalid(format!(
@@ -867,6 +997,10 @@ impl Snapshot {
             None => None,
             Some((tag, payload)) => Some(decode_quant(tag, payload, &meta)?),
         };
+        let bands = match bands_payload {
+            None => None,
+            Some(payload) => Some(decode_bands(payload, &meta)?),
+        };
 
         let snap = Snapshot {
             meta,
@@ -874,6 +1008,7 @@ impl Snapshot {
             targets,
             coords,
             quant,
+            bands,
         };
         snap.validate()?;
         Ok(snap)
@@ -895,8 +1030,8 @@ impl Snapshot {
     }
 
     /// Approximate in-memory footprint of the index this snapshot describes
-    /// (CSR arrays as `pg_core::Graph` holds them, the coordinate buffer,
-    /// and one 24-byte `FlatRow` handle per point) — the comparison partner
+    /// (CSR arrays and band ladder as `pg_core::Graph` holds them, the
+    /// coordinate buffer, and one 24-byte `FlatRow` handle per point) — the comparison partner
     /// for the on-disk size in `exp_snapshot`.
     pub fn in_memory_bytes(&self) -> u64 {
         let usize_bytes = std::mem::size_of::<usize>() as u64;
@@ -907,11 +1042,15 @@ impl Snapshot {
                 (mins.len() as u64) * 8 + (steps.len() as u64) * 8 + codes.len() as u64
             }
         };
+        let bands = self.bands.as_ref().map_or(0, |b| {
+            (b.offsets.len() as u64) * usize_bytes + (b.exps.len() as u64) * 6
+        });
         (self.offsets.len() as u64) * usize_bytes
             + (self.targets.len() as u64) * 4
             + (self.coords.len() as u64) * 8
             + self.meta.n * 24
             + quant
+            + bands
     }
 }
 
@@ -929,6 +1068,13 @@ impl<'a> Cursor<'a> {
         let out = &self.bytes[self.pos..self.pos + len];
         self.pos += len;
         Ok(out)
+    }
+
+    fn u16(&mut self, context: &'static str) -> Result<u16, SnapshotError> {
+        Ok(u16::from_le_bytes(
+            // pg-lint: allow(no-panic-path, take(2) returns exactly 2 bytes; try_into cannot fail)
+            self.take(2, context)?.try_into().unwrap(),
+        ))
     }
 
     fn u32(&mut self, context: &'static str) -> Result<u32, SnapshotError> {
@@ -1229,6 +1375,76 @@ fn decode_quant(
     }
 }
 
+/// Encodes a `BAND` section payload: `n: u64`, the band count `B: u64`,
+/// `n + 1` ladder offsets (`u64`), `B` bands (`u16`), `B` ends (`u32`).
+fn encode_bands(bands: &BandSection, n: u64) -> Vec<u8> {
+    let mut p = Vec::with_capacity(16 + 8 * bands.offsets.len() + 6 * bands.exps.len());
+    push_u64(&mut p, n);
+    push_u64(&mut p, bands.exps.len() as u64);
+    for &o in &bands.offsets {
+        push_u64(&mut p, o);
+    }
+    for &e in &bands.exps {
+        p.extend_from_slice(&e.to_le_bytes());
+    }
+    for &e in &bands.ends {
+        push_u32(&mut p, e);
+    }
+    p
+}
+
+fn decode_bands(payload: &[u8], meta: &IndexMeta) -> Result<BandSection, SnapshotError> {
+    let mut cur = Cursor {
+        bytes: payload,
+        pos: 0,
+    };
+    let n = cur.u64("bands n")?;
+    if n != meta.n {
+        return Err(invalid(format!(
+            "BAND section stores n = {n}, META stores n = {}",
+            meta.n
+        )));
+    }
+    let count = cur.u64("band count")?;
+    let rows: usize = (n + 1)
+        .try_into()
+        .map_err(|_| invalid("n + 1 exceeds addressable memory"))?;
+    let count: usize = count
+        .try_into()
+        .map_err(|_| invalid("band count exceeds addressable memory"))?;
+    // Exact-size check before any allocation, as for GRPH.
+    let expect = 16usize
+        .checked_add(
+            rows.checked_mul(8)
+                .ok_or_else(|| invalid("band offsets size overflows"))?,
+        )
+        .and_then(|b| b.checked_add(count.checked_mul(6)?))
+        .ok_or_else(|| invalid("BAND section size overflows"))?;
+    if payload.len() != expect {
+        return Err(invalid(format!(
+            "BAND section holds {} bytes, counts imply {expect}",
+            payload.len()
+        )));
+    }
+    let mut offsets = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        offsets.push(cur.u64("band offset")?);
+    }
+    let mut exps = Vec::with_capacity(count);
+    for _ in 0..count {
+        exps.push(cur.u16("band exponent")?);
+    }
+    let mut ends = Vec::with_capacity(count);
+    for _ in 0..count {
+        ends.push(cur.u32("band end")?);
+    }
+    Ok(BandSection {
+        offsets,
+        exps,
+        ends,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Sharded-index manifests
 // ---------------------------------------------------------------------------
@@ -1506,7 +1722,20 @@ mod tests {
             targets: vec![1, 2, 0, 0],
             coords: vec![0.0, 0.0, 3.0, 4.0, -1.5, 0.25],
             quant: None,
+            bands: None,
         }
+    }
+
+    /// The [`sample`] graph with row 0 in two bands and rows 1, 2 in one.
+    fn sample_banded() -> Snapshot {
+        let mut snap = sample();
+        snap.targets = vec![2, 1, 0, 0];
+        snap.bands = Some(BandSection {
+            offsets: vec![0, 2, 3, 4],
+            exps: vec![1023, 1025, 1025, 1023],
+            ends: vec![1, 2, 1, 1],
+        });
+        snap
     }
 
     fn sample_f32() -> Snapshot {
@@ -1560,6 +1789,58 @@ mod tests {
             assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 4);
             assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
         }
+    }
+
+    #[test]
+    fn banded_snapshots_write_version_3_after_either_body() {
+        // Plain body + BAND: 4 sections; quantized body + BAND: 5. Either
+        // way everything before the ladder is the un-banded encoding of the
+        // same arrays, but for the two header fields.
+        for (quant, sections) in [(None, 4u32), (sample_f32().quant, 5)] {
+            let mut banded = sample_banded();
+            banded.quant = quant;
+            let bytes = banded.to_bytes().unwrap();
+            assert_eq!(bytes[8..12], FORMAT_VERSION_BANDS.to_le_bytes());
+            assert_eq!(bytes[12..16], sections.to_le_bytes());
+            assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), banded);
+
+            let mut plain = banded.clone();
+            plain.bands = None;
+            let body = plain.to_bytes().unwrap();
+            assert_eq!(bytes[16..body.len()], body[16..]);
+            let ladder = &bytes[body.len()..];
+            assert_eq!(ladder[..4], *b"BAND");
+            assert_eq!(ladder.len(), SECTION_HEADER_LEN + 16 + 8 * 4 + 6 * 4);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_band_violations() {
+        let bad = |edit: fn(&mut BandSection), why: &str| {
+            let mut snap = sample_banded();
+            edit(snap.bands.as_mut().unwrap());
+            match snap.validate() {
+                Err(SnapshotError::Invalid { reason }) => {
+                    assert!(reason.contains(why), "{reason:?} should mention {why:?}")
+                }
+                other => panic!("{why}: got {other:?}"),
+            }
+            assert!(snap.to_bytes().is_err(), "{why}: refused at write time");
+        };
+        bad(|b| b.offsets.push(4), "n + 1");
+        bad(|b| b.ends.push(1), "band ends for");
+        bad(|b| b.offsets[0] = 1, "start at 0");
+        bad(|b| b.offsets[3] = 3, "band count");
+        bad(|b| b.offsets[1] = 9, "non-decreasing");
+        bad(|b| b.offsets[2] = 1, "non-decreasing");
+        bad(|b| b.exps[1] = 1023, "ascending exponents");
+        bad(|b| b.exps[3] = 0x800, "ascending exponents");
+        bad(|b| b.ends[0] = 0, "strictly increasing");
+        bad(|b| b.ends[0] = 2, "strictly increasing");
+        bad(|b| b.ends[1] = 3, "its degree");
+        bad(|b| b.ends[3] = 2, "its degree");
+        // A row of degree 0 has no bands, and a banded row needs some.
+        bad(|b| b.offsets[1] = 0, "its degree");
     }
 
     #[test]

@@ -45,6 +45,7 @@ fn snapshot(salt: f64) -> Snapshot {
         targets: vec![1, 2, 0, 0],
         coords: vec![0.0, salt, 3.0, 4.0 + salt, 0.0, 1.0],
         quant: None,
+        bands: None,
     }
 }
 

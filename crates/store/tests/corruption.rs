@@ -9,8 +9,8 @@
 //! `pg_core::snapshot`'s tests, closer to the trait that raises it).
 
 use pg_store::{
-    checksum, BuildParams, IndexMeta, MetricTag, QuantSection, QuantTag, SectionTag, Snapshot,
-    SnapshotError, HEADER_LEN, SECTION_HEADER_LEN,
+    checksum, BandSection, BuildParams, IndexMeta, MetricTag, QuantSection, QuantTag, SectionTag,
+    Snapshot, SnapshotError, HEADER_LEN, SECTION_HEADER_LEN,
 };
 
 fn sample() -> Snapshot {
@@ -30,6 +30,7 @@ fn sample() -> Snapshot {
         targets: vec![1, 3, 0, 2, 1, 0],
         coords: (0..12).map(|i| i as f64 * 0.5 - 2.0).collect(),
         quant: None,
+        bands: None,
     }
 }
 
@@ -425,4 +426,155 @@ fn wrong_section_order_is_invalid() {
         }
         other => panic!("got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Version-3 (banded) snapshots, after a plain and after a quantized body:
+// the same sweep — every truncation offset, every flipped payload byte —
+// plus the ladder's own structural checks.
+// ---------------------------------------------------------------------------
+
+/// `base` with its rows split into bands: rows 0 and 1 of the sample graph
+/// get two bands of one target each, rows 2 and 3 one band.
+fn banded(mut base: Snapshot) -> Snapshot {
+    base.bands = Some(BandSection {
+        offsets: vec![0, 2, 4, 5, 6],
+        exps: vec![1020, 1023, 1019, 1024, 1023, 1022],
+        ends: vec![1, 2, 1, 2, 1, 1],
+    });
+    base
+}
+
+/// The banded fixtures: `(sections, bytes)` for a plain and an SQ8 body.
+fn banded_fixtures() -> [(Vec<SectionTag>, Vec<u8>); 2] {
+    let body = vec![SectionTag::Meta, SectionTag::Graph, SectionTag::Points];
+    let plain = [body.clone(), vec![SectionTag::Bands]].concat();
+    let quant = [body, vec![SectionTag::PointsSq8, SectionTag::Bands]].concat();
+    [
+        (plain, banded(sample()).to_bytes().unwrap()),
+        (quant, banded(sample_sq8()).to_bytes().unwrap()),
+    ]
+}
+
+#[test]
+fn every_truncation_point_of_a_banded_snapshot_is_typed() {
+    for (sections, bytes) in banded_fixtures() {
+        for len in 0..bytes.len() {
+            let err = Snapshot::from_bytes(&bytes[..len])
+                .expect_err(&format!("{sections:?}: prefix of {len} bytes parsed"));
+            assert!(
+                matches!(err, SnapshotError::Truncated { .. }),
+                "{sections:?}: prefix of {len} bytes: got {err:?}"
+            );
+        }
+        let full = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+        assert_eq!(full.bands, banded(sample()).bands);
+        assert_eq!(full.quant.is_some(), sections.len() == 5);
+    }
+}
+
+#[test]
+fn every_flipped_payload_byte_of_a_banded_snapshot_is_caught() {
+    for (sections, bytes) in banded_fixtures() {
+        let mut pos = HEADER_LEN;
+        for section in sections {
+            let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+            let payload = pos + SECTION_HEADER_LEN;
+            for i in 0..len {
+                let mut bad = bytes.clone();
+                bad[payload + i] ^= 0x40;
+                match Snapshot::from_bytes(&bad) {
+                    Err(SnapshotError::ChecksumMismatch { section: got }) => {
+                        assert_eq!(got, section, "byte {i} of {section:?}")
+                    }
+                    other => panic!("flipped byte {i} of {section:?}: got {other:?}"),
+                }
+            }
+            pos = payload + len;
+        }
+        assert_eq!(pos, bytes.len());
+    }
+}
+
+#[test]
+fn a_bad_band_ladder_is_invalid_not_a_panic() {
+    for (sections, bytes) in banded_fixtures() {
+        let band = sections.len() - 1;
+        // BAND payload: n u64, B u64, 5 offsets u64, 6 exps u16, 6 ends u32.
+        let (offsets, exps, ends) = (16, 16 + 5 * 8, 16 + 5 * 8 + 6 * 2);
+        let invalid = |offset: usize, value: &[u8], why: &str| {
+            let mut bad = bytes.clone();
+            patch_section(&mut bad, band, offset, value);
+            match Snapshot::from_bytes(&bad) {
+                Err(SnapshotError::Invalid { reason }) => {
+                    assert!(reason.contains(why), "{reason:?} should mention {why:?}")
+                }
+                other => panic!("{why}: got {other:?}"),
+            }
+        };
+        invalid(0, &9u64.to_le_bytes(), "n = ");
+        invalid(8, &7u64.to_le_bytes(), "bytes");
+        invalid(offsets, &1u64.to_le_bytes(), "start at 0");
+        invalid(offsets + 16, &1u64.to_le_bytes(), "non-decreasing");
+        invalid(offsets + 8, &u64::MAX.to_le_bytes(), "non-decreasing");
+        invalid(offsets + 32, &5u64.to_le_bytes(), "band count");
+        // Bands of row 0 out of order, equal, or not an exponent at all.
+        invalid(exps, &1023u16.to_le_bytes(), "ascending exponents");
+        invalid(exps, &1024u16.to_le_bytes(), "ascending exponents");
+        invalid(exps + 2, &0x0800u16.to_le_bytes(), "ascending exponents");
+        // Ends of row 0 not monotone, or not stopping at its degree (2).
+        invalid(ends, &2u32.to_le_bytes(), "strictly increasing");
+        invalid(ends, &0u32.to_le_bytes(), "strictly increasing");
+        invalid(ends + 4, &3u32.to_le_bytes(), "degree");
+        invalid(ends + 4, &u32::MAX.to_le_bytes(), "degree");
+        // Row 2 (degree 1) left with no band: row 1 takes its run.
+        invalid(offsets + 24, &4u64.to_le_bytes(), "degree");
+    }
+}
+
+#[test]
+fn a_band_section_needs_version_3_and_the_last_slot() {
+    let [(_, plain), (_, quant)] = banded_fixtures();
+    // Version 3 with the section count of a version it is not.
+    for (bytes, count, why) in [
+        (&plain, 3u32, "sections"),
+        (&quant, 6, "sections"),
+        // Five sections promised: slot four must then be a quantized store.
+        (&plain, 5, "quantized section"),
+    ] {
+        let mut bad = bytes.clone();
+        bad[12..16].copy_from_slice(&count.to_le_bytes());
+        match Snapshot::from_bytes(&bad) {
+            Err(SnapshotError::Invalid { reason }) => {
+                assert!(reason.contains(why), "reason: {reason}")
+            }
+            other => panic!("count {count}: got {other:?}"),
+        }
+    }
+    // A version-2 header on the four-section banded body: slot four must
+    // be a quantized store.
+    let mut v2 = plain.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    match Snapshot::from_bytes(&v2) {
+        Err(SnapshotError::Invalid { reason }) => {
+            assert!(reason.contains("quantized section"), "reason: {reason}")
+        }
+        other => panic!("v2 header on a banded body: got {other:?}"),
+    }
+    // A version-3 header on a quantized body without a ladder: slot four
+    // must then be BAND.
+    let mut v3 = quant_fixtures()[0].1.clone();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    match Snapshot::from_bytes(&v3) {
+        Err(SnapshotError::Invalid { reason }) => {
+            assert!(reason.contains("expected section BAND"), "reason: {reason}")
+        }
+        other => panic!("v3 header on a v2 body: got {other:?}"),
+    }
+    // Files written before bands existed parse exactly as they did.
+    assert!(Snapshot::from_bytes(&sample_bytes())
+        .unwrap()
+        .bands
+        .is_none());
 }

@@ -73,29 +73,35 @@ proptest! {
         let gf = GNet::build_fast(&flat, 1.0);
         let gn = GNet::build_fast(&nested, 1.0);
         prop_assert_eq!(&gf.graph, &gn.graph);
+        prop_assert!(gf.graph.is_banded());
         flat.metric().reset();
         nested.metric().reset();
 
-        for (i, (qf, qn)) in q_flat.iter().zip(q_nested.iter()).enumerate() {
+        // Both inputs of every walk: the banded graph as built (annulus
+        // scan) and the same edges with the bands stripped (whole rows).
+        let stripped = (gf.graph.without_bands(), gn.graph.without_bands());
+        let inputs = [(&gf.graph, &gn.graph), (&stripped.0, &stripped.1)];
+        let walks = inputs.iter().flat_map(|g| q_flat.iter().zip(&q_nested).enumerate().map(move |w| (g, w)));
+        for (&(graph_f, graph_n), (i, (qf, qn))) in walks {
             let s = starts[i];
-            let a = greedy(&gf.graph, &flat, s, qf);
-            let b = greedy(&gn.graph, &nested, s, qn);
+            let a = greedy(graph_f, &flat, s, qf);
+            let b = greedy(graph_n, &nested, s, qn);
             prop_assert_eq!(a.result, b.result);
             prop_assert_eq!(a.result_dist, b.result_dist);
             prop_assert_eq!(&a.hops, &b.hops);
             prop_assert_eq!(a.dist_comps, b.dist_comps);
             prop_assert_eq!(a.self_terminated, b.self_terminated);
 
-            let a = query(&gf.graph, &flat, s, qf, budget);
-            let b = query(&gn.graph, &nested, s, qn, budget);
+            let a = query(graph_f, &flat, s, qf, budget);
+            let b = query(graph_n, &nested, s, qn, budget);
             prop_assert_eq!(a.result, b.result);
             prop_assert_eq!(a.result_dist, b.result_dist);
             prop_assert_eq!(&a.hops, &b.hops);
             prop_assert_eq!(a.dist_comps, b.dist_comps);
             prop_assert_eq!(a.self_terminated, b.self_terminated);
 
-            let (ra, ca) = beam_search(&gf.graph, &flat, s, qf, ef, k);
-            let (rb, cb) = beam_search(&gn.graph, &nested, s, qn, ef, k);
+            let (ra, ca) = beam_search(graph_f, &flat, s, qf, ef, k);
+            let (rb, cb) = beam_search(graph_n, &nested, s, qn, ef, k);
             prop_assert_eq!(&ra, &rb);
             prop_assert_eq!(ca, cb);
 

@@ -2,12 +2,18 @@
 //! metric axioms, net invariants, greedy monotonicity, PG correctness,
 //! cone covering, and the Appendix E facts used by Lemma 5.1.
 
+use std::sync::Mutex;
+
 use proptest::prelude::*;
-use proximity_graphs::core::{check_navigable, greedy, ConeSet, GNet, ThetaGraph};
+use proptest::test_runner::TestCaseError;
+use proximity_graphs::core::{
+    beam_search_detailed, check_navigable, greedy, ConeSet, GNet, ThetaGraph,
+};
 use proximity_graphs::hardness::{AdversarialMetric, BPoint, BlockInstance};
 use proximity_graphs::metric::metric::axioms;
-use proximity_graphs::metric::{Dataset, Euclidean, Scaled};
+use proximity_graphs::metric::{Chebyshev, Dataset, Euclidean, Manhattan, Metric, Scaled};
 use proximity_graphs::nets::NetHierarchy;
+use proximity_graphs::workloads;
 
 /// Strategy: a set of 5..40 distinct-ish random 2-d points.
 fn small_pointset() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -130,6 +136,218 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The annulus rule: `G_net` as built (rows by edge-length band) against the
+// same edges with the bands stripped (rows scanned whole).
+// ---------------------------------------------------------------------------
+
+/// Beam and greedy walks over `G_net(points)` as built and with its bands
+/// stripped, under `metric`: results, distance bits and `expansions` equal,
+/// `dist_comps` never larger on the banded graph; `greedy` result and hops
+/// equal. The inputs are continuous, so no scored distance ties another.
+/// Returns the distance computations the bands saved.
+fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
+    points: Vec<Vec<f64>>,
+    queries: &[Vec<f64>],
+    metric: M,
+    tag: &str,
+) -> Result<u64, TestCaseError> {
+    let n = points.len();
+    let data = Dataset::new(points, metric);
+    let banded = GNet::build_fast(&data, 1.0).graph;
+    let plain = banded.without_bands();
+    prop_assert!(banded.is_banded() && !plain.is_banded());
+    let mut saved = 0u64;
+    for (i, q) in queries.iter().enumerate() {
+        let entry = ((i * 7919 + n / 3) % n) as u32;
+        for ef in [1, 4, 16, 33, 40, n] {
+            let a = beam_search_detailed(&banded, &data, entry, q, ef, ef);
+            let b = beam_search_detailed(&plain, &data, entry, q, ef, ef);
+            prop_assert_eq!(a.results.len(), b.results.len(), "{}: ef = {}", tag, ef);
+            for (x, y) in a.results.iter().zip(&b.results) {
+                prop_assert_eq!(x.0, y.0, "{}: ef = {}", tag, ef);
+                prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "{}: ef = {}", tag, ef);
+            }
+            prop_assert_eq!(a.expansions, b.expansions, "{}: ef = {}", tag, ef);
+            prop_assert!(a.dist_comps <= b.dist_comps, "{tag}: ef = {ef}");
+            saved += b.dist_comps - a.dist_comps;
+        }
+        let a = greedy(&banded, &data, entry, q);
+        let b = greedy(&plain, &data, entry, q);
+        prop_assert_eq!(a.result, b.result, "{}: greedy", tag);
+        prop_assert_eq!(a.result_dist.to_bits(), b.result_dist.to_bits());
+        prop_assert_eq!(&a.hops, &b.hops, "{}: greedy", tag);
+        prop_assert_eq!(a.self_terminated, b.self_terminated);
+        prop_assert!(a.dist_comps <= b.dist_comps, "{tag}: greedy");
+    }
+    Ok(saved)
+}
+
+/// A point that knows its id, so [`Logged`] can tell which points a walk
+/// scored. The query carries `u32::MAX`.
+#[derive(Debug, Clone, PartialEq)]
+struct Tagged {
+    id: u32,
+    coords: Vec<f64>,
+}
+
+/// `inner` on the coordinates, logging the id of every data point a
+/// distance to the query is taken from.
+struct Logged<M> {
+    inner: M,
+    scored: Mutex<Vec<u32>>,
+}
+
+impl<M> Logged<M> {
+    fn log(&self, a: &Tagged, b: &Tagged) {
+        if b.id == u32::MAX {
+            self.scored.lock().unwrap().push(a.id);
+        }
+    }
+}
+
+impl<M: Metric<Vec<f64>>> Metric<Tagged> for Logged<M> {
+    fn dist(&self, a: &Tagged, b: &Tagged) -> f64 {
+        self.log(a, b);
+        self.inner.dist(&a.coords, &b.coords)
+    }
+    fn surrogate(&self, a: &Tagged, b: &Tagged) -> f64 {
+        self.log(a, b);
+        self.inner.surrogate(&a.coords, &b.coords)
+    }
+    fn dist_from_surrogate(&self, s: f64) -> f64 {
+        self.inner.dist_from_surrogate(s)
+    }
+}
+
+/// What still holds when scored distances tie (the scan order then decides
+/// which of the equals a full beam keeps, so the two layouts may return
+/// different, equally good lists): at `ef >= n` both equal brute force, and
+/// at every `ef` each vertex the banded walk **skipped** — a neighbour of a
+/// vertex it expanded that it never scored — is no closer than its final
+/// worst. Every returned vertex was expanded (it was popped while no worse
+/// than the worst kept), so the neighbours of the result list are checked.
+fn banded_walk_is_safe_under_ties<M: Metric<Vec<f64>> + Sync>(
+    points: Vec<Vec<f64>>,
+    queries: &[Vec<f64>],
+    metric: M,
+    tag: &str,
+) -> Result<(), TestCaseError> {
+    let n = points.len();
+    let tagged = |(id, coords): (usize, &Vec<f64>)| Tagged {
+        id: id as u32,
+        coords: coords.clone(),
+    };
+    let logged = Logged {
+        inner: metric,
+        scored: Mutex::new(Vec::new()),
+    };
+    let data = Dataset::new(points.iter().enumerate().map(tagged).collect(), logged);
+    let banded = GNet::build_fast(&data, 1.0).graph;
+    let plain = banded.without_bands();
+    let scored_by = |graph, entry, q: &Tagged, ef| {
+        data.metric().scored.lock().unwrap().clear();
+        let out = beam_search_detailed(graph, &data, entry, q, ef, ef);
+        let mut scored = vec![false; n];
+        for &v in data.metric().scored.lock().unwrap().iter() {
+            scored[v as usize] = true;
+        }
+        (out, scored)
+    };
+    for (i, coords) in queries.iter().enumerate() {
+        let q = tagged((u32::MAX as usize, coords));
+        let entry = ((i * 31 + 1) % n) as u32;
+        for ef in [1, 2, 4, 16, 33, n, n + 5] {
+            let (out, scored) = scored_by(&banded, entry, &q, ef);
+            let (reference, scored_plain) = scored_by(&plain, entry, &q, ef);
+            prop_assert!(out.dist_comps <= n as u64, "{tag}: a vertex is scored once");
+            if ef >= n {
+                let brute: Vec<(u32, f64)> = data
+                    .k_nearest_brute(&q, n)
+                    .into_iter()
+                    .map(|(v, d)| (v as u32, d))
+                    .collect();
+                prop_assert_eq!(&out.results, &brute, "{}: banded, ef = {}", tag, ef);
+                prop_assert_eq!(&reference.results, &brute, "{}: plain, ef = {}", tag, ef);
+                continue;
+            }
+            let worst = match out.results.len() == ef {
+                true => out.results[ef - 1].1,
+                false => f64::INFINITY, // the beam never filled: nothing may be skipped
+            };
+            for &(p, _) in &out.results {
+                for &u in banded.neighbors(p) {
+                    let d = data
+                        .metric()
+                        .inner
+                        .dist(&data.point(u as usize).coords, coords);
+                    prop_assert!(
+                        scored[u as usize] || d >= worst,
+                        "{tag}: ef = {ef}: skipped {u} at {d} is closer than the worst {worst} \
+                         (plain walk scored it: {})",
+                        scored_plain[u as usize]
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn banded_gnet_walks_are_bit_identical_to_stripped_ones(
+        n in 12usize..140,
+        d_sel in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let d = [1, 2, 3, 8][d_sel];
+        let points = workloads::uniform_cube(n, d, 50.0, seed);
+        let queries = workloads::uniform_queries(4, d, -10.0, 60.0, seed ^ 0xBA2D);
+        let saved = banded_walks_equal_stripped_walks(points.clone(), &queries, Euclidean, "L2")?
+            + banded_walks_equal_stripped_walks(points.clone(), &queries, Manhattan, "L1")?
+            + banded_walks_equal_stripped_walks(points, &queries, Chebyshev, "Linf")?;
+        // Not vacuous: in the plane the rule skips work on all but a
+        // handful of points (in d = 8 a small cube has one length scale).
+        prop_assert!(d > 2 || n < 40 || saved > 0, "the annulus rule never skipped");
+    }
+
+    #[test]
+    fn banded_gnet_walks_stay_safe_on_tie_heavy_inputs(
+        side in 3usize..9,
+        d_sel in 0usize..3,
+        keep in 40u32..100,
+        seed in 0u64..1_000_000,
+    ) {
+        // A lattice with some cells knocked out, queried from lattice and
+        // half-lattice positions: whole shells of points tie exactly, under
+        // every metric. (The net ladder rejects duplicated points, so
+        // equidistant ones are as tie-heavy as a `G_net` input gets.)
+        let d = [1, 2, 3][d_sel];
+        let extent = [4 * side, side, side.min(5)][d_sel];
+        let kept = |cell: usize| {
+            let hash = (seed ^ cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            hash % 100 < u64::from(keep)
+        };
+        let points: Vec<Vec<f64>> = (0..extent.pow(d as u32))
+            .filter(|&cell| kept(cell))
+            .map(|cell| (0..d).map(|j| (cell / extent.pow(j as u32) % extent) as f64).collect())
+            .collect();
+        prop_assume!(points.len() >= 4);
+        let queries: Vec<Vec<f64>> = (0..4)
+            .map(|i| {
+                let half_cell = |j| (seed as usize >> (3 * (i + j))) % (2 * extent);
+                (0..d).map(|j| half_cell(j) as f64 / 2.0).collect()
+            })
+            .collect();
+        banded_walk_is_safe_under_ties(points.clone(), &queries, Euclidean, "L2")?;
+        banded_walk_is_safe_under_ties(points.clone(), &queries, Manhattan, "L1")?;
+        banded_walk_is_safe_under_ties(points, &queries, Chebyshev, "Linf")?;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Appendix E facts (the geometry behind Lemma 5.1), verified numerically.
 // ---------------------------------------------------------------------------
 
@@ -216,7 +434,6 @@ fn navigability_checker_is_consistent_with_greedy_on_random_instances() {
     // OK then exhaustive greedy must agree, and vice versa, across a grid of
     // configurations including broken graphs.
     use proximity_graphs::core::{check_pg_exhaustive, Starts};
-    use proximity_graphs::workloads;
     for seed in 0..5u64 {
         let pts = workloads::uniform_cube(40, 2, 30.0, seed);
         let queries = workloads::uniform_queries(8, 2, -5.0, 35.0, seed + 50);

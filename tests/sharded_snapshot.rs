@@ -45,6 +45,13 @@ fn saved_then_loaded_sharded_engine_answers_bit_identically() {
     let dir = temp_dir("round_trip");
     engine.save(&dir).unwrap();
     let loaded = ShardedEngine::<Euclidean>::load(&dir).unwrap();
+    // Every shard is a `G_net`: banded when built, format version 3 on
+    // disk, banded again when loaded — the `dist_comps` below depend on it.
+    for i in 0..engine.shard_count() {
+        let bytes = std::fs::read(dir.join(shard_file_name(i))).unwrap();
+        assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "shard {i} format version");
+        assert!(engine.shards()[i].graph().is_banded() && loaded.shards()[i].graph().is_banded());
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 
     // The stored structure round-trips exactly…

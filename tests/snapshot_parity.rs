@@ -6,9 +6,10 @@
 //! (`tests/flat_parity.rs`), is allowed to change the wall clock only.
 
 use proptest::prelude::*;
+use proximity_graphs::baselines::{Hnsw, HnswParams};
 use proximity_graphs::core::{GNet, QueryEngine};
 use proximity_graphs::metric::{Euclidean, FlatRow};
-use proximity_graphs::store::MetricTag;
+use proximity_graphs::store::{BandSection, IndexMeta, MetricTag, Snapshot, SnapshotError};
 use proximity_graphs::workloads;
 
 fn thread_counts() -> [usize; 3] {
@@ -42,10 +43,17 @@ proptest! {
         let params = g.params;
         let engine = QueryEngine::new(g.graph, data);
 
+        // A `G_net` engine is banded, and stays so across the disk (format
+        // version 3) whether or not build params ride along.
         let path = temp_path(n, d, seed);
+        engine.save_with(&path, 0, None).unwrap();
+        let bare = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
         engine.save_with(&path, 0, Some(params.into())).unwrap();
+        prop_assert_eq!(&std::fs::read(&path).unwrap()[8..12], &3u32.to_le_bytes()[..]);
         let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load_with_meta(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
+        prop_assert!(engine.graph().is_banded() && loaded.graph().is_banded());
+        prop_assert_eq!(bare.graph(), engine.graph());
 
         // The stored artifacts round-trip exactly.
         prop_assert_eq!(loaded.graph(), engine.graph());
@@ -98,4 +106,130 @@ proptest! {
             prop_assert_eq!(ba.dist_comps, bb.dist_comps);
         }
     }
+}
+
+/// The `gnet2d`-shaped banded sample of the damage tests below, with its
+/// snapshot.
+fn banded_sample() -> (QueryEngine<FlatRow, Euclidean>, Snapshot) {
+    let data = workloads::uniform_cube_flat(70, 2, 40.0, 77).into_dataset(Euclidean);
+    let graph = GNet::build_fast(&data, 1.0).graph;
+    let engine = QueryEngine::new(graph, data);
+    let snap = engine.to_snapshot(0, None).unwrap();
+    (engine, snap)
+}
+
+#[test]
+fn an_unbanded_index_still_writes_version_1_and_2_and_reloads_unbanded() {
+    // The same edges with the bands stripped, and an HNSW ground layer: no
+    // ladder, so the file is the version 1 / 2 layout of before bands
+    // existed and the loaded graph walks whole rows.
+    let (engine, banded_snap) = banded_sample();
+    let (graph, data) = engine.into_parts();
+    let hnsw = Hnsw::build(&data, HnswParams::default()).ground_layer();
+    for graph in [graph.without_bands(), hnsw] {
+        let plain = QueryEngine::new(graph, data.clone());
+        let snap = plain.to_snapshot(0, None).unwrap();
+        assert!(snap.bands.is_none());
+        let bytes = snap.to_bytes().unwrap();
+        assert_eq!(
+            bytes[8..16],
+            [1, 0, 0, 0, 3, 0, 0, 0],
+            "version 1, 3 sections"
+        );
+        let (loaded, _) = QueryEngine::<FlatRow, Euclidean>::from_snapshot(snap).unwrap();
+        assert!(!loaded.graph().is_banded());
+        assert_eq!(loaded.graph(), plain.graph());
+
+        let compact = plain
+            .quantize(proximity_graphs::metric::QuantKind::Sq8)
+            .unwrap();
+        let quant = plain.to_snapshot_quantized(0, None, &compact).unwrap();
+        assert_eq!(quant.to_bytes().unwrap()[8..16], [2, 0, 0, 0, 4, 0, 0, 0]);
+    }
+    // The banded one differs from its stripped twin by row order and the
+    // appended section only.
+    assert!(banded_snap.bands.is_some());
+    assert_eq!(
+        banded_snap.to_bytes().unwrap()[8..16],
+        [3, 0, 0, 0, 4, 0, 0, 0]
+    );
+}
+
+#[test]
+fn a_banded_quantized_snapshot_round_trips_as_version_3_with_five_sections() {
+    let (engine, _) = banded_sample();
+    for kind in [
+        proximity_graphs::metric::QuantKind::F32,
+        proximity_graphs::metric::QuantKind::Sq8,
+    ] {
+        let compact = engine.quantize(kind).unwrap();
+        let snap = engine.to_snapshot_quantized(3, None, &compact).unwrap();
+        let bytes = snap.to_bytes().unwrap();
+        assert_eq!(bytes[8..16], [3, 0, 0, 0, 5, 0, 0, 0]);
+        let back = Snapshot::from_bytes(&bytes).unwrap();
+        let (loaded, loaded_compact, meta) =
+            QueryEngine::<FlatRow, Euclidean>::from_snapshot_quantized(back).unwrap();
+        assert_eq!(loaded.graph(), engine.graph());
+        assert_eq!(loaded_compact, compact);
+        assert_eq!(meta.entry_point, 3);
+    }
+}
+
+#[test]
+fn a_bad_band_ladder_is_a_typed_invalid_never_a_panic() {
+    let (engine, snap) = banded_sample();
+    let load = |snap: Snapshot| QueryEngine::<FlatRow, Euclidean>::from_snapshot(snap);
+    assert_eq!(load(snap.clone()).unwrap().0.graph(), engine.graph());
+    let invalid = |snap: Snapshot, why: &str| match load(snap) {
+        Err(SnapshotError::Invalid { reason }) => {
+            assert!(reason.contains(why), "{reason:?} should mention {why:?}")
+        }
+        other => panic!("{why}: got {:?}", other.map(|(e, _)| e.graph().n())),
+    };
+    // Row 0 has several bands of several targets each on this sample.
+    let row0 = snap.offsets[1] as usize;
+    let ladder0 = snap.bands.as_ref().unwrap().offsets[1] as usize;
+    let first_end = snap.bands.as_ref().unwrap().ends[0] as usize;
+    assert!(ladder0 >= 3 && first_end >= 2 && row0 > first_end + 1);
+
+    // Not monotone: the first two ends swapped.
+    let mut bad = snap.clone();
+    bad.bands.as_mut().unwrap().ends.swap(0, 1);
+    invalid(bad, "strictly increasing");
+    // Not ending at the row's degree.
+    let mut bad = snap.clone();
+    bad.bands.as_mut().unwrap().ends[ladder0 - 1] -= 1;
+    invalid(bad, "degree");
+    // Bands out of order.
+    let mut bad = snap.clone();
+    bad.bands.as_mut().unwrap().exps.swap(0, 1);
+    invalid(bad, "ascending exponents");
+    // Ids not ascending inside a band: its first two targets swapped.
+    let mut bad = snap.clone();
+    bad.targets.swap(0, 1);
+    invalid(bad, "not strictly ascending");
+    // A duplicate across bands, each band ascending on its own: three
+    // points on a line, vertex 0 listing vertex 1 under two lengths.
+    let twice = Snapshot {
+        meta: IndexMeta {
+            metric: MetricTag::Euclidean,
+            dims: 1,
+            n: 3,
+            entry_point: 0,
+            build: None,
+        },
+        offsets: vec![0, 2, 2, 2],
+        targets: vec![1, 1],
+        coords: vec![0.0, 1.0, 5.0],
+        quant: None,
+        bands: Some(BandSection {
+            offsets: vec![0, 2, 2, 2],
+            exps: vec![1023, 1025],
+            ends: vec![1, 2],
+        }),
+    };
+    invalid(twice.clone(), "two bands");
+    let mut fixed = twice;
+    fixed.targets[1] = 2;
+    assert!(load(fixed).unwrap().0.graph().has_edge(0, 2));
 }
