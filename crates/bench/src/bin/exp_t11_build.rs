@@ -16,8 +16,10 @@
 //! graphs are asserted equal on one hierarchy. A second table splits the
 //! fast build's seconds by phase (hierarchy, cascade, candidate tests, CSR
 //! assembly), stamped from [`GNet::build_fast_on_observed`]'s callbacks, at
-//! one and at two threads side by side: the per-phase decomposition of
-//! `pg_ladder`'s `gnet.build_speedup`.
+//! one and at two threads side by side — the per-phase decomposition of
+//! `pg_ladder`'s `gnet.build_speedup` — with the distances per point each
+//! phase computes beside its seconds (the decomposition of
+//! `gnet.build_dists_per_point`; assembly computes none).
 //!
 //! `--save-index PATH` makes this the **offline half** of the experiment
 //! pair: after the sweep, the index at the largest `n` is rebuilt on plain
@@ -35,25 +37,32 @@ use pg_metric::{Counting, Dataset, Euclidean, FlatRow, Metric};
 use pg_nets::NetHierarchy;
 use pg_workloads as workloads;
 
-/// One timed fast build on a pool of `threads`: seconds spent in
-/// (hierarchy, cascade, candidates, assembly).
-fn phase_seconds<M: Metric<FlatRow> + Sync>(
+/// One timed fast build on a pool of `threads`: seconds spent and
+/// distances computed in (hierarchy, cascade, candidates, assembly), the
+/// distances as the growth of `dists_so_far()` (`|| 0` on a metric that
+/// does not count).
+fn phase_split<M: Metric<FlatRow> + Sync>(
     data: &Dataset<FlatRow, M>,
     threads: usize,
-) -> [f64; 4] {
+    dists_so_far: impl Fn() -> u64,
+) -> [(f64, u64); 4] {
     rayon::with_threads(threads, || {
-        let t0 = Instant::now();
+        let mut last = (Instant::now(), dists_so_far());
+        let mut split = [(0.0, 0); 4];
+        let mut lap = |phase: usize| {
+            let now = (Instant::now(), dists_so_far());
+            split[phase].0 += now.0.duration_since(last.0).as_secs_f64();
+            split[phase].1 += now.1 - last.1;
+            last = now;
+        };
         let hierarchy = NetHierarchy::build(data);
-        let mut last = Instant::now();
-        let mut split = [last.duration_since(t0).as_secs_f64(), 0.0, 0.0, 0.0];
+        lap(0);
         let _g = GNet::build_fast_on_observed(data, 1.0, hierarchy, |phase| {
-            let now = Instant::now();
-            split[match phase {
+            lap(match phase {
                 BuildPhase::Cascade => 1,
                 BuildPhase::Candidates => 2,
                 BuildPhase::Assembly => 3,
-            }] += now.duration_since(last).as_secs_f64();
-            last = now;
+            })
         });
         split
     })
@@ -86,10 +95,14 @@ fn main() {
     let mut phases = Table::new(&[
         "n",
         "hierarchy s",
+        "d/pt",
         "cascade s",
+        "d/pt",
         "candidates s",
+        "d/pt",
         "assembly s",
         "total s",
+        "d/pt",
     ]);
     let mut xs = Vec::new();
     let mut fast_d = Vec::new();
@@ -119,19 +132,25 @@ fn main() {
         );
         drop((fast, naive, covertree));
 
-        let fast_secs: f64 = phase_seconds(&data, threads).iter().sum();
+        let counted = phase_split(&data, threads, || data.metric().count());
+        let fast_secs: f64 = counted.iter().map(|&(secs, _)| secs).sum();
         let fd = data.metric().take() as f64;
-        // On the plain metric: two threads bumping `Counting`'s one shared
-        // counter would be timed as a slower cascade.
+        // Timed on the plain metric: two threads bumping `Counting`'s one
+        // shared counter would be timed as a slower cascade.
         let plain = points.into_dataset(Euclidean);
-        let (one, two) = (phase_seconds(&plain, 1), phase_seconds(&plain, 2));
-        let totals = [one.iter().sum::<f64>(), two.iter().sum()];
-        let cells = one.iter().zip(&two).chain([(&totals[0], &totals[1])]);
-        phases.row(
-            std::iter::once(n.to_string())
-                .chain(cells.map(|(a, b)| format!("{a:.3} -> {b:.3} ({:.2}x)", a / b)))
-                .collect(),
-        );
+        let [one, two] = [1, 2].map(|t| phase_split(&plain, t, || 0).map(|(secs, _)| secs));
+        let speedup = |a: f64, b: f64| format!("{a:.3} -> {b:.3} ({:.2}x)", a / b);
+        let per_point = |dists: u64| fmt(dists as f64 / n as f64, 1);
+        let mut row = vec![n.to_string()];
+        for phase in 0..4 {
+            row.push(speedup(one[phase], two[phase]));
+            if phase < 3 {
+                row.push(per_point(counted[phase].1));
+            }
+        }
+        row.push(speedup(one.iter().sum(), two.iter().sum()));
+        row.push(per_point(counted.iter().map(|&(_, dists)| dists).sum()));
+        phases.row(row);
 
         let t0 = Instant::now();
         let _g = GNet::build_naive(&data, 1.0);
@@ -195,9 +214,11 @@ fn main() {
     }
     println!("\nAll three G_net builders produced identical graphs at every n (asserted above).");
 
-    println!("\nFast build, seconds by phase at 1 thread -> at 2 threads (speed-up). Hierarchy");
-    println!("promotion and the prefix sum / ladder join of assembly are sequential; the rest");
-    println!("runs on the pool, one task per block of 1024 centers or points:");
+    println!("\nFast build, seconds by phase at 1 thread -> at 2 threads (speed-up), and the");
+    println!("distances per point the phase computes (thread-invariant; assembly computes");
+    println!("none). Hierarchy promotion and the prefix sum / ladder join of assembly are");
+    println!("sequential; the rest runs on the pool, one task per block of 1024 centers or");
+    println!("points:");
     phases.print();
 
     // ---- Offline half: persist the largest index --------------------------

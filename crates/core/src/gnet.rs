@@ -33,15 +33,19 @@
 //! each level tests only those of its relatives and every edge is found
 //! exactly once — the rows need sorting but no deduplication. The distance
 //! that test computes is the edge's length, so the edge leaves the pass
-//! with its band (the length's binary exponent) beside its target: banding
-//! costs the fast builder no distance computation. The naive and cover-tree
+//! with its band key (the length's binary exponent and top two mantissa
+//! bits — four sub-bands per octave, [`graph`](crate::graph)) beside its
+//! target: banding costs the fast builder no distance computation. The naive and cover-tree
 //! builders recompute the lengths instead ([`Graph::with_bands`], `E`
 //! distances) and must arrive at the same graph.
 //!
 //! Phases, top level down: [`NetHierarchy::build`] promotes centers
 //! sequentially in id order and computes friends lists on the thread pool;
 //! per level, [`RelativesCascade::descend`] (parallel over blocks of 1024
-//! centers, each block one flat `(offsets, items)` pair) and the
+//! centers, each block one flat `(offsets, items)` pair; like the
+//! hierarchy's scans it lets a listed center's distance decide its fresh
+//! children — all in, all out, or tested — which takes a third off the
+//! build's distance count without changing a list) and the
 //! candidate tests (parallel over blocks of 1024 points; a level that
 //! promoted nothing runs none); then one assembly: a sequential prefix sum
 //! over the per-level degrees, a parallel fill of the one CSR `targets`

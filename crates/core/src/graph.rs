@@ -9,15 +9,24 @@
 //!
 //! A builder that knows the length `D(p, u)` of every edge it creates (the
 //! [`GNet`](crate::gnet::GNet) builders) stores each row by **band**: the
-//! band of an edge is the biased binary exponent of its length
-//! (`d.to_bits() >> 52`), so band `e >= 1` holds lengths in
-//! `[2^(e-1023), 2^(e-1022))` and band 0 holds `[0, 2^-1022)` — no anchor,
-//! no table, one rule for every builder and loader. A row lists its bands
-//! in ascending order, ids ascending inside each, and carries a small
-//! ladder of band ends. The walks of [`search`](crate::search) use the
-//! ladder to skip whole bands the triangle inequality rules out. Every
-//! other graph is *un-banded*: its rows are one run ascending by id, and
-//! the walks scan them whole.
+//! band key of an edge is the leading bits of its length — the biased
+//! binary exponent and the top `resolution` mantissa bits,
+//! `d.to_bits() >> (52 - resolution)` — so at resolution 2 an octave
+//! `[2^e, 2^(e+1))` is cut into the four sub-bands
+//! `[1, 1.25, 1.5, 1.75, 2) · 2^e`, and at resolution 0 it is one band.
+//! Keys are ordered as the lengths are, so `band_lower(key + 1)` is the
+//! exclusive top of band `key`, across the exponent carry too — no anchor,
+//! no table, and the key is a shift of bits the builder already holds
+//! (equal-ratio steps `2^(j/4)` would need a logarithm per edge and a table
+//! per walk for bands 5 % tighter at best). A row lists its bands in
+//! ascending order, ids ascending inside each, and carries a small ladder
+//! of band ends; the ladder records the resolution it was cut at
+//! ([`BandLadder`]). This crate's builders cut at resolution 2 (chosen by
+//! the sweep in EXPERIMENTS.md § Distances (PR 24)); a stored ladder keeps
+//! the resolution it was written with and is never re-cut. The walks of
+//! [`search`](crate::search) use the ladder to skip whole bands the
+//! triangle inequality rules out. Every other graph is *un-banded*: its
+//! rows are one run ascending by id, and the walks scan them whole.
 
 use pg_metric::{Dataset, Metric};
 
@@ -32,43 +41,73 @@ use pg_metric::{Dataset, Metric};
 pub struct Graph {
     offsets: Vec<usize>,
     targets: Vec<u32>,
-    bands: Option<Bands>,
+    bands: Option<BandLadder>,
 }
 
 /// The band ladders of a banded graph, all rows back to back: row `v` owns
-/// entries `offsets[v]..offsets[v + 1]` of `exps` and `ends`.
+/// entries `offsets[v]..offsets[v + 1]` of `exps` and `ends`. What
+/// [`Graph::band_ladder`] shows and [`Graph::try_from_banded_csr`] checks.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Bands {
-    offsets: Vec<usize>,
-    /// The band of each run, strictly ascending within a row.
-    exps: Vec<u16>,
+pub struct BandLadder {
+    /// Mantissa bits in a band key (see the module docs), at most
+    /// [`BandLadder::MAX_RESOLUTION`].
+    pub resolution: u8,
+    /// Ladder offsets, length `n + 1`.
+    pub offsets: Vec<usize>,
+    /// The band key of each run, strictly ascending within a row.
+    pub exps: Vec<u16>,
     /// Where each run ends, counted from the start of its row: strictly
     /// increasing within a row, the last one the row's degree.
-    ends: Vec<u32>,
+    pub ends: Vec<u32>,
 }
 
-/// The band of an edge of length `d >= 0`: the biased exponent field of the
-/// `f64`, so `band_lower(b) <= d < band_lower(b + 1)`.
+impl BandLadder {
+    /// The finest resolution a ladder may declare: eight sub-bands per
+    /// octave (what a snapshot can store).
+    pub const MAX_RESOLUTION: u8 = pg_store::MAX_BAND_RESOLUTION;
+}
+
+/// The resolution this crate's builders cut ladders at.
+const BUILD_RESOLUTION: u8 = 2;
+
+/// The band key of a length `d >= 0` at `resolution`: its exponent field
+/// and top mantissa bits, so
+/// `band_lower(b, resolution) <= d < band_lower(b + 1, resolution)`.
+#[inline]
+pub(crate) fn band_key(d: f64, resolution: u8) -> u16 {
+    ((d.to_bits() >> (52 - resolution)) & ((0x800 << resolution) - 1)) as u16
+}
+
+/// The largest key a ladder at `resolution` may hold: the key of
+/// `INFINITY`, one past that of the largest finite length.
+#[inline]
+fn largest_key(resolution: u8) -> u16 {
+    0x7ff << resolution
+}
+
+/// [`band_key`] at the resolution of this crate's builders: the band a
+/// builder files an edge of length `d` under.
 #[inline]
 pub(crate) fn band_of(d: f64) -> u16 {
-    ((d.to_bits() >> 52) & 0x7ff) as u16
+    band_key(d, BUILD_RESOLUTION)
 }
 
-/// The smallest length of band `b <= 0x7ff` (`0.0` for band 0, `INFINITY`
-/// for `0x7ff`).
+/// The smallest length of band `b` at `resolution` (`0.0` for band 0,
+/// `INFINITY` for the key of `INFINITY`, the largest a ladder may hold).
 #[inline]
-pub(crate) fn band_lower(b: u16) -> f64 {
-    f64::from_bits(u64::from(b) << 52)
+pub(crate) fn band_lower(b: u16, resolution: u8) -> f64 {
+    f64::from_bits(u64::from(b) << (52 - resolution))
 }
 
 /// One adjacency row as the walks read it: the targets, and — on a banded
-/// graph — the ladder that cuts them into bands. A plain slice converts
-/// into the one-run row of an un-banded graph.
+/// graph — the ladder that cuts them into bands, with its resolution. A
+/// plain slice converts into the one-run row of an un-banded graph.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Row<'g> {
     pub(crate) targets: &'g [u32],
     pub(crate) exps: &'g [u16],
     pub(crate) ends: &'g [u32],
+    pub(crate) resolution: u8,
 }
 
 impl<'g> From<&'g [u32]> for Row<'g> {
@@ -77,6 +116,7 @@ impl<'g> From<&'g [u32]> for Row<'g> {
             targets,
             exps: &[],
             ends: &[],
+            resolution: 0,
         }
     }
 }
@@ -267,7 +307,7 @@ impl Graph {
             let (slice, tail) = rest.split_at_mut(offsets[first + rows_of(b)] - offsets[first]);
             // What the block's job leaves: its rows' ladder (offsets
             // block-local, no leading 0) and what it found wrong.
-            jobs.push((slice, passes, Bands::default(), Ok(())));
+            jobs.push((slice, passes, BandLadder::default(), Ok(())));
             rest = tail;
         }
         rayon::par_for_each_mut(&mut jobs, |b, (slice, passes, ladder, checked)| {
@@ -310,9 +350,10 @@ impl Graph {
             }
         });
 
-        let mut bands = Bands {
+        let mut bands = BandLadder {
+            resolution: BUILD_RESOLUTION,
             offsets: Vec::with_capacity(n + 1),
-            ..Bands::default()
+            ..BandLadder::default()
         };
         bands.offsets.push(0);
         for (_, _, ladder, checked) in jobs {
@@ -340,18 +381,31 @@ impl Graph {
     /// # Panics
     /// If the graph's vertex count differs from the dataset size.
     pub fn with_bands<P, M: Metric<P>>(&self, data: &Dataset<P, M>) -> Graph {
+        self.with_bands_at(data, BUILD_RESOLUTION)
+    }
+
+    /// [`Graph::with_bands`] at any resolution.
+    pub(crate) fn with_bands_at<P, M: Metric<P>>(
+        &self,
+        data: &Dataset<P, M>,
+        resolution: u8,
+    ) -> Graph {
         assert_eq!(self.n(), data.len(), "graph and dataset sizes must match");
         let mut targets = vec![0u32; self.targets.len()];
-        let mut bands = Bands {
+        let mut bands = BandLadder {
+            resolution,
             offsets: Vec::with_capacity(self.n() + 1),
-            ..Bands::default()
+            ..BandLadder::default()
         };
         bands.offsets.push(0);
         let (mut row_bands, mut counts) = (Vec::<u16>::new(), Vec::new());
         for v in 0..self.n() {
             let row = self.neighbors(v as u32);
             row_bands.clear();
-            row_bands.extend(row.iter().map(|&t| band_of(data.dist(v, t as usize))));
+            let keys = row
+                .iter()
+                .map(|&t| band_key(data.dist(v, t as usize), resolution));
+            row_bands.extend(keys);
             let out = &mut targets[self.offsets[v]..self.offsets[v + 1]];
             lay_row(
                 row,
@@ -389,42 +443,50 @@ impl Graph {
     }
 
     /// [`Graph::try_from_csr`] for a banded graph: the CSR arrays with rows
-    /// in `(band, id)` order plus the three ladder arrays
-    /// ([`Graph::band_ladder`]). On top of the CSR checks, every row's
-    /// ladder must have strictly ascending bands `<= 0x7ff` and strictly
-    /// increasing ends whose last is the row's degree (none for an empty
-    /// row), every band must be strictly ascending by id, and no target may
-    /// appear in two bands of one row. What cannot be checked without the
-    /// points is that the bands are the *true* exponents of the edge
-    /// lengths; a wrong one costs a walk candidates, never memory safety.
+    /// in `(band, id)` order plus the ladder ([`Graph::band_ladder`]). On
+    /// top of the CSR checks, the ladder's resolution must be at most
+    /// [`BandLadder::MAX_RESOLUTION`], every row's ladder must have strictly
+    /// ascending band keys no larger than the key of `INFINITY` at that
+    /// resolution and strictly increasing ends whose last is the row's
+    /// degree (none for an empty row), every band must be strictly
+    /// ascending by id, and no target may appear in two bands of one row.
+    /// What cannot be checked without the points is that the bands are the
+    /// *true* keys of the edge lengths; a wrong one costs a walk candidates,
+    /// never memory safety.
     pub fn try_from_banded_csr(
         offsets: Vec<usize>,
         targets: Vec<u32>,
-        band_offsets: Vec<usize>,
-        band_exps: Vec<u16>,
-        band_ends: Vec<u32>,
+        ladder: BandLadder,
     ) -> Result<Graph, String> {
         let n = check_offsets(&offsets, targets.len(), "offset", "edge")?;
-        if band_ends.len() != band_exps.len() {
+        if ladder.resolution > BandLadder::MAX_RESOLUTION {
+            return Err(format!(
+                "band resolution {} above the largest supported, {}",
+                ladder.resolution,
+                BandLadder::MAX_RESOLUTION
+            ));
+        }
+        if ladder.ends.len() != ladder.exps.len() {
             return Err(format!(
                 "{} band ends for {} bands",
-                band_ends.len(),
-                band_exps.len()
+                ladder.ends.len(),
+                ladder.exps.len()
             ));
         }
-        if check_offsets(&band_offsets, band_exps.len(), "band offset", "band")? != n {
+        if check_offsets(&ladder.offsets, ladder.exps.len(), "band offset", "band")? != n {
             return Err(format!(
                 "band offsets describe {} rows, the graph has {n}",
-                band_offsets.len() - 1
+                ladder.offsets.len() - 1
             ));
         }
+        let largest = largest_key(ladder.resolution);
         let mut in_row = vec![false; n];
         for v in 0..n {
             let row = &targets[offsets[v]..offsets[v + 1]];
-            let ladder = band_offsets[v]..band_offsets[v + 1];
-            let (exps, ends) = (&band_exps[ladder.clone()], &band_ends[ladder]);
-            if exps.windows(2).any(|w| w[0] >= w[1]) || exps.last().is_some_and(|&e| e > 0x7ff) {
-                return Err(format!("bands of {v} not strictly ascending exponents"));
+            let run = ladder.offsets[v]..ladder.offsets[v + 1];
+            let (exps, ends) = (&ladder.exps[run.clone()], &ladder.ends[run]);
+            if exps.windows(2).any(|w| w[0] >= w[1]) || exps.last().is_some_and(|&e| e > largest) {
+                return Err(format!("bands of {v} not strictly ascending band keys"));
             }
             if ends.last().map_or(0, |&e| e as usize) != row.len() {
                 return Err(format!(
@@ -453,11 +515,7 @@ impl Graph {
         Ok(Graph {
             offsets,
             targets,
-            bands: Some(Bands {
-                offsets: band_offsets,
-                exps: band_exps,
-                ends: band_ends,
-            }),
+            bands: Some(ladder),
         })
     }
 
@@ -480,14 +538,10 @@ impl Graph {
         self.bands.is_some()
     }
 
-    /// The raw ladder arrays of a banded graph, `None` on an un-banded one:
-    /// `(band_offsets, band_exps, band_ends)` — row `v`'s ladder is entries
-    /// `band_offsets[v]..band_offsets[v + 1]` of the other two; see
-    /// [`Graph::try_from_banded_csr`], their serialization counterpart.
-    pub fn band_ladder(&self) -> Option<(&[usize], &[u16], &[u32])> {
-        self.bands
-            .as_ref()
-            .map(|b| (&b.offsets[..], &b.exps[..], &b.ends[..]))
+    /// The ladder of a banded graph, `None` on an un-banded one — the
+    /// serialization counterpart of [`Graph::try_from_banded_csr`].
+    pub fn band_ladder(&self) -> Option<&BandLadder> {
+        self.bands.as_ref()
     }
 
     /// The empty graph on `n` vertices.
@@ -544,6 +598,7 @@ impl Graph {
             let ladder = b.offsets[v as usize]..b.offsets[v as usize + 1];
             row.exps = &b.exps[ladder.clone()];
             row.ends = &b.ends[ladder];
+            row.resolution = b.resolution;
         }
         row
     }
@@ -852,10 +907,11 @@ mod tests {
             let rows: Vec<&[u32]> = (0..5).map(|v| g.neighbors(v)).collect();
             let want: [&[u32]; 5] = [&[1, 3, 4], &[0, 2], &[], &[], &[0, 1, 2]];
             assert_eq!(rows, want, "{threads} threads");
-            let (offsets, exps, ends) = g.band_ladder().unwrap();
-            assert_eq!(offsets, [0, 2, 3, 3, 3, 5]);
-            assert_eq!(exps, [7, 9, 5, 3, 8]);
-            assert_eq!(ends, [2, 3, 2, 1, 3]);
+            let ladder = g.band_ladder().unwrap();
+            assert_eq!(ladder.resolution, BUILD_RESOLUTION);
+            assert_eq!(ladder.offsets, [0, 2, 3, 3, 3, 5]);
+            assert_eq!(ladder.exps, [7, 9, 5, 3, 8]);
+            assert_eq!(ladder.ends, [2, 3, 2, 1, 3]);
             let runs: Vec<(u16, &[u32])> = g.runs(4).collect();
             assert_eq!(runs, [(3, &[0][..]), (8, &[1, 2][..])]);
         }
@@ -876,22 +932,69 @@ mod tests {
     }
 
     #[test]
-    fn band_of_is_the_binary_exponent_and_band_lower_its_inverse() {
+    fn band_key_is_the_leading_bits_and_band_lower_its_inverse_at_every_resolution() {
+        // Resolution 0: the binary exponent.
         for (d, e) in [(1.0, 0), (1.5, 0), (2.0, 1), (7.9, 2), (0.5, -1), (0.3, -2)] {
-            assert_eq!(i32::from(band_of(d)), 1023 + e, "{d}");
+            assert_eq!(i32::from(band_key(d, 0)), 1023 + e, "{d}");
         }
-        assert_eq!(band_of(0.0), 0);
-        assert_eq!(
-            band_of(f64::MIN_POSITIVE / 2.0),
-            0,
-            "subnormals share band 0"
-        );
-        assert_eq!(band_of(f64::INFINITY), 0x7ff);
-        assert_eq!(band_lower(0), 0.0);
-        assert_eq!(band_lower(0x7ff), f64::INFINITY);
-        for d in [1e-300, 0.7, 1.0, 3.0, 1e300] {
-            let b = band_of(d);
-            assert!(band_lower(b) <= d && d < band_lower(b + 1), "{d}");
+        // Resolution 2: quarter steps of the mantissa inside the octave.
+        for (d, quarter) in [
+            (1.0, 0),
+            (1.24, 0),
+            (1.25, 1),
+            (1.5, 2),
+            (1.75, 3),
+            (1.99, 3),
+        ] {
+            assert_eq!(band_key(d, 2), (1023 << 2) + quarter, "{d}");
+            assert_eq!(band_key(8.0 * d, 2), (1026 << 2) + quarter, "{d} * 8");
+        }
+        assert_eq!(band_of(1.5), band_key(1.5, BUILD_RESOLUTION));
+        let largest_finite = f64::MAX;
+        for res in 0..=BandLadder::MAX_RESOLUTION {
+            let sub_bands = 1u16 << res;
+            assert_eq!(band_key(0.0, res), 0, "resolution {res}");
+            assert_eq!(band_lower(0, res), 0.0);
+            // Subnormals share the zero exponent, cut like any other.
+            assert_eq!(band_key(f64::MIN_POSITIVE / 2.0, res), sub_bands / 2);
+            assert!(band_key(f64::MIN_POSITIVE / 1024.0, res) == 0);
+            assert_eq!(band_key(f64::MIN_POSITIVE, res), sub_bands);
+            // Infinity has the largest key a ladder may hold, the largest
+            // finite length the one before it.
+            assert_eq!(band_key(f64::INFINITY, res), largest_key(res));
+            assert_eq!(band_lower(largest_key(res), res), f64::INFINITY);
+            assert_eq!(band_key(largest_finite, res), largest_key(res) - 1);
+            // Round trip, and the half-open interval — across the exponent
+            // carry from the last sub-band of an octave (1.75·2^e at
+            // resolution 2) into the next octave too.
+            let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+            let lengths = [
+                1e-310,
+                1e-300,
+                0.7,
+                1.0,
+                1.75,
+                below(2.0),
+                2.0,
+                3.0,
+                3.5,
+                3.75,
+                below(4.0),
+                1e300,
+                largest_finite,
+            ];
+            for d in lengths {
+                let b = band_key(d, res);
+                assert_eq!(band_key(band_lower(b, res), res), b, "{d} at {res}");
+                assert!(
+                    band_lower(b, res) <= d && d < band_lower(b + 1, res),
+                    "{d} at resolution {res}"
+                );
+                assert_eq!(b >> res, band_key(d, 0), "the octave of {d}");
+            }
+            let last_of_octave = band_key(below(4.0), res);
+            assert_eq!(band_lower(last_of_octave + 1, res), 4.0);
+            assert_eq!(band_key(4.0, res), last_of_octave + 1);
         }
     }
 
@@ -911,9 +1014,11 @@ mod tests {
         assert!(g.is_banded() && !plain.is_banded());
         assert_ne!(g, plain, "layout is part of equality");
         assert_eq!(g.csr_offsets(), plain.csr_offsets());
-        // Band 0 (length 0), then 2^0, 2^1 (ids ascending inside), 2^6.
-        assert_eq!(g.neighbors(0), &[5, 1, 2, 3, 4]);
-        let runs: Vec<(u16, &[u32])> = g.runs(0).collect();
+        // At one band per octave: band 0 (length 0), then 2^0, 2^1 (ids
+        // ascending inside), 2^6.
+        let octaves = plain.with_bands_at(&data, 0);
+        assert_eq!(octaves.neighbors(0), &[5, 1, 2, 3, 4]);
+        let runs: Vec<(u16, &[u32])> = octaves.runs(0).collect();
         assert_eq!(
             runs,
             [
@@ -921,6 +1026,22 @@ mod tests {
                 (1023, &[1][..]),
                 (1024, &[2, 3][..]),
                 (1029, &[4][..])
+            ]
+        );
+        assert_ne!(octaves, g, "the resolution is part of the layout");
+        assert_eq!(octaves.without_bands(), plain);
+        // At the build resolution 2.5 and 3 part ways: [2.5, 3) and [3, 3.5).
+        assert_eq!(g.band_ladder().unwrap().resolution, BUILD_RESOLUTION);
+        assert_eq!(g.neighbors(0), &[5, 1, 3, 2, 4]);
+        let runs: Vec<(u16, &[u32])> = g.runs(0).collect();
+        assert_eq!(
+            runs,
+            [
+                (0, &[5][..]),
+                (1023 << 2, &[1][..]),
+                ((1024 << 2) + 1, &[3][..]),
+                ((1024 << 2) + 2, &[2][..]),
+                ((1029 << 2) + 2, &[4][..])
             ]
         );
         assert_eq!(g.runs(2).count(), 0);
@@ -934,22 +1055,22 @@ mod tests {
         assert!(g.memory_bytes() > plain.memory_bytes());
         // Banding is idempotent and survives its own serialization arrays.
         assert_eq!(g.with_bands(&data), g);
-        let (bo, be, bn) = g.band_ladder().unwrap();
-        let back = Graph::try_from_banded_csr(
-            g.csr_offsets().to_vec(),
-            g.csr_targets().to_vec(),
-            bo.to_vec(),
-            be.to_vec(),
-            bn.to_vec(),
-        );
-        assert_eq!(back.unwrap(), g);
+        for banded in [&g, &octaves] {
+            let back = Graph::try_from_banded_csr(
+                banded.csr_offsets().to_vec(),
+                banded.csr_targets().to_vec(),
+                banded.band_ladder().unwrap().clone(),
+            );
+            assert_eq!(&back.unwrap(), banded);
+        }
     }
 
     #[test]
     fn with_bands_reproduces_the_fast_builders_layout() {
-        // The fast builder files each edge under the exponent of the one
+        // The fast builder files each edge under the key of the one
         // distance its candidate test computes; recomputing them from the
-        // stripped graph must give the same graph, ladder and all.
+        // stripped graph must give the same graph, ladder and all — at the
+        // build resolution, which the ladder records.
         use crate::gnet::GNet;
         use pg_metric::{Chebyshev, Euclidean, Manhattan};
         use rand::rngs::StdRng;
@@ -965,10 +1086,15 @@ mod tests {
         fn check<M: Metric<Vec<f64>> + Sync>(points: Vec<Vec<f64>>, metric: M) {
             let data = Dataset::new(points, metric);
             let built = GNet::build_fast(&data, 1.0).graph;
-            let (offsets, exps, _) = built.band_ladder().unwrap();
-            assert!(exps.len() > 3 * built.n(), "several bands per row");
-            assert_eq!(offsets.len(), built.n() + 1);
+            let ladder = built.band_ladder().unwrap();
+            assert_eq!(ladder.resolution, BUILD_RESOLUTION);
+            assert!(ladder.exps.len() > 3 * built.n(), "several bands per row");
+            assert_eq!(ladder.offsets.len(), built.n() + 1);
             assert_eq!(built.without_bands().with_bands(&data), built);
+            // One band per octave is a coarser cut of the same rows.
+            let octaves = built.with_bands_at(&data, 0);
+            assert!(octaves.band_ladder().unwrap().exps.len() < ladder.exps.len());
+            assert_eq!(octaves.without_bands(), built.without_bands());
             // Every edge sits in the band of its length.
             for v in 0..built.n() as u32 {
                 for (band, run) in built.runs(v) {
@@ -988,7 +1114,7 @@ mod tests {
         let data = line(&[0.0, 1.0, 3.0, -2.5]);
         let plain = Graph::from_adjacency(vec![vec![1, 2, 3], vec![0, 2], vec![], vec![0]]);
         let g = plain.with_bands(&data);
-        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+        assert_eq!(g.neighbors(0), &[1, 3, 2], "lengths 1, 2.5, 3");
         assert_eq!(g.neighbors(1), &[0, 2]);
         let other = Graph::from_adjacency(vec![vec![], vec![3], vec![0], vec![]]);
         assert_eq!(g.union(&other), plain.union(&other));
@@ -1010,17 +1136,29 @@ mod tests {
         let offsets = vec![0, 3, 4, 4, 4];
         let targets = vec![1, 3, 2, 0];
         let (bo, be, bn) = (vec![0, 2, 3, 3, 3], vec![5, 9, 5], vec![2, 3, 1]);
-        let build = |t: &[u32], bo: &[usize], be: &[u16], bn: &[u32]| {
-            Graph::try_from_banded_csr(
-                offsets.clone(),
-                t.to_vec(),
-                bo.to_vec(),
-                be.to_vec(),
-                bn.to_vec(),
-            )
+        let build_at = |resolution: u8, t: &[u32], bo: &[usize], be: &[u16], bn: &[u32]| {
+            let ladder = BandLadder {
+                resolution,
+                offsets: bo.to_vec(),
+                exps: be.to_vec(),
+                ends: bn.to_vec(),
+            };
+            Graph::try_from_banded_csr(offsets.clone(), t.to_vec(), ladder)
         };
+        let build = |t: &[u32], bo: &[usize], be: &[u16], bn: &[u32]| build_at(0, t, bo, be, bn);
         let ok = build(&targets, &bo, &be, &bn).unwrap();
         assert_eq!(ok.neighbors(0), &[1, 3, 2]);
+        // The same arrays are a ladder at any resolution up to the largest,
+        // whose largest key grows with it.
+        for res in 0..=BandLadder::MAX_RESOLUTION {
+            let top = 0x7ff << res;
+            let at = build_at(res, &targets, &bo, &[5, top, 5], &bn).unwrap();
+            assert_eq!(at.band_ladder().unwrap().resolution, res);
+            let err = build_at(res, &targets, &bo, &[5, top + 1, 5], &bn).unwrap_err();
+            assert!(err.contains("ascending band keys"), "{err:?}");
+        }
+        let err = build_at(BandLadder::MAX_RESOLUTION + 1, &targets, &bo, &be, &bn).unwrap_err();
+        assert!(err.contains("band resolution 4"), "{err:?}");
 
         let bad = |t: &[u32], bo: &[usize], be: &[u16], bn: &[u32], why: &str| {
             let err = build(t, bo, be, bn).expect_err(why);
@@ -1032,10 +1170,10 @@ mod tests {
         bad(&targets, &[0, 2, 3, 3], &be, &bn, "rows");
         bad(&targets, &[1, 2, 3, 3, 3], &be, &bn, "start at 0");
         bad(&targets, &[0, 3, 2, 3, 3], &be, &bn, "non-decreasing");
-        // Bands not ascending, or not a biased exponent.
-        bad(&targets, &bo, &[9, 5, 5], &bn, "ascending exponents");
-        bad(&targets, &bo, &[5, 5, 5], &bn, "ascending exponents");
-        bad(&targets, &bo, &[5, 0x800, 5], &bn, "ascending exponents");
+        // Bands not ascending, or past the key of infinity.
+        bad(&targets, &bo, &[9, 5, 5], &bn, "ascending band keys");
+        bad(&targets, &bo, &[5, 5, 5], &bn, "ascending band keys");
+        bad(&targets, &bo, &[5, 0x800, 5], &bn, "ascending band keys");
         // Ends not monotone, past the row, or short of the degree.
         bad(&[1, 2, 3, 0], &bo, &be, &[3, 3, 1], "strictly increasing");
         bad(&targets, &bo, &be, &[0, 3, 1], "strictly increasing");

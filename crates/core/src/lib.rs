@@ -70,7 +70,7 @@ pub mod theta;
 pub use dynamic::{DynamicAnswer, DynamicGNet, DynamicStats};
 pub use engine::{BatchBeamDetail, BatchOutcome, QueryEngine};
 pub use gnet::{gnet_edges_with_phi, BuildPhase, GNet, GNetIndependent};
-pub use graph::{Graph, GraphBuilder};
+pub use graph::{BandLadder, Graph, GraphBuilder};
 pub use merged::{MergedGraph, MergedParams};
 pub use navigability::{check_navigable, check_pg_exhaustive, Starts, Violation};
 pub use params::GNetParams;

@@ -12,29 +12,21 @@
 //! banded [`Graph`] (rows stored by edge-length band, see
 //! [`graph`](crate::graph)) the walks therefore scan a row's bands
 //! **outward** from the one holding `r` — nearest candidates first, which
-//! shrinks `w` soonest — re-read `w` before each band, and close a side at
-//! the first band wholly outside the annulus. The cut keeps a relative
-//! slack (`1e-9`, `ANNULUS_SLACK`) so rounding in the three computed distances
-//! can never skip a candidate the plain scan would keep. An un-banded row
-//! is the one-band case: it is scanned whole and no distance is ever
-//! mapped back from a score.
+//! shrinks `w` soonest — re-read `w` before each run of bands (a band, or
+//! a few slivers of one octave and side taken together), and close a side
+//! at the first band wholly outside the annulus. The cut keeps a relative
+//! slack (`1e-9`, [`ANNULUS_SLACK`]) so rounding in the three computed
+//! distances can never skip a candidate the plain scan would keep. An
+//! un-banded row is the one-band case: it is scanned whole and no distance
+//! is ever mapped back from a score.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use pg_metric::{Dataset, Metric, Quantized};
+use pg_metric::{Dataset, Metric, Quantized, ANNULUS_SLACK};
 
-use crate::graph::{band_lower, band_of, Graph, Row};
-
-/// Relative slack of the annulus cut: a band is skipped only when its gap to
-/// `r` exceeds `w` by more than this fraction of the larger of the two
-/// lengths compared. The `L_p` kernels compute a distance to within
-/// `≈ d · 2⁻⁵³` of its value, seven orders of magnitude inside the slack;
-/// a metric whose computed values break the triangle inequality by more
-/// (e.g. `arccos`-based angles below `10⁻⁴` rad, resolved to `≈ 10⁻⁸`
-/// absolute) may lose candidates within that error of the bound.
-const ANNULUS_SLACK: f64 = 1e-9;
+use crate::graph::{band_key, band_lower, Graph, Row};
 
 /// Where a walk reads adjacency rows: the neighbour source of the loop
 /// behind [`beam_walk`].
@@ -105,10 +97,19 @@ impl Bound {
     }
 }
 
+/// A run grows over the next sub-band of its octave while it holds fewer
+/// targets than this — one cache line of ids: handing out a shorter run
+/// costs more in the step than re-reading the bound can save in scores.
+const RUN_TARGETS: usize = 16;
+
 /// The bands of one row in scanning order (the annulus rule of the module
 /// docs): outward from the band holding `r`, the side whose next band can
 /// hold the nearer candidate first, each side closed for good at the first
-/// band wholly outside `(r - w, r + w)`.
+/// band wholly outside `(r - w, r + w)`. Bands are handed out in **runs**:
+/// one band, grown over the following sub-bands of the same side and
+/// octave that pass under the same `w`, while the run is shorter than
+/// [`RUN_TARGETS`]. A ladder at resolution 0 has no sub-bands, so its runs
+/// are its bands.
 struct Outward<'g> {
     row: Row<'g>,
     r: f64,
@@ -132,15 +133,58 @@ impl<'g> Outward<'g> {
         };
         if !row.exps.is_empty() {
             scan.r = r();
-            let home = band_of(scan.r);
+            let home = band_key(scan.r, row.resolution);
             scan.lo = row.exps.partition_point(|&e| e < home);
             scan.hi = scan.lo;
         }
         scan
     }
 
-    /// The next band to scan under the bound `w()` (read only when a band
-    /// is left), `None` when both sides are done.
+    /// Lower bound on `D(u, q)` over band `lo - 1`, the nearest unscanned
+    /// one below: every `u` there has `D(p, u) < top`.
+    #[inline]
+    fn gap_below(&self) -> f64 {
+        let top = band_lower(self.row.exps[self.lo - 1] + 1, self.row.resolution);
+        self.r - top
+    }
+
+    /// The smallest length of band `hi`, the nearest unscanned one above:
+    /// every `u` there has `D(u, q) >= bottom - r`.
+    #[inline]
+    fn bottom_above(&self) -> f64 {
+        band_lower(self.row.exps[self.hi], self.row.resolution)
+    }
+
+    /// Whether band `lo - 1` lies wholly outside the annulus under `w`.
+    #[inline]
+    fn below_is_out(&self, w: f64) -> bool {
+        self.gap_below() > w + ANNULUS_SLACK * self.r
+    }
+
+    /// Whether band `hi` lies wholly outside the annulus under `w`.
+    #[inline]
+    fn above_is_out(&self, w: f64) -> bool {
+        let bottom = self.bottom_above();
+        bottom - self.r > w + ANNULUS_SLACK * bottom
+    }
+
+    /// Whether bands `a` and `b` are sub-bands of one octave.
+    #[inline]
+    fn same_octave(&self, a: usize, b: usize) -> bool {
+        let octave = |band: usize| self.row.exps[band] >> self.row.resolution;
+        octave(a) == octave(b)
+    }
+
+    /// Where band `band` starts in the row.
+    #[inline]
+    fn start_of(&self, band: usize) -> usize {
+        band.checked_sub(1).map_or(0, |b| self.row.ends[b] as usize)
+    }
+
+    /// The next run to scan under the bound `w()` (read only when a band
+    /// is left), `None` when both sides are done. Only the side about to be
+    /// taken is held against `w`: the other one's cut can wait until its
+    /// turn, because `w` never grows and a side stays closed.
     fn next(&mut self, w: impl FnOnce() -> f64) -> Option<&'g [u32]> {
         if std::mem::take(&mut self.whole) {
             return Some(self.row.targets);
@@ -150,34 +194,45 @@ impl<'g> Outward<'g> {
             return None;
         }
         let w = w();
-        // Lower bounds on D(u, q) over the nearest unscanned band of each
-        // side: every u there has D(p, u) < top, resp. >= bottom.
-        let (mut down, mut up) = (f64::INFINITY, f64::INFINITY);
-        if self.lo > 0 {
-            let top = band_lower(self.row.exps[self.lo - 1] + 1);
-            down = self.r - top;
-            if down > w + ANNULUS_SLACK * self.r {
-                self.lo = 0;
+        loop {
+            // The side whose nearest unscanned band has the smaller gap to
+            // `r`; the lower one on a tie.
+            let below = self.hi == bands
+                || (self.lo > 0 && self.gap_below() <= self.bottom_above() - self.r);
+            if below {
+                if self.lo == 0 {
+                    return None;
+                }
+                if self.below_is_out(w) {
+                    self.lo = 0;
+                    continue;
+                }
+                let end = self.row.ends[self.lo - 1] as usize;
+                self.lo -= 1;
+                while self.lo > 0
+                    && end - self.start_of(self.lo) < RUN_TARGETS
+                    && self.same_octave(self.lo - 1, self.lo)
+                    && !self.below_is_out(w)
+                {
+                    self.lo -= 1;
+                }
+                return Some(&self.row.targets[self.start_of(self.lo)..end]);
             }
-        }
-        if self.hi < bands {
-            let bottom = band_lower(self.row.exps[self.hi]);
-            up = bottom - self.r;
-            if up > w + ANNULUS_SLACK * bottom {
+            if self.above_is_out(w) {
                 self.hi = bands;
+                continue;
             }
-        }
-        let band = if self.lo > 0 && (self.hi == bands || down <= up) {
-            self.lo -= 1;
-            self.lo
-        } else if self.hi < bands {
+            let start = self.start_of(self.hi);
             self.hi += 1;
-            self.hi - 1
-        } else {
-            return None;
-        };
-        let start = band.checked_sub(1).map_or(0, |b| self.row.ends[b] as usize);
-        Some(&self.row.targets[start..self.row.ends[band] as usize])
+            while self.hi < bands
+                && (self.row.ends[self.hi - 1] as usize) - start < RUN_TARGETS
+                && self.same_octave(self.hi - 1, self.hi)
+                && !self.above_is_out(w)
+            {
+                self.hi += 1;
+            }
+            return Some(&self.row.targets[start..self.row.ends[self.hi - 1] as usize]);
+        }
     }
 }
 
@@ -1332,8 +1387,9 @@ mod tests {
         });
     }
 
-    /// A row of five bands — lengths in [0.5, 1), [1, 2), [2, 4), [4, 8)
-    /// and [8, 16) — holding targets 10, 11, 12, 13 and 14, 15.
+    /// A row of five bands at one band per octave — lengths in [0.5, 1),
+    /// [1, 2), [2, 4), [4, 8) and [8, 16) — holding targets 10, 11, 12, 13
+    /// and 14, 15.
     const LADDER: ([u32; 6], [u16; 5], [u32; 5]) = (
         [10, 11, 12, 13, 14, 15],
         [1022, 1023, 1024, 1025, 1026],
@@ -1345,6 +1401,7 @@ mod tests {
             targets: &LADDER.0,
             exps: &LADDER.1,
             ends: &LADDER.2,
+            resolution: 0,
         }
     }
 
@@ -1395,12 +1452,121 @@ mod tests {
             targets: &LADDER.0[..2],
             exps: &[1020, 1030],
             ends: &[1, 2],
+            resolution: 0,
         };
         let got = scanned(Outward::new(gap_row, || 3.0), &[f64::INFINITY]);
         assert_eq!(got, [&[10u32][..], &[11][..]]);
         // A NaN distance or bound rules nothing out.
         assert_eq!(scanned(from(f64::NAN), &[1.0]).len(), 5);
         assert_eq!(scanned(from(2.5), &[f64::NAN]).len(), 5);
+    }
+
+    /// A row at four sub-bands per octave: [1, 1.25), [1.25, 1.5),
+    /// [1.5, 1.75), [1.75, 2) hold targets 10, 11, 12, 13; [2, 2.5) and
+    /// [2.5, 3) hold 14 and 15, 16; [4, 5) holds 17.
+    const QUARTERS: ([u32; 8], [u16; 7], [u32; 7]) = (
+        [10, 11, 12, 13, 14, 15, 16, 17],
+        [4092, 4093, 4094, 4095, 4096, 4097, 4100],
+        [1, 2, 3, 4, 5, 7, 8],
+    );
+
+    fn quarters_from(r: f64) -> Outward<'static> {
+        let row = Row {
+            targets: &QUARTERS.0,
+            exps: &QUARTERS.1,
+            ends: &QUARTERS.2,
+            resolution: 2,
+        };
+        Outward::new(row, || r)
+    }
+
+    /// The largest `w` for which `cuts(w)` holds and the next `f64` up,
+    /// where it no longer does; `cuts` must hold at 0.1 and not at 0.5.
+    fn last_cut_and_first_kept(cuts: impl Fn(f64) -> bool) -> (f64, f64) {
+        let (mut cut, mut kept) = (0.1f64.to_bits(), 0.5f64.to_bits());
+        assert!(cuts(0.1) && !cuts(0.5));
+        while kept - cut > 1 {
+            let mid = cut + (kept - cut) / 2;
+            match cuts(f64::from_bits(mid)) {
+                true => cut = mid,
+                false => kept = mid,
+            }
+        }
+        (f64::from_bits(cut), f64::from_bits(kept))
+    }
+
+    #[test]
+    fn outward_scan_of_quarter_octaves_grows_runs_inside_an_octave_and_cuts_to_the_ulp() {
+        // r = 1.625 sits in [1.5, 1.75). Gaps, all exact: [1.25, 1.5) and
+        // [1.75, 2) 0.125, [1, 1.25) and [2, 2.5) 0.375, [2.5, 3) 0.875,
+        // [4, 5) 2.375.
+        let r = 1.625;
+        // With room to spare the run that starts in the home band grows
+        // upward over the rest of its octave and never downward; the lower
+        // side is a run of its own; no run crosses into the next octave.
+        let all: [&[u32]; 4] = [&[12, 13], &[10, 11], &[14, 15, 16], &[17]];
+        assert_eq!(scanned(quarters_from(r), &[f64::INFINITY]), all);
+        assert_eq!(scanned(quarters_from(r), &[2.375]), all);
+        assert_eq!(scanned(quarters_from(r), &[2.0]), all[..3]);
+        // A gap equal to w is kept, whether the band is reached by growing
+        // a run ([1.75, 2) from the home band, [1, 1.25) from the band above
+        // it) or by a step ([1.25, 1.5), [2, 2.5)).
+        let mid: [&[u32]; 3] = [&[12, 13], &[10, 11], &[14]];
+        assert_eq!(scanned(quarters_from(r), &[0.875]), all[..3]);
+        assert_eq!(scanned(quarters_from(r), &[0.375]), mid);
+        let near: [&[u32]; 2] = [&[12, 13], &[11]];
+        assert_eq!(scanned(quarters_from(r), &[0.125]), near);
+        assert_eq!(scanned(quarters_from(r), &[0.0]), [&[12u32][..]]);
+        // The cut is `gap > w + slack * (the larger length)`, to the ulp.
+        // Below, the larger length is r: the step to [1.25, 1.5) and the
+        // growth over [1, 1.25) share it.
+        let (cut, kept) = last_cut_and_first_kept(|w| 0.125 > w + ANNULUS_SLACK * r);
+        assert!(cut < kept && kept < 0.125);
+        assert_eq!(scanned(quarters_from(r), &[kept]), near);
+        // ... and above, the band's own bottom — 1.75 here, so the upper
+        // band is still kept where the lower one has just been cut.
+        assert_eq!(scanned(quarters_from(r), &[cut]), near[..1]);
+        let (cut, kept) = last_cut_and_first_kept(|w| 0.125 > w + ANNULUS_SLACK * 1.75);
+        assert_eq!(scanned(quarters_from(r), &[kept]), near[..1]);
+        assert_eq!(scanned(quarters_from(r), &[cut]), [&[12u32][..]]);
+        let (cut, kept) = last_cut_and_first_kept(|w| 0.375 > w + ANNULUS_SLACK * r);
+        assert_eq!(scanned(quarters_from(r), &[kept])[..2], all[..2]);
+        assert_eq!(scanned(quarters_from(r), &[cut])[..2], near);
+        let (cut, kept) = last_cut_and_first_kept(|w| 0.375 > w + ANNULUS_SLACK * 2.0);
+        let upper: [&[u32]; 3] = [&[12, 13], &[11], &[14]];
+        assert_eq!(scanned(quarters_from(r), &[kept]), upper);
+        assert_eq!(scanned(quarters_from(r), &[cut]), near);
+        // A run is grown under the bound it was started with: the next
+        // read of w (0.1 here) comes too late for [1.75, 2) but not for
+        // what follows.
+        assert_eq!(scanned(quarters_from(r), &[9.0, 0.1]), all[..1]);
+        // r below every band and above every band.
+        let up: [&[u32]; 3] = [&[10, 11, 12, 13], &[14, 15, 16], &[17]];
+        assert_eq!(scanned(quarters_from(0.5), &[f64::INFINITY]), up);
+        let down: [&[u32]; 3] = [&[17], &[14, 15, 16], &[10, 11, 12, 13]];
+        assert_eq!(scanned(quarters_from(64.0), &[f64::INFINITY]), down);
+    }
+
+    #[test]
+    fn a_run_stops_growing_at_a_cache_line_of_targets() {
+        // One octave, four sub-bands of 7, 8, 9 and 2 targets: from below
+        // the run takes 7 + 8 (15 < 16 lets the second in), then stops at
+        // 24; from above it takes 2 + 9 + 8 and leaves the last 7.
+        let targets: Vec<u32> = (0..26).collect();
+        let row = Row {
+            targets: &targets,
+            exps: &[4092, 4093, 4094, 4095],
+            ends: &[7, 15, 24, 26],
+            resolution: 2,
+        };
+        let mut scan = Outward::new(row, || 0.5);
+        let runs: Vec<usize> = std::iter::from_fn(|| scan.next(|| f64::INFINITY))
+            .map(<[u32]>::len)
+            .collect();
+        assert_eq!(runs, [24, 2]);
+        let mut scan = Outward::new(row, || 64.0);
+        let runs: Vec<&[u32]> = std::iter::from_fn(|| scan.next(|| f64::INFINITY)).collect();
+        assert_eq!(runs, [&targets[7..], &targets[..7]]);
     }
 
     #[test]

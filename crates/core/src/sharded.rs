@@ -16,10 +16,12 @@
 //!   [`GNet`] + [`QueryEngine`] over a compact copy of
 //!   its points; shard-local ids are positions in the ascending global-id
 //!   list, so local id order agrees with global id order.
-//! * **Parallel search** — a batch fans out as a `(query × shard)` cross
-//!   product through the order-preserving pool
-//!   (`rayon::par_map_indexed_with`), so the schedule can never reorder
-//!   results.
+//! * **Parallel search** — a batch fans out over its **queries** through
+//!   the order-preserving pool (`rayon::par_map_indexed_with`), so the
+//!   schedule can never reorder results; one task walks its query through
+//!   all `S` shards and merges, so a batch of one runs on the calling
+//!   thread (the pool starts no more workers than it has items) instead of
+//!   paying a thread spawn and join for eight short walks.
 //! * **Surrogate-space merge** — per-shard top-`k` lists come back still
 //!   in surrogate space ([`BeamSurrogate`]) and are merged on the
 //!   key `(surrogate, global id)`, then mapped to true distances once.
@@ -84,8 +86,7 @@ use crate::gnet::GNet;
 use crate::graph::Graph;
 use crate::params::GNetParams;
 use crate::search::{
-    beam_search_quantized_surrogate, beam_search_surrogate, sort_by_key_then_id, BeamOutcome,
-    BeamSurrogate,
+    beam_search_quantized_surrogate, beam_search_surrogate, sort_by_key_then_id, BeamSurrogate,
 };
 use crate::snapshot::SnapshotMetric;
 
@@ -257,45 +258,37 @@ impl<M> ShardedEngine<M> {
 }
 
 impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
-    /// The one fan-out + merge: runs `search(shard index, query)` — a
-    /// surrogate-space top-`k` in shard-local ids — for the whole
-    /// `(query × shard)` cross product through the order-preserving pool,
-    /// then per query remaps ids to global, merges on
-    /// `(surrogate, global id)`, keeps `k` and maps to true distances once.
+    /// The one fan-out + merge, one pool task per query: the task runs
+    /// `search(shard index, query)` — a surrogate-space top-`k` in
+    /// shard-local ids — on every shard in turn, remaps ids to global,
+    /// merges on `(surrogate, global id)`, keeps `k` and maps to true
+    /// distances once.
     fn fan_out(
         &self,
         queries: &[FlatRow],
         k: usize,
         search: impl Fn(usize, &FlatRow) -> BeamSurrogate + Sync,
     ) -> BatchBeamDetail {
-        let s = self.shards.len();
-        let pairs: Vec<(usize, usize)> = (0..queries.len())
-            .flat_map(|q| (0..s).map(move |i| (q, i)))
-            .collect();
-        let per_pair =
-            rayon::par_map_indexed_with(self.threads, &pairs, |_, &(q, i)| search(i, &queries[q]));
-        let outcomes: Vec<BeamOutcome> = per_pair
-            .chunks(s)
-            .map(|per_shard| {
-                let mut merged = BeamSurrogate {
-                    results: Vec::with_capacity(s * k),
-                    dist_comps: 0,
-                    expansions: 0,
-                };
-                for (out, ids) in per_shard.iter().zip(&self.global_ids) {
-                    merged.dist_comps += out.dist_comps;
-                    merged.expansions += out.expansions;
-                    let global = out
-                        .results
-                        .iter()
-                        .map(|&(local, sur)| (ids[local as usize], sur));
-                    merged.results.extend(global);
-                }
-                sort_by_key_then_id(&mut merged.results);
-                merged.results.truncate(k);
-                merged.into_outcome(self.shards[0].data())
-            })
-            .collect();
+        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |_, q| {
+            let mut merged = BeamSurrogate {
+                results: Vec::with_capacity(self.shards.len() * k),
+                dist_comps: 0,
+                expansions: 0,
+            };
+            for (i, ids) in self.global_ids.iter().enumerate() {
+                let out = search(i, q);
+                merged.dist_comps += out.dist_comps;
+                merged.expansions += out.expansions;
+                let global = out
+                    .results
+                    .iter()
+                    .map(|&(local, sur)| (ids[local as usize], sur));
+                merged.results.extend(global);
+            }
+            sort_by_key_then_id(&mut merged.results);
+            merged.results.truncate(k);
+            merged.into_outcome(self.shards[0].data())
+        });
         let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
         BatchBeamDetail {
             outcomes,
@@ -303,7 +296,7 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
         }
     }
 
-    /// Searches every query against every shard in parallel (width `ef`,
+    /// Searches every query against every shard, queries in parallel (width `ef`,
     /// top `k` per shard, each shard entered at its local vertex 0) and
     /// merges per-shard results on `(surrogate, global id)` — the
     /// deterministic tie-break that makes the output identical across
@@ -328,7 +321,7 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
     }
 
     /// The quantized counterpart of [`ShardedEngine::batch_beam_detailed`]:
-    /// each `(query, shard)` pair navigates in that shard's compact store
+    /// each query navigates, shard by shard, in that shard's compact store
     /// and re-ranks its candidate set with exact `f64` distances
     /// ([`beam_search_quantized_surrogate`]). Because the per-shard result
     /// keys are already **exact** surrogates after the re-rank, the merge
@@ -661,6 +654,45 @@ mod tests {
                 "{shards} shards: {costs:?}"
             );
         }
+    }
+
+    /// Euclidean, recording which threads computed a distance.
+    #[derive(Clone, Default)]
+    struct ThreadProbe(
+        std::sync::Arc<std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>>,
+    );
+
+    impl<P: AsRef<[f64]> + ?Sized> Metric<P> for ThreadProbe {
+        fn dist(&self, a: &P, b: &P) -> f64 {
+            self.0.lock().unwrap().insert(std::thread::current().id());
+            Euclidean.dist(a, b)
+        }
+    }
+
+    #[test]
+    fn a_batch_of_one_runs_on_the_calling_thread_and_a_large_one_on_the_pool() {
+        let probe = ThreadProbe::default();
+        let engine = ShardedEngine::build(
+            &grid(128),
+            probe.clone(),
+            1.0,
+            8,
+            &ShardAssignment::SeededRandom { seed: 4 },
+        )
+        .with_threads(4);
+        let threads_used = |queries: &[FlatRow]| {
+            probe.0.lock().unwrap().clear();
+            let batch = engine.batch_beam_detailed(queries, 8, 3);
+            assert!(batch.dist_comps > 0);
+            std::mem::take(&mut *probe.0.lock().unwrap())
+        };
+        // Pool workers are spawned threads and the caller only joins them:
+        // all eight walks of a single query on the calling thread means no
+        // worker was started for them.
+        let me = std::collections::HashSet::from([std::thread::current().id()]);
+        assert_eq!(threads_used(&queries(1)), me);
+        let used = threads_used(&queries(64));
+        assert!(!used.is_empty() && used.is_disjoint(&me));
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! spec and the layout rationale).
 //!
 //! A banded graph (`G_net`; see [`graph`](crate::graph)) is saved with its
-//! band ladder as format version 3 and reloads banded, so the loaded engine
-//! matches the saved one in `dist_comps` too; an un-banded graph writes the
-//! version 1/2 bytes it always did.
+//! band ladder and reloads banded at the resolution it was saved with, so
+//! the loaded engine matches the saved one in `dist_comps` too: format
+//! version 4 carries the resolution, a version 3 file (written before
+//! ladders had one) loads at resolution 0 and re-saves as version 3. An
+//! un-banded graph writes the version 1/2 bytes it always did.
 //!
 //! What is *not* stored: the net hierarchy, the thread count, and any
 //! `Counting` instrumentation. A loaded engine serves queries (which need
@@ -70,7 +72,7 @@ use pg_store::{
 };
 
 use crate::engine::QueryEngine;
-use crate::graph::Graph;
+use crate::graph::{BandLadder, Graph};
 use crate::params::GNetParams;
 
 /// A metric with a stable on-disk identity ([`MetricTag`]) and a canonical
@@ -332,16 +334,15 @@ impl<P: AsRef<[f64]>, M: Metric<P> + SnapshotMetric> QueryEngine<P, M> {
             coords,
             quant: None,
             // A banded graph stays banded across the disk (format version
-            // 3), with or without `build` params: the ladder is part of the
-            // graph, and `dist_comps` depends on it.
-            bands: self
-                .graph()
-                .band_ladder()
-                .map(|(offsets, exps, ends)| BandSection {
-                    offsets: offsets.iter().map(|&o| o as u64).collect(),
-                    exps: exps.to_vec(),
-                    ends: ends.to_vec(),
-                }),
+            // 3 or 4, by the ladder's resolution), with or without `build`
+            // params: the ladder is part of the graph, and `dist_comps`
+            // depends on it.
+            bands: self.graph().band_ladder().map(|ladder| BandSection {
+                resolution: ladder.resolution,
+                offsets: ladder.offsets.iter().map(|&o| o as u64).collect(),
+                exps: ladder.exps.clone(),
+                ends: ladder.ends.clone(),
+            }),
         };
         snap.validate()?;
         Ok(snap)
@@ -551,9 +552,12 @@ impl<M: Metric<FlatRow> + SnapshotMetric> QueryEngine<FlatRow, M> {
             Some(b) => Graph::try_from_banded_csr(
                 offsets,
                 targets,
-                addressable(b.offsets)?,
-                b.exps,
-                b.ends,
+                BandLadder {
+                    resolution: b.resolution,
+                    offsets: addressable(b.offsets)?,
+                    exps: b.exps,
+                    ends: b.ends,
+                },
             ),
         }
         .map_err(|reason| SnapshotError::Invalid { reason })?;

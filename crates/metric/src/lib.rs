@@ -46,7 +46,7 @@ pub use counter::Counting;
 pub use dataset::Dataset;
 pub use flat::{FlatPoints, FlatRow};
 pub use lp::{Chebyshev, Euclidean, Manhattan};
-pub use metric::Metric;
+pub use metric::{Metric, ANNULUS_SLACK};
 pub use quant::{CompactPoints, F32Points, PreparedQuery, QuantKind, Quantized, Sq8Points};
 pub use scaled::Scaled;
 

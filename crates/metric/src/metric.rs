@@ -1,5 +1,25 @@
 //! The [`Metric`] trait.
 
+/// Relative slack of every test that lets the triangle inequality stand in
+/// for a distance computation: a candidate is ruled out unseen only when the
+/// bound that excludes it clears the threshold by more than this fraction of
+/// the larger of the two lengths compared. Two users:
+///
+/// * the walks of `pg_core::search` skip an edge-length band whose gap to
+///   `D(p, q)` exceeds the beam's bound by more than the slack;
+/// * the net ladder of `pg_nets` decides the children of a listed centre
+///   from the centre's own distance — all in, all out, or tested — and
+///   decides them all in or all out only outside the slack.
+///
+/// The `L_p` kernels compute a distance to within `≈ d · 2⁻⁵³` of its value,
+/// seven orders of magnitude inside the slack. A metric whose *computed*
+/// values break the triangle inequality by more than `1e-9` relative (e.g.
+/// `arccos`-based angles below `10⁻⁴` rad, resolved to `≈ 10⁻⁸` absolute)
+/// may lose walk candidates within that error of the bound, and may make
+/// `GNet::build_fast` differ from `GNet::build_naive` in the edges whose
+/// length sits within that error of a level's reach.
+pub const ANNULUS_SLACK: f64 = 1e-9;
+
 /// A metric (distance function) over points of type `P`.
 ///
 /// Implementations must satisfy the metric axioms of Section 1.1:

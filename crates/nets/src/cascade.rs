@@ -144,9 +144,10 @@ mod tests {
     }
 
     /// [`all_levels`] computed the way `descend` did before the lists went
-    /// flat: one `Vec` per center, fresh centers in one `Vec` per parent.
-    fn nested_levels(
-        ds: &Dataset<Vec<f64>, Euclidean>,
+    /// flat and before a parent's distance decided its children: one `Vec`
+    /// per center, fresh centers in one `Vec` per parent, every one tested.
+    fn nested_levels<M: Metric<Vec<f64>>>(
+        ds: &Dataset<Vec<f64>, M>,
         h: &NetHierarchy,
         k: f64,
     ) -> Vec<Vec<Vec<u32>>> {
@@ -217,6 +218,33 @@ mod tests {
                 assert_eq!(h_t, h, "n = {n}, {threads} threads");
                 assert_eq!(flat, nested, "n = {n}, {threads} threads");
             }
+        }
+    }
+
+    #[test]
+    fn pruned_descent_computes_no_more_distances_than_testing_every_child() {
+        use pg_metric::Counting;
+        let ds = Dataset::new(random_points(2049, 2049), Counting::new(Euclidean));
+        let h = NetHierarchy::build(&ds);
+        for k in [4.0, 6.0, 10.0] {
+            ds.metric().reset();
+            let pruned = (all_levels(&ds, &h, k), ds.metric().take());
+            let unpruned = (nested_levels(&ds, &h, k), ds.metric().take());
+            assert_eq!(pruned.0, unpruned.0, "k = {k}");
+            assert!(
+                pruned.1 <= unpruned.1,
+                "k = {k}: {} > {}",
+                pruned.1,
+                unpruned.1
+            );
+            // At G_net's factor (φ + 1 = 10 at ε = 1) most parents are far
+            // inside the reach or far outside it.
+            assert!(
+                k < 10.0 || pruned.1 * 100 <= unpruned.1 * 70,
+                "k = {k}: {} of {}",
+                pruned.1,
+                unpruned.1
+            );
         }
     }
 

@@ -2,7 +2,7 @@
 //! construction (Har-Peled–Mendel substitute; see crate docs).
 
 use pg_metric::aspect::approx_diameter;
-use pg_metric::{Dataset, Metric};
+use pg_metric::{Dataset, Metric, ANNULUS_SLACK};
 
 use crate::lists::BlockLists;
 
@@ -88,10 +88,15 @@ impl NetHierarchy {
     /// covered within the halved radius; candidate covers are found through
     /// the friends lists of the previous level, so the whole construction
     /// costs `2^{O(λ)}` distances per point per level instead of a full
-    /// scan. Construction is deterministic (no randomness): points are
-    /// promoted sequentially in id order (a promotion changes what later
-    /// points see), and only the per-center friends lists that follow are
-    /// computed on the thread pool, one task per block of 1024 centers.
+    /// scan. Within that scan a friend's distance rules its freshly promoted
+    /// children out whenever it exceeds the friend's radius by more than the
+    /// best cover found so far (a child is no nearer than that; the cut
+    /// keeps [`ANNULUS_SLACK`]), so covers and promotions are what the
+    /// exhaustive scan finds. Construction is deterministic (no
+    /// randomness): points are promoted sequentially in id order (a
+    /// promotion changes what later points see), and only the per-center
+    /// friends lists that follow are computed on the thread pool, one task
+    /// per block of 1024 centers.
     /// A point that is already a center keeps covering itself without a
     /// scan; the scan would agree, because it replaces its best only on a
     /// strictly smaller distance, the center is at distance 0 from itself,
@@ -173,6 +178,13 @@ impl NetHierarchy {
                     let d = data.dist(p as usize, old_pid as usize);
                     if d <= r_next && best.is_none_or(|(bd, _)| d < bd) {
                         best = Some((d, f)); // old center keeps position f
+                    }
+                    // A new child of f lies within cur.radius of it, so no
+                    // nearer to p than d - cur.radius: past the best so far
+                    // (at most r_next) none of them can replace it.
+                    let bound = best.map_or(r_next, |(bd, _)| bd);
+                    if d - cur.radius > bound + ANNULUS_SLACK * d {
+                        continue;
                     }
                     for &np in &new_by_parent[f as usize] {
                         let new_pid = centers[np as usize];

@@ -23,7 +23,7 @@
 //! (`QueryEngine::save` / `QueryEngine::load`) and re-validates the
 //! graph-level invariants on load.
 //!
-//! # File format (versions 1, 2 and 3)
+//! # File format (versions 1 to 4)
 //!
 //! Everything is **little-endian**. The byte-level layout table lives in
 //! `ARCHITECTURE.md` at the repository root (§ "Index snapshots"); in
@@ -47,6 +47,11 @@
 //! by edge-length band ([`BandSection`]; `GRPH`'s rows are then in band
 //! order). A snapshot without a ladder still writes version 1 or 2,
 //! byte-for-byte.
+//!
+//! Version 4 is version 3 plus one byte at the end of `BAND`: the ladder's
+//! resolution, the mantissa bits a band key carries next to the exponent
+//! (1 to [`MAX_BAND_RESOLUTION`]). A ladder at resolution 0 — every ladder
+//! a version 3 file holds — still writes version 3, byte-for-byte.
 //!
 //! Corrupt, truncated, or incompatible files **never panic and never yield
 //! a partially-read index**: every failure is a typed [`SnapshotError`],
@@ -96,8 +101,8 @@ pub const MAGIC: [u8; 8] = *b"PGIXSNAP";
 /// quantized section — the original three-section layout, byte-for-byte.
 ///
 /// Versioning rule: readers accept exactly the versions they know
-/// (currently `1`, [`FORMAT_VERSION_QUANT`] and [`FORMAT_VERSION_BANDS`])
-/// and reject anything newer
+/// (currently `1`, [`FORMAT_VERSION_QUANT`], [`FORMAT_VERSION_BANDS`] and
+/// [`FORMAT_VERSION_BAND_RESOLUTION`]) and reject anything newer
 /// with [`SnapshotError::UnsupportedVersion`] — a new layout means a
 /// version bump, never a silent reinterpretation of old bytes.
 pub const FORMAT_VERSION: u32 = 1;
@@ -108,8 +113,16 @@ pub const FORMAT_VERSION_QUANT: u32 = 2;
 
 /// The snapshot format version written when the graph is banded: the
 /// version 1 or version 2 body with one [`BandSection`] (tag `BAND`)
-/// appended — four or five sections. The newest version this crate reads.
+/// appended — four or five sections — and the ladder is at resolution 0.
 pub const FORMAT_VERSION_BANDS: u32 = 3;
+
+/// The snapshot format version written when the band ladder's resolution is
+/// not 0: version 3 with [`BandSection::resolution`] as one more byte at
+/// the end of `BAND`. The newest version this crate reads.
+pub const FORMAT_VERSION_BAND_RESOLUTION: u32 = 4;
+
+/// The finest [`BandSection::resolution`]: eight sub-bands per octave.
+pub const MAX_BAND_RESOLUTION: u8 = 3;
 
 /// Bytes of the fixed file header: magic + `format_version` +
 /// `section_count`.
@@ -216,7 +229,7 @@ impl fmt::Display for MetricTag {
 
 /// The sections of a snapshot, in file order. Every version shares the
 /// first three; version 2 appends exactly one of the two quantized tags;
-/// version 3 appends `BAND` to either body.
+/// versions 3 and 4 append `BAND` to either body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionTag {
     /// `META`: index metadata ([`IndexMeta`]).
@@ -232,7 +245,7 @@ pub enum SectionTag {
     /// per-dimension affine parameters — version 2 only.
     PointsSq8,
     /// `BAND`: the band ladder of a banded graph ([`BandSection`]) —
-    /// version 3 only, always last.
+    /// versions 3 and 4 only, always last.
     Bands,
     /// `MANI`: the single checksummed payload of a [`ShardManifest`] file
     /// (not a section of `PGIXSNAP` snapshots — named here so manifest
@@ -357,16 +370,21 @@ impl QuantSection {
     }
 }
 
-/// The payload of a version-3 `BAND` section: the band ladder of a graph
-/// whose rows are stored by edge-length band, exactly as `pg_core`'s `Graph`
-/// holds it. Row `v` owns entries `offsets[v]..offsets[v + 1]` of `exps` and
-/// `ends`: its bands (biased binary exponents of the edge lengths, strictly
-/// ascending, `<= 0x7ff`) and where each ends inside the row (counted from
-/// the row's start, strictly increasing, the last one the row's degree).
-/// With a ladder present, [`Snapshot::targets`] lists each row in band order,
-/// ids ascending inside a band.
+/// The payload of a `BAND` section (versions 3 and 4): the band ladder of a
+/// graph whose rows are stored by edge-length band, exactly as `pg_core`'s
+/// `Graph` holds it. Row `v` owns entries `offsets[v]..offsets[v + 1]` of
+/// `exps` and `ends`: its band keys (the biased binary exponent and top
+/// `resolution` mantissa bits of the edge lengths, strictly ascending,
+/// `<= 0x7ff << resolution`) and where each ends inside the row (counted
+/// from the row's start, strictly increasing, the last one the row's
+/// degree). With a ladder present, [`Snapshot::targets`] lists each row in
+/// band order, ids ascending inside a band.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandSection {
+    /// Mantissa bits in a band key, at most [`MAX_BAND_RESOLUTION`]. 0 (one
+    /// band per octave, all a version 3 file can say) writes version 3,
+    /// anything else version 4.
+    pub resolution: u8,
     /// Ladder offsets, length `n + 1`, `offsets[0] == 0`, non-decreasing,
     /// ending at the band count.
     pub offsets: Vec<u64>,
@@ -397,8 +415,8 @@ pub struct Snapshot {
     /// `Some` writes version 2 with the extra section appended.
     pub quant: Option<QuantSection>,
     /// The band ladder of a banded graph. `None` leaves the version (1 or
-    /// 2) and every byte as they were; `Some` writes version 3 with the
-    /// ladder appended last.
+    /// 2) and every byte as they were; `Some` writes version 3 or 4 (by the
+    /// ladder's resolution) with the ladder appended last.
     pub bands: Option<BandSection>,
 }
 
@@ -458,7 +476,7 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::UnsupportedVersion { found } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported version {FORMAT_VERSION_BANDS}"
+                "snapshot format version {found} is newer than the supported version {FORMAT_VERSION_BAND_RESOLUTION}"
             ),
             SnapshotError::Truncated { context } => {
                 write!(f, "snapshot truncated while reading {context}")
@@ -634,7 +652,8 @@ impl Snapshot {
     /// [`Snapshot::quant`] is `None` (byte-identical to pre-quantization
     /// writers), version 2 with the quantized section appended otherwise;
     /// version 3, the same body plus the `BAND` section, when
-    /// [`Snapshot::bands`] is `Some`.
+    /// [`Snapshot::bands`] is `Some` at resolution 0, and version 4 at any
+    /// other resolution.
     /// Runs [`Snapshot::validate`] first, so a structurally broken
     /// `Snapshot` is refused at write time rather than producing an
     /// unreadable file.
@@ -662,7 +681,10 @@ impl Snapshot {
         };
         if let Some(bands) = &self.bands {
             framed.push((SectionTag::Bands, encode_bands(bands, self.meta.n)));
-            version = FORMAT_VERSION_BANDS;
+            version = match bands.resolution {
+                0 => FORMAT_VERSION_BANDS,
+                _ => FORMAT_VERSION_BAND_RESOLUTION,
+            };
         }
 
         let total = HEADER_LEN
@@ -867,12 +889,21 @@ impl Snapshot {
     }
 
     /// The ladder half of [`Snapshot::validate`] (the CSR offsets are already
-    /// vetted): shape of the three arrays, then per row strictly ascending
-    /// bands and strictly increasing ends that stop at the row's degree.
+    /// vetted): the resolution, shape of the three arrays, then per row
+    /// strictly ascending bands no larger than the resolution's largest key
+    /// and strictly increasing ends that stop at the row's degree.
     /// What needs the targets row by row — ids ascending inside a band, no
     /// id in two bands — is re-validated by the typed loader in `pg_core`,
     /// with the other graph-level invariants.
     fn validate_bands(&self, bands: &BandSection) -> Result<(), SnapshotError> {
+        if bands.resolution > MAX_BAND_RESOLUTION {
+            return Err(invalid(format!(
+                "band resolution {} above the largest supported, {MAX_BAND_RESOLUTION}",
+                bands.resolution
+            )));
+        }
+        // The key of an infinite length: one past the largest finite one.
+        let largest_key = 0x7ffu16 << bands.resolution;
         if bands.offsets.len() != self.offsets.len() {
             return Err(invalid(format!(
                 "band offsets length {} does not match n + 1 = {}",
@@ -910,10 +941,10 @@ impl Snapshot {
             let exps = bands.exps.get(ladder.clone()).unwrap_or_default();
             let ends = bands.ends.get(ladder).unwrap_or_default();
             if exps.windows(2).any(|w| matches!(w, [a, b] if a >= b))
-                || exps.last().is_some_and(|&e| e > 0x7ff)
+                || exps.last().is_some_and(|&e| e > largest_key)
             {
                 return Err(invalid(format!(
-                    "bands of row {v} are not strictly ascending exponents"
+                    "bands of row {v} are not strictly ascending band keys"
                 )));
             }
             if ends.first() == Some(&0) || ends.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
@@ -948,18 +979,19 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = cur.u32("format version")?;
-        if !(FORMAT_VERSION..=FORMAT_VERSION_BANDS).contains(&version) {
+        if !(FORMAT_VERSION..=FORMAT_VERSION_BAND_RESOLUTION).contains(&version) {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
         let sections = cur.u32("section count")?;
         // The version dictates the sections: 3 for a plain body, one more
-        // for a quantized store, and version 3 is either body plus `BAND`.
+        // for a quantized store, and versions 3 and 4 are either body plus
+        // `BAND`.
         let (has_quant, has_bands) = match (version, sections) {
             (FORMAT_VERSION, 3) => (false, false),
             (FORMAT_VERSION_QUANT, 4) => (true, false),
-            (FORMAT_VERSION_BANDS, 4) => (false, true),
-            (FORMAT_VERSION_BANDS, 5) => (true, true),
-            (FORMAT_VERSION_BANDS, _) => {
+            (FORMAT_VERSION_BANDS | FORMAT_VERSION_BAND_RESOLUTION, 4) => (false, true),
+            (FORMAT_VERSION_BANDS | FORMAT_VERSION_BAND_RESOLUTION, 5) => (true, true),
+            (FORMAT_VERSION_BANDS | FORMAT_VERSION_BAND_RESOLUTION, _) => {
                 return Err(invalid(format!(
                     "version {version} snapshots have 4 or 5 sections, found {sections}"
                 )));
@@ -999,7 +1031,11 @@ impl Snapshot {
         };
         let bands = match bands_payload {
             None => None,
-            Some(payload) => Some(decode_bands(payload, &meta)?),
+            Some(payload) => Some(decode_bands(
+                payload,
+                &meta,
+                version == FORMAT_VERSION_BAND_RESOLUTION,
+            )?),
         };
 
         let snap = Snapshot {
@@ -1376,9 +1412,10 @@ fn decode_quant(
 }
 
 /// Encodes a `BAND` section payload: `n: u64`, the band count `B: u64`,
-/// `n + 1` ladder offsets (`u64`), `B` bands (`u16`), `B` ends (`u32`).
+/// `n + 1` ladder offsets (`u64`), `B` bands (`u16`), `B` ends (`u32`) and —
+/// version 4, i.e. unless it is 0 — the resolution (`u8`).
 fn encode_bands(bands: &BandSection, n: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(16 + 8 * bands.offsets.len() + 6 * bands.exps.len());
+    let mut p = Vec::with_capacity(17 + 8 * bands.offsets.len() + 6 * bands.exps.len());
     push_u64(&mut p, n);
     push_u64(&mut p, bands.exps.len() as u64);
     for &o in &bands.offsets {
@@ -1390,10 +1427,19 @@ fn encode_bands(bands: &BandSection, n: u64) -> Vec<u8> {
     for &e in &bands.ends {
         push_u32(&mut p, e);
     }
+    if bands.resolution != 0 {
+        p.push(bands.resolution);
+    }
     p
 }
 
-fn decode_bands(payload: &[u8], meta: &IndexMeta) -> Result<BandSection, SnapshotError> {
+/// Decodes a `BAND` payload; `with_resolution` says whether the file's
+/// version (4) ends it with the resolution byte.
+fn decode_bands(
+    payload: &[u8],
+    meta: &IndexMeta,
+    with_resolution: bool,
+) -> Result<BandSection, SnapshotError> {
     let mut cur = Cursor {
         bytes: payload,
         pos: 0,
@@ -1413,7 +1459,7 @@ fn decode_bands(payload: &[u8], meta: &IndexMeta) -> Result<BandSection, Snapsho
         .try_into()
         .map_err(|_| invalid("band count exceeds addressable memory"))?;
     // Exact-size check before any allocation, as for GRPH.
-    let expect = 16usize
+    let expect = (16 + usize::from(with_resolution))
         .checked_add(
             rows.checked_mul(8)
                 .ok_or_else(|| invalid("band offsets size overflows"))?,
@@ -1438,7 +1484,17 @@ fn decode_bands(payload: &[u8], meta: &IndexMeta) -> Result<BandSection, Snapsho
     for _ in 0..count {
         ends.push(cur.u32("band end")?);
     }
+    // A resolution of 0 is version 3's to write: refusing it here keeps
+    // every readable file re-saving byte for byte.
+    let resolution = match with_resolution {
+        false => 0,
+        true => match cur.take(1, "band resolution")? {
+            [0] | [] => return Err(invalid("a version 4 band ladder declares resolution 0")),
+            [resolution, ..] => *resolution,
+        },
+    };
     Ok(BandSection {
+        resolution,
         offsets,
         exps,
         ends,
@@ -1726,11 +1782,13 @@ mod tests {
         }
     }
 
-    /// The [`sample`] graph with row 0 in two bands and rows 1, 2 in one.
+    /// The [`sample`] graph with row 0 in two bands and rows 1, 2 in one, at
+    /// one band per octave (format version 3).
     fn sample_banded() -> Snapshot {
         let mut snap = sample();
         snap.targets = vec![2, 1, 0, 0];
         snap.bands = Some(BandSection {
+            resolution: 0,
             offsets: vec![0, 2, 3, 4],
             exps: vec![1023, 1025, 1025, 1023],
             ends: vec![1, 2, 1, 1],
@@ -1791,26 +1849,87 @@ mod tests {
         }
     }
 
+    /// [`sample_banded`] at four sub-bands per octave (format version 4).
+    fn sample_quarter_banded() -> Snapshot {
+        let mut snap = sample_banded();
+        let bands = snap.bands.as_mut().unwrap();
+        bands.resolution = 2;
+        bands.exps = vec![4092, 4101, 4103, 4095];
+        snap
+    }
+
     #[test]
-    fn banded_snapshots_write_version_3_after_either_body() {
+    fn banded_snapshots_write_version_3_or_4_after_either_body() {
         // Plain body + BAND: 4 sections; quantized body + BAND: 5. Either
         // way everything before the ladder is the un-banded encoding of the
-        // same arrays, but for the two header fields.
-        for (quant, sections) in [(None, 4u32), (sample_f32().quant, 5)] {
-            let mut banded = sample_banded();
-            banded.quant = quant;
-            let bytes = banded.to_bytes().unwrap();
-            assert_eq!(bytes[8..12], FORMAT_VERSION_BANDS.to_le_bytes());
-            assert_eq!(bytes[12..16], sections.to_le_bytes());
-            assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), banded);
+        // same arrays, but for the two header fields. A ladder at
+        // resolution 0 is version 3; any other ends `BAND` with the
+        // resolution byte and is version 4.
+        for (sample, version, extra) in [
+            (sample_banded(), FORMAT_VERSION_BANDS, 0),
+            (sample_quarter_banded(), FORMAT_VERSION_BAND_RESOLUTION, 1),
+        ] {
+            for (quant, sections) in [(None, 4u32), (sample_f32().quant, 5)] {
+                let mut banded = sample.clone();
+                banded.quant = quant;
+                let bytes = banded.to_bytes().unwrap();
+                assert_eq!(bytes[8..12], version.to_le_bytes());
+                assert_eq!(bytes[12..16], sections.to_le_bytes());
+                assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), banded);
 
-            let mut plain = banded.clone();
-            plain.bands = None;
-            let body = plain.to_bytes().unwrap();
-            assert_eq!(bytes[16..body.len()], body[16..]);
-            let ladder = &bytes[body.len()..];
-            assert_eq!(ladder[..4], *b"BAND");
-            assert_eq!(ladder.len(), SECTION_HEADER_LEN + 16 + 8 * 4 + 6 * 4);
+                let mut plain = banded.clone();
+                plain.bands = None;
+                let body = plain.to_bytes().unwrap();
+                assert_eq!(bytes[16..body.len()], body[16..]);
+                let ladder = &bytes[body.len()..];
+                assert_eq!(ladder[..4], *b"BAND");
+                assert_eq!(
+                    ladder.len(),
+                    SECTION_HEADER_LEN + 16 + 8 * 4 + 6 * 4 + extra
+                );
+                if extra == 1 {
+                    assert_eq!(ladder.last(), Some(&2), "the resolution, last");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_version_decides_whether_band_ends_with_a_resolution() {
+        // The same BAND payload under the other version's header: version 3
+        // has no room for the byte, version 4 demands it — and demands that
+        // it say something version 3 could not.
+        let reframe = |snap: &Snapshot, version: u32| {
+            let mut bytes = snap.to_bytes().unwrap();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            Snapshot::from_bytes(&bytes)
+        };
+        for (snap, version) in [
+            (sample_quarter_banded(), FORMAT_VERSION_BANDS),
+            (sample_banded(), FORMAT_VERSION_BAND_RESOLUTION),
+        ] {
+            match reframe(&snap, version) {
+                Err(SnapshotError::Invalid { reason }) => {
+                    assert!(reason.contains("counts imply"), "{reason:?}")
+                }
+                other => panic!("version {version}: got {other:?}"),
+            }
+        }
+        // A version 4 ladder that declares resolution 0, or one past the
+        // largest: the byte patched in place, its section re-checksummed.
+        for (declared, why) in [(0u8, "declares resolution 0"), (4, "band resolution 4")] {
+            let mut bytes = sample_quarter_banded().to_bytes().unwrap();
+            let payload = 16 + 8 * 4 + 6 * 4 + 1;
+            let start = bytes.len() - payload;
+            *bytes.last_mut().unwrap() = declared;
+            let sum = checksum(&bytes[start..]);
+            bytes[start - 8..start].copy_from_slice(&sum.to_le_bytes());
+            match Snapshot::from_bytes(&bytes) {
+                Err(SnapshotError::Invalid { reason }) => {
+                    assert!(reason.contains(why), "{reason:?} should mention {why:?}")
+                }
+                other => panic!("{why}: got {other:?}"),
+            }
         }
     }
 
@@ -1833,8 +1952,22 @@ mod tests {
         bad(|b| b.offsets[3] = 3, "band count");
         bad(|b| b.offsets[1] = 9, "non-decreasing");
         bad(|b| b.offsets[2] = 1, "non-decreasing");
-        bad(|b| b.exps[1] = 1023, "ascending exponents");
-        bad(|b| b.exps[3] = 0x800, "ascending exponents");
+        bad(|b| b.exps[1] = 1023, "ascending band keys");
+        bad(|b| b.exps[3] = 0x800, "ascending band keys");
+        // The largest key grows with the resolution, which stops at 3.
+        bad(
+            |b| b.resolution = MAX_BAND_RESOLUTION + 1,
+            "band resolution 4",
+        );
+        for resolution in 0..=MAX_BAND_RESOLUTION {
+            let mut snap = sample_banded();
+            let bands = snap.bands.as_mut().unwrap();
+            bands.resolution = resolution;
+            bands.exps[1] = 0x7ff << resolution;
+            snap.validate().unwrap();
+            snap.bands.as_mut().unwrap().exps[1] += 1;
+            assert!(snap.validate().is_err(), "resolution {resolution}");
+        }
         bad(|b| b.ends[0] = 0, "strictly increasing");
         bad(|b| b.ends[0] = 2, "strictly increasing");
         bad(|b| b.ends[1] = 3, "its degree");

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use pg_fault::{configure, reset, FaultAction, FaultConfig};
-use pg_store::{sites, BuildParams, IndexMeta, MetricTag, Snapshot, SnapshotError};
+use pg_store::{sites, BandSection, BuildParams, IndexMeta, MetricTag, Snapshot, SnapshotError};
 
 /// The pg_fault registry is process-global; every test serializes on this
 /// lock and resets the registry at entry and exit.
@@ -47,6 +47,19 @@ fn snapshot(salt: f64) -> Snapshot {
         quant: None,
         bands: None,
     }
+}
+
+/// [`snapshot`] with every row one band, at `resolution`: format version 3
+/// at 0, version 4 above.
+fn banded(salt: f64, resolution: u8) -> Snapshot {
+    let mut snap = snapshot(salt);
+    snap.bands = Some(BandSection {
+        resolution,
+        offsets: vec![0, 1, 2, 3],
+        exps: [1024u16, 1025, 1023].map(|e| e << resolution).to_vec(),
+        ends: vec![2, 1, 1],
+    });
+    snap
 }
 
 fn temp(name: &str) -> PathBuf {
@@ -139,26 +152,31 @@ fn short_write_never_tears_the_destination() {
     a.save(&path).expect("seeding save");
     let full_len = std::fs::metadata(&path).expect("seed metadata").len() as usize;
 
-    let b = snapshot(9.5);
-    // Tear at every interesting boundary: nothing written, one byte, half
-    // the payload, all but one byte.
-    for torn in [0usize, 1, full_len / 2, full_len - 1] {
-        configure(
-            sites::SAVE_WRITE,
-            FaultConfig::times(FaultAction::ShortWrite(torn), 1),
-        );
-        let err = b.save(&path).expect_err("torn write must fail the save");
-        assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
-        assert_eq!(
-            Snapshot::load(&path).expect("destination must stay complete"),
-            a,
-            "torn at {torn} bytes"
-        );
-        assert_eq!(leaked_temps(&path), Vec::<PathBuf>::new());
+    // The incoming file plain, banded as version 3, banded as version 4:
+    // torn at every interesting boundary — nothing written, one byte, half
+    // the old payload, all but one byte of it, and all but the last byte
+    // of its own (version 4's resolution).
+    for b in [snapshot(9.5), banded(9.5, 0), banded(9.5, 2)] {
+        let own_len = b.to_bytes().expect("valid sample").len();
+        for torn in [0usize, 1, full_len / 2, full_len - 1, own_len - 1] {
+            configure(
+                sites::SAVE_WRITE,
+                FaultConfig::times(FaultAction::ShortWrite(torn), 1),
+            );
+            let err = b.save(&path).expect_err("torn write must fail the save");
+            assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
+            assert_eq!(
+                Snapshot::load(&path).expect("destination must stay complete"),
+                a,
+                "torn at {torn} bytes"
+            );
+            assert_eq!(leaked_temps(&path), Vec::<PathBuf>::new());
+        }
+        reset();
+        b.save(&path).expect("clean save after the chaos");
+        assert_eq!(Snapshot::load(&path).expect("reload"), b);
+        a.save(&path).expect("back to the seed");
     }
-    reset();
-    b.save(&path).expect("clean save after the chaos");
-    assert_eq!(Snapshot::load(&path).expect("reload"), b);
     let _ = std::fs::remove_file(&path);
 }
 

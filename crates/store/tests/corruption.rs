@@ -429,36 +429,43 @@ fn wrong_section_order_is_invalid() {
 }
 
 // ---------------------------------------------------------------------------
-// Version-3 (banded) snapshots, after a plain and after a quantized body:
-// the same sweep — every truncation offset, every flipped payload byte —
-// plus the ladder's own structural checks.
+// Version-3 and version-4 (banded) snapshots, after a plain and after a
+// quantized body: the same sweep — every truncation offset, every flipped
+// payload byte — plus the ladder's own structural checks.
 // ---------------------------------------------------------------------------
 
-/// `base` with its rows split into bands: rows 0 and 1 of the sample graph
-/// get two bands of one target each, rows 2 and 3 one band.
-fn banded(mut base: Snapshot) -> Snapshot {
+/// `base` with its rows split into bands at `resolution` (0 writes version
+/// 3, anything else version 4): rows 0 and 1 of the sample graph get two
+/// bands of one target each, rows 2 and 3 one band.
+fn banded(mut base: Snapshot, resolution: u8) -> Snapshot {
+    let octaves = [1020u16, 1023, 1019, 1024, 1023, 1022];
     base.bands = Some(BandSection {
+        resolution,
         offsets: vec![0, 2, 4, 5, 6],
-        exps: vec![1020, 1023, 1019, 1024, 1023, 1022],
+        exps: octaves.iter().map(|e| e << resolution).collect(),
         ends: vec![1, 2, 1, 2, 1, 1],
     });
     base
 }
 
-/// The banded fixtures: `(sections, bytes)` for a plain and an SQ8 body.
-fn banded_fixtures() -> [(Vec<SectionTag>, Vec<u8>); 2] {
+/// The banded fixtures: `(sections, bytes, resolution)` for a plain and an
+/// SQ8 body, each at one band per octave and at four.
+fn banded_fixtures() -> [(Vec<SectionTag>, Vec<u8>, u8); 4] {
     let body = vec![SectionTag::Meta, SectionTag::Graph, SectionTag::Points];
     let plain = [body.clone(), vec![SectionTag::Bands]].concat();
     let quant = [body, vec![SectionTag::PointsSq8, SectionTag::Bands]].concat();
+    let bytes = |base: Snapshot, resolution| banded(base, resolution).to_bytes().unwrap();
     [
-        (plain, banded(sample()).to_bytes().unwrap()),
-        (quant, banded(sample_sq8()).to_bytes().unwrap()),
+        (plain.clone(), bytes(sample(), 0), 0),
+        (quant.clone(), bytes(sample_sq8(), 0), 0),
+        (plain, bytes(sample(), 2), 2),
+        (quant, bytes(sample_sq8(), 2), 2),
     ]
 }
 
 #[test]
 fn every_truncation_point_of_a_banded_snapshot_is_typed() {
-    for (sections, bytes) in banded_fixtures() {
+    for (sections, bytes, resolution) in banded_fixtures() {
         for len in 0..bytes.len() {
             let err = Snapshot::from_bytes(&bytes[..len])
                 .expect_err(&format!("{sections:?}: prefix of {len} bytes parsed"));
@@ -468,15 +475,16 @@ fn every_truncation_point_of_a_banded_snapshot_is_typed() {
             );
         }
         let full = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(bytes[8..12], 3u32.to_le_bytes());
-        assert_eq!(full.bands, banded(sample()).bands);
+        let version = if resolution == 0 { 3u32 } else { 4 };
+        assert_eq!(bytes[8..12], version.to_le_bytes());
+        assert_eq!(full.bands, banded(sample(), resolution).bands);
         assert_eq!(full.quant.is_some(), sections.len() == 5);
     }
 }
 
 #[test]
 fn every_flipped_payload_byte_of_a_banded_snapshot_is_caught() {
-    for (sections, bytes) in banded_fixtures() {
+    for (sections, bytes, _) in banded_fixtures() {
         let mut pos = HEADER_LEN;
         for section in sections {
             let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
@@ -499,10 +507,12 @@ fn every_flipped_payload_byte_of_a_banded_snapshot_is_caught() {
 
 #[test]
 fn a_bad_band_ladder_is_invalid_not_a_panic() {
-    for (sections, bytes) in banded_fixtures() {
+    for (sections, bytes, resolution) in banded_fixtures() {
         let band = sections.len() - 1;
-        // BAND payload: n u64, B u64, 5 offsets u64, 6 exps u16, 6 ends u32.
+        // BAND payload: n u64, B u64, 5 offsets u64, 6 exps u16, 6 ends u32
+        // and, in version 4, the resolution u8.
         let (offsets, exps, ends) = (16, 16 + 5 * 8, 16 + 5 * 8 + 6 * 2);
+        let key = |octave: u16| (octave << resolution).to_le_bytes();
         let invalid = |offset: usize, value: &[u8], why: &str| {
             let mut bad = bytes.clone();
             patch_section(&mut bad, band, offset, value);
@@ -519,10 +529,18 @@ fn a_bad_band_ladder_is_invalid_not_a_panic() {
         invalid(offsets + 16, &1u64.to_le_bytes(), "non-decreasing");
         invalid(offsets + 8, &u64::MAX.to_le_bytes(), "non-decreasing");
         invalid(offsets + 32, &5u64.to_le_bytes(), "band count");
-        // Bands of row 0 out of order, equal, or not an exponent at all.
-        invalid(exps, &1023u16.to_le_bytes(), "ascending exponents");
-        invalid(exps, &1024u16.to_le_bytes(), "ascending exponents");
-        invalid(exps + 2, &0x0800u16.to_le_bytes(), "ascending exponents");
+        // Bands of row 0 equal, out of order, or past the largest key of
+        // the ladder's resolution (which is still a key at a finer one).
+        invalid(exps, &key(1023), "ascending band keys");
+        invalid(exps, &key(1024), "ascending band keys");
+        let past = (0x7ffu16 << resolution) + 1;
+        invalid(exps + 2, &past.to_le_bytes(), "ascending band keys");
+        if resolution != 0 {
+            let declared = ends + 6 * 4;
+            invalid(declared, &[0], "declares resolution 0");
+            invalid(declared, &[4], "band resolution 4");
+            invalid(declared, &[1], "ascending band keys");
+        }
         // Ends of row 0 not monotone, or not stopping at its degree (2).
         invalid(ends, &2u32.to_le_bytes(), "strictly increasing");
         invalid(ends, &0u32.to_le_bytes(), "strictly increasing");
@@ -534,14 +552,17 @@ fn a_bad_band_ladder_is_invalid_not_a_panic() {
 }
 
 #[test]
-fn a_band_section_needs_version_3_and_the_last_slot() {
-    let [(_, plain), (_, quant)] = banded_fixtures();
-    // Version 3 with the section count of a version it is not.
+fn a_band_section_needs_version_3_or_4_and_the_last_slot() {
+    let [(_, plain, _), (_, quant, _), (_, plain4, _), (_, quant4, _)] = banded_fixtures();
+    // Version 3 or 4 with the section count of a version it is not.
     for (bytes, count, why) in [
         (&plain, 3u32, "sections"),
         (&quant, 6, "sections"),
+        (&plain4, 3, "sections"),
+        (&quant4, 6, "sections"),
         // Five sections promised: slot four must then be a quantized store.
         (&plain, 5, "quantized section"),
+        (&plain4, 5, "quantized section"),
     ] {
         let mut bad = bytes.clone();
         bad[12..16].copy_from_slice(&count.to_le_bytes());
@@ -562,15 +583,30 @@ fn a_band_section_needs_version_3_and_the_last_slot() {
         }
         other => panic!("v2 header on a banded body: got {other:?}"),
     }
-    // A version-3 header on a quantized body without a ladder: slot four
-    // must then be BAND.
-    let mut v3 = quant_fixtures()[0].1.clone();
-    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-    match Snapshot::from_bytes(&v3) {
-        Err(SnapshotError::Invalid { reason }) => {
-            assert!(reason.contains("expected section BAND"), "reason: {reason}")
+    // A version-3 or version-4 header on a quantized body without a
+    // ladder: slot four must then be BAND.
+    for version in [3u32, 4] {
+        let mut banded = quant_fixtures()[0].1.clone();
+        banded[8..12].copy_from_slice(&version.to_le_bytes());
+        match Snapshot::from_bytes(&banded) {
+            Err(SnapshotError::Invalid { reason }) => {
+                assert!(reason.contains("expected section BAND"), "reason: {reason}")
+            }
+            other => panic!("v{version} header on a v2 body: got {other:?}"),
         }
-        other => panic!("v3 header on a v2 body: got {other:?}"),
+    }
+    // The two banded versions differ by one byte of `BAND`, and each
+    // header refuses the other's payload.
+    assert_eq!(plain4.len(), plain.len() + 1);
+    for (bytes, version) in [(&plain, 4u32), (&plain4, 3)] {
+        let mut other = bytes.clone();
+        other[8..12].copy_from_slice(&version.to_le_bytes());
+        match Snapshot::from_bytes(&other) {
+            Err(SnapshotError::Invalid { reason }) => {
+                assert!(reason.contains("counts imply"), "reason: {reason}")
+            }
+            got => panic!("v{version} header on the other BAND: got {got:?}"),
+        }
     }
     // Files written before bands existed parse exactly as they did.
     assert!(Snapshot::from_bytes(&sample_bytes())

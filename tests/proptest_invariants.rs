@@ -2,8 +2,11 @@
 //! metric axioms, net invariants, greedy monotonicity, PG correctness,
 //! cone covering, and the Appendix E facts used by Lemma 5.1.
 
+mod common;
+
 use std::sync::Mutex;
 
+use common::at_octave_bands;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use proximity_graphs::core::{
@@ -136,15 +139,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The annulus rule: `G_net` as built (rows by edge-length band) against the
-// same edges with the bands stripped (rows scanned whole).
+// The annulus rule: `G_net` as built (rows by edge-length band, four
+// sub-bands per octave) against the same edges re-banded at one band per
+// octave (the ladder of format version 3) and with the bands stripped (rows
+// scanned whole).
 // ---------------------------------------------------------------------------
 
-/// Beam and greedy walks over `G_net(points)` as built and with its bands
-/// stripped, under `metric`: results, distance bits and `expansions` equal,
-/// `dist_comps` never larger on the banded graph; `greedy` result and hops
-/// equal. The inputs are continuous, so no scored distance ties another.
-/// Returns the distance computations the bands saved.
+/// Beam and greedy walks over `G_net(points)` as built, at one band per
+/// octave and with its bands stripped, under `metric`: results, distance
+/// bits and `expansions` equal three ways, `dist_comps` never larger on the
+/// finer layout; `greedy` result and hops equal. The inputs are continuous,
+/// so no scored distance ties another. Returns the distance computations
+/// the bands saved.
 fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
     points: Vec<Vec<f64>>,
     queries: &[Vec<f64>],
@@ -154,30 +160,46 @@ fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
     let n = points.len();
     let data = Dataset::new(points, metric);
     let banded = GNet::build_fast(&data, 1.0).graph;
+    let octaves = at_octave_bands(&banded);
     let plain = banded.without_bands();
-    prop_assert!(banded.is_banded() && !plain.is_banded());
+    prop_assert!(banded.is_banded() && octaves.is_banded() && !plain.is_banded());
+    prop_assert_eq!(banded.band_ladder().map(|l| l.resolution), Some(2));
+    prop_assert_eq!(octaves.band_ladder().map(|l| l.resolution), Some(0));
+    prop_assert_eq!(&octaves.without_bands(), &plain);
     let mut saved = 0u64;
     for (i, q) in queries.iter().enumerate() {
         let entry = ((i * 7919 + n / 3) % n) as u32;
         for ef in [1, 4, 16, 33, 40, n] {
-            let a = beam_search_detailed(&banded, &data, entry, q, ef, ef);
-            let b = beam_search_detailed(&plain, &data, entry, q, ef, ef);
-            prop_assert_eq!(a.results.len(), b.results.len(), "{}: ef = {}", tag, ef);
-            for (x, y) in a.results.iter().zip(&b.results) {
-                prop_assert_eq!(x.0, y.0, "{}: ef = {}", tag, ef);
-                prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "{}: ef = {}", tag, ef);
+            let [a, b, c] = [&banded, &octaves, &plain]
+                .map(|graph| beam_search_detailed(graph, &data, entry, q, ef, ef));
+            for other in [&b, &c] {
+                prop_assert_eq!(a.results.len(), other.results.len(), "{}: ef = {}", tag, ef);
+                for (x, y) in a.results.iter().zip(&other.results) {
+                    prop_assert_eq!(x.0, y.0, "{}: ef = {}", tag, ef);
+                    prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "{}: ef = {}", tag, ef);
+                }
+                prop_assert_eq!(a.expansions, other.expansions, "{}: ef = {}", tag, ef);
             }
-            prop_assert_eq!(a.expansions, b.expansions, "{}: ef = {}", tag, ef);
-            prop_assert!(a.dist_comps <= b.dist_comps, "{tag}: ef = {ef}");
-            saved += b.dist_comps - a.dist_comps;
+            prop_assert!(
+                a.dist_comps <= b.dist_comps && b.dist_comps <= c.dist_comps,
+                "{tag}: ef = {ef}: {} / {} / {}",
+                a.dist_comps,
+                b.dist_comps,
+                c.dist_comps
+            );
+            saved += c.dist_comps - a.dist_comps;
         }
-        let a = greedy(&banded, &data, entry, q);
-        let b = greedy(&plain, &data, entry, q);
-        prop_assert_eq!(a.result, b.result, "{}: greedy", tag);
-        prop_assert_eq!(a.result_dist.to_bits(), b.result_dist.to_bits());
-        prop_assert_eq!(&a.hops, &b.hops, "{}: greedy", tag);
-        prop_assert_eq!(a.self_terminated, b.self_terminated);
-        prop_assert!(a.dist_comps <= b.dist_comps, "{tag}: greedy");
+        let [a, b, c] = [&banded, &octaves, &plain].map(|graph| greedy(graph, &data, entry, q));
+        for other in [&b, &c] {
+            prop_assert_eq!(a.result, other.result, "{}: greedy", tag);
+            prop_assert_eq!(a.result_dist.to_bits(), other.result_dist.to_bits());
+            prop_assert_eq!(&a.hops, &other.hops, "{}: greedy", tag);
+            prop_assert_eq!(a.self_terminated, other.self_terminated);
+        }
+        prop_assert!(
+            a.dist_comps <= b.dist_comps && b.dist_comps <= c.dist_comps,
+            "{tag}: greedy"
+        );
     }
     Ok(saved)
 }

@@ -6,7 +6,9 @@
 //! returns `Result<Self, _>`, so there is no partially-loaded engine to
 //! observe: every corruption case below gets an `Err` and nothing else.
 
-use proximity_graphs::core::{ShardAssignment, ShardedEngine};
+mod common;
+
+use proximity_graphs::core::{QueryEngine, ShardAssignment, ShardedEngine};
 use proximity_graphs::metric::{Euclidean, FlatPoints, FlatRow};
 use proximity_graphs::store::{shard_file_name, SnapshotError, SHARD_MANIFEST_FILE};
 
@@ -45,13 +47,47 @@ fn saved_then_loaded_sharded_engine_answers_bit_identically() {
     let dir = temp_dir("round_trip");
     engine.save(&dir).unwrap();
     let loaded = ShardedEngine::<Euclidean>::load(&dir).unwrap();
-    // Every shard is a `G_net`: banded when built, format version 3 on
+    // Every shard is a `G_net`: banded when built, format version 4 on
     // disk, banded again when loaded — the `dist_comps` below depend on it.
     for i in 0..engine.shard_count() {
         let bytes = std::fs::read(dir.join(shard_file_name(i))).unwrap();
-        assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "shard {i} format version");
+        assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "shard {i} format version");
         assert!(engine.shards()[i].graph().is_banded() && loaded.shards()[i].graph().is_banded());
     }
+
+    // The same directory as a build from before ladders carried a
+    // resolution left it — every shard file version 3, one band per octave
+    // — loads, answers with the same results for no fewer distances, and
+    // saves back byte for byte.
+    let shard_files = |dir: &std::path::Path| -> Vec<Vec<u8>> {
+        (0..engine.shard_count())
+            .map(|i| std::fs::read(dir.join(shard_file_name(i))).unwrap())
+            .collect()
+    };
+    for (i, shard) in engine.shards().iter().enumerate() {
+        let octaves = common::at_octave_bands(shard.graph());
+        QueryEngine::new(octaves, shard.data().clone())
+            .save_with(dir.join(shard_file_name(i)), 0, engine.build_params())
+            .unwrap();
+    }
+    let old_files = shard_files(&dir);
+    let old = ShardedEngine::<Euclidean>::load(&dir).unwrap();
+    let resaved = temp_dir("round_trip_v3");
+    old.save(&resaved).unwrap();
+    assert!(shard_files(&resaved) == old_files);
+    assert!(old_files.iter().all(|f| f[8..12] == 3u32.to_le_bytes()));
+    let qs = queries(8);
+    for (ef, k) in [(90, 5), (12, 3), (1, 1)] {
+        let (new, old) = (
+            engine.batch_beam_detailed(&qs, ef, k),
+            old.batch_beam_detailed(&qs, ef, k),
+        );
+        for (a, b) in new.outcomes.iter().zip(&old.outcomes) {
+            assert_eq!((&a.results, a.expansions), (&b.results, b.expansions));
+        }
+        assert!(new.dist_comps <= old.dist_comps, "ef {ef}");
+    }
+    std::fs::remove_dir_all(&resaved).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 
     // The stored structure round-trips exactly…
@@ -68,7 +104,6 @@ fn saved_then_loaded_sharded_engine_answers_bit_identically() {
 
     // …and so does every observable answer, exact and inexact, at several
     // thread counts.
-    let qs = queries(8);
     let machine = std::thread::available_parallelism().map_or(1, |c| c.get());
     for threads in [1, 2, machine] {
         for (ef, k) in [(90, 5), (12, 3), (1, 1)] {

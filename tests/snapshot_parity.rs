@@ -5,6 +5,9 @@
 //! `dist_comps`) at every thread count. Persistence, like parallelism and the flat layout
 //! (`tests/flat_parity.rs`), is allowed to change the wall clock only.
 
+mod common;
+
+use common::at_octave_bands;
 use proptest::prelude::*;
 use proximity_graphs::baselines::{Hnsw, HnswParams};
 use proximity_graphs::core::{GNet, QueryEngine};
@@ -41,16 +44,35 @@ proptest! {
         let data = workloads::uniform_cube_flat(n, d, side, seed).into_dataset(Euclidean);
         let g = GNet::build_fast(&data, 1.0);
         let params = g.params;
-        let engine = QueryEngine::new(g.graph, data);
+        let built = QueryEngine::new(g.graph, data);
+        // The same index as format version 3 holds it: one band per octave.
+        let octaves = QueryEngine::new(at_octave_bands(built.graph()), built.data().clone());
+        prop_assert_eq!(octaves.graph().without_bands(), built.graph().without_bands());
 
-        // A `G_net` engine is banded, and stays so across the disk (format
-        // version 3) whether or not build params ride along.
+        let queries = workloads::uniform_queries_flat(m, d, -5.0, side + 5.0, seed ^ 0x5A5A)
+            .into_rows();
+        let starts: Vec<u32> = (0..m).map(|i| ((i * 37 + seed as usize) % n) as u32).collect();
+        // The finer ladder only ever saves distances.
+        let (fine, coarse) = (
+            built.batch_beam_detailed(&starts, &queries, ef, k),
+            octaves.batch_beam_detailed(&starts, &queries, ef, k),
+        );
+        prop_assert!(fine.dist_comps <= coarse.dist_comps);
+
+        for (engine, version) in [(built, 4u32), (octaves, 3)] {
+        // A `G_net` engine is banded, and stays so across the disk — format
+        // version 4 as built, version 3 at one band per octave — whether or
+        // not build params ride along. A loaded ladder is never re-cut: it
+        // re-saves byte for byte.
         let path = temp_path(n, d, seed);
         engine.save_with(&path, 0, None).unwrap();
         let bare = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
         engine.save_with(&path, 0, Some(params.into())).unwrap();
-        prop_assert_eq!(&std::fs::read(&path).unwrap()[8..12], &3u32.to_le_bytes()[..]);
+        let bytes = std::fs::read(&path).unwrap();
+        prop_assert_eq!(&bytes[8..12], &version.to_le_bytes()[..]);
         let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load_with_meta(&path).unwrap();
+        loaded.save_with(&path, 0, meta.build).unwrap();
+        prop_assert!(std::fs::read(&path).unwrap() == bytes, "version {} re-save", version);
         std::fs::remove_file(&path).unwrap();
         prop_assert!(engine.graph().is_banded() && loaded.graph().is_banded());
         prop_assert_eq!(bare.graph(), engine.graph());
@@ -71,9 +93,6 @@ proptest! {
 
         // ...and so does every observable of the serving API, for thread
         // counts 1 / 2 / machine.
-        let queries = workloads::uniform_queries_flat(m, d, -5.0, side + 5.0, seed ^ 0x5A5A)
-            .into_rows();
-        let starts: Vec<u32> = (0..m).map(|i| ((i * 37 + seed as usize) % n) as u32).collect();
         for threads in thread_counts() {
             let a = engine.clone().with_threads(threads);
             let b = loaded.clone().with_threads(threads);
@@ -105,6 +124,7 @@ proptest! {
             prop_assert_eq!(&ba.outcomes, &bb.outcomes, "beam at {} threads", threads);
             prop_assert_eq!(ba.dist_comps, bb.dist_comps);
         }
+        }
     }
 }
 
@@ -126,8 +146,8 @@ fn an_unbanded_index_still_writes_version_1_and_2_and_reloads_unbanded() {
     let (engine, banded_snap) = banded_sample();
     let (graph, data) = engine.into_parts();
     let hnsw = Hnsw::build(&data, HnswParams::default()).ground_layer();
-    for graph in [graph.without_bands(), hnsw] {
-        let plain = QueryEngine::new(graph, data.clone());
+    for plain in [graph.without_bands(), hnsw] {
+        let plain = QueryEngine::new(plain, data.clone());
         let snap = plain.to_snapshot(0, None).unwrap();
         assert!(snap.bands.is_none());
         let bytes = snap.to_bytes().unwrap();
@@ -147,31 +167,40 @@ fn an_unbanded_index_still_writes_version_1_and_2_and_reloads_unbanded() {
         assert_eq!(quant.to_bytes().unwrap()[8..16], [2, 0, 0, 0, 4, 0, 0, 0]);
     }
     // The banded one differs from its stripped twin by row order and the
-    // appended section only.
+    // appended section only: version 4 as built, version 3 at one band per
+    // octave.
     assert!(banded_snap.bands.is_some());
     assert_eq!(
         banded_snap.to_bytes().unwrap()[8..16],
+        [4, 0, 0, 0, 4, 0, 0, 0]
+    );
+    let octaves = QueryEngine::new(at_octave_bands(&graph), data);
+    assert_eq!(
+        octaves.to_snapshot(0, None).unwrap().to_bytes().unwrap()[8..16],
         [3, 0, 0, 0, 4, 0, 0, 0]
     );
 }
 
 #[test]
-fn a_banded_quantized_snapshot_round_trips_as_version_3_with_five_sections() {
-    let (engine, _) = banded_sample();
-    for kind in [
-        proximity_graphs::metric::QuantKind::F32,
-        proximity_graphs::metric::QuantKind::Sq8,
-    ] {
-        let compact = engine.quantize(kind).unwrap();
-        let snap = engine.to_snapshot_quantized(3, None, &compact).unwrap();
-        let bytes = snap.to_bytes().unwrap();
-        assert_eq!(bytes[8..16], [3, 0, 0, 0, 5, 0, 0, 0]);
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        let (loaded, loaded_compact, meta) =
-            QueryEngine::<FlatRow, Euclidean>::from_snapshot_quantized(back).unwrap();
-        assert_eq!(loaded.graph(), engine.graph());
-        assert_eq!(loaded_compact, compact);
-        assert_eq!(meta.entry_point, 3);
+fn a_banded_quantized_snapshot_round_trips_as_version_3_or_4_with_five_sections() {
+    let (built, _) = banded_sample();
+    let octaves = QueryEngine::new(at_octave_bands(built.graph()), built.data().clone());
+    for (engine, version) in [(built, 4), (octaves, 3)] {
+        for kind in [
+            proximity_graphs::metric::QuantKind::F32,
+            proximity_graphs::metric::QuantKind::Sq8,
+        ] {
+            let compact = engine.quantize(kind).unwrap();
+            let snap = engine.to_snapshot_quantized(3, None, &compact).unwrap();
+            let bytes = snap.to_bytes().unwrap();
+            assert_eq!(bytes[8..16], [version, 0, 0, 0, 5, 0, 0, 0]);
+            let back = Snapshot::from_bytes(&bytes).unwrap();
+            let (loaded, loaded_compact, meta) =
+                QueryEngine::<FlatRow, Euclidean>::from_snapshot_quantized(back).unwrap();
+            assert_eq!(loaded.graph(), engine.graph());
+            assert_eq!(loaded_compact, compact);
+            assert_eq!(meta.entry_point, 3);
+        }
     }
 }
 
@@ -186,15 +215,17 @@ fn a_bad_band_ladder_is_a_typed_invalid_never_a_panic() {
         }
         other => panic!("{why}: got {:?}", other.map(|(e, _)| e.graph().n())),
     };
-    // Row 0 has several bands of several targets each on this sample.
-    let row0 = snap.offsets[1] as usize;
+    // Row 0 has several bands on this sample, one of them of several
+    // targets.
     let ladder0 = snap.bands.as_ref().unwrap().offsets[1] as usize;
-    let first_end = snap.bands.as_ref().unwrap().ends[0] as usize;
-    assert!(ladder0 >= 3 && first_end >= 2 && row0 > first_end + 1);
+    let ends0 = &snap.bands.as_ref().unwrap().ends[..ladder0];
+    let wide = (1..ladder0).find(|&b| ends0[b] - ends0[b - 1] >= 2);
+    let wide_start = ends0[wide.expect("a band of two targets") - 1] as usize;
+    assert!(ladder0 >= 3);
 
-    // Not monotone: the first two ends swapped.
+    // Not monotone: the second band ends where the first did.
     let mut bad = snap.clone();
-    bad.bands.as_mut().unwrap().ends.swap(0, 1);
+    bad.bands.as_mut().unwrap().ends[1] = ends0[0];
     invalid(bad, "strictly increasing");
     // Not ending at the row's degree.
     let mut bad = snap.clone();
@@ -203,10 +234,23 @@ fn a_bad_band_ladder_is_a_typed_invalid_never_a_panic() {
     // Bands out of order.
     let mut bad = snap.clone();
     bad.bands.as_mut().unwrap().exps.swap(0, 1);
-    invalid(bad, "ascending exponents");
+    invalid(bad, "ascending band keys");
+    // A key past the resolution's largest, and a resolution past the
+    // largest: typed, from the store's validator and from the graph's.
+    let mut bad = snap.clone();
+    let last = bad.bands.as_ref().unwrap().exps.len() - 1;
+    bad.bands.as_mut().unwrap().exps[last] = (0x7ff << 2) + 1;
+    invalid(bad, "ascending band keys");
+    let mut bad = snap.clone();
+    bad.bands.as_mut().unwrap().resolution = 4;
+    invalid(bad.clone(), "band resolution 4");
+    assert!(matches!(
+        bad.to_bytes(),
+        Err(SnapshotError::Invalid { reason }) if reason.contains("band resolution 4")
+    ));
     // Ids not ascending inside a band: its first two targets swapped.
     let mut bad = snap.clone();
-    bad.targets.swap(0, 1);
+    bad.targets.swap(wide_start, wide_start + 1);
     invalid(bad, "not strictly ascending");
     // A duplicate across bands, each band ascending on its own: three
     // points on a line, vertex 0 listing vertex 1 under two lengths.
@@ -223,6 +267,7 @@ fn a_bad_band_ladder_is_a_typed_invalid_never_a_panic() {
         coords: vec![0.0, 1.0, 5.0],
         quant: None,
         bands: Some(BandSection {
+            resolution: 0,
             offsets: vec![0, 2, 2, 2],
             exps: vec![1023, 1025],
             ends: vec![1, 2],
