@@ -154,10 +154,12 @@ impl Hnsw {
     /// order as [`pg_metric::Dataset::k_nearest_brute`] and
     /// [`pg_core::beam_search`], so result lists are directly comparable
     /// across index families and against brute-force ground truth. The
-    /// frontier/result heaps use the same tie rule internally, which makes
-    /// the whole search deterministic: equal-distance candidates at the
-    /// beam boundary are kept or dropped by id, never by heap insertion
-    /// order.
+    /// shared walk ([`beam_walk`]) keeps its one candidate array in the same
+    /// `(dist, id)` order and admits a candidate to a full beam only when it
+    /// is strictly closer than the worst kept, so the whole search is
+    /// deterministic: which of several equal-distance candidates at the
+    /// beam boundary stays depends on the order they were scored in, never
+    /// on a heap's layout.
     ///
     /// Returns results and the distance-computation count (when `data`'s
     /// metric is wrapped in `Counting`, both agree). [`Hnsw::search_detailed`]

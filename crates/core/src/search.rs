@@ -1,6 +1,14 @@
 //! Routing over proximity graphs: the `greedy` procedure of Section 1.1,
 //! its budgeted `query` wrapper, and beam search as a practical extension.
 //!
+//! Past its first few expansions a walk scores a handful of points per row,
+//! so [`beam_walk`] waits for nothing it can know in advance: one sorted
+//! candidate array instead of heaps, the rows of the next candidates loaded
+//! while the current one is scanned, and — through
+//! [`Dataset::surrogates_to`](pg_metric::Dataset::surrogates_to) — a flat
+//! dataset's `L_p` kernel inlined into the scan. No score, result or count
+//! changes.
+//!
 //! # The annulus rule
 //!
 //! Every walk here expands a vertex `p` at distance `r = D(p, q)` from the
@@ -20,8 +28,6 @@
 //! un-banded row is the one-band case: it is scanned whole and no distance
 //! is ever mapped back from a score.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pg_metric::{Dataset, Metric, Quantized, ANNULUS_SLACK};
@@ -43,6 +49,16 @@ trait Rows<'g> {
     /// only.
     fn dist_of(&self, score: f64) -> f64 {
         score
+    }
+
+    /// Loads the start of `v`'s row — its bounds, band ladder and first
+    /// targets — ahead of its expansion. The value means nothing; folded
+    /// into one the walk consumes, it keeps the loads from being dropped.
+    #[inline]
+    fn touch(&self, v: u32) -> u32 {
+        let row = self.row(v);
+        let first = |s: &[u32]| s.first().copied().unwrap_or(0);
+        first(row.targets) ^ first(row.ends) ^ row.exps.first().map_or(0, |&e| u32::from(e))
     }
 }
 
@@ -325,12 +341,13 @@ pub fn query<P, M: Metric<P>>(
 ) -> GreedyOutcome {
     assert!((p_start as usize) < data.len(), "start vertex out of range");
     let rows = MetricRows { graph, data };
+    let score = data.surrogates_to(q);
     let mut comps: u64 = 0;
     let mut cur = p_start;
     let mut hops = vec![cur];
 
     comps += 1;
-    let mut s_cur = data.surrogate_to(cur as usize, q);
+    let mut s_cur = score(cur as usize);
 
     loop {
         // Line 3: the out-neighbor of cur closest to q, ties to the smaller
@@ -349,7 +366,7 @@ pub fn query<P, M: Metric<P>>(
                     break 'scan;
                 }
                 comps += 1;
-                let s = data.surrogate_to(nb as usize, q);
+                let s = score(nb as usize);
                 if best.is_none_or(|(b, bs)| s < bs || (s == bs && nb < b)) {
                     best = Some((nb, s));
                     limit = limit.min(s);
@@ -459,79 +476,85 @@ pub(crate) fn sort_by_key_then_id(list: &mut [(u32, f64)]) {
     list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 }
 
-/// A scored vertex ordered by `(score, id)`: the key of [`beam_walk`]'s
-/// frontier heap and of both forms of its result set.
-#[derive(PartialEq)]
-struct Cand(f64, u32);
-impl Eq for Cand {}
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
+/// A scored vertex of a walk, and whether its row has been scanned.
+#[derive(Clone, Copy)]
+struct Cand {
+    score: f64,
+    id: u32,
+    expanded: bool,
 }
 
-/// The best `<= ef` candidates a walk has seen. Both forms keep exactly the
-/// `ef` smallest [`Cand`]s pushed, so a walk is the same walk on either.
-trait Best {
-    fn len(&self) -> usize;
-    /// Score of the largest kept candidate (`INFINITY` when empty).
-    fn worst(&self) -> f64;
-    /// Adds `c`, then evicts the largest candidate if more than `ef` are kept.
-    fn push(&mut self, c: Cand, ef: usize);
-    /// Empties the set into `(id, score)` pairs ascending by `(score, id)`.
-    fn take_sorted(&mut self) -> Vec<(u32, f64)>;
+/// How many unexpanded candidates past the one being expanded have their
+/// rows loaded ahead (one, two and three read the same).
+const LOOKAHEAD: usize = 2;
+
+/// The candidates of one walk (DiskANN's `NeighborPriorityQueue`): the best
+/// `<= ef` seen, ascending by `(score, id)` under `total_cmp`, each with an
+/// *expanded* bit, and a cursor at the first unexpanded one — the next to
+/// expand. Evicted unexpanded candidates scored exactly the worst kept
+/// score are the `ties`, expanded smallest id first once the array is
+/// exhausted and dropped when an eviction lowers the worst: exactly the
+/// pops and the stop of the two-heap walk this replaced, ties included
+/// (the proof is in ARCHITECTURE.md § Search, "One candidate array").
+#[derive(Default)]
+struct Candidates {
+    kept: Vec<Cand>,
+    cursor: usize,
+    ties: Vec<Cand>,
 }
 
-/// Ascending array: an insertion shifts at most `ef` 16-byte entries, which
-/// up to [`SORTED_MAX_EF`] is cheaper than a heap's push + pop + peek, and
-/// the final list needs no sort.
-impl Best for Vec<Cand> {
-    fn len(&self) -> usize {
-        self.len()
-    }
+impl Candidates {
+    /// Score of the largest kept candidate (`INFINITY` when none is kept).
     fn worst(&self) -> f64 {
-        self.last().map_or(f64::INFINITY, |c| c.0)
+        self.kept.last().map_or(f64::INFINITY, |c| c.score)
     }
-    fn push(&mut self, c: Cand, ef: usize) {
-        let at = self.iter().rposition(|kept| *kept < c).map_or(0, |i| i + 1);
-        self.insert(at, c);
-        self.truncate(ef);
-    }
-    fn take_sorted(&mut self) -> Vec<(u32, f64)> {
-        self.drain(..).map(|Cand(d, v)| (v, d)).collect()
-    }
-}
 
-/// Max-heap, for beams too wide for the array (the full-width `ef >= n`
-/// beams of the parity suites included).
-impl Best for BinaryHeap<Cand> {
-    fn len(&self) -> usize {
-        self.len()
-    }
-    fn worst(&self) -> f64 {
-        self.peek().map_or(f64::INFINITY, |c| c.0)
-    }
-    fn push(&mut self, c: Cand, ef: usize) {
-        self.push(c);
-        if self.len() > ef {
-            self.pop();
+    /// Keeps `id` at `score` — a walk admits a candidate only while fewer
+    /// than `ef` are kept or below the worst — then evicts the largest
+    /// candidate if more than `ef` are kept.
+    fn insert(&mut self, score: f64, id: u32, ef: usize) {
+        let at = self
+            .kept
+            .partition_point(|k| k.score.total_cmp(&score).then(k.id.cmp(&id)).is_lt());
+        let c = Cand {
+            score,
+            id,
+            expanded: false,
+        };
+        self.kept.insert(at, c);
+        self.cursor = self.cursor.min(at);
+        if self.kept.len() > ef {
+            let out = self.kept.pop().expect("more than ef >= 1 kept");
+            if out.score != self.worst() {
+                self.ties.clear();
+            } else if !out.expanded {
+                self.ties.push(out);
+            }
         }
     }
-    fn take_sorted(&mut self) -> Vec<(u32, f64)> {
-        let mut out: Vec<(u32, f64)> = self.drain().map(|Cand(d, v)| (v, d)).collect();
-        sort_by_key_then_id(&mut out);
-        out
+
+    /// The next candidate to expand, marked expanded: the first unexpanded
+    /// kept one, else the last tie; `None` ends the walk.
+    fn next_unexpanded(&mut self) -> Option<Cand> {
+        if let Some(c) = self.kept.get_mut(self.cursor) {
+            c.expanded = true;
+            let next = *c;
+            let rest = &self.kept[self.cursor..];
+            self.cursor += rest.iter().position(|c| !c.expanded).unwrap_or(rest.len());
+            return Some(next);
+        }
+        // At one worst score evictions take the largest `(score, id)` first
+        // and nothing enters at that score while the beam is full, so the
+        // ties descend: the last is the one the two-heap walk pops next.
+        self.ties.pop()
+    }
+
+    /// Up to [`LOOKAHEAD`] unexpanded candidates next in line.
+    fn upcoming(&self) -> impl Iterator<Item = u32> + '_ {
+        let rest = self.kept[self.cursor..].iter();
+        rest.filter(|c| !c.expanded).map(|c| c.id).take(LOOKAHEAD)
     }
 }
-
-/// Widest beam whose result set is the sorted array; wider beams keep the
-/// max-heap. Chosen by the `ef` sweep in EXPERIMENTS.md § Query path (PR 16).
-const SORTED_MAX_EF: usize = 32;
 
 /// The working memory of one [`beam_walk`], reused from walk to walk so a
 /// query allocates and clears nothing proportional to `n`.
@@ -545,9 +568,7 @@ const SORTED_MAX_EF: usize = 32;
 struct SearchScratch {
     stamps: Vec<u8>,
     epoch: u8,
-    frontier: BinaryHeap<Reverse<Cand>>,
-    sorted: Vec<Cand>,
-    heap: BinaryHeap<Cand>,
+    candidates: Candidates,
 }
 
 /// Scratch of finished walks, waiting for the next one. Process-wide rather
@@ -567,7 +588,7 @@ fn scratch_pool() -> MutexGuard<'static, Vec<SearchScratch>> {
 
 impl SearchScratch {
     /// Readies the scratch for a walk over vertices `0..n`: a fresh epoch,
-    /// empty heaps. Stamps beyond `n` (left by a walk over a larger graph)
+    /// no candidates. Stamps beyond `n` (left by a walk over a larger graph)
     /// stay as they are; the wrap clears them with the rest.
     fn begin(&mut self, n: usize) {
         if self.stamps.len() < n {
@@ -578,49 +599,74 @@ impl SearchScratch {
             self.stamps.fill(0);
             self.epoch = 1;
         }
-        self.frontier.clear();
-        self.sorted.clear();
-        self.heap.clear();
+        self.candidates.kept.clear();
+        self.candidates.ties.clear();
+        self.candidates.cursor = 0;
     }
 
+    /// The loop of [`beam_walk`].
     fn walk<'g, N, S>(
         &mut self,
         n: usize,
         entries: &'g [u32],
         ef: usize,
         neighbors: N,
-        score: S,
+        mut score: S,
     ) -> BeamSurrogate
     where
         N: Rows<'g>,
         S: FnMut(u32) -> f64,
     {
         self.begin(n);
-        let visited = Visited {
+        let mut visited = Visited {
             stamps: &mut self.stamps[..n],
             epoch: self.epoch,
         };
-        let frontier = &mut self.frontier;
-        if ef <= SORTED_MAX_EF {
-            walk_on(
-                visited,
-                frontier,
-                &mut self.sorted,
-                entries,
-                ef,
-                neighbors,
-                score,
-            )
-        } else {
-            walk_on(
-                visited,
-                frontier,
-                &mut self.heap,
-                entries,
-                ef,
-                neighbors,
-                score,
-            )
+        let cands = &mut self.candidates;
+        let mut dist_comps: u64 = 0;
+        let mut expansions: u64 = 0;
+        // `worst` mirrors `cands.worst()` and is refreshed only when the
+        // set changes, instead of per neighbor; `bound` is the distance it
+        // stands for, mapped only when a banded row asks. `ahead` holds
+        // what the row loads ahead of expansion read, so they stay.
+        let mut worst = f64::INFINITY;
+        let mut bound = Bound::unset();
+        let mut ahead = 0u32;
+        let mut bands = Outward::new(entries.into(), || 0.0);
+        loop {
+            // The annulus bound: nothing is ruled out while the beam has room.
+            while let Some(band) = bands.next(|| {
+                if cands.kept.len() < ef {
+                    return f64::INFINITY;
+                }
+                bound.of(worst, |s| neighbors.dist_of(s))
+            }) {
+                for &v in band {
+                    if !visited.first_visit(v) {
+                        continue;
+                    }
+                    dist_comps += 1;
+                    let d = score(v);
+                    if cands.kept.len() < ef || d < worst {
+                        cands.insert(d, v, ef);
+                        worst = cands.worst();
+                    }
+                }
+            }
+            let Some(c) = cands.next_unexpanded() else {
+                break;
+            };
+            expansions += 1;
+            bands = Outward::new(neighbors.row(c.id), || neighbors.dist_of(c.score));
+            for u in cands.upcoming() {
+                ahead ^= neighbors.touch(u);
+            }
+        }
+        std::hint::black_box(ahead);
+        BeamSurrogate {
+            results: cands.kept.drain(..).map(|c| (c.id, c.score)).collect(),
+            dist_comps,
+            expansions,
         }
     }
 }
@@ -644,67 +690,6 @@ impl Visited<'_> {
     }
 }
 
-/// The loop of [`beam_walk`] over one form of result set.
-fn walk_on<'g, B, N, S>(
-    mut visited: Visited<'_>,
-    frontier: &mut BinaryHeap<Reverse<Cand>>,
-    best: &mut B,
-    entries: &'g [u32],
-    ef: usize,
-    neighbors: N,
-    mut score: S,
-) -> BeamSurrogate
-where
-    B: Best,
-    N: Rows<'g>,
-    S: FnMut(u32) -> f64,
-{
-    let mut dist_comps: u64 = 0;
-    let mut expansions: u64 = 0;
-    // `frontier`: min-heap of candidates to expand; `best`: the best `ef`
-    // seen. `worst` mirrors `best.worst()` and is refreshed only when the
-    // set changes, instead of per neighbor; `bound` is the distance it
-    // stands for, mapped only when a banded row asks.
-    let mut worst = f64::INFINITY;
-    let mut bound = Bound::unset();
-    let mut bands = Outward::new(entries.into(), || 0.0);
-    loop {
-        // The annulus bound: nothing is ruled out while the beam has room.
-        while let Some(band) = bands.next(|| {
-            if best.len() < ef {
-                return f64::INFINITY;
-            }
-            bound.of(worst, |s| neighbors.dist_of(s))
-        }) {
-            for &v in band {
-                if !visited.first_visit(v) {
-                    continue;
-                }
-                dist_comps += 1;
-                let d = score(v);
-                if best.len() < ef || d < worst {
-                    frontier.push(Reverse(Cand(d, v)));
-                    best.push(Cand(d, v), ef);
-                    worst = best.worst();
-                }
-            }
-        }
-        let Some(Reverse(Cand(d, v))) = frontier.pop() else {
-            break;
-        };
-        if best.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        bands = Outward::new(neighbors.row(v), || neighbors.dist_of(d));
-    }
-    BeamSurrogate {
-        results: best.take_sorted(),
-        dist_comps,
-        expansions,
-    }
-}
-
 /// The one best-first walk of the workspace (HNSW's `SEARCH-LAYER`): a
 /// width-`ef` beam over vertices `0..n`, started from `entries`, following
 /// `neighbors(v)` and ranking by `score(v)` — lower is better. A scored vertex
@@ -722,7 +707,11 @@ where
 /// scored once. `score` is called exactly once per visited vertex, in
 /// visiting order — a closure may record what the walk touched. Returns the
 /// best `<= ef` vertices gathered, ascending by `(score, id)`; fewer than
-/// `ef` only when fewer are reachable.
+/// `ef` only when fewer are reachable. `neighbors` must be a pure lookup:
+/// it is also called for the next candidates in line, whose rows are
+/// loaded before they are expanded (or dropped). The candidates are one
+/// sorted array, expanded in the order — and stopped at the point — of the
+/// two-heap walk it replaced, ties included (ARCHITECTURE.md § Search).
 ///
 /// **Banded rows** — what [`beam_search_detailed`] and its wrappers read
 /// from a banded [`Graph`]; a `neighbors` closure always yields plain ones
@@ -730,9 +719,9 @@ where
 /// `w` = the beam's worst kept distance (`∞` while fewer than `ef` are
 /// kept). `w` never increases and every skipped vertex is strictly farther
 /// than `w` when it is skipped, so the plain scan would score and reject
-/// it with no effect on the beam, on the frontier entries that can still
-/// be popped, or on the stop test: after each row both walks hold the same
-/// best-`ef` set and the same poppable frontier. The contract: **banded
+/// it with no effect on the kept candidates, on the evicted ones that can
+/// still be expanded, or on the stop: after each row both walks hold the
+/// same candidates and the same ties. The contract: **banded
 /// and plain walks return bit-identical results and `expansions` whenever
 /// no scored value equals the beam's worst at the moment it is scored**
 /// (there the scan order decides which of the equals stays), and the
@@ -740,7 +729,7 @@ where
 /// is still safe: every vertex it skipped is no closer than its final
 /// worst.
 ///
-/// The walk's working memory (visited stamps, frontier, result set) is
+/// The walk's working memory (visited stamps, candidate array) is
 /// checked out of a process-wide pool for the length of the call and handed
 /// back after it; the pool's lock is held only for the two hand-overs. A
 /// `score` that panics unwinds through here with the scratch still checked
@@ -845,12 +834,13 @@ pub(crate) fn beam_search_surrogate<P, M: Metric<P>>(
     ef: usize,
     k: usize,
 ) -> BeamSurrogate {
+    let score = data.surrogates_to(q);
     let mut walk = walk_rows(
         data.len(),
         &[p_start],
         ef,
         MetricRows { graph, data },
-        |v| data.surrogate_to(v as usize, q),
+        |v| score(v as usize),
     );
     walk.results.truncate(k);
     walk
@@ -1155,9 +1145,24 @@ mod tests {
         assert_eq!(res, brute_ids);
     }
 
+    /// `(score, id)` under `total_cmp`, for the reference walk's heaps.
+    #[derive(PartialEq)]
+    struct Key(f64, u32);
+    impl Eq for Key {}
+    impl PartialOrd for Key {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Key {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+        }
+    }
+
     /// The two-heap walk `beam_walk` replaced, kept as the reference: a
-    /// fresh visited vector, a min-heap frontier and a max-heap of results
-    /// per call.
+    /// fresh visited vector, a min-heap frontier of everything admitted and
+    /// a max-heap of the best `ef`, per call.
     fn two_heap_walk(
         n: usize,
         entries: &[u32],
@@ -1165,10 +1170,12 @@ mod tests {
         g: &Graph,
         score: &[f64],
     ) -> BeamSurrogate {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
         let (mut dist_comps, mut expansions) = (0u64, 0u64);
         let mut visited = vec![false; n];
-        let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-        let mut results: BinaryHeap<Cand> = BinaryHeap::new();
+        let mut frontier: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+        let mut results: BinaryHeap<Key> = BinaryHeap::new();
         let mut worst = f64::INFINITY;
         let mut scan: &[u32] = entries;
         loop {
@@ -1179,15 +1186,15 @@ mod tests {
                 dist_comps += 1;
                 let d = score[v as usize];
                 if results.len() < ef || d < worst {
-                    frontier.push(Reverse(Cand(d, v)));
-                    results.push(Cand(d, v));
+                    frontier.push(Reverse(Key(d, v)));
+                    results.push(Key(d, v));
                     if results.len() > ef {
                         results.pop();
                     }
                     worst = results.peek().map_or(f64::INFINITY, |c| c.0);
                 }
             }
-            let Some(Reverse(Cand(d, v))) = frontier.pop() else {
+            let Some(Reverse(Key(d, v))) = frontier.pop() else {
                 break;
             };
             if results.len() >= ef && d > worst {
@@ -1200,7 +1207,7 @@ mod tests {
             results: results
                 .into_sorted_vec()
                 .into_iter()
-                .map(|Cand(d, v)| (v, d))
+                .map(|Key(d, v)| (v, d))
                 .collect(),
             dist_comps,
             expansions,
@@ -1244,19 +1251,145 @@ mod tests {
     }
 
     #[test]
-    fn sorted_array_and_heap_walks_equal_the_two_heap_reference_under_ties() {
+    fn the_candidate_array_walks_equal_the_two_heap_reference_under_ties() {
         // Duplicate points and few distinct scores: the beam boundary falls
-        // inside a tie group at every width, on both sides of the cutoff.
+        // inside a tie group at every width.
         let n = 400;
         let (g, score) = tie_heavy_instance(n, 3, 9, 41);
-        let cut = SORTED_MAX_EF;
-        for ef in [1, cut - 1, cut, cut + 1, 2 * cut, n] {
+        for ef in [1, 2, 15, 16, 17, 32, 33, 64, 256, n] {
             for entry in [0u32, 57, 399] {
                 let want = two_heap_walk(n, &[entry], ef, &g, &score);
                 let got = beam_walk(n, &[entry], ef, |v| g.neighbors(v), |v| score[v as usize]);
                 assert_eq!(got, want, "ef = {ef}, entry = {entry}");
                 assert!(got.results.len() == ef.min(n));
             }
+        }
+    }
+
+    #[test]
+    fn seeded_walks_equal_the_two_heap_reference_at_random_widths_and_entries() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2025);
+        for case in 0..300u64 {
+            let n = rng.random_range(2..=300usize);
+            // Every other case ties heavily (nine score levels); the rest
+            // are tie-free (a permutation of 0..n as scores: 7919 is a
+            // prime above every n).
+            let (g, mut score) = tie_heavy_instance(n, rng.random_range(0..5), 9, case);
+            if case % 2 == 1 {
+                score = (0..n).map(|v| ((v * 7919) % n) as f64).collect();
+            }
+            let ef = rng.random_range(1..=n);
+            let entries: Vec<u32> = (0..rng.random_range(1..=3))
+                .map(|_| rng.random_range(0..n) as u32)
+                .collect();
+            let want = two_heap_walk(n, &entries, ef, &g, &score);
+            let got = beam_walk(n, &entries, ef, |v| g.neighbors(v), |v| score[v as usize]);
+            assert_eq!(
+                got, want,
+                "case {case}: n = {n}, ef = {ef}, entries {entries:?}"
+            );
+        }
+    }
+
+    /// Walks `rows` with `score` at width `ef` from vertex 0, checked against
+    /// the two-heap reference; returns the walk and the vertices in the
+    /// order they were scored.
+    fn logged_walk(rows: Vec<Vec<u32>>, score: &[f64], ef: usize) -> (BeamSurrogate, Vec<u32>) {
+        let g = Graph::from_adjacency(rows);
+        let mut log = Vec::new();
+        let n = score.len();
+        let got = beam_walk(
+            n,
+            &[0],
+            ef,
+            |v| g.neighbors(v),
+            |v| {
+                log.push(v);
+                score[v as usize]
+            },
+        );
+        assert_eq!(got, two_heap_walk(n, &[0], ef, &g, score));
+        (got, log)
+    }
+
+    /// Vertex 0's row `[1, 2, 3, 4, 5]` at `ef` = 4: 1, 2 and 3 (score 1)
+    /// fill the beam, then 4 and 5 (score 0.5) evict 3 and 2 unexpanded
+    /// while the worst stays 1 — two ties. Every vertex `v` of 1..=6 has
+    /// one private neighbour `10 + v` scored 9, so the scoring order shows
+    /// the expansion order; `extra` joins 2's row.
+    fn tie_rows(extra: &[u32]) -> Vec<Vec<u32>> {
+        let mut rows = vec![vec![]; 17];
+        rows[0] = vec![1, 2, 3, 4, 5];
+        for v in 1..=6u32 {
+            rows[v as usize].push(10 + v);
+        }
+        rows[2].extend_from_slice(extra);
+        rows
+    }
+
+    fn tie_scores() -> Vec<f64> {
+        let mut score = vec![9.0; 17];
+        score[0] = 0.0;
+        for (v, s) in [(1, 1.0), (2, 1.0), (3, 1.0), (4, 0.5), (5, 0.5), (6, 0.25)] {
+            score[v] = s;
+        }
+        score
+    }
+
+    #[test]
+    fn evicted_candidates_at_the_worst_score_are_expanded_last_in_id_order() {
+        let (got, log) = logged_walk(tie_rows(&[]), &tie_scores(), 4);
+        // The kept 4, 5, 1 first (by score, then id), then the ties 2 and
+        // 3 — 2 first although 3 was evicted first.
+        assert_eq!(log, [0, 1, 2, 3, 4, 5, 14, 15, 11, 12, 13]);
+        assert_eq!(got.expansions, 6);
+        assert_eq!(got.results, [(0, 0.0), (4, 0.5), (5, 0.5), (1, 1.0)]);
+    }
+
+    #[test]
+    fn an_evicted_candidate_above_the_worst_is_never_expanded() {
+        // ef = 2: 1 (score 2) fills the beam, 2 (score 1) evicts it and the
+        // worst drops to 1, so 1's row is never scanned.
+        let mut score = vec![9.0; 13];
+        (score[0], score[1], score[2]) = (0.0, 2.0, 1.0);
+        let mut rows = vec![vec![]; 13];
+        (rows[0], rows[1], rows[2]) = (vec![1, 2], vec![11], vec![12]);
+        let (got, log) = logged_walk(rows, &score, 2);
+        assert_eq!(log, [0, 1, 2, 12]);
+        assert_eq!(got.expansions, 2);
+    }
+
+    #[test]
+    fn the_ties_are_dropped_when_a_tie_expansion_lowers_the_worst() {
+        // As above, but the first tie expanded (2) finds 6 at 0.25: 6 evicts
+        // 1, the worst drops to 0.5, and the other tie (3) is never
+        // expanded — its leaf 13 is never scored; 6 itself is expanded.
+        let (got, log) = logged_walk(tie_rows(&[6]), &tie_scores(), 4);
+        assert_eq!(log, [0, 1, 2, 3, 4, 5, 14, 15, 11, 6, 12, 16]);
+        assert_eq!(got.expansions, 6);
+        assert_eq!(got.results, [(0, 0.0), (6, 0.25), (4, 0.5), (5, 0.5)]);
+    }
+
+    #[test]
+    fn a_counted_flat_dataset_counts_exactly_the_walks_scores() {
+        use pg_metric::{Counting, FlatPoints};
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|i| vec![f64::from(i % 17) * 3.1, f64::from(i / 17) * 2.3])
+            .collect();
+        let counter = Counting::new(Euclidean);
+        let data = FlatPoints::from(rows).into_dataset(counter.clone());
+        assert!(data.reads_row_major_buffer());
+        let g = Graph::complete(300);
+        for (ef, q) in [(1, [3.0, 4.0]), (16, [20.0, 9.5]), (300, [50.0, 41.0])] {
+            let q = FlatPoints::from(vec![q.to_vec()]).into_rows().remove(0);
+            let before = counter.count();
+            let out = beam_search_detailed(&g, &data, 7, &q, ef, 10);
+            assert_eq!(counter.count() - before, out.dist_comps, "ef = {ef}");
+            let before = counter.count();
+            let out = greedy(&g, &data, 7, &q);
+            assert_eq!(counter.count() - before, out.dist_comps);
         }
     }
 

@@ -1,4 +1,12 @@
 //! Id-addressed datasets: a point collection paired with a metric.
+//!
+//! A flat dataset (`FlatPoints::into_dataset`) scores from its row-major
+//! buffer, and through the metric's named `L_p` kernel
+//! ([`Metric::lp_kernel`]) where it has one — statically dispatched per
+//! call, and for a walk resolved once against the query
+//! ([`Dataset::surrogates_to`]). A metric without one, `Counting` and the
+//! other wrappers included, is called through its own slice kernel and
+//! sees every call.
 
 use std::sync::Arc;
 
@@ -14,14 +22,19 @@ use crate::metric::Metric;
 ///
 /// A dataset built by [`FlatPoints::into_dataset`](crate::FlatPoints::into_dataset)
 /// additionally remembers the shared row-major buffer behind its
-/// [`FlatRow`](crate::FlatRow) handles, and the four distance accessors
+/// [`FlatRow`](crate::FlatRow) handles, and the distance accessors
 /// ([`dist`](Dataset::dist), [`dist_to`](Dataset::dist_to),
 /// [`dist_surrogate`](Dataset::dist_surrogate),
-/// [`surrogate_to`](Dataset::surrogate_to)) read row `i` as
+/// [`surrogate_to`](Dataset::surrogate_to),
+/// [`surrogates_to`](Dataset::surrogates_to)) read row `i` as
 /// `buf[i·d .. (i+1)·d]` instead of loading the 24-byte handle first — one
 /// dependent cache miss per distance instead of two, with bit-identical
-/// values (the metric's `[f64]` kernel is the one the handle's
-/// `AsRef<[f64]>` reaches).
+/// values. When the metric names its `L_p` kernel
+/// ([`Metric::lp_kernel`]: `Euclidean`, `Manhattan`, `Chebyshev`) the
+/// accessors run that kernel inlined; any other metric — `Counting` and
+/// the other wrappers included — is called through its own `[f64]` kernel,
+/// the one the handle's `AsRef<[f64]>` reaches, so it sees (and counts)
+/// every call as before.
 #[derive(Debug, Clone)]
 pub struct Dataset<P, M> {
     points: Vec<P>,
@@ -30,22 +43,41 @@ pub struct Dataset<P, M> {
 }
 
 /// The buffer path of a flat-backed dataset: the coordinates of `points`,
-/// row-major, and the metric's slice kernels resolved once at construction
-/// (a struct generic in `P` cannot name `Metric<[f64]>` at the call site).
+/// row-major, how a query point's coordinates are read, and the metric's
+/// slice kernels resolved once at construction (a struct generic in `P`
+/// cannot name `Metric<[f64]>` or `AsRef<[f64]>` at the call site). The
+/// kernels are called only for a metric that names no [`Lp`](crate::Lp).
 #[derive(Debug, Clone)]
 struct RowMajor<P, M> {
     buf: Arc<[f64]>,
     dim: usize,
+    coords: fn(&P) -> &[f64],
     dist: fn(&M, &[f64], &[f64]) -> f64,
     surrogate: fn(&M, &[f64], &[f64]) -> f64,
-    dist_to: fn(&M, &[f64], &P) -> f64,
-    surrogate_to: fn(&M, &[f64], &P) -> f64,
 }
 
 impl<P, M> RowMajor<P, M> {
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
         &self.buf[i * self.dim..(i + 1) * self.dim]
+    }
+}
+
+impl<P, M: Metric<P>> RowMajor<P, M> {
+    #[inline]
+    fn dist(&self, m: &M, a: &[f64], b: &[f64]) -> f64 {
+        match m.lp_kernel() {
+            Some(lp) => lp.dist(a, b),
+            None => (self.dist)(m, a, b),
+        }
+    }
+
+    #[inline]
+    fn surrogate(&self, m: &M, a: &[f64], b: &[f64]) -> f64 {
+        match m.lp_kernel() {
+            Some(lp) => lp.surrogate(a, b),
+            None => (self.surrogate)(m, a, b),
+        }
     }
 }
 
@@ -64,10 +96,9 @@ impl<M: Metric<crate::FlatRow> + Metric<[f64]>> Dataset<crate::FlatRow, M> {
         data.rows = Some(RowMajor {
             buf,
             dim,
+            coords: crate::FlatRow::coords,
             dist: |m, a, b| m.dist(a, b),
             surrogate: |m, a, b| m.surrogate(a, b),
-            dist_to: |m, a, q| m.dist(a, q.coords()),
-            surrogate_to: |m, a, q| m.surrogate(a, q.coords()),
         });
         data
     }
@@ -133,7 +164,7 @@ impl<P, M: Metric<P>> Dataset<P, M> {
     #[inline]
     pub fn dist(&self, i: usize, j: usize) -> f64 {
         match &self.rows {
-            Some(r) => (r.dist)(&self.metric, r.row(i), r.row(j)),
+            Some(r) => r.dist(&self.metric, r.row(i), r.row(j)),
             None => self.metric.dist(&self.points[i], &self.points[j]),
         }
     }
@@ -143,7 +174,7 @@ impl<P, M: Metric<P>> Dataset<P, M> {
     #[inline]
     pub fn dist_to(&self, i: usize, q: &P) -> f64 {
         match &self.rows {
-            Some(r) => (r.dist_to)(&self.metric, r.row(i), q),
+            Some(r) => r.dist(&self.metric, r.row(i), (r.coords)(q)),
             None => self.metric.dist(&self.points[i], q),
         }
     }
@@ -153,7 +184,7 @@ impl<P, M: Metric<P>> Dataset<P, M> {
     #[inline]
     pub fn dist_surrogate(&self, i: usize, j: usize) -> f64 {
         match &self.rows {
-            Some(r) => (r.surrogate)(&self.metric, r.row(i), r.row(j)),
+            Some(r) => r.surrogate(&self.metric, r.row(i), r.row(j)),
             None => self.metric.surrogate(&self.points[i], &self.points[j]),
         }
     }
@@ -164,7 +195,26 @@ impl<P, M: Metric<P>> Dataset<P, M> {
     #[inline]
     pub fn surrogate_to(&self, i: usize, q: &P) -> f64 {
         match &self.rows {
-            Some(r) => (r.surrogate_to)(&self.metric, r.row(i), q),
+            Some(r) => r.surrogate(&self.metric, r.row(i), (r.coords)(q)),
+            None => self.metric.surrogate(&self.points[i], q),
+        }
+    }
+
+    /// [`surrogate_to`](Dataset::surrogate_to) against one fixed query, as
+    /// a function of the id — what a walk scores with. Whatever does not
+    /// depend on the id is resolved here, once: on a flat dataset the
+    /// buffer, its stride, `q`'s coordinates and the metric's `L_p` kernel,
+    /// so each call is the bare kernel on `buf[i·d .. (i+1)·d]`, inlined
+    /// into the caller's loop. Values and `Counting` counts are
+    /// `surrogate_to`'s.
+    #[inline]
+    pub fn surrogates_to<'a>(&'a self, q: &'a P) -> impl Fn(usize) -> f64 + 'a {
+        let flat = self
+            .rows
+            .as_ref()
+            .map(|r| (r, &r.buf[..], r.dim, (r.coords)(q)));
+        move |i| match flat {
+            Some((r, buf, dim, qc)) => r.surrogate(&self.metric, &buf[i * dim..(i + 1) * dim], qc),
             None => self.metric.surrogate(&self.points[i], q),
         }
     }
@@ -432,6 +482,70 @@ mod tests {
             let got = rayon::with_threads(threads, || ds.min_max_interpoint());
             assert_eq!(got, (dmin, dmax), "diverged at {threads} threads");
         }
+    }
+
+    /// Every accessor of a flat dataset under `metric` — the named kernel
+    /// inlined — against the same points through `Dataset::new` (the
+    /// metric on `Vec<f64>`) and through `Counting` (the buffer path's
+    /// function pointers): bit-identical, and `Counting` counts each call.
+    fn kernel_matches_the_metric<M>(metric: M, lp: crate::Lp)
+    where
+        M: Metric<Vec<f64>> + Metric<crate::FlatRow> + Metric<[f64]> + Clone,
+    {
+        use crate::{Counting, FlatPoints, FlatRow};
+        let coord = |k: usize| ((k * 7919 + 13) % 1000) as f64 / 37.0 - 11.0;
+        for d in [1usize, 2, 3, 7, 8, 9, 128] {
+            let nested: Vec<Vec<f64>> = (0..24)
+                .map(|p| (0..d).map(|c| coord(p * d + c)).collect())
+                .collect();
+            let q: Vec<f64> = nested[0].iter().map(|x| x * 0.5 + 1.25).collect();
+            let plain = Dataset::new(nested.clone(), metric.clone());
+            let flat = FlatPoints::from(&nested[..]).into_dataset(metric.clone());
+            let counter = Counting::new(metric.clone());
+            let counted = FlatPoints::from(&nested[..]).into_dataset(counter.clone());
+            assert_eq!(Metric::<FlatRow>::lp_kernel(&metric), Some(lp));
+            assert_eq!(Metric::<FlatRow>::lp_kernel(&counter), None);
+            let fq = FlatRow::from(q.clone());
+            let (each, counted_each) = (flat.surrogates_to(&fq), counted.surrogates_to(&fq));
+            for (i, point) in nested.iter().enumerate() {
+                let j = (i * 5 + 1) % nested.len();
+                let want = [
+                    plain.surrogate_to(i, &q),
+                    plain.dist_to(i, &q),
+                    plain.dist(i, j),
+                    plain.dist_surrogate(i, j),
+                    lp.surrogate(point, &q),
+                ];
+                let before = counter.count();
+                for got in [
+                    [
+                        flat.surrogate_to(i, &fq),
+                        flat.dist_to(i, &fq),
+                        flat.dist(i, j),
+                        flat.dist_surrogate(i, j),
+                        each(i),
+                    ],
+                    [
+                        counted.surrogate_to(i, &fq),
+                        counted.dist_to(i, &fq),
+                        counted.dist(i, j),
+                        counted.dist_surrogate(i, j),
+                        counted_each(i),
+                    ],
+                ] {
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "d = {d}");
+                }
+                assert_eq!(counter.count() - before, 5);
+                assert_eq!(lp.dist(point, &q), want[1]);
+            }
+        }
+    }
+
+    #[test]
+    fn named_kernels_are_the_metrics_bit_for_bit_on_the_buffer_path() {
+        kernel_matches_the_metric(Euclidean, crate::Lp::L2);
+        kernel_matches_the_metric(crate::Manhattan, crate::Lp::L1);
+        kernel_matches_the_metric(crate::Chebyshev, crate::Lp::LInf);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use angular::{normalize, Angular};
 pub use counter::Counting;
 pub use dataset::Dataset;
 pub use flat::{FlatPoints, FlatRow};
-pub use lp::{Chebyshev, Euclidean, Manhattan};
+pub use lp::{Chebyshev, Euclidean, Lp, Manhattan};
 pub use metric::{Metric, ANNULUS_SLACK};
 pub use quant::{CompactPoints, F32Points, PreparedQuery, QuantKind, Quantized, Sq8Points};
 pub use scaled::Scaled;

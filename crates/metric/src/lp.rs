@@ -119,6 +119,40 @@ pub fn l1(a: &[f64], b: &[f64]) -> f64 {
     (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) + tail
 }
 
+/// The kernel of an `L_p` metric on coordinate slices — what
+/// [`Metric::lp_kernel`] names. Its two methods are the metric's own
+/// `surrogate` and `dist`, bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lp {
+    /// [`Manhattan`]: [`l1`] for both.
+    L1,
+    /// [`Euclidean`]: [`l2_squared`] as the surrogate, [`l2`] as the distance.
+    L2,
+    /// [`Chebyshev`]: [`linf`] for both.
+    LInf,
+}
+
+impl Lp {
+    /// The metric's [`Metric::surrogate`] of two coordinate slices.
+    #[inline]
+    pub fn surrogate(self, a: &[f64], b: &[f64]) -> f64 {
+        match self {
+            Lp::L1 => l1(a, b),
+            Lp::L2 => l2_squared(a, b),
+            Lp::LInf => linf(a, b),
+        }
+    }
+
+    /// The metric's [`Metric::dist`] of two coordinate slices.
+    #[inline]
+    pub fn dist(self, a: &[f64], b: &[f64]) -> f64 {
+        match self {
+            Lp::L2 => l2(a, b),
+            other => other.surrogate(a, b),
+        }
+    }
+}
+
 impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Euclidean {
     #[inline]
     fn dist(&self, a: &P, b: &P) -> f64 {
@@ -134,6 +168,11 @@ impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Euclidean {
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         s.sqrt()
     }
+
+    #[inline]
+    fn lp_kernel(&self) -> Option<Lp> {
+        Some(Lp::L2)
+    }
 }
 
 impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Chebyshev {
@@ -141,12 +180,22 @@ impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Chebyshev {
     fn dist(&self, a: &P, b: &P) -> f64 {
         linf(a.as_ref(), b.as_ref())
     }
+
+    #[inline]
+    fn lp_kernel(&self) -> Option<Lp> {
+        Some(Lp::LInf)
+    }
 }
 
 impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Manhattan {
     #[inline]
     fn dist(&self, a: &P, b: &P) -> f64 {
         l1(a.as_ref(), b.as_ref())
+    }
+
+    #[inline]
+    fn lp_kernel(&self) -> Option<Lp> {
+        Some(Lp::L1)
     }
 }
 

@@ -1,5 +1,7 @@
 //! The [`Metric`] trait.
 
+use crate::lp::Lp;
+
 /// Relative slack of every test that lets the triangle inequality stand in
 /// for a distance computation: a candidate is ruled out unseen only when the
 /// bound that excludes it clears the threshold by more than this fraction of
@@ -76,6 +78,23 @@ pub trait Metric<P: ?Sized> {
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         s
     }
+
+    /// The `L_p` kernel this metric *is* on coordinate slices, if any: a
+    /// metric that names one promises that [`Lp::surrogate`] and
+    /// [`Lp::dist`] on the coordinates of two points are bit-identical to
+    /// its own `surrogate` and `dist` on the points. A flat dataset
+    /// (`FlatPoints::into_dataset`) then scores through the named kernel,
+    /// statically dispatched and inlined where it is called, instead of
+    /// through a function pointer resolved for the metric.
+    ///
+    /// The default is `None`, and a wrapper must not forward it unless it
+    /// computes the same values *and* needs to see no call: `Counting`
+    /// (which counts every call) and `Scaled` (which changes the values)
+    /// keep the default and score as they always did.
+    #[inline]
+    fn lp_kernel(&self) -> Option<Lp> {
+        None
+    }
 }
 
 impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
@@ -92,6 +111,11 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     #[inline]
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         (**self).dist_from_surrogate(s)
+    }
+
+    #[inline]
+    fn lp_kernel(&self) -> Option<Lp> {
+        (**self).lp_kernel()
     }
 }
 
