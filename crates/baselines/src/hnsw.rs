@@ -57,12 +57,18 @@ impl Hnsw {
     /// Builds the index by sequential insertion.
     ///
     /// Insertion order is inherently sequential (each point searches the
-    /// graph built so far), so the build loop is not sharded. Neighbor
-    /// re-pruning routes its candidate distance labelling through the
-    /// thread-pool-aware `label_dists` helper, which engages the pool only
-    /// past a 512-candidate threshold — at default parameters (`M = 12`,
-    /// candidate lists ≈ `M_max + 1`) the build therefore runs effectively
-    /// sequentially, and stays bit-identical for any thread count.
+    /// graph built so far), so the build loop is not sharded, makes no pool
+    /// call, and builds the same index for any thread count.
+    ///
+    /// Every adjacency entry under construction carries, beside its id, its
+    /// length (the distance the insertion beam scored for it) and whether
+    /// the latest diversity pass over its list selected it. A list that
+    /// overflows `M_max` is re-pruned from the stored lengths, and a
+    /// diversity test between two entries that both passed the previous
+    /// pass is not repeated (`shrink`, `select_heuristic`). Both are exact:
+    /// every layer is the one a build that recomputes them would make,
+    /// entry for entry and in order. The per-entry data lives only for the
+    /// length of the build.
     pub fn build<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, params: HnswParams) -> Self {
         let n = data.len();
         assert!(n >= 1);
@@ -75,55 +81,59 @@ impl Hnsw {
             })
             .collect();
         let max_level = levels.iter().copied().max().unwrap_or(0);
-        let mut layers: Vec<Vec<Vec<u32>>> = (0..=max_level).map(|_| vec![Vec::new(); n]).collect();
-
-        let mut index = Hnsw {
-            layers: Vec::new(),
-            levels: levels.clone(),
-            entry: 0,
-            params,
-        };
+        let mut layers: Vec<BuildLayer> = (0..=max_level).map(|_| BuildLayer::new(n)).collect();
 
         // Insert points one by one (point 0 bootstraps as entry).
         let mut entry = 0u32;
         let mut entry_level = levels[0];
-        for p in 1..n {
-            let p_level = levels[p];
+        for (p, &p_level) in levels.iter().enumerate().skip(1) {
             let q = data.point(p);
             let mut cur = entry;
             // Greedy descent through layers above p's top level.
             let mut lvl = entry_level;
             while lvl > p_level {
-                cur = greedy_layer(data, &layers[lvl], cur, q);
+                cur = greedy_layer(data, &layers[lvl].ids, cur, q);
                 lvl -= 1;
             }
             // Beam insertion from min(entry_level, p_level) down to 0.
             let start_lvl = p_level.min(entry_level);
             let mut eps = vec![cur];
             for l in (0..=start_lvl).rev() {
-                let found: Vec<(f64, u32)> =
-                    search_layer(data, &layers[l], &eps, q, params.ef_construction)
+                let layer = &mut layers[l];
+                let found: Vec<Entry> =
+                    search_layer(data, &layer.ids, &eps, q, params.ef_construction)
                         .results
                         .into_iter()
-                        .map(|(v, d)| (d, v))
+                        .map(|(id, len)| Entry {
+                            id,
+                            len,
+                            diverse: false,
+                        })
                         .collect();
                 let m_max = if l == 0 { 2 * params.m } else { params.m };
                 let selected = if params.heuristic {
                     select_heuristic(data, p, &found, params.m)
                 } else {
-                    found.iter().take(params.m).map(|&(_, v)| v).collect()
+                    found.iter().take(params.m).copied().collect()
                 };
-                for &u in &selected {
-                    layers[l][p].push(u);
-                    layers[l][u as usize].push(p as u32);
-                    if layers[l][u as usize].len() > m_max {
-                        shrink(data, &mut layers[l], u as usize, m_max, params.heuristic);
+                // `p`'s list holds at most `M <= M_max` entries, so only the
+                // back-linked lists can overflow.
+                for &e in &selected {
+                    let u = e.id as usize;
+                    layer.push(p, e);
+                    layer.push(
+                        u,
+                        Entry {
+                            id: p as u32,
+                            len: e.len,
+                            diverse: false,
+                        },
+                    );
+                    if layer.ids[u].len() > m_max {
+                        shrink(data, layer, u, m_max, params.heuristic);
                     }
                 }
-                if layers[l][p].len() > m_max {
-                    shrink(data, &mut layers[l], p, m_max, params.heuristic);
-                }
-                eps = found.iter().map(|&(_, v)| v).collect();
+                eps = found.iter().map(|e| e.id).collect();
             }
             if p_level > entry_level {
                 entry = p as u32;
@@ -131,9 +141,12 @@ impl Hnsw {
             }
         }
 
-        index.layers = layers;
-        index.entry = entry;
-        index
+        Hnsw {
+            layers: layers.into_iter().map(|l| l.ids).collect(),
+            levels,
+            entry,
+            params,
+        }
     }
 
     /// Searches for the `k` nearest neighbors of `q`.
@@ -303,78 +316,377 @@ fn search_layer<P, M: Metric<P>>(
     )
 }
 
+/// One adjacency entry under construction: the neighbour, its length (the
+/// distance to the list's owner), and whether the latest diversity pass
+/// over the list selected it — `false` for backfilled entries, appended
+/// back-links and every entry of a plain-selection build.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    id: u32,
+    len: f64,
+    diverse: bool,
+}
+
+/// One layer under construction: the ids the insertion walks read, laid
+/// out exactly as the finished index stores them, and beside each id the
+/// `(len, diverse)` of its [`Entry`].
+struct BuildLayer {
+    ids: Vec<Vec<u32>>,
+    known: Vec<Vec<(f64, bool)>>,
+}
+
+impl BuildLayer {
+    fn new(n: usize) -> Self {
+        BuildLayer {
+            ids: vec![Vec::new(); n],
+            known: vec![Vec::new(); n],
+        }
+    }
+
+    fn push(&mut self, owner: usize, e: Entry) {
+        self.ids[owner].push(e.id);
+        self.known[owner].push((e.len, e.diverse));
+    }
+}
+
 /// `SELECT-NEIGHBORS-HEURISTIC` of \[22\]: keep a candidate only if it is
 /// closer to the base point than to every already selected neighbor
-/// (diversifies directions, echoing the α-pruning idea).
+/// (diversifies directions, echoing the α-pruning idea). `candidates` are
+/// ascending by `(len, id)`; the result is the diverse picks in that order,
+/// then the backfill, with `diverse` set on exactly the picks.
+///
+/// The test of a candidate `v` against a selected `s` is skipped when both
+/// carry the bit from the previous pass over the same list: that pass saw
+/// them in this same `(len, id)` order with these same lengths, and
+/// selected both, so `s` was already selected when `v` passed against it
+/// with the same two numbers.
 fn select_heuristic<P, M: Metric<P>>(
     data: &Dataset<P, M>,
     p: usize,
-    candidates: &[(f64, u32)],
+    candidates: &[Entry],
     m: usize,
-) -> Vec<u32> {
-    let mut selected: Vec<u32> = Vec::with_capacity(m);
-    for &(d, v) in candidates {
+) -> Vec<Entry> {
+    let mut selected: Vec<Entry> = Vec::with_capacity(m);
+    for &v in candidates {
         if selected.len() >= m {
             break;
         }
-        if v as usize == p {
+        if v.id as usize == p {
             continue;
         }
         let diverse = selected
             .iter()
-            .all(|&u| data.dist(u as usize, v as usize) > d);
+            .all(|s| (s.diverse && v.diverse) || data.dist(s.id as usize, v.id as usize) > v.len);
         if diverse {
             selected.push(v);
         }
     }
+    let picked = selected.len();
     // Backfill with nearest skipped candidates if under-full.
-    if selected.len() < m {
-        for &(_, v) in candidates {
-            if selected.len() >= m {
-                break;
-            }
-            if v as usize != p && !selected.contains(&v) {
-                selected.push(v);
-            }
+    for &v in candidates {
+        if selected.len() >= m {
+            break;
         }
+        if v.id as usize != p && !selected.iter().any(|s| s.id == v.id) {
+            selected.push(v);
+        }
+    }
+    for (i, s) in selected.iter_mut().enumerate() {
+        s.diverse = i < picked;
     }
     selected
 }
 
-/// Re-prunes a vertex's adjacency down to `m_max`.
-fn shrink<P: Sync, M: Metric<P> + Sync>(
+/// Re-prunes `u`'s adjacency down to `m_max`, labelled by the lengths its
+/// entries carry instead of by fresh distances.
+///
+/// Exactness: a stored length is the insertion beam's `dist_to` of the
+/// pair — `dist_to(u, p)` on `p`'s own entries — where recomputing would
+/// label `dist(p, u)`. Every metric in the workspace gives equal bits in
+/// either argument order: the `L_p` kernels square or take `|a − b|` lane
+/// by lane, and angular's dot product commutes. So the labels, their
+/// `(len, id)` order and the selection are the recomputed ones.
+fn shrink<P, M: Metric<P>>(
     data: &Dataset<P, M>,
-    layer: &mut [Vec<u32>],
+    layer: &mut BuildLayer,
     u: usize,
     m_max: usize,
     heuristic: bool,
 ) {
-    let mut cands: Vec<(f64, u32)> = crate::label_dists(data, u, &layer[u]);
-    cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    cands.dedup_by_key(|c| c.1);
-    layer[u] = if heuristic {
-        select_heuristic(data, u, &cands, m_max)
+    let mut cands: Vec<Entry> = layer.ids[u]
+        .iter()
+        .zip(&layer.known[u])
+        .map(|(&id, &(len, diverse))| Entry { id, len, diverse })
+        .collect();
+    cands.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
+    cands.dedup_by_key(|c| c.id);
+    if heuristic {
+        cands = select_heuristic(data, u, &cands, m_max);
     } else {
-        cands.into_iter().take(m_max).map(|(_, v)| v).collect()
-    };
+        cands.truncate(m_max);
+    }
+    layer.ids[u].clear();
+    layer.known[u].clear();
+    for e in cands {
+        layer.push(u, e);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_metric::{Counting, Euclidean, FlatPoints, FlatRow};
+    use pg_metric::{Counting, Euclidean, FlatPoints, FlatRow, Manhattan};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
     // Flat-backed on purpose: the baseline builds and searches are generic
     // over the point type, and these tests double as coverage that they run
     // on the contiguous layout the experiments use.
-    fn random_dataset(n: usize, d: usize, seed: u64) -> Dataset<FlatRow, Euclidean> {
+    fn random_points(n: usize, d: usize, seed: u64) -> FlatPoints {
         let mut rng = StdRng::seed_from_u64(seed);
         FlatPoints::from_fn(n, d, |_, out| {
             out.extend((0..d).map(|_| rng.random_range(0.0..30.0)))
         })
-        .into_dataset(Euclidean)
+    }
+
+    fn random_dataset(n: usize, d: usize, seed: u64) -> Dataset<FlatRow, Euclidean> {
+        random_points(n, d, seed).into_dataset(Euclidean)
+    }
+
+    /// Eight tight clusters in a wide cube.
+    fn clustered_points(n: usize, d: usize, seed: u64) -> FlatPoints {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centres: Vec<Vec<f64>> = (0..8)
+            .map(|_| (0..d).map(|_| rng.random_range(0.0..1000.0)).collect())
+            .collect();
+        FlatPoints::from_fn(n, d, |i, out| {
+            let c = &centres[i % centres.len()];
+            out.extend(c.iter().map(|&x| x + rng.random_range(-40.0..40.0)))
+        })
+    }
+
+    /// The `side × side` integer lattice in a shuffled order: equal
+    /// lengths everywhere, so lists sort by id among ties and the diversity
+    /// test meets `dist(s, v) == len` at its strict `>`.
+    fn lattice_points(side: usize, seed: u64) -> FlatPoints {
+        let mut cells: Vec<usize> = (0..side * side).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..cells.len()).rev() {
+            cells.swap(i, rng.random_range(0..=i));
+        }
+        FlatPoints::from_fn(cells.len(), 2, |i, out| {
+            out.extend([(cells[i] % side) as f64, (cells[i] / side) as f64])
+        })
+    }
+
+    /// The build as it stood before entries carried their lengths and
+    /// verdicts: every overflow labels the whole list afresh through
+    /// `label_dists` and re-tests every diversity pair. What
+    /// [`Hnsw::build`] must reproduce layer for layer, entry for entry.
+    fn reference_build<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        params: HnswParams,
+    ) -> Hnsw {
+        let n = data.len();
+        let ml = 1.0 / (params.m as f64).ln();
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let levels: Vec<usize> = (0..n)
+            .map(|_| {
+                let u: f64 = rng.random_range(1e-12..1.0);
+                ((-u.ln()) * ml).floor() as usize
+            })
+            .collect();
+        let max_level = levels.iter().copied().max().unwrap_or(0);
+        let mut layers: Vec<Vec<Vec<u32>>> = (0..=max_level).map(|_| vec![Vec::new(); n]).collect();
+        let mut entry = 0u32;
+        let mut entry_level = levels[0];
+        for (p, &p_level) in levels.iter().enumerate().skip(1) {
+            let q = data.point(p);
+            let mut cur = entry;
+            let mut lvl = entry_level;
+            while lvl > p_level {
+                cur = greedy_layer(data, &layers[lvl], cur, q);
+                lvl -= 1;
+            }
+            let mut eps = vec![cur];
+            for l in (0..=p_level.min(entry_level)).rev() {
+                let found: Vec<(f64, u32)> =
+                    search_layer(data, &layers[l], &eps, q, params.ef_construction)
+                        .results
+                        .into_iter()
+                        .map(|(v, d)| (d, v))
+                        .collect();
+                let m_max = if l == 0 { 2 * params.m } else { params.m };
+                let selected = if params.heuristic {
+                    reference_select_heuristic(data, p, &found, params.m)
+                } else {
+                    found.iter().take(params.m).map(|&(_, v)| v).collect()
+                };
+                for &u in &selected {
+                    layers[l][p].push(u);
+                    layers[l][u as usize].push(p as u32);
+                    if layers[l][u as usize].len() > m_max {
+                        reference_shrink(data, &mut layers[l], u as usize, m_max, params.heuristic);
+                    }
+                }
+                if layers[l][p].len() > m_max {
+                    reference_shrink(data, &mut layers[l], p, m_max, params.heuristic);
+                }
+                eps = found.iter().map(|&(_, v)| v).collect();
+            }
+            if p_level > entry_level {
+                entry = p as u32;
+                entry_level = p_level;
+            }
+        }
+        Hnsw {
+            layers,
+            levels,
+            entry,
+            params,
+        }
+    }
+
+    fn reference_select_heuristic<P, M: Metric<P>>(
+        data: &Dataset<P, M>,
+        p: usize,
+        candidates: &[(f64, u32)],
+        m: usize,
+    ) -> Vec<u32> {
+        let mut selected: Vec<u32> = Vec::with_capacity(m);
+        for &(d, v) in candidates {
+            if selected.len() >= m {
+                break;
+            }
+            if v as usize == p {
+                continue;
+            }
+            if selected
+                .iter()
+                .all(|&u| data.dist(u as usize, v as usize) > d)
+            {
+                selected.push(v);
+            }
+        }
+        if selected.len() < m {
+            for &(_, v) in candidates {
+                if selected.len() >= m {
+                    break;
+                }
+                if v as usize != p && !selected.contains(&v) {
+                    selected.push(v);
+                }
+            }
+        }
+        selected
+    }
+
+    fn reference_shrink<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        layer: &mut [Vec<u32>],
+        u: usize,
+        m_max: usize,
+        heuristic: bool,
+    ) {
+        let mut cands: Vec<(f64, u32)> = crate::label_dists(data, u, &layer[u]);
+        cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        cands.dedup_by_key(|c| c.1);
+        layer[u] = if heuristic {
+            reference_select_heuristic(data, u, &cands, m_max)
+        } else {
+            cands.into_iter().take(m_max).map(|(_, v)| v).collect()
+        };
+    }
+
+    /// Every layer's lists, in order, plus levels and entry point: the
+    /// cached build against the recomputing one, at one and two threads.
+    fn assert_matches_reference<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        params: HnswParams,
+        case: &str,
+    ) {
+        for threads in [1, 2] {
+            let (got, want) = rayon::with_threads(threads, || {
+                (Hnsw::build(data, params), reference_build(data, params))
+            });
+            assert_eq!(
+                got.levels, want.levels,
+                "{case}, {threads} thread(s): levels"
+            );
+            assert_eq!(got.entry, want.entry, "{case}, {threads} thread(s): entry");
+            assert_eq!(got.layers.len(), want.layers.len(), "{case}: layer count");
+            for (l, (g, w)) in got.layers.iter().zip(&want.layers).enumerate() {
+                for (v, (gl, wl)) in g.iter().zip(w).enumerate() {
+                    assert_eq!(gl, wl, "{case}, {threads} thread(s): layer {l}, vertex {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn re_pruning_from_stored_lengths_and_verdicts_matches_the_recomputing_build() {
+        for m in [4, 12] {
+            let p = HnswParams {
+                m,
+                ..HnswParams::default()
+            };
+            let plain = HnswParams {
+                heuristic: false,
+                ..p
+            };
+            let uniform = random_points(500, 2, 21);
+            assert_matches_reference(
+                &uniform.clone().into_dataset(Euclidean),
+                p,
+                &format!("uniform 2-D, m = {m}"),
+            );
+            assert_matches_reference(
+                &uniform.clone().into_dataset(Euclidean),
+                plain,
+                &format!("uniform 2-D, plain, m = {m}"),
+            );
+            assert_matches_reference(
+                &uniform.into_dataset(Manhattan),
+                p,
+                &format!("uniform 2-D, L1, m = {m}"),
+            );
+            let clusters = clustered_points(400, 32, 22);
+            assert_matches_reference(
+                &clusters.into_dataset(Euclidean),
+                p,
+                &format!("clustered 32-D, m = {m}"),
+            );
+            let lattice = lattice_points(22, 23);
+            assert_matches_reference(
+                &lattice.clone().into_dataset(Euclidean),
+                p,
+                &format!("lattice, m = {m}"),
+            );
+            assert_matches_reference(
+                &lattice.clone().into_dataset(Manhattan),
+                p,
+                &format!("lattice, L1, m = {m}"),
+            );
+            assert_matches_reference(
+                &lattice.into_dataset(Euclidean),
+                plain,
+                &format!("lattice, plain, m = {m}"),
+            );
+        }
+    }
+
+    #[test]
+    fn re_pruning_recomputes_no_distance_the_build_already_has() {
+        // Pinned, so that a change which brings recomputation back fails
+        // here by name: 1 128 distances per point → 755, same index.
+        let data = random_points(1000, 16, 24).into_dataset(Counting::new(Euclidean));
+        let want = reference_build(&data, HnswParams::default());
+        let recomputing = data.metric().take();
+        let got = Hnsw::build(&data, HnswParams::default());
+        let cached = data.metric().take();
+        assert_eq!(got.layers, want.layers);
+        assert_eq!((recomputing, cached), (1_128_011, 754_723));
+        assert!(cached < recomputing);
     }
 
     #[test]
@@ -470,10 +782,10 @@ mod tests {
 
     #[test]
     fn parallel_build_is_thread_count_invariant() {
-        // Guards the label_dists wiring: at default parameters the shrink
-        // candidate lists stay under the parallel threshold, so this pins
-        // that introducing the pool-aware helper changed nothing — and that
-        // any future threshold change keeps the build deterministic.
+        // The build makes no pool call (re-pruning reads stored lengths
+        // instead of labelling through the pool-aware `label_dists`), so
+        // the pool's size must not reach the index; this pins that it
+        // never starts to.
         let ds = random_dataset(250, 2, 8);
         let one = rayon::with_threads(1, || Hnsw::build(&ds, HnswParams::default()));
         for threads in [2, 4] {

@@ -35,14 +35,16 @@ use pg_metric::{Dataset, Metric};
 
 /// Below this many candidates a parallel distance-labelling pass costs more
 /// in thread startup than it saves; the sequential path is used instead.
+/// Vamana's prune is the only caller that reaches it.
 pub(crate) const PAR_DIST_THRESHOLD: usize = 512;
 
 /// Distance-labels `cands` against point `p`, **in input order** — the
-/// neighbor-selection primitive of the HNSW/Vamana constructions. Over the
-/// immutable dataset snapshot each evaluation is independent, so large lists
-/// are sharded across the thread pool; the order-preserving map keeps the
-/// output (and therefore the built graph) bit-identical to the sequential
-/// path for any thread count.
+/// neighbor-selection primitive of the Vamana constructions (HNSW re-prunes
+/// from the lengths its entries already carry and calls this only in its
+/// recomputing test reference). Over the immutable dataset snapshot each
+/// evaluation is independent, so large lists are sharded across the thread
+/// pool; the order-preserving map keeps the output (and therefore the built
+/// graph) bit-identical to the sequential path for any thread count.
 pub(crate) fn label_dists<P: Sync, M: Metric<P> + Sync>(
     data: &Dataset<P, M>,
     p: usize,

@@ -2,7 +2,9 @@
 //! the cascade builder is near-linear in `n`; the naive scan and
 //! slow-preprocessing DiskANN are quadratic+. Both distance-computation
 //! counts (the paper's cost model) and wall-clock seconds are reported,
-//! with fitted log–log slopes.
+//! with fitted log–log slopes. The practical baseline sits beside them: an
+//! HNSW build (default parameters) on the same counted dataset at every
+//! `n`, a degree-capped index with no navigability guarantee.
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_t11_build
 //! [--full] [--threads N] [--save-index PATH]`
@@ -30,7 +32,7 @@
 
 use std::time::Instant;
 
-use pg_baselines::slow_preprocessing;
+use pg_baselines::{slow_preprocessing, Hnsw, HnswParams};
 use pg_bench::{fmt, loglog_slope, Args, Table};
 use pg_core::{BuildPhase, GNet, QueryEngine};
 use pg_metric::{Counting, Dataset, Euclidean, FlatRow, Metric};
@@ -88,6 +90,7 @@ fn main() {
         "naive dists",
         "covertree dists",
         "DiskANN-slow dists",
+        "HNSW dists",
         "fast s",
         "naive s",
         "slow s",
@@ -110,6 +113,7 @@ fn main() {
     let mut ct_d = Vec::new();
     let mut slow_d: Vec<f64> = Vec::new();
     let mut slow_x: Vec<f64> = Vec::new();
+    let mut hnsw_d = Vec::new();
 
     for &n in &ns {
         let points = workloads::uniform_cube_flat(n, 2, (n as f64).sqrt() * 4.0, 7);
@@ -167,12 +171,16 @@ fn main() {
             (f64::NAN, f64::NAN)
         };
 
+        let _h = Hnsw::build(&data, HnswParams::default());
+        let hd = data.metric().take() as f64;
+
         t.row(vec![
             n.to_string(),
             fmt(fd, 0),
             fmt(nd, 0),
             fmt(cd, 0),
             if sd.is_nan() { "-".into() } else { fmt(sd, 0) },
+            fmt(hd, 0),
             fmt(fast_secs, 3),
             fmt(naive_secs, 3),
             if slow_secs.is_nan() {
@@ -186,6 +194,7 @@ fn main() {
         fast_d.push(fd);
         naive_d.push(nd);
         ct_d.push(cd);
+        hnsw_d.push(hd);
         if !sd.is_nan() {
             slow_x.push(n as f64);
             slow_d.push(sd);
@@ -212,6 +221,10 @@ fn main() {
             loglog_slope(&slow_x, &slow_d)
         );
     }
+    println!(
+        "  HNSW (M = 12, ef_c = 64):     {:.2}   — practical baseline, no guarantee",
+        loglog_slope(&xs, &hnsw_d)
+    );
     println!("\nAll three G_net builders produced identical graphs at every n (asserted above).");
 
     println!("\nFast build, seconds by phase at 1 thread -> at 2 threads (speed-up), and the");
