@@ -16,7 +16,7 @@
 //!   a random regular graph improved by two passes of beam search +
 //!   α-robust-prune, with reverse-edge insertion.
 
-use pg_core::{beam_walk, Graph, GraphBuilder};
+use pg_core::{beam_walk, point_score, Graph, GraphBuilder};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -130,10 +130,10 @@ pub fn vamana<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, params: Vamana
                 &[medoid as u32],
                 params.l,
                 |v| &adj[v as usize],
-                |v| {
+                point_score(data, |v| {
                     candidates.push(v);
                     data.dist_to(v as usize, q)
-                },
+                }),
             );
             candidates.extend_from_slice(&adj[p]);
             candidates.sort_unstable();

@@ -10,7 +10,7 @@
 //! bidirectional edges and degree capping (`M_max`, `2M` on the ground
 //! layer).
 
-use pg_core::{beam_walk, BeamOutcome, BeamSurrogate, Graph};
+use pg_core::{beam_walk, point_score, BeamOutcome, BeamSurrogate, Graph};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -312,7 +312,7 @@ fn search_layer<P, M: Metric<P>>(
         entries,
         ef,
         |v| &layer[v as usize],
-        |v| data.dist_to(v as usize, q),
+        point_score(data, |v| data.dist_to(v as usize, q)),
     )
 }
 

@@ -16,7 +16,7 @@
 //! adjacency built so far), so it follows that rule too and the built graph
 //! is deterministic for a seed at every thread count.
 
-use pg_core::{beam_walk, Graph};
+use pg_core::{beam_walk, point_score, Graph};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -64,7 +64,7 @@ pub fn nsw<P, M: Metric<P>>(data: &Dataset<P, M>, params: NswParams) -> Graph {
             &inserted[..1],
             params.ef_construction,
             |v| &adj[v as usize],
-            |v| data.dist_to(v as usize, q),
+            point_score(data, |v| data.dist_to(v as usize, q)),
         );
         for &(v, _) in found.results.iter().take(params.m) {
             adj[p].push(v);

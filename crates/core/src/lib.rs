@@ -76,7 +76,7 @@ pub use navigability::{check_navigable, check_pg_exhaustive, Starts, Violation};
 pub use params::GNetParams;
 pub use search::{
     beam_search, beam_search_detailed, beam_search_quantized, beam_search_quantized_surrogate,
-    beam_walk, greedy, query, BeamOutcome, BeamSurrogate, GreedyOutcome,
+    beam_walk, greedy, point_score, query, BeamOutcome, BeamSurrogate, GreedyOutcome, Score,
 };
 pub use sharded::{ShardAssignment, ShardedEngine};
 pub use snapshot::{AnyEngine, SnapshotMetric};

@@ -4,10 +4,12 @@
 //! Past its first few expansions a walk scores a handful of points per row,
 //! so [`beam_walk`] waits for nothing it can know in advance: one sorted
 //! candidate array instead of heaps, the rows of the next candidates loaded
-//! while the current one is scanned, and — through
+//! while the current one is scanned, the points of a band's first-visit
+//! targets all asked for before any of them is scored (a [`Score`] that
+//! knows where its points live, [`point_score`]), and — through
 //! [`Dataset::surrogates_to`](pg_metric::Dataset::surrogates_to) — a flat
 //! dataset's `L_p` kernel inlined into the scan. No score, result or count
-//! changes.
+//! changes, and neither does the order of the `score` calls.
 //!
 //! # The annulus rule
 //!
@@ -66,6 +68,66 @@ impl<'g, F: Fn(u32) -> &'g [u32]> Rows<'g> for F {
     #[inline]
     fn row(&self, v: u32) -> Row<'g> {
         self(v).into()
+    }
+}
+
+/// How a walk scores a vertex — lower is better — and what it can load
+/// before it does. Any `FnMut(u32) -> f64` is a score that loads nothing;
+/// [`point_score`] loads a dataset's points.
+pub trait Score {
+    /// The score of `v`. A walk calls it once per visited vertex, in
+    /// visiting order.
+    fn score(&mut self, v: u32) -> f64;
+
+    /// Loads what scoring `v` will read. A walk calls it once for each
+    /// vertex it is about to score, before scoring any target of the same
+    /// band, and for no other vertex. The value means nothing; folded
+    /// into one the walk consumes, it keeps the loads from being dropped.
+    /// The default loads nothing.
+    #[inline]
+    fn touch(&self, v: u32) -> u64 {
+        let _ = v;
+        0
+    }
+}
+
+impl<F: FnMut(u32) -> f64> Score for F {
+    #[inline]
+    fn score(&mut self, v: u32) -> f64 {
+        self(v)
+    }
+}
+
+/// `score`, with `data`'s point of each vertex loaded ahead of it
+/// ([`Dataset::touches`](pg_metric::Dataset::touches): every cache line of
+/// a flat dataset's point, nothing on any other dataset) — how the searches
+/// of this crate and the HNSW, NSW and Vamana construction walks score.
+/// `score` must read vertex `v`'s point of `data`, or the loads are wasted.
+pub fn point_score<'a, P, M: Metric<P>>(
+    data: &'a Dataset<P, M>,
+    score: impl FnMut(u32) -> f64 + 'a,
+) -> impl Score + 'a {
+    PointScore {
+        touch: data.touches(),
+        score,
+    }
+}
+
+/// The [`Score`] behind [`point_score`].
+struct PointScore<T, S> {
+    touch: T,
+    score: S,
+}
+
+impl<T: Fn(usize) -> u64, S: FnMut(u32) -> f64> Score for PointScore<T, S> {
+    #[inline]
+    fn score(&mut self, v: u32) -> f64 {
+        (self.score)(v)
+    }
+
+    #[inline]
+    fn touch(&self, v: u32) -> u64 {
+        (self.touch)(v as usize)
     }
 }
 
@@ -563,12 +625,14 @@ impl Candidates {
 /// one **byte** per vertex — an eighth of the cache footprint of a `u32`
 /// stamp, and unlike a bitset a store touches no neighbouring vertex's state
 /// — and advances once per walk, so the array is cleared only when the byte
-/// wraps, once every 255 walks.
+/// wraps, once every 255 walks. `gathered` holds the first-visit targets of
+/// the band being scanned, between their loads and their scores.
 #[derive(Default)]
 struct SearchScratch {
     stamps: Vec<u8>,
     epoch: u8,
     candidates: Candidates,
+    gathered: Vec<u32>,
 }
 
 /// Scratch of finished walks, waiting for the next one. Process-wide rather
@@ -615,7 +679,7 @@ impl SearchScratch {
     ) -> BeamSurrogate
     where
         N: Rows<'g>,
-        S: FnMut(u32) -> f64,
+        S: Score,
     {
         self.begin(n);
         let mut visited = Visited {
@@ -623,15 +687,17 @@ impl SearchScratch {
             epoch: self.epoch,
         };
         let cands = &mut self.candidates;
+        let gathered = &mut self.gathered;
         let mut dist_comps: u64 = 0;
         let mut expansions: u64 = 0;
         // `worst` mirrors `cands.worst()` and is refreshed only when the
         // set changes, instead of per neighbor; `bound` is the distance it
         // stands for, mapped only when a banded row asks. `ahead` holds
-        // what the row loads ahead of expansion read, so they stay.
+        // what the loads ahead of expansion and of scoring read, so they
+        // stay.
         let mut worst = f64::INFINITY;
         let mut bound = Bound::unset();
-        let mut ahead = 0u32;
+        let mut ahead = 0u64;
         let mut bands = Outward::new(entries.into(), || 0.0);
         loop {
             // The annulus bound: nothing is ruled out while the beam has room.
@@ -641,12 +707,19 @@ impl SearchScratch {
                 }
                 bound.of(worst, |s| neighbors.dist_of(s))
             }) {
+                // Gather: the band's first-visit targets, every point asked
+                // for before the first is scored, so the fetches overlap.
+                gathered.clear();
                 for &v in band {
-                    if !visited.first_visit(v) {
-                        continue;
+                    if visited.first_visit(v) {
+                        gathered.push(v);
+                        ahead ^= score.touch(v);
                     }
-                    dist_comps += 1;
-                    let d = score(v);
+                }
+                // Score: in gathering order, which is visiting order.
+                dist_comps += gathered.len() as u64;
+                for &v in gathered.iter() {
+                    let d = score.score(v);
                     if cands.kept.len() < ef || d < worst {
                         cands.insert(d, v, ef);
                         worst = cands.worst();
@@ -659,7 +732,7 @@ impl SearchScratch {
             expansions += 1;
             bands = Outward::new(neighbors.row(c.id), || neighbors.dist_of(c.score));
             for u in cands.upcoming() {
-                ahead ^= neighbors.touch(u);
+                ahead ^= u64::from(neighbors.touch(u));
             }
         }
         std::hint::black_box(ahead);
@@ -705,7 +778,13 @@ impl Visited<'_> {
 ///
 /// The entries are scanned like an out-neighbor list, so duplicates are
 /// scored once. `score` is called exactly once per visited vertex, in
-/// visiting order — a closure may record what the walk touched. Returns the
+/// visiting order — a closure may record what the walk touched. A row (or,
+/// on banded rows, a run of its bands) is scanned in two passes: the first
+/// stamps its targets visited and, for each first visit, asks `score` to
+/// load the vertex's point ([`Score::touch`]); the second scores those
+/// vertices in the same order. Stamps, the order of the `score` calls,
+/// admissions and the bound are exactly a one-pass scan's; only the loads
+/// move ahead, and a plain closure loads nothing. Returns the
 /// best `<= ef` vertices gathered, ascending by `(score, id)`; fewer than
 /// `ef` only when fewer are reachable. `neighbors` must be a pure lookup:
 /// it is also called for the next candidates in line, whose rows are
@@ -747,7 +826,7 @@ pub fn beam_walk<'g, N, S>(
 ) -> BeamSurrogate
 where
     N: Fn(u32) -> &'g [u32],
-    S: FnMut(u32) -> f64,
+    S: Score,
 {
     walk_rows(n, entries, ef, neighbors, score)
 }
@@ -764,7 +843,7 @@ fn walk_rows<'g, N, S>(
 ) -> BeamSurrogate
 where
     N: Rows<'g>,
-    S: FnMut(u32) -> f64,
+    S: Score,
 {
     assert!(ef >= 1, "beam width must be at least 1");
     assert!(
@@ -840,7 +919,7 @@ pub(crate) fn beam_search_surrogate<P, M: Metric<P>>(
         &[p_start],
         ef,
         MetricRows { graph, data },
-        |v| score(v as usize),
+        point_score(data, |v| score(v as usize)),
     );
     walk.results.truncate(k);
     walk
@@ -935,7 +1014,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_metric::{Dataset, Euclidean};
+    use pg_metric::{Dataset, Euclidean, FlatRow};
 
     fn line_dataset(n: usize) -> Dataset<Vec<f64>, Euclidean> {
         Dataset::new((0..n).map(|i| vec![i as f64]).collect(), Euclidean)
@@ -1780,6 +1859,232 @@ mod tests {
             assert_eq!(budgeted.hops, gp.hops);
         }
         assert!(saved > 100, "the bands saved only {saved} scores");
+    }
+
+    /// The one-pass band scan `beam_walk` ran before it gathered, kept as
+    /// the reference: each first-visit target is scored the moment the
+    /// scan reaches it, and nothing is loaded ahead.
+    fn single_pass_walk<'g, N: Rows<'g>>(
+        n: usize,
+        entries: &'g [u32],
+        ef: usize,
+        neighbors: N,
+        mut score: impl FnMut(u32) -> f64,
+    ) -> BeamSurrogate {
+        let mut scratch = SearchScratch::default();
+        scratch.begin(n);
+        let mut visited = Visited {
+            stamps: &mut scratch.stamps[..n],
+            epoch: scratch.epoch,
+        };
+        let cands = &mut scratch.candidates;
+        let (mut dist_comps, mut expansions) = (0u64, 0u64);
+        let mut worst = f64::INFINITY;
+        let mut bound = Bound::unset();
+        let mut bands = Outward::new(entries.into(), || 0.0);
+        loop {
+            while let Some(band) = bands.next(|| {
+                if cands.kept.len() < ef {
+                    return f64::INFINITY;
+                }
+                bound.of(worst, |s| neighbors.dist_of(s))
+            }) {
+                for &v in band {
+                    if !visited.first_visit(v) {
+                        continue;
+                    }
+                    dist_comps += 1;
+                    let d = score(v);
+                    if cands.kept.len() < ef || d < worst {
+                        cands.insert(d, v, ef);
+                        worst = cands.worst();
+                    }
+                }
+            }
+            let Some(c) = cands.next_unexpanded() else {
+                break;
+            };
+            expansions += 1;
+            bands = Outward::new(neighbors.row(c.id), || neighbors.dist_of(c.score));
+        }
+        BeamSurrogate {
+            results: cands.kept.drain(..).map(|c| (c.id, c.score)).collect(),
+            dist_comps,
+            expansions,
+        }
+    }
+
+    /// What a [`Recorder`] saw, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Event {
+        Load(u32),
+        Score(u32),
+    }
+
+    /// A score that logs every load and every score of `inner` into one
+    /// sequence.
+    struct Recorder<'a, S> {
+        inner: S,
+        log: &'a std::cell::RefCell<Vec<Event>>,
+    }
+
+    impl<S: Score> Score for Recorder<'_, S> {
+        fn score(&mut self, v: u32) -> f64 {
+            self.log.borrow_mut().push(Event::Score(v));
+            self.inner.score(v)
+        }
+
+        fn touch(&self, v: u32) -> u64 {
+            self.log.borrow_mut().push(Event::Load(v));
+            self.inner.touch(v)
+        }
+    }
+
+    /// Walks `rows` (banded when `graph` is given, else the closure's plain
+    /// rows) from `entries` twice — gathered, under a [`Recorder`] on
+    /// `data`, and by [`single_pass_walk`] — and asserts the two equal to
+    /// the bit, `score` called in the same sequence, and every scored
+    /// vertex loaded exactly once, before it is scored, and nothing else
+    /// loaded. Returns the walk.
+    fn gathered_equals_single_pass<P, M: Metric<P>>(
+        data: &Dataset<P, M>,
+        graph: Option<&Graph>,
+        plain: &[Vec<u32>],
+        entries: &[u32],
+        q: &P,
+        ef: usize,
+    ) -> BeamSurrogate {
+        let n = data.len();
+        let log = std::cell::RefCell::new(Vec::new());
+        let mut want_order = Vec::new();
+        let recorder = Recorder {
+            inner: point_score(data, |v| data.surrogate_to(v as usize, q)),
+            log: &log,
+        };
+        let reference = |v: u32| {
+            want_order.push(v);
+            data.surrogate_to(v as usize, q)
+        };
+        let (got, want) = match graph {
+            Some(graph) => (
+                walk_rows(n, entries, ef, MetricRows { graph, data }, recorder),
+                single_pass_walk(n, entries, ef, MetricRows { graph, data }, reference),
+            ),
+            None => {
+                let rows = |v: u32| &plain[v as usize][..];
+                (
+                    walk_rows(n, entries, ef, rows, recorder),
+                    single_pass_walk(n, entries, ef, rows, reference),
+                )
+            }
+        };
+        let bits = |w: &BeamSurrogate| -> Vec<(u32, u64)> {
+            w.results.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+        };
+        let at = format!("n = {n}, ef = {ef}, entries {entries:?}");
+        assert_eq!(bits(&got), bits(&want), "{at}");
+        assert_eq!(
+            (got.dist_comps, got.expansions),
+            (want.dist_comps, want.expansions),
+            "{at}"
+        );
+        let log = log.into_inner();
+        let scored: Vec<u32> = log
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Score(v) => Some(v),
+                Event::Load(_) => None,
+            })
+            .collect();
+        let loaded: Vec<u32> = log
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Load(v) => Some(v),
+                Event::Score(_) => None,
+            })
+            .collect();
+        assert_eq!(scored, want_order, "{at}: the order of the score calls");
+        assert_eq!(loaded, scored, "{at}: a load for each score, and no other");
+        // The i-th score comes after the i-th load: each vertex is loaded
+        // before it is scored.
+        let mut loads_ahead = 0usize;
+        for e in &log {
+            match e {
+                Event::Load(_) => loads_ahead += 1,
+                Event::Score(v) => {
+                    assert!(loads_ahead > 0, "{at}: {v} scored before it was loaded");
+                    loads_ahead -= 1;
+                }
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn gathered_scans_equal_the_single_pass_scan_and_load_each_scored_point_once() {
+        use pg_metric::{Counting, FlatPoints};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut saved = 0;
+        for seed in 0..3u64 {
+            // Banded `G_net`s: uniform points in the plane (tie-free), and a
+            // shuffled integer lattice, where distances tie everywhere.
+            let uniform =
+                FlatPoints::from(plane_dataset(400, seed).points()).into_dataset(Euclidean);
+            let mut cells: Vec<Vec<f64>> = (0..400)
+                .map(|i| vec![f64::from(i % 20), f64::from(i / 20)])
+                .collect();
+            for i in (1..cells.len()).rev() {
+                cells.swap(i, rng.random_range(0..=i));
+            }
+            let lattice = FlatPoints::from(&cells[..]).into_dataset(Euclidean);
+            for data in [&uniform, &lattice] {
+                let n = data.len();
+                let g = crate::gnet::GNet::build_fast(data, 1.0).graph;
+                assert!(g.is_banded());
+                let plain: Vec<Vec<u32>> = (0..n as u32).map(|v| g.neighbors(v).to_vec()).collect();
+                for ef in [1, 16, 64, n] {
+                    let q = FlatRow::from(vec![
+                        f64::from(rng.random_range(-20..420)) / 20.0,
+                        f64::from(rng.random_range(-20..420)) / 20.0,
+                    ]);
+                    let entry = [rng.random_range(0..n) as u32];
+                    let b = gathered_equals_single_pass(data, Some(&g), &[], &entry, &q, ef);
+                    let p = gathered_equals_single_pass(data, None, &plain, &entry, &q, ef);
+                    saved += p.dist_comps - b.dist_comps;
+                }
+            }
+            // Plain HNSW-shaped rows (up to 32 targets), some targets and
+            // entries repeated, on a nested dataset (which loads nothing)
+            // and on a flat one under `Counting`, which counts every score
+            // and no load.
+            let n = 300;
+            let nested = plane_dataset(n, seed + 10);
+            let counter = Counting::new(Euclidean);
+            let counted = FlatPoints::from(nested.points()).into_dataset(counter.clone());
+            let rows: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let mut row: Vec<u32> = (0..rng.random_range(0..=32))
+                        .map(|_| rng.random_range(0..n) as u32)
+                        .collect();
+                    if let Some(&t) = row.first() {
+                        row.push(t);
+                    }
+                    row
+                })
+                .collect();
+            for ef in [1, 16, 64, n] {
+                let q = vec![rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)];
+                let entries = [rng.random_range(0..n) as u32, 0, 0];
+                gathered_equals_single_pass(&nested, None, &rows, &entries, &q, ef);
+                let fq = FlatRow::from(q);
+                let before = counter.count();
+                let w = gathered_equals_single_pass(&counted, None, &rows, &entries, &fq, ef);
+                assert_eq!(counter.count() - before, 2 * w.dist_comps, "ef = {ef}");
+            }
+        }
+        assert!(saved > 100, "the annulus skipped only {saved} scores");
     }
 
     #[test]

@@ -63,6 +63,26 @@ impl<P, M> RowMajor<P, M> {
     }
 }
 
+/// Coordinates per 64-byte cache line.
+const LINE: usize = 8;
+
+/// Reads one coordinate of `row` per [`LINE`] from the first, and the
+/// last. Wherever the row starts inside a line, they fall in every line it
+/// spans: steps of one line each cover all but the tail, the last
+/// coordinate the tail. An empty row reads nothing. The reads are summed,
+/// not `^`-folded, so a coordinate read twice (the last, when a step lands
+/// on it) cannot cancel out and let the compiler drop the loads.
+#[inline]
+fn touch_row(row: &[f64]) -> u64 {
+    let mut sum = row.last().map_or(0, |c| c.to_bits());
+    let mut k = 0;
+    while k < row.len() {
+        sum = sum.wrapping_add(row[k].to_bits());
+        k += LINE;
+    }
+    sum
+}
+
 impl<P, M: Metric<P>> RowMajor<P, M> {
     #[inline]
     fn dist(&self, m: &M, a: &[f64], b: &[f64]) -> f64 {
@@ -216,6 +236,24 @@ impl<P, M: Metric<P>> Dataset<P, M> {
         move |i| match flat {
             Some((r, buf, dim, qc)) => r.surrogate(&self.metric, &buf[i * dim..(i + 1) * dim], qc),
             None => self.metric.surrogate(&self.points[i], q),
+        }
+    }
+
+    /// Loads every cache line of a point's coordinates, as a function of
+    /// the id, on a flat dataset; loads nothing on any other. What a walk
+    /// calls for a band's targets before scoring any of them, so their
+    /// fetches overlap instead of each waiting its turn. As in
+    /// [`surrogates_to`](Dataset::surrogates_to), the buffer and its
+    /// stride are resolved here, once. The value means nothing; folded
+    /// into one the caller consumes (`std::hint::black_box`), it keeps the
+    /// loads from being dropped. Calls no metric, so no `Counting` total
+    /// moves.
+    #[inline]
+    pub fn touches(&self) -> impl Fn(usize) -> u64 + '_ {
+        let flat = self.rows.as_ref().map(|r| (&r.buf[..], r.dim));
+        move |i| match flat {
+            Some((buf, dim)) => touch_row(&buf[i * dim..(i + 1) * dim]),
+            None => 0,
         }
     }
 
@@ -546,6 +584,76 @@ mod tests {
         kernel_matches_the_metric(Euclidean, crate::Lp::L2);
         kernel_matches_the_metric(crate::Manhattan, crate::Lp::L1);
         kernel_matches_the_metric(crate::Chebyshev, crate::Lp::LInf);
+    }
+
+    /// Which coordinates `touch_row` reads from a `dim`-dimensional row,
+    /// and how often: coordinate `k`'s bits are `4^k`, so the sum holds
+    /// each coordinate's read count in its own pair of bits.
+    fn coordinates_read(dim: usize) -> Vec<(usize, u32)> {
+        assert!(dim <= 32, "one bit pair per coordinate");
+        let row: Vec<f64> = (0..dim).map(|k| f64::from_bits(1 << (2 * k))).collect();
+        let sum = touch_row(&row);
+        (0..dim)
+            .map(|k| (k, ((sum >> (2 * k)) & 0b11) as u32))
+            .filter(|&(_, reads)| reads > 0)
+            .collect()
+    }
+
+    #[test]
+    fn a_touched_row_is_read_in_every_cache_line_it_spans() {
+        use std::collections::BTreeSet;
+        for dim in 0..=32 {
+            let read = coordinates_read(dim);
+            // The steps, once each, and the last coordinate once more.
+            let mut want: Vec<(usize, u32)> = (0..dim).step_by(LINE).map(|k| (k, 1)).collect();
+            if let Some(last) = dim.checked_sub(1) {
+                match want.last_mut() {
+                    Some(w) if w.0 == last => w.1 = 2,
+                    _ => want.push((last, 1)),
+                }
+            }
+            assert_eq!(read, want, "dim = {dim}");
+            // Wherever in a line the row starts, every line it spans is read.
+            for offset in 0..LINE {
+                let hit: BTreeSet<usize> = read.iter().map(|(k, _)| (offset + k) / LINE).collect();
+                let spanned: BTreeSet<usize> = match dim {
+                    0 => BTreeSet::new(),
+                    _ => (offset / LINE..=(offset + dim - 1) / LINE).collect(),
+                };
+                assert_eq!(hit, spanned, "dim = {dim}, offset = {offset}");
+            }
+        }
+    }
+
+    #[test]
+    fn touching_a_point_reads_its_lines_counts_nothing_and_never_panics() {
+        use crate::{Counting, FlatPoints};
+        let coord = |k: usize| ((k * 7919 + 13) % 1000) as f64 / 37.0 - 11.0;
+        for d in [0usize, 1, 7, 8, 9, 16, 17, 128] {
+            let nested: Vec<Vec<f64>> = (0..12)
+                .map(|p| (0..d).map(|c| coord(p * d + c)).collect())
+                .collect();
+            let counter = Counting::new(Euclidean);
+            // A nested dataset has no buffer to load from: nothing is read,
+            // whatever the dimension — a zero-dimensional one included.
+            let plain = Dataset::new(nested.clone(), Euclidean);
+            let counted = Dataset::new(nested.clone(), counter.clone());
+            let (plain_touch, counted_touch) = (plain.touches(), counted.touches());
+            for i in 0..nested.len() {
+                assert_eq!((plain_touch(i), counted_touch(i)), (0, 0), "d = {d}");
+            }
+            if d > 0 {
+                // A flat one reads row `i` of its buffer, and no other row.
+                let flat = FlatPoints::from(&nested[..]).into_dataset(Euclidean);
+                let counted = FlatPoints::from(&nested[..]).into_dataset(counter.clone());
+                let (flat_touch, counted_touch) = (flat.touches(), counted.touches());
+                for (i, row) in nested.iter().enumerate() {
+                    let want = touch_row(row);
+                    assert_eq!((flat_touch(i), counted_touch(i)), (want, want), "d = {d}");
+                }
+            }
+            assert_eq!(counter.count(), 0, "d = {d}: a load counted");
+        }
     }
 
     #[test]
