@@ -10,6 +10,12 @@
 //! bidirectional edges and degree capping (`M_max`, `2M` on the ground
 //! layer).
 
+use std::cell::RefCell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError, RwLock};
+use std::thread::Thread;
+
 use pg_core::{beam_walk, point_score, BeamOutcome, BeamSurrogate, Graph};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
@@ -56,9 +62,24 @@ pub struct Hnsw {
 impl Hnsw {
     /// Builds the index by sequential insertion.
     ///
-    /// Insertion order is inherently sequential (each point searches the
-    /// graph built so far), so the build loop is not sharded, makes no pool
-    /// call, and builds the same index for any thread count.
+    /// Each insertion is planned, then committed. The plan is read-only:
+    /// the greedy descent, the per-layer beams and the neighbour selection,
+    /// plus the list of every `(layer, vertex)` row the descent scanned or
+    /// the beams were handed. The commit does the pushes, back-links and
+    /// re-prunes, and stamps every row it writes with the inserted point.
+    ///
+    /// On a pool of two or more threads one helper thread, spawned once per
+    /// build, plans point `p + 1` while this thread plans `p`, both against
+    /// the same graph. After committing `p`, the helper's plan is kept only
+    /// if the entry point and its level are unchanged and no row the plan
+    /// read carries `p`'s stamp; otherwise `p + 1` is planned again on the
+    /// updated graph. This is exact: a walk's outcome depends only on its
+    /// entry, the points and the rows it reads, so a walk none of whose
+    /// rows changed repeats itself on the updated graph, and the vertex
+    /// `p` inserts is reachable only through a row `p` wrote. So the index
+    /// is the one a single thread builds, layer for layer and entry for
+    /// entry, at any thread count; only the distances a discarded plan
+    /// computed are extra work.
     ///
     /// Every adjacency entry under construction carries, beside its id, its
     /// length (the distance the insertion beam scored for it) and whether
@@ -70,83 +91,7 @@ impl Hnsw {
     /// entry for entry and in order. The per-entry data lives only for the
     /// length of the build.
     pub fn build<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, params: HnswParams) -> Self {
-        let n = data.len();
-        assert!(n >= 1);
-        let ml = 1.0 / (params.m as f64).ln();
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let levels: Vec<usize> = (0..n)
-            .map(|_| {
-                let u: f64 = rng.random_range(1e-12..1.0);
-                ((-u.ln()) * ml).floor() as usize
-            })
-            .collect();
-        let max_level = levels.iter().copied().max().unwrap_or(0);
-        let mut layers: Vec<BuildLayer> = (0..=max_level).map(|_| BuildLayer::new(n)).collect();
-
-        // Insert points one by one (point 0 bootstraps as entry).
-        let mut entry = 0u32;
-        let mut entry_level = levels[0];
-        for (p, &p_level) in levels.iter().enumerate().skip(1) {
-            let q = data.point(p);
-            let mut cur = entry;
-            // Greedy descent through layers above p's top level.
-            let mut lvl = entry_level;
-            while lvl > p_level {
-                cur = greedy_layer(data, &layers[lvl].ids, cur, q);
-                lvl -= 1;
-            }
-            // Beam insertion from min(entry_level, p_level) down to 0.
-            let start_lvl = p_level.min(entry_level);
-            let mut eps = vec![cur];
-            for l in (0..=start_lvl).rev() {
-                let layer = &mut layers[l];
-                let found: Vec<Entry> =
-                    search_layer(data, &layer.ids, &eps, q, params.ef_construction)
-                        .results
-                        .into_iter()
-                        .map(|(id, len)| Entry {
-                            id,
-                            len,
-                            diverse: false,
-                        })
-                        .collect();
-                let m_max = if l == 0 { 2 * params.m } else { params.m };
-                let selected = if params.heuristic {
-                    select_heuristic(data, p, &found, params.m)
-                } else {
-                    found.iter().take(params.m).copied().collect()
-                };
-                // `p`'s list holds at most `M <= M_max` entries, so only the
-                // back-linked lists can overflow.
-                for &e in &selected {
-                    let u = e.id as usize;
-                    layer.push(p, e);
-                    layer.push(
-                        u,
-                        Entry {
-                            id: p as u32,
-                            len: e.len,
-                            diverse: false,
-                        },
-                    );
-                    if layer.ids[u].len() > m_max {
-                        shrink(data, layer, u, m_max, params.heuristic);
-                    }
-                }
-                eps = found.iter().map(|e| e.id).collect();
-            }
-            if p_level > entry_level {
-                entry = p as u32;
-                entry_level = p_level;
-            }
-        }
-
-        Hnsw {
-            layers: layers.into_iter().map(|l| l.ids).collect(),
-            levels,
-            entry,
-            params,
-        }
+        build_counting_replans(data, params).0
     }
 
     /// Searches for the `k` nearest neighbors of `q`.
@@ -206,8 +151,9 @@ impl Hnsw {
         let mut expansions: u64 = 0;
         let mut cur = self.entry;
         for lvl in (1..self.layers.len()).rev() {
-            cur =
-                greedy_layer_detailed(data, &self.layers[lvl], cur, q, &mut comps, &mut expansions);
+            cur = greedy_layer(data, &self.layers[lvl], cur, q, &mut comps, |_| {
+                expansions += 1
+            });
         }
         let mut found = search_layer(data, &self.layers[0], &[cur], q, ef.max(k));
         found.results.truncate(k);
@@ -253,35 +199,320 @@ impl Hnsw {
     }
 }
 
-/// Greedy hill descent on one layer (ef = 1).
+/// The entry point of the graph under construction and its level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Top {
+    entry: u32,
+    level: usize,
+}
+
+impl Top {
+    /// The top after inserting `p` at `p_level`.
+    fn after(self, p: usize, p_level: usize) -> Top {
+        if p_level > self.level {
+            Top {
+                entry: p as u32,
+                level: p_level,
+            }
+        } else {
+            self
+        }
+    }
+}
+
+/// How many plans made ahead were discarded, by the first check that
+/// failed: the entry point moved, or the plan read a row the point before
+/// it wrote.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Replans {
+    entry: usize,
+    written: usize,
+}
+
+/// [`Hnsw::build`], also reporting how many plans made ahead were
+/// discarded (none on a one-thread pool, where no plan is made ahead).
+fn build_counting_replans<P: Sync, M: Metric<P> + Sync>(
+    data: &Dataset<P, M>,
+    params: HnswParams,
+) -> (Hnsw, Replans) {
+    let n = data.len();
+    assert!(n >= 1);
+    let ml = 1.0 / (params.m as f64).ln();
+    let mut rng = StdRng::seed_from_u64(params.seed);
+    let levels: Vec<usize> = (0..n)
+        .map(|_| {
+            let u: f64 = rng.random_range(1e-12..1.0);
+            ((-u.ln()) * ml).floor() as usize
+        })
+        .collect();
+    let max_level = levels.iter().copied().max().unwrap_or(0);
+    let layers = RwLock::new(
+        (0..=max_level)
+            .map(|_| BuildLayer::new(n))
+            .collect::<Vec<_>>(),
+    );
+    let read = || layers.read().unwrap_or_else(PoisonError::into_inner);
+
+    // Point 0 bootstraps as entry; the rest go in pairs `(p, p + 1)`.
+    let mut top = Top {
+        entry: 0,
+        level: levels[0],
+    };
+    let mut replans = Replans::default();
+    let jobs: Slot<Option<(usize, Top)>> = Slot::default();
+    let plans: Slot<std::thread::Result<Plan>> = Slot::default();
+    let builder = std::thread::current();
+    std::thread::scope(|s| {
+        let helper = (rayon::current_num_threads() >= 2 && n > 2).then(|| {
+            let thread = s.spawn(|| {
+                while let Some((q, top)) = jobs.take() {
+                    let plan = catch_unwind(AssertUnwindSafe(|| {
+                        plan(data, &read(), &levels, top, q, &params)
+                    }));
+                    plans.put(plan, &builder);
+                }
+            });
+            Helper {
+                jobs: &jobs,
+                thread: thread.thread().clone(),
+            }
+        });
+        for p in (1..n).step_by(2) {
+            let q = p + 1;
+            let speculating = match &helper {
+                Some(helper) if q < n => {
+                    helper.jobs.put(Some((q, top)), &helper.thread);
+                    true
+                }
+                _ => false,
+            };
+            let own = plan(data, &read(), &levels, top, p, &params);
+            let ahead =
+                speculating.then(|| plans.take().unwrap_or_else(|panic| resume_unwind(panic)));
+            let mut layers = layers.write().unwrap_or_else(PoisonError::into_inner);
+            commit(data, &mut layers, p, own, &params);
+            top = top.after(p, levels[p]);
+            if q < n {
+                let plan = match ahead {
+                    Some(plan) if plan.top != top => {
+                        replans.entry += 1;
+                        None
+                    }
+                    Some(plan) if plan.reads_rows_written_by(&layers, p) => {
+                        replans.written += 1;
+                        None
+                    }
+                    kept => kept,
+                }
+                .unwrap_or_else(|| plan(data, &layers, &levels, top, q, &params));
+                commit(data, &mut layers, q, plan, &params);
+                top = top.after(q, levels[q]);
+            }
+        }
+    });
+
+    let layers = layers.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let hnsw = Hnsw {
+        layers: layers.into_iter().map(|l| l.ids).collect(),
+        levels,
+        entry: top.entry,
+        params,
+    };
+    (hnsw, replans)
+}
+
+/// One insertion, planned against a graph it does not change: the top it
+/// descended from, the neighbours selected on each layer the point joins
+/// (`picks[l]` for layer `l`), and every `(layer, vertex)` row the descent
+/// scanned or the beams were handed.
+struct Plan {
+    top: Top,
+    picks: Vec<Vec<Entry>>,
+    read: Vec<(usize, u32)>,
+}
+
+impl Plan {
+    /// Whether any row this plan read was written by inserting `p`.
+    fn reads_rows_written_by(&self, layers: &[BuildLayer], p: usize) -> bool {
+        self.read
+            .iter()
+            .any(|&(l, v)| layers[l].written_by[v as usize] == p as u32)
+    }
+}
+
+/// Plans the insertion of `p` from `top`: the greedy descent through the
+/// layers above `p`'s level, then on each layer it joins, from the top
+/// down, an `ef_construction`-wide beam and the neighbour selection.
+fn plan<P, M: Metric<P>>(
+    data: &Dataset<P, M>,
+    layers: &[BuildLayer],
+    levels: &[usize],
+    top: Top,
+    p: usize,
+    params: &HnswParams,
+) -> Plan {
+    let q = data.point(p);
+    let read = RefCell::new(Vec::new());
+    let mut cur = top.entry;
+    for l in (levels[p] + 1..=top.level).rev() {
+        cur = greedy_layer(data, &layers[l].ids, cur, q, &mut 0, |v| {
+            read.borrow_mut().push((l, v))
+        });
+    }
+    let mut picks = vec![Vec::new(); levels[p].min(top.level) + 1];
+    let mut eps = vec![cur];
+    for l in (0..picks.len()).rev() {
+        let ids = &layers[l].ids;
+        let rows = |v: u32| {
+            read.borrow_mut().push((l, v));
+            &ids[v as usize][..]
+        };
+        let found: Vec<Entry> = beam_walk(
+            data.len(),
+            &eps,
+            params.ef_construction,
+            rows,
+            point_score(data, |v| data.dist_to(v as usize, q)),
+        )
+        .results
+        .into_iter()
+        .map(|(id, len)| Entry {
+            id,
+            len,
+            diverse: false,
+        })
+        .collect();
+        picks[l] = if params.heuristic {
+            select_heuristic(data, p, &found, params.m)
+        } else {
+            found.iter().take(params.m).copied().collect()
+        };
+        eps = found.iter().map(|e| e.id).collect();
+    }
+    Plan {
+        top,
+        picks,
+        read: read.into_inner(),
+    }
+}
+
+/// Inserts `p` as `plan` selected: on each layer, links `p` to every pick
+/// and back, re-prunes a back-linked list that overflows `M_max` (`2M` on
+/// the ground layer), and stamps every row it writes with `p`.
+fn commit<P, M: Metric<P>>(
+    data: &Dataset<P, M>,
+    layers: &mut [BuildLayer],
+    p: usize,
+    plan: Plan,
+    params: &HnswParams,
+) {
+    for (l, selected) in plan.picks.into_iter().enumerate().rev() {
+        let layer = &mut layers[l];
+        let m_max = if l == 0 { 2 * params.m } else { params.m };
+        // `p`'s list holds at most `M <= M_max` entries, so only the
+        // back-linked lists can overflow.
+        layer.written_by[p] = p as u32;
+        for e in selected {
+            let u = e.id as usize;
+            layer.push(p, e);
+            layer.push(
+                u,
+                Entry {
+                    id: p as u32,
+                    len: e.len,
+                    diverse: false,
+                },
+            );
+            layer.written_by[u] = p as u32;
+            if layer.ids[u].len() > m_max {
+                shrink(data, layer, u, m_max, params.heuristic);
+            }
+        }
+    }
+}
+
+/// How many times a thread waiting on a [`Slot`] checks it before it parks.
+/// A count, not a clock: enough that the wait for one commit and re-plan —
+/// the longest a build's two threads wait on each other — ends spinning, so
+/// the hand-off costs no sleep and wake-up; short enough that an idle
+/// helper soon yields its core.
+const SPINS_BEFORE_PARK: u32 = 1 << 18;
+
+/// A one-value hand-off between two threads that take turns: the receiver
+/// spins on the flag for [`SPINS_BEFORE_PARK`] checks, then parks until the
+/// sender unparks it.
+struct Slot<T> {
+    full: AtomicBool,
+    value: Mutex<Option<T>>,
+}
+
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot {
+            full: AtomicBool::new(false),
+            value: Mutex::new(None),
+        }
+    }
+}
+
+impl<T> Slot<T> {
+    /// Leaves `value` (replacing one not yet taken) and wakes `receiver`.
+    fn put(&self, value: T, receiver: &Thread) {
+        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        self.full.store(true, Ordering::Release);
+        receiver.unpark();
+    }
+
+    /// Waits for a value and takes it.
+    fn take(&self) -> T {
+        let mut spins = 0;
+        while !self.full.swap(false, Ordering::Acquire) {
+            if spins < SPINS_BEFORE_PARK {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+            }
+        }
+        let value = self
+            .value
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        value.expect("a full slot holds a value")
+    }
+}
+
+/// The builder's handle on its helper thread. Dropping it — when the build
+/// ends or unwinds — tells the helper to stop, so the scope can join it.
+struct Helper<'a> {
+    jobs: &'a Slot<Option<(usize, Top)>>,
+    thread: Thread,
+}
+
+impl Drop for Helper<'_> {
+    fn drop(&mut self) {
+        self.jobs.put(None, &self.thread);
+    }
+}
+
+/// Greedy hill descent on one layer (ef = 1), with full accounting:
+/// `expand` is called with every vertex whose neighbour list the walk scans
+/// (one per vertex it stands on, the layered analogue of a graph-walk hop).
 fn greedy_layer<P, M: Metric<P>>(
     data: &Dataset<P, M>,
     layer: &[Vec<u32>],
     start: u32,
     q: &P,
-) -> u32 {
-    let mut comps = 0u64;
-    let mut expansions = 0u64;
-    greedy_layer_detailed(data, layer, start, q, &mut comps, &mut expansions)
-}
-
-/// One greedy descent step sequence with full accounting: `expansions`
-/// counts neighbor-list scans (one per vertex the walk stands on), the
-/// layered analogue of a graph-walk hop.
-fn greedy_layer_detailed<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    layer: &[Vec<u32>],
-    start: u32,
-    q: &P,
     comps: &mut u64,
-    expansions: &mut u64,
+    mut expand: impl FnMut(u32),
 ) -> u32 {
     let mut cur = start;
     *comps += 1;
     let mut d_cur = data.dist_to(cur as usize, q);
     loop {
         let mut improved = false;
-        *expansions += 1;
+        expand(cur);
         for &nb in &layer[cur as usize] {
             *comps += 1;
             let d = data.dist_to(nb as usize, q);
@@ -328,11 +559,13 @@ struct Entry {
 }
 
 /// One layer under construction: the ids the insertion walks read, laid
-/// out exactly as the finished index stores them, and beside each id the
-/// `(len, diverse)` of its [`Entry`].
+/// out exactly as the finished index stores them, beside each id the
+/// `(len, diverse)` of its [`Entry`], and for each row the point whose
+/// insertion last wrote it (`u32::MAX` for none).
 struct BuildLayer {
     ids: Vec<Vec<u32>>,
     known: Vec<Vec<(f64, bool)>>,
+    written_by: Vec<u32>,
 }
 
 impl BuildLayer {
@@ -340,6 +573,7 @@ impl BuildLayer {
         BuildLayer {
             ids: vec![Vec::new(); n],
             known: vec![Vec::new(); n],
+            written_by: vec![u32::MAX; n],
         }
     }
 
@@ -505,7 +739,7 @@ mod tests {
             let mut cur = entry;
             let mut lvl = entry_level;
             while lvl > p_level {
-                cur = greedy_layer(data, &layers[lvl], cur, q);
+                cur = greedy_layer(data, &layers[lvl], cur, q, &mut 0, |_| {});
                 lvl -= 1;
             }
             let mut eps = vec![cur];
@@ -609,16 +843,18 @@ mod tests {
             let (got, want) = rayon::with_threads(threads, || {
                 (Hnsw::build(data, params), reference_build(data, params))
             });
-            assert_eq!(
-                got.levels, want.levels,
-                "{case}, {threads} thread(s): levels"
-            );
-            assert_eq!(got.entry, want.entry, "{case}, {threads} thread(s): entry");
-            assert_eq!(got.layers.len(), want.layers.len(), "{case}: layer count");
-            for (l, (g, w)) in got.layers.iter().zip(&want.layers).enumerate() {
-                for (v, (gl, wl)) in g.iter().zip(w).enumerate() {
-                    assert_eq!(gl, wl, "{case}, {threads} thread(s): layer {l}, vertex {v}");
-                }
+            assert_same_index(&got, &want, &format!("{case}, {threads} thread(s)"));
+        }
+    }
+
+    /// Every layer's lists in order, the levels and the entry point.
+    fn assert_same_index(got: &Hnsw, want: &Hnsw, case: &str) {
+        assert_eq!(got.levels, want.levels, "{case}: levels");
+        assert_eq!(got.entry, want.entry, "{case}: entry");
+        assert_eq!(got.layers.len(), want.layers.len(), "{case}: layer count");
+        for (l, (g, w)) in got.layers.iter().zip(&want.layers).enumerate() {
+            for (v, (gl, wl)) in g.iter().zip(w).enumerate() {
+                assert_eq!(gl, wl, "{case}: layer {l}, vertex {v}");
             }
         }
     }
@@ -678,15 +914,25 @@ mod tests {
     #[test]
     fn re_pruning_recomputes_no_distance_the_build_already_has() {
         // Pinned, so that a change which brings recomputation back fails
-        // here by name: 1 128 distances per point → 755, same index.
+        // here by name: 1 128 distances per point → 755, same index. The
+        // one-thread build is the one pinned: on two threads the plans a
+        // helper made ahead and the build discarded add their distances,
+        // a total as deterministic as the index but not thread-invariant.
         let data = random_points(1000, 16, 24).into_dataset(Counting::new(Euclidean));
         let want = reference_build(&data, HnswParams::default());
         let recomputing = data.metric().take();
-        let got = Hnsw::build(&data, HnswParams::default());
+        let got = rayon::with_threads(1, || Hnsw::build(&data, HnswParams::default()));
         let cached = data.metric().take();
+        let two = rayon::with_threads(2, || Hnsw::build(&data, HnswParams::default()));
+        let two_threads = data.metric().take();
         assert_eq!(got.layers, want.layers);
-        assert_eq!((recomputing, cached), (1_128_011, 754_723));
+        assert_eq!(two.layers, want.layers);
+        assert_eq!(
+            (recomputing, cached, two_threads),
+            (1_128_011, 754_723, 933_044)
+        );
         assert!(cached < recomputing);
+        assert!(two_threads >= cached);
     }
 
     #[test]
@@ -782,10 +1028,10 @@ mod tests {
 
     #[test]
     fn parallel_build_is_thread_count_invariant() {
-        // The build makes no pool call (re-pruning reads stored lengths
-        // instead of labelling through the pool-aware `label_dists`), so
-        // the pool's size must not reach the index; this pins that it
-        // never starts to.
+        // On two or more threads a helper plans each pair's second point
+        // against the graph before the first is inserted, and the plan is
+        // kept only where it is provably the one a single thread makes; the
+        // index must come out the same at every pool size.
         let ds = random_dataset(250, 2, 8);
         let one = rayon::with_threads(1, || Hnsw::build(&ds, HnswParams::default()));
         for threads in [2, 4] {
@@ -794,6 +1040,89 @@ mod tests {
             assert_eq!(one.entry_point(), many.entry_point());
             assert_eq!(one.total_edges(), many.total_edges());
         }
+    }
+
+    /// The build at 2 and 4 threads against the one-thread build, which
+    /// plans nothing ahead; adds the plans discarded to `replans`.
+    fn assert_matches_one_thread<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        params: HnswParams,
+        case: &str,
+        replans: &mut Replans,
+    ) {
+        let (want, none) = rayon::with_threads(1, || build_counting_replans(data, params));
+        assert_eq!(none, Replans::default(), "{case}: one thread plans ahead");
+        for threads in [2, 4] {
+            let (got, r) = rayon::with_threads(threads, || build_counting_replans(data, params));
+            assert_same_index(&got, &want, &format!("{case}, {threads} threads"));
+            replans.entry += r.entry;
+            replans.written += r.written;
+        }
+    }
+
+    #[test]
+    fn speculative_insertion_builds_the_one_thread_index() {
+        let mut replans = Replans::default();
+        for m in [4, 12] {
+            let p = HnswParams {
+                m,
+                ..HnswParams::default()
+            };
+            let plain = HnswParams {
+                heuristic: false,
+                ..p
+            };
+            let uniform = random_points(500, 2, 31);
+            assert_matches_one_thread(
+                &uniform.clone().into_dataset(Euclidean),
+                p,
+                &format!("uniform 2-D, m = {m}"),
+                &mut replans,
+            );
+            assert_matches_one_thread(
+                &uniform.clone().into_dataset(Euclidean),
+                plain,
+                &format!("uniform 2-D, plain, m = {m}"),
+                &mut replans,
+            );
+            assert_matches_one_thread(
+                &uniform.into_dataset(Manhattan),
+                p,
+                &format!("uniform 2-D, L1, m = {m}"),
+                &mut replans,
+            );
+            let clusters = clustered_points(400, 32, 32);
+            assert_matches_one_thread(
+                &clusters.into_dataset(Euclidean),
+                p,
+                &format!("clustered 32-D, m = {m}"),
+                &mut replans,
+            );
+            let lattice = lattice_points(22, 33);
+            assert_matches_one_thread(
+                &lattice.clone().into_dataset(Euclidean),
+                p,
+                &format!("lattice, m = {m}"),
+                &mut replans,
+            );
+            assert_matches_one_thread(
+                &lattice.clone().into_dataset(Manhattan),
+                p,
+                &format!("lattice, L1, m = {m}"),
+                &mut replans,
+            );
+            assert_matches_one_thread(
+                &lattice.into_dataset(Euclidean),
+                plain,
+                &format!("lattice, plain, m = {m}"),
+                &mut replans,
+            );
+        }
+        // Both reasons to discard a plan made ahead occur: a row the first
+        // point of the pair wrote, and an entry point it moved by levelling
+        // up above the top layer.
+        assert!(replans.written > 0, "{replans:?}");
+        assert!(replans.entry > 0, "{replans:?}");
     }
 
     #[test]
