@@ -1,8 +1,9 @@
 //! Shared helpers for the experiment harness: table formatting, log–log
 //! slope fitting, and query-cost measurement.
 //!
-//! Every experiment in DESIGN.md §3 has a binary in `src/bin/` that prints
-//! the corresponding paper-shaped table; wall-clock belongs to
+//! `src/bin/pg_paper.rs` reproduces the paper's claims as one table with a
+//! verdict per claim; `exp_recall`, `exp_serve` and `exp_shard` print the
+//! quality, serving and sharding tables; wall-clock belongs to
 //! `src/bin/pg_ladder/`. Binaries accept `--full` for the larger parameter
 //! sweeps recorded in EXPERIMENTS.md, and refuse flags they do not declare
 //! ([`Args`]).
@@ -13,31 +14,20 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use pg_core::{greedy, Graph, QueryEngine};
+use pg_core::{greedy, Graph};
 use pg_metric::{Dataset, Metric};
 
 /// Ordinary least squares slope of `ln y` against `ln x` — the growth
 /// exponent read off a log–log plot. Requires positive samples.
 pub fn loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 2, "need at least two samples");
-    let lx: Vec<f64> = xs.iter().map(|&x| x.ln()).collect();
-    let ly: Vec<f64> = ys.iter().map(|&y| y.ln()).collect();
-    let mx = lx.iter().sum::<f64>() / lx.len() as f64;
-    let my = ly.iter().sum::<f64>() / ly.len() as f64;
-    let cov: f64 = lx
-        .iter()
-        .zip(ly.iter())
-        .map(|(x, y)| (x - mx) * (y - my))
-        .sum();
-    let var: f64 = lx.iter().map(|x| (x - mx) * (x - mx)).sum();
-    cov / var
+    let ln = |vs: &[f64]| vs.iter().map(|v| v.ln()).collect::<Vec<_>>();
+    linear_slope(&ln(xs), &ln(ys))
 }
 
 /// Least-squares slope of `y` against `x` (linear scale).
 pub fn linear_slope(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 2);
+    assert!(xs.len() >= 2, "need at least two samples");
     let mx = xs.iter().sum::<f64>() / xs.len() as f64;
     let my = ys.iter().sum::<f64>() / ys.len() as f64;
     let cov: f64 = xs
@@ -56,22 +46,23 @@ pub fn spread_start(i: usize, n: usize) -> u32 {
 }
 
 /// Average greedy distance computations and hops over the given queries,
-/// cycling through start vertices. Returns `(avg_dists, avg_hops,
+/// cycling through start vertices. Returns `(avg_dists, avg_hops, max_hops,
 /// worst_ratio)` where `worst_ratio` is the worst approximation ratio
 /// observed against brute force.
 pub fn measure_greedy<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
     queries: &[P],
-) -> (f64, f64, f64) {
+) -> (f64, f64, usize, f64) {
     let n = data.len();
     let mut comps = 0u64;
-    let mut hops = 0usize;
+    let (mut hops, mut max_hops) = (0, 0);
     let mut worst: f64 = 1.0;
     for (i, q) in queries.iter().enumerate() {
         let out = greedy(graph, data, spread_start(i, n), q);
         comps += out.dist_comps;
         hops += out.hops.len();
+        max_hops = max_hops.max(out.hops.len());
         let (_, exact) = data.nearest_brute(q);
         if exact > 0.0 {
             worst = worst.max(out.result_dist / exact);
@@ -82,34 +73,7 @@ pub fn measure_greedy<P, M: Metric<P>>(
     (
         comps as f64 / queries.len() as f64,
         hops as f64 / queries.len() as f64,
-        worst,
-    )
-}
-
-/// [`measure_greedy`] through a [`QueryEngine`] batch: same start-vertex
-/// schedule, same `(avg_dists, avg_hops, worst_ratio)` — the engine
-/// guarantees per-query outcomes identical to the sequential `greedy`, so
-/// the two helpers agree for any thread count (asserted in tests).
-pub fn measure_greedy_batch<P: Sync, M: Metric<P> + Sync>(
-    engine: &QueryEngine<P, M>,
-    queries: &[P],
-) -> (f64, f64, f64) {
-    let n = engine.data().len();
-    let starts: Vec<u32> = (0..queries.len()).map(|i| spread_start(i, n)).collect();
-    let batch = engine.batch_greedy(&starts, queries);
-    let hops: usize = batch.outcomes.iter().map(|o| o.hops.len()).sum();
-    let mut worst: f64 = 1.0;
-    for (q, out) in queries.iter().zip(batch.outcomes.iter()) {
-        let (_, exact) = engine.data().nearest_brute(q);
-        if exact > 0.0 {
-            worst = worst.max(out.result_dist / exact);
-        } else if out.result_dist > 0.0 {
-            worst = f64::INFINITY;
-        }
-    }
-    (
-        batch.dist_comps as f64 / queries.len() as f64,
-        hops as f64 / queries.len() as f64,
+        max_hops,
         worst,
     )
 }
@@ -238,8 +202,8 @@ impl Args {
     }
 
     /// The value of `--name VALUE` / `--name=VALUE`, if given — e.g.
-    /// `--save-index PATH` / `--load-index PATH`, the offline/online split
-    /// of `exp_t11_build` / `exp_t11_query`.
+    /// `--gt-cache DIR`, where `exp_recall` and `exp_shard` keep ground
+    /// truth.
     pub fn value(&self, name: &str) -> Option<String> {
         assert!(self.value_flags.contains(&name), "undeclared {name}");
         parse_value_flag(&self.argv, name)
@@ -260,9 +224,9 @@ impl Args {
 /// Finds `--name VALUE` / `--name=VALUE` in `args`. `name` includes the
 /// leading dashes (e.g. `"--threads"`). In the space-separated form, a
 /// following token that is itself a flag (`--…`) is not consumed as the
-/// value — `exp --save-index --full` means the path is missing, not that
-/// the index goes to a file named `--full`. Use `--name=--value` if a
-/// dash-leading value is really intended.
+/// value — `exp_recall --gt-cache --full` means the directory is missing,
+/// not that the cache goes to a directory named `--full`. Use
+/// `--name=--value` if a dash-leading value is really intended.
 fn parse_value_flag(args: &[String], name: &str) -> Option<String> {
     let prefix = format!("{name}=");
     for (i, a) in args.iter().enumerate() {
@@ -333,54 +297,36 @@ mod tests {
 
     #[test]
     fn value_flag_parsing() {
-        let save = |argv: &[&str]| {
-            parse(argv, &["--full", "--smoke"], &["--save-index"]).map(|a| a.value("--save-index"))
+        let cache = |argv: &[&str]| {
+            parse(argv, &["--full", "--smoke"], &["--gt-cache"]).map(|a| a.value("--gt-cache"))
         };
         assert_eq!(
-            save(&["--save-index", "/tmp/i.pgix"]),
-            Ok(Some("/tmp/i.pgix".to_string()))
+            cache(&["--gt-cache", "/tmp/gt"]),
+            Ok(Some("/tmp/gt".to_string()))
         );
         assert_eq!(
-            save(&["--full", "--save-index=idx.pgix"]),
-            Ok(Some("idx.pgix".to_string()))
+            cache(&["--full", "--gt-cache=gt"]),
+            Ok(Some("gt".to_string()))
         );
-        assert_eq!(save(&["--full"]), Ok(None));
+        assert_eq!(cache(&["--full"]), Ok(None));
         // A bare value flag is a usage error…
         assert_eq!(
-            save(&["--save-index"]).unwrap_err(),
-            "--save-index needs a value"
+            cache(&["--gt-cache"]).unwrap_err(),
+            "--gt-cache needs a value"
         );
         // …and a following flag is not swallowed as the value…
-        assert!(save(&["--save-index", "--full"]).is_err());
+        assert!(cache(&["--gt-cache", "--full"]).is_err());
         // …but the explicit `=` form can still pass anything.
-        assert_eq!(save(&["--save-index=--odd"]), Ok(Some("--odd".to_string())));
+        assert_eq!(cache(&["--gt-cache=--odd"]), Ok(Some("--odd".to_string())));
         // Unknown flags, misspelt switches and stray words are refused; a
         // flag another binary accepts is unknown here.
-        for bad in ["--smok", "--load-index=x", "--save-indexes=x", "stray"] {
+        for bad in ["--smok", "--algo=x", "--gt-caches=x", "stray"] {
             assert_eq!(
-                save(&["--full", bad]).unwrap_err(),
+                cache(&["--full", bad]).unwrap_err(),
                 format!("unknown argument `{bad}`")
             );
         }
         let args = parse(&["--smoke"], &["--full", "--smoke"], &[]).unwrap();
         assert!(args.has("--smoke") && !args.has("--full"));
-    }
-
-    #[test]
-    fn engine_measurement_agrees_with_sequential_helper() {
-        use pg_core::{GNet, QueryEngine};
-        use pg_metric::{Dataset, Euclidean};
-        use pg_workloads as workloads;
-
-        let pts = workloads::uniform_cube(300, 2, 60.0, 5);
-        let data = Dataset::new(pts, Euclidean);
-        let g = GNet::build_fast(&data, 1.0);
-        let queries = workloads::uniform_queries(20, 2, 0.0, 60.0, 6);
-        let seq = measure_greedy(&g.graph, &data, &queries);
-        for threads in [1, 4] {
-            let engine = QueryEngine::new(g.graph.clone(), data.clone()).with_threads(threads);
-            let par = measure_greedy_batch(&engine, &queries);
-            assert_eq!(seq, par, "helpers diverged at {threads} threads");
-        }
     }
 }

@@ -142,8 +142,10 @@ impl GNet {
     }
 
     /// [`GNet::build_fast_on`], calling `phase_ended` each time a stretch
-    /// of one [`BuildPhase`] ends. This crate reads no clock, so this is how
-    /// `exp_t11_build` times the phases: it stamps the calls.
+    /// of one [`BuildPhase`] ends. This crate reads no clock, so a caller
+    /// that splits a build by phase stamps the calls: `pg_paper`'s
+    /// construction row reads a counting metric at each one to report the
+    /// distances each phase computes.
     pub fn build_fast_on_observed<P: Sync, M: Metric<P> + Sync>(
         data: &Dataset<P, M>,
         epsilon: f64,
@@ -341,7 +343,7 @@ impl GNet {
 
 /// Ablation helper: `G_net`'s edge rule with an **arbitrary** reach factor
 /// `phi` instead of the paper's `φ = 1 + 2^{η+1}` (Eq. 4), over a given
-/// hierarchy. Used by the `exp_ablation_phi` experiment to probe how much of
+/// hierarchy. Used by `pg_paper`'s Eq. 4 row to probe how much of
 /// the paper's constant is slack on concrete inputs: Lemma 2.2's proof needs
 /// `φ ≥ 1 + 2^{η+1}`, but navigability on a given dataset may survive with a
 /// smaller reach (fewer edges) — or break, which the navigability checker
@@ -375,8 +377,10 @@ pub fn gnet_edges_with_phi<P: Sync, M: Metric<P> + Sync>(
 /// center recurs across levels — often far below the `n log Δ` worst case on
 /// benign data. With independent nets each level draws fresh centers, so the
 /// `n log Δ` size behaviour of Theorem 1.1 (and the necessity shown by
-/// Theorem 1.2(1)) is visible. The separation experiment (T1.3-sep) contrasts
-/// both against the merged graph; DESIGN.md discusses the ablation.
+/// Theorem 1.2(1)) is visible. `pg_paper`'s separation row builds the
+/// nested graph (`GNet::build` on the tree instance, `GNet::build_fast` on
+/// the Euclidean one), not this one; `tests/pg_property.rs` checks that
+/// this variant is a `(1+ε)`-PG too.
 ///
 /// Construction is quadratic (per-level greedy nets + full scans) — this
 /// variant exists for fidelity and experiments, not speed.

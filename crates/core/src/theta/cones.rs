@@ -19,8 +19,9 @@
 //!   `R^d \ {0}`. Crucially the snap is `O(d)` (no scan over the
 //!   `O((1/θ)^{d-1})` axes), which keeps θ-graph construction cheap.
 //!
-//! This substitution is recorded in DESIGN.md; property tests sample random
-//! directions and verify the covering and diameter bounds empirically.
+//! The paper only asks for some family with those two properties, so any
+//! exact partition will do; property tests sample random directions and
+//! verify the covering and diameter bounds empirically.
 
 use std::collections::HashMap;
 

@@ -317,7 +317,8 @@ mod tests {
     fn repeated_ann_delete_retrieval_equals_range_query() {
         // The Section 2.4 retrieval of S (repeated 2-ANN + delete until the
         // reported distance exceeds 2R) returns exactly the R-ball, the same
-        // set a direct range query reports (see DESIGN.md substitution 2).
+        // set a direct range query reports. The cover tree with tombstone
+        // deletion stands in for the paper's Cole–Gottlieb 2-ANN structure.
         let ds = random_dataset(150, 2, 21);
         let mut t = CoverTree::build_all(&ds);
         for (qi, r) in [(3usize, 2.0f64), (77, 5.0), (140, 9.0)] {

@@ -70,7 +70,9 @@ fn main() {
     report("G_net (greedy)", &gnet.graph, t_gnet, false);
 
     // Merged graph (Theorem 1.3), greedy routing. θ widened for speed at
-    // d = 4 (the ε/32 constant is worst-case; see DESIGN.md).
+    // d = 4: Lemma 5.1's ε/32 is a worst-case constant; `pg_paper`'s
+    // θ-graph row finds θ = 1.2, 38× coarser, still navigable on 250
+    // uniform points in the plane.
     let t0 = Instant::now();
     let merged = MergedGraph::build(&data, MergedParams::new(1.0).with_theta(0.9));
     let t_merged = t0.elapsed().as_secs_f64();

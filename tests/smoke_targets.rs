@@ -1,7 +1,7 @@
 //! Guard that every secondary target keeps compiling.
 //!
 //! `cargo test` exercises libs and test targets, but examples and the
-//! `exp_*` experiment binaries are easy to break silently.
+//! experiment binaries (`pg_paper`, `exp_*`) are easy to break silently.
 //! This test shells back into cargo so a plain `cargo test` refuses to pass
 //! while any of them fails to compile. CI additionally runs the same check
 //! as its own step (see `.github/workflows/ci.yml`).
