@@ -1,5 +1,5 @@
 //! **Experiment: serve** — the online serving layer under closed-loop
-//! client load: batched (leader/follower slots) vs unbatched
+//! client load: batched (per-core search slots) vs unbatched
 //! latency/throughput from 1 to 16·cores connections, and snapshot
 //! hot-swap under fire.
 //!
@@ -15,7 +15,7 @@
 //!    responses return, against the batched server and then against an
 //!    unbatched one, for C ∈ {1, cores, 4·cores, 16·cores} — the same
 //!    number of requests per row. Reported per row: p50/p99 request
-//!    latency, aggregate QPS, and the observed mean group size.
+//!    latency, aggregate QPS, and how many requests waited for a slot.
 //! 4. Hot-swap demo: under the same load, the registry swaps between two
 //!    snapshots; the run asserts **zero** dropped or failed requests and
 //!    that every response's epoch belongs to a generation the registry
@@ -31,13 +31,12 @@
 //!
 //! How to read the sweep: the batcher runs at most one search per core
 //! and answers each query on the connection thread that received it, so
-//! up to C = cores the two arms are the same path (mean group 1.00) and
-//! should measure the same. Followers, groups and hand-offs only exist
-//! past that, where the batched arm trades the unbatched arm's
-//! oversubscribed cores for a bounded queue. Nothing here amortizes
-//! "pool entry": a group is answered member by member on one thread.
-//! Read the numbers alongside the recall frontiers of `exp_recall`
-//! (quality does not change: same engine, same answers).
+//! up to C = cores the two arms are the same path (nothing waits) and
+//! should measure the same. Past that, the batched arm trades the
+//! unbatched arm's oversubscribed cores for a bounded wait; a released
+//! slot goes to whichever thread takes it first, not to the longest
+//! waiter. Read the numbers alongside the recall frontiers of
+//! `exp_recall` (quality does not change: same engine, same answers).
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_serve
 //! [--smoke | --full] [--overload] [--threads N]`
@@ -72,8 +71,7 @@ struct LoadOutcome {
     p99_us: f64,
     qps: f64,
     requests: u64,
-    mean_batch: f64,
-    coalesced_batches: u64,
+    waited: u64,
 }
 
 /// Closed-loop load: `clients` threads, each issuing its query schedule
@@ -118,20 +116,13 @@ fn closed_loop(
     let after = server.stats();
     lat.sort_unstable();
     let requests = lat.len() as u64;
-    let delta_req = after.requests - before.requests;
-    let delta_batches = after.batches - before.batches;
     LoadOutcome {
         clients,
         p50_us: percentile(&lat, 0.50) as f64 / 1_000.0,
         p99_us: percentile(&lat, 0.99) as f64 / 1_000.0,
         qps: requests as f64 / wall,
         requests,
-        mean_batch: if delta_batches == 0 {
-            1.0
-        } else {
-            delta_req as f64 / delta_batches as f64
-        },
-        coalesced_batches: after.coalesced_batches - before.coalesced_batches,
+        waited: after.waited - before.waited,
     }
 }
 
@@ -149,7 +140,7 @@ fn main() {
     };
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!("# serve: leader/follower TCP serving, hot-swap under load");
+    println!("# serve: TCP serving on per-core search slots, hot-swap under load");
     println!(
         "(n = {n}, d = {d}, m = {m} queries, {clients} client(s) x {rounds} round(s), \
          ef = {EF}, k = {K}, {threads} thread(s), {cores} core(s))\n"
@@ -227,7 +218,7 @@ fn main() {
         assert_eq!(reply.expansions, expected.outcomes[i].expansions);
     }
     // Concurrent gate: same assertion from every client at once, so
-    // coalesced execution is itself gated before any timing.
+    // execution under contention is itself gated before any timing.
     let gate_workers: Vec<_> = (0..clients)
         .map(|_| {
             let queries = Arc::clone(&queries);
@@ -284,14 +275,7 @@ fn main() {
     let unbatched = arm(false);
 
     let mut t = Table::new(&[
-        "mode",
-        "clients",
-        "requests",
-        "p50 us",
-        "p99 us",
-        "QPS",
-        "mean group",
-        "coalesced",
+        "mode", "clients", "requests", "p50 us", "p99 us", "QPS", "waited",
     ]);
     for (name, rows) in [("batched", &batched), ("unbatched", &unbatched)] {
         for o in rows {
@@ -302,8 +286,7 @@ fn main() {
                 fmt(o.p50_us, 1),
                 fmt(o.p99_us, 1),
                 fmt(o.qps, 0),
-                fmt(o.mean_batch, 2),
-                o.coalesced_batches.to_string(),
+                o.waited.to_string(),
             ]);
         }
     }
@@ -447,7 +430,6 @@ fn main() {
             "127.0.0.1:0",
             Arc::clone(&registry_s),
             ServeConfig {
-                max_batch: 2,
                 max_queue: 1,
                 ..ServeConfig::default()
             },

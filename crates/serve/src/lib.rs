@@ -5,8 +5,8 @@
 //! The offline half of this workspace builds indexes (`pg_core`) and
 //! persists them (`pg_store`); this crate is the online half that answers
 //! queries over the network. Everything is `std`-only —
-//! [`std::net::TcpListener`], threads, channels — in keeping with the
-//! workspace's no-external-dependencies rule.
+//! [`std::net::TcpListener`], threads, a mutex and a condition variable —
+//! in keeping with the workspace's no-external-dependencies rule.
 //!
 //! # The pieces
 //!
@@ -18,11 +18,10 @@
 //!   snapshot replaces an old one under live traffic with zero dropped
 //!   requests, and every response carries the epoch of the generation that
 //!   answered it.
-//! * [`batcher`] — leader/follower group dispatch: a query is answered on
-//!   the connection thread that received it while a per-core search slot
-//!   is free; arrivals beyond that wait in a bounded queue and are
-//!   answered as a group by whoever is handed the next slot. No thread of
-//!   its own, and no answer ever changes.
+//! * [`batcher`] — search slots as a counting semaphore: a query is
+//!   answered on the connection thread that received it, at most one
+//!   search per core at a time; arrivals beyond that wait for a slot in a
+//!   bounded queue. No thread of its own, and no answer ever changes.
 //! * [`server`] / [`client`] — the blocking TCP endpoints. A request that
 //!   fails — malformed frame, unknown index, wrong dimensionality — costs
 //!   its sender an error frame, not the connection.
@@ -89,14 +88,15 @@ pub mod sites {
     pub const CONN_READ: &str = "serve.conn.read";
     /// Writing a response frame to an accepted connection.
     pub const CONN_WRITE: &str = "serve.conn.write";
-    /// Admitting a request into the batcher queue; a fired fault here is
-    /// treated as "queue full" and shed with
-    /// [`ServeError::Overloaded`](crate::error::ServeError::Overloaded).
+    /// Admitting a request into the batcher; a fired fault here is
+    /// treated as "queue full", shed with
+    /// [`ServeError::Overloaded`](crate::error::ServeError::Overloaded)
+    /// and counted in `BatcherStats::shed`.
     pub const BATCH_QUEUE: &str = "serve.batcher.queue";
     /// Handing one query to the engine. Runs inside the panic-containment
     /// guard, so a `Panic` fault here exercises `WorkerPanicked` for that
-    /// one request; a `Stall` holds a leader inside the engine while
-    /// followers queue behind it.
+    /// one request; a `Stall` holds a search slot while later arrivals
+    /// wait for it.
     pub const ENGINE_DISPATCH: &str = "serve.engine.dispatch";
     /// Every failpoint site this crate instruments.
     pub const ALL: &[&str] = &[CONN_READ, CONN_WRITE, BATCH_QUEUE, ENGINE_DISPATCH];
@@ -119,7 +119,7 @@ pub(crate) fn failpoint(_site: &str) -> Result<(), error::ServeError> {
     Ok(())
 }
 
-pub use batcher::{Batcher, BatcherStats, Pending, Wake};
+pub use batcher::{Batcher, BatcherStats};
 pub use client::{Client, RetryPolicy, RetryingClient};
 pub use error::{ErrorCode, ServeError};
 pub use protocol::{IndexInfo, QueryReply, Request, Response, PROTOCOL_VERSION};

@@ -3,13 +3,11 @@
 //! One thread accepts connections; each connection gets its own handler
 //! thread that reads frames, dispatches requests, and writes responses.
 //! Queries are answered on the handler threads themselves. With batching
-//! on (the default) a handler goes through the [`Batcher`]: it takes one of
-//! the per-core search slots and answers its query on its own thread, or —
-//! with every slot held — waits in the bounded queue until a finishing
-//! leader hands the slot, and the waiting group, to the head of that
-//! queue. With batching off each handler calls the engine directly, with
-//! no bound on concurrent searches and no shedding. Both paths produce
-//! structurally identical responses.
+//! on (the default) a handler goes through the [`Batcher`]: it waits, in a
+//! bounded queue, for one of the per-core search slots and then answers
+//! its query on its own thread. With batching off each handler calls the
+//! engine directly, with no bound on concurrent searches and no shedding.
+//! Both paths produce structurally identical responses.
 //!
 //! # Error discipline
 //!
@@ -54,10 +52,6 @@ pub struct ServeConfig {
     /// `exp_serve` measures the two against each other at 1 to 16·cores
     /// connections; correctness is identical either way.
     pub batching: bool,
-    /// Largest group one leader answers: a finishing leader hands at most
-    /// this many waiting queries to the head follower, which bounds how
-    /// long that follower's own reply waits on the group.
-    pub max_batch: usize,
     /// Largest number of queries that may wait for a search slot at once
     /// (default 1024). A request that would exceed it is refused with an
     /// `Overloaded` error frame instead of queueing without bound — load
@@ -77,7 +71,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             batching: true,
-            max_batch: 256,
             max_queue: 1024,
             write_timeout: Duration::from_secs(5),
         }
@@ -117,9 +110,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let shared = Arc::new(ServerShared {
             registry,
-            batcher: config
-                .batching
-                .then(|| Batcher::start(config.max_batch, config.max_queue)),
+            batcher: config.batching.then(|| Batcher::start(config.max_queue)),
             shutdown: AtomicBool::new(false),
             write_timeout: config.write_timeout,
         });

@@ -8,11 +8,9 @@
 //!   (successful replies are still bit-identical to direct engine runs);
 //! * a failed or torn hot-swap **always leaves the old generation
 //!   serving**, verified through the epoch every reply carries;
-//! * shutdown **drains every accepted request** even while faults fire;
-//! * a leader that panics or stalls **never strands its followers**: the
-//!   panic costs one request, the slot is handed off or released, and a
-//!   hand-off answers followers in arrival order without delaying the
-//!   leader's own reply.
+//! * a search that stalls or panics **never strands the queries waiting
+//!   for its slot**: every admitted query gets exactly one reply, the
+//!   panic costs one request, and the slot is released.
 //!
 //! `faults_cover_every_registered_serve_site` enumerates
 //! `pg_serve::sites::ALL` with an exhaustive match (the snapshot-I/O
@@ -22,12 +20,12 @@
 mod common;
 
 use std::io::ErrorKind;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use pg_fault::{configure, reset, FaultAction, FaultConfig};
 use pg_metric::FlatRow;
-use pg_serve::batcher::{run_single, Batcher, Pending, Wake};
+use pg_serve::batcher::{run_single, Batcher};
 use pg_serve::client::{Client, RetryPolicy, RetryingClient};
 use pg_serve::error::{ErrorCode, ServeError};
 use pg_serve::registry::{IndexRegistry, ServingIndex};
@@ -133,6 +131,7 @@ fn faults_cover_every_registered_serve_site() {
                     other => panic!("expected a Remote Overloaded frame, got {other:?}"),
                 }
                 assert!(err.is_retryable(), "shedding is transient by definition");
+                assert_eq!(server.stats().shed, 1, "a fault-shed query is counted");
                 // Same connection, fault spent: the retry succeeds.
                 let reply = client.query("main", q, EF, K).expect("retry on same conn");
                 assert_eq!(common::results_bits(&reply.results), bits[0]);
@@ -226,92 +225,74 @@ fn row(x: f64) -> FlatRow {
     FlatRow::from(vec![x, 1.0])
 }
 
-/// `n` parked queries (`row(0.0)`, `row(1.0)`, …) and their receivers.
-fn parked(serving: &Arc<ServingIndex>, n: usize) -> (Vec<Pending>, Vec<mpsc::Receiver<Wake>>) {
-    (0..n)
-        .map(|i| {
-            let (tx, rx) = mpsc::channel();
-            let pending = Pending {
-                index: Arc::clone(serving),
-                query: row(i as f64),
-                ef: EF,
-                k: K,
-                reply: tx,
-            };
-            (pending, rx)
-        })
-        .unzip()
-}
-
 fn direct_row_bits(serving: &ServingIndex, x: f64) -> Vec<(u32, u64)> {
     common::results_bits(&run_single(serving, row(x), EF, K).results)
 }
 
-/// Shutdown with work still queued and a panic fault firing mid-drain:
-/// every accepted request still gets exactly one reply — the panicked
-/// request a typed error, everyone else a correct answer.
+/// One slot held by a stalled search, eight callers waiting behind it,
+/// and a panic fault on the third dispatch after the stall: every caller
+/// still gets exactly one reply — the panicked dispatch a typed error,
+/// everyone else the correct answer — and the slot comes back, so the
+/// next `run` is served instead of waiting forever.
 #[test]
-fn shutdown_drains_every_request_despite_a_panicking_worker() {
+fn a_panicking_search_costs_one_request_and_strands_no_waiter() {
+    const WAITERS: usize = 8;
+    const PANIC_AT: u64 = 3;
     let _g = serial();
     let serving = serving();
-
-    // `Drop` answers the queue in order, one engine dispatch per request,
-    // so the Nth(7) panic deterministically hits the seventh request.
-    let batcher = Batcher::start(1, 1024);
+    let batcher = Batcher::with_slots(64, 1);
     configure(
         sites::ENGINE_DISPATCH,
-        FaultConfig::nth(FaultAction::Panic, 7),
+        FaultConfig::always(FaultAction::Stall(250)),
     );
-    let (group, receivers) = parked(&serving, 30);
-    batcher.submit_many(group).unwrap();
-    drop(batcher); // shutdown: must drain all 30 first
+    let replies = std::thread::scope(|scope| {
+        let (batcher, serving) = (&batcher, &serving);
+        let stalled = scope.spawn(move || batcher.run(Arc::clone(serving), row(50.0), EF, K));
+        while pg_fault::hits(sites::ENGINE_DISPATCH) < 1 {
+            std::thread::yield_now();
+        }
+        let waiters: Vec<_> = (0..WAITERS)
+            .map(|i| scope.spawn(move || batcher.run(Arc::clone(serving), row(i as f64), EF, K)))
+            .collect();
+        while batcher.stats().waited < WAITERS as u64 {
+            std::thread::yield_now();
+        }
+        // Re-arming resets the site's counters: the waiters' dispatches
+        // are numbered 1..=WAITERS, provided none has started yet.
+        configure(
+            sites::ENGINE_DISPATCH,
+            FaultConfig::nth(FaultAction::Panic, PANIC_AT),
+        );
+        assert_eq!(
+            batcher.stats().batches,
+            0,
+            "the stall ended before the fault was re-armed"
+        );
+        let stalled = stalled.join().unwrap().expect("a stall is not a failure");
+        assert_eq!(
+            common::results_bits(&stalled.results),
+            direct_row_bits(serving, 50.0)
+        );
+        let joined = waiters.into_iter().map(|w| w.join().unwrap());
+        joined.collect::<Vec<_>>()
+    });
 
-    let mut panicked = Vec::new();
-    for (i, rx) in receivers.iter().enumerate() {
-        match common::parked_answer(rx, &format!("request {i}")) {
-            Ok(r) => assert_eq!(r.results.len(), K as usize, "request {i}"),
-            Err(ServeError::WorkerPanicked) => panicked.push(i),
-            Err(other) => panic!("request {i}: unexpected error {other:?}"),
+    let mut panicked = 0;
+    for (i, reply) in replies.into_iter().enumerate() {
+        match reply {
+            Ok(r) => assert_eq!(
+                common::results_bits(&r.results),
+                direct_row_bits(&serving, i as f64),
+                "waiting query {i}"
+            ),
+            Err(ServeError::WorkerPanicked) => panicked += 1,
+            Err(other) => panic!("waiting query {i}: unexpected error {other:?}"),
         }
     }
-    assert_eq!(
-        panicked,
-        vec![6],
-        "exactly the seventh request pays for the panic"
-    );
-    reset();
-}
+    assert_eq!(panicked, 1, "exactly one dispatch pays for the panic");
+    assert_eq!(pg_fault::fired(sites::ENGINE_DISPATCH), 1);
+    assert_eq!(pg_fault::hits(sites::ENGINE_DISPATCH), WAITERS as u64);
 
-/// A leader whose own search panics while three queries wait on it: the
-/// panic costs exactly the leader's request, every waiting query still
-/// gets its correct answer, and the slot comes back — the next `run` on
-/// the one-slot batcher is served instead of queueing forever.
-#[test]
-fn a_panicking_leader_costs_one_request_and_frees_its_slot() {
-    let _g = serial();
-    let serving = serving();
-    let batcher = Batcher::with_slots(8, 64, 1);
-    let (group, receivers) = parked(&serving, 3);
-    batcher.submit_many(group).unwrap();
-    // The leader answers what waits first, then its own query: dispatch 4.
-    configure(
-        sites::ENGINE_DISPATCH,
-        FaultConfig::nth(FaultAction::Panic, 4),
-    );
-    let own = batcher.run(Arc::clone(&serving), row(50.0), EF, K);
-    assert!(
-        matches!(own, Err(ServeError::WorkerPanicked)),
-        "the leader's own request pays for its panic, got {own:?}"
-    );
-    for (i, rx) in receivers.iter().enumerate() {
-        let reply = common::parked_answer(rx, &format!("request {i}"))
-            .unwrap_or_else(|e| panic!("waiting query {i}: {e}"));
-        assert_eq!(
-            common::results_bits(&reply.results),
-            direct_row_bits(&serving, i as f64),
-            "waiting query {i}"
-        );
-    }
     let next = batcher
         .run(Arc::clone(&serving), row(50.0), EF, K)
         .expect("the slot must have been released");
@@ -320,80 +301,10 @@ fn a_panicking_leader_costs_one_request_and_frees_its_slot() {
         direct_row_bits(&serving, 50.0)
     );
     let stats = batcher.stats();
-    assert_eq!((stats.requests, stats.answered), (5, 5));
-    assert_eq!((stats.batches, stats.max_batch), (2, 4));
-    assert_eq!(pg_fault::fired(sites::ENGINE_DISPATCH), 1);
+    let total = WAITERS as u64 + 2;
+    assert_eq!((stats.requests, stats.batches), (total, total));
+    assert_eq!(stats.waited, WAITERS as u64);
     reset();
-}
-
-/// Hand-off. One slot, every dispatch stalled: the first caller leads
-/// alone, and three followers queue up behind it in a known order. When
-/// the leader finishes it must hand the slot — and all three — to the
-/// first follower and return *its own* reply without answering any of
-/// them; the followers are then answered in arrival order.
-#[test]
-fn a_finishing_leader_hands_its_slot_to_the_head_follower() {
-    let _g = serial();
-    let serving = serving();
-    let batcher = Batcher::with_slots(8, 64, 1);
-    const STALL_MS: u64 = 100;
-    configure(
-        sites::ENGINE_DISPATCH,
-        FaultConfig::always(FaultAction::Stall(STALL_MS)),
-    );
-    // Who returned from `run`, in order.
-    let returned = Mutex::new(Vec::new());
-    // `requests` counts admissions, under the same lock that enqueues:
-    // once it reads `n`, the n-th caller holds the slot or sits in the
-    // queue, so spawning callers one admission apart fixes arrival order.
-    let admitted = |n: u64| {
-        while batcher.stats().requests < n {
-            std::thread::yield_now();
-        }
-    };
-    std::thread::scope(|scope| {
-        for (n, x) in [10.0, 20.0, 30.0, 40.0].into_iter().enumerate() {
-            let (batcher, serving, returned) = (&batcher, &serving, &returned);
-            scope.spawn(move || {
-                let reply = batcher
-                    .run(Arc::clone(serving), row(x), EF, K)
-                    .unwrap_or_else(|e| panic!("caller {n}: {e}"));
-                returned.lock().unwrap().push(n);
-                assert_eq!(
-                    common::results_bits(&reply.results),
-                    direct_row_bits(serving, x),
-                    "caller {n}"
-                );
-            });
-            admitted(n as u64 + 1);
-        }
-    });
-    reset();
-
-    // Groups: the leader alone, then the three followers as one group —
-    // had the leader served them itself there would be one group of 4, or
-    // its own return would come last.
-    let stats = batcher.stats();
-    assert_eq!((stats.requests, stats.answered), (4, 4));
-    assert_eq!(
-        (stats.batches, stats.coalesced_batches, stats.max_batch),
-        (2, 1, 3),
-        "the followers did not queue behind the stalled leader: {stats:?}"
-    );
-    // Each dispatch stalls, so returns are a whole stall apart: the leader
-    // (0) first, then follower 2, then follower 3; follower 1 led their
-    // group and returns once it has answered both.
-    let returned = returned.into_inner().unwrap();
-    assert_eq!(
-        returned[0], 0,
-        "the leader's reply waited for later arrivals"
-    );
-    let at = |n: usize| returned.iter().position(|&r| r == n).unwrap();
-    assert!(
-        at(2) < at(3),
-        "followers answered out of order: {returned:?}"
-    );
-    assert!(at(2) < at(1), "the new leader returned early: {returned:?}");
 }
 
 /// Hot-swap under injected store faults: a swap whose snapshot load fails

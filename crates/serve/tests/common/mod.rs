@@ -39,20 +39,6 @@ pub fn flat_queries(qs: &[Vec<f64>]) -> Vec<FlatRow> {
     qs.iter().map(|q| FlatRow::from(q.clone())).collect()
 }
 
-/// The one message the channel of a query parked with
-/// `Batcher::submit_many` must receive: its answer. A parked query has no
-/// thread behind it, so being handed a slot (or dropped) is a failure.
-pub fn parked_answer(
-    rx: &std::sync::mpsc::Receiver<pg_serve::Wake>,
-    context: &str,
-) -> Result<pg_serve::QueryReply, pg_serve::ServeError> {
-    match rx.try_recv() {
-        Ok(pg_serve::Wake::Answer(result)) => result,
-        Ok(pg_serve::Wake::Lead(..)) => panic!("{context}: a parked query was handed a slot"),
-        Err(_) => panic!("{context}: not answered by the time its leader returned"),
-    }
-}
-
 /// A unique temp path per test, cleaned up by the caller.
 pub fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("pg_serve_test_{}_{name}.pgix", std::process::id()))

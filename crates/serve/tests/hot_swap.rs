@@ -5,19 +5,18 @@
 //!   every query answered;
 //! * **no mixed answers** — every response is bit-identical to a direct
 //!   engine run on exactly one of the two snapshots, identified by the
-//!   epoch the response carries;
-//! * **a waiting query keeps its generation** — a swap that lands while a
-//!   query sits in the batcher's queue does not retarget it.
+//!   epoch the response carries.
+//!
+//! That a swap does not retarget a query already waiting for a search slot
+//! is pinned by `batcher::tests::a_swap_does_not_retarget_queries_already_waiting`.
 
 mod common;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pg_metric::FlatRow;
-use pg_serve::batcher::{Batcher, Pending};
 use pg_serve::client::Client;
 use pg_serve::registry::IndexRegistry;
 use pg_serve::server::{ServeConfig, Server};
@@ -157,60 +156,6 @@ fn swapping_snapshots_under_load_drops_nothing_and_mixes_nothing() {
     let info = fresh.info("main").unwrap();
     assert_eq!(info.epoch, (SWAPS + 1) as u64);
     assert_eq!(info.n, 200);
-}
-
-/// A swap while queries wait in the batcher's queue: each reply carries
-/// the epoch — and the answer — of the generation resolved *before*
-/// admission, even though the thread that answers them resolved the new
-/// generation for its own query and answers all of them as one group.
-#[test]
-fn a_swap_does_not_retarget_queries_already_waiting() {
-    let engine_a = common::build_engine(200, 1);
-    let engine_b = common::build_engine(200, 2);
-    let queries = common::flat_queries(&common::queries(6, 77));
-    let starts = vec![ENTRY; queries.len()];
-    let bits_of = |engine: &pg_core::QueryEngine<FlatRow, pg_metric::Euclidean>| {
-        let detail = engine.batch_beam_detailed(&starts, &queries, EF as usize, K as usize);
-        let bits = detail
-            .outcomes
-            .iter()
-            .map(|o| common::results_bits(&o.results));
-        bits.collect::<Vec<_>>()
-    };
-    let (bits_a, bits_b) = (bits_of(&engine_a), bits_of(&engine_b));
-    assert_ne!(bits_a, bits_b, "the two snapshots must disagree somewhere");
-
-    let registry = IndexRegistry::new();
-    let epoch_a = registry.register("main", engine_a, ENTRY).unwrap();
-    let batcher = Batcher::start(64, 64);
-
-    // Resolve generation A, then wait in the queue.
-    let serving_a = registry.get("main").unwrap();
-    let (tx, rx) = mpsc::channel();
-    let waiting = queries.iter().map(|q| Pending {
-        index: Arc::clone(&serving_a),
-        query: q.clone(),
-        ef: EF,
-        k: K,
-        reply: tx.clone(),
-    });
-    batcher.submit_many(waiting.collect()).unwrap();
-
-    // The swap lands; the next arrival resolves generation B and, taking
-    // a slot, answers the waiting queries together with its own.
-    let epoch_b = registry.swap("main", engine_b, ENTRY).unwrap();
-    assert!(epoch_b > epoch_a);
-    let serving_b = registry.get("main").unwrap();
-    let own = batcher.run(serving_b, queries[0].clone(), EF, K).unwrap();
-    assert_eq!(own.epoch, epoch_b);
-    assert_eq!(common::results_bits(&own.results), bits_b[0]);
-
-    for (i, want) in bits_a.iter().enumerate() {
-        let reply = common::parked_answer(&rx, &format!("waiting query {i}")).unwrap();
-        assert_eq!(reply.epoch, epoch_a, "waiting query {i} was retargeted");
-        assert_eq!(&common::results_bits(&reply.results), want, "query {i}");
-    }
-    assert_eq!(batcher.stats().batches, 1, "one group across two epochs");
 }
 
 /// The load test above leans on epoch arithmetic (`next = last + 1`);
