@@ -56,8 +56,8 @@
 //! assert!(approx.results[0].1 >= exact.results[0].1);
 //! ```
 
-use pg_core::{beam_search_detailed, beam_search_quantized, BeamOutcome, Graph};
-use pg_metric::{CompactPoints, Dataset, Metric};
+use pg_core::{beam_search_detailed, BeamOutcome, Graph};
+use pg_metric::{Dataset, Metric};
 
 /// One batched top-`k` search interface over every index family — see the
 /// [module docs](self) for the adapter map and the uniform `ef` semantics.
@@ -90,66 +90,28 @@ pub trait SweepSearch<P: Sync, M: Metric<P> + Sync>: Sync {
 
 /// Adapter for any plain [`Graph`] index (`G_net`, θ-graph, merged graph,
 /// Vamana, NSW, slow-preprocessing DiskANN): routes queries with
-/// [`pg_core::beam_search`] from a fixed entry vertex, batching via the
-/// default order-preserving parallel map. The graph must have been built
-/// over the dataset passed to the search methods (the same implicit
+/// [`pg_core::beam_search`] from vertex `0` (beam search is
+/// start-sensitive; one fixed entry keeps sweeps reproducible), batching
+/// via the default order-preserving parallel map. The graph must have been
+/// built over the dataset passed to the search methods (the same implicit
 /// contract every routing call in the workspace has).
-///
-/// Entry-vertex semantics: beam search is start-sensitive, so the adapter
-/// pins one entry (default `0`, override with [`GraphIndex::with_entry`] —
-/// e.g. a medoid) to keep sweeps reproducible; frontier differences between
-/// entry choices are themselves measurable by sweeping two adapters.
-///
-/// With a compact store attached ([`GraphIndex::with_compact`]) the same
-/// graph is searched **quantized** ([`pg_core::beam_search_quantized`]):
-/// navigation runs on the compact surrogate (`f32` or SQ8), then the whole
-/// candidate set is re-ranked with exact `f64` distances before truncating
-/// to `k`. Reported results are therefore in the same exact `(dist, id)`
-/// order, so frontiers for f64/f32/SQ8 storage are directly comparable on
-/// one plot, and per-query `dist_comps` counts the quantized evaluations
-/// **plus** one exact evaluation per re-ranked candidate.
 #[derive(Debug, Clone)]
 pub struct GraphIndex {
     /// The routed graph.
     pub graph: Graph,
-    /// The fixed entry vertex every search starts from.
-    pub entry: u32,
-    /// The compact store navigation runs on, if any (`None`: exact `f64`).
-    pub compact: Option<CompactPoints>,
 }
 
 impl GraphIndex {
-    /// Wraps a graph with entry vertex `0` and exact `f64` scoring.
+    /// Wraps a graph; searches enter at vertex `0` with exact `f64`
+    /// scoring.
     pub fn new(graph: Graph) -> Self {
-        GraphIndex {
-            graph,
-            entry: 0,
-            compact: None,
-        }
-    }
-
-    /// Overrides the entry vertex (must be `< graph.n()`, checked at search
-    /// time by the routing code).
-    pub fn with_entry(mut self, entry: u32) -> Self {
-        self.entry = entry;
-        self
-    }
-
-    /// Navigates in `compact` (e.g. `QueryEngine::quantize`'s output, or a
-    /// store loaded from a version-2 snapshot), which must describe exactly
-    /// the points of the dataset passed to the search methods.
-    pub fn with_compact(mut self, compact: CompactPoints) -> Self {
-        self.compact = Some(compact);
-        self
+        GraphIndex { graph }
     }
 }
 
-impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> SweepSearch<P, M> for GraphIndex {
+impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for GraphIndex {
     fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
-        match &self.compact {
-            None => beam_search_detailed(&self.graph, data, self.entry, q, ef, k),
-            Some(c) => beam_search_quantized(&self.graph, data, c, self.entry, q, ef, k),
-        }
+        beam_search_detailed(&self.graph, data, 0, q, ef, k)
     }
 }
 
@@ -190,7 +152,7 @@ mod tests {
     use super::*;
     use crate::{nsw, vamana, Hnsw, HnswParams, NswParams, VamanaParams};
     use pg_core::{GNet, QueryEngine};
-    use pg_metric::{Euclidean, FlatPoints, FlatRow, QuantKind};
+    use pg_metric::{Euclidean, FlatPoints, FlatRow};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -235,7 +197,7 @@ mod tests {
     fn graph_adapter_batch_equals_one_by_one_for_every_thread_count() {
         let ds = random_dataset(200, 3);
         let pg = GNet::build(&ds, 1.0);
-        let index = GraphIndex::new(pg.graph).with_entry(5);
+        let index = GraphIndex::new(pg.graph);
         let queries = random_queries(24, 4);
         let solo: Vec<BeamOutcome> = queries
             .iter()
@@ -251,21 +213,13 @@ mod tests {
     fn graph_adapter_batch_is_the_engine_batch() {
         let ds = random_dataset(220, 9);
         let pg = GNet::build(&ds, 1.0);
-        let index = GraphIndex::new(pg.graph.clone()).with_entry(3);
+        let index = GraphIndex::new(pg.graph.clone());
         let engine = QueryEngine::new(pg.graph, ds.clone());
         let queries = random_queries(16, 10);
-        let starts = vec![3u32; queries.len()];
+        let starts = vec![0u32; queries.len()];
         assert_eq!(
             index.search_batch(&ds, &queries, 9, 2),
             engine.batch_beam_detailed(&starts, &queries, 9, 2).outcomes
-        );
-        let quantized = index.with_compact(engine.quantize(QuantKind::Sq8).unwrap());
-        let compact = quantized.compact.as_ref().unwrap();
-        assert_eq!(
-            quantized.search_batch(&ds, &queries, 9, 2),
-            engine
-                .batch_beam_quantized_detailed(compact, &starts, &queries, 9, 2)
-                .outcomes
         );
     }
 
@@ -280,49 +234,6 @@ mod tests {
             assert_eq!(out.dist_comps, comps);
             assert!(out.expansions >= 1);
             assert!(out.expansions <= out.dist_comps);
-        }
-    }
-
-    fn quantized(graph: &Graph, ds: &Dataset<FlatRow, Euclidean>, kind: QuantKind) -> GraphIndex {
-        let rows: Vec<&[f64]> = ds.points().iter().map(|p| p.as_ref()).collect();
-        GraphIndex::new(graph.clone()).with_compact(CompactPoints::from_rows(kind, &rows).unwrap())
-    }
-
-    #[test]
-    fn quantized_adapter_at_full_width_matches_the_exact_adapter() {
-        // At ef = n the candidate set is the whole (connected) graph, and
-        // the exact re-rank makes the quantized adapter's output identical
-        // to full-precision search — for both representations.
-        let ds = random_dataset(130, 11);
-        let pg = GNet::build(&ds, 1.0);
-        let exact = GraphIndex::new(pg.graph.clone());
-        let queries = random_queries(10, 12);
-        let n = ds.len();
-        let want = exact.search_batch(&ds, &queries, n, 5);
-        for kind in [QuantKind::F32, QuantKind::Sq8] {
-            let got = quantized(&pg.graph, &ds, kind).search_batch(&ds, &queries, n, 5);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.results, w.results, "{} diverged", kind.name());
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_adapter_batch_equals_one_by_one_for_every_thread_count() {
-        let ds = random_dataset(180, 13);
-        let pg = GNet::build(&ds, 1.0);
-        let queries = random_queries(20, 14);
-        for kind in [QuantKind::F32, QuantKind::Sq8] {
-            let index = quantized(&pg.graph, &ds, kind).with_entry(2);
-            let solo: Vec<BeamOutcome> = queries
-                .iter()
-                .map(|q| index.search_one(&ds, q, 12, 3))
-                .collect();
-            for threads in [1, 2, 4] {
-                let batch =
-                    rayon::with_threads(threads, || index.search_batch(&ds, &queries, 12, 3));
-                assert_eq!(batch, solo, "{} diverged at {threads} threads", kind.name());
-            }
         }
     }
 

@@ -6,9 +6,8 @@
 //! For each workload of `pg_workloads::eval_suite_flat` and each algorithm
 //! (`gnet`, `theta`, `hnsw`, `vamana`, `nsw`, `brute`), the binary:
 //!
-//! 1. computes exact ground truth (parallel brute force, cached in
-//!    `target/gt-cache/` via the fingerprinted `pg_eval` snapshot format —
-//!    re-runs hit the cache);
+//! 1. computes exact ground truth (parallel brute force, recomputed every
+//!    run: it costs less than the index builds it scores);
 //! 2. **asserts before timing anything** that (a) the brute-force
 //!    "algorithm" scores recall@k exactly 1.0 and mean distance ratio
 //!    exactly 1.0 at every axis point, and (b) every deterministic metric
@@ -26,7 +25,8 @@
 //! `BENCH_pr5.json` is this binary's output as of PR 5.
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_recall
-//! [--smoke | --full] [--threads N] [--algo NAME] [--gt-cache DIR]`
+//! [--smoke | --full]`, with the pool sized by `PG_THREADS` (else the
+//! machine).
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +35,7 @@ use pg_baselines::{
 };
 use pg_bench::{fmt, spread_start, Args, Table};
 use pg_core::{GNet, QueryEngine, ThetaGraph};
-use pg_eval::{CacheStatus, FrontierSweep, GroundTruth, Score};
+use pg_eval::{FrontierSweep, GroundTruth, Score};
 use pg_metric::{Euclidean, FlatRow};
 use pg_workloads as workloads;
 
@@ -49,11 +49,8 @@ fn machine_threads() -> usize {
 }
 
 fn main() {
-    let args = Args::parse(
-        &["--smoke", "--full"],
-        &["--threads", "--algo", "--gt-cache"],
-    );
-    let threads = args.init_threads();
+    let args = Args::parse(&["--smoke", "--full"], &[]);
+    let threads = rayon::current_num_threads();
     let smoke = args.has("--smoke");
     let full = args.has("--full");
     let (n, m, k) = if smoke {
@@ -78,16 +75,6 @@ fn main() {
     } else {
         vec![1, 4, 16, 64, 256]
     };
-    let algo_filter = args.value("--algo");
-    if let Some(a) = &algo_filter {
-        assert!(
-            ALGOS.contains(&a.as_str()),
-            "--algo must be one of {ALGOS:?}, got {a}"
-        );
-    }
-    let gt_dir = args
-        .value("--gt-cache")
-        .unwrap_or_else(|| "target/gt-cache".into());
     let machine = machine_threads();
     let sweep = FrontierSweep::new(k, efs.clone());
 
@@ -95,15 +82,10 @@ fn main() {
         "# RECALL: quality-cost frontiers on the standard suite \
          (n = {n}, m = {m}, k = {k}, {threads} thread(s))\n"
     );
-    let brute_selected = algo_filter.as_deref().is_none_or(|a| a == "brute");
     println!(
         "Deterministic metrics are asserted bit-identical across thread counts \
-         1/2/{machine} before any timing{}.\n",
-        if brute_selected {
-            ", and brute-force recall is asserted exactly 1.0"
-        } else {
-            " (brute not selected: its recall == 1.0 self-check does not run)"
-        }
+         1/2/{machine} before any timing, and brute-force recall is asserted \
+         exactly 1.0.\n"
     );
 
     for (wname, points, queries) in workloads::eval_suite_flat(n, m, 99) {
@@ -111,33 +93,21 @@ fn main() {
         let data = points.into_dataset(Euclidean);
         let queries: Vec<FlatRow> = queries.into_rows();
 
-        let gt_path = format!("{gt_dir}/{wname}_n{n}_m{m}_k{k}.pggt");
-        let (truth, status) = GroundTruth::compute_or_load(&gt_path, &data, &queries, k)
-            .expect("ground-truth cache read/write");
-        println!(
-            "## workload: {wname} (d = {dim}, ground truth: {})\n",
-            match status {
-                CacheStatus::Hit => "cache hit",
-                CacheStatus::Miss => "computed, cached",
-            }
-        );
+        let truth = GroundTruth::compute(&data, &queries, k);
+        println!("## workload: {wname} (d = {dim})\n");
 
-        // ---- build the selected indexes -----------------------------------
+        // ---- build the indexes --------------------------------------------
         // One adapter per family, built HERE, outside any timing window (so
         // the q/s column measures pure search work). Its default parallel
         // map follows the `with_threads` override, so the invariance gate
         // below exercises real 1/2/machine sharding on the very index the
         // timed sweep then runs.
         let theta = if dim <= 2 { 0.25 } else { 0.7 };
-        let selected = |name: &str| algo_filter.as_deref().is_none_or(|a| a == name);
-        let gnet = selected("gnet").then(|| GNet::build_fast(&data, 1.0));
+        let gnet = GNet::build_fast(&data, 1.0);
         let mut indexes: Vec<(&'static str, DynIndex)> = Vec::new();
         for name in ALGOS {
-            if !selected(name) {
-                continue;
-            }
             let graph = match name {
-                "gnet" => Some(gnet.as_ref().expect("built when selected").graph.clone()),
+                "gnet" => Some(gnet.graph.clone()),
                 "theta" => Some(ThetaGraph::build(&data, theta).graph),
                 "vamana" => Some(vamana(&data, VamanaParams::default())),
                 "nsw" => Some(nsw(&data, NswParams::default())),
@@ -198,53 +168,51 @@ fn main() {
         table.print();
 
         // ---- the paper's axis: greedy distance budget on G_net ------------
-        if let Some(gnet) = &gnet {
-            // The cached k-truth suffices: budget scoring only reads the
-            // rank-0 (nearest-neighbor) distance of each query.
-            let starts: Vec<u32> = (0..queries.len()).map(|i| spread_start(i, n)).collect();
-            let budget_sweep = FrontierSweep::new(1, vec![1]);
-            let run_budget = |t: usize| -> Vec<Score> {
-                rayon::with_threads(t, || {
-                    let engine = QueryEngine::new(gnet.graph.clone(), data.clone());
-                    budget_sweep
-                        .run_greedy_budget(&engine, &starts, &queries, &truth, &budgets)
-                        .into_iter()
-                        .map(|p| p.score)
-                        .collect()
-                })
-            };
-            let base = run_budget(1);
-            for t in [2, machine] {
-                assert_eq!(
-                    run_budget(t),
-                    base,
-                    "{wname}/gnet budget diverged at {t} threads"
-                );
-            }
-            let engine = QueryEngine::new(gnet.graph.clone(), data.clone());
-            let pts = budget_sweep.run_greedy_budget(&engine, &starts, &queries, &truth, &budgets);
-            let mut btable = Table::new(&[
-                "algo", "budget", "recall@1", "ratio", "succ@1", "dists/q", "hops/q", "q/s",
-            ]);
-            for (p, b) in pts.iter().zip(base.iter()) {
-                assert_eq!(
-                    &p.score, b,
-                    "{wname}/gnet: timed budget run changed a metric"
-                );
-                btable.row(vec![
-                    "gnet".into(),
-                    (p.param as u64).to_string(),
-                    fmt(p.score.recall, 3),
-                    fmt(p.score.mean_dist_ratio, 3),
-                    fmt(p.score.success_at_eps, 2),
-                    fmt(p.score.dist_comps, 0),
-                    fmt(p.score.hops, 1),
-                    fmt(p.qps, 0),
-                ]);
-            }
-            println!("\nGreedy budget frontier (the Section 1.1 `query(p, q, Q)` axis, k = 1):\n");
-            btable.print();
+        // The k-truth suffices: budget scoring only reads the rank-0
+        // (nearest-neighbor) distance of each query.
+        let starts: Vec<u32> = (0..queries.len()).map(|i| spread_start(i, n)).collect();
+        let budget_sweep = FrontierSweep::new(1, vec![1]);
+        let run_budget = |t: usize| -> Vec<Score> {
+            rayon::with_threads(t, || {
+                let engine = QueryEngine::new(gnet.graph.clone(), data.clone());
+                budget_sweep
+                    .run_greedy_budget(&engine, &starts, &queries, &truth, &budgets)
+                    .into_iter()
+                    .map(|p| p.score)
+                    .collect()
+            })
+        };
+        let base = run_budget(1);
+        for t in [2, machine] {
+            assert_eq!(
+                run_budget(t),
+                base,
+                "{wname}/gnet budget diverged at {t} threads"
+            );
         }
+        let engine = QueryEngine::new(gnet.graph.clone(), data.clone());
+        let pts = budget_sweep.run_greedy_budget(&engine, &starts, &queries, &truth, &budgets);
+        let mut btable = Table::new(&[
+            "algo", "budget", "recall@1", "ratio", "succ@1", "dists/q", "hops/q", "q/s",
+        ]);
+        for (p, b) in pts.iter().zip(base.iter()) {
+            assert_eq!(
+                &p.score, b,
+                "{wname}/gnet: timed budget run changed a metric"
+            );
+            btable.row(vec![
+                "gnet".into(),
+                (p.param as u64).to_string(),
+                fmt(p.score.recall, 3),
+                fmt(p.score.mean_dist_ratio, 3),
+                fmt(p.score.success_at_eps, 2),
+                fmt(p.score.dist_comps, 0),
+                fmt(p.score.hops, 1),
+                fmt(p.qps, 0),
+            ]);
+        }
+        println!("\nGreedy budget frontier (the Section 1.1 `query(p, q, Q)` axis, k = 1):\n");
+        btable.print();
         println!();
     }
 

@@ -39,7 +39,8 @@
 //! `exp_recall` (quality does not change: same engine, same answers).
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_serve
-//! [--smoke | --full] [--overload] [--threads N]`
+//! [--smoke | --full] [--overload]`, with the pool sized by `PG_THREADS`
+//! (else the machine).
 
 #![forbid(unsafe_code)]
 
@@ -127,8 +128,8 @@ fn closed_loop(
 }
 
 fn main() {
-    let args = Args::parse(&["--smoke", "--full", "--overload"], &["--threads"]);
-    let threads = args.init_threads();
+    let args = Args::parse(&["--smoke", "--full", "--overload"], &[]);
+    let threads = rayon::current_num_threads();
     let smoke = args.has("--smoke");
     let full = args.has("--full");
     let (n, d, m, clients, rounds, swaps) = if smoke {

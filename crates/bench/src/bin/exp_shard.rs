@@ -22,14 +22,16 @@
 //! 3. **Search frontier.** For each shard count it walks the `ef` axis on
 //!    the sampled queries and reports recall, mean dist comps/query, and
 //!    q/s — scored against **sampled ground truth**
-//!    (`GroundTruth::compute_or_load_sampled`, cached under
-//!    `target/gt-cache/` keyed by the sample-aware fingerprint), because
-//!    full ground truth at `n = 10^6` would cost `n · m` ≈ 10^9 distance
+//!    (`GroundTruth::compute_sampled`, recomputed every run), because full
+//!    ground truth at `n = 10^6` would cost `n · m` ≈ 10^9 distance
 //!    computations before the experiment even starts.
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_shard
-//! [--smoke | --full] [--n N] [--shards S1,S2,…] [--sampled-queries C]
-//! [--threads N] [--gt-cache DIR]`
+//! [--smoke | --full] [--n N] [--shards S1,S2,…] [--sampled-queries C]`,
+//! with the pool sized by `PG_THREADS` (else the machine). `--n` must be
+//! at least 10 (`k = 10`; the parity gate splits into 8 shards), every
+//! shard count in `1..=n`, and `C` in `1..=m`; any other value is a usage
+//! error (exit 2) before anything runs.
 //!
 //! `--full` is the configuration behind the committed `BENCH_pr9.json`:
 //! `n = 10^6`. See EXPERIMENTS.md for expected runtimes.
@@ -41,7 +43,7 @@ use std::time::Instant;
 use pg_bench::{fmt, Args, Table};
 use pg_core::sharded::thread_split;
 use pg_core::{GNet, QueryEngine, ShardAssignment, ShardedEngine};
-use pg_eval::{CacheStatus, FrontierSweep, GroundTruth};
+use pg_eval::{FrontierSweep, GroundTruth};
 use pg_metric::{Counting, Euclidean, FlatRow};
 use pg_workloads as workloads;
 
@@ -128,15 +130,9 @@ fn parity_gate(n_gate: usize, d: usize, side: f64, k: usize) -> (usize, Vec<usiz
 fn main() {
     let args = Args::parse(
         &["--smoke", "--full"],
-        &[
-            "--threads",
-            "--n",
-            "--shards",
-            "--sampled-queries",
-            "--gt-cache",
-        ],
+        &["--n", "--shards", "--sampled-queries"],
     );
-    let threads = args.init_threads();
+    let threads = rayon::current_num_threads();
     let smoke = args.has("--smoke");
     let full = args.has("--full");
     let (n_default, m, sample_default, shards_default, efs): (
@@ -152,27 +148,11 @@ fn main() {
     } else {
         (50_000, 400, 50, &[1, 4, 16], vec![8, 32, 128])
     };
-    let n: usize = args
-        .value("--n")
-        .map(|v| v.parse().expect("--n takes a positive integer"))
-        .unwrap_or(n_default);
-    let shard_list: Vec<usize> = args
-        .value("--shards")
-        .map(|v| {
-            v.split(',')
-                .map(|s| s.trim().parse().expect("--shards takes S1,S2,…"))
-                .collect()
-        })
-        .unwrap_or_else(|| shards_default.to_vec());
-    let sample_count: usize = args
-        .value("--sampled-queries")
-        .map(|v| {
-            v.parse()
-                .expect("--sampled-queries takes a positive integer")
-        })
-        .unwrap_or(sample_default);
-    assert!(sample_count <= m, "--sampled-queries must be <= {m}");
     let k = 10usize;
+    // Ids are u32; k exact neighbours and the gate's 8 shards need n >= k.
+    let n = args.ints("--n", false, k..=u32::MAX as usize, &[n_default])[0];
+    let shard_list = args.ints("--shards", true, 1..=n, shards_default);
+    let sample_count = args.ints("--sampled-queries", false, 1..=m, &[sample_default])[0];
     // Low dimension on purpose: G_net's degree grows exponentially with the
     // doubling dimension (Theorem 1.1's 2^O(λ) factor), so d = 2 is where
     // million-point graphs stay sparse enough to search in sub-linear time —
@@ -180,9 +160,6 @@ fn main() {
     let d = 2usize;
     let side = 1_000.0;
     let ef_ref = efs[efs.len() / 2];
-    let gt_dir = args
-        .value("--gt-cache")
-        .unwrap_or_else(|| "target/gt-cache".into());
 
     println!(
         "# SHARD: sharded build/search frontiers \
@@ -202,26 +179,14 @@ fn main() {
     let points = workloads::uniform_cube_flat(n, d, side, DATA_SEED);
     let all_queries: Vec<FlatRow> =
         workloads::uniform_queries_flat(m, d, 0.0, side, QUERY_SEED).into_rows();
-    let gt_path = format!("{gt_dir}/shard_n{n}_d{d}_m{m}_k{k}_s{sample_count}.pggt");
     let gt_data = points.clone().into_dataset(Euclidean);
     let gt_start = Instant::now();
-    let (truth, picked, status) = GroundTruth::compute_or_load_sampled(
-        &gt_path,
-        &gt_data,
-        &all_queries,
-        k,
-        SAMPLE_SEED,
-        sample_count,
-    )
-    .expect("sampled ground-truth cache read/write");
+    let (truth, picked) =
+        GroundTruth::compute_sampled(&gt_data, &all_queries, k, SAMPLE_SEED, sample_count);
     drop(gt_data);
     let sampled: Vec<FlatRow> = picked.iter().map(|&i| all_queries[i].clone()).collect();
     println!(
-        "Sampled ground truth over {sample_count} of {m} queries: {} ({:.1}s).\n",
-        match status {
-            CacheStatus::Hit => "cache hit",
-            CacheStatus::Miss => "computed, cached",
-        },
+        "Sampled ground truth over {sample_count} of {m} queries ({:.1}s).\n",
         gt_start.elapsed().as_secs_f64()
     );
 

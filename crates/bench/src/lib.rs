@@ -14,6 +14,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::ops::RangeInclusive;
+
 use pg_core::{greedy, Graph};
 use pg_metric::{Dataset, Metric};
 
@@ -132,10 +134,11 @@ pub fn fmt(v: f64, decimals: usize) -> String {
 }
 
 /// The command line of one `exp_*` binary, checked against the flags that
-/// binary declares: an argument it does not know, or a value flag without
-/// its value, is a usage error (exit 2) rather than a silently different
-/// run.
+/// binary declares: an argument it does not know, a value flag without its
+/// value, a value out of its range, or a `PG_THREADS` the pool cannot use
+/// is a usage error (exit 2) rather than a silently different run.
 pub struct Args {
+    bin: String,
     argv: Vec<String>,
     switches: &'static [&'static str],
     value_flags: &'static [&'static str],
@@ -144,55 +147,58 @@ pub struct Args {
 impl Args {
     /// Parses the process arguments. `switches` are the bare flags the
     /// binary accepts (`--full`, `--smoke`), `value_flags` the ones that
-    /// take a value (`--threads N` or `--threads=N`); names include the
-    /// leading dashes. On a usage error, prints the problem and a usage
-    /// line to stderr and exits 2.
+    /// take a value (`--n N` or `--n=N`); names include the leading dashes.
+    /// The pool is sized by `PG_THREADS` (else the machine), so a set
+    /// `PG_THREADS` must be a positive integer. On a usage error, prints
+    /// the problem and a usage line to stderr and exits 2.
     pub fn parse(switches: &'static [&'static str], value_flags: &'static [&'static str]) -> Args {
         let mut argv = std::env::args();
         let bin = argv.next().unwrap_or_default();
-        let bin = bin.rsplit('/').next().unwrap_or_default();
-        Args::parse_from(argv.collect(), switches, value_flags).unwrap_or_else(|problem| {
-            let usage: Vec<String> = switches
-                .iter()
-                .map(|s| format!("[{s}]"))
-                .chain(value_flags.iter().map(|v| format!("[{v} VALUE]")))
-                .collect();
-            eprintln!("{bin}: {problem}\nusage: {bin} {}", usage.join(" "));
-            std::process::exit(2)
-        })
-    }
-
-    /// Core of [`Args::parse`], split out for testability: `argv` is the
-    /// command line without the binary's name.
-    fn parse_from(
-        argv: Vec<String>,
-        switches: &'static [&'static str],
-        value_flags: &'static [&'static str],
-    ) -> Result<Args, String> {
         let args = Args {
-            argv,
+            bin: bin.rsplit('/').next().unwrap_or_default().to_string(),
+            argv: argv.collect(),
             switches,
             value_flags,
         };
+        let pg_threads = std::env::var_os("PG_THREADS").map(|v| v.to_string_lossy().into_owned());
+        if let Err(problem) = args.check().and(check_pg_threads(pg_threads.as_deref())) {
+            args.usage_error(&problem)
+        }
+        args
+    }
+
+    /// Prints `problem` and the usage line to stderr and exits 2.
+    fn usage_error(&self, problem: &str) -> ! {
+        let usage: Vec<String> = self
+            .switches
+            .iter()
+            .map(|s| format!("[{s}]"))
+            .chain(self.value_flags.iter().map(|v| format!("[{v} VALUE]")))
+            .collect();
+        let bin = &self.bin;
+        eprintln!("{bin}: {problem}\nusage: {bin} {}", usage.join(" "));
+        std::process::exit(2)
+    }
+
+    /// Core of [`Args::parse`], split out for testability: every argument
+    /// is a declared switch or a declared value flag with its value.
+    fn check(&self) -> Result<(), String> {
         let mut i = 0;
-        while i < args.argv.len() {
-            let arg = args.argv[i].as_str();
+        while i < self.argv.len() {
+            let arg = self.argv[i].as_str();
             let name = arg.split_once('=').map_or(arg, |(name, _)| name);
-            if switches.contains(&arg) {
+            if self.switches.contains(&arg) {
                 i += 1;
-            } else if value_flags.contains(&name) {
-                let Some(value) = parse_value_flag(&args.argv[i..], name) else {
+            } else if self.value_flags.contains(&name) {
+                if parse_value_flag(&self.argv[i..], name).is_none() {
                     return Err(format!("{name} needs a value"));
-                };
-                if name == "--threads" && !value.parse().is_ok_and(|t: usize| t >= 1) {
-                    return Err(format!("--threads takes a positive integer, got `{value}`"));
                 }
                 i += if arg == name { 2 } else { 1 };
             } else {
                 return Err(format!("unknown argument `{arg}`"));
             }
         }
-        Ok(args)
+        Ok(())
     }
 
     /// True when the bare flag `switch` was given.
@@ -202,31 +208,72 @@ impl Args {
     }
 
     /// The value of `--name VALUE` / `--name=VALUE`, if given — e.g.
-    /// `--gt-cache DIR`, where `exp_recall` and `exp_shard` keep ground
-    /// truth.
+    /// `--n 100000`, the dataset size of `exp_shard`.
     pub fn value(&self, name: &str) -> Option<String> {
         assert!(self.value_flags.contains(&name), "undeclared {name}");
         parse_value_flag(&self.argv, name)
     }
 
-    /// Applies `--threads` (if given) to the global pool default and
-    /// returns the effective worker count, so `--threads 1` reproduces the
-    /// sequential wall-clock and the default engages the whole machine (or
-    /// `PG_THREADS`).
-    pub fn init_threads(&self) -> usize {
-        if let Some(t) = self.value("--threads").and_then(|v| v.parse().ok()) {
-            rayon::set_default_threads(t);
-        }
-        rayon::current_num_threads()
+    /// The integers given to `--name`, each in `range`, or `default` when
+    /// the flag is absent. With `list`, the value is comma-separated
+    /// (`--shards 1,4,16`); otherwise it is one integer (`--n 5000`). Any
+    /// other value is a usage error: prints it and exits 2.
+    pub fn ints(
+        &self,
+        name: &str,
+        list: bool,
+        range: RangeInclusive<usize>,
+        default: &[usize],
+    ) -> Vec<usize> {
+        self.checked_ints(name, list, &range)
+            .unwrap_or_else(|problem| self.usage_error(&problem))
+            .unwrap_or_else(|| default.to_vec())
+    }
+
+    /// Core of [`Args::ints`]: `None` when the flag is absent.
+    fn checked_ints(
+        &self,
+        name: &str,
+        list: bool,
+        range: &RangeInclusive<usize>,
+    ) -> Result<Option<Vec<usize>>, String> {
+        let Some(value) = self.value(name) else {
+            return Ok(None);
+        };
+        let (parts, kind): (Vec<&str>, _) = if list {
+            (value.split(',').collect(), "comma-separated integers")
+        } else {
+            (vec![&value], "an integer")
+        };
+        parts
+            .into_iter()
+            .map(|v| v.trim().parse().ok().filter(|v| range.contains(v)))
+            .collect::<Option<Vec<usize>>>()
+            .map(Some)
+            .ok_or_else(|| {
+                let (lo, hi) = (range.start(), range.end());
+                format!("{name} takes {kind} in {lo}..={hi}, got `{value}`")
+            })
+    }
+}
+
+/// Checks a `PG_THREADS` value the way the pool reads it: unset or blank
+/// means the machine's parallelism, anything else must be a positive
+/// integer (the pool would otherwise ignore it and run at the default).
+fn check_pg_threads(value: Option<&str>) -> Result<(), String> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(()),
+        Some(v) if v.parse().is_ok_and(|t: usize| t >= 1) => Ok(()),
+        Some(v) => Err(format!("PG_THREADS takes a positive integer, got `{v}`")),
     }
 }
 
 /// Finds `--name VALUE` / `--name=VALUE` in `args`. `name` includes the
-/// leading dashes (e.g. `"--threads"`). In the space-separated form, a
-/// following token that is itself a flag (`--…`) is not consumed as the
-/// value — `exp_recall --gt-cache --full` means the directory is missing,
-/// not that the cache goes to a directory named `--full`. Use
-/// `--name=--value` if a dash-leading value is really intended.
+/// leading dashes (e.g. `"--n"`). In the space-separated form, a following
+/// token that is itself a flag (`--…`) is not consumed as the value —
+/// `exp_shard --n --full` means the size is missing, not that it is
+/// `--full`. Use `--name=--value` if a dash-leading value is really
+/// intended.
 fn parse_value_flag(args: &[String], name: &str) -> Option<String> {
     let prefix = format!("{name}=");
     for (i, a) in args.iter().enumerate() {
@@ -272,61 +319,117 @@ mod tests {
         switches: &'static [&'static str],
         value_flags: &'static [&'static str],
     ) -> Result<Args, String> {
-        let argv = argv.iter().map(|s| s.to_string()).collect();
-        Args::parse_from(argv, switches, value_flags)
+        let args = Args {
+            bin: "exp".into(),
+            argv: argv.iter().map(|s| s.to_string()).collect(),
+            switches,
+            value_flags,
+        };
+        args.check().map(|()| args)
     }
 
     #[test]
-    fn threads_flag_parsing() {
-        let threads =
-            |argv: &[&str]| parse(argv, &["--full"], &["--threads"]).map(|a| a.value("--threads"));
-        assert_eq!(threads(&["--threads", "4"]), Ok(Some("4".to_string())));
-        assert_eq!(threads(&["--threads=2"]), Ok(Some("2".to_string())));
-        assert_eq!(threads(&["--full"]), Ok(None));
-        // A thread count the pool cannot use is a usage error, not a run at
-        // the default.
-        assert!(threads(&["--threads"]).is_err());
-        assert!(threads(&["--threads", "0"]).is_err());
-        assert!(threads(&["--threads", "x"]).is_err());
-        // The typo this parser exists for: `--thread 2` used to be ignored.
-        assert_eq!(
-            threads(&["--thread", "2"]).unwrap_err(),
-            "unknown argument `--thread`"
-        );
+    fn pg_threads_must_be_a_positive_integer_when_set() {
+        for ok in [None, Some(""), Some(" "), Some("1"), Some("2"), Some(" 4 ")] {
+            assert_eq!(check_pg_threads(ok), Ok(()), "{ok:?}");
+        }
+        // A value the pool would silently replace by the machine default
+        // is a usage error, not a run at the default.
+        for bad in ["0", "two", "-1", "1.5", "2 threads"] {
+            assert_eq!(
+                check_pg_threads(Some(bad)).unwrap_err(),
+                format!("PG_THREADS takes a positive integer, got `{bad}`")
+            );
+        }
     }
 
     #[test]
     fn value_flag_parsing() {
-        let cache = |argv: &[&str]| {
-            parse(argv, &["--full", "--smoke"], &["--gt-cache"]).map(|a| a.value("--gt-cache"))
-        };
-        assert_eq!(
-            cache(&["--gt-cache", "/tmp/gt"]),
-            Ok(Some("/tmp/gt".to_string()))
-        );
-        assert_eq!(
-            cache(&["--full", "--gt-cache=gt"]),
-            Ok(Some("gt".to_string()))
-        );
-        assert_eq!(cache(&["--full"]), Ok(None));
+        let n =
+            |argv: &[&str]| parse(argv, &["--full", "--smoke"], &["--n"]).map(|a| a.value("--n"));
+        assert_eq!(n(&["--n", "5000"]), Ok(Some("5000".to_string())));
+        assert_eq!(n(&["--full", "--n=50"]), Ok(Some("50".to_string())));
+        assert_eq!(n(&["--full"]), Ok(None));
         // A bare value flag is a usage error…
-        assert_eq!(
-            cache(&["--gt-cache"]).unwrap_err(),
-            "--gt-cache needs a value"
-        );
+        assert_eq!(n(&["--n"]).unwrap_err(), "--n needs a value");
         // …and a following flag is not swallowed as the value…
-        assert!(cache(&["--gt-cache", "--full"]).is_err());
+        assert!(n(&["--n", "--full"]).is_err());
         // …but the explicit `=` form can still pass anything.
-        assert_eq!(cache(&["--gt-cache=--odd"]), Ok(Some("--odd".to_string())));
+        assert_eq!(n(&["--n=--odd"]), Ok(Some("--odd".to_string())));
         // Unknown flags, misspelt switches and stray words are refused; a
-        // flag another binary accepts is unknown here.
-        for bad in ["--smok", "--algo=x", "--gt-caches=x", "stray"] {
+        // flag another binary accepts is unknown here, and so are the
+        // removed `--algo`, `--gt-cache` and `--threads` (`PG_THREADS`
+        // sizes the pool).
+        for bad in [
+            "--smok",
+            "--shards=x",
+            "--ns=x",
+            "--algo=x",
+            "--gt-cache=x",
+            "--threads=2",
+            "stray",
+        ] {
             assert_eq!(
-                cache(&["--full", bad]).unwrap_err(),
+                n(&["--full", bad]).unwrap_err(),
                 format!("unknown argument `{bad}`")
             );
         }
         let args = parse(&["--smoke"], &["--full", "--smoke"], &[]).unwrap();
         assert!(args.has("--smoke") && !args.has("--full"));
+    }
+
+    #[test]
+    fn integer_values_are_checked_against_their_range() {
+        let flags: &[&str] = &["--n", "--shards", "--sampled-queries"];
+        let ints = |argv: &[&str], name: &str, list: bool, range: RangeInclusive<usize>| {
+            parse(argv, &["--smoke"], flags)
+                .unwrap()
+                .checked_ints(name, list, &range)
+        };
+        // Absent: the caller's default applies.
+        assert_eq!(ints(&["--smoke"], "--n", false, 10..=100), Ok(None));
+        assert_eq!(
+            ints(&["--n", "10"], "--n", false, 10..=100),
+            Ok(Some(vec![10]))
+        );
+        assert_eq!(
+            ints(&["--shards", "1, 2,8"], "--shards", true, 1..=8),
+            Ok(Some(vec![1, 2, 8]))
+        );
+        // Out-of-range, non-integer and list-for-single values are refused,
+        // naming the range.
+        let refused = [
+            (&["--n", "abc"][..], "--n", false, 10..=100),
+            (&["--n", "9"], "--n", false, 10..=100),
+            (&["--n", "5"], "--n", false, 10..=100),
+            (&["--n", "10,20"], "--n", false, 10..=100),
+            (&["--shards", "0"], "--shards", true, 1..=50),
+            (&["--shards", "1,51"], "--shards", true, 1..=50),
+            (&["--shards", "1,,2"], "--shards", true, 1..=50),
+            (
+                &["--sampled-queries", "0"],
+                "--sampled-queries",
+                false,
+                1..=64,
+            ),
+            (
+                &["--sampled-queries", "500"],
+                "--sampled-queries",
+                false,
+                1..=64,
+            ),
+        ];
+        for (argv, name, list, range) in refused {
+            let (lo, hi) = (*range.start(), *range.end());
+            let kind = if list {
+                "comma-separated integers"
+            } else {
+                "an integer"
+            };
+            assert_eq!(
+                ints(argv, name, list, range).unwrap_err(),
+                format!("{name} takes {kind} in {lo}..={hi}, got `{}`", argv[1])
+            );
+        }
     }
 }

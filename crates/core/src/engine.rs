@@ -117,8 +117,8 @@ pub struct BatchBeamDetail {
 /// [`Dataset`].
 ///
 /// The thread count is resolved at construction from the pool default
-/// (`--threads` flag via `rayon::set_default_threads`, else `PG_THREADS`,
-/// else the machine's parallelism) and can be overridden per engine with
+/// (`rayon::set_default_threads`, else `PG_THREADS`, else the machine's
+/// parallelism) and can be overridden per engine with
 /// [`QueryEngine::with_threads`]. Every `batch_*` method is deterministic:
 /// the output is independent of the thread count.
 #[derive(Debug, Clone)]

@@ -8,9 +8,8 @@
 //! harness, in three layers:
 //!
 //! * [`truth`] — exact ground truth: parallel brute-force top-`k`
-//!   ([`GroundTruth::compute`]), cached in a versioned, checksummed,
-//!   fingerprint-keyed file ([`GroundTruth::compute_or_load`]) so repeated
-//!   sweeps never pay the `Θ(n · m)` scan twice;
+//!   ([`GroundTruth::compute`]), or over a seeded sample of the queries
+//!   ([`GroundTruth::compute_sampled`]), recomputed on every run;
 //! * [`metrics`] — answer quality per query: [`recall_at_k`],
 //!   [`mean_distance_ratio`], [`success_at_eps`], all scored with the
 //!   tie-safe distance-threshold rule (see the [`metrics`] module docs for
@@ -20,8 +19,7 @@
 //!   of any [`pg_baselines::SweepSearch`] index and emits
 //!   `{recall, qps, dist_comps, hops}` frontier points.
 //!
-//! The measurement strategy — what is cached, what is asserted
-//! deterministic, and how the recall–QPS frontier is read — is documented
+//! The measurement strategy — what is asserted deterministic, and how the recall–QPS frontier is read — is documented
 //! in `ARCHITECTURE.md` (§ Measurement strategy) and `EXPERIMENTS.md` at
 //! the repository root; `exp_recall` in `pg_bench` is the standard-workload
 //! driver.
@@ -69,6 +67,4 @@ pub mod truth;
 
 pub use metrics::{mean_distance_ratio, recall_at_k, success_at_eps};
 pub use sweep::{FrontierPoint, FrontierSweep, Score};
-pub use truth::{
-    fingerprint, fingerprint_sampled, sample_indices, CacheStatus, GroundTruth, GroundTruthError,
-};
+pub use truth::{sample_indices, GroundTruth};

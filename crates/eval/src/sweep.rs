@@ -68,10 +68,12 @@ pub struct FrontierPoint {
     pub qps: f64,
 }
 
-/// Sweep configuration: result size `k`, the `ef` axis, and the ε used by
-/// the success@ε column.
+/// The ε of the success@ε column.
+const EPS: f64 = 1.0;
+
+/// Sweep configuration: result size `k` and the `ef` axis.
 ///
-/// The default ε is `1.0` — success@1 is exactly the paper's 2-ANN
+/// The success@ε column is scored at ε = 1 — exactly the paper's 2-ANN
 /// guarantee (Fact 2.1 with ε = 1), so the column reads as "fraction of
 /// queries on which the index empirically delivered what `G_net(ε = 1)`
 /// proves".
@@ -81,8 +83,6 @@ pub struct FrontierSweep {
     pub k: usize,
     /// The `ef` values [`FrontierSweep::run`] walks, in order.
     pub ef_values: Vec<usize>,
-    /// The ε of the success@ε column.
-    pub eps: f64,
 }
 
 impl FrontierSweep {
@@ -90,18 +90,7 @@ impl FrontierSweep {
     pub fn new(k: usize, ef_values: Vec<usize>) -> Self {
         assert!(k >= 1, "sweeps need k >= 1");
         assert!(!ef_values.is_empty(), "sweeps need at least one ef value");
-        FrontierSweep {
-            k,
-            ef_values,
-            eps: 1.0,
-        }
-    }
-
-    /// Overrides the success@ε threshold.
-    pub fn with_eps(mut self, eps: f64) -> Self {
-        assert!(eps >= 0.0);
-        self.eps = eps;
-        self
+        FrontierSweep { k, ef_values }
     }
 
     /// Scores a batch of per-query outcomes against ground truth (no
@@ -126,7 +115,7 @@ impl FrontierSweep {
         for (q, out) in outcomes.iter().enumerate() {
             recall += recall_at_k(truth, q, &out.results);
             ratio += mean_distance_ratio(truth, q, &out.results);
-            success += success_at_eps(truth, q, &out.results, self.eps) as u32 as f64;
+            success += success_at_eps(truth, q, &out.results, EPS) as u32 as f64;
             comps += out.dist_comps as f64;
             hops += out.expansions as f64;
         }
@@ -230,7 +219,7 @@ impl FrontierSweep {
                     } else {
                         f64::INFINITY
                     };
-                    success += (out.result_dist <= (1.0 + self.eps) * nn) as u32 as f64;
+                    success += (out.result_dist <= (1.0 + EPS) * nn) as u32 as f64;
                     hops += (out.hops.len() - 1) as f64;
                 }
                 FrontierPoint {
@@ -340,7 +329,7 @@ mod tests {
         assert!(pts[1].score.recall >= pts[0].score.recall);
         assert!(pts[1].score.dist_comps >= pts[0].score.dist_comps);
         // An effectively unbounded budget lets greedy self-terminate: on a
-        // (1+1)-PG every query must be a 2-ANN (success at the default eps).
+        // (1+1)-PG every query must be a 2-ANN (success at ε = 1).
         assert_eq!(pts[1].score.success_at_eps, 1.0);
         // Budget 1 pins the walk to its start vertex: exactly one distance
         // computation, zero hops.

@@ -132,54 +132,24 @@ pub const HEADER_LEN: usize = 8 + 4 + 4;
 /// `payload_len: u64` + `checksum: u64`.
 pub const SECTION_HEADER_LEN: usize = 4 + 8 + 8;
 
-/// Incremental FNV-1a 64-bit hasher — the single home of the hash
-/// constants every on-disk format in this workspace checksums with
-/// (`pg_store` snapshot sections via [`checksum`], the `pg_eval`
-/// ground-truth cache and its workload fingerprints via streaming
-/// updates).
-///
-/// ```
-/// use pg_store::{checksum, Fnv64};
-///
-/// let mut h = Fnv64::new();
-/// h.update(b"split ");
-/// h.update(b"stream");
-/// assert_eq!(h.finish(), checksum(b"split stream"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// A hasher at the FNV-1a 64 offset basis (`0xcbf29ce484222325`).
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Fnv64(0xcbf29ce484222325)
-    }
-
-    /// Folds `bytes` into the state (prime `0x100000001b3`).
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// FNV-1a 64-bit hash — the per-section checksum function of the format
-/// (one-shot form of [`Fnv64`]).
+/// and the single home of the hash constants (offset basis
+/// `0xcbf29ce484222325`, prime `0x100000001b3`).
 ///
 /// Chosen because it is tiny, dependency-free, byte-order independent and
 /// fully specified, so independent implementations of the format can
 /// reproduce it exactly.
+///
+/// ```
+/// use pg_store::checksum;
+///
+/// assert_eq!(checksum(b""), 0xcbf29ce484222325); // the offset basis
+/// assert_eq!(checksum(b"a"), 0xaf63dc4c8601ec8c);
+/// ```
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
 }
 
 /// Identifies which metric an index was built under.

@@ -17,7 +17,7 @@
 //! | [`hardness`] | the executable lower-bound instances of Theorem 1.2 (Sections 3–4) with adversarial verifiers |
 //! | [`workloads`] | seeded dataset and query generators |
 //! | [`store`] | versioned on-disk index snapshots (`QueryEngine::save`/`load` live in [`core::snapshot`]) |
-//! | [`eval`] | the self-scoring layer: exact ground truth with fingerprinted caching, recall/quality metrics, recall-vs-QPS frontier sweeps |
+//! | [`eval`] | the self-scoring layer: exact brute-force ground truth, recall/quality metrics, recall-vs-QPS frontier sweeps |
 //! | [`serve`] | the online serving layer: TCP server with a length-prefixed checksummed protocol, bounded per-core query dispatch, multi-index registry with zero-drop snapshot hot-swap |
 //!
 //! The architecture — crate dependency diagram, flat-storage design,
@@ -55,7 +55,7 @@
 //! A serving system routes many queries at once. The
 //! [`QueryEngine`](core::QueryEngine) owns a built graph plus its dataset
 //! and shards query batches across a thread pool (sized by the `PG_THREADS`
-//! environment variable, a `--threads` flag, or the machine's parallelism) —
+//! environment variable, else the machine's parallelism) —
 //! with per-query results **identical to the sequential routines** at every
 //! thread count, and distance accounting that stays exact because the
 //! [`Counting`](metric::Counting) wrapper's counter is shared atomically:
@@ -132,10 +132,9 @@
 //! Speed without recall is meaningless — a regression that returns the
 //! wrong neighbors faster would read as a win on a pure throughput
 //! benchmark. The [`eval`] subsystem makes the workspace self-scoring:
-//! exact ground truth by parallel brute force (cacheable on disk, keyed by
-//! a workload fingerprint), tie-safe quality metrics, and a
-//! [`FrontierSweep`](eval::FrontierSweep) that walks a search-effort axis
-//! through any index behind the
+//! exact ground truth by parallel brute force, tie-safe quality metrics,
+//! and a [`FrontierSweep`](eval::FrontierSweep) that walks a search-effort
+//! axis through any index behind the
 //! [`SweepSearch`](baselines::SweepSearch) adapter trait:
 //!
 //! ```
