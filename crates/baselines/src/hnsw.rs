@@ -170,11 +170,6 @@ impl Hnsw {
         Graph::from_adjacency(self.layers[0].clone())
     }
 
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total directed edges across all layers.
     pub fn total_edges(&self) -> usize {
         self.layers
@@ -990,11 +985,12 @@ mod tests {
     fn layer_sizes_decay_geometrically() {
         let ds = random_dataset(1000, 2, 4);
         let h = Hnsw::build(&ds, HnswParams::default());
-        assert!(h.layer_count() >= 2, "expected multiple layers");
+        let layers = h.layers.len();
+        assert!(layers >= 2, "expected multiple layers");
         // Count points per level.
-        let mut counts = vec![0usize; h.layer_count()];
+        let mut counts = vec![0usize; layers];
         for p in 0..1000 {
-            let top = h.level_of(p).min(h.layer_count() - 1);
+            let top = h.level_of(p).min(layers - 1);
             for c in counts.iter_mut().take(top + 1) {
                 *c += 1;
             }

@@ -14,13 +14,13 @@
 #![forbid(unsafe_code)]
 
 use pg_baselines::{slow_preprocessing, Hnsw, HnswParams};
-use pg_bench::{linear_slope, loglog_slope, measure_greedy, Args, Table};
+use pg_bench::{linear_slope, loglog_slope, measure_greedy, spread_start, Args, Table};
 use pg_core::{
     check_navigable, gnet_edges_with_phi, greedy, BuildPhase, ConeSet, GNet, GNetParams, Graph,
     MergedGraph, MergedParams, ThetaGraph,
 };
 use pg_hardness::{BlockInstance, TreeInstance};
-use pg_metric::{Counting, Euclidean, FlatPoints};
+use pg_metric::{Counting, Dataset, Euclidean, FlatPoints, Metric};
 use pg_nets::NetHierarchy;
 use pg_workloads as workloads;
 
@@ -256,20 +256,40 @@ fn construction(size: Size) -> Vec<Check> {
     ]
 }
 
+/// How many of `measure_greedy`'s walks `query` under `g`'s certified
+/// budget runs to greedy's own end: same answer, not stopped by the budget.
+fn within_certified_budget<P, M: Metric<P>>(
+    g: &GNet,
+    data: &Dataset<P, M>,
+    queries: &[P],
+) -> usize {
+    let budget = g.certified_query_budget();
+    let ends_within = |(i, q): &(usize, &P)| {
+        let start = spread_start(*i, data.len());
+        let capped = pg_core::query(&g.graph, data, start, q, budget);
+        capped.self_terminated && capped.result == greedy(&g.graph, data, start, q).result
+    };
+    queries.iter().enumerate().filter(ends_within).count()
+}
+
 /// Theorem 1.1: greedy on `G_net` finds a `(1+ε)`-approximate nearest
 /// neighbour from any start within `h + 1` hops and `O((1/ε)^λ log² Δ)`
-/// distances, which grow with `log Δ`, not with `n`.
+/// distances, which grow with `log Δ`, not with `n`; `query` under
+/// [`GNet::certified_query_budget`] returns greedy's answer.
 fn query(size: Size) -> Vec<Check> {
     const MAX_SLOPE: f64 = 0.5;
     let ns = gnet_sweep(size);
     let mut t = table("n | logΔ | dists/query | hops | max hops | h+1 | worst ratio");
     let (mut curve, mut worst_over_n, mut within_hops) = (Vec::new(), 1.0f64, 0);
+    let (mut budgeted, mut walks) = (0, 0);
     for &n in &ns {
         let side = (n as f64).sqrt() * 4.0;
         let data = workloads::uniform_cube_flat(n, 2, side, 21).into_dataset(Euclidean);
         let g = GNet::build_fast(&data, 1.0);
         let queries = workloads::uniform_queries_flat(60, 2, 0.0, side, 22).into_rows();
         let (dists, hops, max_hops, worst) = measure_greedy(&g.graph, &data, &queries);
+        budgeted += within_certified_budget(&g, &data, &queries);
+        walks += queries.len();
         let (log_delta, ceiling) = (g.hierarchy.log_aspect(), g.hierarchy.h() + 1);
         within_hops += usize::from(max_hops <= ceiling);
         worst_over_n = worst_over_n.max(worst);
@@ -290,6 +310,8 @@ fn query(size: Size) -> Vec<Check> {
     for eps in [1.0, 0.5, 0.25] {
         let g = GNet::build_fast(&data, eps);
         let (dists, hops, _, worst) = measure_greedy(&g.graph, &data, &queries);
+        budgeted += within_certified_budget(&g, &data, &queries);
+        walks += queries.len();
         within_eps += usize::from(worst <= 1.0 + eps);
         let (phi, guarantee) = (g.params.phi, 1.0 + eps);
         t.row(cells(format!(
@@ -302,6 +324,7 @@ fn query(size: Size) -> Vec<Check> {
         every("ε with worst ratio ≤ 1 + ε", within_eps, 3),
         every("n with max hops ≤ h + 1", within_hops, ns.len()),
         at_most("dists/query slope against n", dists_slope, MAX_SLOPE, 2),
+        every("query = greedy at certified budget", budgeted, walks),
     ]
 }
 

@@ -19,10 +19,8 @@
 //!
 //! The batch methods (and every parallel construction path in this
 //! workspace: `pg_nets`' `NetHierarchy::build` and `RelativesCascade`,
-//! every [`GNet`](crate::gnet::GNet) builder (the fast and naive ones run
-//! on the pool; `build_covertree` builds a hierarchy),
+//! the fast and naive [`GNet`](crate::gnet::GNet) builders,
 //! [`gnet_edges_with_phi`](crate::gnet::gnet_edges_with_phi),
-//! [`DynamicGNet`](crate::dynamic::DynamicGNet),
 //! [`MergedGraph`](crate::merged::MergedGraph)) require `P: Sync` and
 //! `M: Metric<P> + Sync`: worker threads share `&Dataset<P, M>` across the
 //! pool's scope. Every point type in the workspace (`Vec<f64>`,
@@ -165,11 +163,6 @@ impl<P, M: Metric<P>> QueryEngine<P, M> {
     /// The dataset (points + metric).
     pub fn data(&self) -> &Dataset<P, M> {
         &self.data
-    }
-
-    /// Consumes the engine, handing back the graph and dataset.
-    pub fn into_parts(self) -> (Graph, Dataset<P, M>) {
-        (self.graph, self.data)
     }
 }
 

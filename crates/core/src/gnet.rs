@@ -17,7 +17,7 @@
 //!   candidate targets at level `i` to the relatives of its covering center,
 //!   a `O(φ^λ)`-size set (Fact 2.3), mirroring the cost analysis of
 //!   Eq. (13);
-//! * [`GNet::build_covertree`] — the Section 2.4 procedure verbatim: a
+//! * [`GNet::build_covertree_on`] — the Section 2.4 procedure verbatim: a
 //!   dynamic 2-ANN structure (`pg-covertree`) per level, with the retrieval
 //!   of `S` by repeated 2-ANN + delete + restore.
 //!
@@ -257,21 +257,12 @@ impl GNet {
         }
     }
 
-    /// The Section 2.4 `build` procedure verbatim: per level, a dynamic
-    /// 2-ANN structure `T` over `Y_i`; for each point `p`, the set
-    /// `S = {y ∈ Y_i : D(p, y) <= φ 2^i}` is retrieved by repeatedly taking
-    /// a 2-ANN `y` of `p` from `T`, adding it to `S` if `D(p, y) <= φ 2^i`,
-    /// and deleting it from `T`, until `D(p, y) > 2 φ 2^i`; afterwards the
-    /// deleted points are re-inserted.
-    pub fn build_covertree<P: Sync, M: Metric<P> + Sync>(
-        data: &Dataset<P, M>,
-        epsilon: f64,
-    ) -> Self {
-        let hierarchy = NetHierarchy::build(data);
-        Self::build_covertree_on(data, epsilon, hierarchy)
-    }
-
-    /// Section 2.4 construction on a pre-built hierarchy.
+    /// The Section 2.4 `build` procedure verbatim, on a pre-built
+    /// hierarchy: per level, a dynamic 2-ANN structure `T` over `Y_i`; for
+    /// each point `p`, the set `S = {y ∈ Y_i : D(p, y) <= φ 2^i}` is
+    /// retrieved by repeatedly taking a 2-ANN `y` of `p` from `T`, adding it
+    /// to `S` if `D(p, y) <= φ 2^i`, and deleting it from `T`, until
+    /// `D(p, y) > 2 φ 2^i`; afterwards the deleted points are re-inserted.
     pub fn build_covertree_on<P, M: Metric<P>>(
         data: &Dataset<P, M>,
         epsilon: f64,
@@ -310,13 +301,6 @@ impl GNet {
             params,
             hierarchy,
         }
-    }
-
-    /// The theoretical degree budget per level, `O((2φ)^λ)` (Fact 2.3 with
-    /// aspect ratio `2φ`): returns `(8 * 2φ)^λ_est` for a given doubling
-    /// dimension estimate — useful in experiments as a sanity ceiling.
-    pub fn degree_budget_per_level(&self, lambda: f64) -> f64 {
-        (8.0 * 2.0 * self.params.phi).powf(lambda)
     }
 
     /// A **certified** budget for the Section 1.1 `query(p_start, q, Q)`
@@ -366,71 +350,6 @@ pub fn gnet_edges_with_phi<P: Sync, M: Metric<P> + Sync>(
         }
     }
     builder.build()
-}
-
-/// `G_net` built over **independent** per-level greedy nets — the paper's
-/// Eq. (2) verbatim, where each `Y_i` is just *some* `2^i`-net of `P` with
-/// no relation between levels.
-///
-/// The default [`GNet`] uses a *nested* ladder (`Y_{i+1} ⊆ Y_i`), which is
-/// also a valid instantiation of Eq. (2) but deduplicates edges whose target
-/// center recurs across levels — often far below the `n log Δ` worst case on
-/// benign data. With independent nets each level draws fresh centers, so the
-/// `n log Δ` size behaviour of Theorem 1.1 (and the necessity shown by
-/// Theorem 1.2(1)) is visible. `pg_paper`'s separation row builds the
-/// nested graph (`GNet::build` on the tree instance, `GNet::build_fast` on
-/// the Euclidean one), not this one; `tests/pg_property.rs` checks that
-/// this variant is a `(1+ε)`-PG too.
-///
-/// Construction is quadratic (per-level greedy nets + full scans) — this
-/// variant exists for fidelity and experiments, not speed.
-#[derive(Debug, Clone)]
-pub struct GNetIndependent {
-    /// The proximity graph.
-    pub graph: Graph,
-    /// Parameters `(ε, η, φ)`.
-    pub params: GNetParams,
-    /// The per-level nets used: `(radius, centers)`, bottom-up.
-    pub levels: Vec<(f64, Vec<u32>)>,
-}
-
-impl GNetIndependent {
-    /// Builds over independent greedy nets at the standard radius ladder
-    /// (top ≈ diameter, bottom < `d_min`).
-    pub fn build<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, epsilon: f64) -> Self {
-        // Reuse the fast hierarchy only to learn the radius ladder; the nets
-        // themselves are drawn independently per level.
-        let ladder = NetHierarchy::build(data);
-        let levels =
-            pg_nets::independent_hierarchy(data, ladder.top_radius(), ladder.bottom_radius());
-        Self::build_on(data, epsilon, levels)
-    }
-
-    /// Builds over the given `(radius, centers)` levels (each must be a
-    /// valid `radius`-net of the whole dataset).
-    pub fn build_on<P: Sync, M: Metric<P> + Sync>(
-        data: &Dataset<P, M>,
-        epsilon: f64,
-        levels: Vec<(f64, Vec<u32>)>,
-    ) -> Self {
-        let params = GNetParams::new(epsilon);
-        let n = data.len();
-        let mut builder = GraphBuilder::new(n);
-        for (radius, centers) in &levels {
-            let reach = params.phi * radius;
-            let per_point = centers_within_reach(data, centers, reach);
-            for (p, targets) in per_point.into_iter().enumerate() {
-                for y in targets {
-                    builder.add_edge(p as u32, y);
-                }
-            }
-        }
-        GNetIndependent {
-            graph: builder.build(),
-            params,
-            levels,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -682,39 +601,6 @@ mod tests {
                 "budgeted query broke the guarantee at budget {budget}"
             );
         }
-    }
-
-    #[test]
-    fn independent_nets_variant_is_also_a_pg() {
-        let ds = random_dataset(70, 2, 8);
-        let g = GNetIndependent::build(&ds, 1.0);
-        let queries = random_queries(12, 2, 33);
-        check_navigable(&g.graph, &ds, &queries, 1.0).unwrap();
-        check_pg_exhaustive(&g.graph, &ds, &queries, 1.0, Starts::All).unwrap();
-        assert_eq!(g.graph.sink_count(), 0);
-    }
-
-    #[test]
-    fn independent_nets_never_smaller_than_nested_on_spread_data() {
-        // The nested ladder's cross-level dedup only removes edges.
-        let mut pts = Vec::new();
-        for j in 0..10 {
-            for k in 0..8 {
-                pts.push(vec![
-                    (4.0f64).powi(j) + k as f64 * 0.05,
-                    (k % 3) as f64 * 0.05,
-                ]);
-            }
-        }
-        let ds = Dataset::new(pts, Euclidean);
-        let nested = GNet::build_fast(&ds, 1.0);
-        let indep = GNetIndependent::build(&ds, 1.0);
-        assert!(
-            indep.graph.edge_count() >= nested.graph.edge_count(),
-            "independent {} vs nested {}",
-            indep.graph.edge_count(),
-            nested.graph.edge_count()
-        );
     }
 
     #[test]

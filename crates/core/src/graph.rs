@@ -634,15 +634,10 @@ impl Graph {
         plain
     }
 
-    /// Out-degree of `v`.
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.neighbors(v).len()
-    }
-
     /// Maximum out-degree over all vertices.
     pub fn max_out_degree(&self) -> usize {
         (0..self.n())
-            .map(|v| self.out_degree(v as u32))
+            .map(|v| self.neighbors(v as u32).len())
             .max()
             .unwrap_or(0)
     }
@@ -746,40 +741,8 @@ impl Graph {
     /// has none; see Proposition 2.1).
     pub fn sink_count(&self) -> usize {
         (0..self.n() as u32)
-            .filter(|&v| self.out_degree(v) == 0)
+            .filter(|&v| self.neighbors(v).is_empty())
             .count()
-    }
-
-    /// Out-degree histogram: `hist[d]` = number of vertices with out-degree
-    /// `d`. Useful for size diagnostics (the Fact 2.3 packing bound shapes
-    /// the tail).
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.max_out_degree() + 1];
-        for v in 0..self.n() as u32 {
-            hist[self.out_degree(v)] += 1;
-        }
-        hist
-    }
-
-    /// Number of vertices reachable from `start` by directed edges
-    /// (including `start`). A `(1+ε)`-PG need not be strongly connected, but
-    /// greedy must be able to *descend* from anywhere, so reachability
-    /// diagnostics help debug broken graphs.
-    pub fn reachable_count(&self, start: u32) -> usize {
-        let mut seen = vec![false; self.n()];
-        let mut stack = vec![start];
-        seen[start as usize] = true;
-        let mut count = 0usize;
-        while let Some(v) = stack.pop() {
-            count += 1;
-            for &t in self.neighbors(v) {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        count
     }
 
     /// Approximate in-memory footprint of the CSR representation in bytes,
@@ -1309,24 +1272,6 @@ mod tests {
         assert_eq!(edges.len(), g.edge_count());
         assert!(edges.contains(&(0, 1)));
         assert!(edges.contains(&(2, 0)));
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_n() {
-        let g = Graph::from_adjacency(vec![vec![1, 2], vec![2], vec![]]);
-        let hist = g.degree_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), 3);
-        assert_eq!(hist[0], 1); // vertex 2
-        assert_eq!(hist[1], 1); // vertex 1
-        assert_eq!(hist[2], 1); // vertex 0
-    }
-
-    #[test]
-    fn reachability_on_a_path() {
-        let g = Graph::from_adjacency(vec![vec![1], vec![2], vec![3], vec![]]);
-        assert_eq!(g.reachable_count(0), 4);
-        assert_eq!(g.reachable_count(2), 2);
-        assert_eq!(g.reachable_count(3), 1);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!   an `(ε/32)`-graph is a `(1+ε)`-PG);
 //! * [`merged`] — the merged Euclidean graph of Theorem 1.3 with jackpot
 //!   vertex sampling (Eq. 17) and best-of-runs amplification (Section 5.3);
-//! * [`dynamic`] — an insert/delete extension: logarithmic rebuilding on top
-//!   of `G_net`, keeping the `(1+ε)` guarantee at all times;
 //! * [`engine`] — the parallel batched query executor: shards query batches
 //!   across a thread pool with results identical to the sequential routines;
 //! * [`snapshot`] — engine persistence: `QueryEngine::save`/`load` through
@@ -55,7 +53,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod dynamic;
 pub mod engine;
 pub mod gnet;
 pub mod graph;
@@ -67,9 +64,8 @@ pub mod sharded;
 pub mod snapshot;
 pub mod theta;
 
-pub use dynamic::{DynamicAnswer, DynamicGNet, DynamicStats};
 pub use engine::{BatchBeamDetail, BatchOutcome, QueryEngine};
-pub use gnet::{gnet_edges_with_phi, BuildPhase, GNet, GNetIndependent};
+pub use gnet::{gnet_edges_with_phi, BuildPhase, GNet};
 pub use graph::{BandLadder, Graph, GraphBuilder};
 pub use merged::{MergedGraph, MergedParams};
 pub use navigability::{check_navigable, check_pg_exhaustive, Starts, Violation};

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::gnet::GNet;
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::Graph;
 use crate::theta::ThetaGraph;
 
 /// Parameters of the merged construction.
@@ -60,18 +60,6 @@ impl MergedParams {
         self.theta = Some(theta);
         self
     }
-
-    /// Overrides the sampling constant.
-    pub fn with_z(mut self, z: f64) -> Self {
-        self.z = z;
-        self
-    }
-
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// The merged graph `G = G'_net ∪ G_geo` of Theorem 1.3.
@@ -103,12 +91,15 @@ impl MergedGraph {
             Some(t) => ThetaGraph::build(data, t),
             None => ThetaGraph::build_for_pg(data, params.epsilon),
         };
-        Self::merge(&gnet, &theta, params, params.seed)
+        Self::merge(&gnet, &theta, params)
     }
 
     /// Section 5.3 amplification: performs `runs` independent jackpot
-    /// samplings (reusing the same `G_net` and θ-graph) and returns the
-    /// merged graph with the fewest edges. The paper uses `z' log n` runs.
+    /// samplings (reusing the same `G_net` and θ-graph), run `r` at seed
+    /// `params.seed + r`, and returns the merged graph with the fewest edges
+    /// — its `params` carry the seed it was sampled at, so
+    /// [`MergedGraph::build`] on them rebuilds it. The paper uses `z' log n`
+    /// runs.
     pub fn build_best_of<P: AsRef<[f64]> + Sync, M: Metric<P> + Sync>(
         data: &Dataset<P, M>,
         params: MergedParams,
@@ -121,46 +112,43 @@ impl MergedGraph {
             None => ThetaGraph::build_for_pg(data, params.epsilon),
         };
         (0..runs)
-            .map(|r| Self::merge(&gnet, &theta, params, params.seed.wrapping_add(r as u64)))
+            .map(|r| {
+                let seed = params.seed.wrapping_add(r as u64);
+                Self::merge(&gnet, &theta, MergedParams { seed, ..params })
+            })
             .min_by_key(|m| m.graph.edge_count())
             .expect("runs >= 1")
     }
 
-    /// Merges a pre-built `G_net` and θ-graph with a fresh jackpot sampling.
-    pub fn merge(gnet: &GNet, theta: &ThetaGraph, params: MergedParams, seed: u64) -> Self {
+    /// Merges a pre-built `G_net` and θ-graph with a fresh jackpot sampling
+    /// seeded by `params.seed`.
+    pub fn merge(gnet: &GNet, theta: &ThetaGraph, params: MergedParams) -> Self {
         let n = gnet.graph.n();
         assert_eq!(n, theta.graph.n(), "graphs must share the vertex set");
         let log_delta = (gnet.hierarchy.log_aspect() as f64).max(1.0);
         let tau = (params.z / log_delta).min(1.0);
 
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(params.seed);
         let jackpots: Vec<bool> = (0..n).map(|_| rng.random_bool(tau)).collect();
 
-        let mut builder = GraphBuilder::new(n);
-        for v in 0..n as u32 {
-            for &t in theta.graph.neighbors(v) {
-                builder.add_edge(v, t);
+        // G'_net: the jackpot vertices keep their G_net rows, the rest none.
+        let rows = jackpots.iter().zip(0..n as u32).map(|(&kept, v)| {
+            if kept {
+                gnet.graph.neighbors(v).to_vec()
+            } else {
+                Vec::new()
             }
-            if jackpots[v as usize] {
-                for &t in gnet.graph.neighbors(v) {
-                    builder.add_edge(v, t);
-                }
-            }
-        }
+        });
+        let sampled = Graph::from_adjacency(rows.collect());
 
         MergedGraph {
-            graph: builder.build(),
+            graph: sampled.union(&theta.graph),
             jackpots,
             tau,
             params,
             gnet_edges: gnet.graph.edge_count(),
             theta_edges: theta.graph.edge_count(),
         }
-    }
-
-    /// Number of jackpot vertices.
-    pub fn jackpot_count(&self) -> usize {
-        self.jackpots.iter().filter(|&&b| b).count()
     }
 }
 
@@ -192,7 +180,13 @@ mod tests {
             .map(|_| vec![rng.random_range(-5.0..45.0), rng.random_range(-5.0..45.0)])
             .collect();
         for seed in [0u64, 1, 2] {
-            let m = MergedGraph::build(&ds, MergedParams::new(1.0).with_seed(seed));
+            let m = MergedGraph::build(
+                &ds,
+                MergedParams {
+                    seed,
+                    ..MergedParams::new(1.0)
+                },
+            );
             check_navigable(&m.graph, &ds, &queries, 1.0).unwrap();
             check_pg_exhaustive(&m.graph, &ds, &queries, 1.0, Starts::Stride(11)).unwrap();
         }
@@ -243,7 +237,13 @@ mod tests {
     #[test]
     fn tau_follows_equation_17() {
         let ds = random_dataset(100, 3);
-        let m = MergedGraph::build(&ds, MergedParams::new(1.0).with_z(2.0));
+        let m = MergedGraph::build(
+            &ds,
+            MergedParams {
+                z: 2.0,
+                ..MergedParams::new(1.0)
+            },
+        );
         assert!(m.tau > 0.0 && m.tau <= 1.0);
         // tau = min(1, z / log Δ); with z = 2 and log Δ >= 2 on this data,
         // tau must be at most 1 and exactly z / logΔ when that is < 1.
@@ -265,7 +265,7 @@ mod tests {
     fn jackpot_fraction_tracks_tau() {
         let ds = random_dataset(400, 5);
         let m = MergedGraph::build(&ds, MergedParams::new(1.0));
-        let frac = m.jackpot_count() as f64 / 400.0;
+        let frac = m.jackpots.iter().filter(|&&b| b).count() as f64 / 400.0;
         assert!(
             (frac - m.tau).abs() < 0.12,
             "jackpot fraction {frac} far from tau {}",
@@ -276,10 +276,13 @@ mod tests {
     #[test]
     fn merged_contains_all_theta_edges() {
         let ds = random_dataset(60, 6);
-        let params = MergedParams::new(1.0);
+        let params = MergedParams {
+            seed: 7,
+            ..MergedParams::new(1.0)
+        };
         let gnet = crate::gnet::GNet::build_fast(&ds, 1.0);
         let theta = crate::theta::ThetaGraph::build_for_pg(&ds, 1.0);
-        let m = MergedGraph::merge(&gnet, &theta, params, 7);
+        let m = MergedGraph::merge(&gnet, &theta, params);
         for (u, v) in theta.graph.edges() {
             assert!(m.graph.has_edge(u, v), "theta edge ({u}, {v}) missing");
         }

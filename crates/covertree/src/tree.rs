@@ -92,11 +92,6 @@ impl<'d, P, M: Metric<P>> CoverTree<'d, P, M> {
         self.live_count == 0
     }
 
-    /// Number of member points (live + tombstoned).
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Whether `pid` is currently live in the tree.
     pub fn contains_live(&self, pid: u32) -> bool {
         self.members.contains(&pid) && !self.dead[pid as usize]

@@ -3,71 +3,19 @@
 //! The doubling dimension `λ` of `(M, D)` is the smallest value such that
 //! every ball of radius `r` is covered by at most `2^λ` balls of radius
 //! `r/2` (Section 1.1). Computing `λ` exactly is NP-hard in general, so this
-//! module provides two practical estimators used by the experiments:
-//!
-//! * [`expansion_log2`] — the (base-2 log of the) *expansion constant*
-//!   `max |B(p, 2r)| / |B(p, r)|`, a classical proxy (KR-dimension) that
-//!   upper-bounds growth behaviour on the data itself;
-//! * [`greedy_cover_log2`] — for a sampled ball `B(p, r)`, greedily covers
-//!   its points with balls of radius `r/2` centered at data points and
-//!   reports `log2(#balls)`. By the standard net argument a greedy cover
-//!   uses at most `2^{2λ}`-ish balls, so this estimates `λ` up to a factor 2
-//!   while being exact enough to separate, say, a line (λ=1) from a plane.
+//! module provides a practical estimator, which the workload and hardness
+//! tests use to check the dimension of their instances:
+//! [`greedy_cover_log2`] — for a sampled ball `B(p, r)`, greedily covers its
+//! points with balls of radius `r/2` centered at data points and reports
+//! `log2(#balls)`. By the standard net argument a greedy cover uses at most
+//! `2^{2λ}`-ish balls, so this estimates `λ` up to a factor 2 while being
+//! exact enough to separate, say, a line (λ=1) from a plane.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::dataset::Dataset;
 use crate::metric::Metric;
-
-/// The Fact 2.3 / Appendix B packing bound: a set with aspect ratio `A` in a
-/// metric space of doubling dimension `λ` has at most `(8A)^λ` points.
-///
-/// The proof (Appendix B): `B(p, d_max)` is covered by `2^{kλ}` balls of
-/// radius `d_max / 2^k`; at `k = 2 + ⌈log A⌉` the radius drops below
-/// `d_min / 2`, so each ball holds at most one point, giving
-/// `2^{kλ} <= (8A)^λ`.
-pub fn packing_bound(aspect_ratio: f64, lambda: f64) -> f64 {
-    assert!(aspect_ratio >= 1.0 && lambda >= 0.0);
-    (8.0 * aspect_ratio).powf(lambda)
-}
-
-/// Maximum over sampled `(p, r)` of `log2(|B(p, 2r)| / |B(p, r)|)`.
-///
-/// `samples` controls how many `(point, radius)` pairs are probed; radii are
-/// drawn from the observed distance distribution. Returns 0 for degenerate
-/// datasets. Cost: `O(samples * n)` distances.
-pub fn expansion_log2<P, M: Metric<P>>(data: &Dataset<P, M>, samples: usize, seed: u64) -> f64 {
-    let n = data.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut worst: f64 = 0.0;
-    for _ in 0..samples {
-        let p = rng.random_range(0..n);
-        let j = rng.random_range(0..n);
-        let r = if p == j { continue } else { data.dist(p, j) };
-        if r <= 0.0 {
-            continue;
-        }
-        let mut small = 0usize;
-        let mut big = 0usize;
-        for i in 0..n {
-            let d = data.dist(p, i);
-            if d <= r {
-                small += 1;
-            }
-            if d <= 2.0 * r {
-                big += 1;
-            }
-        }
-        if small > 0 {
-            worst = worst.max((big as f64 / small as f64).log2());
-        }
-    }
-    worst
-}
 
 /// Greedy half-radius cover estimate: samples balls `B(p, r)` and reports the
 /// maximum `log2` of the number of radius-`r/2` balls a greedy cover needs.
@@ -153,49 +101,5 @@ mod tests {
             g > l,
             "2-d grid ({g}) should have larger doubling estimate than line ({l})"
         );
-    }
-
-    #[test]
-    fn packing_bound_holds_on_grids() {
-        // Fact 2.3 on Z^2 (doubling dimension 2): any subset X satisfies
-        // |X| <= (8 * aspect(X))^2.
-        let ds = grid2d(12);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..20 {
-            let ids: Vec<usize> = (0..ds.len()).filter(|_| rng.random_bool(0.3)).collect();
-            if ids.len() < 2 {
-                continue;
-            }
-            let mut dmin = f64::INFINITY;
-            let mut dmax: f64 = 0.0;
-            for (i, &a) in ids.iter().enumerate() {
-                for &b in ids.iter().skip(i + 1) {
-                    let d = ds.dist(a, b);
-                    dmin = dmin.min(d);
-                    dmax = dmax.max(d);
-                }
-            }
-            let bound = packing_bound(dmax / dmin, 2.0);
-            assert!(
-                (ids.len() as f64) <= bound,
-                "|X| = {} exceeds (8A)^2 = {bound}",
-                ids.len()
-            );
-        }
-    }
-
-    #[test]
-    fn packing_bound_monotonicity() {
-        assert!(packing_bound(2.0, 2.0) < packing_bound(4.0, 2.0));
-        assert!(packing_bound(2.0, 1.0) < packing_bound(2.0, 3.0));
-        assert_eq!(packing_bound(1.0, 0.0), 1.0);
-    }
-
-    #[test]
-    fn expansion_is_finite_and_positive_on_grid() {
-        let e = expansion_log2(&grid2d(10), 30, 11);
-        assert!(e.is_finite());
-        assert!(e > 0.0);
-        assert!(e < 8.0, "expansion estimate unreasonably large: {e}");
     }
 }

@@ -38,11 +38,9 @@
 //! quantized, which halves the quantization noise versus coding both sides
 //! and costs nothing — the query is decoded zero times.
 
-use crate::flat::FlatPoints;
-
 /// Which compact representation to use. The `f64` path is not listed here:
 /// full precision is the *reference* representation, stored in
-/// [`FlatPoints`] and never behind this abstraction.
+/// [`FlatPoints`](crate::FlatPoints) and never behind this abstraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantKind {
     /// IEEE-754 single precision, 4 bytes per coordinate.
@@ -242,12 +240,6 @@ impl F32Points {
         Ok(F32Points { data, dim })
     }
 
-    /// Encodes a [`FlatPoints`] store (the `f64` reference layout).
-    pub fn from_flat(points: &FlatPoints) -> Result<Self, String> {
-        let rows: Vec<&[f64]> = points.rows().collect();
-        Self::from_rows(&rows)
-    }
-
     /// Reconstructs from raw storage (the snapshot-load path). Rejects
     /// empty or ragged data and non-finite values with a description.
     pub fn try_from_raw(data: Vec<f32>, dim: usize) -> Result<Self, String> {
@@ -361,12 +353,6 @@ impl Sq8Points {
         })
     }
 
-    /// Encodes a [`FlatPoints`] store (the `f64` reference layout).
-    pub fn from_flat(points: &FlatPoints) -> Result<Self, String> {
-        let rows: Vec<&[f64]> = points.rows().collect();
-        Self::from_rows(&rows)
-    }
-
     /// One affine code: `round((x - min) / step)` clamped to `0..=255`;
     /// a zero step (constant dimension) always codes as `0`.
     fn encode_one(x: f64, min: f64, step: f64) -> u8 {
@@ -431,12 +417,6 @@ impl Sq8Points {
     /// Per-dimension code steps; `step(j) == 0` marks a constant dimension.
     pub fn steps(&self) -> &[f64] {
         &self.steps
-    }
-
-    /// Worst-case absolute round-trip error in dimension `j`
-    /// (`step_j / 2`; exactly `0` for a constant dimension).
-    pub fn max_decode_error(&self, j: usize) -> f64 {
-        self.steps[j] / 2.0
     }
 
     /// Row `i` as a code slice.
@@ -504,14 +484,6 @@ impl CompactPoints {
         match kind {
             QuantKind::F32 => F32Points::from_rows(rows).map(CompactPoints::F32),
             QuantKind::Sq8 => Sq8Points::from_rows(rows).map(CompactPoints::Sq8),
-        }
-    }
-
-    /// Encodes a [`FlatPoints`] store into the representation `kind`.
-    pub fn from_flat(kind: QuantKind, points: &FlatPoints) -> Result<Self, String> {
-        match kind {
-            QuantKind::F32 => F32Points::from_flat(points).map(CompactPoints::F32),
-            QuantKind::Sq8 => Sq8Points::from_flat(points).map(CompactPoints::Sq8),
         }
     }
 }
@@ -641,7 +613,7 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             p.decode_row(i, &mut decoded);
             for (j, (&x, &y)) in row.iter().zip(&decoded).enumerate() {
-                let bound = p.max_decode_error(j) * (1.0 + 1e-9) + 1e-12;
+                let bound = p.steps()[j] / 2.0 * (1.0 + 1e-9) + 1e-12;
                 assert!(
                     (x - y).abs() <= bound,
                     "point {i} dim {j}: |{x} - {y}| > {bound}"
@@ -656,7 +628,6 @@ mod tests {
         let rows: Vec<Vec<f64>> = vec![vec![1.0, 42.5], vec![2.0, 42.5], vec![-3.0, 42.5]];
         let p = Sq8Points::from_rows(&rows).unwrap();
         assert_eq!(p.steps()[1], 0.0);
-        assert_eq!(p.max_decode_error(1), 0.0);
         let mut decoded = Vec::new();
         for (i, row) in rows.iter().enumerate() {
             p.decode_row(i, &mut decoded);

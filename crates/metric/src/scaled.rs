@@ -28,13 +28,6 @@ impl<M> Scaled<M> {
         Scaled { inner, factor }
     }
 
-    /// Scale factor chosen so the given minimum inter-point distance maps to
-    /// 2, matching the paper's normalization.
-    pub fn normalizing_min_dist(inner: M, d_min: f64) -> Self {
-        assert!(d_min > 0.0, "minimum distance must be positive");
-        Scaled::new(inner, 2.0 / d_min)
-    }
-
     /// The scale factor.
     pub fn factor(&self) -> f64 {
         self.factor
@@ -80,7 +73,8 @@ mod tests {
 
     #[test]
     fn normalization_maps_dmin_to_two() {
-        let m = Scaled::normalizing_min_dist(Euclidean, 0.5);
+        // The paper's normalization: scale by 2 / d_min.
+        let m = Scaled::new(Euclidean, 2.0 / 0.5);
         assert_eq!(m.dist(&vec![0.0], &vec![0.5]), 2.0);
     }
 

@@ -58,34 +58,6 @@ pub fn validate_net<P, M: Metric<P>>(
     Ok(())
 }
 
-/// Builds *independent* greedy nets at the radius ladder
-/// `r_top, r_top/2, ..., r_bottom` (one net per level, not nested), matching
-/// the paper's Eq. (2) verbatim where each `Y_i` is any `2^i`-net of `P`.
-///
-/// Returns levels bottom-up: `out[0]` is the finest net (all of `P` when
-/// `r_bottom < d_min`), `out.last()` the coarsest. Quadratic per level;
-/// reference implementation for cross-validation against
-/// [`crate::NetHierarchy`].
-pub fn independent_hierarchy<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    r_top: f64,
-    r_bottom: f64,
-) -> Vec<(f64, Vec<u32>)> {
-    assert!(r_bottom > 0.0 && r_top >= r_bottom);
-    let ids: Vec<u32> = (0..data.len() as u32).collect();
-    let mut out = Vec::new();
-    let mut r = r_top;
-    loop {
-        out.push((r, greedy_net(data, &ids, r)));
-        if r <= r_bottom {
-            break;
-        }
-        r /= 2.0;
-    }
-    out.reverse();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,20 +118,5 @@ mod tests {
         // Single center at a tiny radius: covering must fail.
         let err = validate_net(&ds, &ids, &[0], 1e-6).unwrap_err();
         assert!(err.contains("covering"));
-    }
-
-    #[test]
-    fn independent_hierarchy_levels_are_nets() {
-        let ds = random_dataset(120, 6);
-        let ids: Vec<u32> = (0..120).collect();
-        let levels = independent_hierarchy(&ds, 200.0, 0.5);
-        assert!(levels.len() >= 8);
-        for (r, net) in &levels {
-            validate_net(&ds, &ids, net, *r).unwrap();
-        }
-        // Radii double going up.
-        for w in levels.windows(2) {
-            assert!((w[1].0 / w[0].0 - 2.0).abs() < 1e-12);
-        }
     }
 }

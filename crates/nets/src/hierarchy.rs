@@ -45,16 +45,6 @@ impl NetLevel {
     pub fn is_empty(&self) -> bool {
         self.centers.is_empty()
     }
-
-    /// Dataset id of the center covering dataset point `pid`.
-    pub fn cover_center(&self, pid: u32) -> u32 {
-        self.centers[self.cover[pid as usize] as usize]
-    }
-
-    /// Whether dataset point `pid` is a net point at this level.
-    pub fn is_center(&self, pid: u32) -> bool {
-        self.pos_of[pid as usize] != NOT_A_CENTER
-    }
 }
 
 /// A nested ladder of exact `r`-nets of a dataset with radii
@@ -102,18 +92,11 @@ impl NetHierarchy {
     /// strictly smaller distance, the center is at distance 0 from itself,
     /// and every other center is a distinct point: no tie can pick another.
     ///
-    /// Panics if the dataset contains duplicate points (`max_levels`, default
-    /// 192, exceeded) — the paper assumes a finite aspect ratio, which
-    /// requires distinct points.
+    /// Panics if the dataset contains duplicate points (more than 192
+    /// levels) — the paper assumes a finite aspect ratio, which requires
+    /// distinct points.
     pub fn build<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>) -> Self {
-        Self::build_with_max_levels(data, 192)
-    }
-
-    /// [`NetHierarchy::build`] with an explicit level cap.
-    pub fn build_with_max_levels<P: Sync, M: Metric<P> + Sync>(
-        data: &Dataset<P, M>,
-        max_levels: usize,
-    ) -> Self {
+        let max_levels = 192;
         let n = data.len();
         assert!(n >= 2, "hierarchy needs at least two points");
 
@@ -431,7 +414,7 @@ mod tests {
         for lvl_idx in 0..h.num_levels() {
             let lvl = h.level(lvl_idx);
             for p in 0..60u32 {
-                let c = lvl.cover_center(p);
+                let c = lvl.centers[lvl.cover[p as usize] as usize];
                 assert!(ds.dist(p as usize, c as usize) <= lvl.radius * (1.0 + 1e-12));
             }
         }

@@ -7,8 +7,8 @@
 //!
 //! Two constructions are provided:
 //!
-//! * [`greedy_net`] / [`independent_hierarchy`] — the textbook `O(n * |Y|)`
-//!   greedy net, used as ground truth and for cross-validation;
+//! * [`greedy_net`] — the textbook `O(n * |Y|)` greedy net, used as ground
+//!   truth and for cross-validation;
 //! * [`NetHierarchy::build`] — a top-down hierarchical construction in the
 //!   spirit of Har-Peled–Mendel \[15, Thm 3.2\] (which the paper invokes for
 //!   line 1 of its `build` procedure). Each level's centers carry *friends
@@ -45,5 +45,5 @@ mod hierarchy;
 mod lists;
 
 pub use cascade::RelativesCascade;
-pub use greedy::{greedy_net, independent_hierarchy, validate_net};
+pub use greedy::{greedy_net, validate_net};
 pub use hierarchy::{NetHierarchy, NetLevel};

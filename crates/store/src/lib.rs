@@ -1037,8 +1037,7 @@ impl Snapshot {
 
     /// Approximate in-memory footprint of the index this snapshot describes
     /// (CSR arrays and band ladder as `pg_core::Graph` holds them, the
-    /// coordinate buffer, and one 24-byte `FlatRow` handle per point) — the comparison partner
-    /// for the on-disk size in `exp_snapshot`.
+    /// coordinate buffer, and one 24-byte `FlatRow` handle per point).
     pub fn in_memory_bytes(&self) -> u64 {
         let usize_bytes = std::mem::size_of::<usize>() as u64;
         let quant = match &self.quant {

@@ -8,8 +8,8 @@
 //! * [`uniform_cube`] — i.i.d. uniform points, the baseline workload;
 //! * [`gaussian_clusters`] — mixture of Gaussians (recommendation-system
 //!   style embeddings);
-//! * [`swiss_roll`] — a 2-manifold embedded in `d >= 3` ambient dimensions:
-//!   low doubling dimension despite high ambient dimension;
+//! * [`swiss_roll_flat`] — a 2-manifold embedded in `d >= 3` ambient
+//!   dimensions: low doubling dimension despite high ambient dimension;
 //! * [`lattice`] — the integer grid: exactly controlled minimum distance;
 //! * [`geometric_chain`] — clusters at exponentially growing offsets:
 //!   `log Δ` grows linearly in the cluster count at fixed `n`, the workload
@@ -114,11 +114,6 @@ pub fn swiss_roll_flat(n: usize, d: usize, seed: u64) -> FlatPoints {
     })
 }
 
-/// [`swiss_roll_flat`] in the legacy nested layout.
-pub fn swiss_roll(n: usize, d: usize, seed: u64) -> Points {
-    swiss_roll_flat(n, d, seed).to_nested()
-}
-
 /// The integer lattice `{0, spacing, ..., (side-1) * spacing}^d`
 /// (`side^d` points, exact minimum distance `spacing`). Flat layout.
 pub fn lattice_flat(side: usize, d: usize, spacing: f64) -> FlatPoints {
@@ -186,45 +181,6 @@ pub fn geometric_chain(
     seed: u64,
 ) -> Points {
     geometric_chain_flat(clusters, per_cluster, ratio, d, seed).to_nested()
-}
-
-/// A 1-d Cantor-dust set embedded in the plane: the `2^levels` points
-/// `x = Σ_j b_j · ratio^j` for `b ∈ {0,1}^levels`, at `y = 0`. Flat layout.
-///
-/// Self-similar at every scale: minimum distance 1, diameter
-/// `≈ ratio^levels`, so `log Δ ≈ levels · log2(ratio)` — sweeping `ratio` at
-/// fixed `levels` changes the aspect ratio without changing `n` or the
-/// combinatorial structure. Doubling dimension stays ~1. This is the
-/// Euclidean workload on which the `n log Δ` size of per-level nets is
-/// actually attained (the separation experiment T1.3-sep).
-pub fn cantor_dust_flat(levels: usize, ratio: f64) -> FlatPoints {
-    assert!(
-        (1..=24).contains(&levels),
-        "2^levels points; keep levels <= 24"
-    );
-    assert!(ratio >= 2.0, "ratio must be >= 2 for separation");
-    // Guard f64 exactness: the top digit's magnitude must keep ulp < 1, or
-    // low digits round away and points collide.
-    assert!(
-        ratio.powi(levels as i32 - 1) < (2.0f64).powi(50),
-        "ratio^levels too large for exact f64 coordinates"
-    );
-    let n = 1usize << levels;
-    FlatPoints::from_fn(n, 2, |mask, out| {
-        let mut x = 0.0;
-        for j in 0..levels {
-            if mask >> j & 1 == 1 {
-                x += ratio.powi(j as i32);
-            }
-        }
-        out.push(x);
-        out.push(0.0);
-    })
-}
-
-/// [`cantor_dust_flat`] in the legacy nested layout.
-pub fn cantor_dust(levels: usize, ratio: f64) -> Points {
-    cantor_dust_flat(levels, ratio).to_nested()
 }
 
 /// A unit cluster of `n - satellite` points at the origin plus `satellite`
@@ -374,13 +330,11 @@ mod tests {
             gaussian_clusters_flat(60, 3, 5, 0.5, 20.0, 4).to_nested(),
             gaussian_clusters(60, 3, 5, 0.5, 20.0, 4)
         );
-        assert_eq!(swiss_roll_flat(40, 5, 5).to_nested(), swiss_roll(40, 5, 5));
         assert_eq!(lattice_flat(3, 3, 1.5).to_nested(), lattice(3, 3, 1.5));
         assert_eq!(
             geometric_chain_flat(4, 6, 2.5, 2, 6).to_nested(),
             geometric_chain(4, 6, 2.5, 2, 6)
         );
-        assert_eq!(cantor_dust_flat(4, 3.0).to_nested(), cantor_dust(4, 3.0));
         assert_eq!(
             two_scale_flat(30, 2, 5, 100.0, 7).to_nested(),
             two_scale(30, 2, 5, 100.0, 7)
@@ -433,7 +387,7 @@ mod tests {
 
     #[test]
     fn swiss_roll_has_low_doubling_dimension() {
-        let pts = swiss_roll(400, 6, 4);
+        let pts = swiss_roll_flat(400, 6, 4).to_nested();
         assert!(pts.iter().all(|p| p.len() == 6));
         let ds = Dataset::new(pts, Euclidean);
         // Greedy covering overestimates λ by up to ~2x; a swiss roll is a

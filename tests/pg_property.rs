@@ -5,8 +5,7 @@
 
 use proximity_graphs::baselines::slow_preprocessing;
 use proximity_graphs::core::{
-    check_navigable, check_pg_exhaustive, GNet, GNetIndependent, MergedGraph, MergedParams, Starts,
-    ThetaGraph,
+    check_navigable, check_pg_exhaustive, GNet, MergedGraph, MergedParams, Starts, ThetaGraph,
 };
 use proximity_graphs::metric::{Dataset, Euclidean};
 use proximity_graphs::workloads;
@@ -38,16 +37,6 @@ fn gnet_is_a_pg_on_every_workload() {
 }
 
 #[test]
-fn gnet_independent_nets_is_a_pg() {
-    let points = workloads::uniform_cube(90, 2, 60.0, 8);
-    let queries = queries_for(&points, 101);
-    let data = Dataset::new(points, Euclidean);
-    let g = GNetIndependent::build(&data, 1.0);
-    check_navigable(&g.graph, &data, &queries, 1.0).unwrap();
-    check_pg_exhaustive(&g.graph, &data, &queries, 1.0, Starts::All).unwrap();
-}
-
-#[test]
 fn theta_graph_is_a_pg_at_the_lemma_constant() {
     let points = workloads::uniform_cube(70, 2, 40.0, 9);
     let queries = queries_for(&points, 102);
@@ -63,11 +52,31 @@ fn merged_graph_is_a_pg_for_several_seeds() {
     let queries = queries_for(&points, 103);
     let data = Dataset::new(points, Euclidean);
     for seed in [1u64, 22, 333] {
-        let m = MergedGraph::build(&data, MergedParams::new(1.0).with_seed(seed));
+        let m = MergedGraph::build(
+            &data,
+            MergedParams {
+                seed,
+                ..MergedParams::new(1.0)
+            },
+        );
         check_navigable(&m.graph, &data, &queries, 1.0)
             .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
         check_pg_exhaustive(&m.graph, &data, &queries, 1.0, Starts::Stride(9))
             .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+    }
+}
+
+#[test]
+fn best_of_runs_rebuilds_from_its_own_params() {
+    // The kept run was sampled at `params.seed + r`; the graph it returns
+    // must say so, or its params describe another graph.
+    for seed in [1u64, 2, 3] {
+        let points = workloads::uniform_cube(300, 2, 100.0, seed);
+        let data = Dataset::new(points, Euclidean);
+        let best = MergedGraph::build_best_of(&data, MergedParams::new(1.0), 10);
+        let rebuilt = MergedGraph::build(&data, best.params);
+        assert_eq!(rebuilt.graph, best.graph, "input seed {seed}");
+        assert_eq!(rebuilt.jackpots, best.jackpots, "input seed {seed}");
     }
 }
 

@@ -3,8 +3,8 @@
 //! `cargo test` exercises libs and test targets, but examples and the
 //! experiment binaries (`pg_paper`, `exp_*`) are easy to break silently.
 //! This test shells back into cargo so a plain `cargo test` refuses to pass
-//! while any of them fails to compile. CI additionally runs the same check
-//! as its own step (see `.github/workflows/ci.yml`).
+//! while any of them fails to compile. CI also runs every example (see
+//! `.github/workflows/ci.yml`), which catches a runtime panic too.
 
 use std::process::Command;
 

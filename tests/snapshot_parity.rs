@@ -144,8 +144,8 @@ fn an_unbanded_index_still_writes_version_1_and_2_and_reloads_unbanded() {
     // ladder, so the file is the version 1 / 2 layout of before bands
     // existed and the loaded graph walks whole rows.
     let (engine, banded_snap) = banded_sample();
-    let (graph, data) = engine.into_parts();
-    let hnsw = Hnsw::build(&data, HnswParams::default()).ground_layer();
+    let (graph, data) = (engine.graph(), engine.data());
+    let hnsw = Hnsw::build(data, HnswParams::default()).ground_layer();
     for plain in [graph.without_bands(), hnsw] {
         let plain = QueryEngine::new(plain, data.clone());
         let snap = plain.to_snapshot(0, None).unwrap();
@@ -174,7 +174,7 @@ fn an_unbanded_index_still_writes_version_1_and_2_and_reloads_unbanded() {
         banded_snap.to_bytes().unwrap()[8..16],
         [4, 0, 0, 0, 4, 0, 0, 0]
     );
-    let octaves = QueryEngine::new(at_octave_bands(&graph), data);
+    let octaves = QueryEngine::new(at_octave_bands(graph), data.clone());
     assert_eq!(
         octaves.to_snapshot(0, None).unwrap().to_bytes().unwrap()[8..16],
         [3, 0, 0, 0, 4, 0, 0, 0]
