@@ -102,8 +102,9 @@ pub struct GraphIndex {
 }
 
 impl GraphIndex {
-    /// Wraps a graph; searches enter at vertex `0` with exact `f64`
-    /// scoring.
+    /// Wraps a graph; searches start from vertex `0` with exact `f64`
+    /// scoring — on a banded graph (`G_net`) they descend from it by greedy
+    /// before the beam widens.
     pub fn new(graph: Graph) -> Self {
         GraphIndex { graph }
     }

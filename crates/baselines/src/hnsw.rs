@@ -51,9 +51,6 @@ impl Default for HnswParams {
 pub struct Hnsw {
     /// Layer adjacency (layer 0 = ground layer containing all points).
     layers: Vec<Vec<Vec<u32>>>,
-    /// Top level of each point (`level[p] = l` means `p` exists on layers
-    /// `0..=l`).
-    levels: Vec<usize>,
     /// Entry point (a point on the top layer).
     entry: u32,
     params: HnswParams,
@@ -183,11 +180,6 @@ impl Hnsw {
         self.entry
     }
 
-    /// Top level of point `p`.
-    pub fn level_of(&self, p: usize) -> usize {
-        self.levels[p]
-    }
-
     /// The parameters the index was built with.
     pub fn params(&self) -> HnswParams {
         self.params
@@ -309,7 +301,6 @@ fn build_counting_replans<P: Sync, M: Metric<P> + Sync>(
     let layers = layers.into_inner().unwrap_or_else(PoisonError::into_inner);
     let hnsw = Hnsw {
         layers: layers.into_iter().map(|l| l.ids).collect(),
-        levels,
         entry: top.entry,
         params,
     };
@@ -770,7 +761,6 @@ mod tests {
         }
         Hnsw {
             layers,
-            levels,
             entry,
             params,
         }
@@ -827,7 +817,7 @@ mod tests {
         };
     }
 
-    /// Every layer's lists, in order, plus levels and entry point: the
+    /// Every layer's lists, in order, plus the entry point: the
     /// cached build against the recomputing one, at one and two threads.
     fn assert_matches_reference<P: Sync, M: Metric<P> + Sync>(
         data: &Dataset<P, M>,
@@ -842,9 +832,9 @@ mod tests {
         }
     }
 
-    /// Every layer's lists in order, the levels and the entry point.
+    /// Every layer's lists in order and the entry point, which together
+    /// imply every point's level.
     fn assert_same_index(got: &Hnsw, want: &Hnsw, case: &str) {
-        assert_eq!(got.levels, want.levels, "{case}: levels");
         assert_eq!(got.entry, want.entry, "{case}: entry");
         assert_eq!(got.layers.len(), want.layers.len(), "{case}: layer count");
         for (l, (g, w)) in got.layers.iter().zip(&want.layers).enumerate() {
@@ -987,13 +977,15 @@ mod tests {
         let h = Hnsw::build(&ds, HnswParams::default());
         let layers = h.layers.len();
         assert!(layers >= 2, "expected multiple layers");
-        // Count points per level.
-        let mut counts = vec![0usize; layers];
-        for p in 0..1000 {
-            let top = h.level_of(p).min(layers - 1);
-            for c in counts.iter_mut().take(top + 1) {
-                *c += 1;
-            }
+        // Count points per layer: a point is on a layer when it has a list
+        // there, or is the entry point (alone on the top layer, with an
+        // empty list); a member of a layer is a member of every one below.
+        let member = |l: usize, p: usize| !h.layers[l][p].is_empty() || p == h.entry as usize;
+        let counts: Vec<usize> = (0..layers)
+            .map(|l| (0..1000).filter(|&p| member(l, p)).count())
+            .collect();
+        for l in 1..layers {
+            assert!((0..1000).all(|p| !member(l, p) || member(l - 1, p)));
         }
         assert_eq!(counts[0], 1000);
         assert!(

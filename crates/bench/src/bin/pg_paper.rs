@@ -517,13 +517,13 @@ fn separation(size: Size) -> Vec<Check> {
     let mut merged_curve = (Vec::new(), Vec::new());
     for &j in &exponents {
         let data = line_plus_satellite(n, 2f64.powi(j)).into_dataset(Euclidean);
-        // §5.3 amplification: the smallest of several jackpot samplings.
+        // §5.3 amplification: the smallest of several jackpot samplings,
+        // drawn from the one `G_net` whose edges it counts.
         let merged = MergedGraph::build_best_of(&data, MergedParams::new(1.0), 10);
-        let gnet = GNet::build_fast(&data, 1.0);
         let per_point = |edges: usize| edges as f64 / n as f64;
         let (tau, merged_pp) = (merged.tau, per_point(merged.graph.edge_count()));
         let theta_pp = per_point(merged.theta_edges);
-        let gnet_pp = per_point(gnet.graph.edge_count());
+        let gnet_pp = per_point(merged.gnet_edges);
         merged_curve.0.push(j as f64);
         merged_curve.1.push(merged_pp);
         t.row(cells(format!(

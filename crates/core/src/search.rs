@@ -29,7 +29,22 @@
 //! distances can never skip a candidate the plain scan would keep. An
 //! un-banded row is the one-band case: it is scanned whole and no distance
 //! is ever mapped back from a score.
+//!
+//! # Descending before widening
+//!
+//! While a beam still has room the annulus rule prunes nothing, so a beam
+//! opened far from the query scores whole rows there. On a banded graph
+//! [`beam_search_detailed`] and its wrappers therefore first run the
+//! paper's [`greedy`] from the given start — a `(1+ε)`-ANN on `G_net`
+//! (Fact 2.1), reached by scans the annulus rule keeps to a few dozen
+//! scores — and open the width-`ef` beam at greedy's answer. The beam
+//! looks up, instead of recomputing, the score of every vertex the descent
+//! scored, so no vertex is scored twice in one search. Un-banded graphs
+//! (HNSW's ground layer, NSW, Vamana, stripped copies) are searched from
+//! the start as given: there greedy would score every neighbour of every
+//! hop, which is the beam's own work.
 
+use std::ops::ControlFlow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pg_metric::{Dataset, Metric, Quantized, ANNULUS_SLACK};
@@ -412,30 +427,14 @@ pub fn query<P, M: Metric<P>>(
     let mut s_cur = score(cur as usize);
 
     loop {
-        // Line 3: the out-neighbor of cur closest to q, ties to the smaller
-        // id. Only a neighbor closer than the best so far — to begin with,
-        // than cur itself — can change the outcome, which is the bound the
-        // band scan runs under.
-        let mut best: Option<(u32, f64)> = None;
-        let mut truncated = false;
-        let mut limit = s_cur;
-        let mut bound = Bound::unset();
-        let mut bands = Outward::new(rows.row(cur), || rows.dist_of(s_cur));
-        'scan: while let Some(band) = bands.next(|| bound.of(limit, |s| rows.dist_of(s))) {
-            for &nb in band {
-                if comps >= budget {
-                    truncated = true;
-                    break 'scan;
-                }
-                comps += 1;
-                let s = score(nb as usize);
-                if best.is_none_or(|(b, bs)| s < bs || (s == bs && nb < b)) {
-                    best = Some((nb, s));
-                    limit = limit.min(s);
-                }
+        let best = closest_out_neighbor(&rows, cur, s_cur, |nb| {
+            if comps >= budget {
+                return ControlFlow::Break(());
             }
-        }
-        if truncated {
+            comps += 1;
+            ControlFlow::Continue(Some(score(nb as usize)))
+        });
+        let ControlFlow::Continue(best) = best else {
             // Forced termination mid-scan: the partial scan cannot certify
             // the closest out-neighbor, so the last hop vertex is returned
             // as-is (see the budget semantics above).
@@ -446,7 +445,7 @@ pub fn query<P, M: Metric<P>>(
                 dist_comps: comps,
                 self_terminated: false,
             };
-        }
+        };
         // Line 4.
         match best {
             None => {
@@ -475,6 +474,37 @@ pub fn query<P, M: Metric<P>>(
             }
         }
     }
+}
+
+/// Line 3 of [`greedy`]: the out-neighbor of `cur` (scored `s_cur`) that
+/// ranks first by `(score, id)` among those `score` scores. Only a neighbor
+/// scored below the best so far — to begin with, below `cur` itself — can
+/// change the outcome, which is the bound the band scan runs under (the
+/// annulus rule of the module docs). `score(nb)` returns `Some(score)`,
+/// `None` to leave `nb` out, or `Break` to stop the scan, which then
+/// returns `Break`.
+fn closest_out_neighbor<'g>(
+    rows: &impl Rows<'g>,
+    cur: u32,
+    s_cur: f64,
+    mut score: impl FnMut(u32) -> ControlFlow<(), Option<f64>>,
+) -> ControlFlow<(), Option<(u32, f64)>> {
+    let mut best: Option<(u32, f64)> = None;
+    let mut limit = s_cur;
+    let mut bound = Bound::unset();
+    let mut bands = Outward::new(rows.row(cur), || rows.dist_of(s_cur));
+    while let Some(band) = bands.next(|| bound.of(limit, |s| rows.dist_of(s))) {
+        for &nb in band {
+            let Some(s) = score(nb)? else {
+                continue;
+            };
+            if best.is_none_or(|(b, bs)| s < bs || (s == bs && nb < b)) {
+                best = Some((nb, s));
+                limit = limit.min(s);
+            }
+        }
+    }
+    ControlFlow::Continue(best)
 }
 
 /// The result of one [`beam_search_detailed`] call: everything a scoring
@@ -626,13 +656,23 @@ impl Candidates {
 /// stamp, and unlike a bitset a store touches no neighbouring vertex's state
 /// — and advances once per walk, so the array is cleared only when the byte
 /// wraps, once every 255 walks. `gathered` holds the first-visit targets of
-/// the band being scanned, between their loads and their scores.
+/// the band being scanned, between their loads and their scores, and
+/// `reused` the positions among them of vertices the descent already
+/// scored.
+///
+/// A descent ([`SearchScratch::descend`]) takes the epoch before its walk's:
+/// its stamps tell the walk which vertices have a score in `descended`
+/// already, at no cost to the vertices that do not.
 #[derive(Default)]
 struct SearchScratch {
     stamps: Vec<u8>,
     epoch: u8,
     candidates: Candidates,
     gathered: Vec<u32>,
+    reused: Vec<u32>,
+    /// What the descent before the next walk scored, as `(id, score)`
+    /// ascending by id; empty when the walk follows no descent.
+    descended: Vec<(u32, f64)>,
 }
 
 /// Scratch of finished walks, waiting for the next one. Process-wide rather
@@ -668,8 +708,81 @@ impl SearchScratch {
         self.candidates.cursor = 0;
     }
 
-    /// The loop of [`beam_walk`].
-    fn walk<'g, N, S>(
+    /// The paper's [`greedy`] from `start` over `rows`, scored by `score`,
+    /// readying the next [`walk`](Self::walk) to reuse its scores: every
+    /// vertex it scores is stamped with an epoch of its own, the one before
+    /// the walk's, and kept in `descended`. Returns greedy's answer.
+    ///
+    /// It scores each vertex at most once and takes greedy's hops: a vertex
+    /// scored earlier in the descent scored no better than the hop that
+    /// followed its scan, so no better than the current vertex — it can
+    /// neither be the strict improvement line 4 asks for nor lower the
+    /// bound of a scan, so leaving it out changes neither the hop nor what
+    /// else the scan scores.
+    fn descend<'g, N: Rows<'g>>(
+        &mut self,
+        n: usize,
+        rows: &N,
+        start: u32,
+        mut score: impl FnMut(u32) -> f64,
+    ) -> u32 {
+        self.begin(n);
+        if self.epoch == u8::MAX {
+            // The walk's epoch would wrap, and the wrap clears the stamps.
+            self.begin(n);
+        }
+        let mut visited = Visited::new(&mut self.stamps[..n], self.epoch);
+        let descended = &mut self.descended;
+        let mut scored = |v: u32| {
+            let s = score(v);
+            descended.push((v, s));
+            s
+        };
+        visited.first_visit(start);
+        let (mut cur, mut s_cur) = (start, scored(start));
+        loop {
+            let best = closest_out_neighbor(rows, cur, s_cur, |nb| {
+                ControlFlow::Continue(visited.first_visit(nb).then(|| scored(nb)))
+            });
+            let ControlFlow::Continue(Some((nb, s))) = best else {
+                break;
+            };
+            if s_cur <= s {
+                break;
+            }
+            (cur, s_cur) = (nb, s);
+        }
+        self.descended.sort_unstable_by_key(|&(v, _)| v);
+        cur
+    }
+
+    /// The search of a banded `graph`: [`descend`](Self::descend) from
+    /// `start`, then [`walk`](Self::walk) at width `ef` entered at greedy's
+    /// answer, reusing the descent's scores. `dist_comps` counts both, each
+    /// vertex once; `expansions` counts the walk's.
+    fn descend_then_walk<P, M: Metric<P>>(
+        &mut self,
+        graph: &Graph,
+        data: &Dataset<P, M>,
+        start: u32,
+        ef: usize,
+        mut score: impl Score,
+    ) -> BeamSurrogate {
+        let n = data.len();
+        let rows = MetricRows { graph, data };
+        let answer = [self.descend(n, &rows, start, |v| score.score(v))];
+        let mut walk = self.walk::<_, _, true>(n, &answer, ef, rows, score);
+        walk.dist_comps += self.descended.len() as u64;
+        self.descended.clear();
+        walk
+    }
+
+    /// The loop of [`beam_walk`]. `DESCENDED` says that a
+    /// [`descend`](Self::descend) ran just before: the walk then looks up
+    /// the score of every vertex the descent scored instead of calling
+    /// `score`, and counts only the scores it computes. A constant, so a
+    /// plain walk compiles to the loop without the lookups.
+    fn walk<'g, N, S, const DESCENDED: bool>(
         &mut self,
         n: usize,
         entries: &'g [u32],
@@ -682,12 +795,14 @@ impl SearchScratch {
         S: Score,
     {
         self.begin(n);
-        let mut visited = Visited {
-            stamps: &mut self.stamps[..n],
-            epoch: self.epoch,
-        };
+        let mut visited = Visited::new(&mut self.stamps[..n], self.epoch);
+        let descended = &self.descended[..];
+        if DESCENDED {
+            visited.descended = self.epoch - 1;
+        }
         let cands = &mut self.candidates;
         let gathered = &mut self.gathered;
+        let reused = &mut self.reused;
         let mut dist_comps: u64 = 0;
         let mut expansions: u64 = 0;
         // `worst` mirrors `cands.worst()` and is refreshed only when the
@@ -710,16 +825,31 @@ impl SearchScratch {
                 // Gather: the band's first-visit targets, every point asked
                 // for before the first is scored, so the fetches overlap.
                 gathered.clear();
+                reused.clear();
                 for &v in band {
-                    if visited.first_visit(v) {
-                        gathered.push(v);
-                        ahead ^= score.touch(v);
+                    match visited.visit::<DESCENDED>(v) {
+                        Visit::Again => {}
+                        Visit::First => {
+                            gathered.push(v);
+                            ahead ^= score.touch(v);
+                        }
+                        Visit::Descended => {
+                            reused.push(gathered.len() as u32);
+                            gathered.push(v);
+                        }
                     }
                 }
-                // Score: in gathering order, which is visiting order.
-                dist_comps += gathered.len() as u64;
-                for &v in gathered.iter() {
-                    let d = score.score(v);
+                // Score: in gathering order, which is visiting order; what
+                // the descent scored is looked up.
+                dist_comps += (gathered.len() - reused.len()) as u64;
+                let mut next_reused = 0;
+                for (i, &v) in gathered.iter().enumerate() {
+                    let d = if DESCENDED && reused.get(next_reused) == Some(&(i as u32)) {
+                        next_reused += 1;
+                        descended[descended.partition_point(|&(u, _)| u < v)].1
+                    } else {
+                        score.score(v)
+                    };
                     if cands.kept.len() < ef || d < worst {
                         cands.insert(d, v, ef);
                         worst = cands.worst();
@@ -744,22 +874,52 @@ impl SearchScratch {
     }
 }
 
-/// The visited set of one walk: the stamps of its vertices and its epoch.
+/// The visited set of one walk: the stamps of its vertices, its epoch, and
+/// the epoch of the descent before it, if any.
 struct Visited<'s> {
     stamps: &'s mut [u8],
     epoch: u8,
+    descended: u8,
 }
 
-impl Visited<'_> {
+/// What [`Visited::visit`] found.
+enum Visit {
+    /// Visited before in this walk.
+    Again,
+    /// A first visit.
+    First,
+    /// A first visit to a vertex the descent scored.
+    Descended,
+}
+
+impl<'s> Visited<'s> {
+    fn new(stamps: &'s mut [u8], epoch: u8) -> Self {
+        Visited {
+            stamps,
+            epoch,
+            descended: epoch,
+        }
+    }
+
+    /// Marks `v` visited and says what it was before; `Descended` only
+    /// when `DESCENDED`.
+    #[inline]
+    fn visit<const DESCENDED: bool>(&mut self, v: u32) -> Visit {
+        let stamp = &mut self.stamps[v as usize];
+        if *stamp == self.epoch {
+            return Visit::Again;
+        }
+        let was = std::mem::replace(stamp, self.epoch);
+        match DESCENDED && was == self.descended {
+            true => Visit::Descended,
+            false => Visit::First,
+        }
+    }
+
     /// Marks `v` visited; `true` the first time.
     #[inline]
     fn first_visit(&mut self, v: u32) -> bool {
-        let stamp = &mut self.stamps[v as usize];
-        if *stamp == self.epoch {
-            return false;
-        }
-        *stamp = self.epoch;
-        true
+        !matches!(self.visit::<false>(v), Visit::Again)
     }
 }
 
@@ -806,7 +966,10 @@ impl Visited<'_> {
 /// (there the scan order decides which of the equals stays), and the
 /// banded `dist_comps` is never larger. With such ties the banded result
 /// is still safe: every vertex it skipped is no closer than its final
-/// worst.
+/// worst. The banded walk of [`beam_search_detailed`] is entered at the
+/// answer of a greedy descent and takes that descent's scores instead of
+/// calling `score` again for the vertices it meets (module docs); what it
+/// keeps and expands is this walk's, entered there.
 ///
 /// The walk's working memory (visited stamps, candidate array) is
 /// checked out of a process-wide pool for the length of the call and handed
@@ -845,13 +1008,26 @@ where
     N: Rows<'g>,
     S: Score,
 {
+    with_scratch(n, entries, ef, |s| {
+        s.walk::<_, _, false>(n, entries, ef, neighbors, score)
+    })
+}
+
+/// Runs `search` on a scratch checked out of the pool, once `ef` and the
+/// `entries` of a walk over `0..n` are known to be valid.
+fn with_scratch<T>(
+    n: usize,
+    entries: &[u32],
+    ef: usize,
+    search: impl FnOnce(&mut SearchScratch) -> T,
+) -> T {
     assert!(ef >= 1, "beam width must be at least 1");
     assert!(
         entries.iter().all(|&e| (e as usize) < n),
         "start vertex out of range"
     );
     let mut scratch = scratch_pool().pop().unwrap_or_default();
-    let out = scratch.walk(n, entries, ef, neighbors, score);
+    let out = search(&mut scratch);
     let mut pool = scratch_pool();
     if pool.len() < SCRATCH_POOL_MAX {
         pool.push(scratch);
@@ -863,6 +1039,16 @@ where
 /// routine of practical systems. Not part of the paper's model — provided as
 /// an extension so the comparison experiments can report recall under the
 /// search procedure practitioners actually use.
+///
+/// On a banded `graph` the search descends first (module docs): [`greedy`]
+/// from `p_start`, then the beam entered at greedy's answer, which it
+/// equals to the bit — results and expansions — whenever no scored value
+/// ties the beam's worst (see [`beam_walk`]). Its top-1 is therefore never
+/// farther than greedy's answer, a `(1+ε)`-ANN on a `(1+ε)`-PG at every
+/// `ef`. `dist_comps` counts the descent's distances and the beam's, each
+/// vertex at most once; `expansions` counts the beam's. At `ef >= n` on a
+/// connected graph the search is exact and scores every vertex exactly
+/// once, banded or not. An un-banded graph is walked from `p_start`.
 ///
 /// Returns up to `k` results ascending by distance and the number of
 /// distance computations. [`beam_search_detailed`] additionally reports the
@@ -884,10 +1070,10 @@ pub fn beam_search<P, M: Metric<P>>(
     (out.results, out.dist_comps)
 }
 
-/// [`beam_search`] with full per-query accounting: identical walk, identical
-/// results and `dist_comps` (the plain wrapper delegates here), plus the
-/// number of expanded vertices — the detail the evaluation layer scores
-/// from.
+/// [`beam_search`] with full per-query accounting: identical search,
+/// identical results and `dist_comps` (the plain wrapper delegates here),
+/// plus the number of expanded vertices — the detail the evaluation layer
+/// scores from.
 ///
 /// # Panics
 /// If `ef == 0` or `p_start` is out of range.
@@ -903,8 +1089,10 @@ pub fn beam_search_detailed<P, M: Metric<P>>(
 }
 
 /// [`beam_search_detailed`] before the final map to true distances: the
-/// `k` best candidates of the walk, still in surrogate space (see
-/// [`BeamSurrogate`] for why a sharded merge needs exactly this form).
+/// `k` best candidates of the search, still in surrogate space (see
+/// [`BeamSurrogate`] for why a sharded merge needs exactly this form). The
+/// one way a search reaches banded rows: on a banded `graph` it descends
+/// before it widens (module docs).
 pub(crate) fn beam_search_surrogate<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -913,14 +1101,15 @@ pub(crate) fn beam_search_surrogate<P, M: Metric<P>>(
     ef: usize,
     k: usize,
 ) -> BeamSurrogate {
+    let n = data.len();
     let score = data.surrogates_to(q);
-    let mut walk = walk_rows(
-        data.len(),
-        &[p_start],
-        ef,
-        MetricRows { graph, data },
-        point_score(data, |v| score(v as usize)),
-    );
+    let point = point_score(data, |v| score(v as usize));
+    let mut walk = match graph.is_banded() {
+        false => walk_rows(n, &[p_start], ef, MetricRows { graph, data }, point),
+        true => with_scratch(n, &[p_start], ef, |s| {
+            s.descend_then_walk(graph, data, p_start, ef, point)
+        }),
+    };
     walk.results.truncate(k);
     walk
 }
@@ -1320,7 +1509,7 @@ mod tests {
         entry: u32,
         ef: usize,
     ) -> BeamSurrogate {
-        s.walk(
+        s.walk::<_, _, false>(
             score.len(),
             &[entry],
             ef,
@@ -1460,15 +1649,21 @@ mod tests {
         let counter = Counting::new(Euclidean);
         let data = FlatPoints::from(rows).into_dataset(counter.clone());
         assert!(data.reads_row_major_buffer());
-        let g = Graph::complete(300);
-        for (ef, q) in [(1, [3.0, 4.0]), (16, [20.0, 9.5]), (300, [50.0, 41.0])] {
-            let q = FlatPoints::from(vec![q.to_vec()]).into_rows().remove(0);
-            let before = counter.count();
-            let out = beam_search_detailed(&g, &data, 7, &q, ef, 10);
-            assert_eq!(counter.count() - before, out.dist_comps, "ef = {ef}");
-            let before = counter.count();
-            let out = greedy(&g, &data, 7, &q);
-            assert_eq!(counter.count() - before, out.dist_comps);
+        // A complete graph, and a banded one, whose searches descend first.
+        let banded = crate::gnet::GNet::build_fast(&data, 1.0).graph;
+        for g in [Graph::complete(300), banded] {
+            for (ef, q) in [(1, [3.0, 4.0]), (16, [20.0, 9.5]), (300, [50.0, 41.0])] {
+                let q = FlatPoints::from(vec![q.to_vec()]).into_rows().remove(0);
+                let before = counter.count();
+                let out = beam_search_detailed(&g, &data, 7, &q, ef, 10);
+                assert_eq!(counter.count() - before, out.dist_comps, "ef = {ef}");
+                if ef == 300 {
+                    assert_eq!(out.dist_comps, 300);
+                }
+                let before = counter.count();
+                let out = greedy(&g, &data, 7, &q);
+                assert_eq!(counter.count() - before, out.dist_comps);
+            }
         }
     }
 
@@ -1842,9 +2037,6 @@ mod tests {
                 assert!(data.surrogate_to(v as usize, &q) > worst, "ef = {ef}: {v}");
             }
             saved += seen_p.len() - seen_b.len();
-            // The public wrappers take the same two walks.
-            let det = beam_search_detailed(&banded, &data, entry[0], &q, ef, ef);
-            assert_eq!(det.dist_comps, b.dist_comps);
 
             let (gb, gp) = (
                 greedy(&banded, &data, entry[0], &q),
@@ -1857,8 +2049,92 @@ mod tests {
             let budgeted = query(&banded, &data, entry[0], &q, gp.dist_comps);
             assert!(budgeted.self_terminated);
             assert_eq!(budgeted.hops, gp.hops);
+
+            // The public wrappers descend on the bands first: they equal the
+            // plain walk entered at greedy's answer, and score no vertex
+            // twice.
+            let det = beam_search_detailed(&banded, &data, entry[0], &q, ef, ef);
+            let answer = [gp.result];
+            let from_answer = beam_walk(
+                n,
+                &answer,
+                ef,
+                |v| plain.neighbors(v),
+                |v| data.surrogate_to(v as usize, &q),
+            );
+            assert_eq!(det.expansions, from_answer.expansions, "ef = {ef}");
+            let plain_comps = from_answer.dist_comps;
+            assert_eq!(det.results, from_answer.into_outcome(&data).results);
+            assert!(det.dist_comps <= plain_comps + gb.dist_comps, "ef = {ef}");
+            assert!(det.dist_comps <= n as u64, "ef = {ef}");
+            if ef == n {
+                assert_eq!(det.dist_comps, n as u64);
+            }
         }
         assert!(saved > 100, "the bands saved only {saved} scores");
+    }
+
+    #[test]
+    fn a_descended_search_scores_each_vertex_once_across_the_epoch_wrap() {
+        let n = 300;
+        let data = plane_dataset(n, 8);
+        let banded = crate::gnet::GNet::build_fast(&data, 1.0).graph;
+        let plain = banded.without_bands();
+        let mut reused = SearchScratch::default();
+        let mut reuses = 0;
+        // 600 searches, two epochs each: the byte epoch wraps between a
+        // descent and its walk as well as between searches.
+        for i in 0..600usize {
+            let (start, ef) = ((i * 7 % n) as u32, [1, 2, 5, 16, 40, n][i % 6]);
+            let q = vec![(i * 37 % 101) as f64, (i * 53 % 97) as f64];
+            let search = |s: &mut SearchScratch| {
+                let mut log = Vec::new();
+                let scorer = |v: u32| {
+                    log.push(v);
+                    data.surrogate_to(v as usize, &q)
+                };
+                let out = s.descend_then_walk(&banded, &data, start, ef, scorer);
+                (out, log)
+            };
+            let (got, mut log) = search(&mut reused);
+            let (fresh, _) = search(&mut SearchScratch::default());
+            assert_eq!(got, fresh, "search {i}");
+            assert_eq!(got.dist_comps, log.len() as u64, "search {i}");
+            log.sort_unstable();
+            log.dedup();
+            assert_eq!(
+                got.dist_comps,
+                log.len() as u64,
+                "search {i}: a vertex scored twice"
+            );
+            if ef == n {
+                assert_eq!(got.dist_comps, n as u64);
+            }
+            // The walk is the plain one entered at greedy's answer.
+            let answer = [greedy(&plain, &data, start, &q).result];
+            let want = beam_walk(
+                n,
+                &answer,
+                ef,
+                |v| plain.neighbors(v),
+                |v| data.surrogate_to(v as usize, &q),
+            );
+            assert_eq!(
+                (&got.results, got.expansions),
+                (&want.results, want.expansions)
+            );
+            // Without the descent's scores, the same walk on the bands and
+            // greedy would have scored this many more.
+            let rows = MetricRows {
+                graph: &banded,
+                data: &data,
+            };
+            let banded_walk =
+                walk_rows(n, &answer, ef, rows, |v| data.surrogate_to(v as usize, &q));
+            reuses += banded_walk.dist_comps + greedy(&banded, &data, start, &q).dist_comps;
+            reuses -= got.dist_comps;
+        }
+        assert!(reuses > 1000, "the walks reused only {reuses} scores");
     }
 
     /// The one-pass band scan `beam_walk` ran before it gathered, kept as
@@ -1873,10 +2149,7 @@ mod tests {
     ) -> BeamSurrogate {
         let mut scratch = SearchScratch::default();
         scratch.begin(n);
-        let mut visited = Visited {
-            stamps: &mut scratch.stamps[..n],
-            epoch: scratch.epoch,
-        };
+        let mut visited = Visited::new(&mut scratch.stamps[..n], scratch.epoch);
         let cands = &mut scratch.candidates;
         let (mut dist_comps, mut expansions) = (0u64, 0u64);
         let mut worst = f64::INFINITY;

@@ -32,10 +32,11 @@
 //! # The exactness/parity contract
 //!
 //! With `ef >= n`, beam search on a connected graph visits every vertex of
-//! its component exactly once, so each shard returns its *exact* top-`k`
-//! (by `(surrogate, id)`) at a cost of exactly `shard size` distance
-//! computations. Because a global top-`k` element is also a top-`k`
-//! element of its own shard, merging exact per-shard lists on
+//! its component, and scores each exactly once — a shard's search reuses
+//! the scores of the greedy descent it starts with — so each shard returns
+//! its *exact* top-`k` (by `(surrogate, id)`) at a cost of exactly `shard
+//! size` distance computations. Because a global top-`k` element is also a
+//! top-`k` element of its own shard, merging exact per-shard lists on
 //! `(surrogate, global id)` reproduces the single-engine result list —
 //! results, order, and aggregate `dist_comps` — bit-for-bit, for **every**
 //! shard count and thread count. `tests/proptest_sharded.rs` pins this on
@@ -297,7 +298,8 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
     }
 
     /// Searches every query against every shard, queries in parallel (width `ef`,
-    /// top `k` per shard, each shard entered at its local vertex 0) and
+    /// top `k` per shard, each shard's search descending from its local
+    /// vertex 0 before its beam widens) and
     /// merges per-shard results on `(surrogate, global id)` — the
     /// deterministic tie-break that makes the output identical across
     /// shard counts and thread counts (module docs). Each outcome carries

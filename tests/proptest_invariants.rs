@@ -146,11 +146,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Beam and greedy walks over `G_net(points)` as built, at one band per
-/// octave and with its bands stripped, under `metric`: results, distance
-/// bits and `expansions` equal three ways, `dist_comps` never larger on the
-/// finer layout; `greedy` result and hops equal. The inputs are continuous,
-/// so no scored distance ties another. Returns the distance computations
-/// the bands saved.
+/// octave and with its bands stripped, under `metric`. A banded beam search
+/// descends by greedy first, so its reference is the stripped walk entered
+/// at greedy's answer: results, distance bits and `expansions` equal three
+/// ways; `dist_comps` never larger on the finer layout, nor above the
+/// stripped walk's plus the descent's. `greedy` result and hops equal. The
+/// inputs are continuous, so no scored distance ties another. Returns the
+/// distance computations the bands saved greedy.
 fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
     points: Vec<Vec<f64>>,
     queries: &[Vec<f64>],
@@ -169,26 +171,6 @@ fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
     let mut saved = 0u64;
     for (i, q) in queries.iter().enumerate() {
         let entry = ((i * 7919 + n / 3) % n) as u32;
-        for ef in [1, 4, 16, 33, 40, n] {
-            let [a, b, c] = [&banded, &octaves, &plain]
-                .map(|graph| beam_search_detailed(graph, &data, entry, q, ef, ef));
-            for other in [&b, &c] {
-                prop_assert_eq!(a.results.len(), other.results.len(), "{}: ef = {}", tag, ef);
-                for (x, y) in a.results.iter().zip(&other.results) {
-                    prop_assert_eq!(x.0, y.0, "{}: ef = {}", tag, ef);
-                    prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "{}: ef = {}", tag, ef);
-                }
-                prop_assert_eq!(a.expansions, other.expansions, "{}: ef = {}", tag, ef);
-            }
-            prop_assert!(
-                a.dist_comps <= b.dist_comps && b.dist_comps <= c.dist_comps,
-                "{tag}: ef = {ef}: {} / {} / {}",
-                a.dist_comps,
-                b.dist_comps,
-                c.dist_comps
-            );
-            saved += c.dist_comps - a.dist_comps;
-        }
         let [a, b, c] = [&banded, &octaves, &plain].map(|graph| greedy(graph, &data, entry, q));
         for other in [&b, &c] {
             prop_assert_eq!(a.result, other.result, "{}: greedy", tag);
@@ -200,6 +182,39 @@ fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
             a.dist_comps <= b.dist_comps && b.dist_comps <= c.dist_comps,
             "{tag}: greedy"
         );
+        saved += c.dist_comps - a.dist_comps;
+        let descents = [a.dist_comps, b.dist_comps];
+        for ef in [1, 4, 16, 33, 40, n] {
+            let [x, y] = [&banded, &octaves]
+                .map(|graph| beam_search_detailed(graph, &data, entry, q, ef, ef));
+            let want = beam_search_detailed(&plain, &data, c.result, q, ef, ef);
+            for (got, descent) in [(&x, descents[0]), (&y, descents[1])] {
+                prop_assert_eq!(
+                    got.results.len(),
+                    want.results.len(),
+                    "{}: ef = {}",
+                    tag,
+                    ef
+                );
+                for (g, w) in got.results.iter().zip(&want.results) {
+                    prop_assert_eq!(g.0, w.0, "{}: ef = {}", tag, ef);
+                    prop_assert_eq!(g.1.to_bits(), w.1.to_bits(), "{}: ef = {}", tag, ef);
+                }
+                prop_assert_eq!(got.expansions, want.expansions, "{}: ef = {}", tag, ef);
+                prop_assert!(
+                    got.dist_comps <= want.dist_comps + descent,
+                    "{tag}: ef = {ef}: {} > {} + {descent}",
+                    got.dist_comps,
+                    want.dist_comps
+                );
+            }
+            prop_assert!(
+                x.dist_comps <= y.dist_comps && y.dist_comps <= n as u64,
+                "{tag}: ef = {ef}: {} / {}",
+                x.dist_comps,
+                y.dist_comps
+            );
+        }
     }
     Ok(saved)
 }
@@ -342,30 +357,114 @@ proptest! {
         keep in 40u32..100,
         seed in 0u64..1_000_000,
     ) {
-        // A lattice with some cells knocked out, queried from lattice and
-        // half-lattice positions: whole shells of points tie exactly, under
-        // every metric. (The net ladder rejects duplicated points, so
-        // equidistant ones are as tie-heavy as a `G_net` input gets.)
-        let d = [1, 2, 3][d_sel];
-        let extent = [4 * side, side, side.min(5)][d_sel];
-        let kept = |cell: usize| {
-            let hash = (seed ^ cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-            hash % 100 < u64::from(keep)
-        };
-        let points: Vec<Vec<f64>> = (0..extent.pow(d as u32))
-            .filter(|&cell| kept(cell))
-            .map(|cell| (0..d).map(|j| (cell / extent.pow(j as u32) % extent) as f64).collect())
-            .collect();
+        let (points, queries) = knocked_out_lattice(side, d_sel, keep, seed);
         prop_assume!(points.len() >= 4);
-        let queries: Vec<Vec<f64>> = (0..4)
-            .map(|i| {
-                let half_cell = |j| (seed as usize >> (3 * (i + j))) % (2 * extent);
-                (0..d).map(|j| half_cell(j) as f64 / 2.0).collect()
-            })
-            .collect();
         banded_walk_is_safe_under_ties(points.clone(), &queries, Euclidean, "L2")?;
         banded_walk_is_safe_under_ties(points.clone(), &queries, Manhattan, "L1")?;
         banded_walk_is_safe_under_ties(points, &queries, Chebyshev, "Linf")?;
+    }
+}
+
+/// A lattice in `d = [1, 2, 3][d_sel]` dimensions with the cells a hash of
+/// `seed` puts above `keep` % knocked out, and four queries at lattice and
+/// half-lattice positions: whole shells of points tie exactly, under every
+/// metric. (The net ladder rejects duplicated points, so equidistant ones
+/// are as tie-heavy as a `G_net` input gets.)
+fn knocked_out_lattice(
+    side: usize,
+    d_sel: usize,
+    keep: u32,
+    seed: u64,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let d = [1, 2, 3][d_sel];
+    let extent = [4 * side, side, side.min(5)][d_sel];
+    let kept = |cell: usize| {
+        let hash = (seed ^ cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        hash % 100 < u64::from(keep)
+    };
+    let points = (0..extent.pow(d as u32))
+        .filter(|&cell| kept(cell))
+        .map(|cell| {
+            (0..d)
+                .map(|j| (cell / extent.pow(j as u32) % extent) as f64)
+                .collect()
+        })
+        .collect();
+    let queries = (0..4)
+        .map(|i| {
+            let half_cell = |j| (seed as usize >> (3 * (i + j))) % (2 * extent);
+            (0..d).map(|j| half_cell(j) as f64 / 2.0).collect()
+        })
+        .collect();
+    (points, queries)
+}
+
+/// Fact 2.1 for beam search on a banded `G_net(points)` under `metric`: a
+/// banded search descends by greedy before it widens, so at every width its
+/// top-1 is no farther than greedy's answer from the same start, and so
+/// within `(1+ε)` of the nearest point, ties and all.
+fn banded_beam_top_is_a_fact_2_1_answer<M: Metric<Vec<f64>> + Sync>(
+    points: Vec<Vec<f64>>,
+    queries: &[Vec<f64>],
+    metric: M,
+    eps: f64,
+    tag: &str,
+) -> Result<(), TestCaseError> {
+    let n = points.len();
+    let data = Dataset::new(points, metric);
+    let graph = GNet::build_fast(&data, eps).graph;
+    prop_assert!(graph.is_banded());
+    for (i, q) in queries.iter().enumerate() {
+        let (_, nearest) = data.nearest_brute(q);
+        let bound = (1.0 + eps) * nearest + 1e-12 * (1.0 + nearest);
+        for entry in [0, ((i * 7919 + n / 2) % n) as u32] {
+            let answer = greedy(&graph, &data, entry, q).result_dist;
+            for ef in [1, 2, 4, 16] {
+                let top = beam_search_detailed(&graph, &data, entry, q, ef, 1).results[0].1;
+                prop_assert!(
+                    top <= answer,
+                    "{tag}: ef = {ef}, entry {entry}: top-1 at {top}, greedy's answer at {answer}"
+                );
+                prop_assert!(
+                    top <= bound,
+                    "{tag}: ef = {ef}, entry {entry}: top-1 at {top}, (1+ε) NN at {bound}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn banded_gnet_beam_tops_are_fact_2_1_answers_at_every_width(
+        n in 12usize..120,
+        d_sel in 0usize..3,
+        side in 3usize..9,
+        keep in 40u32..100,
+        eps_sel in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let d = [1, 2, 3][d_sel];
+        let eps = [0.5, 1.0][eps_sel];
+        let queries = workloads::uniform_queries(4, d, -10.0, 60.0, seed ^ 0xFAC7);
+        let (lattice, lattice_queries) = knocked_out_lattice(side, d_sel, keep, seed);
+        let inputs = [
+            ("uniform", workloads::uniform_cube(n, d, 50.0, seed), &queries),
+            ("clustered", workloads::gaussian_clusters(n, d, 4, 2.0, 50.0, seed), &queries),
+            ("lattice", lattice, &lattice_queries),
+        ];
+        for (shape, points, queries) in inputs {
+            if points.len() < 4 {
+                continue;
+            }
+            let tag = |m: &str| format!("{shape}, {m}, eps = {eps}");
+            banded_beam_top_is_a_fact_2_1_answer(points.clone(), queries, Euclidean, eps, &tag("L2"))?;
+            banded_beam_top_is_a_fact_2_1_answer(points.clone(), queries, Manhattan, eps, &tag("L1"))?;
+            banded_beam_top_is_a_fact_2_1_answer(points, queries, Chebyshev, eps, &tag("Linf"))?;
+        }
     }
 }
 
