@@ -1,33 +1,21 @@
 //! **Experiment: serve** — the online serving layer under closed-loop
 //! client load: batched (per-core search slots) vs unbatched
-//! latency/throughput from 1 to 16·cores connections, and snapshot
-//! hot-swap under fire.
+//! latency/throughput from 1 to 16·cores connections.
 //!
-//! Protocol (in order, and nothing is timed until step 2 passes):
+//! Protocol:
 //!
 //! 1. Build an index, save it through `pg_store`, serve it from a
 //!    `pg_serve::Server`.
-//! 2. **Correctness gate**: every TCP response — from one sequential
-//!    client and from all concurrent clients — is asserted bit-identical
-//!    to a direct `QueryEngine::batch_beam_detailed` run over the same
-//!    snapshot. A divergence aborts the experiment.
-//! 3. Closed-loop load: C client threads issue single queries as fast as
+//! 2. Closed-loop load: C client threads issue single queries as fast as
 //!    responses return, against the batched server and then against an
 //!    unbatched one, for C ∈ {1, cores, 4·cores, 16·cores} — the same
 //!    number of requests per row. Reported per row: p50/p99 request
 //!    latency, aggregate QPS, and how many requests waited for a slot.
-//! 4. Hot-swap demo: under the same load, the registry swaps between two
-//!    snapshots; the run asserts **zero** dropped or failed requests and
-//!    that every response's epoch belongs to a generation the registry
-//!    handed out.
-//! 5. With `--overload`: shedding demo. A zero-capacity (lame-duck) queue
-//!    must refuse **every** query with an `Overloaded` error frame on a
-//!    connection that keeps serving — asserted, not sampled — and a
-//!    retrying client must classify that refusal as transient, burn its
-//!    whole retry budget, and surface the typed error. Then a burst run
-//!    of 16·cores clients against a queue of one reports how many
-//!    requests shed and how many retries the clients spent riding it out
-//!    (every request must still succeed eventually).
+//!
+//! The binary gates nothing: that the wire answers equal a direct engine
+//! run, that a hot swap drops no request and that an overloaded server
+//! sheds with typed, retryable frames are `pg_serve`'s `equivalence`,
+//! `hot_swap`, `hardening` and `chaos` suites.
 //!
 //! How to read the sweep: the batcher runs at most one search per core
 //! and answers each query on the connection thread that received it, so
@@ -35,24 +23,22 @@
 //! should measure the same. Past that, the batched arm trades the
 //! unbatched arm's oversubscribed cores for a bounded wait; a released
 //! slot goes to whichever thread takes it first, not to the longest
-//! waiter. Read the numbers alongside the recall frontiers of
-//! `exp_recall` (quality does not change: same engine, same answers).
+//! waiter. Quality does not change between the arms: same engine, same
+//! answers.
 //!
 //! Run: `cargo run --release -p pg_bench --bin exp_serve
-//! [--smoke | --full] [--overload]`, with the pool sized by `PG_THREADS`
-//! (else the machine).
+//! [--smoke | --full]`, with the pool sized by `PG_THREADS` (else the
+//! machine).
 
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use pg_bench::{fmt, Args, Table};
-use pg_core::{AnyEngine, GNet, QueryEngine};
+use pg_core::{GNet, QueryEngine};
 use pg_metric::Euclidean;
-use pg_serve::client::{Client, RetryPolicy, RetryingClient};
-use pg_serve::error::{ErrorCode, ServeError};
+use pg_serve::client::Client;
 use pg_serve::registry::IndexRegistry;
 use pg_serve::server::{ServeConfig, Server};
 use pg_workloads as workloads;
@@ -128,47 +114,35 @@ fn closed_loop(
 }
 
 fn main() {
-    let args = Args::parse(&["--smoke", "--full", "--overload"], &[]);
+    let args = Args::parse(&["--smoke", "--full"]);
     let threads = rayon::current_num_threads();
-    let smoke = args.has("--smoke");
-    let full = args.has("--full");
-    let (n, d, m, clients, rounds, swaps) = if smoke {
-        (400, 2, 32, 4, 2, 3)
-    } else if full {
-        (20_000, 3, 256, 8, 6, 12)
+    let (n, d, m, clients, rounds) = if args.has("--smoke") {
+        (400, 2, 32, 4usize, 2usize)
+    } else if args.has("--full") {
+        (20_000, 3, 256, 8, 6)
     } else {
-        (6_000, 3, 128, 8, 4, 8)
+        (6_000, 3, 128, 8, 4)
     };
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!("# serve: TCP serving on per-core search slots, hot-swap under load");
+    println!("# serve: TCP serving on per-core search slots");
     println!(
         "(n = {n}, d = {d}, m = {m} queries, {clients} client(s) x {rounds} round(s), \
          ef = {EF}, k = {K}, {threads} thread(s), {cores} core(s))\n"
     );
 
-    // ---- 1. Build two snapshots (A serves; B is the swap target) -----------
+    // ---- 1. Build and save the snapshot every server loads ------------------
     let side = (n as f64).sqrt() * 4.0;
-    let build = |seed: u64| {
-        let data = workloads::uniform_cube_flat(n, d, side, seed).into_dataset(Euclidean);
-        let g = GNet::build_fast(&data, 1.0);
-        QueryEngine::new(g.graph, data)
-    };
     let t0 = Instant::now();
-    let engine_a = build(11);
+    let data = workloads::uniform_cube_flat(n, d, side, 11).into_dataset(Euclidean);
+    let engine = QueryEngine::new(GNet::build_fast(&data, 1.0).graph, data);
     let build_secs = t0.elapsed().as_secs_f64();
-    let engine_b = build(23);
-    let dir = std::env::temp_dir();
-    let path_a = dir.join(format!("exp_serve_a_{}.pgix", std::process::id()));
-    let path_b = dir.join(format!("exp_serve_b_{}.pgix", std::process::id()));
-    engine_a.save(&path_a).expect("saving snapshot A");
-    engine_b.save(&path_b).expect("saving snapshot B");
+    let path = std::env::temp_dir().join(format!("exp_serve_{}.pgix", std::process::id()));
+    engine.save(&path).expect("saving the snapshot");
     println!(
-        "built and saved two {n}-point snapshots (build: {} s each)\n",
+        "built and saved a {n}-point snapshot (build: {} s)\n",
         fmt(build_secs, 2)
     );
-
-    // ---- 2. Correctness gate: wire answers == direct engine answers --------
     let queries: Arc<Vec<Vec<f64>>> = Arc::new(
         workloads::uniform_queries_flat(m, d, 0.0, side, 31)
             .into_rows()
@@ -176,83 +150,8 @@ fn main() {
             .map(|r| r.coords().to_vec())
             .collect(),
     );
-    // The baseline runs on the engine *as loaded from the file* — the very
-    // bytes the server serves.
-    let (direct_engine, meta) = AnyEngine::load(&path_a).expect("loading snapshot A");
-    let flat_queries: Vec<pg_metric::FlatRow> = queries
-        .iter()
-        .map(|q| pg_metric::FlatRow::from(q.clone()))
-        .collect();
-    let starts = vec![meta.entry_point; flat_queries.len()];
-    let expected =
-        direct_engine.batch_beam_detailed(&starts, &flat_queries, EF as usize, K as usize);
-    let expected_bits: Arc<Vec<Vec<(u32, u64)>>> = Arc::new(
-        expected
-            .outcomes
-            .iter()
-            .map(|o| o.results.iter().map(|&(id, x)| (id, x.to_bits())).collect())
-            .collect(),
-    );
 
-    let registry = Arc::new(IndexRegistry::new());
-    registry
-        .register_from_path(INDEX, &path_a)
-        .expect("registering snapshot A");
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), ServeConfig::default())
-        .expect("binding the batched server");
-    let addr = server.local_addr();
-
-    // Sequential gate.
-    let mut gate = Client::connect(addr).expect("gate client");
-    for (i, q) in queries.iter().enumerate() {
-        let reply = gate.query(INDEX, q, EF, K).expect("gate query");
-        let bits: Vec<(u32, u64)> = reply
-            .results
-            .iter()
-            .map(|&(id, x)| (id, x.to_bits()))
-            .collect();
-        assert_eq!(
-            bits, expected_bits[i],
-            "sequential TCP answer {i} diverged from the direct engine run"
-        );
-        assert_eq!(reply.dist_comps, expected.outcomes[i].dist_comps);
-        assert_eq!(reply.expansions, expected.outcomes[i].expansions);
-    }
-    // Concurrent gate: same assertion from every client at once, so
-    // execution under contention is itself gated before any timing.
-    let gate_workers: Vec<_> = (0..clients)
-        .map(|_| {
-            let queries = Arc::clone(&queries);
-            let expected_bits = Arc::clone(&expected_bits);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("gate client");
-                for (i, q) in queries.iter().enumerate() {
-                    let reply = client.query(INDEX, q, EF, K).expect("gate query");
-                    let bits: Vec<(u32, u64)> = reply
-                        .results
-                        .iter()
-                        .map(|&(id, x)| (id, x.to_bits()))
-                        .collect();
-                    assert_eq!(
-                        bits, expected_bits[i],
-                        "concurrent TCP answer {i} diverged from the direct engine run"
-                    );
-                }
-            })
-        })
-        .collect();
-    for w in gate_workers {
-        w.join().expect("a correctness-gate client failed");
-    }
-    println!(
-        "correctness gate passed: {} sequential + {} concurrent responses \
-         bit-identical to the direct engine run\n",
-        m,
-        m * clients
-    );
-
-    // ---- 3. Closed-loop load: batched vs unbatched, 1 to 16·cores clients ---
-    drop(server);
+    // ---- 2. Closed-loop load: batched vs unbatched, 1 to 16·cores clients ---
     let mut sweep = vec![1, cores, 4 * cores, 16 * cores];
     sweep.dedup();
     // Every row issues (about) the same number of requests.
@@ -260,8 +159,8 @@ fn main() {
     let arm = |batching: bool| -> Vec<LoadOutcome> {
         let registry = Arc::new(IndexRegistry::new());
         registry
-            .register_from_path(INDEX, &path_a)
-            .expect("registering snapshot A (load run)");
+            .register_from_path(INDEX, &path)
+            .expect("registering the snapshot");
         let config = ServeConfig {
             batching,
             ..ServeConfig::default()
@@ -274,6 +173,7 @@ fn main() {
     };
     let batched = arm(true);
     let unbatched = arm(false);
+    std::fs::remove_file(&path).ok();
 
     let mut t = Table::new(&[
         "mode", "clients", "requests", "p50 us", "p99 us", "QPS", "waited",
@@ -292,188 +192,4 @@ fn main() {
         }
     }
     t.print();
-    println!();
-
-    // ---- 4. Hot-swap under load ---------------------------------------------
-    let registry_s = Arc::new(IndexRegistry::new());
-    registry_s
-        .register_from_path(INDEX, &path_a)
-        .expect("registering snapshot A (swap run)");
-    let server_s = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&registry_s),
-        ServeConfig::default(),
-    )
-    .expect("binding the hot-swap server");
-    let addr_s = server_s.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let served = Arc::new(AtomicU64::new(0));
-    let errors = Arc::new(AtomicU64::new(0));
-    let epochs_seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
-    let swap_workers: Vec<_> = (0..clients)
-        .map(|_| {
-            let queries = Arc::clone(&queries);
-            let stop = Arc::clone(&stop);
-            let served = Arc::clone(&served);
-            let errors = Arc::clone(&errors);
-            let epochs_seen = Arc::clone(&epochs_seen);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr_s).expect("swap client");
-                while !stop.load(Ordering::Relaxed) {
-                    for q in queries.iter() {
-                        match client.query(INDEX, q, EF, K) {
-                            Ok(reply) => {
-                                served.fetch_add(1, Ordering::Relaxed);
-                                epochs_seen.lock().unwrap().insert(reply.epoch);
-                            }
-                            Err(_) => {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(40));
-    let mut last_epoch = 0;
-    for s in 0..swaps {
-        let target = if s % 2 == 0 { &path_b } else { &path_a };
-        last_epoch = registry_s
-            .swap_from_path(INDEX, target)
-            .expect("hot-swap failed");
-        std::thread::sleep(Duration::from_millis(if smoke { 25 } else { 60 }));
-    }
-    stop.store(true, Ordering::Relaxed);
-    for w in swap_workers {
-        w.join().expect("a hot-swap load client failed");
-    }
-    let served = served.load(Ordering::Relaxed);
-    let errors = errors.load(Ordering::Relaxed);
-    let epochs = epochs_seen.lock().unwrap().len();
-    drop(server_s);
-    std::fs::remove_file(&path_a).ok();
-    std::fs::remove_file(&path_b).ok();
-
-    assert_eq!(
-        errors, 0,
-        "hot-swap dropped or failed requests — the zero-drop contract is broken"
-    );
-    assert!(served > 0, "the hot-swap load generator served nothing");
-    // Initial registration mints epoch 1; each swap adds one.
-    assert_eq!(last_epoch, (swaps + 1) as u64, "unexpected final epoch");
-    println!(
-        "hot-swap: {swaps} swaps under load, {served} requests served, 0 errors, \
-         {epochs} distinct epochs observed\n"
-    );
-
-    // ---- 5. Overload and shedding (--overload) ------------------------------
-    if args.has("--overload") {
-        // 5a. Lame-duck determinism: a zero-capacity queue must shed every
-        // query with an `Overloaded` error frame — and shedding costs an
-        // error frame, never the connection.
-        let server_o = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&registry_s),
-            ServeConfig {
-                max_queue: 0,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("binding the lame-duck server");
-        let mut lame = Client::connect(server_o.local_addr()).expect("lame-duck client");
-        for (i, q) in queries.iter().enumerate() {
-            match lame.query(INDEX, q, EF, K) {
-                Err(ServeError::Remote {
-                    code: ErrorCode::Overloaded,
-                    ..
-                }) => {}
-                other => panic!(
-                    "lame-duck query {i}: every reply must be an Overloaded frame, got {other:?}"
-                ),
-            }
-            lame.ping().expect("shedding must not cost the connection");
-        }
-        // A retrying client classifies the refusal as transient, burns its
-        // whole budget against a server that stays overloaded, and returns
-        // the typed error.
-        let lameduck_policy = RetryPolicy {
-            max_retries: 3,
-            backoff_start: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
-        };
-        let mut retrying = RetryingClient::connect(server_o.local_addr(), lameduck_policy)
-            .expect("retrying client");
-        let err = retrying
-            .query(INDEX, &queries[0], EF, K)
-            .expect_err("the lame-duck server never stops shedding");
-        assert!(err.is_retryable(), "Overloaded must classify as transient");
-        assert_eq!(retrying.retries(), lameduck_policy.max_retries as u64);
-        let lameduck_shed = server_o.stats().shed;
-        assert_eq!(
-            lameduck_shed,
-            m as u64 + 1 + lameduck_policy.max_retries as u64
-        );
-        drop(server_o);
-        println!(
-            "overload (lame-duck): {m} queries + {} retrying attempts, all shed with \
-             Overloaded frames, connections intact",
-            lameduck_policy.max_retries + 1
-        );
-
-        // 5b. Burst: 16·cores closed-loop clients against one search slot
-        // per core and a queue of one, so most arrivals find both full.
-        // Shedding here depends on timing, so the counts are reported
-        // rather than asserted — but every request must still succeed
-        // once its retries ride the burst out.
-        let burst_clients = 16 * cores;
-        let server_b = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&registry_s),
-            ServeConfig {
-                max_queue: 1,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("binding the burst server");
-        let addr_b = server_b.local_addr();
-        let burst_policy = RetryPolicy {
-            max_retries: 16,
-            backoff_start: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(8),
-        };
-        // Connected clients start together: at smoke size a client is done
-        // in a millisecond, and staggered starts would never overlap.
-        let start = Arc::new(Barrier::new(burst_clients));
-        let burst_workers: Vec<_> = (0..burst_clients)
-            .map(|_| {
-                let queries = Arc::clone(&queries);
-                let start = Arc::clone(&start);
-                std::thread::spawn(move || -> u64 {
-                    let mut client =
-                        RetryingClient::connect(addr_b, burst_policy).expect("burst client");
-                    start.wait();
-                    for _ in 0..rounds {
-                        for q in queries.iter() {
-                            client
-                                .query(INDEX, q, EF, K)
-                                .expect("burst query must eventually succeed");
-                        }
-                    }
-                    client.retries()
-                })
-            })
-            .collect();
-        let mut burst_retries = 0u64;
-        for w in burst_workers {
-            burst_retries += w.join().expect("a burst client failed");
-        }
-        let burst_requests = (burst_clients * rounds * m) as u64;
-        let burst_shed = server_b.stats().shed;
-        drop(server_b);
-        println!(
-            "overload (burst): {burst_requests} requests from {burst_clients} clients through a 1-deep queue, \
-             {burst_shed} shed, {burst_retries} retries, 0 failures\n"
-        );
-    }
 }

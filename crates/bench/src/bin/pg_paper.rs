@@ -13,14 +13,18 @@
 
 #![forbid(unsafe_code)]
 
-use pg_baselines::{slow_preprocessing, Hnsw, HnswParams};
+use pg_baselines::{
+    nsw, slow_preprocessing, vamana, BruteIndex, GraphIndex, Hnsw, HnswParams, NswParams,
+    SweepSearch, VamanaParams,
+};
 use pg_bench::{linear_slope, loglog_slope, measure_greedy, spread_start, Args, Table};
 use pg_core::{
     check_navigable, gnet_edges_with_phi, greedy, BuildPhase, ConeSet, GNet, GNetParams, Graph,
-    MergedGraph, MergedParams, ThetaGraph,
+    MergedGraph, MergedParams, QueryEngine, ShardAssignment, ShardedEngine, ThetaGraph,
 };
+use pg_eval::{success_at_eps, FrontierSweep, GroundTruth, Score};
 use pg_hardness::{BlockInstance, TreeInstance};
-use pg_metric::{Counting, Dataset, Euclidean, FlatPoints, Metric};
+use pg_metric::{Counting, Dataset, Euclidean, FlatPoints, FlatRow, Metric};
 use pg_nets::NetHierarchy;
 use pg_workloads as workloads;
 
@@ -97,10 +101,12 @@ fn slope(curve: &[(f64, f64)]) -> f64 {
 type Row = fn(Size) -> Vec<Check>;
 
 /// The paper's claims in order: a name with its section, and its row.
-const ROWS: [(&str, Row); 9] = [
+const ROWS: [(&str, Row); 11] = [
     ("Thm 1.1 size (§2)", size_bound),
     ("Thm 1.1 construction (§2.4)", construction),
     ("Thm 1.1 query (§2)", query),
+    ("Fact 2.1 at every beam width (§2)", beam_frontier),
+    ("Fact 2.1 through shards (§2)", shard_frontier),
     ("Thm 1.2(1) tree (§3)", tree_lower_bound),
     ("Thm 1.2(2) block (§4)", block_lower_bound),
     ("Thm 1.3 query (§5.2)", merged_query),
@@ -110,7 +116,7 @@ const ROWS: [(&str, Row); 9] = [
 ];
 
 fn main() {
-    let full = Args::parse(&["--full"], &[]).has("--full");
+    let full = Args::parse(&["--full"]).has("--full");
     let size = if full { Size::Full } else { Size::Default };
     println!("# The paper's claims, measured\n");
     let mut verdicts = table("claim | measured | bound | verdict");
@@ -326,6 +332,177 @@ fn query(size: Size) -> Vec<Check> {
         at_most("dists/query slope against n", dists_slope, MAX_SLOPE, 2),
         every("query = greedy at certified budget", budgeted, walks),
     ]
+}
+
+/// A frontier row's cells: recall, ratio, succ@1, dists/q, hops/q.
+fn score_cells(s: &Score) -> String {
+    format!(
+        "{:.3} | {:.3} | {:.2} | {:.0} | {:.1}",
+        s.recall, s.mean_dist_ratio, s.success_at_eps, s.dist_comps, s.hops
+    )
+}
+
+/// Any index a frontier sweeps, over the flat Euclidean layout.
+type DynIndex = Box<dyn SweepSearch<FlatRow, Euclidean>>;
+
+/// Fact 2.1 with Theorem 1.1: a banded beam on `G_net` opens at greedy's
+/// answer, so its top-1 is a `(1+ε)`-ANN at every width. The recall–distance
+/// frontier (FCPG; Zhu & Zhang) of six index families over the `ef` axis on
+/// the standard suite, scored against exact ground truth, plus `G_net`'s
+/// frontier over the paper's own axis, the greedy budget of §1.1's `query`.
+/// Brute force is the exact reference line.
+fn beam_frontier(size: Size) -> Vec<Check> {
+    let (n, m, k) = size.pick((300, 32, 5), (1200, 80, 10), (4000, 200, 10));
+    // The axis starts below k: a beam narrower than k cannot return k
+    // results, so the low end traces the steep part of the frontier.
+    let efs = size.pick(
+        vec![2, 5, 8, 16, 32],
+        vec![2, 4, 10, 16, 32, 64, 128],
+        vec![2, 4, 10, 16, 32, 64, 128, 256],
+    );
+    let budgets = size.pick(
+        vec![1, 4, 16, 64, 256],
+        vec![1, 4, 16, 64, 256],
+        vec![1, 4, 16, 64, 256, 1024],
+    );
+    let sweep = FrontierSweep::new(k, efs);
+    let (mut gnet_exact, mut brute_exact, mut cases) = (0, 0, 0);
+    for (workload, points, queries) in workloads::eval_suite_flat(n, m, 99) {
+        let dim = points.dim();
+        let data = points.into_dataset(Euclidean);
+        let queries: Vec<FlatRow> = queries.into_rows();
+        let truth = GroundTruth::compute(&data, &queries, k);
+        println!("{workload} (d = {dim}, n = {n}, m = {m}, k = {k}):\n");
+        let gnet = GNet::build_fast(&data, 1.0);
+        let theta = if dim <= 2 { 0.25 } else { 0.7 };
+        let indexes: [(&str, DynIndex); 6] = [
+            ("gnet", Box::new(GraphIndex::new(gnet.graph.clone()))),
+            (
+                "theta",
+                Box::new(GraphIndex::new(ThetaGraph::build(&data, theta).graph)),
+            ),
+            ("hnsw", Box::new(Hnsw::build(&data, HnswParams::default()))),
+            (
+                "vamana",
+                Box::new(GraphIndex::new(vamana(&data, VamanaParams::default()))),
+            ),
+            (
+                "nsw",
+                Box::new(GraphIndex::new(nsw(&data, NswParams::default()))),
+            ),
+            ("brute", Box::new(BruteIndex)),
+        ];
+        let mut t = table("algo | ef | recall@k | ratio | succ@1 | dists/q | hops/q");
+        for (algo, index) in &indexes {
+            for p in sweep.run(index.as_ref(), &data, &queries, &truth) {
+                let s = &p.score;
+                match *algo {
+                    "gnet" => gnet_exact += usize::from(s.success_at_eps == 1.0),
+                    "brute" => {
+                        let exact = [s.recall, s.mean_dist_ratio, s.success_at_eps];
+                        brute_exact += usize::from(exact == [1.0; 3]);
+                    }
+                    _ => {}
+                }
+                t.row(cells(format!("{algo} | {} | {}", p.param, score_cells(s))));
+            }
+        }
+        cases += sweep.ef_values.len();
+        t.print();
+
+        // The paper's axis; only the nearest distance of the truth is read.
+        let starts: Vec<u32> = (0..queries.len()).map(|i| spread_start(i, n)).collect();
+        let engine = QueryEngine::new(gnet.graph, data);
+        let frontier = FrontierSweep::new(1, vec![1])
+            .run_greedy_budget(&engine, &starts, &queries, &truth, &budgets);
+        println!("\nGreedy budget frontier (the §1.1 `query(p, q, Q)` axis, k = 1):\n");
+        let mut t = table("algo | budget | recall@1 | ratio | succ@1 | dists/q | hops/q");
+        for p in frontier {
+            t.row(cells(format!(
+                "gnet | {} | {}",
+                p.param,
+                score_cells(&p.score)
+            )));
+        }
+        t.print();
+        println!();
+    }
+    vec![
+        every("G_net (workload, ef) with succ@1 = 1", gnet_exact, cases),
+        every(
+            "brute (workload, ef) with recall = ratio = succ@1 = 1",
+            brute_exact,
+            cases,
+        ),
+    ]
+}
+
+/// Fact 2.1 through shards: each shard's banded top-1 is a `(1+ε)`-ANN of
+/// its own points and the merge keeps the best, so the merged top-1 is one
+/// for the whole set at every shard count and width. The build table trades
+/// build distances against recall at a reference `ef`; the search table is
+/// the frontier per shard count, both scored against exact ground truth on a
+/// seeded sample of the queries (`n · m` distances would dwarf the builds
+/// at `n = 10⁶`).
+fn shard_frontier(size: Size) -> Vec<Check> {
+    const EPSILON: f64 = 1.0;
+    let (n, m, sampled, shard_counts, efs) = size.pick(
+        (2_000, 64, 16, vec![1, 2, 4], vec![4, 16, 64]),
+        (50_000, 400, 50, vec![1, 4, 16], vec![8, 32, 128]),
+        (1_000_000, 1_000, 100, vec![1, 8, 32], vec![16, 64, 256]),
+    );
+    let (d, k, side) = (2, 10, 1_000.0);
+    let ef_ref = efs[efs.len() / 2];
+    let points = workloads::uniform_cube_flat(n, d, side, 4242);
+    let queries = workloads::uniform_queries_flat(m, d, 0.0, side, 7177).into_rows();
+    let (truth, picked) = GroundTruth::compute_sampled(
+        &points.clone().into_dataset(Euclidean),
+        &queries,
+        k,
+        909,
+        sampled,
+    );
+    let queries: Vec<FlatRow> = picked.iter().map(|&i| queries[i].clone()).collect();
+    println!(
+        "n = {n}, d = {d}, k = {k}, {sampled} of {m} queries scored (sampled exact ground truth)\n"
+    );
+    let sweep = FrontierSweep::new(k, efs);
+    let mut build = table("shards | n | build dists | recall@k");
+    let mut search = table("shards | ef | recall@k | ratio | dists/q");
+    let (mut hits, mut total) = (0, 0);
+    for &shards in &shard_counts {
+        let counting = Counting::new(Euclidean);
+        let assignment = ShardAssignment::SeededRandom { seed: 7 };
+        let engine = ShardedEngine::build(&points, counting.clone(), EPSILON, shards, &assignment);
+        let build_dists = counting.count();
+        for &ef in &sweep.ef_values {
+            let outcomes = engine.batch_beam_detailed(&queries, ef, k).outcomes;
+            hits += (0..outcomes.len())
+                .filter(|&q| success_at_eps(&truth, q, &outcomes[q].results, EPSILON))
+                .count();
+            total += outcomes.len();
+            let s = sweep.score_outcomes(&truth, &outcomes);
+            if ef == ef_ref {
+                build.row(cells(format!(
+                    "{shards} | {n} | {build_dists} | {:.3}",
+                    s.recall
+                )));
+            }
+            let (recall, ratio, dists) = (s.recall, s.mean_dist_ratio, s.dist_comps);
+            search.row(cells(format!(
+                "{shards} | {ef} | {recall:.3} | {ratio:.3} | {dists:.0}"
+            )));
+        }
+    }
+    println!("Build table (recall at the reference ef = {ef_ref}):\n");
+    build.print();
+    println!("\nSearch frontier:\n");
+    search.print();
+    vec![every(
+        "(query, shards, ef) with merged top-1 a (1+ε)-ANN",
+        hits,
+        total,
+    )]
 }
 
 /// Theorem 1.2(1), Figure 1: on the §3 tree instance every 2-PG holds the

@@ -1,20 +1,18 @@
 //! Shared helpers for the experiment harness: table formatting, log–log
 //! slope fitting, and query-cost measurement.
 //!
-//! `src/bin/pg_paper.rs` reproduces the paper's claims as one table with a
-//! verdict per claim; `exp_recall`, `exp_serve` and `exp_shard` print the
-//! quality, serving and sharding tables; wall-clock belongs to
-//! `src/bin/pg_ladder/`. Binaries accept `--full` for the larger parameter
-//! sweeps recorded in EXPERIMENTS.md, and refuse flags they do not declare
-//! ([`Args`]).
+//! `src/bin/pg_paper.rs` reproduces the paper's claims, the quality
+//! frontiers and the sharded frontiers among them, as one clock-free table
+//! with a verdict per claim; `exp_serve` sweeps closed-loop load against a
+//! live server; wall-clock belongs to `src/bin/pg_ladder/`. Binaries accept
+//! `--full` for the larger parameter sweeps recorded in EXPERIMENTS.md, and
+//! refuse flags they do not declare ([`Args`]).
 //!
 //! Where this crate sits in the workspace is mapped in `ARCHITECTURE.md`
 //! at the repository root.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-use std::ops::RangeInclusive;
 
 use pg_core::{greedy, Graph};
 use pg_metric::{Dataset, Metric};
@@ -133,127 +131,55 @@ pub fn fmt(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// The command line of one `exp_*` binary, checked against the flags that
-/// binary declares: an argument it does not know, a value flag without its
-/// value, a value out of its range, or a `PG_THREADS` the pool cannot use
-/// is a usage error (exit 2) rather than a silently different run.
+/// The command line of one binary, checked against the switches that
+/// binary declares: an argument it does not know, or a `PG_THREADS` the
+/// pool cannot use, is a usage error (exit 2) rather than a silently
+/// different run.
 pub struct Args {
-    bin: String,
     argv: Vec<String>,
     switches: &'static [&'static str],
-    value_flags: &'static [&'static str],
 }
 
 impl Args {
     /// Parses the process arguments. `switches` are the bare flags the
-    /// binary accepts (`--full`, `--smoke`), `value_flags` the ones that
-    /// take a value (`--n N` or `--n=N`); names include the leading dashes.
-    /// The pool is sized by `PG_THREADS` (else the machine), so a set
-    /// `PG_THREADS` must be a positive integer. On a usage error, prints
-    /// the problem and a usage line to stderr and exits 2.
-    pub fn parse(switches: &'static [&'static str], value_flags: &'static [&'static str]) -> Args {
+    /// binary accepts (`--full`, `--smoke`), names including the leading
+    /// dashes. The pool is sized by `PG_THREADS` (else the machine), so a
+    /// set `PG_THREADS` must be a positive integer. On a usage error,
+    /// prints the problem and a usage line to stderr and exits 2.
+    pub fn parse(switches: &'static [&'static str]) -> Args {
         let mut argv = std::env::args();
         let bin = argv.next().unwrap_or_default();
         let args = Args {
-            bin: bin.rsplit('/').next().unwrap_or_default().to_string(),
             argv: argv.collect(),
             switches,
-            value_flags,
         };
         let pg_threads = std::env::var_os("PG_THREADS").map(|v| v.to_string_lossy().into_owned());
         if let Err(problem) = args.check().and(check_pg_threads(pg_threads.as_deref())) {
-            args.usage_error(&problem)
+            let bin = bin.rsplit('/').next().unwrap_or_default();
+            let usage: Vec<String> = switches.iter().map(|s| format!("[{s}]")).collect();
+            eprintln!("{bin}: {problem}\nusage: {bin} {}", usage.join(" "));
+            std::process::exit(2)
         }
         args
     }
 
-    /// Prints `problem` and the usage line to stderr and exits 2.
-    fn usage_error(&self, problem: &str) -> ! {
-        let usage: Vec<String> = self
-            .switches
-            .iter()
-            .map(|s| format!("[{s}]"))
-            .chain(self.value_flags.iter().map(|v| format!("[{v} VALUE]")))
-            .collect();
-        let bin = &self.bin;
-        eprintln!("{bin}: {problem}\nusage: {bin} {}", usage.join(" "));
-        std::process::exit(2)
-    }
-
     /// Core of [`Args::parse`], split out for testability: every argument
-    /// is a declared switch or a declared value flag with its value.
+    /// is a declared switch.
     fn check(&self) -> Result<(), String> {
-        let mut i = 0;
-        while i < self.argv.len() {
-            let arg = self.argv[i].as_str();
-            let name = arg.split_once('=').map_or(arg, |(name, _)| name);
-            if self.switches.contains(&arg) {
-                i += 1;
-            } else if self.value_flags.contains(&name) {
-                if parse_value_flag(&self.argv[i..], name).is_none() {
-                    return Err(format!("{name} needs a value"));
-                }
-                i += if arg == name { 2 } else { 1 };
-            } else {
-                return Err(format!("unknown argument `{arg}`"));
-            }
+        match self
+            .argv
+            .iter()
+            .find(|a| !self.switches.contains(&a.as_str()))
+        {
+            Some(arg) => Err(format!("unknown argument `{arg}`")),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// True when the bare flag `switch` was given.
     pub fn has(&self, switch: &str) -> bool {
         assert!(self.switches.contains(&switch), "undeclared {switch}");
         self.argv.iter().any(|a| a == switch)
-    }
-
-    /// The value of `--name VALUE` / `--name=VALUE`, if given — e.g.
-    /// `--n 100000`, the dataset size of `exp_shard`.
-    pub fn value(&self, name: &str) -> Option<String> {
-        assert!(self.value_flags.contains(&name), "undeclared {name}");
-        parse_value_flag(&self.argv, name)
-    }
-
-    /// The integers given to `--name`, each in `range`, or `default` when
-    /// the flag is absent. With `list`, the value is comma-separated
-    /// (`--shards 1,4,16`); otherwise it is one integer (`--n 5000`). Any
-    /// other value is a usage error: prints it and exits 2.
-    pub fn ints(
-        &self,
-        name: &str,
-        list: bool,
-        range: RangeInclusive<usize>,
-        default: &[usize],
-    ) -> Vec<usize> {
-        self.checked_ints(name, list, &range)
-            .unwrap_or_else(|problem| self.usage_error(&problem))
-            .unwrap_or_else(|| default.to_vec())
-    }
-
-    /// Core of [`Args::ints`]: `None` when the flag is absent.
-    fn checked_ints(
-        &self,
-        name: &str,
-        list: bool,
-        range: &RangeInclusive<usize>,
-    ) -> Result<Option<Vec<usize>>, String> {
-        let Some(value) = self.value(name) else {
-            return Ok(None);
-        };
-        let (parts, kind): (Vec<&str>, _) = if list {
-            (value.split(',').collect(), "comma-separated integers")
-        } else {
-            (vec![&value], "an integer")
-        };
-        parts
-            .into_iter()
-            .map(|v| v.trim().parse().ok().filter(|v| range.contains(v)))
-            .collect::<Option<Vec<usize>>>()
-            .map(Some)
-            .ok_or_else(|| {
-                let (lo, hi) = (range.start(), range.end());
-                format!("{name} takes {kind} in {lo}..={hi}, got `{value}`")
-            })
     }
 }
 
@@ -266,25 +192,6 @@ fn check_pg_threads(value: Option<&str>) -> Result<(), String> {
         Some(v) if v.parse().is_ok_and(|t: usize| t >= 1) => Ok(()),
         Some(v) => Err(format!("PG_THREADS takes a positive integer, got `{v}`")),
     }
-}
-
-/// Finds `--name VALUE` / `--name=VALUE` in `args`. `name` includes the
-/// leading dashes (e.g. `"--n"`). In the space-separated form, a following
-/// token that is itself a flag (`--…`) is not consumed as the value —
-/// `exp_shard --n --full` means the size is missing, not that it is
-/// `--full`. Use `--name=--value` if a dash-leading value is really
-/// intended.
-fn parse_value_flag(args: &[String], name: &str) -> Option<String> {
-    let prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -314,18 +221,34 @@ mod tests {
         t.print();
     }
 
-    fn parse(
-        argv: &[&str],
-        switches: &'static [&'static str],
-        value_flags: &'static [&'static str],
-    ) -> Result<Args, String> {
+    fn parse(argv: &[&str], switches: &'static [&'static str]) -> Result<Args, String> {
         let args = Args {
-            bin: "exp".into(),
             argv: argv.iter().map(|s| s.to_string()).collect(),
             switches,
-            value_flags,
         };
         args.check().map(|()| args)
+    }
+
+    #[test]
+    fn only_declared_switches_are_accepted() {
+        let args = parse(&["--smoke"], &["--full", "--smoke"]).unwrap();
+        assert!(args.has("--smoke") && !args.has("--full"));
+        // Misspelt switches, stray words, a switch another binary accepts
+        // and the removed value flags (`--n`, `--shards`, `--threads`:
+        // `PG_THREADS` sizes the pool) are refused.
+        for bad in [
+            "--smok",
+            "stray",
+            "--overload",
+            "--n",
+            "--shards=4",
+            "--threads=2",
+        ] {
+            assert_eq!(
+                parse(&["--full", bad], &["--full", "--smoke"]).err(),
+                Some(format!("unknown argument `{bad}`"))
+            );
+        }
     }
 
     #[test]
@@ -339,96 +262,6 @@ mod tests {
             assert_eq!(
                 check_pg_threads(Some(bad)).unwrap_err(),
                 format!("PG_THREADS takes a positive integer, got `{bad}`")
-            );
-        }
-    }
-
-    #[test]
-    fn value_flag_parsing() {
-        let n =
-            |argv: &[&str]| parse(argv, &["--full", "--smoke"], &["--n"]).map(|a| a.value("--n"));
-        assert_eq!(n(&["--n", "5000"]), Ok(Some("5000".to_string())));
-        assert_eq!(n(&["--full", "--n=50"]), Ok(Some("50".to_string())));
-        assert_eq!(n(&["--full"]), Ok(None));
-        // A bare value flag is a usage error…
-        assert_eq!(n(&["--n"]).unwrap_err(), "--n needs a value");
-        // …and a following flag is not swallowed as the value…
-        assert!(n(&["--n", "--full"]).is_err());
-        // …but the explicit `=` form can still pass anything.
-        assert_eq!(n(&["--n=--odd"]), Ok(Some("--odd".to_string())));
-        // Unknown flags, misspelt switches and stray words are refused; a
-        // flag another binary accepts is unknown here, and so are the
-        // removed `--algo`, `--gt-cache` and `--threads` (`PG_THREADS`
-        // sizes the pool).
-        for bad in [
-            "--smok",
-            "--shards=x",
-            "--ns=x",
-            "--algo=x",
-            "--gt-cache=x",
-            "--threads=2",
-            "stray",
-        ] {
-            assert_eq!(
-                n(&["--full", bad]).unwrap_err(),
-                format!("unknown argument `{bad}`")
-            );
-        }
-        let args = parse(&["--smoke"], &["--full", "--smoke"], &[]).unwrap();
-        assert!(args.has("--smoke") && !args.has("--full"));
-    }
-
-    #[test]
-    fn integer_values_are_checked_against_their_range() {
-        let flags: &[&str] = &["--n", "--shards", "--sampled-queries"];
-        let ints = |argv: &[&str], name: &str, list: bool, range: RangeInclusive<usize>| {
-            parse(argv, &["--smoke"], flags)
-                .unwrap()
-                .checked_ints(name, list, &range)
-        };
-        // Absent: the caller's default applies.
-        assert_eq!(ints(&["--smoke"], "--n", false, 10..=100), Ok(None));
-        assert_eq!(
-            ints(&["--n", "10"], "--n", false, 10..=100),
-            Ok(Some(vec![10]))
-        );
-        assert_eq!(
-            ints(&["--shards", "1, 2,8"], "--shards", true, 1..=8),
-            Ok(Some(vec![1, 2, 8]))
-        );
-        // Out-of-range, non-integer and list-for-single values are refused,
-        // naming the range.
-        let refused = [
-            (&["--n", "abc"][..], "--n", false, 10..=100),
-            (&["--n", "9"], "--n", false, 10..=100),
-            (&["--n", "5"], "--n", false, 10..=100),
-            (&["--n", "10,20"], "--n", false, 10..=100),
-            (&["--shards", "0"], "--shards", true, 1..=50),
-            (&["--shards", "1,51"], "--shards", true, 1..=50),
-            (&["--shards", "1,,2"], "--shards", true, 1..=50),
-            (
-                &["--sampled-queries", "0"],
-                "--sampled-queries",
-                false,
-                1..=64,
-            ),
-            (
-                &["--sampled-queries", "500"],
-                "--sampled-queries",
-                false,
-                1..=64,
-            ),
-        ];
-        for (argv, name, list, range) in refused {
-            let (lo, hi) = (*range.start(), *range.end());
-            let kind = if list {
-                "comma-separated integers"
-            } else {
-                "an integer"
-            };
-            assert_eq!(
-                ints(argv, name, list, range).unwrap_err(),
-                format!("{name} takes {kind} in {lo}..={hi}, got `{}`", argv[1])
             );
         }
     }

@@ -41,7 +41,8 @@
 //! results, order, and aggregate `dist_comps` — bit-for-bit, for **every**
 //! shard count and thread count. `tests/proptest_sharded.rs` pins this on
 //! tie-heavy integer datasets. At realistic `ef < n` the engines trade
-//! recall for cost instead, which is what `exp_shard` measures.
+//! recall for cost instead, which is what `pg_paper`'s "Fact 2.1 through
+//! shards" row measures.
 //!
 //! # Persistence
 //!
@@ -155,7 +156,7 @@ pub struct ShardedEngine<M> {
 /// on per-shard work: `(outer, inner)` = shards in flight, pool threads
 /// inside each. With `shards >= threads` every shard runs sequentially on
 /// its own core and makes no pool call; the spare threads of fewer go inside.
-pub fn thread_split(threads: usize, shards: usize) -> (usize, usize) {
+fn thread_split(threads: usize, shards: usize) -> (usize, usize) {
     let outer = threads.min(shards).max(1);
     (outer, (threads / outer).max(1))
 }
@@ -163,8 +164,9 @@ pub fn thread_split(threads: usize, shards: usize) -> (usize, usize) {
 impl<M: Metric<FlatRow> + Metric<[f64]> + Clone + Send + Sync> ShardedEngine<M> {
     /// Builds a sharded engine: partitions `points` with `assignment`,
     /// then builds one `G_net` + [`QueryEngine`] per shard, `outer` shards
-    /// side by side on `inner` pool threads each ([`thread_split`]; the
-    /// builders are thread-count invariant, so the split moves only the wall
+    /// side by side on `inner` pool threads each (`outer = min(threads,
+    /// shards)`, `inner = max(1, threads / outer)`; the builders are
+    /// thread-count invariant, so the split moves only the wall
     /// clock and the memory high-water). The metric is cloned per shard — a
     /// `Counting` wrapper's shared counter therefore aggregates build *and*
     /// search distance computations across all shards, exactly like the
@@ -378,7 +380,8 @@ impl<M: Metric<FlatRow> + SnapshotMetric + Send + Sync> ShardedEngine<M> {
     /// manifest's shard size, agree on dimensionality, and carry `M`'s
     /// metric tag — any failure returns the typed [`SnapshotError`] and no
     /// engine, the lowest-numbered failing shard's when several fail (shard
-    /// files are read [`thread_split`]'s `outer` at a time). A loaded engine
+    /// files are read `min(threads, shards)` at a time, as
+    /// [`ShardedEngine::build`] builds them). A loaded engine
     /// answers bit-identically to the saved one.
     pub fn load(dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         let dir = dir.as_ref();

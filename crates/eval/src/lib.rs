@@ -17,12 +17,15 @@
 //! * [`sweep`] — [`FrontierSweep`], which walks a parameter axis (beam
 //!   `ef`, or the paper's greedy distance budget) through batched searches
 //!   of any [`pg_baselines::SweepSearch`] index and emits
-//!   `{recall, qps, dist_comps, hops}` frontier points.
+//!   `(param, Score)` frontier points — recall, ratio, success@ε,
+//!   dist_comps, hops. It reads no clock, so every point is the same at
+//!   every pool size.
 //!
-//! The measurement strategy — what is asserted deterministic, and how the recall–QPS frontier is read — is documented
-//! in `ARCHITECTURE.md` (§ Measurement strategy) and `EXPERIMENTS.md` at
-//! the repository root; `exp_recall` in `pg_bench` is the standard-workload
-//! driver.
+//! The measurement strategy — what is asserted deterministic, and how the
+//! recall–distance frontier is read — is documented in `ARCHITECTURE.md`
+//! (§ Measurement strategy) and `EXPERIMENTS.md` at the repository root;
+//! `pg_paper`'s "Fact 2.1 at every beam width" row in `pg_bench` is the
+//! standard-workload driver.
 //!
 //! # Example: score an index against brute force
 //!

@@ -1,11 +1,13 @@
 //! The quality–cost frontier driver: walk a parameter axis through batched
 //! searches and score every point against exact ground truth.
 //!
-//! A recall/QPS *frontier* is the methodology of the empirical
+//! A quality–cost *frontier* is the methodology of the empirical
 //! proximity-graph literature (FCPG, the monotonic-PG study, and every
 //! ANN-benchmarks plot): one index traces a curve by sweeping its search
 //! effort knob, and indexes are compared curve-against-curve, never at a
-//! single arbitrary operating point. [`FrontierSweep`] drives two axes:
+//! single arbitrary operating point. The cost axis here is distance
+//! computations per query, the paper's cost model; wall clock belongs to
+//! the `pg_ladder` benchmark. [`FrontierSweep`] drives two axes:
 //!
 //! * **beam width `ef`** ([`FrontierSweep::run`]) — the practical knob,
 //!   swept through any [`SweepSearch`] adapter (graph indexes route through
@@ -14,16 +16,13 @@
 //!   the *paper's* knob: the budgeted `query(p_start, q, Q)` of Section
 //!   1.1, swept through [`QueryEngine::batch_query`].
 //!
-//! Every frontier point separates its **deterministic** fields — the
-//! [`Score`]: recall, mean distance ratio, success@ε, distance comps, hops
-//! — from the one wall-clock field (`qps`). Scores are pure functions of
-//! `(index, data, queries, axis value)` and therefore identical at every
-//! thread count (the adapters and the engine guarantee order-preserving,
-//! walk-identical parallelism); the evaluation harness exploits exactly
-//! this split to assert thread-count invariance of everything it reports
-//! before timing anything.
-
-use std::time::Instant;
+//! Every frontier point is its axis value and a [`Score`]: recall, mean
+//! distance ratio, success@ε, distance comps, hops. No clock is read.
+//! Scores are pure functions of `(index, data, queries, axis value)` and
+//! therefore identical at every thread count (the adapters and the engine
+//! guarantee order-preserving, walk-identical parallelism), so a frontier
+//! printed at one pool size can be compared byte for byte with one
+//! printed at another.
 
 use pg_baselines::SweepSearch;
 use pg_core::{BeamOutcome, QueryEngine};
@@ -32,11 +31,10 @@ use pg_metric::{Dataset, Metric};
 use crate::metrics::{mean_distance_ratio, recall_at_k, success_at_eps};
 use crate::truth::GroundTruth;
 
-/// The deterministic half of a frontier point: every quality/cost metric,
-/// none of the wall clock. `PartialEq` so thread-count invariance is a
-/// plain equality assertion (all fields are exact means of exact per-query
-/// values — no wall-clock noise, no accumulation-order ambiguity: the
-/// summation order over queries is fixed by input order).
+/// The score of a frontier point: every quality/cost metric. `PartialEq`
+/// so thread-count invariance is a plain equality assertion (all fields
+/// are exact means of exact per-query values — no accumulation-order
+/// ambiguity: the summation order over queries is fixed by input order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Score {
     /// Mean recall@k over the query set (see
@@ -55,17 +53,13 @@ pub struct Score {
     pub hops: f64,
 }
 
-/// One point of a quality–cost frontier: the axis value, the deterministic
-/// [`Score`], and the measured throughput.
+/// One point of a quality–cost frontier: the axis value and its [`Score`].
 #[derive(Debug, Clone)]
 pub struct FrontierPoint {
     /// The swept parameter value (`ef`, or the greedy budget).
     pub param: f64,
-    /// The deterministic quality/cost metrics at this parameter.
+    /// The quality/cost metrics at this parameter.
     pub score: Score,
-    /// Queries per second of the timed batch (wall clock; the only
-    /// non-deterministic field).
-    pub qps: f64,
 }
 
 /// The ε of the success@ε column.
@@ -94,7 +88,7 @@ impl FrontierSweep {
     }
 
     /// Scores a batch of per-query outcomes against ground truth (no
-    /// search, no timing — pure arithmetic).
+    /// search — pure arithmetic).
     pub fn score_outcomes(&self, truth: &GroundTruth, outcomes: &[BeamOutcome]) -> Score {
         assert_eq!(
             outcomes.len(),
@@ -128,10 +122,7 @@ impl FrontierSweep {
         }
     }
 
-    /// Runs one axis point without timing: batch-search at `ef`, score the
-    /// outcomes. This is the deterministic core — the invariance-checking
-    /// harness calls it under different thread pools and asserts the
-    /// returned [`Score`]s are identical.
+    /// Runs one axis point: batch-search at `ef`, score the outcomes.
     pub fn score_at<P, M, I>(
         &self,
         index: &I,
@@ -149,9 +140,10 @@ impl FrontierSweep {
         self.score_outcomes(truth, &outcomes)
     }
 
-    /// Walks the `ef` axis: at each value, one timed
-    /// [`SweepSearch::search_batch`] call scored against `truth`. Returns
-    /// one [`FrontierPoint`] per `ef`, in axis order.
+    /// Walks the `ef` axis: at each value, one
+    /// [`SweepSearch::search_batch`] call scored against `truth`
+    /// ([`FrontierSweep::score_at`]). Returns one [`FrontierPoint`] per
+    /// `ef`, in axis order.
     pub fn run<P, M, I>(
         &self,
         index: &I,
@@ -166,22 +158,15 @@ impl FrontierSweep {
     {
         self.ef_values
             .iter()
-            .map(|&ef| {
-                // pg-lint: allow(no-nondeterminism, wall-clock feeds the advisory qps field only, never a Score)
-                let t0 = Instant::now();
-                let outcomes = index.search_batch(data, queries, ef, self.k);
-                let secs = t0.elapsed().as_secs_f64();
-                FrontierPoint {
-                    param: ef as f64,
-                    score: self.score_outcomes(truth, &outcomes),
-                    qps: queries.len() as f64 / secs.max(1e-12),
-                }
+            .map(|&ef| FrontierPoint {
+                param: ef as f64,
+                score: self.score_at(index, data, queries, truth, ef),
             })
             .collect()
     }
 
     /// Walks the **greedy budget** axis of the paper's Section 1.1 `query`:
-    /// at each budget `Q`, one timed [`QueryEngine::batch_query`] call.
+    /// at each budget `Q`, one [`QueryEngine::batch_query`] call.
     /// This frontier is scored at `k = 1` regardless of the sweep's `k`
     /// (greedy returns a single vertex); ground truth of any `k >= 1` works
     /// because only the nearest-neighbor distance is consulted. Hops are
@@ -201,10 +186,7 @@ impl FrontierSweep {
         budgets
             .iter()
             .map(|&budget| {
-                // pg-lint: allow(no-nondeterminism, wall-clock feeds the advisory qps field only, never a Score)
-                let t0 = Instant::now();
                 let batch = engine.batch_query(starts, queries, budget);
-                let secs = t0.elapsed().as_secs_f64();
                 let mut recall = 0.0;
                 let mut ratio = 0.0;
                 let mut success = 0.0;
@@ -231,7 +213,6 @@ impl FrontierSweep {
                         dist_comps: batch.dist_comps as f64 / m,
                         hops: hops / m,
                     },
-                    qps: m / secs.max(1e-12),
                 }
             })
             .collect()

@@ -1,6 +1,7 @@
 //! Property tests for the evaluation subsystem, pinning the two
-//! self-check invariants the `exp_recall` harness asserts before trusting
-//! any sweep:
+//! self-check invariants `pg_paper`'s frontier row relies on (it checks
+//! the first at its own sizes; CI's `cmp` across pool sizes holds the
+//! second for every number it prints):
 //!
 //! 1. a frontier swept with the brute-force "algorithm" scores recall@k
 //!    **exactly** 1.0 (and mean distance ratio exactly 1.0) at every axis
@@ -136,7 +137,7 @@ proptest! {
 
 /// Non-property regression: scoring through a `Counting`-wrapped dataset
 /// leaves the counter consistent with the reported per-query costs (the
-/// `exp_shard` build frontier relies on this).
+/// sharded build table of `pg_paper` relies on this).
 #[test]
 fn counting_metric_agrees_with_reported_dist_comps() {
     use pg_metric::Counting;

@@ -184,8 +184,8 @@ impl RetryingClient {
     }
 
     /// Total retries performed over this client's lifetime (attempts
-    /// beyond the first, across all operations) — how tests and
-    /// `exp_serve` observe that recovery actually exercised the loop.
+    /// beyond the first, across all operations) — how tests observe
+    /// that recovery actually exercised the loop.
     pub fn retries(&self) -> u64 {
         self.retries
     }

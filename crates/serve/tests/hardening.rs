@@ -4,7 +4,10 @@
 //!
 //! * **Load shedding** — a full (here: zero-capacity) batcher queue
 //!   refuses queries with an `Overloaded` error frame on a connection
-//!   that stays open, and non-query requests keep working.
+//!   that stays open, and non-query requests keep working; a retrying
+//!   client spends its whole budget against it and returns the typed
+//!   error, and a burst of retrying clients against a queue of one rides
+//!   its shedding out with every request answered.
 //! * **Slow-peer disconnect** — a peer that stops reading responses is
 //!   disconnected once a response write blocks past
 //!   [`ServeConfig::write_timeout`], freeing its handler thread; the
@@ -14,10 +17,10 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use pg_serve::client::Client;
+use pg_serve::client::{Client, RetryPolicy, RetryingClient};
 use pg_serve::error::{ErrorCode, ServeError};
 use pg_serve::protocol::{encode_request, Request};
 use pg_serve::registry::IndexRegistry;
@@ -38,7 +41,9 @@ fn bind(config: ServeConfig) -> Server {
 /// `max_queue: 0` is deterministic lame-duck mode: every batched query is
 /// shed with an `Overloaded` error frame — a typed, retryable refusal on a
 /// connection that keeps serving — while pings, listings, and the
-/// unbatched path are unaffected.
+/// unbatched path are unaffected. A retrying client classifies the
+/// refusal as transient, spends its whole retry budget, and returns the
+/// typed error.
 #[test]
 fn zero_capacity_queue_sheds_queries_with_overloaded_frames() {
     let server = bind(ServeConfig {
@@ -68,6 +73,33 @@ fn zero_capacity_queue_sheds_queries_with_overloaded_frames() {
     assert_eq!(stats.shed, 5, "every refused query is counted");
     assert_eq!(stats.requests, 0, "shed queries never reach a dispatch");
 
+    let policy = RetryPolicy {
+        max_retries: 3,
+        backoff_start: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(4),
+    };
+    let mut retrying = RetryingClient::connect(server.local_addr(), policy).unwrap();
+    let err = retrying
+        .query("main", q, EF, K)
+        .expect_err("a lame-duck server never stops shedding");
+    assert!(
+        matches!(
+            err,
+            ServeError::Remote {
+                code: ErrorCode::Overloaded,
+                ..
+            }
+        ),
+        "the last refusal surfaces typed, got {err:?}"
+    );
+    assert!(err.is_retryable());
+    assert_eq!(retrying.retries(), u64::from(policy.max_retries));
+    assert_eq!(
+        server.stats().shed,
+        5 + 1 + u64::from(policy.max_retries),
+        "the first attempt and every retry are shed"
+    );
+
     // The unbatched path has no queue and must ignore `max_queue`.
     let direct = bind(ServeConfig {
         batching: false,
@@ -79,6 +111,53 @@ fn zero_capacity_queue_sheds_queries_with_overloaded_frames() {
         .query("main", q, EF, K)
         .expect("the unbatched path has no queue to overflow");
     assert_eq!(reply.results.len(), K as usize);
+}
+
+/// A burst of retrying clients, started together, against one search slot
+/// per core and a queue of one: most arrivals find both full and are shed,
+/// yet every request is answered once its retries ride the burst out. How
+/// many are shed depends on timing, so only the accounting is exact. The
+/// clients are bounded (`min(4 · cores, 64)`) so the test starts a modest
+/// number of threads on any machine.
+#[test]
+fn a_burst_of_retrying_clients_rides_out_a_one_deep_queue() {
+    let server = bind(ServeConfig {
+        max_queue: 1,
+        ..ServeConfig::default()
+    });
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let clients = (4 * cores).min(64);
+    let policy = RetryPolicy {
+        max_retries: 16,
+        backoff_start: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(8),
+    };
+    let queries = Arc::new(common::queries(64, 5));
+    let start = Arc::new(Barrier::new(clients));
+    let workers: Vec<_> = (0..clients)
+        .map(|_| {
+            let (queries, start) = (Arc::clone(&queries), Arc::clone(&start));
+            let addr = server.local_addr();
+            std::thread::spawn(move || {
+                let mut client = RetryingClient::connect(addr, policy).unwrap();
+                client.ping().expect("connect before the burst");
+                start.wait();
+                // A beam as wide as the index holds its slot long enough
+                // for arrivals to pile up behind it.
+                for q in queries.iter() {
+                    let reply = client
+                        .query("main", q, 160, K)
+                        .expect("a burst query must eventually succeed");
+                    assert_eq!(reply.results.len(), K as usize);
+                }
+                client.retries()
+            })
+        })
+        .collect();
+    let retries: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+    let stats = server.stats();
+    assert_eq!(stats.requests, (clients * queries.len()) as u64);
+    assert_eq!(stats.shed, retries, "each shed attempt costs one retry");
 }
 
 /// A peer that pipelines requests but never reads responses eventually

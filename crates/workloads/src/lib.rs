@@ -278,7 +278,7 @@ pub fn standard_suite_flat(n: usize, seed: u64) -> Vec<(&'static str, FlatPoints
 /// (`σ = 0.5`, the embedding-retrieval query model) drawn with a seed
 /// derived from `seed`, so `(name, points, queries)` triples are fully
 /// reproducible from `(n, m, seed)` alone. This is what quality sweeps
-/// (`pg_eval`, the `exp_recall` binary) iterate.
+/// (`pg_eval`, `pg_paper`'s frontier row) iterate.
 pub fn eval_suite_flat(
     n: usize,
     m: usize,

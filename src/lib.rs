@@ -17,7 +17,7 @@
 //! | [`hardness`] | the executable lower-bound instances of Theorem 1.2 (Sections 3–4) with adversarial verifiers |
 //! | [`workloads`] | seeded dataset and query generators |
 //! | [`store`] | versioned on-disk index snapshots (`QueryEngine::save`/`load` live in [`core::snapshot`]) |
-//! | [`eval`] | the self-scoring layer: exact brute-force ground truth, recall/quality metrics, recall-vs-QPS frontier sweeps |
+//! | [`eval`] | the self-scoring layer: exact brute-force ground truth, recall/quality metrics, recall-vs-distance frontier sweeps |
 //! | [`serve`] | the online serving layer: TCP server with a length-prefixed checksummed protocol, bounded per-core query dispatch, multi-index registry with zero-drop snapshot hot-swap |
 //!
 //! The architecture — crate dependency diagram, flat-storage design,
@@ -127,7 +127,7 @@
 //! ```
 
 //!
-//! ## Scoring quality: recall–QPS frontiers
+//! ## Scoring quality: recall–distance frontiers
 //!
 //! Speed without recall is meaningless — a regression that returns the
 //! wrong neighbors faster would read as a win on a pure throughput
@@ -160,7 +160,9 @@
 //! assert!(reference.iter().all(|p| p.score.recall == 1.0));
 //! ```
 //!
-//! The standard-workload driver is `exp_recall` (`pg_bench`); the
+//! Every point is a count or a ratio of counts (no clock), so a frontier
+//! is the same at every pool size. The standard-workload driver is
+//! `pg_paper`'s "Fact 2.1 at every beam width" row (`pg_bench`); the
 //! experiments handbook `EXPERIMENTS.md` at the repository root explains
 //! how to read the frontier tables and the `BENCH_<label>.json` artifact.
 //!
@@ -200,9 +202,8 @@
 //! Responses are **bit-identical** to calling
 //! [`QueryEngine::batch_beam_detailed`](core::QueryEngine::batch_beam_detailed)
 //! directly — answered alone or in a group, at any thread count — pinned by
-//! `crates/serve/tests/equivalence.rs`. The load-generator experiment is
-//! `exp_serve` (`pg_bench`), which asserts that equivalence before timing
-//! anything.
+//! `crates/serve/tests/equivalence.rs`. The closed-loop load sweep is
+//! `exp_serve` (`pg_bench`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
