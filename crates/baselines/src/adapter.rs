@@ -5,9 +5,9 @@
 //!
 //! The three shapes an ANN index takes in this workspace are:
 //!
-//! * **a plain [`Graph`]** routed by [`pg_core::beam_search`] — `G_net`,
-//!   θ-graphs, the merged graph, Vamana, NSW, slow-preprocessing DiskANN
-//!   ([`GraphIndex`] wraps any of them);
+//! * **a plain [`Graph`]** routed by [`pg_core::beam_search_detailed`] —
+//!   `G_net`, θ-graphs, the merged graph, Vamana, NSW, slow-preprocessing
+//!   DiskANN ([`GraphIndex`] wraps any of them);
 //! * **a layered structure with its own search** — [`Hnsw`](crate::Hnsw);
 //! * **no index at all** — exact brute force ([`BruteIndex`]), the
 //!   recall-1.0 reference every frontier is scored against.
@@ -90,7 +90,7 @@ pub trait SweepSearch<P: Sync, M: Metric<P> + Sync>: Sync {
 
 /// Adapter for any plain [`Graph`] index (`G_net`, θ-graph, merged graph,
 /// Vamana, NSW, slow-preprocessing DiskANN): routes queries with
-/// [`pg_core::beam_search`] from vertex `0` (beam search is
+/// [`pg_core::beam_search_detailed`] from vertex `0` (beam search is
 /// start-sensitive; one fixed entry keeps sweeps reproducible), batching
 /// via the default order-preserving parallel map. The graph must have been
 /// built over the dataset passed to the search methods (the same implicit
@@ -225,27 +225,14 @@ mod tests {
     }
 
     #[test]
-    fn hnsw_adapter_agrees_with_plain_search_and_counts_expansions() {
-        let ds = random_dataset(300, 5);
-        let h = Hnsw::build(&ds, HnswParams::default());
-        for q in random_queries(12, 6) {
-            let (res, comps) = h.search(&ds, &q, 24, 3);
-            let out = SweepSearch::<FlatRow, Euclidean>::search_one(&h, &ds, &q, 24, 3);
-            assert_eq!(out.results, res);
-            assert_eq!(out.dist_comps, comps);
-            assert!(out.expansions >= 1);
-            assert!(out.expansions <= out.dist_comps);
-        }
-    }
-
-    #[test]
     fn every_graph_family_is_sweepable_through_the_one_trait() {
         let ds = random_dataset(150, 7);
         let queries = random_queries(8, 8);
-        let indexes: Vec<GraphIndex> = vec![
-            GraphIndex::new(GNet::build(&ds, 1.0).graph),
-            GraphIndex::new(vamana(&ds, VamanaParams::default())),
-            GraphIndex::new(nsw(&ds, NswParams::default())),
+        let indexes: Vec<Box<dyn SweepSearch<FlatRow, Euclidean>>> = vec![
+            Box::new(GraphIndex::new(GNet::build(&ds, 1.0).graph)),
+            Box::new(GraphIndex::new(vamana(&ds, VamanaParams::default()))),
+            Box::new(GraphIndex::new(nsw(&ds, NswParams::default()))),
+            Box::new(Hnsw::build(&ds, HnswParams::default())),
         ];
         for index in &indexes {
             let batch = index.search_batch(&ds, &queries, 16, 2);
@@ -253,7 +240,10 @@ mod tests {
             for out in &batch {
                 assert_eq!(out.results.len(), 2);
                 assert!(out.results[0].1 <= out.results[1].1);
-                assert!(out.dist_comps >= 1);
+                // Every walk expands its entry, and every vertex it expands
+                // it scored.
+                assert!(out.expansions >= 1);
+                assert!(out.expansions <= out.dist_comps);
             }
         }
     }

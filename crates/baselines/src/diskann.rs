@@ -285,7 +285,7 @@ mod tests {
         for _ in 0..trials {
             let q: FlatRow = vec![rng.random_range(0.0..30.0), rng.random_range(0.0..30.0)].into();
             let (exact, _) = ds.nearest_brute(&q);
-            let (res, _) = pg_core::beam_search(&g, &ds, 0, &q, 32, 1);
+            let res = pg_core::beam_search_detailed(&g, &ds, 0, &q, 32, 1).results;
             if res[0].0 as usize == exact {
                 hits += 1;
             }

@@ -93,9 +93,14 @@ impl Hnsw {
 
     /// Searches for the `k` nearest neighbors of `q`.
     ///
-    /// Standard two-phase HNSW search: a greedy (`ef = 1`) descent through
-    /// every layer above the ground layer, then one `SEARCH-LAYER` beam on
-    /// layer 0.
+    /// Standard two-phase HNSW search: a greedy descent through every layer
+    /// above the ground layer, then one `SEARCH-LAYER` beam on layer 0. Each
+    /// layer is one [`beam_walk`] entered at the best vertex of the layer
+    /// above. Above the ground the width is 1: `SEARCH-LAYER` with
+    /// `ef = 1` is the greedy step of \[22\], moving to the nearest
+    /// neighbour of the row it scans (the first in row order among equals)
+    /// while that one is strictly closer. It passes over a vertex it scored
+    /// before, which can never be strictly closer.
     ///
     /// **`ef` semantics.** `ef` is the ground-layer beam width — the size of
     /// the best-candidates set the beam maintains, *not* the result count.
@@ -107,36 +112,22 @@ impl Hnsw {
     /// **Ordering and tie-breaking.** Results are ascending by true
     /// distance with ties broken by smaller id — the same `(dist, id)`
     /// order as [`pg_metric::Dataset::k_nearest_brute`] and
-    /// [`pg_core::beam_search`], so result lists are directly comparable
-    /// across index families and against brute-force ground truth. The
-    /// shared walk ([`beam_walk`]) keeps its one candidate array in the same
+    /// [`pg_core::beam_search_detailed`], so result lists are directly
+    /// comparable across index families and against brute-force ground
+    /// truth. The shared walk keeps its one candidate array in the same
     /// `(dist, id)` order and admits a candidate to a full beam only when it
     /// is strictly closer than the worst kept, so the whole search is
     /// deterministic: which of several equal-distance candidates at the
     /// beam boundary stays depends on the order they were scored in, never
     /// on a heap's layout.
     ///
-    /// Returns results and the distance-computation count (when `data`'s
-    /// metric is wrapped in `Counting`, both agree). [`Hnsw::search_detailed`]
-    /// additionally reports the expansion count.
-    pub fn search<P, M: Metric<P>>(
-        &self,
-        data: &Dataset<P, M>,
-        q: &P,
-        ef: usize,
-        k: usize,
-    ) -> (Vec<(u32, f64)>, u64) {
-        let out = self.search_detailed(data, q, ef, k);
-        (out.results, out.dist_comps)
-    }
-
-    /// [`Hnsw::search`] with full per-query accounting: identical results
-    /// and `dist_comps` (the plain method delegates here), plus the number
-    /// of expanded vertices — every greedy step of the descent phase and
-    /// every ground-layer vertex whose neighbor list the beam scanned. This
-    /// is the [`BeamOutcome`] detail the evaluation layer (`pg_eval`)
-    /// scores, making HNSW sweepable through the same
-    /// [`SweepSearch`](crate::SweepSearch) interface as the graph indexes.
+    /// Returns the results, the distance-computation count (when `data`'s
+    /// metric is wrapped in `Counting`, both agree) and the expanded
+    /// vertices — every vertex the descent stood on and every ground-layer
+    /// vertex whose neighbor list the beam scanned. This is the
+    /// [`BeamOutcome`] the evaluation layer (`pg_eval`) scores, making HNSW
+    /// sweepable through the same [`SweepSearch`](crate::SweepSearch)
+    /// interface as the graph indexes.
     pub fn search_detailed<P, M: Metric<P>>(
         &self,
         data: &Dataset<P, M>,
@@ -144,20 +135,20 @@ impl Hnsw {
         ef: usize,
         k: usize,
     ) -> BeamOutcome {
-        let mut comps: u64 = 0;
-        let mut expansions: u64 = 0;
-        let mut cur = self.entry;
-        for lvl in (1..self.layers.len()).rev() {
-            cur = greedy_layer(data, &self.layers[lvl], cur, q, &mut comps, |_| {
-                expansions += 1
-            });
+        let (mut dist_comps, mut expansions) = (0, 0);
+        let (mut entry, mut results) = (self.entry, Vec::new());
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let width = if l == 0 { ef.max(k) } else { 1 };
+            let walk = search_layer(data, layer, &[entry], q, width);
+            dist_comps += walk.dist_comps;
+            expansions += walk.expansions;
+            (entry, results) = (walk.results[0].0, walk.results);
         }
-        let mut found = search_layer(data, &self.layers[0], &[cur], q, ef.max(k));
-        found.results.truncate(k);
+        results.truncate(k);
         BeamOutcome {
-            results: found.results,
-            dist_comps: comps + found.dist_comps,
-            expansions: expansions + found.expansions,
+            results,
+            dist_comps,
+            expansions,
         }
     }
 
@@ -326,9 +317,11 @@ impl Plan {
     }
 }
 
-/// Plans the insertion of `p` from `top`: the greedy descent through the
-/// layers above `p`'s level, then on each layer it joins, from the top
-/// down, an `ef_construction`-wide beam and the neighbour selection.
+/// Plans the insertion of `p` from `top`: on every layer from the top
+/// down, one [`beam_walk`] entered at what the layer above found — width 1
+/// on the layers above `p`'s level (the greedy descent, as in
+/// [`Hnsw::search_detailed`]), `ef_construction` plus the neighbour
+/// selection on each layer `p` joins.
 fn plan<P, M: Metric<P>>(
     data: &Dataset<P, M>,
     layers: &[BuildLayer],
@@ -339,15 +332,10 @@ fn plan<P, M: Metric<P>>(
 ) -> Plan {
     let q = data.point(p);
     let read = RefCell::new(Vec::new());
-    let mut cur = top.entry;
-    for l in (levels[p] + 1..=top.level).rev() {
-        cur = greedy_layer(data, &layers[l].ids, cur, q, &mut 0, |v| {
-            read.borrow_mut().push((l, v))
-        });
-    }
     let mut picks = vec![Vec::new(); levels[p].min(top.level) + 1];
-    let mut eps = vec![cur];
-    for l in (0..picks.len()).rev() {
+    let mut eps = vec![top.entry];
+    for l in (0..=top.level).rev() {
+        let joins = l < picks.len();
         let ids = &layers[l].ids;
         let rows = |v: u32| {
             read.borrow_mut().push((l, v));
@@ -356,7 +344,7 @@ fn plan<P, M: Metric<P>>(
         let found: Vec<Entry> = beam_walk(
             data.len(),
             &eps,
-            params.ef_construction,
+            if joins { params.ef_construction } else { 1 },
             rows,
             point_score(data, |v| data.dist_to(v as usize, q)),
         )
@@ -368,11 +356,13 @@ fn plan<P, M: Metric<P>>(
             diverse: false,
         })
         .collect();
-        picks[l] = if params.heuristic {
-            select_heuristic(data, p, &found, params.m)
-        } else {
-            found.iter().take(params.m).copied().collect()
-        };
+        if joins {
+            picks[l] = if params.heuristic {
+                select_heuristic(data, p, &found, params.m)
+            } else {
+                found.iter().take(params.m).copied().collect()
+            };
+        }
         eps = found.iter().map(|e| e.id).collect();
     }
     Plan {
@@ -479,38 +469,6 @@ struct Helper<'a> {
 impl Drop for Helper<'_> {
     fn drop(&mut self) {
         self.jobs.put(None, &self.thread);
-    }
-}
-
-/// Greedy hill descent on one layer (ef = 1), with full accounting:
-/// `expand` is called with every vertex whose neighbour list the walk scans
-/// (one per vertex it stands on, the layered analogue of a graph-walk hop).
-fn greedy_layer<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    layer: &[Vec<u32>],
-    start: u32,
-    q: &P,
-    comps: &mut u64,
-    mut expand: impl FnMut(u32),
-) -> u32 {
-    let mut cur = start;
-    *comps += 1;
-    let mut d_cur = data.dist_to(cur as usize, q);
-    loop {
-        let mut improved = false;
-        expand(cur);
-        for &nb in &layer[cur as usize] {
-            *comps += 1;
-            let d = data.dist_to(nb as usize, q);
-            if d < d_cur {
-                cur = nb;
-                d_cur = d;
-                improved = true;
-            }
-        }
-        if !improved {
-            return cur;
-        }
     }
 }
 
@@ -725,7 +683,7 @@ mod tests {
             let mut cur = entry;
             let mut lvl = entry_level;
             while lvl > p_level {
-                cur = greedy_layer(data, &layers[lvl], cur, q, &mut 0, |_| {});
+                cur = search_layer(data, &layers[lvl], &[cur], q, 1).results[0].0;
                 lvl -= 1;
             }
             let mut eps = vec![cur];
@@ -899,7 +857,7 @@ mod tests {
     #[test]
     fn re_pruning_recomputes_no_distance_the_build_already_has() {
         // Pinned, so that a change which brings recomputation back fails
-        // here by name: 1 128 distances per point → 755, same index. The
+        // here by name: 1 121 distances per point → 748, same index. The
         // one-thread build is the one pinned: on two threads the plans a
         // helper made ahead and the build discarded add their distances,
         // a total as deterministic as the index but not thread-invariant.
@@ -914,7 +872,7 @@ mod tests {
         assert_eq!(two.layers, want.layers);
         assert_eq!(
             (recomputing, cached, two_threads),
-            (1_128_011, 754_723, 933_044)
+            (1_120_887, 747_599, 923_277)
         );
         assert!(cached < recomputing);
         assert!(two_threads >= cached);
@@ -930,7 +888,7 @@ mod tests {
         for _ in 0..trials {
             let q: FlatRow = vec![rng.random_range(0.0..30.0), rng.random_range(0.0..30.0)].into();
             let (exact, _) = ds.nearest_brute(&q);
-            let (res, _) = h.search(&ds, &q, 48, 1);
+            let res = h.search_detailed(&ds, &q, 48, 1).results;
             if res[0].0 as usize == exact {
                 hits += 1;
             }
@@ -943,7 +901,7 @@ mod tests {
         let ds = random_dataset(300, 3, 2);
         let h = Hnsw::build(&ds, HnswParams::default());
         let q: FlatRow = vec![10.0, 10.0, 10.0].into();
-        let (res, _) = h.search(&ds, &q, 64, 5);
+        let res = h.search_detailed(&ds, &q, 64, 5).results;
         assert_eq!(res.len(), 5);
         assert!(res.windows(2).all(|w| w[0].1 <= w[1].1));
         let brute = ds.k_nearest_brute(&q, 5);
@@ -962,7 +920,7 @@ mod tests {
         let h = Hnsw::build(&counted, HnswParams::default());
         counted.metric().reset();
         let q: FlatRow = vec![15.0, 15.0].into();
-        let (_, reported) = h.search(&counted, &q, 32, 1);
+        let reported = h.search_detailed(&counted, &q, 32, 1).dist_comps;
         let actual = counted.metric().count();
         assert_eq!(reported, actual, "distance accounting must be exact");
         assert!(
@@ -1128,7 +1086,7 @@ mod tests {
         for _ in 0..30 {
             let q: FlatRow = vec![rng.random_range(0.0..30.0), rng.random_range(0.0..30.0)].into();
             let (exact, _) = ds.nearest_brute(&q);
-            let (res, _) = h.search(&ds, &q, 48, 1);
+            let res = h.search_detailed(&ds, &q, 48, 1).results;
             if res[0].0 as usize == exact {
                 hits += 1;
             }

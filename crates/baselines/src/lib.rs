@@ -8,8 +8,11 @@
 //!   (random graph + two α-robust-prune passes) used by DiskANN in practice;
 //! * [`mod@hnsw`] — Hierarchical Navigable Small World graphs \[22\], the dominant
 //!   practical proximity-graph index;
-//! * [`mod@nsw`] — the flat small-world predecessor \[21\];
-//! * [`mod@brute`] — exact brute-force search, the recall ground truth.
+//! * [`mod@nsw`] — the flat small-world predecessor \[21\].
+//!
+//! Exact brute force, the recall ground truth, is
+//! [`Dataset::nearest_brute`] and [`Dataset::k_nearest_brute`] on the
+//! dataset itself, and [`BruteIndex`] behind the sweep interface.
 //!
 //! All constructions emit [`pg_core::Graph`]s (HNSW additionally keeps its
 //! layer stack), so the comparison experiments can route queries through the
@@ -26,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adapter;
-pub mod brute;
 pub mod diskann;
 pub mod hnsw;
 pub mod nsw;
@@ -61,7 +63,6 @@ pub(crate) fn label_dists<P: Sync, M: Metric<P> + Sync>(
 }
 
 pub use adapter::{BruteIndex, GraphIndex, SweepSearch};
-pub use brute::brute_force_nn;
 pub use diskann::{slow_preprocessing, vamana, VamanaParams};
 pub use hnsw::{Hnsw, HnswParams};
 pub use nsw::{nsw, NswParams};

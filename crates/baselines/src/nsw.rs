@@ -6,10 +6,10 @@
 //! # Searching an NSW graph
 //!
 //! [`nsw`] returns a plain [`Graph`], so queries route through the shared
-//! [`pg_core::beam_search`] (or, behind the uniform sweep interface,
-//! [`GraphIndex`](crate::GraphIndex)). The `ef` and tie-breaking semantics
-//! are therefore exactly those documented on `beam_search`: effective beam
-//! width `ef.max(k)` is *not* applied here — `beam_search` keeps `ef` as
+//! [`pg_core::beam_search_detailed`] (or, behind the uniform sweep
+//! interface, [`GraphIndex`](crate::GraphIndex)). The `ef` and tie-breaking
+//! semantics are therefore exactly those documented there: effective beam
+//! width `ef.max(k)` is *not* applied here — the search keeps `ef` as
 //! given and truncates to `k` at the end — and all orderings break distance
 //! ties by smaller id, identically to brute force. The construction-time
 //! beam is the same [`pg_core::beam_walk`] (scored by true distance over the
@@ -101,7 +101,7 @@ mod tests {
         for _ in 0..trials {
             let q: FlatRow = vec![rng.random_range(0.0..30.0), rng.random_range(0.0..30.0)].into();
             let (exact, _) = ds.nearest_brute(&q);
-            let (res, _) = pg_core::beam_search(&g, &ds, 0, &q, 32, 1);
+            let res = pg_core::beam_search_detailed(&g, &ds, 0, &q, 32, 1).results;
             if res[0].0 as usize == exact {
                 hits += 1;
             }

@@ -22,6 +22,7 @@ use pg_core::{
     check_navigable, gnet_edges_with_phi, greedy, BuildPhase, ConeSet, GNet, GNetParams, Graph,
     MergedGraph, MergedParams, QueryEngine, ShardAssignment, ShardedEngine, ThetaGraph,
 };
+use pg_eval::sweep::greedy_budget_frontier;
 use pg_eval::{success_at_eps, FrontierSweep, GroundTruth, Score};
 use pg_hardness::{BlockInstance, TreeInstance};
 use pg_metric::{Counting, Dataset, Euclidean, FlatPoints, FlatRow, Metric};
@@ -351,6 +352,15 @@ type DynIndex = Box<dyn SweepSearch<FlatRow, Euclidean>>;
 /// the standard suite, scored against exact ground truth, plus `G_net`'s
 /// frontier over the paper's own axis, the greedy budget of §1.1's `query`.
 /// Brute force is the exact reference line.
+///
+/// The succ@1 check holds for any finished beam, descent or not, so no
+/// input can turn it red when the descent is dropped. A finished beam has
+/// expanded its top-1 `t`, and a neighbour `u` strictly closer to the query
+/// has `0 < D(t, u) < 2 D(t, q)`, inside the annulus that expansion scanned
+/// (its bound `w` is at least `D(t, q)`): `u` was scored, would have stayed
+/// above `t`, and so does not exist. `t` is a local minimum, a `(1+ε)`-ANN
+/// by Fact 2.1 from any entry. What pins the descent is `pg_core`'s
+/// `search::tests` and `proptest_invariants::banded_gnet_walks_are_bit_identical_to_stripped_ones`.
 fn beam_frontier(size: Size) -> Vec<Check> {
     let (n, m, k) = size.pick((300, 32, 5), (1200, 80, 10), (4000, 200, 10));
     // The axis starts below k: a beam narrower than k cannot return k
@@ -413,8 +423,7 @@ fn beam_frontier(size: Size) -> Vec<Check> {
         // The paper's axis; only the nearest distance of the truth is read.
         let starts: Vec<u32> = (0..queries.len()).map(|i| spread_start(i, n)).collect();
         let engine = QueryEngine::new(gnet.graph, data);
-        let frontier = FrontierSweep::new(1, vec![1])
-            .run_greedy_budget(&engine, &starts, &queries, &truth, &budgets);
+        let frontier = greedy_budget_frontier(&engine, &starts, &queries, &truth, &budgets);
         println!("\nGreedy budget frontier (the §1.1 `query(p, q, Q)` axis, k = 1):\n");
         let mut t = table("algo | budget | recall@1 | ratio | succ@1 | dists/q | hops/q");
         for p in frontier {

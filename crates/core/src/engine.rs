@@ -6,9 +6,9 @@
 //! [`Graph`] and its [`Dataset`] and shards query batches across a thread
 //! pool (`crates/compat/rayon`), while returning results in **input order,
 //! identical to the sequential routines** ([`greedy`](crate::search::greedy),
-//! [`query`], [`beam_search`](crate::search::beam_search)): the routing walk for
-//! one query never depends on any other query, so parallelism cannot change
-//! an answer, only the wall clock.
+//! [`query`], [`beam_search_detailed`]): the routing walk for one query
+//! never depends on any other query, so parallelism cannot change an
+//! answer, only the wall clock.
 //!
 //! Distance accounting stays sound under parallelism on both levels: each
 //! outcome carries its own `dist_comps`, and the [`Counting`] metric wrapper
@@ -29,7 +29,7 @@
 //! become visible when writing code generic over `P`/`M`, where they must
 //! be propagated (this is the PR-2 API change the sequential seed didn't
 //! need). The sequential entry points ([`greedy`](crate::search::greedy),
-//! [`query`], [`beam_search`](crate::search::beam_search)) remain bound-free.
+//! [`query`], [`beam_search_detailed`]) remain bound-free.
 //! [`ShardedEngine::build`](crate::sharded::ShardedEngine::build) and
 //! [`load`](crate::sharded::ShardedEngine::load) also require `M: Send`:
 //! their pool workers hand back whole per-shard engines, which own a clone
@@ -357,7 +357,6 @@ mod tests {
 
     #[test]
     fn batch_beam_matches_sequential_and_orders_results() {
-        use crate::search::beam_search;
         let ds = random_dataset(180, 5);
         let pg = GNet::build(&ds, 1.0);
         let queries = random_queries(30, 6);
@@ -366,9 +365,9 @@ mod tests {
         let batch = engine.batch_beam_detailed(&starts, &queries, 16, 4);
         let mut comps_total = 0u64;
         for (i, q) in queries.iter().enumerate() {
-            let (solo, c) = beam_search(&pg.graph, &ds, starts[i], q, 16, 4);
-            assert_eq!(batch.outcomes[i].results, solo);
-            comps_total += c;
+            let solo = beam_search_detailed(&pg.graph, &ds, starts[i], q, 16, 4);
+            assert_eq!(batch.outcomes[i].results, solo.results);
+            comps_total += solo.dist_comps;
         }
         assert_eq!(batch.dist_comps, comps_total);
     }

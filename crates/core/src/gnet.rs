@@ -314,10 +314,13 @@ impl GNet {
     /// instantiation of Theorem 1.1's `O((1/ε)^λ log² Δ)` bound on this
     /// dataset.
     ///
-    /// The graph is banded, so `query` scans each row under the annulus
-    /// rule ([`search`](crate::search)) and scores a subset of it: hops and
-    /// result are those of the whole-row scan, and each iteration costs *at
-    /// most* `max_out_degree` — the budget stays valid, with room to spare.
+    /// `query` scores less than this derivation pays for, never more: the
+    /// graph is banded, so each row is scanned under the annulus rule
+    /// ([`search`](crate::search)), and a neighbour an earlier scan scored
+    /// is passed over without a distance. Hops and result are those of the
+    /// whole-row scan that scores every neighbour, and each iteration costs
+    /// *at most* `max_out_degree` — the budget stays valid, with room to
+    /// spare.
     pub fn certified_query_budget(&self) -> u64 {
         let h = self.hierarchy.h() as u64;
         let deg = self.graph.max_out_degree() as u64;

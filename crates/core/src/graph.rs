@@ -235,44 +235,6 @@ impl Graph {
         }
     }
 
-    /// Builds from adjacency lists that are **already sorted ascending,
-    /// duplicate-free and self-loop-free** — the CSR arrays are assembled
-    /// directly, skipping the per-list sort + dedup of
-    /// [`Graph::from_adjacency`]. The precondition is validated with a
-    /// single linear scan (panicking on violation), so this is `O(E)`
-    /// instead of `O(E log E)`.
-    ///
-    /// This is the checked public entry point for callers that already hold
-    /// canonical lists (e.g. a deserialized index). The in-crate hot paths
-    /// that produce canonical lists ([`Graph::complete`],
-    /// [`Graph::without_edge`], [`Graph::union`]) go one step further and
-    /// emit the CSR arrays without materializing per-vertex `Vec`s at all.
-    pub fn from_sorted_adjacency(adj: Vec<Vec<u32>>) -> Self {
-        let n = adj.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for (v, list) in adj.into_iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for &t in &list {
-                assert!((t as usize) < n, "edge target {t} out of range (n = {n})");
-                assert!(t as usize != v, "self-loop ({v}, {t}) in sorted adjacency");
-                assert!(
-                    prev.is_none_or(|p| p < t),
-                    "adjacency of {v} not strictly ascending at target {t}"
-                );
-                prev = Some(t);
-            }
-            targets.extend_from_slice(&list);
-            offsets.push(targets.len());
-        }
-        Graph {
-            offsets,
-            targets,
-            bands: None,
-        }
-    }
-
     /// Assembles a **banded** graph from the [`RowBlock`]s several passes of
     /// a builder left for each block of `block` consecutive vertices:
     /// `blocks[b]` holds, in any order, what the passes found for vertices
@@ -812,32 +774,6 @@ mod tests {
         assert_eq!(g.neighbors(1), &[] as &[u32]);
         assert_eq!(g.neighbors(2), &[0]);
         assert_eq!(g.edge_count(), 3);
-    }
-
-    #[test]
-    fn from_sorted_adjacency_matches_from_adjacency() {
-        let lists = vec![vec![1, 2, 4], vec![0, 3], vec![], vec![0, 1, 2, 4], vec![3]];
-        let a = Graph::from_sorted_adjacency(lists.clone());
-        let b = Graph::from_adjacency(lists);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "not strictly ascending")]
-    fn from_sorted_adjacency_rejects_unsorted_lists() {
-        let _ = Graph::from_sorted_adjacency(vec![vec![2, 1], vec![], vec![]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-loop")]
-    fn from_sorted_adjacency_rejects_self_loops() {
-        let _ = Graph::from_sorted_adjacency(vec![vec![0, 1], vec![]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not strictly ascending")]
-    fn from_sorted_adjacency_rejects_duplicates() {
-        let _ = Graph::from_sorted_adjacency(vec![vec![1, 1], vec![0]]);
     }
 
     /// A pass over one block: per vertex, `(target, band)` pairs.

@@ -8,8 +8,10 @@
 //! * [`graph`] — CSR directed graphs over dataset ids, plus failure
 //!   injection (edge removal) and the merge operation of Section 5;
 //! * [`search`] — the `greedy` walk and budgeted `query` of Section 1.1,
-//!   verbatim, counting distance computations; the one best-first walk
-//!   (`beam_walk`) every beam search and baseline construction composes;
+//!   verbatim, counting distance computations (one per distinct vertex
+//!   scored); `beam_search_detailed`, which descends by greedy first on a
+//!   banded graph; the one best-first walk (`beam_walk`) every beam search
+//!   and baseline construction composes;
 //! * [`navigability`] — the `(1+ε)`-navigability checker of Fact 2.1 and an
 //!   exhaustive operational PG checker;
 //! * [`params`] — `η` and `φ` (Eqs. 3–4);
@@ -71,8 +73,8 @@ pub use merged::{MergedGraph, MergedParams};
 pub use navigability::{check_navigable, check_pg_exhaustive, Starts, Violation};
 pub use params::GNetParams;
 pub use search::{
-    beam_search, beam_search_detailed, beam_search_quantized, beam_search_quantized_surrogate,
-    beam_walk, greedy, point_score, query, BeamOutcome, BeamSurrogate, GreedyOutcome, Score,
+    beam_search_detailed, beam_search_quantized, beam_search_quantized_surrogate, beam_walk,
+    greedy, point_score, query, BeamOutcome, BeamSurrogate, GreedyOutcome, Score,
 };
 pub use sharded::{ShardAssignment, ShardedEngine};
 pub use snapshot::{AnyEngine, SnapshotMetric};

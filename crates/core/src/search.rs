@@ -1,6 +1,12 @@
 //! Routing over proximity graphs: the `greedy` procedure of Section 1.1,
 //! its budgeted `query` wrapper, and beam search as a practical extension.
 //!
+//! There is one hill-climb, `SearchScratch::descend`, and one best-first
+//! walk, [`beam_walk`]. [`query`] (so [`greedy`]) is the descent on a
+//! pooled scratch, and it scores each vertex at most once per call: a
+//! neighbour an earlier scan scored is no closer than the vertex the walk
+//! stands on, so it cannot be the next hop.
+//!
 //! Past its first few expansions a walk scores a handful of points per row,
 //! so [`beam_walk`] waits for nothing it can know in advance: one sorted
 //! candidate array instead of heaps, the rows of the next candidates loaded
@@ -34,7 +40,7 @@
 //!
 //! While a beam still has room the annulus rule prunes nothing, so a beam
 //! opened far from the query scores whole rows there. On a banded graph
-//! [`beam_search_detailed`] and its wrappers therefore first run the
+//! [`beam_search_detailed`] and the engines therefore first run the
 //! paper's [`greedy`] from the given start — a `(1+ε)`-ANN on `G_net`
 //! (Fact 2.1), reached by scans the annulus rule keeps to a few dozen
 //! scores — and open the width-`ef` beam at greedy's answer. The beam
@@ -44,7 +50,6 @@
 //! the start as given: there greedy would score every neighbour of every
 //! hop, which is the beam's own work.
 
-use std::ops::ControlFlow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pg_metric::{Dataset, Metric, Quantized, ANNULUS_SLACK};
@@ -360,6 +365,12 @@ pub struct GreedyOutcome {
 ///
 /// On a `(1+ε)`-proximity graph this always returns a `(1+ε)`-ANN of `q`
 /// (Fact 2.1), from **any** start vertex.
+///
+/// Line 3 scores each vertex at most once per call. A neighbor an earlier
+/// scan scored was no closer than the hop that followed that scan, so no
+/// closer than `p°`: it can neither be the strict improvement line 4 asks
+/// for nor change which neighbor is closest, so leaving it out changes no
+/// hop, and `dist_comps` counts distinct vertices.
 pub fn greedy<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -388,6 +399,10 @@ pub fn greedy<P, M: Metric<P>>(
 /// * The initial `D(p_start, q)` evaluation always happens (the result
 ///   distance must be known), so the effective budget is at least 1.
 ///
+/// A neighbor scored by an earlier scan is passed over without a distance
+/// and without asking the budget ([`greedy`]), so the walk is the unbudgeted
+/// one cut where its own count reaches `budget`.
+///
 /// On a banded graph each scan follows the annulus rule of the module docs
 /// with `w` = the best neighbor so far, initially `D(cur, q)`: a neighbor
 /// farther from `cur` than `2 D(cur, q)` is never scored. The skipped
@@ -409,6 +424,9 @@ pub fn greedy<P, M: Metric<P>>(
 /// direct-distance walk except where rounded distances tie while the
 /// pre-rounding comparison does not, in which case the surrogate decision
 /// is the more accurate one.
+///
+/// # Panics
+/// If `p_start` is out of range.
 pub fn query<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -416,95 +434,30 @@ pub fn query<P, M: Metric<P>>(
     q: &P,
     budget: u64,
 ) -> GreedyOutcome {
-    assert!((p_start as usize) < data.len(), "start vertex out of range");
-    let rows = MetricRows { graph, data };
+    let n = data.len();
     let score = data.surrogates_to(q);
-    let mut comps: u64 = 0;
-    let mut cur = p_start;
-    let mut hops = vec![cur];
-
-    comps += 1;
-    let mut s_cur = score(cur as usize);
-
-    loop {
-        let best = closest_out_neighbor(&rows, cur, s_cur, |nb| {
-            if comps >= budget {
-                return ControlFlow::Break(());
-            }
-            comps += 1;
-            ControlFlow::Continue(Some(score(nb as usize)))
-        });
-        let ControlFlow::Continue(best) = best else {
-            // Forced termination mid-scan: the partial scan cannot certify
-            // the closest out-neighbor, so the last hop vertex is returned
-            // as-is (see the budget semantics above).
-            return GreedyOutcome {
-                result: cur,
-                result_dist: data.dist_from_surrogate(s_cur),
-                hops,
-                dist_comps: comps,
-                self_terminated: false,
-            };
-        };
-        // Line 4.
-        match best {
-            None => {
-                return GreedyOutcome {
-                    result: cur,
-                    result_dist: data.dist_from_surrogate(s_cur),
-                    hops,
-                    dist_comps: comps,
-                    self_terminated: true,
-                };
-            }
-            Some((_, s)) if s_cur <= s => {
-                return GreedyOutcome {
-                    result: cur,
-                    result_dist: data.dist_from_surrogate(s_cur),
-                    hops,
-                    dist_comps: comps,
-                    self_terminated: true,
-                };
-            }
-            Some((nb, s)) => {
-                // Line 5.
-                cur = nb;
-                s_cur = s;
-                hops.push(cur);
-            }
-        }
+    let mut hops = Vec::new();
+    let ((result, s_result, self_terminated), dist_comps) = with_scratch(n, &[p_start], 1, |s| {
+        let rows = MetricRows { graph, data };
+        let stop = s.descend(
+            n,
+            &rows,
+            p_start,
+            |v| score(v as usize),
+            |comps| comps < budget,
+            |v| hops.push(v),
+        );
+        let comps = s.descended.len() as u64;
+        s.descended.clear();
+        (stop, comps)
+    });
+    GreedyOutcome {
+        result,
+        result_dist: data.dist_from_surrogate(s_result),
+        hops,
+        dist_comps,
+        self_terminated,
     }
-}
-
-/// Line 3 of [`greedy`]: the out-neighbor of `cur` (scored `s_cur`) that
-/// ranks first by `(score, id)` among those `score` scores. Only a neighbor
-/// scored below the best so far — to begin with, below `cur` itself — can
-/// change the outcome, which is the bound the band scan runs under (the
-/// annulus rule of the module docs). `score(nb)` returns `Some(score)`,
-/// `None` to leave `nb` out, or `Break` to stop the scan, which then
-/// returns `Break`.
-fn closest_out_neighbor<'g>(
-    rows: &impl Rows<'g>,
-    cur: u32,
-    s_cur: f64,
-    mut score: impl FnMut(u32) -> ControlFlow<(), Option<f64>>,
-) -> ControlFlow<(), Option<(u32, f64)>> {
-    let mut best: Option<(u32, f64)> = None;
-    let mut limit = s_cur;
-    let mut bound = Bound::unset();
-    let mut bands = Outward::new(rows.row(cur), || rows.dist_of(s_cur));
-    while let Some(band) = bands.next(|| bound.of(limit, |s| rows.dist_of(s))) {
-        for &nb in band {
-            let Some(s) = score(nb)? else {
-                continue;
-            };
-            if best.is_none_or(|(b, bs)| s < bs || (s == bs && nb < b)) {
-                best = Some((nb, s));
-                limit = limit.min(s);
-            }
-        }
-    }
-    ControlFlow::Continue(best)
 }
 
 /// The result of one [`beam_search_detailed`] call: everything a scoring
@@ -671,7 +624,7 @@ struct SearchScratch {
     gathered: Vec<u32>,
     reused: Vec<u32>,
     /// What the descent before the next walk scored, as `(id, score)`
-    /// ascending by id; empty when the walk follows no descent.
+    /// ascending by id once the walk begins; empty when it follows none.
     descended: Vec<(u32, f64)>,
 }
 
@@ -708,24 +661,31 @@ impl SearchScratch {
         self.candidates.cursor = 0;
     }
 
-    /// The paper's [`greedy`] from `start` over `rows`, scored by `score`,
-    /// readying the next [`walk`](Self::walk) to reuse its scores: every
-    /// vertex it scores is stamped with an epoch of its own, the one before
-    /// the walk's, and kept in `descended`. Returns greedy's answer.
+    /// The paper's [`greedy`] from `start` over `rows`, scored by `score`:
+    /// the one hill-climb of the workspace. Every vertex it scores is
+    /// stamped with an epoch of its own, the one before the next
+    /// [`walk`](Self::walk)'s, and kept in `descended` in scoring order, so
+    /// `descended.len()` is its distance count and a walk can reuse its
+    /// scores. `afford(c)` says whether a descent that has scored `c`
+    /// vertices may score one more (the start is always scored), and `hop`
+    /// is told `start` and each vertex stepped to. Returns where it stopped,
+    /// that vertex's score, and whether it stopped by line 4 (`false`: by
+    /// `afford`).
     ///
-    /// It scores each vertex at most once and takes greedy's hops: a vertex
-    /// scored earlier in the descent scored no better than the hop that
-    /// followed its scan, so no better than the current vertex — it can
-    /// neither be the strict improvement line 4 asks for nor lower the
-    /// bound of a scan, so leaving it out changes neither the hop nor what
-    /// else the scan scores.
+    /// It scores each vertex at most once and takes greedy's hops (see
+    /// [`greedy`]): a vertex scored in an earlier scan is passed over, and
+    /// so can neither lower the bound of a scan nor change what else the
+    /// scan scores. The search paths pass closures that do nothing, and
+    /// they compile away.
     fn descend<'g, N: Rows<'g>>(
         &mut self,
         n: usize,
         rows: &N,
         start: u32,
         mut score: impl FnMut(u32) -> f64,
-    ) -> u32 {
+        mut afford: impl FnMut(u64) -> bool,
+        mut hop: impl FnMut(u32),
+    ) -> (u32, f64, bool) {
         self.begin(n);
         if self.epoch == u8::MAX {
             // The walk's epoch would wrap, and the wrap clears the stamps.
@@ -733,27 +693,45 @@ impl SearchScratch {
         }
         let mut visited = Visited::new(&mut self.stamps[..n], self.epoch);
         let descended = &mut self.descended;
-        let mut scored = |v: u32| {
-            let s = score(v);
-            descended.push((v, s));
-            s
-        };
         visited.first_visit(start);
-        let (mut cur, mut s_cur) = (start, scored(start));
-        loop {
-            let best = closest_out_neighbor(rows, cur, s_cur, |nb| {
-                ControlFlow::Continue(visited.first_visit(nb).then(|| scored(nb)))
-            });
-            let ControlFlow::Continue(Some((nb, s))) = best else {
-                break;
+        let (mut cur, mut s_cur) = (start, score(start));
+        descended.push((start, s_cur));
+        hop(start);
+        let self_terminated = 'descent: loop {
+            // Line 3: the first by `(score, id)` of the neighbors not scored
+            // before. Only one below the best so far — to begin with, below
+            // `cur` itself — can change it: the bound of the band scan.
+            let mut best: Option<(u32, f64)> = None;
+            let mut limit = s_cur;
+            let mut bound = Bound::unset();
+            let mut bands = Outward::new(rows.row(cur), || rows.dist_of(s_cur));
+            while let Some(band) = bands.next(|| bound.of(limit, |s| rows.dist_of(s))) {
+                for &nb in band {
+                    if !visited.first_visit(nb) {
+                        continue;
+                    }
+                    if !afford(descended.len() as u64) {
+                        break 'descent false;
+                    }
+                    let s = score(nb);
+                    descended.push((nb, s));
+                    if best.is_none_or(|(b, bs)| s < bs || (s == bs && nb < b)) {
+                        best = Some((nb, s));
+                        limit = limit.min(s);
+                    }
+                }
+            }
+            // Lines 4 and 5.
+            let Some((nb, s)) = best else {
+                break true;
             };
             if s_cur <= s {
-                break;
+                break true;
             }
             (cur, s_cur) = (nb, s);
-        }
-        self.descended.sort_unstable_by_key(|&(v, _)| v);
-        cur
+            hop(nb);
+        };
+        (cur, s_cur, self_terminated)
     }
 
     /// The search of a banded `graph`: [`descend`](Self::descend) from
@@ -770,8 +748,9 @@ impl SearchScratch {
     ) -> BeamSurrogate {
         let n = data.len();
         let rows = MetricRows { graph, data };
-        let answer = [self.descend(n, &rows, start, |v| score.score(v))];
-        let mut walk = self.walk::<_, _, true>(n, &answer, ef, rows, score);
+        let (answer, _, _) = self.descend(n, &rows, start, |v| score.score(v), |_| true, |_| {});
+        self.descended.sort_unstable_by_key(|&(v, _)| v);
+        let mut walk = self.walk::<_, _, true>(n, &[answer], ef, rows, score);
         walk.dist_comps += self.descended.len() as u64;
         self.descended.clear();
         walk
@@ -1050,30 +1029,14 @@ fn with_scratch<T>(
 /// connected graph the search is exact and scores every vertex exactly
 /// once, banded or not. An un-banded graph is walked from `p_start`.
 ///
-/// Returns up to `k` results ascending by distance and the number of
-/// distance computations. [`beam_search_detailed`] additionally reports the
-/// expansion count; this wrapper discards it.
+/// Returns up to `k` results ascending by distance, the number of distance
+/// computations and the number of expanded vertices — the detail the
+/// evaluation layer scores from.
 ///
 /// The walk ([`beam_walk`]) runs in surrogate space (squared distance under
 /// `L_2`; the list is ordered by `(surrogate, id)`, which refines
 /// `(distance, id)`); only the `k` reported distances are mapped back — and,
 /// on a banded graph, the few the annulus rule reads its bounds from.
-pub fn beam_search<P, M: Metric<P>>(
-    graph: &Graph,
-    data: &Dataset<P, M>,
-    p_start: u32,
-    q: &P,
-    ef: usize,
-    k: usize,
-) -> (Vec<(u32, f64)>, u64) {
-    let out = beam_search_detailed(graph, data, p_start, q, ef, k);
-    (out.results, out.dist_comps)
-}
-
-/// [`beam_search`] with full per-query accounting: identical search,
-/// identical results and `dist_comps` (the plain wrapper delegates here),
-/// plus the number of expanded vertices — the detail the evaluation layer
-/// scores from.
 ///
 /// # Panics
 /// If `ef == 0` or `p_start` is out of range.
@@ -1368,7 +1331,7 @@ mod tests {
     fn beam_search_finds_knn_on_path() {
         let ds = line_dataset(40);
         let g = path_graph(40);
-        let (res, _comps) = beam_search(&g, &ds, 0, &vec![25.2], 8, 3);
+        let res = beam_search_detailed(&g, &ds, 0, &vec![25.2], 8, 3).results;
         assert_eq!(res.len(), 3);
         assert_eq!(res[0].0, 25);
         assert_eq!(res[1].0, 26);
@@ -1393,13 +1356,10 @@ mod tests {
         let ds = Dataset::new(pts, Euclidean);
         let g = Graph::complete(7);
         let q = vec![0.0];
-        let (res, _) = beam_search(&g, &ds, 0, &q, 3, 3);
-        assert_eq!(res, vec![(0, 0.0), (1, 2.0), (2, 2.0)]);
+        let out = beam_search_detailed(&g, &ds, 0, &q, 3, 3);
+        assert_eq!(out.results, vec![(0, 0.0), (1, 2.0), (2, 2.0)]);
         // Re-running is bit-identical.
-        let (res2, comps2) = beam_search(&g, &ds, 0, &q, 3, 3);
-        assert_eq!(res, res2);
-        let (_, comps) = beam_search(&g, &ds, 0, &q, 3, 3);
-        assert_eq!(comps, comps2);
+        assert_eq!(beam_search_detailed(&g, &ds, 0, &q, 3, 3), out);
     }
 
     #[test]
@@ -1407,7 +1367,7 @@ mod tests {
         let ds = line_dataset(25);
         let g = Graph::complete(25);
         let q = vec![11.3];
-        let (res, _) = beam_search(&g, &ds, 24, &q, 25, 6);
+        let res = beam_search_detailed(&g, &ds, 24, &q, 25, 6).results;
         let brute = ds.k_nearest_brute(&q, 6);
         let brute_ids: Vec<(u32, f64)> = brute.into_iter().map(|(i, d)| (i as u32, d)).collect();
         assert_eq!(res, brute_ids);
@@ -2074,10 +2034,31 @@ mod tests {
         assert!(saved > 100, "the bands saved only {saved} scores");
     }
 
+    /// Euclidean, recording the stored point of every distance it computes
+    /// (the first argument, under `Dataset::surrogates_to`).
+    #[derive(Default)]
+    struct Logged(std::cell::RefCell<Vec<[u64; 2]>>);
+
+    impl Metric<Vec<f64>> for Logged {
+        fn dist(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+            self.dist_from_surrogate(self.surrogate(a, b))
+        }
+
+        fn surrogate(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+            self.0.borrow_mut().push([a[0].to_bits(), a[1].to_bits()]);
+            Euclidean.surrogate(a, b)
+        }
+
+        fn dist_from_surrogate(&self, s: f64) -> f64 {
+            Metric::<Vec<f64>>::dist_from_surrogate(&Euclidean, s)
+        }
+    }
+
     #[test]
     fn a_descended_search_scores_each_vertex_once_across_the_epoch_wrap() {
         let n = 300;
         let data = plane_dataset(n, 8);
+        let logged = Dataset::new(data.points().to_vec(), Logged::default());
         let banded = crate::gnet::GNet::build_fast(&data, 1.0).graph;
         let plain = banded.without_bands();
         let mut reused = SearchScratch::default();
@@ -2109,6 +2090,14 @@ mod tests {
             );
             if ef == n {
                 assert_eq!(got.dist_comps, n as u64);
+            }
+            // Greedy alone, on either layout, scores no vertex twice.
+            for g in [&banded, &plain] {
+                let alone = greedy(g, &logged, start, &q);
+                let mut points = logged.metric().0.take();
+                points.sort_unstable();
+                points.dedup();
+                assert_eq!(alone.dist_comps, points.len() as u64, "search {i}");
             }
             // The walk is the plain one entered at greedy's answer.
             let answer = [greedy(&plain, &data, start, &q).result];
@@ -2379,14 +2368,11 @@ mod tests {
     }
 
     #[test]
-    fn beam_detailed_agrees_with_plain_wrapper_and_counts_expansions() {
+    fn beam_detailed_counts_expansions() {
         let ds = line_dataset(40);
         let g = path_graph(40);
         let q = vec![25.2];
-        let (res, comps) = beam_search(&g, &ds, 0, &q, 8, 3);
         let det = beam_search_detailed(&g, &ds, 0, &q, 8, 3);
-        assert_eq!(det.results, res);
-        assert_eq!(det.dist_comps, comps);
         // The walk expands at least every vertex on the path to the answer,
         // and never more vertices than it evaluated distances for.
         assert!(det.expansions >= 25);
@@ -2423,7 +2409,7 @@ mod tests {
     #[should_panic(expected = "start vertex out of range")]
     fn beam_rejects_an_out_of_range_start_like_query_does() {
         let ds = line_dataset(10);
-        let _ = beam_search(&path_graph(10), &ds, 10, &vec![3.0], 4, 1);
+        let _ = beam_search_detailed(&path_graph(10), &ds, 10, &vec![3.0], 4, 1);
     }
 
     #[test]
@@ -2431,7 +2417,7 @@ mod tests {
         let ds = line_dataset(40);
         let g = path_graph(40);
         let q = vec![31.7];
-        let (res, _) = beam_search(&g, &ds, 2, &q, 1, 1);
+        let res = beam_search_detailed(&g, &ds, 2, &q, 1, 1).results;
         let out = greedy(&g, &ds, 2, &q);
         // ef=1 beam and greedy both converge to the same local optimum on a
         // path graph.

@@ -4,7 +4,7 @@
 //! returns per query, and the aggregated distance count must be the sum of
 //! the per-query counts.
 
-use pg_core::{beam_search, greedy, query, Graph, QueryEngine};
+use pg_core::{beam_search_detailed, greedy, query, Graph, QueryEngine};
 use pg_metric::{Dataset, Euclidean};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -108,9 +108,9 @@ proptest! {
             prop_assert_eq!(batch.outcomes.len(), m);
             let mut total = 0u64;
             for (i, out) in batch.outcomes.iter().enumerate() {
-                let (solo, comps) = beam_search(&graph, &data, starts[i], &queries[i], ef, k);
-                prop_assert_eq!(&out.results, &solo);
-                total += comps;
+                let solo = beam_search_detailed(&graph, &data, starts[i], &queries[i], ef, k);
+                prop_assert_eq!(&out.results, &solo.results);
+                total += solo.dist_comps;
             }
             prop_assert_eq!(batch.dist_comps, total);
         }

@@ -14,8 +14,7 @@
 //!   moments later),
 //! * exact nearest neighbor ([`CoverTree::nearest`]), `c`-approximate
 //!   nearest neighbor ([`CoverTree::ann`]) for any `c >= 1` (the paper uses
-//!   `c = 2`), `k`-NN ([`CoverTree::k_nearest`]) and metric range queries
-//!   ([`CoverTree::range`]),
+//!   `c = 2`) and metric range queries ([`CoverTree::range`]),
 //! * [`approx_min_dist`], the footnote-1 estimator
 //!   `d̂_min ∈ [d_min / 2, d_min]` of Section 2.4's remark.
 //!

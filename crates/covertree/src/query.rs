@@ -1,4 +1,4 @@
-//! Cover-tree queries: exact NN, `c`-ANN, `k`-NN and range search.
+//! Cover-tree queries: exact NN, `c`-ANN and range search.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -87,79 +87,6 @@ impl<'d, P, M: Metric<P>> CoverTree<'d, P, M> {
         best_id.map(|id| (id, best))
     }
 
-    /// The `k` nearest live neighbors of `q`, ascending by distance.
-    /// Returns fewer than `k` entries when fewer live points exist.
-    pub fn k_nearest(&self, q: &P, k: usize) -> Vec<(u32, f64)> {
-        let Some(root) = self.root else {
-            return Vec::new();
-        };
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-
-        // Max-heap of the best k live candidates seen so far, deduplicated
-        // by point id (the root point may appear at several nodes).
-        let mut topk: BinaryHeap<(Key, u32)> = BinaryHeap::new();
-        let mut in_topk: Vec<bool> = vec![false; self.data.len()];
-        let offer =
-            |pid: u32, d: f64, topk: &mut BinaryHeap<(Key, u32)>, in_topk: &mut Vec<bool>| {
-                if self.dead[pid as usize] || in_topk[pid as usize] {
-                    return;
-                }
-                if topk.len() < k {
-                    topk.push((Key(d), pid));
-                    in_topk[pid as usize] = true;
-                } else if let Some(&(Key(worst), worst_id)) = topk.peek() {
-                    if d < worst {
-                        topk.pop();
-                        in_topk[worst_id as usize] = false;
-                        topk.push((Key(d), pid));
-                        in_topk[pid as usize] = true;
-                    }
-                }
-            };
-        let kth_bound = |topk: &BinaryHeap<(Key, u32)>| -> f64 {
-            if topk.len() < k {
-                f64::INFINITY
-            } else {
-                topk.peek().map(|&(Key(d), _)| d).unwrap_or(f64::INFINITY)
-            }
-        };
-
-        let mut heap: BinaryHeap<Reverse<(Key, u32)>> = BinaryHeap::new();
-        let d_root = self.dist_q(self.nodes[root as usize].point, q);
-        offer(
-            self.nodes[root as usize].point,
-            d_root,
-            &mut topk,
-            &mut in_topk,
-        );
-        heap.push(Reverse((
-            Key((d_root - self.subtree_bound(root)).max(0.0)),
-            root,
-        )));
-
-        while let Some(Reverse((Key(lb), idx))) = heap.pop() {
-            if lb >= kth_bound(&topk) {
-                break;
-            }
-            let children: &[u32] = &self.nodes[idx as usize].children;
-            for &ch in children {
-                let cp = self.nodes[ch as usize].point;
-                let dc = self.dist_q(cp, q);
-                offer(cp, dc, &mut topk, &mut in_topk);
-                let lb_ch = (dc - self.subtree_bound(ch)).max(0.0);
-                if lb_ch < kth_bound(&topk) {
-                    heap.push(Reverse((Key(lb_ch), ch)));
-                }
-            }
-        }
-
-        let mut out: Vec<(u32, f64)> = topk.into_iter().map(|(Key(d), id)| (id, d)).collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
     /// All live points within distance `r` of `q` (closed ball), ascending
     /// by dataset id.
     pub fn range(&self, q: &P, r: f64) -> Vec<u32> {
@@ -233,24 +160,6 @@ mod tests {
                     approx <= c * exact + 1e-9,
                     "c = {c}: got {approx}, exact {exact}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn k_nearest_matches_brute_force() {
-        let ds = random_dataset(200, 2, 3);
-        let t = CoverTree::build_all(&ds);
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..25 {
-            let q: Vec<f64> = (0..2).map(|_| rng.random_range(-12.0..12.0)).collect();
-            for k in [1usize, 3, 10] {
-                let brute = ds.k_nearest_brute(&q, k);
-                let tree = t.k_nearest(&q, k);
-                assert_eq!(tree.len(), k);
-                for (b, t) in brute.iter().zip(tree.iter()) {
-                    assert!((b.1 - t.1).abs() < 1e-12, "kth distance mismatch");
-                }
             }
         }
     }
@@ -356,17 +265,6 @@ mod tests {
             t.remove(pid);
         }
         assert!(t.nearest(&vec![0.0, 0.0]).is_none());
-        assert!(t.k_nearest(&vec![0.0, 0.0], 3).is_empty());
         assert!(t.range(&vec![0.0, 0.0], 100.0).is_empty());
-    }
-
-    #[test]
-    fn k_nearest_larger_than_live_count() {
-        let ds = random_dataset(10, 2, 11);
-        let mut t = CoverTree::build_all(&ds);
-        t.remove(0);
-        t.remove(1);
-        let res = t.k_nearest(&vec![0.0, 0.0], 20);
-        assert_eq!(res.len(), 8);
     }
 }

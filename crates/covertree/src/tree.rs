@@ -40,8 +40,7 @@ pub(crate) struct Node {
 /// pattern the paper's Section 2.4 `build` needs (points of the net `Y_i`
 /// are deleted during the retrieval of `S` and then re-inserted), and is the
 /// standard engineering substitute for the Cole–Gottlieb structure's true
-/// deletions. [`CoverTree::rebuild`] compacts the tree when many tombstones
-/// have accumulated permanently.
+/// deletions.
 #[derive(Debug)]
 pub struct CoverTree<'d, P, M> {
     pub(crate) data: &'d Dataset<P, M>,
@@ -49,7 +48,7 @@ pub struct CoverTree<'d, P, M> {
     pub(crate) root: Option<u32>,
     /// `dead[pid]` is true when point `pid` is tombstoned.
     pub(crate) dead: Vec<bool>,
-    /// Ids ever inserted (used by `rebuild`); a point appears once.
+    /// Ids ever inserted; a point appears once.
     pub(crate) members: Vec<u32>,
     pub(crate) live_count: usize,
 }
@@ -205,8 +204,7 @@ impl<'d, P, M: Metric<P>> CoverTree<'d, P, M> {
     }
 
     /// Tombstones point `pid`. Returns `true` if it was live. Queries will
-    /// no longer report the point, but its tree nodes keep routing traffic
-    /// until [`CoverTree::rebuild`] is called.
+    /// no longer report the point, but its tree nodes keep routing traffic.
     pub fn remove(&mut self, pid: u32) -> bool {
         if (pid as usize) < self.dead.len()
             && !self.dead[pid as usize]
@@ -231,27 +229,6 @@ impl<'d, P, M: Metric<P>> CoverTree<'d, P, M> {
             true
         } else {
             false
-        }
-    }
-
-    /// Rebuilds the tree from its live members, discarding tombstones.
-    /// Costs `O(live * insert)`; call when deletions are permanent and
-    /// numerous (the Section 2.4 build never needs this because every
-    /// deletion is undone).
-    pub fn rebuild(&mut self) {
-        let live: Vec<u32> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|&pid| !self.dead[pid as usize])
-            .collect();
-        self.nodes.clear();
-        self.root = None;
-        self.members.clear();
-        self.live_count = 0;
-        self.dead.iter_mut().for_each(|d| *d = false);
-        for pid in live {
-            self.insert(pid);
         }
     }
 
@@ -375,22 +352,5 @@ mod tests {
         t.insert(2);
         assert!(t.contains_live(2));
         assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn rebuild_drops_tombstones() {
-        let ds = dataset((0..32).map(|i| vec![i as f64]).collect());
-        let mut t = CoverTree::build_all(&ds);
-        for pid in 0..16 {
-            t.remove(pid);
-        }
-        let nodes_before = t.nodes.len();
-        t.rebuild();
-        assert_eq!(t.len(), 16);
-        assert!(t.nodes.len() < nodes_before);
-        t.check_invariants().unwrap();
-        // Tombstoned points are genuinely gone.
-        assert!(!t.contains_live(0));
-        assert!(t.contains_live(20));
     }
 }

@@ -113,28 +113,4 @@ proptest! {
         prop_assert!(est >= dmin / 2.0 - 1e-12 && est <= dmin + 1e-12,
             "estimate {est} outside [{}, {dmin}]", dmin / 2.0);
     }
-
-    #[test]
-    fn rebuild_preserves_query_answers(
-        pts in pointset(),
-        dead_mask in 0u64..u64::MAX,
-        qx in 0.0f64..200.0,
-        qy in 0.0f64..200.0,
-    ) {
-        let data = Dataset::new(pts, Euclidean);
-        let n = data.len();
-        let mut t = CoverTree::build_all(&data);
-        for i in 0..n {
-            if dead_mask >> (i % 61) & 1 == 1 {
-                t.remove(i as u32);
-            }
-        }
-        prop_assume!(!t.is_empty());
-        let q = vec![qx, qy];
-        let before = t.nearest(&q).unwrap();
-        t.rebuild();
-        prop_assert!(t.check_invariants().is_ok());
-        let after = t.nearest(&q).unwrap();
-        prop_assert!((before.1 - after.1).abs() <= 1e-9);
-    }
 }

@@ -14,12 +14,12 @@
 //!   [`mean_distance_ratio`], [`success_at_eps`], all scored with the
 //!   tie-safe distance-threshold rule (see the [`metrics`] module docs for
 //!   why no epsilon fudge is needed);
-//! * [`sweep`] — [`FrontierSweep`], which walks a parameter axis (beam
-//!   `ef`, or the paper's greedy distance budget) through batched searches
-//!   of any [`pg_baselines::SweepSearch`] index and emits
-//!   `(param, Score)` frontier points — recall, ratio, success@ε,
-//!   dist_comps, hops. It reads no clock, so every point is the same at
-//!   every pool size.
+//! * [`sweep`] — [`FrontierSweep`], which walks the beam `ef` axis
+//!   through batched searches of any [`pg_baselines::SweepSearch`] index,
+//!   and [`sweep::greedy_budget_frontier`], which walks the paper's greedy
+//!   distance budget through a `QueryEngine`; both emit `(param, Score)`
+//!   frontier points — recall, ratio, success@ε, dist_comps, hops. They
+//!   read no clock, so every point is the same at every pool size.
 //!
 //! The measurement strategy — what is asserted deterministic, and how the
 //! recall–distance frontier is read — is documented in `ARCHITECTURE.md`

@@ -7,12 +7,12 @@
 //! effort knob, and indexes are compared curve-against-curve, never at a
 //! single arbitrary operating point. The cost axis here is distance
 //! computations per query, the paper's cost model; wall clock belongs to
-//! the `pg_ladder` benchmark. [`FrontierSweep`] drives two axes:
+//! the `pg_ladder` benchmark. Two axes are walked:
 //!
 //! * **beam width `ef`** ([`FrontierSweep::run`]) — the practical knob,
 //!   swept through any [`SweepSearch`] adapter (graph indexes route through
 //!   [`QueryEngine::batch_beam_detailed`]);
-//! * **greedy distance budget** ([`FrontierSweep::run_greedy_budget`]) —
+//! * **greedy distance budget** ([`greedy_budget_frontier`]) —
 //!   the *paper's* knob: the budgeted `query(p_start, q, Q)` of Section
 //!   1.1, swept through [`QueryEngine::batch_query`].
 //!
@@ -164,59 +164,57 @@ impl FrontierSweep {
             })
             .collect()
     }
+}
 
-    /// Walks the **greedy budget** axis of the paper's Section 1.1 `query`:
-    /// at each budget `Q`, one [`QueryEngine::batch_query`] call.
-    /// This frontier is scored at `k = 1` regardless of the sweep's `k`
-    /// (greedy returns a single vertex); ground truth of any `k >= 1` works
-    /// because only the nearest-neighbor distance is consulted. Hops are
-    /// the greedy hop count (`hops.len() - 1`), and the same tie-safe
-    /// threshold convention as [`recall_at_k`] applies: a returned vertex
-    /// exactly as close as the true NN is a hit.
-    pub fn run_greedy_budget<P: Sync, M: Metric<P> + Sync>(
-        &self,
-        engine: &QueryEngine<P, M>,
-        starts: &[u32],
-        queries: &[P],
-        truth: &GroundTruth,
-        budgets: &[u64],
-    ) -> Vec<FrontierPoint> {
-        assert_eq!(queries.len(), truth.queries());
-        let m = queries.len() as f64;
-        budgets
-            .iter()
-            .map(|&budget| {
-                let batch = engine.batch_query(starts, queries, budget);
-                let mut recall = 0.0;
-                let mut ratio = 0.0;
-                let mut success = 0.0;
-                let mut hops = 0.0;
-                for (q, out) in batch.outcomes.iter().enumerate() {
-                    let nn = truth.nearest_dist(q);
-                    recall += (out.result_dist <= nn) as u32 as f64;
-                    ratio += if nn > 0.0 {
-                        out.result_dist / nn
-                    } else if out.result_dist == 0.0 {
-                        1.0
-                    } else {
-                        f64::INFINITY
-                    };
-                    success += (out.result_dist <= (1.0 + EPS) * nn) as u32 as f64;
-                    hops += (out.hops.len() - 1) as f64;
-                }
-                FrontierPoint {
-                    param: budget as f64,
-                    score: Score {
-                        recall: recall / m,
-                        mean_dist_ratio: ratio / m,
-                        success_at_eps: success / m,
-                        dist_comps: batch.dist_comps as f64 / m,
-                        hops: hops / m,
-                    },
-                }
-            })
-            .collect()
-    }
+/// Walks the **greedy budget** axis of the paper's Section 1.1 `query`: at
+/// each budget `Q`, one [`QueryEngine::batch_query`] call from `starts`.
+/// This frontier is scored at `k = 1` (greedy returns a single vertex);
+/// ground truth of any `k >= 1` works because only the nearest-neighbor
+/// distance is consulted. Hops are the greedy hop count (`hops.len() - 1`),
+/// and the same tie-safe threshold convention as [`recall_at_k`] applies: a
+/// returned vertex exactly as close as the true NN is a hit.
+pub fn greedy_budget_frontier<P: Sync, M: Metric<P> + Sync>(
+    engine: &QueryEngine<P, M>,
+    starts: &[u32],
+    queries: &[P],
+    truth: &GroundTruth,
+    budgets: &[u64],
+) -> Vec<FrontierPoint> {
+    assert_eq!(queries.len(), truth.queries());
+    let m = queries.len() as f64;
+    budgets
+        .iter()
+        .map(|&budget| {
+            let batch = engine.batch_query(starts, queries, budget);
+            let mut recall = 0.0;
+            let mut ratio = 0.0;
+            let mut success = 0.0;
+            let mut hops = 0.0;
+            for (q, out) in batch.outcomes.iter().enumerate() {
+                let nn = truth.nearest_dist(q);
+                recall += (out.result_dist <= nn) as u32 as f64;
+                ratio += if nn > 0.0 {
+                    out.result_dist / nn
+                } else if out.result_dist == 0.0 {
+                    1.0
+                } else {
+                    f64::INFINITY
+                };
+                success += (out.result_dist <= (1.0 + EPS) * nn) as u32 as f64;
+                hops += (out.hops.len() - 1) as f64;
+            }
+            FrontierPoint {
+                param: budget as f64,
+                score: Score {
+                    recall: recall / m,
+                    mean_dist_ratio: ratio / m,
+                    success_at_eps: success / m,
+                    dist_comps: batch.dist_comps as f64 / m,
+                    hops: hops / m,
+                },
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -305,8 +303,7 @@ mod tests {
         let pg = GNet::build(&data, 1.0);
         let engine = QueryEngine::new(pg.graph, data);
         let starts: Vec<u32> = (0..queries.len()).map(|i| (i * 31 % 120) as u32).collect();
-        let sweep = FrontierSweep::new(1, vec![1]);
-        let pts = sweep.run_greedy_budget(&engine, &starts, &queries, &truth, &[1, 1_000_000]);
+        let pts = greedy_budget_frontier(&engine, &starts, &queries, &truth, &[1, 1_000_000]);
         assert!(pts[1].score.recall >= pts[0].score.recall);
         assert!(pts[1].score.dist_comps >= pts[0].score.dist_comps);
         // An effectively unbounded budget lets greedy self-terminate: on a

@@ -12,6 +12,7 @@
 
 use pg_baselines::{BruteIndex, GraphIndex, Hnsw, HnswParams, SweepSearch};
 use pg_core::{GNet, QueryEngine};
+use pg_eval::sweep::greedy_budget_frontier;
 use pg_eval::{FrontierSweep, GroundTruth, Score};
 use pg_metric::{Dataset, Euclidean, FlatPoints, FlatRow};
 use proptest::prelude::*;
@@ -113,13 +114,11 @@ proptest! {
         let n = data.len();
         let pg = GNet::build(&data, 1.0);
         let starts: Vec<u32> = (0..queries.len()).map(|i| ((i * 17) % n) as u32).collect();
-        let sweep = FrontierSweep::new(1, vec![1]);
         let budgets = [1u64, 8, u64::MAX];
         let run = |threads: usize| -> Vec<Score> {
             rayon::with_threads(threads, || {
                 let engine = QueryEngine::new(pg.graph.clone(), data.clone());
-                sweep
-                    .run_greedy_budget(&engine, &starts, &queries, &truth, &budgets)
+                greedy_budget_frontier(&engine, &starts, &queries, &truth, &budgets)
                     .into_iter()
                     .map(|p| p.score)
                     .collect()

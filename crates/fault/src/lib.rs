@@ -197,12 +197,6 @@ pub fn configure(site: &str, config: FaultConfig) {
     );
 }
 
-/// Disarms `site`; subsequent [`hit`]s pass through untouched. Unknown
-/// sites are a no-op.
-pub fn disarm(site: &str) {
-    lock().remove(site);
-}
-
 /// Disarms every site and forgets all counters. Chaos tests call this
 /// between scenarios so no configuration leaks across test boundaries.
 pub fn reset() {
@@ -219,13 +213,6 @@ pub fn hits(site: &str) -> u64 {
 /// sites report `0`.
 pub fn fired(site: &str) -> u64 {
     lock().get(site).map_or(0, |s| s.fired)
-}
-
-/// The names of all currently armed sites, sorted.
-pub fn armed_sites() -> Vec<String> {
-    let mut names: Vec<String> = lock().keys().cloned().collect();
-    names.sort();
-    names
 }
 
 /// The instrumented-site entry point: records a hit at `site` and returns
@@ -394,19 +381,6 @@ mod tests {
         assert_eq!(hit("t.stall"), None);
         assert_eq!(fired("t.stall"), 1);
         reset();
-    }
-
-    #[test]
-    fn disarm_and_armed_sites() {
-        let _g = serial();
-        configure("t.b", FaultConfig::always(FaultAction::Panic));
-        configure("t.a", FaultConfig::always(FaultAction::Panic));
-        assert_eq!(armed_sites(), vec!["t.a".to_string(), "t.b".to_string()]);
-        disarm("t.a");
-        assert_eq!(armed_sites(), vec!["t.b".to_string()]);
-        assert_eq!(hit("t.a"), None);
-        reset();
-        assert!(armed_sites().is_empty());
     }
 
     #[test]

@@ -673,14 +673,6 @@ impl Snapshot {
         Ok(out)
     }
 
-    /// Serializes into an [`std::io::Write`] sink (one buffered write of the
-    /// full encoding).
-    pub fn write_to(&self, w: &mut impl std::io::Write) -> Result<(), SnapshotError> {
-        let bytes = self.to_bytes()?;
-        w.write_all(&bytes)?;
-        Ok(())
-    }
-
     /// Writes the snapshot to `path`, creating or overwriting the file
     /// **atomically and durably**.
     ///
@@ -1018,14 +1010,6 @@ impl Snapshot {
         };
         snap.validate()?;
         Ok(snap)
-    }
-
-    /// Reads a snapshot from an [`std::io::Read`] source (reads to end, then
-    /// parses).
-    pub fn read_from(r: &mut impl std::io::Read) -> Result<Snapshot, SnapshotError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        Snapshot::from_bytes(&bytes)
     }
 
     /// Loads a snapshot from a file.
@@ -2041,15 +2025,6 @@ mod tests {
         let base = sample().in_memory_bytes();
         assert_eq!(sample_f32().in_memory_bytes(), base + 6 * 4);
         assert_eq!(sample_sq8().in_memory_bytes(), base + 2 * 8 + 2 * 8 + 6);
-    }
-
-    #[test]
-    fn roundtrip_through_io_traits() {
-        let snap = sample();
-        let mut buf = Vec::new();
-        snap.write_to(&mut buf).unwrap();
-        let mut reader = &buf[..];
-        assert_eq!(Snapshot::read_from(&mut reader).unwrap(), snap);
     }
 
     #[test]

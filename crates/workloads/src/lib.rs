@@ -15,8 +15,6 @@
 //!   `log Δ` grows linearly in the cluster count at fixed `n`, the workload
 //!   that exposes the `n log Δ` term of Theorem 1.1 versus the `Δ`-free
 //!   size of Theorem 1.3;
-//! * [`two_scale`] — a unit cluster plus a far satellite cluster at
-//!   distance `spread`: single-knob aspect-ratio control;
 //! * query generators ([`uniform_queries`], [`perturbed_queries`]).
 //!
 //! All generators take an explicit seed and are deterministic.
@@ -183,26 +181,6 @@ pub fn geometric_chain(
     geometric_chain_flat(clusters, per_cluster, ratio, d, seed).to_nested()
 }
 
-/// A unit cluster of `n - satellite` points at the origin plus `satellite`
-/// points displaced by `spread` along the first axis: `Δ ≈ spread * n^{1/d}`.
-/// Flat layout.
-pub fn two_scale_flat(n: usize, d: usize, satellite: usize, spread: f64, seed: u64) -> FlatPoints {
-    assert!(satellite < n);
-    let mut rng = StdRng::seed_from_u64(seed);
-    FlatPoints::from_fn(n, d, |i, out| {
-        let first = out.len();
-        out.extend((0..d).map(|_| rng.random_range(0.0..1.0)));
-        if i >= n - satellite {
-            out[first] += spread;
-        }
-    })
-}
-
-/// [`two_scale_flat`] in the legacy nested layout.
-pub fn two_scale(n: usize, d: usize, satellite: usize, spread: f64, seed: u64) -> Points {
-    two_scale_flat(n, d, satellite, spread, seed).to_nested()
-}
-
 /// `n` points uniform on the unit sphere `S^{d-1}` (Gaussian direction
 /// method) — the natural workload for the `pg_metric::Angular` metric. Flat
 /// layout.
@@ -336,10 +314,6 @@ mod tests {
             geometric_chain(4, 6, 2.5, 2, 6)
         );
         assert_eq!(
-            two_scale_flat(30, 2, 5, 100.0, 7).to_nested(),
-            two_scale(30, 2, 5, 100.0, 7)
-        );
-        assert_eq!(
             unit_sphere_flat(25, 3, 8).to_nested(),
             unit_sphere(25, 3, 8)
         );
@@ -375,14 +349,6 @@ mod tests {
             a_big > a_small + 10.0,
             "log aspect should grow ~linearly in clusters: {a_small} vs {a_big}"
         );
-    }
-
-    #[test]
-    fn two_scale_spread_controls_aspect() {
-        let pts = two_scale(60, 2, 10, 1e4, 3);
-        let ds = Dataset::new(pts, Euclidean);
-        let a = ds.aspect_ratio_exact();
-        assert!(a > 1e3, "aspect {a} should be driven by the spread");
     }
 
     #[test]

@@ -9,7 +9,9 @@ use std::time::Instant;
 use proximity_graphs::baselines::{
     nsw, slow_preprocessing, vamana, Hnsw, HnswParams, NswParams, VamanaParams,
 };
-use proximity_graphs::core::{beam_search, greedy, GNet, Graph, MergedGraph, MergedParams};
+use proximity_graphs::core::{
+    beam_search_detailed, greedy, GNet, Graph, MergedGraph, MergedParams,
+};
 use proximity_graphs::metric::{Counting, Dataset, Euclidean};
 use proximity_graphs::workloads;
 
@@ -83,9 +85,9 @@ fn main() {
         let mut comps = 0u64;
         let mut hits = 0usize;
         for (q, &t) in queries.iter().zip(truth.iter()) {
-            let (res, c) = beam_search(&vg, &data, 0, q, 12, 1);
-            comps += c;
-            if res[0].0 as usize == t {
+            let out = beam_search_detailed(&vg, &data, 0, q, 12, 1);
+            comps += out.dist_comps;
+            if out.results[0].0 as usize == t {
                 hits += 1;
             }
         }
@@ -104,9 +106,9 @@ fn main() {
         let mut comps = 0u64;
         let mut hits = 0usize;
         for (q, &tr) in queries.iter().zip(truth.iter()) {
-            let (res, c) = beam_search(&ng, &data, 0, q, 12, 1);
-            comps += c;
-            if res[0].0 as usize == tr {
+            let out = beam_search_detailed(&ng, &data, 0, q, 12, 1);
+            comps += out.dist_comps;
+            if out.results[0].0 as usize == tr {
                 hits += 1;
             }
         }
@@ -125,9 +127,9 @@ fn main() {
         let mut comps = 0u64;
         let mut hits = 0usize;
         for (q, &tr) in queries.iter().zip(truth.iter()) {
-            let (res, c) = h.search(&data, q, 12, 1);
-            comps += c;
-            if res[0].0 as usize == tr {
+            let out = h.search_detailed(&data, q, 12, 1);
+            comps += out.dist_comps;
+            if out.results[0].0 as usize == tr {
                 hits += 1;
             }
         }

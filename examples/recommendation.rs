@@ -10,7 +10,9 @@
 use std::time::Instant;
 
 use proximity_graphs::baselines::{nsw, vamana, Hnsw, HnswParams, NswParams, VamanaParams};
-use proximity_graphs::core::{beam_search, greedy, GNet, Graph, MergedGraph, MergedParams};
+use proximity_graphs::core::{
+    beam_search_detailed, greedy, GNet, Graph, MergedGraph, MergedParams,
+};
 use proximity_graphs::metric::{Counting, Dataset, Euclidean};
 use proximity_graphs::workloads;
 
@@ -39,9 +41,9 @@ fn main() {
         for (q, &t) in queries.iter().zip(truth.iter()) {
             data.metric().reset();
             let got = if beam {
-                let (res, c) = beam_search(graph, &data, 0, q, 16, 1);
-                comps += c;
-                res[0].0 as usize
+                let out = beam_search_detailed(graph, &data, 0, q, 16, 1);
+                comps += out.dist_comps;
+                out.results[0].0 as usize
             } else {
                 let out = greedy(graph, &data, 0, q);
                 comps += out.dist_comps;
@@ -97,9 +99,9 @@ fn main() {
     let mut comps = 0u64;
     let mut hits = 0usize;
     for (q, &t) in queries.iter().zip(truth.iter()) {
-        let (res, c) = h.search(&data, q, 16, 1);
-        comps += c;
-        if res[0].0 as usize == t {
+        let out = h.search_detailed(&data, q, 16, 1);
+        comps += out.dist_comps;
+        if out.results[0].0 as usize == t {
             hits += 1;
         }
     }

@@ -13,7 +13,7 @@
 //! | [`covertree`] | dynamic cover tree (insert / lazy delete / `c`-ANN / range) — the Cole–Gottlieb stand-in of Section 2.4 |
 //! | [`nets`] | `r`-nets and the near-linear hierarchical net ladder (Har-Peled–Mendel stand-in) |
 //! | [`core`] | `G_net` (Thm 1.1), `greedy`/`query` (Sec 1.1), navigability checking (Fact 2.1), θ-graphs (Sec 5.1), the merged Euclidean graph (Thm 1.3), the parallel batched `QueryEngine` |
-//! | [`baselines`] | brute force, slow-preprocessing DiskANN, Vamana, HNSW, NSW |
+//! | [`baselines`] | slow-preprocessing DiskANN, Vamana, HNSW, NSW, and the one sweep interface over them and brute force |
 //! | [`hardness`] | the executable lower-bound instances of Theorem 1.2 (Sections 3–4) with adversarial verifiers |
 //! | [`workloads`] | seeded dataset and query generators |
 //! | [`store`] | versioned on-disk index snapshots (`QueryEngine::save`/`load` live in [`core::snapshot`]) |

@@ -5,7 +5,7 @@
 
 use proximity_graphs::baselines::{nsw, vamana, Hnsw, HnswParams, NswParams, VamanaParams};
 use proximity_graphs::core::{
-    beam_search, greedy, query, GNet, GNetParams, MergedGraph, MergedParams,
+    beam_search_detailed, greedy, query, GNet, GNetParams, MergedGraph, MergedParams,
 };
 use proximity_graphs::metric::{Counting, Dataset, Euclidean};
 use proximity_graphs::nets::{NetHierarchy, RelativesCascade};
@@ -161,7 +161,7 @@ fn all_indexes_reach_reasonable_recall() {
     let hits = queries
         .iter()
         .zip(&truth)
-        .filter(|(q, &t)| beam_search(&v, &data, 0, q, 24, 1).0[0].0 as usize == t)
+        .filter(|(q, &t)| beam_search_detailed(&v, &data, 0, q, 24, 1).results[0].0 as usize == t)
         .count();
     assert!(recall(hits) >= 0.85, "vamana recall {}", recall(hits));
 
@@ -169,7 +169,7 @@ fn all_indexes_reach_reasonable_recall() {
     let hits = queries
         .iter()
         .zip(&truth)
-        .filter(|(q, &t)| h.search(&data, q, 24, 1).0[0].0 as usize == t)
+        .filter(|(q, &t)| h.search_detailed(&data, q, 24, 1).results[0].0 as usize == t)
         .count();
     assert!(recall(hits) >= 0.85, "hnsw recall {}", recall(hits));
 
@@ -177,7 +177,7 @@ fn all_indexes_reach_reasonable_recall() {
     let hits = queries
         .iter()
         .zip(&truth)
-        .filter(|(q, &t)| beam_search(&ns, &data, 0, q, 24, 1).0[0].0 as usize == t)
+        .filter(|(q, &t)| beam_search_detailed(&ns, &data, 0, q, 24, 1).results[0].0 as usize == t)
         .count();
     assert!(recall(hits) >= 0.75, "nsw recall {}", recall(hits));
 }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use proximity_graphs::core::{
-    beam_search, greedy, query, GNet, QueryEngine, ShardAssignment, ShardedEngine,
+    beam_search_detailed, greedy, query, GNet, QueryEngine, ShardAssignment, ShardedEngine,
 };
 use proximity_graphs::metric::{
     Angular, Chebyshev, Counting, Dataset, Euclidean, FlatPoints, FlatRow, Manhattan, Metric,
@@ -100,10 +100,9 @@ proptest! {
             prop_assert_eq!(a.dist_comps, b.dist_comps);
             prop_assert_eq!(a.self_terminated, b.self_terminated);
 
-            let (ra, ca) = beam_search(graph_f, &flat, s, qf, ef, k);
-            let (rb, cb) = beam_search(graph_n, &nested, s, qn, ef, k);
-            prop_assert_eq!(&ra, &rb);
-            prop_assert_eq!(ca, cb);
+            let a = beam_search_detailed(graph_f, &flat, s, qf, ef, k);
+            let b = beam_search_detailed(graph_n, &nested, s, qn, ef, k);
+            prop_assert_eq!(a, b);
 
             // Brute-force selection: same ids, bit-identical distances.
             prop_assert_eq!(flat.k_nearest_brute(qf, k), nested.k_nearest_brute(qn, k));
