@@ -138,7 +138,9 @@ fn main() {
     let engine = QueryEngine::new(GNet::build_fast(&data, 1.0).graph, data);
     let build_secs = t0.elapsed().as_secs_f64();
     let path = std::env::temp_dir().join(format!("exp_serve_{}.pgix", std::process::id()));
-    engine.save(&path).expect("saving the snapshot");
+    engine
+        .save_with(&path, 0, None)
+        .expect("saving the snapshot");
     println!(
         "built and saved a {n}-point snapshot (build: {} s)\n",
         fmt(build_secs, 2)

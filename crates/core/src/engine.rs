@@ -39,9 +39,10 @@
 //!
 //! Construction is the expensive phase; queries are cheap. The engine
 //! therefore splits into an offline and an online half:
-//! [`QueryEngine::save`] writes the index (graph + flat points + metadata)
-//! to the versioned `pg_store` on-disk format, and [`QueryEngine::load`]
-//! reconstructs an engine that answers **bit-identically** — same results,
+//! [`QueryEngine::save_with`] writes the index (graph + flat points +
+//! metadata) to the versioned `pg_store` on-disk format, and
+//! [`QueryEngine::load`] reconstructs an engine that answers
+//! **bit-identically** — same results,
 //! hops and `dist_comps` at every thread count (pinned by
 //! `tests/snapshot_parity.rs`). See the [`snapshot`](crate::snapshot)
 //! module and `ARCHITECTURE.md` at the repository root.

@@ -24,9 +24,10 @@
 //!   vertex sampling (Eq. 17) and best-of-runs amplification (Section 5.3);
 //! * [`engine`] — the parallel batched query executor: shards query batches
 //!   across a thread pool with results identical to the sequential routines;
-//! * [`snapshot`] — engine persistence: `QueryEngine::save`/`load` through
-//!   the versioned `pg_store` on-disk format, with a loaded engine answering
-//!   bit-identically to the one that was saved;
+//! * [`snapshot`] — engine persistence: `QueryEngine::save_with`/`load`
+//!   through the versioned `pg_store` on-disk format, with a loaded engine
+//!   answering bit-identically to the one that was saved; a compact store
+//!   is derived on load (`QueryEngine::quantize`), never read from the file;
 //! * [`sharded`] — one logical index over millions of points as `S`
 //!   independent per-shard sub-indexes, searched in parallel and merged in
 //!   surrogate space with a deterministic tie-break, so results are

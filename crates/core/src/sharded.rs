@@ -392,8 +392,7 @@ impl<M: Metric<FlatRow> + SnapshotMetric + Send + Sync> ShardedEngine<M> {
         let (outer, inner) = thread_split(threads, global_ids.len());
         let loaded = rayon::par_map_indexed_with(outer, &global_ids, |i, ids| {
             rayon::with_threads(inner, || {
-                let (engine, meta) =
-                    QueryEngine::<FlatRow, M>::load_with_meta(dir.join(shard_file_name(i)))?;
+                let (engine, meta) = QueryEngine::<FlatRow, M>::load(dir.join(shard_file_name(i)))?;
                 if engine.data().len() != ids.len() {
                     return Err(SnapshotError::Invalid {
                         reason: format!(

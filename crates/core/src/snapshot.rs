@@ -24,7 +24,16 @@
 //! the loaded engine matches the saved one in `dist_comps` too: format
 //! version 4 carries the resolution, a version 3 file (written before
 //! ladders had one) loads at resolution 0 and re-saves as version 3. An
-//! un-banded graph writes the version 1/2 bytes it always did.
+//! un-banded graph writes the version 1 bytes it always did.
+//!
+//! A compact-points store (`F32`/`SQ8`) is derived, not stored: the loaded
+//! engine's [`QueryEngine::quantize`] recomputes it bit for bit from the
+//! exact points the file holds, so no typed writer emits the `PN32`/`PNQ8`
+//! section of format version 2. A file that carries one (version 2, or a
+//! five-section version 3/4) still loads, once [`QueryEngine::from_snapshot`]
+//! has checked the section equals the store the points derive — a section
+//! that differs is [`SnapshotError::Invalid`]. A typed re-save writes the
+//! file without it.
 //!
 //! What is *not* stored: the net hierarchy, the thread count, and any
 //! `Counting` instrumentation. A loaded engine serves queries (which need
@@ -52,7 +61,8 @@
 //! engine.save_with(&path, 0, Some(pg.params.into())).unwrap();
 //!
 //! // Online: load and serve — answers are identical to the saved engine.
-//! let loaded: QueryEngine<FlatRow, Euclidean> = QueryEngine::load(&path).unwrap();
+//! let (loaded, meta): (QueryEngine<FlatRow, Euclidean>, _) = QueryEngine::load(&path).unwrap();
+//! assert_eq!(meta.build, Some(pg.params.into()));
 //! std::fs::remove_file(&path).unwrap();
 //! let q: FlatRow = vec![17.3, 2.2].into();
 //! let a = pg_core::greedy(engine.graph(), engine.data(), 0, &q);
@@ -64,8 +74,7 @@
 use std::path::Path;
 
 use pg_metric::{
-    Chebyshev, CompactPoints, Euclidean, F32Points, FlatPoints, FlatRow, Manhattan, Metric,
-    Quantized, Sq8Points,
+    Chebyshev, CompactPoints, Euclidean, FlatPoints, FlatRow, Manhattan, Metric, QuantKind,
 };
 use pg_store::{
     BandSection, BuildParams, IndexMeta, MetricTag, QuantSection, Snapshot, SnapshotError,
@@ -140,10 +149,11 @@ impl From<GNetParams> for BuildParams {
 /// (bit-identical results at any thread count, sequential-equivalent
 /// outcomes) carries over verbatim.
 ///
-/// This is the type `pg_serve` keeps behind its `Arc`-swapped serving
-/// cells: one `Arc<AnyEngine>` is cheap to clone per in-flight request,
-/// and replacing the `Arc` atomically switches traffic to a new snapshot
-/// while old requests finish on the old engine.
+/// This is the engine `pg_serve` keeps behind its `Arc`-swapped serving
+/// cells, inside an `Arc<ServingIndex>` with its entry point and epoch: one
+/// `Arc` is cheap to clone per in-flight request, and replacing it
+/// atomically switches traffic to a new snapshot while old requests finish
+/// on the old engine.
 ///
 /// ```
 /// use pg_core::engine::QueryEngine;
@@ -161,7 +171,7 @@ impl From<GNetParams> for BuildParams {
 /// let engine = QueryEngine::new(pg.graph, data);
 ///
 /// let path = std::env::temp_dir().join(format!("pg_any_doc_{}.pgix", std::process::id()));
-/// engine.save(&path).unwrap();
+/// engine.save_with(&path, 0, None).unwrap();
 /// let (any, meta) = AnyEngine::load(&path).unwrap();
 /// std::fs::remove_file(&path).unwrap();
 /// assert_eq!(any.metric(), MetricTag::Euclidean);
@@ -196,16 +206,10 @@ macro_rules! dispatch {
 impl AnyEngine {
     /// Loads an engine from a snapshot file, dispatching on the metric tag
     /// recorded in the file — the run-time-typed counterpart of
-    /// [`QueryEngine::load_with_meta`]. Fails with a typed
-    /// [`SnapshotError`], never a panic.
+    /// [`QueryEngine::load`], with the same validation per metric. Fails
+    /// with a typed [`SnapshotError`], never a panic.
     pub fn load(path: impl AsRef<Path>) -> Result<(Self, IndexMeta), SnapshotError> {
-        Self::from_snapshot(Snapshot::load(path)?)
-    }
-
-    /// Reconstructs an engine from an in-memory [`Snapshot`], dispatching on
-    /// its metric tag (see [`QueryEngine::from_snapshot`] for the
-    /// validation performed per metric).
-    pub fn from_snapshot(snap: Snapshot) -> Result<(Self, IndexMeta), SnapshotError> {
+        let snap = Snapshot::load(path)?;
         match snap.meta.metric {
             MetricTag::Euclidean => QueryEngine::<FlatRow, Euclidean>::from_snapshot(snap)
                 .map(|(e, m)| (AnyEngine::Euclidean(e), m)),
@@ -239,20 +243,6 @@ impl AnyEngine {
     /// Point dimensionality — the coordinate count every query must match.
     pub fn dims(&self) -> usize {
         dispatch!(self, e => e.data().point(0).dim())
-    }
-
-    /// The worker count batch calls use (see [`QueryEngine::threads`]).
-    pub fn threads(&self) -> usize {
-        dispatch!(self, e => e.threads())
-    }
-
-    /// Overrides the worker count (see [`QueryEngine::with_threads`]).
-    pub fn with_threads(self, threads: usize) -> Self {
-        match self {
-            AnyEngine::Euclidean(e) => AnyEngine::Euclidean(e.with_threads(threads)),
-            AnyEngine::Manhattan(e) => AnyEngine::Manhattan(e.with_threads(threads)),
-            AnyEngine::Chebyshev(e) => AnyEngine::Chebyshev(e.with_threads(threads)),
-        }
     }
 
     /// Forwards to [`QueryEngine::batch_beam_detailed`] on the wrapped
@@ -348,8 +338,10 @@ impl<P: AsRef<[f64]>, M: Metric<P> + SnapshotMetric> QueryEngine<P, M> {
         Ok(snap)
     }
 
-    /// Saves the engine's index to `path` with default metadata (entry
-    /// point 0, no build parameters). See [`QueryEngine::save_with`].
+    /// Saves the engine's index to `path`, recording `entry_point` and the
+    /// build parameters (if given) in the metadata section. The write is
+    /// all-or-nothing at the validation level: a structurally inconsistent
+    /// engine state is refused before any bytes hit the disk.
     ///
     /// ```
     /// use pg_core::engine::QueryEngine;
@@ -365,19 +357,12 @@ impl<P: AsRef<[f64]>, M: Metric<P> + SnapshotMetric> QueryEngine<P, M> {
     /// let engine = QueryEngine::new(pg.graph, data);
     ///
     /// let path = std::env::temp_dir().join(format!("pg_save_doc_{}.pgix", std::process::id()));
-    /// engine.save(&path).unwrap();
-    /// let loaded: QueryEngine<FlatRow, Euclidean> = QueryEngine::load(&path).unwrap();
+    /// engine.save_with(&path, 0, None).unwrap();
+    /// let (loaded, meta): (QueryEngine<FlatRow, Euclidean>, _) = QueryEngine::load(&path).unwrap();
     /// std::fs::remove_file(&path).unwrap();
     /// assert_eq!(loaded.graph(), engine.graph());
+    /// assert_eq!((meta.entry_point, meta.build), (0, None));
     /// ```
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        self.save_with(path, 0, None)
-    }
-
-    /// Saves the engine's index to `path`, recording `entry_point` and the
-    /// build parameters (if given) in the metadata section. The write is
-    /// all-or-nothing at the validation level: a structurally inconsistent
-    /// engine state is refused before any bytes hit the disk.
     pub fn save_with(
         &self,
         path: impl AsRef<Path>,
@@ -386,125 +371,20 @@ impl<P: AsRef<[f64]>, M: Metric<P> + SnapshotMetric> QueryEngine<P, M> {
     ) -> Result<(), SnapshotError> {
         self.to_snapshot(entry_point, build)?.save(path)
     }
-
-    /// [`QueryEngine::to_snapshot`] plus a compact-points section: the
-    /// snapshot carries `compact` (typically from [`QueryEngine::quantize`])
-    /// alongside the exact coordinates and writes as format version 2.
-    ///
-    /// `compact` must describe exactly this engine's points (same count,
-    /// same dimensionality); a mismatched store is refused with
-    /// [`SnapshotError::Invalid`] before any bytes are produced.
-    pub fn to_snapshot_quantized(
-        &self,
-        entry_point: u32,
-        build: Option<BuildParams>,
-        compact: &CompactPoints,
-    ) -> Result<Snapshot, SnapshotError> {
-        let mut snap = self.to_snapshot(entry_point, build)?;
-        if compact.len() as u64 != snap.meta.n || compact.dim() as u32 != snap.meta.dims {
-            return Err(SnapshotError::Invalid {
-                reason: format!(
-                    "compact store holds {} points of dim {}, engine holds {} of dim {}",
-                    compact.len(),
-                    compact.dim(),
-                    snap.meta.n,
-                    snap.meta.dims
-                ),
-            });
-        }
-        snap.quant = Some(match compact {
-            CompactPoints::F32(p) => QuantSection::F32 {
-                data: p.data().to_vec(),
-            },
-            CompactPoints::Sq8(p) => QuantSection::Sq8 {
-                mins: p.mins().to_vec(),
-                steps: p.steps().to_vec(),
-                codes: p.codes().to_vec(),
-            },
-        });
-        snap.validate()?;
-        Ok(snap)
-    }
-
-    /// Saves the engine together with a compact-points section (format
-    /// version 2). See [`QueryEngine::to_snapshot_quantized`].
-    pub fn save_quantized(
-        &self,
-        path: impl AsRef<Path>,
-        entry_point: u32,
-        build: Option<BuildParams>,
-        compact: &CompactPoints,
-    ) -> Result<(), SnapshotError> {
-        self.to_snapshot_quantized(entry_point, build, compact)?
-            .save(path)
-    }
 }
 
 impl<M: Metric<FlatRow> + SnapshotMetric> QueryEngine<FlatRow, M> {
-    /// Loads an engine from a snapshot file saved by [`QueryEngine::save`] /
-    /// [`QueryEngine::save_with`], discarding the metadata. The loaded
-    /// engine is bit-identical to the saved one: same graph, same
-    /// coordinates, hence identical results, hops and `dist_comps` for
-    /// every query (see the module docs).
+    /// Loads an engine from a snapshot file saved by
+    /// [`QueryEngine::save_with`], with the stored [`IndexMeta`] (entry
+    /// point, build parameters, …). The loaded engine is bit-identical to
+    /// the saved one: same graph, same coordinates, hence identical results,
+    /// hops and `dist_comps` for every query (see the module docs).
     ///
     /// Fails with a typed [`SnapshotError`] — never a panic — on I/O
     /// problems, truncation, corruption, future format versions, or a
     /// metric tag that differs from `M::TAG`.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        Self::load_with_meta(path).map(|(engine, _)| engine)
-    }
-
-    /// [`QueryEngine::load`], also returning the stored [`IndexMeta`]
-    /// (entry point, build parameters, …).
-    pub fn load_with_meta(path: impl AsRef<Path>) -> Result<(Self, IndexMeta), SnapshotError> {
+    pub fn load(path: impl AsRef<Path>) -> Result<(Self, IndexMeta), SnapshotError> {
         Self::from_snapshot(Snapshot::load(path)?)
-    }
-
-    /// Loads an engine **and its compact-points store** from a version-2
-    /// snapshot saved by [`QueryEngine::save_quantized`]. The engine is
-    /// bit-identical to the saved one; the returned [`CompactPoints`]
-    /// carries the exact `f32` buffer or SQ8 codebook that was written, so
-    /// quantized search after a round-trip answers exactly like before.
-    ///
-    /// A plain (version-1) file is refused with
-    /// [`SnapshotError::QuantMismatch`] `{ found: None }` — never a panic,
-    /// and never a silently re-quantized store.
-    pub fn load_quantized(
-        path: impl AsRef<Path>,
-    ) -> Result<(Self, CompactPoints, IndexMeta), SnapshotError> {
-        Self::from_snapshot_quantized(Snapshot::load(path)?)
-    }
-
-    /// Reconstructs an engine plus its compact store from an in-memory
-    /// version-2 [`Snapshot`]. See [`QueryEngine::load_quantized`].
-    pub fn from_snapshot_quantized(
-        mut snap: Snapshot,
-    ) -> Result<(Self, CompactPoints, IndexMeta), SnapshotError> {
-        let quant = snap
-            .quant
-            .take()
-            .ok_or(SnapshotError::QuantMismatch { found: None })?;
-        let dims = snap.meta.dims as usize;
-        let n = snap.meta.n;
-        let compact = match quant {
-            QuantSection::F32 { data } => {
-                F32Points::try_from_raw(data, dims).map(CompactPoints::F32)
-            }
-            QuantSection::Sq8 { mins, steps, codes } => {
-                Sq8Points::try_from_raw(codes, mins, steps, dims).map(CompactPoints::Sq8)
-            }
-        }
-        .map_err(|reason| SnapshotError::Invalid { reason })?;
-        if compact.len() as u64 != n {
-            return Err(SnapshotError::Invalid {
-                reason: format!(
-                    "compact store holds {} points, META stores n = {n}",
-                    compact.len()
-                ),
-            });
-        }
-        let (engine, meta) = Self::from_snapshot(snap)?;
-        Ok((engine, compact, meta))
     }
 
     /// Reconstructs an engine from an in-memory [`Snapshot`]. The graph- and
@@ -514,6 +394,11 @@ impl<M: Metric<FlatRow> + SnapshotMetric> QueryEngine<FlatRow, M> {
     /// the saved one) and `FlatPoints::try_from_raw` — untrusted
     /// hand-built snapshots are as safe as files, without repeating the full
     /// [`Snapshot::validate`] scan a file read already performed.
+    ///
+    /// A compact-points section is accepted only if it equals, bit for bit,
+    /// what [`QueryEngine::quantize`] derives from the loaded points (see
+    /// the module docs); otherwise the load fails with
+    /// [`SnapshotError::Invalid`].
     pub fn from_snapshot(snap: Snapshot) -> Result<(Self, IndexMeta), SnapshotError> {
         if snap.meta.metric != M::TAG {
             return Err(SnapshotError::MetricMismatch {
@@ -521,19 +406,12 @@ impl<M: Metric<FlatRow> + SnapshotMetric> QueryEngine<FlatRow, M> {
                 found: snap.meta.metric,
             });
         }
-        // A plain loader must not silently drop a quantized section the
-        // writer considered part of the index: demand the quantized loader.
-        if let Some(q) = &snap.quant {
-            return Err(SnapshotError::QuantMismatch {
-                found: Some(q.tag()),
-            });
-        }
         let Snapshot {
             meta,
             offsets,
             targets,
             coords,
-            quant: _,
+            quant,
             bands,
         } = snap;
         let addressable = |offsets: Vec<u64>| -> Result<Vec<usize>, SnapshotError> {
@@ -584,8 +462,50 @@ impl<M: Metric<FlatRow> + SnapshotMetric> QueryEngine<FlatRow, M> {
                 ),
             });
         }
+        if let Some(stored) = &quant {
+            check_derived(stored, &points)?;
+        }
         let data = points.into_dataset(M::from_tag());
         Ok((QueryEngine::new(graph, data), meta))
+    }
+}
+
+/// Accepts a stored compact-points section (format version 2, or a
+/// five-section version 3/4 file) only if it is, bit for bit, the store
+/// [`QueryEngine::quantize`] derives from the loaded points — which is how
+/// the loaded engine gets it back, so the section is checked, never kept.
+fn check_derived(stored: &QuantSection, points: &FlatPoints) -> Result<(), SnapshotError> {
+    let kind = match stored {
+        QuantSection::F32 { .. } => QuantKind::F32,
+        QuantSection::Sq8 { .. } => QuantKind::Sq8,
+    };
+    let rows: Vec<&[f64]> = points.rows().collect();
+    let derived = CompactPoints::from_rows(kind, &rows)
+        .map_err(|reason| SnapshotError::Invalid { reason })?;
+    let same = match (stored, &derived) {
+        (QuantSection::F32 { data }, CompactPoints::F32(p)) => data
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(p.data().iter().map(|x| x.to_bits())),
+        (QuantSection::Sq8 { mins, steps, codes }, CompactPoints::Sq8(p)) => {
+            let bits = |a: &[f64], b: &[f64]| {
+                a.iter()
+                    .map(|x| x.to_bits())
+                    .eq(b.iter().map(|x| x.to_bits()))
+            };
+            codes.as_slice() == p.codes() && bits(mins, p.mins()) && bits(steps, p.steps())
+        }
+        _ => false,
+    };
+    if same {
+        Ok(())
+    } else {
+        Err(SnapshotError::Invalid {
+            reason: format!(
+                "the stored {} section differs from the store the points derive",
+                kind.name()
+            ),
+        })
     }
 }
 
@@ -615,7 +535,7 @@ mod tests {
         let (engine, params) = flat_engine(80, 7);
         let path = temp("roundtrip");
         engine.save_with(&path, 5, Some(params.into())).unwrap();
-        let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load_with_meta(&path).unwrap();
+        let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
 
         assert_eq!(loaded.graph(), engine.graph());
@@ -645,8 +565,8 @@ mod tests {
         let g = GNet::build(&data, 1.0);
         let engine = QueryEngine::new(g.graph, data);
         let path = temp("nested");
-        engine.save(&path).unwrap();
-        let loaded = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
+        engine.save_with(&path, 0, None).unwrap();
+        let (loaded, _) = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(loaded.graph(), engine.graph());
         for i in 0..engine.data().len() {
@@ -658,7 +578,7 @@ mod tests {
     fn metric_mismatch_is_a_typed_error() {
         let (engine, _) = flat_engine(40, 3);
         let path = temp("mismatch");
-        engine.save(&path).unwrap(); // tagged L2
+        engine.save_with(&path, 0, None).unwrap(); // tagged L2
         let err = QueryEngine::<FlatRow, Manhattan>::load(&path).unwrap_err();
         match err {
             SnapshotError::MetricMismatch { expected, found } => {
@@ -681,8 +601,8 @@ mod tests {
         let g = GNet::build(&data, 1.0);
         let engine = QueryEngine::new(g.graph, data);
         let path = temp("l1");
-        engine.save(&path).unwrap();
-        let (loaded, meta) = QueryEngine::<FlatRow, Manhattan>::load_with_meta(&path).unwrap();
+        engine.save_with(&path, 0, None).unwrap();
+        let (loaded, meta) = QueryEngine::<FlatRow, Manhattan>::load(&path).unwrap();
         assert_eq!(meta.metric, MetricTag::Manhattan);
         assert_eq!(loaded.graph(), engine.graph());
         // An L∞ loader refuses the L1 file.
@@ -717,7 +637,7 @@ mod tests {
                 let g = GNet::build(&data, 1.0);
                 let engine = QueryEngine::new(g.graph, data);
                 let path = temp(&format!("any_{}", $tag.code()));
-                engine.save(&path).unwrap();
+                engine.save_with(&path, 0, None).unwrap();
                 let (any, meta) = AnyEngine::load(&path).unwrap();
                 std::fs::remove_file(&path).unwrap();
                 assert_eq!(any.metric(), $tag);
@@ -738,29 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn any_engine_thread_override_does_not_change_answers() {
-        let (engine, _) = flat_engine(70, 21);
-        let path = temp("any_threads");
-        engine.save(&path).unwrap();
-        let (any, _) = AnyEngine::load(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        let queries: Vec<FlatRow> = (0..12)
-            .map(|i| FlatRow::from(vec![(i * 7 % 50) as f64, (i % 4) as f64]))
-            .collect();
-        let starts: Vec<u32> = (0..12).map(|i| (i * 11 % 70) as u32).collect();
-        let base = any
-            .clone()
-            .with_threads(1)
-            .batch_beam_detailed(&starts, &queries, 6, 2);
-        for t in [2, 8] {
-            let par = any.clone().with_threads(t);
-            assert_eq!(par.threads(), t);
-            let got = par.batch_beam_detailed(&starts, &queries, 6, 2);
-            assert_eq!(got.outcomes, base.outcomes, "diverged at {t} threads");
-        }
-    }
-
-    #[test]
     fn any_engine_load_propagates_typed_errors() {
         let err = AnyEngine::load("/definitely/not/a/real/path.pgix").unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
@@ -768,19 +665,31 @@ mod tests {
 
     #[test]
     fn quantized_roundtrip_restores_engine_and_compact_store() {
+        // A snapshot carrying a compact-points section (format version 2)
+        // loads, and the store `quantize` derives from the loaded points is
+        // the stored one; a section that differs in one bit is refused.
         for kind in [QuantKind::F32, QuantKind::Sq8] {
             let (engine, params) = flat_engine(60, 11);
             let compact = engine.quantize(kind).unwrap();
+            let mut snap = engine.to_snapshot(3, Some(params.into())).unwrap();
+            snap.quant = Some(match &compact {
+                CompactPoints::F32(p) => QuantSection::F32 {
+                    data: p.data().to_vec(),
+                },
+                CompactPoints::Sq8(p) => QuantSection::Sq8 {
+                    mins: p.mins().to_vec(),
+                    steps: p.steps().to_vec(),
+                    codes: p.codes().to_vec(),
+                },
+            });
             let path = temp(&format!("quant_{}", kind.name()));
-            engine
-                .save_quantized(&path, 3, Some(params.into()), &compact)
-                .unwrap();
-            let (loaded, back, meta) =
-                QueryEngine::<FlatRow, Euclidean>::load_quantized(&path).unwrap();
+            snap.save(&path).unwrap();
+            let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
             std::fs::remove_file(&path).unwrap();
 
             assert_eq!(loaded.graph(), engine.graph());
             assert_eq!(meta.entry_point, 3);
+            let back = loaded.quantize(kind).unwrap();
             assert_eq!(back, compact, "compact store changed across the disk");
             // Quantized search after the round-trip answers exactly like
             // before it.
@@ -792,47 +701,14 @@ mod tests {
             let b = loaded.batch_beam_quantized_detailed(&back, &starts, &queries, 8, 3);
             assert_eq!(a.outcomes, b.outcomes);
             assert_eq!(a.dist_comps, b.dist_comps);
+
+            match snap.quant.as_mut().unwrap() {
+                QuantSection::F32 { data } => data[7] = f32::from_bits(data[7].to_bits() ^ 1),
+                QuantSection::Sq8 { codes, .. } => codes[7] ^= 1,
+            }
+            let err = QueryEngine::<FlatRow, Euclidean>::from_snapshot(snap).unwrap_err();
+            assert!(matches!(err, SnapshotError::Invalid { .. }), "got {err:?}");
         }
-    }
-
-    #[test]
-    fn quant_mismatch_is_typed_in_both_directions() {
-        let (engine, _) = flat_engine(30, 5);
-        let compact = engine.quantize(QuantKind::Sq8).unwrap();
-
-        // Plain loader on a quantized file.
-        let path = temp("quant_on_plain_loader");
-        engine.save_quantized(&path, 0, None, &compact).unwrap();
-        let err = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap_err();
-        std::fs::remove_file(&path).unwrap();
-        assert!(
-            matches!(
-                err,
-                SnapshotError::QuantMismatch {
-                    found: Some(pg_store::QuantTag::Sq8)
-                }
-            ),
-            "got {err:?}"
-        );
-
-        // Quantized loader on a plain file.
-        let path = temp("plain_on_quant_loader");
-        engine.save(&path).unwrap();
-        let err = QueryEngine::<FlatRow, Euclidean>::load_quantized(&path).unwrap_err();
-        std::fs::remove_file(&path).unwrap();
-        assert!(
-            matches!(err, SnapshotError::QuantMismatch { found: None }),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn mismatched_compact_store_is_refused_at_save_time() {
-        let (engine, _) = flat_engine(40, 2);
-        let (small, _) = flat_engine(20, 2);
-        let compact = small.quantize(QuantKind::F32).unwrap();
-        let err = engine.to_snapshot_quantized(0, None, &compact).unwrap_err();
-        assert!(matches!(err, SnapshotError::Invalid { .. }), "got {err:?}");
     }
 
     #[test]
@@ -841,7 +717,7 @@ mod tests {
         // typed engine path — the error must be typed, not a panic.
         let (engine, _) = flat_engine(25, 9);
         let path = temp("tamper");
-        engine.save(&path).unwrap();
+        engine.save_with(&path, 0, None).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;

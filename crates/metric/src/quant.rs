@@ -240,28 +240,7 @@ impl F32Points {
         Ok(F32Points { data, dim })
     }
 
-    /// Reconstructs from raw storage (the snapshot-load path). Rejects
-    /// empty or ragged data and non-finite values with a description.
-    pub fn try_from_raw(data: Vec<f32>, dim: usize) -> Result<Self, String> {
-        if dim == 0 {
-            return Err("dim must be >= 1".to_string());
-        }
-        if data.is_empty() {
-            return Err("cannot build an empty F32Points".to_string());
-        }
-        if !data.len().is_multiple_of(dim) {
-            return Err(format!(
-                "data length {} is not a multiple of dim {dim}",
-                data.len()
-            ));
-        }
-        if let Some(x) = data.iter().find(|x| !x.is_finite()) {
-            return Err(format!("non-finite stored coordinate {x}"));
-        }
-        Ok(F32Points { data, dim })
-    }
-
-    /// The raw row-major coordinates (for snapshot encoding).
+    /// The raw row-major coordinates.
     pub fn data(&self) -> &[f32] {
         &self.data
     }
@@ -363,53 +342,12 @@ impl Sq8Points {
         }
     }
 
-    /// Reconstructs from raw parts (the snapshot-load path). Rejects
-    /// length mismatches, non-finite ranges, and negative steps.
-    pub fn try_from_raw(
-        codes: Vec<u8>,
-        mins: Vec<f64>,
-        steps: Vec<f64>,
-        dim: usize,
-    ) -> Result<Self, String> {
-        if dim == 0 {
-            return Err("dim must be >= 1".to_string());
-        }
-        if mins.len() != dim || steps.len() != dim {
-            return Err(format!(
-                "per-dimension arrays have lengths {} / {}, expected dim {dim}",
-                mins.len(),
-                steps.len()
-            ));
-        }
-        if codes.is_empty() {
-            return Err("cannot build an empty Sq8Points".to_string());
-        }
-        if !codes.len().is_multiple_of(dim) {
-            return Err(format!(
-                "code length {} is not a multiple of dim {dim}",
-                codes.len()
-            ));
-        }
-        if let Some(x) = mins.iter().chain(&steps).find(|x| !x.is_finite()) {
-            return Err(format!("non-finite quantization parameter {x}"));
-        }
-        if let Some(s) = steps.iter().find(|&&s| s < 0.0) {
-            return Err(format!("negative quantization step {s}"));
-        }
-        Ok(Sq8Points {
-            codes,
-            mins,
-            steps,
-            dim,
-        })
-    }
-
-    /// The raw codes, row-major (for snapshot encoding).
+    /// The raw codes, row-major.
     pub fn codes(&self) -> &[u8] {
         &self.codes
     }
 
-    /// Per-dimension range minima (for snapshot encoding).
+    /// Per-dimension range minima.
     pub fn mins(&self) -> &[f64] {
         &self.mins
     }
@@ -467,9 +405,9 @@ impl Quantized for Sq8Points {
     }
 }
 
-/// The closed set of compact representations a snapshot can carry and an
-/// engine can search: one enum so call sites (engine, sharded merge,
-/// snapshot codecs, adapters) dispatch without a generic parameter.
+/// The closed set of compact representations an engine can search: one
+/// enum so call sites (engine, sharded merge, snapshot checks, adapters)
+/// dispatch without a generic parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompactPoints {
     /// Half-width floating point.
@@ -697,24 +635,5 @@ mod tests {
             assert!(CompactPoints::from_rows(kind, &ragged).is_err());
             assert!(CompactPoints::from_rows(kind, &nan).is_err());
         }
-        assert!(F32Points::try_from_raw(vec![1.0], 0).is_err());
-        assert!(F32Points::try_from_raw(vec![1.0, 2.0, 3.0], 2).is_err());
-        assert!(F32Points::try_from_raw(vec![f32::NAN], 1).is_err());
-        assert!(Sq8Points::try_from_raw(vec![0], vec![0.0], vec![-1.0], 1).is_err());
-        assert!(Sq8Points::try_from_raw(vec![0], vec![f64::NAN], vec![0.0], 1).is_err());
-        assert!(Sq8Points::try_from_raw(vec![0, 1, 2], vec![0.0, 0.0], vec![0.0, 0.0], 2).is_err());
-    }
-
-    #[test]
-    fn raw_round_trip_preserves_the_store() {
-        let rows = random_rows(9, 4, 11);
-        let f = F32Points::from_rows(&rows).unwrap();
-        let f2 = F32Points::try_from_raw(f.data().to_vec(), 4).unwrap();
-        assert_eq!(f, f2);
-        let s = Sq8Points::from_rows(&rows).unwrap();
-        let s2 =
-            Sq8Points::try_from_raw(s.codes().to_vec(), s.mins().to_vec(), s.steps().to_vec(), 4)
-                .unwrap();
-        assert_eq!(s, s2);
     }
 }

@@ -5,18 +5,26 @@
 
 use pg_core::engine::QueryEngine;
 use pg_core::GNet;
-use pg_metric::{Euclidean, FlatPoints, FlatRow};
+use pg_metric::{Euclidean, FlatPoints, FlatRow, Metric};
 
 /// Builds a small deterministic 2-D index. Different seeds give different
 /// point sets (hence different graphs and different answers) — which is
 /// what the hot-swap test uses to tell two snapshots apart.
 pub fn build_engine(n: usize, seed: u64) -> QueryEngine<FlatRow, Euclidean> {
+    build_engine_in(n, seed, Euclidean)
+}
+
+/// [`build_engine`]'s points indexed under `metric`.
+pub fn build_engine_in<M>(n: usize, seed: u64, metric: M) -> QueryEngine<FlatRow, M>
+where
+    M: Metric<FlatRow> + Metric<[f64]> + Sync,
+{
     let points = FlatPoints::from_fn(n, 2, |i, out| {
         let x = ((i as u64).wrapping_mul(seed.wrapping_add(13)) % 101) as f64;
         let y = ((i as u64).wrapping_mul(7).wrapping_add(seed) % 23) as f64;
         out.extend([x, y]);
     });
-    let data = points.into_dataset(Euclidean);
+    let data = points.into_dataset(metric);
     let pg = GNet::build(&data, 1.0);
     QueryEngine::new(pg.graph, data)
 }

@@ -198,7 +198,9 @@ fn a_failed_swap_leaves_the_old_snapshot_serving() {
 
     // A corrupt file: valid snapshot, one byte flipped.
     let path = common::temp("failed_swap");
-    common::build_engine(100, 8).save(&path).unwrap();
+    common::build_engine(100, 8)
+        .save_with(&path, 0, None)
+        .unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;

@@ -20,7 +20,7 @@
 //!
 //! This crate depends on nothing and knows nothing about graphs or metrics
 //! beyond these raw arrays; `pg_core::snapshot` does the typed wiring
-//! (`QueryEngine::save` / `QueryEngine::load`) and re-validates the
+//! (`QueryEngine::save_with` / `QueryEngine::load`) and re-validates the
 //! graph-level invariants on load.
 //!
 //! # File format (versions 1 to 4)
@@ -38,9 +38,10 @@
 //! affine parameters). Append-only evolution: the first three sections are
 //! byte-identical to version 1, a plain snapshot still writes version 1,
 //! and readers accept both versions — so every version-1 file on disk
-//! stays loadable forever. A typed loader whose quantization expectation
-//! disagrees with the file gets [`SnapshotError::QuantMismatch`], never a
-//! panic.
+//! stays loadable forever. This crate parses and re-writes the section
+//! byte for byte; the typed loader treats it as derived data — it checks
+//! the section against the store the points quantize to, and a typed
+//! re-save drops it.
 //!
 //! Version 3 appends one more framed section, `BAND`, after the version 1
 //! **or** version 2 body: the band ladder of a graph whose rows are stored
@@ -421,14 +422,6 @@ pub enum SnapshotError {
         /// The metric recorded in the file.
         found: MetricTag,
     },
-    /// A typed loader's quantization expectation disagrees with the file:
-    /// a plain loader opened a quantized (version-2) snapshot, or a
-    /// quantized loader opened a plain (version-1) one.
-    QuantMismatch {
-        /// The quantized section the file carries (`None` for a plain
-        /// snapshot).
-        found: Option<QuantTag>,
-    },
     /// The bytes parse but violate a structural invariant (unknown codes,
     /// inconsistent counts, non-monotone offsets, out-of-range ids, …).
     Invalid {
@@ -458,16 +451,6 @@ impl fmt::Display for SnapshotError {
                 f,
                 "metric mismatch: loader expected {expected}, snapshot stores {found}"
             ),
-            SnapshotError::QuantMismatch { found } => match found {
-                Some(tag) => write!(
-                    f,
-                    "quantization mismatch: plain loader opened a snapshot carrying a {tag} quantized section"
-                ),
-                None => write!(
-                    f,
-                    "quantization mismatch: quantized loader opened a plain snapshot with no quantized section"
-                ),
-            },
             SnapshotError::Invalid { reason } => write!(f, "invalid snapshot: {reason}"),
         }
     }
@@ -2007,17 +1990,6 @@ mod tests {
             );
             assert!(bad.to_bytes().is_err(), "case {name}: to_bytes accepted");
         }
-    }
-
-    #[test]
-    fn quant_mismatch_display_spells_out_both_directions() {
-        let plain_on_quant = SnapshotError::QuantMismatch {
-            found: Some(QuantTag::Sq8),
-        };
-        assert!(plain_on_quant.to_string().contains("plain loader"));
-        assert!(plain_on_quant.to_string().contains("sq8"));
-        let quant_on_plain = SnapshotError::QuantMismatch { found: None };
-        assert!(quant_on_plain.to_string().contains("quantized loader"));
     }
 
     #[test]

@@ -388,11 +388,12 @@ fn version_and_section_count_must_agree() {
 
 #[test]
 fn quantized_bytes_carry_the_tag_for_typed_loaders_to_catch() {
-    // The byte layer parses a quantized snapshot happily — the plain-vs-
-    // quantized loader mismatch is typed one level up (QueryEngine::load
-    // raises QuantMismatch{found: Some(tag)}, load_quantized raises
-    // QuantMismatch{found: None}; see pg_core::snapshot's tests). Here we
-    // pin that the parsed value carries exactly what those loaders match on.
+    // The byte layer parses a quantized snapshot happily. One level up,
+    // the typed loader (QueryEngine::from_snapshot) reads the section's
+    // tag to pick the store it derives from the points, and refuses the
+    // file with SnapshotError::Invalid unless the section equals that store
+    // (see tests/snapshot_parity.rs at the workspace root). Here we pin
+    // that the parsed value carries the tag the loader matches on.
     for (tag, bytes) in quant_fixtures() {
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.quant.as_ref().unwrap().tag(), tag);

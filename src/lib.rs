@@ -16,7 +16,7 @@
 //! | [`baselines`] | slow-preprocessing DiskANN, Vamana, HNSW, NSW, and the one sweep interface over them and brute force |
 //! | [`hardness`] | the executable lower-bound instances of Theorem 1.2 (Sections 3–4) with adversarial verifiers |
 //! | [`workloads`] | seeded dataset and query generators |
-//! | [`store`] | versioned on-disk index snapshots (`QueryEngine::save`/`load` live in [`core::snapshot`]) |
+//! | [`store`] | versioned on-disk index snapshots (`QueryEngine::save_with`/`load` live in [`core::snapshot`]) |
 //! | [`eval`] | the self-scoring layer: exact brute-force ground truth, recall/quality metrics, recall-vs-distance frontier sweeps |
 //! | [`serve`] | the online serving layer: TCP server with a length-prefixed checksummed protocol, bounded per-core query dispatch, multi-index registry with zero-drop snapshot hot-swap |
 //!
@@ -92,13 +92,14 @@
 //! ## Index snapshots: build once, serve forever
 //!
 //! Construction is the expensive phase; queries are cheap greedy walks.
-//! [`QueryEngine::save`](core::QueryEngine::save) persists the index
-//! (graph, flat points, metadata) to the versioned [`store`] format, and
-//! [`QueryEngine::load`](core::QueryEngine::load) reconstructs an engine
-//! that answers **bit-identically** to the one that was saved (pinned by
-//! `tests/snapshot_parity.rs` across thread counts). Corrupt, truncated, or
-//! incompatible files fail with typed [`store::SnapshotError`]s, never
-//! panics:
+//! [`QueryEngine::save_with`](core::QueryEngine::save_with) persists the
+//! index (graph, flat points, metadata) to the versioned [`store`] format,
+//! and [`QueryEngine::load`](core::QueryEngine::load) reconstructs an engine
+//! that answers **bit-identically** to the one that was saved, together
+//! with its stored metadata (pinned by `tests/snapshot_parity.rs` across
+//! thread counts). A compact store is not persisted: the loaded engine's
+//! `quantize` derives it bit for bit. Corrupt, truncated, or incompatible
+//! files fail with typed [`store::SnapshotError`]s, never panics:
 //!
 //! ```
 //! use proximity_graphs::core::{GNet, QueryEngine};
@@ -114,10 +115,10 @@
 //! engine.save_with(&path, 0, Some(pg.params.into())).unwrap();
 //!
 //! // Online: load and serve — identical answers, no rebuild.
-//! let loaded: QueryEngine<FlatRow, Euclidean> = QueryEngine::load(&path).unwrap();
+//! let (loaded, meta): (QueryEngine<FlatRow, Euclidean>, _) = QueryEngine::load(&path).unwrap();
 //! std::fs::remove_file(&path).unwrap();
 //! let queries = workloads::uniform_queries_flat(8, 2, 0.0, 70.0, 10).into_rows();
-//! let starts = vec![0u32; 8];
+//! let starts = vec![meta.entry_point; 8];
 //! let a = engine.batch_greedy(&starts, &queries);
 //! let b = loaded.batch_greedy(&starts, &queries);
 //! assert_eq!(a.dist_comps, b.dist_comps);

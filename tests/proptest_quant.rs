@@ -302,8 +302,8 @@ fn tiny_engine(rows: Vec<Vec<f64>>) -> QueryEngine<Vec<f64>, Euclidean> {
 }
 
 /// Full-width quantized search must equal the exact beam on `engine`, for
-/// both kinds, and the quantized snapshot must round-trip the compact store
-/// and the answers bit for bit.
+/// both kinds, and a saved-then-loaded engine must hold the exact
+/// coordinates and derive the same compact store bit for bit.
 fn assert_degenerate_contract(engine: &QueryEngine<Vec<f64>, Euclidean>, q: Vec<f64>, tag: &str) {
     let n = engine.data().len();
     let starts = vec![0u32];
@@ -320,14 +320,13 @@ fn assert_degenerate_contract(engine: &QueryEngine<Vec<f64>, Euclidean>, q: Vec<
         );
 
         let path = temp_path(tag, kind as u64);
-        engine.save_quantized(&path, 0, None, &compact).unwrap();
-        let (loaded, back, meta) =
-            QueryEngine::<FlatRow, Euclidean>::load_quantized(&path).unwrap();
+        engine.save_with(&path, 0, None).unwrap();
+        let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(
-            back,
+            loaded.quantize(kind).unwrap(),
             compact,
-            "{tag}/{}: compact store round-trip",
+            "{tag}/{}: compact store derived after the round-trip",
             kind.name()
         );
         assert_eq!(meta.n, n as u64);

@@ -7,12 +7,17 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::at_octave_bands;
 use proptest::prelude::*;
 use proximity_graphs::baselines::{Hnsw, HnswParams};
-use proximity_graphs::core::{GNet, QueryEngine};
-use proximity_graphs::metric::{Euclidean, FlatRow};
-use proximity_graphs::store::{BandSection, IndexMeta, MetricTag, Snapshot, SnapshotError};
+use proximity_graphs::core::{AnyEngine, GNet, QueryEngine};
+use proximity_graphs::metric::{CompactPoints, Euclidean, FlatRow, QuantKind};
+use proximity_graphs::serve::{Client, IndexRegistry, ServeError, Server};
+use proximity_graphs::store::{
+    BandSection, BuildParams, IndexMeta, MetricTag, QuantSection, Snapshot, SnapshotError,
+};
 use proximity_graphs::workloads;
 
 fn thread_counts() -> [usize; 3] {
@@ -66,11 +71,11 @@ proptest! {
         // re-saves byte for byte.
         let path = temp_path(n, d, seed);
         engine.save_with(&path, 0, None).unwrap();
-        let bare = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
+        let (bare, _) = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
         engine.save_with(&path, 0, Some(params.into())).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         prop_assert_eq!(&bytes[8..12], &version.to_le_bytes()[..]);
-        let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load_with_meta(&path).unwrap();
+        let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
         loaded.save_with(&path, 0, meta.build).unwrap();
         prop_assert!(std::fs::read(&path).unwrap() == bytes, "version {} re-save", version);
         std::fs::remove_file(&path).unwrap();
@@ -156,15 +161,14 @@ fn an_unbanded_index_still_writes_version_1_and_2_and_reloads_unbanded() {
             [1, 0, 0, 0, 3, 0, 0, 0],
             "version 1, 3 sections"
         );
-        let (loaded, _) = QueryEngine::<FlatRow, Euclidean>::from_snapshot(snap).unwrap();
-        assert!(!loaded.graph().is_banded());
-        assert_eq!(loaded.graph(), plain.graph());
-
-        let compact = plain
-            .quantize(proximity_graphs::metric::QuantKind::Sq8)
-            .unwrap();
-        let quant = plain.to_snapshot_quantized(0, None, &compact).unwrap();
+        let compact = plain.quantize(QuantKind::Sq8).unwrap();
+        let quant = with_compact_section(snap.clone(), &compact);
         assert_eq!(quant.to_bytes().unwrap()[8..16], [2, 0, 0, 0, 4, 0, 0, 0]);
+        for snap in [snap, quant] {
+            let (loaded, _) = QueryEngine::<FlatRow, Euclidean>::from_snapshot(snap).unwrap();
+            assert!(!loaded.graph().is_banded());
+            assert_eq!(loaded.graph(), plain.graph());
+        }
     }
     // The banded one differs from its stripped twin by row order and the
     // appended section only: version 4 as built, version 3 at one band per
@@ -181,25 +185,161 @@ fn an_unbanded_index_still_writes_version_1_and_2_and_reloads_unbanded() {
     );
 }
 
+/// `snap` with a compact-points section: the snapshot a typed writer
+/// produced while it still stored the compact store beside the points (a
+/// format version 2 file, or a five-section version 3/4 one).
+fn with_compact_section(mut snap: Snapshot, compact: &CompactPoints) -> Snapshot {
+    snap.quant = Some(match compact {
+        CompactPoints::F32(p) => QuantSection::F32 {
+            data: p.data().to_vec(),
+        },
+        CompactPoints::Sq8(p) => QuantSection::Sq8 {
+            mins: p.mins().to_vec(),
+            steps: p.steps().to_vec(),
+            codes: p.codes().to_vec(),
+        },
+    });
+    snap
+}
+
 #[test]
 fn a_banded_quantized_snapshot_round_trips_as_version_3_or_4_with_five_sections() {
     let (built, _) = banded_sample();
     let octaves = QueryEngine::new(at_octave_bands(built.graph()), built.data().clone());
     for (engine, version) in [(built, 4), (octaves, 3)] {
-        for kind in [
-            proximity_graphs::metric::QuantKind::F32,
-            proximity_graphs::metric::QuantKind::Sq8,
-        ] {
+        for kind in [QuantKind::F32, QuantKind::Sq8] {
             let compact = engine.quantize(kind).unwrap();
-            let snap = engine.to_snapshot_quantized(3, None, &compact).unwrap();
+            let snap = with_compact_section(engine.to_snapshot(3, None).unwrap(), &compact);
             let bytes = snap.to_bytes().unwrap();
             assert_eq!(bytes[8..16], [version, 0, 0, 0, 5, 0, 0, 0]);
             let back = Snapshot::from_bytes(&bytes).unwrap();
-            let (loaded, loaded_compact, meta) =
-                QueryEngine::<FlatRow, Euclidean>::from_snapshot_quantized(back).unwrap();
+            let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::from_snapshot(back).unwrap();
             assert_eq!(loaded.graph(), engine.graph());
-            assert_eq!(loaded_compact, compact);
+            assert_eq!(loaded.quantize(kind).unwrap(), compact);
             assert_eq!(meta.entry_point, 3);
+        }
+    }
+}
+
+/// A file that stores a compact-points section — what typed saves of
+/// quantized engines wrote before the store became derived — still loads
+/// through every reader: the typed loader, the run-time-typed one and the
+/// server's registry. The section is checked against the store the points
+/// derive, and a checksum-valid file whose section differs in one bit is a
+/// typed `Invalid`, never a panic.
+#[test]
+fn a_stored_compact_section_loads_everywhere_and_is_checked_against_the_derived_store() {
+    const ENTRY: u32 = 3;
+    const EF: usize = 8;
+    const K: usize = 3;
+    let (built, _) = banded_sample();
+    let build = Some(BuildParams {
+        epsilon: 1.0,
+        eta: 2,
+        phi: 9.0,
+    });
+    let unbanded = QueryEngine::new(built.graph().without_bands(), built.data().clone());
+    let octaves = QueryEngine::new(at_octave_bands(built.graph()), built.data().clone());
+    let queries = workloads::uniform_queries_flat(6, 2, -5.0, 45.0, 78).into_rows();
+    let starts = vec![ENTRY; queries.len()];
+
+    let registry = Arc::new(IndexRegistry::new());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), Default::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    for (engine, version, sections) in [(unbanded, 2, 4), (octaves, 3, 5), (built, 4, 5)] {
+        for kind in [QuantKind::F32, QuantKind::Sq8] {
+            let name = format!("v{version}_{}", kind.name());
+            let path = dir.join(format!("pg_snap_stored_{pid}_{name}.pgix"));
+            let copy = dir.join(format!("pg_snap_stored_{pid}_{name}_copy.pgix"));
+            let compact = engine.quantize(kind).unwrap();
+            let plain = engine.to_snapshot(ENTRY, build).unwrap();
+            let snap = with_compact_section(plain.clone(), &compact);
+            snap.save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(
+                bytes[8..16],
+                [version, 0, 0, 0, sections, 0, 0, 0],
+                "{name}"
+            );
+
+            // The byte layer re-saves it untouched.
+            Snapshot::load(&path).unwrap().save(&copy).unwrap();
+            assert!(
+                std::fs::read(&copy).unwrap() == bytes,
+                "{name}: raw re-save"
+            );
+
+            // The typed loader: same engine, the stored store is the derived
+            // one, and quantized search answers like the engine that saved.
+            let (loaded, meta) = QueryEngine::<FlatRow, Euclidean>::load(&path).unwrap();
+            assert_eq!(loaded.graph(), engine.graph(), "{name}");
+            assert_eq!(meta.entry_point, ENTRY);
+            let derived = loaded.quantize(kind).unwrap();
+            assert_eq!(derived, compact, "{name}: derived store");
+            let before = engine.batch_beam_quantized_detailed(&compact, &starts, &queries, EF, K);
+            let after = loaded.batch_beam_quantized_detailed(&derived, &starts, &queries, EF, K);
+            assert_eq!(after.outcomes, before.outcomes, "{name}");
+            assert_eq!(after.dist_comps, before.dist_comps, "{name}");
+
+            // A typed re-save drops the section: the body is the leading
+            // sections of the file.
+            loaded
+                .save_with(&copy, meta.entry_point, meta.build)
+                .unwrap();
+            let resaved = std::fs::read(&copy).unwrap();
+            assert!(
+                resaved == plain.to_bytes().unwrap(),
+                "{name}: typed re-save"
+            );
+            if version == 2 {
+                assert!(
+                    bytes[16..].starts_with(&resaved[16..]),
+                    "{name}: leading sections"
+                );
+            }
+
+            // The run-time-typed loader and the server answer like the
+            // engine that saved.
+            let direct = engine.batch_beam_detailed(&starts, &queries, EF, K);
+            let (any, _) = AnyEngine::load(&path).unwrap();
+            let through = any.batch_beam_detailed(&starts, &queries, EF, K);
+            assert_eq!(through.outcomes, direct.outcomes, "{name}: AnyEngine");
+            registry.register_from_path(name.as_str(), &path).unwrap();
+            let reply = client
+                .query(&name, queries[0].coords(), EF as u32, K as u32)
+                .unwrap();
+            let expected = &direct.outcomes[0];
+            let bits = |r: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                r.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&reply.results),
+                bits(&expected.results),
+                "{name}: served"
+            );
+            assert_eq!(reply.dist_comps, expected.dist_comps, "{name}: served");
+            assert_eq!(reply.expansions, expected.expansions, "{name}: served");
+
+            // One code or one f32 bit off, checksums recomputed: refused.
+            let mut bad = snap.clone();
+            match bad.quant.as_mut().unwrap() {
+                QuantSection::F32 { data } => data[5] = f32::from_bits(data[5].to_bits() ^ 1),
+                QuantSection::Sq8 { codes, .. } => codes[5] ^= 1,
+            }
+            bad.save(&copy).unwrap();
+            let invalid = |err: &SnapshotError| matches!(err, SnapshotError::Invalid { .. });
+            let err = QueryEngine::<FlatRow, Euclidean>::load(&copy).unwrap_err();
+            assert!(invalid(&err), "{name}: got {err:?}");
+            let err = AnyEngine::load(&copy).unwrap_err();
+            assert!(invalid(&err), "{name}: got {err:?}");
+            match registry.register_from_path(format!("{name}_bad"), &copy) {
+                Err(ServeError::Snapshot(err)) => assert!(invalid(&err), "{name}: got {err:?}"),
+                other => panic!("{name}: got {other:?}"),
+            }
+            std::fs::remove_file(&path).unwrap();
+            std::fs::remove_file(&copy).unwrap();
         }
     }
 }
