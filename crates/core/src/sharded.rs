@@ -16,12 +16,17 @@
 //!   [`GNet`] + [`QueryEngine`] over a compact copy of
 //!   its points; shard-local ids are positions in the ascending global-id
 //!   list, so local id order agrees with global id order.
-//! * **Parallel search** — a batch fans out over its **queries** through
-//!   the order-preserving pool (`rayon::par_map_indexed_with`), so the
-//!   schedule can never reorder results; one task walks its query through
-//!   all `S` shards and merges, so a batch of one runs on the calling
-//!   thread (the pool starts no more workers than it has items) instead of
-//!   paying a thread spawn and join for eight short walks.
+//! * **Parallel search** — a batch fans out over contiguous **blocks of
+//!   queries** (about four per pool thread) through the order-preserving
+//!   pool (`rayon::par_map_indexed_with`), so the schedule can never
+//!   reorder results. One task walks every query of its block through
+//!   shard 0, then through shard 1, and so on — shard-major, so a shard's
+//!   hot rows are re-read from cache across the block — and then merges
+//!   per query. Each walk depends only on its query and its shard, so the
+//!   block cut and the shard order are answer-neutral. A batch of one is
+//!   one block and runs on the calling thread (the pool starts no more
+//!   workers than it has items) instead of paying a thread spawn and join
+//!   for eight short walks.
 //! * **Surrogate-space merge** — per-shard top-`k` lists come back still
 //!   in surrogate space ([`BeamSurrogate`]) and are merged on the
 //!   key `(surrogate, global id)`, then mapped to true distances once.
@@ -261,37 +266,56 @@ impl<M> ShardedEngine<M> {
 }
 
 impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
-    /// The one fan-out + merge, one pool task per query: the task runs
-    /// `search(shard index, query)` — a surrogate-space top-`k` in
-    /// shard-local ids — on every shard in turn, remaps ids to global,
-    /// merges on `(surrogate, global id)`, keeps `k` and maps to true
-    /// distances once.
+    /// The one fan-out + merge, shard-major over blocks of queries: the
+    /// batch is cut into contiguous blocks of `len.div_ceil(4 · threads)`
+    /// queries, one pool task each. A task runs `search(shard index,
+    /// query)` — a surrogate-space top-`k` in shard-local ids — for every
+    /// query of its block on shard 0, then on shard 1, and so on (one
+    /// shard's hot rows stay in cache across the block), remapping ids to
+    /// global as it goes; then per query it merges on `(surrogate, global
+    /// id)`, keeps `k` and maps to true distances once. Each walk depends
+    /// only on its query and its shard, so neither the block cut nor the
+    /// shard order can change an answer or a count.
     fn fan_out(
         &self,
         queries: &[FlatRow],
         k: usize,
         search: impl Fn(usize, &FlatRow) -> BeamSurrogate + Sync,
     ) -> BatchBeamDetail {
-        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |_, q| {
-            let mut merged = BeamSurrogate {
-                results: Vec::with_capacity(self.shards.len() * k),
-                dist_comps: 0,
-                expansions: 0,
-            };
+        let block = queries.len().div_ceil(4 * self.threads).max(1);
+        let blocks: Vec<&[FlatRow]> = queries.chunks(block).collect();
+        let per_block = rayon::par_map_indexed_with(self.threads, &blocks, |_, block| {
+            let mut merged: Vec<BeamSurrogate> = block
+                .iter()
+                .map(|_| BeamSurrogate {
+                    results: Vec::with_capacity(self.shards.len() * k),
+                    dist_comps: 0,
+                    expansions: 0,
+                })
+                .collect();
             for (i, ids) in self.global_ids.iter().enumerate() {
-                let out = search(i, q);
-                merged.dist_comps += out.dist_comps;
-                merged.expansions += out.expansions;
-                let global = out
-                    .results
-                    .iter()
-                    .map(|&(local, sur)| (ids[local as usize], sur));
-                merged.results.extend(global);
+                for (m, q) in merged.iter_mut().zip(block.iter()) {
+                    let out = search(i, q);
+                    m.dist_comps += out.dist_comps;
+                    m.expansions += out.expansions;
+                    let global = out
+                        .results
+                        .iter()
+                        .map(|&(local, sur)| (ids[local as usize], sur));
+                    m.results.extend(global);
+                }
             }
-            sort_by_key_then_id(&mut merged.results);
-            merged.results.truncate(k);
-            merged.into_outcome(self.shards[0].data())
+            let data = self.shards[0].data();
+            merged
+                .into_iter()
+                .map(|mut m| {
+                    sort_by_key_then_id(&mut m.results);
+                    m.results.truncate(k);
+                    m.into_outcome(data)
+                })
+                .collect::<Vec<_>>()
         });
+        let outcomes: Vec<_> = per_block.into_iter().flatten().collect();
         let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
         BatchBeamDetail {
             outcomes,
@@ -697,6 +721,48 @@ mod tests {
         assert_eq!(threads_used(&queries(1)), me);
         let used = threads_used(&queries(64));
         assert!(!used.is_empty() && used.is_disjoint(&me));
+    }
+
+    #[test]
+    fn a_batch_answers_as_its_queries_sent_one_by_one_at_every_block_cut() {
+        let engine = ShardedEngine::build(
+            &grid(160),
+            Euclidean,
+            1.0,
+            5,
+            &ShardAssignment::SeededRandom { seed: 9 },
+        );
+        let (ef, k) = (6, 4);
+        assert!(engine.shards().iter().all(|s| s.data().len() > ef));
+        let compacts = engine.quantize(QuantKind::F32).unwrap();
+        let qs: Vec<FlatRow> = (0..64)
+            .map(|i| FlatRow::from(vec![(i * 5 % 17) as f64 + 0.25, (i * 3 % 11) as f64 - 0.5]))
+            .collect();
+        // Each walk depends only on its query and its shard, so any block
+        // cut (the batch sizes and thread counts straddle every one) answers
+        // as the same queries sent as batches of one, counts included.
+        for quantized in [false, true] {
+            let run = |e: &ShardedEngine<Euclidean>, q: &[FlatRow]| match quantized {
+                false => e.batch_beam_detailed(q, ef, k),
+                true => e.batch_beam_quantized_detailed(&compacts, q, ef, k),
+            };
+            let singles: Vec<BatchBeamDetail> = qs
+                .iter()
+                .map(|q| run(&engine, std::slice::from_ref(q)))
+                .collect();
+            for threads in [1, 2, 3, 7] {
+                let engine = engine.clone().with_threads(threads);
+                for len in [1, 7, 9, 33, 64] {
+                    let got = run(&engine, &qs[..len]);
+                    let want = &singles[..len];
+                    let at = format!("quantized {quantized}, {len} queries, {threads} threads");
+                    let outcomes: Vec<_> = want.iter().map(|s| s.outcomes[0].clone()).collect();
+                    assert_eq!(got.outcomes, outcomes, "{at}");
+                    let dist_comps: u64 = want.iter().map(|s| s.dist_comps).sum();
+                    assert_eq!(got.dist_comps, dist_comps, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

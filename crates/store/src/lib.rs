@@ -298,15 +298,6 @@ impl QuantTag {
     }
 }
 
-impl fmt::Display for QuantTag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuantTag::F32 => write!(f, "f32"),
-            QuantTag::Sq8 => write!(f, "sq8"),
-        }
-    }
-}
-
 /// The payload of a version-2 quantized-points section: a compact copy of
 /// the coordinate matrix in one of two precisions. The exact `f64` buffer
 /// in [`Snapshot::coords`] is always present alongside — the compact store

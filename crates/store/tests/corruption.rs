@@ -261,10 +261,10 @@ fn every_truncation_point_of_a_quantized_snapshot_is_typed() {
     for (tag, bytes) in quant_fixtures() {
         for len in 0..bytes.len() {
             let err = Snapshot::from_bytes(&bytes[..len])
-                .expect_err(&format!("{tag}: prefix of {len} bytes parsed"));
+                .expect_err(&format!("{tag:?}: prefix of {len} bytes parsed"));
             assert!(
                 matches!(err, SnapshotError::Truncated { .. }),
-                "{tag}: prefix of {len} bytes: got {err:?}"
+                "{tag:?}: prefix of {len} bytes: got {err:?}"
             );
         }
         let full = Snapshot::from_bytes(&bytes).unwrap();
@@ -291,9 +291,9 @@ fn every_flipped_payload_byte_of_a_quantized_snapshot_is_caught() {
                 bad[payload + i] ^= 0x40;
                 match Snapshot::from_bytes(&bad) {
                     Err(SnapshotError::ChecksumMismatch { section: got }) => {
-                        assert_eq!(got, section, "{tag}: byte {i} of {section:?}")
+                        assert_eq!(got, section, "{tag:?}: byte {i} of {section:?}")
                     }
-                    other => panic!("{tag}: flipped byte {i} of {section:?}: got {other:?}"),
+                    other => panic!("{tag:?}: flipped byte {i} of {section:?}: got {other:?}"),
                 }
             }
             pos = payload + len;
@@ -309,18 +309,18 @@ fn quant_section_count_cross_checks_are_invalid_not_panics() {
         patch_section(&mut bad_n, 3, 0, &9u64.to_le_bytes());
         match Snapshot::from_bytes(&bad_n) {
             Err(SnapshotError::Invalid { reason }) => {
-                assert!(reason.contains("n = "), "{tag}: reason: {reason}")
+                assert!(reason.contains("n = "), "{tag:?}: reason: {reason}")
             }
-            other => panic!("{tag}: bad quant n: got {other:?}"),
+            other => panic!("{tag:?}: bad quant n: got {other:?}"),
         }
         // ...and so does its dims.
         let mut bad_d = bytes.clone();
         patch_section(&mut bad_d, 3, 8, &7u32.to_le_bytes());
         match Snapshot::from_bytes(&bad_d) {
             Err(SnapshotError::Invalid { reason }) => {
-                assert!(reason.contains("dims"), "{tag}: reason: {reason}")
+                assert!(reason.contains("dims"), "{tag:?}: reason: {reason}")
             }
-            other => panic!("{tag}: bad quant dims: got {other:?}"),
+            other => panic!("{tag:?}: bad quant dims: got {other:?}"),
         }
     }
 }
@@ -342,10 +342,10 @@ fn retagging_the_quant_section_is_invalid_not_a_panic() {
             Err(SnapshotError::Invalid { reason }) => {
                 assert!(
                     reason.contains("bytes") || reason.contains("payload"),
-                    "{tag}: reason: {reason}"
+                    "{tag:?}: reason: {reason}"
                 )
             }
-            other => panic!("{tag}: retagged section: got {other:?}"),
+            other => panic!("{tag:?}: retagged section: got {other:?}"),
         }
         // A non-quant tag in the 4th slot is rejected by name.
         let mut nonq = bytes.clone();
@@ -354,10 +354,10 @@ fn retagging_the_quant_section_is_invalid_not_a_panic() {
             Err(SnapshotError::Invalid { reason }) => {
                 assert!(
                     reason.contains("quantized section"),
-                    "{tag}: reason: {reason}"
+                    "{tag:?}: reason: {reason}"
                 )
             }
-            other => panic!("{tag}: META in quant slot: got {other:?}"),
+            other => panic!("{tag:?}: META in quant slot: got {other:?}"),
         }
     }
 }
