@@ -103,8 +103,8 @@ pub struct GraphIndex {
 
 impl GraphIndex {
     /// Wraps a graph; searches start from vertex `0` with exact `f64`
-    /// scoring — on a banded graph (`G_net`) they descend from it by greedy
-    /// before the beam widens.
+    /// scoring — on a banded graph (`G_net`) they descend from it, hopping
+    /// at the first closer neighbour, before the beam widens.
     pub fn new(graph: Graph) -> Self {
         GraphIndex { graph }
     }

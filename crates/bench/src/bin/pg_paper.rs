@@ -346,8 +346,9 @@ fn score_cells(s: &Score) -> String {
 /// Any index a frontier sweeps, over the flat Euclidean layout.
 type DynIndex = Box<dyn SweepSearch<FlatRow, Euclidean>>;
 
-/// Fact 2.1 with Theorem 1.1: a banded beam on `G_net` opens at greedy's
-/// answer, so its top-1 is a `(1+ε)`-ANN at every width. The recall–distance
+/// Fact 2.1 with Theorem 1.1: a banded beam on `G_net` opens where a
+/// first-improvement descent stops, and its top-1 is a `(1+ε)`-ANN at
+/// every width. The recall–distance
 /// frontier (FCPG; Zhu & Zhang) of six index families over the `ef` axis on
 /// the standard suite, scored against exact ground truth, plus `G_net`'s
 /// frontier over the paper's own axis, the greedy budget of §1.1's `query`.

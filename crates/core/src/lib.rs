@@ -9,9 +9,10 @@
 //!   injection (edge removal) and the merge operation of Section 5;
 //! * [`search`] — the `greedy` walk and budgeted `query` of Section 1.1,
 //!   verbatim, counting distance computations (one per distinct vertex
-//!   scored); `beam_search_detailed`, which descends by greedy first on a
-//!   banded graph; the one best-first walk (`beam_walk`) every beam search
-//!   and baseline construction composes;
+//!   scored); `beam_search_detailed`, which on a banded graph first
+//!   descends, hopping at the first closer neighbour, then widens; the
+//!   one best-first walk (`beam_walk`) every beam search and baseline
+//!   construction composes;
 //! * [`navigability`] — the `(1+ε)`-navigability checker of Fact 2.1 and an
 //!   exhaustive operational PG checker;
 //! * [`params`] — `η` and `φ` (Eqs. 3–4);

@@ -5,7 +5,9 @@
 //! walk, [`beam_walk`]. [`query`] (so [`greedy`]) is the descent on a
 //! pooled scratch, and it scores each vertex at most once per call: a
 //! neighbour an earlier scan scored is no closer than the vertex the walk
-//! stands on, so it cannot be the next hop.
+//! stands on, so it cannot be the next hop. The descent's line 3 is a
+//! constant: the paper's closest neighbour for [`query`], the first
+//! closer one for the descent before a banded beam (below).
 //!
 //! Past its first few expansions a walk scores a handful of points per row,
 //! so [`beam_walk`] waits for nothing it can know in advance: one sorted
@@ -40,15 +42,26 @@
 //!
 //! While a beam still has room the annulus rule prunes nothing, so a beam
 //! opened far from the query scores whole rows there. On a banded graph
-//! [`beam_search_detailed`] and the engines therefore first run the
-//! paper's [`greedy`] from the given start — a `(1+ε)`-ANN on `G_net`
-//! (Fact 2.1), reached by scans the annulus rule keeps to a few dozen
-//! scores — and open the width-`ef` beam at greedy's answer. The beam
-//! looks up, instead of recomputing, the score of every vertex the descent
-//! scored, so no vertex is scored twice in one search. Un-banded graphs
-//! (HNSW's ground layer, NSW, Vamana, stripped copies) are searched from
-//! the start as given: there greedy would score every neighbour of every
-//! hop, which is the beam's own work.
+//! [`beam_search_detailed`] and the engines therefore first descend from
+//! the given start, by scans the annulus rule keeps to a few dozen scores,
+//! and open the width-`ef` beam where the descent stops. The descent is
+//! [`greedy`]'s loop with line 3 relaxed: it hops at the **first**
+//! neighbour its outward band scan finds strictly closer than the vertex
+//! it stands on, and scans no further. The beam needs no more than a cheap
+//! entry. A finished beam has expanded its top-1 `t`, and a neighbour of
+//! `t` strictly closer to the query lies inside that expansion's annulus
+//! (`w >= D(t, q)`), so it would have been scored and kept above `t`: the
+//! top-1 is a local minimum, which Fact 2.1 makes a `(1+ε)`-ANN on `G_net`
+//! from any entry. And Theorem 1.1's hop bound holds for any strictly
+//! improving walk on `G_net`, so the first improvement takes no more hops
+//! than the paper's bound, each for fewer scores. Where the descent stops
+//! depends on the order in which the graph's own band ladder scans a row;
+//! greedy's hops never do, and [`greedy`] and [`query`] keep the closest
+//! neighbour. The beam looks up, instead of recomputing, the score of
+//! every vertex the descent scored, so no vertex is scored twice in one
+//! search. Un-banded graphs (HNSW's ground layer, NSW, Vamana, stripped
+//! copies) are searched from the start as given: there a descent would
+//! score every neighbour of every hop, which is the beam's own work.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -371,6 +384,11 @@ pub struct GreedyOutcome {
 /// closer than `p°`: it can neither be the strict improvement line 4 asks
 /// for nor change which neighbor is closest, so leaving it out changes no
 /// hop, and `dist_comps` counts distinct vertices.
+///
+/// Line 3 takes the closest out-neighbor on every graph. The descent that
+/// opens a banded [`beam_search_detailed`] runs the same loop but hops at
+/// the first strictly closer neighbor its band scan meets (module docs),
+/// so its answer can differ from this one; both are local minima.
 pub fn greedy<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -409,7 +427,9 @@ pub fn greedy<P, M: Metric<P>>(
 /// neighbors are strictly farther from `q` than the scan's minimum, and the
 /// minimum is taken by `(surrogate, id)`, so result, hops and termination
 /// flag do not depend on the row layout; `dist_comps` only falls, so a
-/// budget that suffices on the plain graph suffices here.
+/// budget that suffices on the plain graph suffices here. (The descent
+/// before a banded beam stops a scan at its first improvement instead, and
+/// does depend on the layout; `query` never does.)
 ///
 /// All comparisons run in the metric's monotone surrogate space
 /// ([`Metric::surrogate`] — squared distance under `L_2`, so the per-hop
@@ -439,7 +459,7 @@ pub fn query<P, M: Metric<P>>(
     let mut hops = Vec::new();
     let ((result, s_result, self_terminated), dist_comps) = with_scratch(n, &[p_start], 1, |s| {
         let rows = MetricRows { graph, data };
-        let stop = s.descend(
+        let stop = s.descend::<_, false>(
             n,
             &rows,
             p_start,
@@ -662,7 +682,11 @@ impl SearchScratch {
     }
 
     /// The paper's [`greedy`] from `start` over `rows`, scored by `score`:
-    /// the one hill-climb of the workspace. Every vertex it scores is
+    /// the one hill-climb of the workspace. `FIRST` picks line 3: unset,
+    /// the closest neighbor not scored before (the paper's rule, what
+    /// [`query`] runs); set, the first one the scan finds strictly below
+    /// `cur`'s score, where the scan stops (the descent before a banded
+    /// beam, module docs). Every vertex it scores is
     /// stamped with an epoch of its own, the one before the next
     /// [`walk`](Self::walk)'s, and kept in `descended` in scoring order, so
     /// `descended.len()` is its distance count and a walk can reuse its
@@ -672,12 +696,17 @@ impl SearchScratch {
     /// that vertex's score, and whether it stopped by line 4 (`false`: by
     /// `afford`).
     ///
-    /// It scores each vertex at most once and takes greedy's hops (see
-    /// [`greedy`]): a vertex scored in an earlier scan is passed over, and
-    /// so can neither lower the bound of a scan nor change what else the
-    /// scan scores. The search paths pass closures that do nothing, and
-    /// they compile away.
-    fn descend<'g, N: Rows<'g>>(
+    /// It scores each vertex at most once, and with `FIRST` unset takes
+    /// greedy's hops (see [`greedy`]): a vertex scored in an earlier scan
+    /// is passed over, and so can neither lower the bound of a scan nor
+    /// change what else the scan scores. With `FIRST` set, a vertex scored
+    /// in an earlier scan was no closer than the vertex that scan stood on
+    /// — the scan would have hopped to it — so no closer than `cur`, and
+    /// passing it over changes no hop either. Stopped by line 4, either
+    /// walk stands at a local minimum: a neighbor scored before is no
+    /// closer, and one the annulus rule skipped is farther. The search
+    /// paths pass closures that do nothing, and they compile away.
+    fn descend<'g, N: Rows<'g>, const FIRST: bool>(
         &mut self,
         n: usize,
         rows: &N,
@@ -705,7 +734,7 @@ impl SearchScratch {
             let mut limit = s_cur;
             let mut bound = Bound::unset();
             let mut bands = Outward::new(rows.row(cur), || rows.dist_of(s_cur));
-            while let Some(band) = bands.next(|| bound.of(limit, |s| rows.dist_of(s))) {
+            'scan: while let Some(band) = bands.next(|| bound.of(limit, |s| rows.dist_of(s))) {
                 for &nb in band {
                     if !visited.first_visit(nb) {
                         continue;
@@ -718,6 +747,9 @@ impl SearchScratch {
                     if best.is_none_or(|(b, bs)| s < bs || (s == bs && nb < b)) {
                         best = Some((nb, s));
                         limit = limit.min(s);
+                        if FIRST && s < s_cur {
+                            break 'scan;
+                        }
                     }
                 }
             }
@@ -735,9 +767,12 @@ impl SearchScratch {
     }
 
     /// The search of a banded `graph`: [`descend`](Self::descend) from
-    /// `start`, then [`walk`](Self::walk) at width `ef` entered at greedy's
-    /// answer, reusing the descent's scores. `dist_comps` counts both, each
-    /// vertex once; `expansions` counts the walk's.
+    /// `start` by first improvement, then [`walk`](Self::walk) at width
+    /// `ef` entered where the descent stopped, reusing the descent's
+    /// scores. `dist_comps` counts both, each vertex once; `expansions`
+    /// counts the walk's. At `ef = 1` the walk admits nothing past its
+    /// entry, a local minimum, and scores nothing the descent did not: the
+    /// search returns the descent's answer at the descent's count.
     fn descend_then_walk<P, M: Metric<P>>(
         &mut self,
         graph: &Graph,
@@ -748,7 +783,8 @@ impl SearchScratch {
     ) -> BeamSurrogate {
         let n = data.len();
         let rows = MetricRows { graph, data };
-        let (answer, _, _) = self.descend(n, &rows, start, |v| score.score(v), |_| true, |_| {});
+        let (answer, _, _) =
+            self.descend::<_, true>(n, &rows, start, |v| score.score(v), |_| true, |_| {});
         self.descended.sort_unstable_by_key(|&(v, _)| v);
         let mut walk = self.walk::<_, _, true>(n, &[answer], ef, rows, score);
         walk.dist_comps += self.descended.len() as u64;
@@ -945,10 +981,10 @@ impl<'s> Visited<'s> {
 /// (there the scan order decides which of the equals stays), and the
 /// banded `dist_comps` is never larger. With such ties the banded result
 /// is still safe: every vertex it skipped is no closer than its final
-/// worst. The banded walk of [`beam_search_detailed`] is entered at the
-/// answer of a greedy descent and takes that descent's scores instead of
-/// calling `score` again for the vertices it meets (module docs); what it
-/// keeps and expands is this walk's, entered there.
+/// worst. The banded walk of [`beam_search_detailed`] is entered where a
+/// first-improvement descent stopped and takes that descent's scores
+/// instead of calling `score` again for the vertices it meets (module
+/// docs); what it keeps and expands is this walk's, entered there.
 ///
 /// The walk's working memory (visited stamps, candidate array) is
 /// checked out of a process-wide pool for the length of the call and handed
@@ -1019,13 +1055,20 @@ fn with_scratch<T>(
 /// an extension so the comparison experiments can report recall under the
 /// search procedure practitioners actually use.
 ///
-/// On a banded `graph` the search descends first (module docs): [`greedy`]
-/// from `p_start`, then the beam entered at greedy's answer, which it
-/// equals to the bit — results and expansions — whenever no scored value
-/// ties the beam's worst (see [`beam_walk`]). Its top-1 is therefore never
-/// farther than greedy's answer, a `(1+ε)`-ANN on a `(1+ε)`-PG at every
-/// `ef`. `dist_comps` counts the descent's distances and the beam's, each
-/// vertex at most once; `expansions` counts the beam's. At `ef >= n` on a
+/// On a banded `graph` the search descends first (module docs): from
+/// `p_start`, hopping at the first strictly closer neighbor each band scan
+/// meets, then the beam entered where the descent stopped — the search's
+/// own top-1 at `ef = 1` — which it equals to the bit, results and
+/// expansions, whenever no scored value ties the beam's worst (see
+/// [`beam_walk`]). That entry depends on the order in which the graph's
+/// band ladder scans a row, so two layouts of one edge set may enter at
+/// different vertices; [`greedy`]'s answer does not depend on it. The
+/// top-1 is never farther than the entry, and it is a local minimum (a
+/// finished beam has expanded it, and a strictly closer neighbor would lie
+/// inside that expansion's annulus and have been kept), so it is a
+/// `(1+ε)`-ANN on a `(1+ε)`-PG at every `ef`, by Fact 2.1 from any entry.
+/// `dist_comps` counts the descent's distances and the beam's, each vertex
+/// at most once; `expansions` counts the beam's. At `ef >= n` on a
 /// connected graph the search is exact and scores every vertex exactly
 /// once, banded or not. An un-banded graph is walked from `p_start`.
 ///
@@ -2011,10 +2054,10 @@ mod tests {
             assert_eq!(budgeted.hops, gp.hops);
 
             // The public wrappers descend on the bands first: they equal the
-            // plain walk entered at greedy's answer, and score no vertex
-            // twice.
+            // plain walk entered at the descent's answer, and score no
+            // vertex twice.
             let det = beam_search_detailed(&banded, &data, entry[0], &q, ef, ef);
-            let answer = [gp.result];
+            let answer = [first_improvement(&banded, &data, entry[0], &q).0];
             let from_answer = beam_walk(
                 n,
                 &answer,
@@ -2032,6 +2075,108 @@ mod tests {
             }
         }
         assert!(saved > 100, "the bands saved only {saved} scores");
+    }
+
+    /// Where the first-improvement descent before a banded beam stops from
+    /// `start`, and how many vertices it scored.
+    fn first_improvement<P, M: Metric<P>>(
+        graph: &Graph,
+        data: &Dataset<P, M>,
+        start: u32,
+        q: &P,
+    ) -> (u32, u64) {
+        let mut s = SearchScratch::default();
+        let rows = MetricRows { graph, data };
+        let score = |v: u32| data.surrogate_to(v as usize, q);
+        let (answer, _, _) =
+            s.descend::<_, true>(data.len(), &rows, start, score, |_| true, |_| {});
+        (answer, s.descended.len() as u64)
+    }
+
+    #[test]
+    fn greedy_hops_to_the_closest_neighbor_and_the_beam_enters_at_the_first_closer_one() {
+        // From vertex 0 at the origin, with the query at (10, 0): vertex 2
+        // (3 from the query) sits in the band of length 10.4, the one
+        // holding D(0, q) = 10, so the outward scan meets it first; vertex 1
+        // (2.5 from the query) sits in the band above. Both point back to 0
+        // only.
+        let pts = [[0.0, 0.0], [12.5, 0.0], [10.0, 3.0]];
+        let data = Dataset::new(pts.iter().map(|p| p.to_vec()).collect(), Euclidean);
+        let plain = Graph::from_adjacency(vec![vec![1, 2], vec![0], vec![0]]);
+        let banded = plain.with_bands(&data);
+        assert_eq!(banded.neighbors(0), &[2, 1]);
+        let q = vec![10.0, 0.0];
+        // `greedy` and `query` take line 3's closest neighbor on any layout.
+        for g in [&plain, &banded] {
+            let out = greedy(g, &data, 0, &q);
+            assert_eq!((out.hops, out.result_dist), (vec![0, 1], 2.5));
+            assert_eq!(out.dist_comps, 3);
+            assert_eq!(query(g, &data, 0, &q, 3).hops, vec![0, 1]);
+        }
+        // The descent before a banded beam hops at the first neighbor that
+        // improves, in the scan order of the graph's own ladder; a width-1
+        // beam entered there stays there.
+        assert_eq!(first_improvement(&banded, &data, 0, &q), (2, 2));
+        assert_eq!(first_improvement(&plain, &data, 0, &q), (1, 2));
+        let beam = beam_search_detailed(&banded, &data, 0, &q, 1, 1);
+        assert_eq!(beam.results, vec![(2, 3.0)]);
+        assert_eq!((beam.dist_comps, beam.expansions), (2, 1));
+        // An un-banded graph is walked from the start, as before.
+        let beam = beam_search_detailed(&plain, &data, 0, &q, 1, 1);
+        assert_eq!(beam.results, vec![(1, 2.5)]);
+        // A wider beam gets past the entry.
+        let beam = beam_search_detailed(&banded, &data, 0, &q, 2, 2);
+        assert_eq!(beam.results, vec![(1, 2.5), (2, 3.0)]);
+        assert_eq!(beam.dist_comps, 3);
+    }
+
+    #[test]
+    fn a_finer_ladder_scores_no_more_on_walks_from_one_entry() {
+        use pg_metric::{Chebyshev, Manhattan};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        // The rows as built (four sub-bands per octave), re-cut at one
+        // band per octave, and stripped: walks from one entry return the
+        // same results and expansions, and the finer ladder scores no more.
+        fn walks<M: Metric<Vec<f64>> + Sync>(points: Vec<Vec<f64>>, qs: &[Vec<f64>], m: M) -> u64 {
+            let n = points.len();
+            let data = Dataset::new(points, m);
+            let fine = crate::gnet::GNet::build_fast(&data, 1.0).graph;
+            let plain = fine.without_bands();
+            let coarse = plain.with_bands_at(&data, 0);
+            let mut saved = 0;
+            for (i, q) in qs.iter().enumerate() {
+                let entry = [((i * 7919 + n / 3) % n) as u32];
+                for ef in [1, 4, 16, 33, 40, n] {
+                    let [f, c, p] = [&fine, &coarse, &plain].map(|graph| {
+                        let rows = MetricRows { graph, data: &data };
+                        walk_rows(n, &entry, ef, rows, |v| data.surrogate_to(v as usize, q))
+                    });
+                    for w in [&f, &c] {
+                        assert_eq!((&w.results, w.expansions), (&p.results, p.expansions));
+                    }
+                    assert!(f.dist_comps <= c.dist_comps && c.dist_comps <= p.dist_comps);
+                    saved += p.dist_comps - f.dist_comps;
+                }
+            }
+            saved
+        }
+
+        let mut saved = 0;
+        for (seed, d) in (0..12u64).zip([1, 2, 3, 8].into_iter().cycle()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(12..140);
+            let mut cube = |m: usize, lo: f64, hi: f64| -> Vec<Vec<f64>> {
+                let mut point = || (0..d).map(|_| rng.random_range(lo..hi)).collect();
+                (0..m).map(|_| point()).collect()
+            };
+            let (points, qs) = (cube(n, 0.0, 50.0), cube(4, -10.0, 60.0));
+            saved += walks(points.clone(), &qs, Euclidean)
+                + walks(points.clone(), &qs, Manhattan)
+                + walks(points, &qs, Chebyshev);
+        }
+        assert!(saved > 1000, "the bands saved only {saved} scores");
     }
 
     /// Euclidean, recording the stored point of every distance it computes
@@ -2099,8 +2244,9 @@ mod tests {
                 points.dedup();
                 assert_eq!(alone.dist_comps, points.len() as u64, "search {i}");
             }
-            // The walk is the plain one entered at greedy's answer.
-            let answer = [greedy(&plain, &data, start, &q).result];
+            // The walk is the plain one entered at the descent's answer.
+            let (answer, descent) = first_improvement(&banded, &data, start, &q);
+            let answer = [answer];
             let want = beam_walk(
                 n,
                 &answer,
@@ -2112,15 +2258,20 @@ mod tests {
                 (&got.results, got.expansions),
                 (&want.results, want.expansions)
             );
+            // A width-1 beam entered at a local minimum admits nothing and
+            // scores nothing new: its top-1 and count are the descent's.
+            if ef == 1 {
+                assert_eq!((got.results[0].0, got.dist_comps), (answer[0], descent));
+            }
             // Without the descent's scores, the same walk on the bands and
-            // greedy would have scored this many more.
+            // the descent would have scored this many more.
             let rows = MetricRows {
                 graph: &banded,
                 data: &data,
             };
             let banded_walk =
                 walk_rows(n, &answer, ef, rows, |v| data.surrogate_to(v as usize, &q));
-            reuses += banded_walk.dist_comps + greedy(&banded, &data, start, &q).dist_comps;
+            reuses += banded_walk.dist_comps + descent;
             reuses -= got.dist_comps;
         }
         assert!(reuses > 1000, "the walks reused only {reuses} scores");

@@ -12,9 +12,9 @@ use proptest::test_runner::TestCaseError;
 use proximity_graphs::core::{
     beam_search_detailed, check_navigable, greedy, ConeSet, GNet, ThetaGraph,
 };
-use proximity_graphs::hardness::{AdversarialMetric, BPoint, BlockInstance};
+use proximity_graphs::hardness::{AdversarialMetric, BPoint, BlockInstance, Leaf, TreeInstance};
 use proximity_graphs::metric::metric::axioms;
-use proximity_graphs::metric::{Chebyshev, Dataset, Euclidean, Manhattan, Metric, Scaled};
+use proximity_graphs::metric::{Angular, Chebyshev, Dataset, Euclidean, Manhattan, Metric, Scaled};
 use proximity_graphs::nets::NetHierarchy;
 use proximity_graphs::workloads;
 
@@ -147,12 +147,19 @@ proptest! {
 
 /// Beam and greedy walks over `G_net(points)` as built, at one band per
 /// octave and with its bands stripped, under `metric`. A banded beam search
-/// descends by greedy first, so its reference is the stripped walk entered
-/// at greedy's answer: results, distance bits and `expansions` equal three
-/// ways; `dist_comps` never larger on the finer layout, nor above the
-/// stripped walk's plus the descent's. `greedy` result and hops equal. The
-/// inputs are continuous, so no scored distance ties another. Returns the
-/// distance computations the bands saved greedy.
+/// descends first, hopping at the first closer neighbour its own ladder's
+/// scan meets, so its reference is the stripped walk entered at *that
+/// layout's* descent answer — the width-1 search's top-1, since a width-1
+/// beam entered at a local minimum admits nothing — whose `dist_comps` is
+/// the descent's. Results, distance bits and `expansions` equal;
+/// `dist_comps` never above the stripped walk's plus the descent's, nor
+/// above `n`. `greedy` result, hops and termination equal three ways, its
+/// `dist_comps` never larger on the finer layout. (The finer ladder's
+/// fewer scores per walk are `pg_core`'s
+/// `a_finer_ladder_scores_no_more_on_walks_from_one_entry`: two layouts'
+/// searches may enter at different vertices.) The inputs are continuous,
+/// so no scored distance ties another. Returns the distance computations
+/// the bands saved greedy.
 fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
     points: Vec<Vec<f64>>,
     queries: &[Vec<f64>],
@@ -183,12 +190,12 @@ fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
             "{tag}: greedy"
         );
         saved += c.dist_comps - a.dist_comps;
-        let descents = [a.dist_comps, b.dist_comps];
-        for ef in [1, 4, 16, 33, 40, n] {
-            let [x, y] = [&banded, &octaves]
-                .map(|graph| beam_search_detailed(graph, &data, entry, q, ef, ef));
-            let want = beam_search_detailed(&plain, &data, c.result, q, ef, ef);
-            for (got, descent) in [(&x, descents[0]), (&y, descents[1])] {
+        for graph in [&banded, &octaves] {
+            let descent = beam_search_detailed(graph, &data, entry, q, 1, 1);
+            let answer = descent.results[0].0;
+            for ef in [1, 4, 16, 33, 40, n] {
+                let got = beam_search_detailed(graph, &data, entry, q, ef, ef);
+                let want = beam_search_detailed(&plain, &data, answer, q, ef, ef);
                 prop_assert_eq!(
                     got.results.len(),
                     want.results.len(),
@@ -202,18 +209,14 @@ fn banded_walks_equal_stripped_walks<M: Metric<Vec<f64>> + Sync>(
                 }
                 prop_assert_eq!(got.expansions, want.expansions, "{}: ef = {}", tag, ef);
                 prop_assert!(
-                    got.dist_comps <= want.dist_comps + descent,
-                    "{tag}: ef = {ef}: {} > {} + {descent}",
+                    got.dist_comps <= want.dist_comps + descent.dist_comps,
+                    "{tag}: ef = {ef}: {} > {} + {}",
                     got.dist_comps,
-                    want.dist_comps
+                    want.dist_comps,
+                    descent.dist_comps
                 );
+                prop_assert!(got.dist_comps <= n as u64, "{tag}: ef = {ef}");
             }
-            prop_assert!(
-                x.dist_comps <= y.dist_comps && y.dist_comps <= n as u64,
-                "{tag}: ef = {ef}: {} / {}",
-                x.dist_comps,
-                y.dist_comps
-            );
         }
     }
     Ok(saved)
@@ -399,37 +402,44 @@ fn knocked_out_lattice(
     (points, queries)
 }
 
-/// Fact 2.1 for beam search on a banded `G_net(points)` under `metric`: a
-/// banded search descends by greedy before it widens, so at every width its
-/// top-1 is no farther than greedy's answer from the same start, and so
-/// within `(1+ε)` of the nearest point, ties and all.
-fn banded_beam_top_is_a_fact_2_1_answer<M: Metric<Vec<f64>> + Sync>(
-    points: Vec<Vec<f64>>,
-    queries: &[Vec<f64>],
-    metric: M,
+/// Fact 2.1 for beam search on a banded `G_net` over `data`: a banded
+/// search descends before it widens and enters the beam at the descent's
+/// answer — the width-1 search's top-1 — which is a local minimum, so at
+/// every width its top-1 is no farther than that answer, and within
+/// `(1+ε)` of the nearest point, ties and all. At `ef >= n` the search is
+/// brute force.
+fn banded_beam_top_is_a_fact_2_1_answer<P: Sync, M: Metric<P> + Sync>(
+    data: Dataset<P, M>,
+    queries: &[P],
     eps: f64,
     tag: &str,
 ) -> Result<(), TestCaseError> {
-    let n = points.len();
-    let data = Dataset::new(points, metric);
+    let n = data.len();
     let graph = GNet::build_fast(&data, eps).graph;
     prop_assert!(graph.is_banded());
     for (i, q) in queries.iter().enumerate() {
         let (_, nearest) = data.nearest_brute(q);
         let bound = (1.0 + eps) * nearest + 1e-12 * (1.0 + nearest);
+        let brute: Vec<(u32, f64)> = data
+            .k_nearest_brute(q, n)
+            .into_iter()
+            .map(|(v, d)| (v as u32, d))
+            .collect();
         for entry in [0, ((i * 7919 + n / 2) % n) as u32] {
-            let answer = greedy(&graph, &data, entry, q).result_dist;
+            let answer = beam_search_detailed(&graph, &data, entry, q, 1, 1).results[0].1;
             for ef in [1, 2, 4, 16] {
                 let top = beam_search_detailed(&graph, &data, entry, q, ef, 1).results[0].1;
                 prop_assert!(
                     top <= answer,
-                    "{tag}: ef = {ef}, entry {entry}: top-1 at {top}, greedy's answer at {answer}"
+                    "{tag}: ef = {ef}, entry {entry}: top-1 at {top}, the descent's answer at {answer}"
                 );
                 prop_assert!(
                     top <= bound,
                     "{tag}: ef = {ef}, entry {entry}: top-1 at {top}, (1+ε) NN at {bound}"
                 );
             }
+            let all = beam_search_detailed(&graph, &data, entry, q, n, n);
+            prop_assert_eq!(&all.results, &brute, "{}: ef = n, entry {}", tag, entry);
         }
     }
     Ok(())
@@ -445,6 +455,7 @@ proptest! {
         side in 3usize..9,
         keep in 40u32..100,
         eps_sel in 0usize..2,
+        tree_sel in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
         let d = [1, 2, 3][d_sel];
@@ -461,10 +472,30 @@ proptest! {
                 continue;
             }
             let tag = |m: &str| format!("{shape}, {m}, eps = {eps}");
-            banded_beam_top_is_a_fact_2_1_answer(points.clone(), queries, Euclidean, eps, &tag("L2"))?;
-            banded_beam_top_is_a_fact_2_1_answer(points.clone(), queries, Manhattan, eps, &tag("L1"))?;
-            banded_beam_top_is_a_fact_2_1_answer(points, queries, Chebyshev, eps, &tag("Linf"))?;
+            let (l2, l1) = (points.clone(), points.clone());
+            banded_beam_top_is_a_fact_2_1_answer(Dataset::new(l2, Euclidean), queries, eps, &tag("L2"))?;
+            banded_beam_top_is_a_fact_2_1_answer(Dataset::new(l1, Manhattan), queries, eps, &tag("L1"))?;
+            banded_beam_top_is_a_fact_2_1_answer(Dataset::new(points, Chebyshev), queries, eps, &tag("Linf"))?;
         }
+        // Angular distance on the sphere: no `L_p` kernel, no coordinates
+        // the bands could lean on.
+        let sphere_d = d.max(2);
+        let sphere = Dataset::new(workloads::unit_sphere(n, sphere_d, seed), Angular);
+        let sphere_queries = workloads::unit_sphere(4, sphere_d, seed ^ 0xFAC7);
+        let tag = format!("sphere, angular, eps = {eps}");
+        banded_beam_top_is_a_fact_2_1_answer(sphere, &sphere_queries, eps, &tag)?;
+        // Theorem 1.2's tree metric: every distance a power of two, so
+        // every scan meets ties. Queried at the `P2` leaves and at seeded
+        // leaves anywhere in the tree.
+        let (tree_n, delta) = [(4, 8), (8, 32), (8, 128), (16, 256)][tree_sel];
+        let tree = TreeInstance::new(tree_n, delta);
+        let mut leaves = tree.p2.clone();
+        leaves.extend((0..4u64).map(|j| {
+            let hash = (seed ^ j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            Leaf(hash >> (64 - tree.h))
+        }));
+        let tag = format!("tree n = {tree_n}, Δ = {delta}, eps = {eps}");
+        banded_beam_top_is_a_fact_2_1_answer(tree.dataset(), &leaves, eps, &tag)?;
     }
 }
 
