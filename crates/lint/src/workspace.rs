@@ -10,10 +10,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Files whose decode/load paths are documented as **never panicking**
-/// (`no-panic-path` applies): the `pg_store` snapshot parser, the
-/// `pg_serve` wire protocol, and the `pg_core` typed snapshot loader.
+/// (`no-panic-path` applies): the `pg_store` snapshot parser and the
+/// little-endian codec it shares with the wire, the `pg_serve` wire
+/// protocol, and the `pg_core` typed snapshot loader.
 pub const NO_PANIC_PATHS: &[&str] = &[
     "crates/store/src/lib.rs",
+    "crates/store/src/codec.rs",
     "crates/serve/src/protocol.rs",
     "crates/core/src/snapshot.rs",
 ];

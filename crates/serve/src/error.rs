@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use pg_store::codec::Truncated;
 use pg_store::SnapshotError;
 
 /// Every way serving can fail. Decoding untrusted bytes produces only the
@@ -184,6 +185,12 @@ impl From<std::io::Error> for ServeError {
 impl From<SnapshotError> for ServeError {
     fn from(e: SnapshotError) -> Self {
         ServeError::Snapshot(e)
+    }
+}
+
+impl From<Truncated> for ServeError {
+    fn from(t: Truncated) -> Self {
+        ServeError::Truncated { context: t.context }
     }
 }
 

@@ -40,6 +40,7 @@
 use std::io::{Read, Write};
 
 use pg_store::checksum;
+use pg_store::codec::{push, push_all, Reader};
 
 use crate::error::{malformed, ErrorCode, ServeError};
 
@@ -85,7 +86,7 @@ pub enum Request {
     Query {
         /// The tenant index to route to.
         index: String,
-        /// Beam width (see `pg_core::beam_search`).
+        /// Beam width (see `pg_core::beam_search_detailed`).
         ef: u32,
         /// Number of neighbors to return.
         k: u32,
@@ -162,122 +163,33 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoders / decoders
+// Frame layer (fixed-width fields go through `pg_store::codec`)
 // ---------------------------------------------------------------------------
 
-fn push_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
+/// Appends a string field: `len: u16`, then that many UTF-8 bytes.
 fn push_str(buf: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
-    push_u16(buf, s.len() as u16);
+    push(buf, s.len() as u16);
     buf.extend_from_slice(s.as_bytes());
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reads a string field written by [`push_str`].
+fn read_str(cur: &mut Reader<'_>, context: &'static str) -> Result<String, ServeError> {
+    let len: u16 = cur.read(context)?;
+    let bytes = cur.take(len.into(), context)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| malformed(format!("{context} is not UTF-8")))
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, len: usize, context: &'static str) -> Result<&'a [u8], ServeError> {
-        if self.bytes.len() - self.pos < len {
-            return Err(ServeError::Truncated { context });
-        }
-        // pg-lint: allow(no-panic-path, length-checked above: pos + len <= bytes.len())
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
-    }
-
-    fn u16(&mut self, context: &'static str) -> Result<u16, ServeError> {
-        Ok(u16::from_le_bytes(
-            // pg-lint: allow(no-panic-path, take(2) returns exactly 2 bytes; try_into cannot fail)
-            self.take(2, context)?.try_into().unwrap(),
-        ))
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(
-            // pg-lint: allow(no-panic-path, take(4) returns exactly 4 bytes; try_into cannot fail)
-            self.take(4, context)?.try_into().unwrap(),
-        ))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(
-            // pg-lint: allow(no-panic-path, take(8) returns exactly 8 bytes; try_into cannot fail)
-            self.take(8, context)?.try_into().unwrap(),
-        ))
-    }
-
-    fn f64(&mut self, context: &'static str) -> Result<f64, ServeError> {
-        Ok(f64::from_bits(self.u64(context)?))
-    }
-
-    fn string(&mut self, context: &'static str) -> Result<String, ServeError> {
-        let len = self.u16(context)? as usize;
-        let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed(format!("{context} is not UTF-8")))
-    }
-
-    fn finish(&self, what: &'static str) -> Result<(), ServeError> {
-        if self.pos != self.bytes.len() {
-            return Err(malformed(format!(
-                "{} trailing bytes after {what}",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
+/// Refuses bytes left over after `what`.
+fn finish(cur: &Reader<'_>, what: &str) -> Result<(), ServeError> {
+    match cur.rest().len() {
+        0 => Ok(()),
+        left => Err(malformed(format!("{left} trailing bytes after {what}"))),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Frame layer
-// ---------------------------------------------------------------------------
-
-/// Wraps `kind` + `body` in a complete frame: length prefix, version and
-/// kind bytes, payload checksum.
-fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
-    let payload_len = 2 + body.len();
-    let frame_len = (payload_len + 8) as u32;
-    debug_assert!(frame_len <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
-    let mut out = Vec::with_capacity(LEN_PREFIX + frame_len as usize);
-    push_u32(&mut out, frame_len);
-    out.push(PROTOCOL_VERSION);
-    out.push(kind);
-    out.extend_from_slice(body);
-    // pg-lint: allow(no-panic-path, out was just built with exactly LEN_PREFIX + payload_len + … bytes)
-    let sum = checksum(&out[LEN_PREFIX..LEN_PREFIX + payload_len]);
-    push_u64(&mut out, sum);
-    out
-}
-
-/// Splits one complete frame into its kind byte and body slice, verifying
-/// the length bounds, the checksum (before anything else is interpreted),
-/// and the version byte. `frame` must be exactly one frame — trailing
-/// bytes are an error, so a corrupted length prefix cannot silently
-/// re-segment the stream.
-fn decode_frame(frame: &[u8]) -> Result<(u8, &[u8]), ServeError> {
-    let mut cur = Cursor::new(frame);
-    let frame_len = cur.u32("frame length")?;
+/// Refuses a declared `frame_len` outside `MIN_FRAME_LEN..=MAX_FRAME_LEN`.
+fn check_frame_len(frame_len: u32) -> Result<(), ServeError> {
     if frame_len < MIN_FRAME_LEN {
         return Err(malformed(format!(
             "declared frame length {frame_len} is below the {MIN_FRAME_LEN}-byte minimum"
@@ -288,21 +200,54 @@ fn decode_frame(frame: &[u8]) -> Result<(u8, &[u8]), ServeError> {
             len: frame_len as u64,
         });
     }
+    Ok(())
+}
+
+/// Wraps `kind` + `body` in a complete frame: length prefix, version and
+/// kind bytes, payload checksum.
+fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
+    let frame_len = (2 + body.len() + 8) as u32;
+    debug_assert!(frame_len <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
+    let mut out = Vec::with_capacity(LEN_PREFIX + frame_len as usize);
+    push(&mut out, frame_len);
+    out.push(PROTOCOL_VERSION);
+    out.push(kind);
+    out.extend_from_slice(body);
+    let sum = checksum(out.get(LEN_PREFIX..).unwrap_or_default());
+    push(&mut out, sum);
+    out
+}
+
+/// Splits one complete frame into its kind byte and body slice, verifying
+/// the length bounds, the checksum (before anything else is interpreted),
+/// and the version byte. `frame` must be exactly one frame — trailing
+/// bytes are an error, so a corrupted length prefix cannot silently
+/// re-segment the stream.
+fn decode_frame(frame: &[u8]) -> Result<(u8, &[u8]), ServeError> {
+    let mut cur = Reader::new(frame);
+    let frame_len: u32 = cur.read("frame length")?;
+    check_frame_len(frame_len)?;
     let rest = cur.take(frame_len as usize, "frame payload")?;
-    cur.finish("the frame")?;
-    let (payload, stored) = rest.split_at(rest.len() - 8);
-    // pg-lint: allow(no-panic-path, split_at(len - 8) makes stored exactly 8 bytes)
-    let stored = u64::from_le_bytes(stored.try_into().unwrap());
-    if checksum(payload) != stored {
+    finish(&cur, "the frame")?;
+    // `frame_len >= MIN_FRAME_LEN` leaves room for the checksum and the
+    // version and kind bytes; the `else` arms only name what is missing.
+    let Some((payload, stored)) = rest.split_last_chunk() else {
+        return Err(ServeError::Truncated {
+            context: "frame checksum",
+        });
+    };
+    if checksum(payload) != u64::from_le_bytes(*stored) {
         return Err(ServeError::ChecksumMismatch);
     }
-    // pg-lint: allow(no-panic-path, payload.len() >= MIN_FRAME_LEN - 8 >= 2, checked above)
-    let version = payload[0];
-    if version != PROTOCOL_VERSION {
-        return Err(ServeError::UnsupportedVersion { found: version });
+    let [version, kind, body @ ..] = payload else {
+        return Err(ServeError::Truncated {
+            context: "frame header",
+        });
+    };
+    if *version != PROTOCOL_VERSION {
+        return Err(ServeError::UnsupportedVersion { found: *version });
     }
-    // pg-lint: allow(no-panic-path, payload.len() >= 2 per the MIN_FRAME_LEN bound above)
-    Ok((payload[1], &payload[2..]))
+    Ok((*kind, body))
 }
 
 /// Writes a pre-encoded frame to a sink in one call.
@@ -319,9 +264,8 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ServeError> {
     let mut prefix = [0u8; LEN_PREFIX];
     let mut filled = 0;
-    while filled < prefix.len() {
-        // pg-lint: allow(no-panic-path, filled < prefix.len() is the loop condition)
-        match r.read(&mut prefix[filled..])? {
+    while let Some(unfilled @ [_, ..]) = prefix.get_mut(filled..) {
+        match r.read(unfilled)? {
             0 if filled == 0 => return Err(ServeError::ConnectionClosed),
             0 => {
                 return Err(ServeError::Truncated {
@@ -332,27 +276,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ServeError> {
         }
     }
     let frame_len = u32::from_le_bytes(prefix);
-    if frame_len < MIN_FRAME_LEN {
-        return Err(malformed(format!(
-            "declared frame length {frame_len} is below the {MIN_FRAME_LEN}-byte minimum"
-        )));
-    }
-    if frame_len > MAX_FRAME_LEN {
-        return Err(ServeError::FrameTooLarge {
-            len: frame_len as u64,
-        });
-    }
+    check_frame_len(frame_len)?;
     let mut frame = vec![0u8; LEN_PREFIX + frame_len as usize];
-    // pg-lint: allow(no-panic-path, frame was just allocated with LEN_PREFIX + frame_len bytes)
-    frame[..LEN_PREFIX].copy_from_slice(&prefix);
-    // pg-lint: allow(no-panic-path, same allocation bound as the line above)
-    r.read_exact(&mut frame[LEN_PREFIX..])
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => ServeError::Truncated {
-                context: "frame payload",
-            },
-            _ => ServeError::Io(e),
-        })?;
+    let Some((head, body)) = frame.split_first_chunk_mut() else {
+        return Err(ServeError::Truncated {
+            context: "frame length",
+        });
+    };
+    *head = prefix;
+    r.read_exact(body).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => ServeError::Truncated {
+            context: "frame payload",
+        },
+        _ => ServeError::Io(e),
+    })?;
     Ok(frame)
 }
 
@@ -372,12 +309,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         } => {
             let mut body = Vec::with_capacity(2 + index.len() + 12 + 8 * coords.len());
             push_str(&mut body, index);
-            push_u32(&mut body, *ef);
-            push_u32(&mut body, *k);
-            push_u32(&mut body, coords.len() as u32);
-            for &c in coords {
-                push_f64(&mut body, c);
-            }
+            push(&mut body, *ef);
+            push(&mut body, *k);
+            push(&mut body, coords.len() as u32);
+            push_all(&mut body, coords);
             encode_frame(KIND_QUERY, &body)
         }
         Request::Info { index } => {
@@ -395,40 +330,35 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// fails loudly instead of cross-interpreting.
 pub fn decode_request(frame: &[u8]) -> Result<Request, ServeError> {
     let (kind, body) = decode_frame(frame)?;
-    let mut cur = Cursor::new(body);
+    let mut cur = Reader::new(body);
     let req = match kind {
         KIND_PING => Request::Ping,
         KIND_QUERY => {
-            let index = cur.string("index name")?;
-            let ef = cur.u32("ef")?;
-            let k = cur.u32("k")?;
-            let dims = cur.u32("query dims")? as usize;
+            let index = read_str(&mut cur, "index name")?;
+            let (ef, k) = (cur.read("ef")?, cur.read("k")?);
+            let dims = cur.read::<u32>("query dims")? as usize;
             // Exact-size check before allocating: the remaining bytes must
             // be exactly the declared coordinates.
-            if cur.bytes.len() - cur.pos != 8 * dims {
+            if cur.exactly(&[(dims, 8)]).is_err() {
                 return Err(malformed(format!(
                     "query declares {dims} coordinates but carries {} payload bytes",
-                    cur.bytes.len() - cur.pos
+                    cur.rest().len()
                 )));
-            }
-            let mut coords = Vec::with_capacity(dims);
-            for _ in 0..dims {
-                coords.push(cur.f64("query coordinate")?);
             }
             Request::Query {
                 index,
                 ef,
                 k,
-                coords,
+                coords: cur.array(dims, "query coordinate")?,
             }
         }
         KIND_INFO => Request::Info {
-            index: cur.string("index name")?,
+            index: read_str(&mut cur, "index name")?,
         },
         KIND_LIST => Request::ListIndexes,
         other => return Err(ServeError::UnknownKind { kind: other }),
     };
-    cur.finish("the request body")?;
+    finish(&cur, "the request body")?;
     Ok(req)
 }
 
@@ -442,28 +372,28 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Pong => encode_frame(KIND_PONG, &[]),
         Response::Query(reply) => {
             let mut body = Vec::with_capacity(28 + 12 * reply.results.len());
-            push_u64(&mut body, reply.epoch);
-            push_u64(&mut body, reply.dist_comps);
-            push_u64(&mut body, reply.expansions);
-            push_u32(&mut body, reply.results.len() as u32);
+            push(&mut body, reply.epoch);
+            push(&mut body, reply.dist_comps);
+            push(&mut body, reply.expansions);
+            push(&mut body, reply.results.len() as u32);
             for &(id, dist) in &reply.results {
-                push_u32(&mut body, id);
-                push_f64(&mut body, dist);
+                push(&mut body, id);
+                push(&mut body, dist);
             }
             encode_frame(KIND_QUERY_OK, &body)
         }
         Response::Info(info) => {
             let mut body = Vec::with_capacity(28);
-            push_u64(&mut body, info.epoch);
-            push_u64(&mut body, info.n);
-            push_u32(&mut body, info.dims);
-            push_u32(&mut body, info.metric_code);
-            push_u32(&mut body, info.entry_point);
+            push(&mut body, info.epoch);
+            push(&mut body, info.n);
+            push(&mut body, info.dims);
+            push(&mut body, info.metric_code);
+            push(&mut body, info.entry_point);
             encode_frame(KIND_INFO_OK, &body)
         }
         Response::IndexList(names) => {
             let mut body = Vec::with_capacity(4 + names.iter().map(|n| 2 + n.len()).sum::<usize>());
-            push_u32(&mut body, names.len() as u32);
+            push(&mut body, names.len() as u32);
             for n in names {
                 push_str(&mut body, n);
             }
@@ -471,7 +401,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Error { code, message } => {
             let mut body = Vec::with_capacity(4 + message.len());
-            push_u16(&mut body, code.code());
+            push(&mut body, code.code());
             push_str(&mut body, message);
             encode_frame(KIND_ERROR, &body)
         }
@@ -481,25 +411,22 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Decodes one complete response frame (total, like [`decode_request`]).
 pub fn decode_response(frame: &[u8]) -> Result<Response, ServeError> {
     let (kind, body) = decode_frame(frame)?;
-    let mut cur = Cursor::new(body);
+    let mut cur = Reader::new(body);
     let resp = match kind {
         KIND_PONG => Response::Pong,
         KIND_QUERY_OK => {
-            let epoch = cur.u64("epoch")?;
-            let dist_comps = cur.u64("dist comps")?;
-            let expansions = cur.u64("expansions")?;
-            let count = cur.u32("result count")? as usize;
-            if cur.bytes.len() - cur.pos != 12 * count {
+            let (epoch, dist_comps) = (cur.read("epoch")?, cur.read("dist comps")?);
+            let expansions = cur.read("expansions")?;
+            let count = cur.read::<u32>("result count")? as usize;
+            if cur.exactly(&[(count, 4 + 8)]).is_err() {
                 return Err(malformed(format!(
                     "query reply declares {count} results but carries {} payload bytes",
-                    cur.bytes.len() - cur.pos
+                    cur.rest().len()
                 )));
             }
             let mut results = Vec::with_capacity(count);
             for _ in 0..count {
-                let id = cur.u32("result id")?;
-                let dist = cur.f64("result distance")?;
-                results.push((id, dist));
+                results.push((cur.read("result id")?, cur.read("result distance")?));
             }
             Response::Query(QueryReply {
                 epoch,
@@ -509,38 +436,38 @@ pub fn decode_response(frame: &[u8]) -> Result<Response, ServeError> {
             })
         }
         KIND_INFO_OK => Response::Info(IndexInfo {
-            epoch: cur.u64("epoch")?,
-            n: cur.u64("n")?,
-            dims: cur.u32("dims")?,
-            metric_code: cur.u32("metric code")?,
-            entry_point: cur.u32("entry point")?,
+            epoch: cur.read("epoch")?,
+            n: cur.read("n")?,
+            dims: cur.read("dims")?,
+            metric_code: cur.read("metric code")?,
+            entry_point: cur.read("entry point")?,
         }),
         KIND_LIST_OK => {
-            let count = cur.u32("index count")? as usize;
+            let count = cur.read::<u32>("index count")? as usize;
             // Each name needs at least its 2-byte length; bound before
             // allocating.
-            if count > (cur.bytes.len() - cur.pos) / 2 {
+            if count > cur.rest().len() / 2 {
                 return Err(malformed(format!(
                     "index list declares {count} names but carries {} payload bytes",
-                    cur.bytes.len() - cur.pos
+                    cur.rest().len()
                 )));
             }
             let mut names = Vec::with_capacity(count);
             for _ in 0..count {
-                names.push(cur.string("index name")?);
+                names.push(read_str(&mut cur, "index name")?);
             }
             Response::IndexList(names)
         }
         KIND_ERROR => {
-            let raw = cur.u16("error code")?;
+            let raw = cur.read("error code")?;
             let code = ErrorCode::from_code(raw)
                 .ok_or_else(|| malformed(format!("unknown error code {raw}")))?;
-            let message = cur.string("error message")?;
+            let message = read_str(&mut cur, "error message")?;
             Response::Error { code, message }
         }
         other => return Err(ServeError::UnknownKind { kind: other }),
     };
-    cur.finish("the response body")?;
+    finish(&cur, "the response body")?;
     Ok(resp)
 }
 
@@ -636,8 +563,7 @@ mod tests {
 
     #[test]
     fn oversized_declared_length_is_refused_before_reading_the_body() {
-        let mut bytes = Vec::new();
-        push_u32(&mut bytes, MAX_FRAME_LEN + 1);
+        let bytes = (MAX_FRAME_LEN + 1).to_le_bytes();
         // No body at all: the bound check must fire first.
         let mut r = &bytes[..];
         assert!(matches!(

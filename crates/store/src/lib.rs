@@ -27,10 +27,18 @@
 //!
 //! Everything is **little-endian**. The byte-level layout table lives in
 //! `ARCHITECTURE.md` at the repository root (§ "Index snapshots"); in
-//! brief: an 16-byte header (magic `PGIXSNAP`, `format_version`,
+//! brief: a 16-byte header (magic `PGIXSNAP`, `format_version`,
 //! `section_count`), followed by three framed sections (`META`, `GRPH`,
 //! `PNTS`) in that fixed order, each carrying its payload length and an
 //! FNV-1a 64 checksum ([`checksum`]) of the payload.
+//!
+//! One private table, `layouts`, is the one place that lists the sections
+//! each version carries: the writer picks the first version whose list
+//! holds its sections, and the reader accepts exactly those lists, reads
+//! every frame through one frame reader that checks the checksum before
+//! anything is interpreted, and only then decodes. Every byte goes through
+//! [`codec`], the workspace's one little-endian codec, which `pg_serve`'s
+//! wire frames share.
 //!
 //! Version 2 **appends** exactly one more framed section carrying a
 //! compact-points store ([`QuantSection`]): tag `PN32` (row-major `f32`
@@ -92,8 +100,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
+
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use codec::{push, push_all, Reader, Truncated};
 
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PGIXSNAP";
@@ -103,9 +115,9 @@ pub const MAGIC: [u8; 8] = *b"PGIXSNAP";
 ///
 /// Versioning rule: readers accept exactly the versions they know
 /// (currently `1`, [`FORMAT_VERSION_QUANT`], [`FORMAT_VERSION_BANDS`] and
-/// [`FORMAT_VERSION_BAND_RESOLUTION`]) and reject anything newer
-/// with [`SnapshotError::UnsupportedVersion`] — a new layout means a
-/// version bump, never a silent reinterpretation of old bytes.
+/// [`FORMAT_VERSION_BAND_RESOLUTION`]) and reject any other with
+/// [`SnapshotError::UnsupportedVersion`] — a new layout means a version
+/// bump, never a silent reinterpretation of old bytes.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// The snapshot format version written when a quantized-points section
@@ -210,10 +222,10 @@ pub enum SectionTag {
     /// `PNTS`: the flat coordinate buffer.
     Points,
     /// `PN32` (the "PNTS32" section): row-major `f32` coordinates —
-    /// version 2 only.
+    /// versions 2 to 4, after `PNTS`.
     Points32,
     /// `PNQ8` (the "PNTSQ8" section): 8-bit scalar-quantized codes with
-    /// per-dimension affine parameters — version 2 only.
+    /// per-dimension affine parameters — versions 2 to 4, after `PNTS`.
     PointsSq8,
     /// `BAND`: the band ladder of a banded graph ([`BandSection`]) —
     /// versions 3 and 4 only, always last.
@@ -236,6 +248,14 @@ impl SectionTag {
             SectionTag::Bands => *b"BAND",
             SectionTag::Manifest => *b"MANI",
         }
+    }
+
+    /// The tag whose on-disk bytes are `raw`, `None` for unknown bytes.
+    fn parse(raw: &[u8]) -> Option<Self> {
+        use SectionTag::*;
+        [Meta, Graph, Points, Points32, PointsSq8, Bands, Manifest]
+            .into_iter()
+            .find(|tag| tag.bytes() == raw)
     }
 }
 
@@ -391,7 +411,10 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with the [`MAGIC`] bytes — not a snapshot.
     BadMagic,
-    /// The file's `format_version` is newer than this reader supports.
+    /// The file's `format_version` is not one this reader knows: for a
+    /// snapshot, anything outside [`FORMAT_VERSION`] to
+    /// [`FORMAT_VERSION_BAND_RESOLUTION`] (version 0 included); for a shard
+    /// manifest, anything but [`SHARD_MANIFEST_VERSION`].
     UnsupportedVersion {
         /// The version found in the file.
         found: u32,
@@ -430,7 +453,9 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::UnsupportedVersion { found } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported version {FORMAT_VERSION_BAND_RESOLUTION}"
+                "unsupported format version {found} (snapshots are versions \
+                 {FORMAT_VERSION} to {FORMAT_VERSION_BAND_RESOLUTION}, shard manifests \
+                 version {SHARD_MANIFEST_VERSION})"
             ),
             SnapshotError::Truncated { context } => {
                 write!(f, "snapshot truncated while reading {context}")
@@ -575,73 +600,153 @@ fn invalid(reason: impl Into<String>) -> SnapshotError {
     }
 }
 
+impl From<Truncated> for SnapshotError {
+    fn from(t: Truncated) -> Self {
+        SnapshotError::Truncated { context: t.context }
+    }
+}
+
+/// Writes `bytes` to `path` through [`write_atomically`], removing the
+/// temporary file best-effort if any step fails. (A hard crash can still
+/// leave one; it is never read.)
+fn save_bytes(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    let tmp = tmp_sibling(path);
+    let result = write_atomically(&tmp, path, bytes);
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    Ok(result?)
+}
+
 // ---------------------------------------------------------------------------
-// Writing
+// Section layouts
 // ---------------------------------------------------------------------------
 
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// What one section slot of a snapshot holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Exactly this section (`META`, `GRPH` or `PNTS`).
+    Tag(SectionTag),
+    /// A compact-points store, `PN32` or `PNQ8`.
+    Quant,
+    /// `BAND`, ending in the ladder's resolution byte when `true`.
+    Bands(bool),
 }
 
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl Slot {
+    /// Whether a section tagged `tag` may fill this slot.
+    fn admits(self, tag: SectionTag) -> bool {
+        match self {
+            Slot::Tag(want) => tag == want,
+            Slot::Quant => matches!(tag, SectionTag::Points32 | SectionTag::PointsSq8),
+            Slot::Bands(_) => tag == SectionTag::Bands,
+        }
+    }
 }
 
-fn push_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl fmt::Display for Slot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slot::Tag(tag) => write!(f, "section {tag}"),
+            Slot::Quant => write!(f, "a quantized section (PN32 or PNQ8)"),
+            Slot::Bands(_) => write!(f, "section {}", SectionTag::Bands),
+        }
+    }
 }
+
+/// The section sequences a snapshot of format `version` may carry, in file
+/// order; empty for a version this crate does not read. This is the one
+/// place that lists each version's sections: [`Snapshot::to_bytes`] writes
+/// the first version that carries its sections, and
+/// [`Snapshot::from_bytes`] accepts exactly these sequences.
+fn layouts(version: u32) -> &'static [&'static [Slot]] {
+    use Slot::{Bands, Quant};
+    const META: Slot = Slot::Tag(SectionTag::Meta);
+    const GRPH: Slot = Slot::Tag(SectionTag::Graph);
+    const PNTS: Slot = Slot::Tag(SectionTag::Points);
+    match version {
+        FORMAT_VERSION => &[&[META, GRPH, PNTS]],
+        FORMAT_VERSION_QUANT => &[&[META, GRPH, PNTS, Quant]],
+        FORMAT_VERSION_BANDS => &[
+            &[META, GRPH, PNTS, Bands(false)],
+            &[META, GRPH, PNTS, Quant, Bands(false)],
+        ],
+        FORMAT_VERSION_BAND_RESOLUTION => &[
+            &[META, GRPH, PNTS, Bands(true)],
+            &[META, GRPH, PNTS, Quant, Bands(true)],
+        ],
+        _ => &[],
+    }
+}
+
+/// Reads one section frame — the 4-byte tag, `payload_len: u64`,
+/// `checksum: u64`, the payload — and returns the tag and the payload once
+/// the payload's checksum matches.
+fn read_section<'a>(cur: &mut Reader<'a>) -> Result<(SectionTag, &'a [u8]), SnapshotError> {
+    let raw = cur.take(4, "section tag")?;
+    let tag = SectionTag::parse(raw).ok_or_else(|| {
+        invalid(format!(
+            "unknown section tag {:?}",
+            String::from_utf8_lossy(raw)
+        ))
+    })?;
+    let len = usize::try_from(cur.read::<u64>("section length")?)
+        .map_err(|_| invalid("section length exceeds addressable memory"))?;
+    let stored: u64 = cur.read("section checksum")?;
+    let payload = cur.take(len, "section payload")?;
+    if checksum(payload) != stored {
+        return Err(SnapshotError::ChecksumMismatch { section: tag });
+    }
+    Ok((tag, payload))
+}
+
+// ---------------------------------------------------------------------------
+// Writing and reading
+// ---------------------------------------------------------------------------
 
 impl Snapshot {
-    /// Serializes into the on-disk byte layout — version 1 when
-    /// [`Snapshot::quant`] is `None` (byte-identical to pre-quantization
-    /// writers), version 2 with the quantized section appended otherwise;
-    /// version 3, the same body plus the `BAND` section, when
-    /// [`Snapshot::bands`] is `Some` at resolution 0, and version 4 at any
-    /// other resolution.
+    /// Serializes into the on-disk byte layout: `META`, `GRPH` and `PNTS`,
+    /// then the compact-points section if [`Snapshot::quant`] is `Some`,
+    /// then `BAND` if [`Snapshot::bands`] is `Some`, under the first format
+    /// version that carries those sections — 1 for the plain body (byte for
+    /// byte what pre-quantization writers wrote), 2 with the compact
+    /// section, 3 with a ladder at resolution 0 and 4 with any other.
     /// Runs [`Snapshot::validate`] first, so a structurally broken
     /// `Snapshot` is refused at write time rather than producing an
     /// unreadable file.
     pub fn to_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
         self.validate()?;
-
-        let meta = self.encode_meta();
-        let graph = self.encode_graph();
-        let points = self.encode_points();
-
-        let mut framed: Vec<(SectionTag, Vec<u8>)> = vec![
-            (SectionTag::Meta, meta),
-            (SectionTag::Graph, graph),
-            (SectionTag::Points, points),
+        let (n, dims) = (self.meta.n, self.meta.dims);
+        let body = |tag, payload| (Slot::Tag(tag), tag, payload);
+        let mut sections = vec![
+            body(SectionTag::Meta, self.encode_meta()),
+            body(SectionTag::Graph, self.encode_graph()),
+            body(SectionTag::Points, self.encode_points()),
         ];
-        let mut version = match &self.quant {
-            None => FORMAT_VERSION,
-            Some(q) => {
-                framed.push((
-                    q.tag().section(),
-                    encode_quant(q, self.meta.n, self.meta.dims),
-                ));
-                FORMAT_VERSION_QUANT
-            }
-        };
-        if let Some(bands) = &self.bands {
-            framed.push((SectionTag::Bands, encode_bands(bands, self.meta.n)));
-            version = match bands.resolution {
-                0 => FORMAT_VERSION_BANDS,
-                _ => FORMAT_VERSION_BAND_RESOLUTION,
-            };
+        if let Some(quant) = &self.quant {
+            let tag = quant.tag().section();
+            sections.push((Slot::Quant, tag, encode_quant(quant, n, dims)));
         }
+        if let Some(bands) = &self.bands {
+            let slot = Slot::Bands(bands.resolution != 0);
+            sections.push((slot, SectionTag::Bands, encode_bands(bands, n)));
+        }
+        let slots: Vec<Slot> = sections.iter().map(|&(slot, ..)| slot).collect();
+        let version = (FORMAT_VERSION..=FORMAT_VERSION_BAND_RESOLUTION)
+            .find(|&v| layouts(v).contains(&slots.as_slice()))
+            .ok_or_else(|| invalid("no format version carries these sections"))?;
 
         let total = HEADER_LEN
-            + framed.len() * SECTION_HEADER_LEN
-            + framed.iter().map(|(_, p)| p.len()).sum::<usize>();
+            + sections.len() * SECTION_HEADER_LEN
+            + sections.iter().map(|(.., p)| p.len()).sum::<usize>();
         let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&MAGIC);
-        push_u32(&mut out, version);
-        push_u32(&mut out, framed.len() as u32); // section count
-        for (tag, payload) in &framed {
+        push(&mut out, version);
+        push(&mut out, sections.len() as u32);
+        for (_, tag, payload) in &sections {
             out.extend_from_slice(&tag.bytes());
-            push_u64(&mut out, payload.len() as u64);
-            push_u64(&mut out, checksum(payload));
+            push(&mut out, payload.len() as u64);
+            push(&mut out, checksum(payload));
             out.extend_from_slice(payload);
         }
         Ok(out)
@@ -666,56 +771,121 @@ impl Snapshot {
     /// directory is `sync_all`-ed (best-effort — not every platform lets
     /// a directory be opened) so the new directory entry is durable too.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let bytes = self.to_bytes()?;
-        let path = path.as_ref();
-        let tmp = tmp_sibling(path);
-        let result = write_atomically(&tmp, path, &bytes);
-        if result.is_err() {
-            // Never leave a torn temp file behind on a failed save. (A
-            // hard crash can still leave one; it is never read.)
-            let _ = std::fs::remove_file(&tmp);
+        save_bytes(path.as_ref(), &self.to_bytes()?)
+    }
+
+    /// Parses a snapshot from bytes. Never panics: truncation, corruption,
+    /// unknown versions and structural violations all surface as the
+    /// matching [`SnapshotError`] variant, and nothing is returned unless
+    /// the whole file — header, every section checksum, all cross-checks —
+    /// verifies. Every section is framed and checksummed before any is
+    /// decoded, so a corrupt byte fails as corruption.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+        let mut cur = Reader::new(bytes);
+        if cur.take(8, "magic")? != MAGIC {
+            return Err(SnapshotError::BadMagic);
         }
-        Ok(result?)
+        let version: u32 = cur.read("format version")?;
+        let layouts = layouts(version);
+        if layouts.is_empty() {
+            return Err(SnapshotError::UnsupportedVersion { found: version });
+        }
+        let sections: u32 = cur.read("section count")?;
+        let layout = layouts
+            .iter()
+            .find(|layout| layout.len() as u64 == u64::from(sections))
+            .ok_or_else(|| {
+                let counts: Vec<String> = layouts.iter().map(|l| l.len().to_string()).collect();
+                invalid(format!(
+                    "version {version} snapshots have {} sections, found {sections}",
+                    counts.join(" or ")
+                ))
+            })?;
+        let mut framed = Vec::with_capacity(layout.len());
+        for &slot in layout.iter() {
+            let (tag, payload) = read_section(&mut cur)?;
+            if !slot.admits(tag) {
+                return Err(invalid(format!("expected {slot}, found tag {tag}")));
+            }
+            framed.push((slot, tag, payload));
+        }
+        if !cur.rest().is_empty() {
+            return Err(invalid(format!(
+                "{} trailing bytes after the last section",
+                cur.rest().len()
+            )));
+        }
+
+        // Every layout leads with META, which the other sections are
+        // checked against.
+        let [(_, _, meta), rest @ ..] = framed.as_slice() else {
+            return Err(invalid("a snapshot needs a META section"));
+        };
+        let meta = decode_meta(meta)?;
+        let mut snap = Snapshot {
+            meta,
+            offsets: Vec::new(),
+            targets: Vec::new(),
+            coords: Vec::new(),
+            quant: None,
+            bands: None,
+        };
+        for &(slot, tag, payload) in rest {
+            match slot {
+                Slot::Tag(SectionTag::Graph) => {
+                    (snap.offsets, snap.targets) = decode_graph(payload, &meta)?
+                }
+                // PNTS: only the first slot of a layout is META.
+                Slot::Tag(_) => snap.coords = decode_points(payload, &meta)?,
+                Slot::Quant => snap.quant = Some(decode_quant(tag, payload, &meta)?),
+                Slot::Bands(resolution) => {
+                    snap.bands = Some(decode_bands(payload, &meta, resolution)?)
+                }
+            }
+        }
+        snap.validate()?;
+        Ok(snap)
+    }
+
+    /// Loads a snapshot from a file.
+    pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
+        failpoint(sites::LOAD_READ)?;
+        let bytes = std::fs::read(path)?;
+        Snapshot::from_bytes(&bytes)
     }
 
     fn encode_meta(&self) -> Vec<u8> {
         let mut p = Vec::with_capacity(44);
-        push_u32(&mut p, self.meta.metric.code());
-        push_u32(&mut p, self.meta.dims);
-        push_u64(&mut p, self.meta.n);
-        push_u32(&mut p, self.meta.entry_point);
-        push_u32(&mut p, self.meta.build.is_some() as u32);
+        push(&mut p, self.meta.metric.code());
+        push(&mut p, self.meta.dims);
+        push(&mut p, self.meta.n);
+        push(&mut p, self.meta.entry_point);
+        push(&mut p, self.meta.build.is_some() as u32);
         let b = self.meta.build.unwrap_or(BuildParams {
             epsilon: 0.0,
             eta: 0,
             phi: 0.0,
         });
-        push_f64(&mut p, b.epsilon);
-        push_u32(&mut p, b.eta);
-        push_f64(&mut p, b.phi);
+        push(&mut p, b.epsilon);
+        push(&mut p, b.eta);
+        push(&mut p, b.phi);
         p
     }
 
     fn encode_graph(&self) -> Vec<u8> {
         let mut p = Vec::with_capacity(16 + 8 * self.offsets.len() + 4 * self.targets.len());
-        push_u64(&mut p, self.meta.n);
-        push_u64(&mut p, self.targets.len() as u64);
-        for &o in &self.offsets {
-            push_u64(&mut p, o);
-        }
-        for &t in &self.targets {
-            push_u32(&mut p, t);
-        }
+        push(&mut p, self.meta.n);
+        push(&mut p, self.targets.len() as u64);
+        push_all(&mut p, &self.offsets);
+        push_all(&mut p, &self.targets);
         p
     }
 
     fn encode_points(&self) -> Vec<u8> {
         let mut p = Vec::with_capacity(12 + 8 * self.coords.len());
-        push_u64(&mut p, self.meta.n);
-        push_u32(&mut p, self.meta.dims);
-        for &c in &self.coords {
-            push_f64(&mut p, c);
-        }
+        push(&mut p, self.meta.n);
+        push(&mut p, self.meta.dims);
+        push_all(&mut p, &self.coords);
         p
     }
 
@@ -731,23 +901,23 @@ impl Snapshot {
         if self.meta.dims == 0 {
             return Err(invalid("dimensionality must be at least 1"));
         }
-        if self.offsets.len() as u64 != n + 1 {
+        if Some(self.offsets.len() as u64) != n.checked_add(1) {
             return Err(invalid(format!(
-                "offsets length {} does not match n + 1 = {}",
-                self.offsets.len(),
-                n + 1
+                "offsets length {} does not match n + 1 (n = {n})",
+                self.offsets.len()
             )));
         }
-        // pg-lint: allow(no-panic-path, offsets.len() == n + 1 >= 1 was checked above)
-        if self.offsets[0] != 0 {
+        if self.offsets.first() != Some(&0) {
             return Err(invalid("offsets must start at 0"));
         }
-        // pg-lint: allow(no-panic-path, windows(2) yields exactly 2-element slices)
-        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
+        if self
+            .offsets
+            .windows(2)
+            .any(|w| matches!(w, [a, b] if a > b))
+        {
             return Err(invalid("offsets must be non-decreasing"));
         }
-        // pg-lint: allow(no-panic-path, offsets is non-empty per the length check above)
-        let final_offset = *self.offsets.last().unwrap();
+        let final_offset = self.offsets.last().copied().unwrap_or_default();
         if final_offset != self.targets.len() as u64 {
             return Err(invalid(format!(
                 "final offset {} does not match edge count {}",
@@ -897,445 +1067,152 @@ impl Snapshot {
         }
         Ok(())
     }
-
-    // -----------------------------------------------------------------------
-    // Reading
-    // -----------------------------------------------------------------------
-
-    /// Parses a snapshot from bytes. Never panics: truncation, corruption,
-    /// unknown versions and structural violations all surface as the
-    /// matching [`SnapshotError`] variant, and nothing is returned unless
-    /// the whole file — header, every section checksum, all cross-checks —
-    /// verifies.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut cur = Cursor { bytes, pos: 0 };
-
-        let magic = cur.take(8, "magic")?;
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = cur.u32("format version")?;
-        if !(FORMAT_VERSION..=FORMAT_VERSION_BAND_RESOLUTION).contains(&version) {
-            return Err(SnapshotError::UnsupportedVersion { found: version });
-        }
-        let sections = cur.u32("section count")?;
-        // The version dictates the sections: 3 for a plain body, one more
-        // for a quantized store, and versions 3 and 4 are either body plus
-        // `BAND`.
-        let (has_quant, has_bands) = match (version, sections) {
-            (FORMAT_VERSION, 3) => (false, false),
-            (FORMAT_VERSION_QUANT, 4) => (true, false),
-            (FORMAT_VERSION_BANDS | FORMAT_VERSION_BAND_RESOLUTION, 4) => (false, true),
-            (FORMAT_VERSION_BANDS | FORMAT_VERSION_BAND_RESOLUTION, 5) => (true, true),
-            (FORMAT_VERSION_BANDS | FORMAT_VERSION_BAND_RESOLUTION, _) => {
-                return Err(invalid(format!(
-                    "version {version} snapshots have 4 or 5 sections, found {sections}"
-                )));
-            }
-            _ => {
-                let expect_sections = version + 2;
-                return Err(invalid(format!(
-                    "version {version} snapshots have exactly {expect_sections} sections, found {sections}"
-                )));
-            }
-        };
-
-        let meta_payload = cur.section(SectionTag::Meta)?;
-        let graph_payload = cur.section(SectionTag::Graph)?;
-        let points_payload = cur.section(SectionTag::Points)?;
-        let quant_framed = match has_quant {
-            true => Some(cur.quant_section()?),
-            false => None,
-        };
-        let bands_payload = match has_bands {
-            true => Some(cur.section(SectionTag::Bands)?),
-            false => None,
-        };
-        if cur.pos != bytes.len() {
-            return Err(invalid(format!(
-                "{} trailing bytes after the last section",
-                bytes.len() - cur.pos
-            )));
-        }
-
-        let meta = decode_meta(meta_payload)?;
-        let (offsets, targets) = decode_graph(graph_payload, &meta)?;
-        let coords = decode_points(points_payload, &meta)?;
-        let quant = match quant_framed {
-            None => None,
-            Some((tag, payload)) => Some(decode_quant(tag, payload, &meta)?),
-        };
-        let bands = match bands_payload {
-            None => None,
-            Some(payload) => Some(decode_bands(
-                payload,
-                &meta,
-                version == FORMAT_VERSION_BAND_RESOLUTION,
-            )?),
-        };
-
-        let snap = Snapshot {
-            meta,
-            offsets,
-            targets,
-            coords,
-            quant,
-            bands,
-        };
-        snap.validate()?;
-        Ok(snap)
-    }
-
-    /// Loads a snapshot from a file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
-        failpoint(sites::LOAD_READ)?;
-        let bytes = std::fs::read(path)?;
-        Snapshot::from_bytes(&bytes)
-    }
-
-    /// Approximate in-memory footprint of the index this snapshot describes
-    /// (CSR arrays and band ladder as `pg_core::Graph` holds them, the
-    /// coordinate buffer, and one 24-byte `FlatRow` handle per point).
-    pub fn in_memory_bytes(&self) -> u64 {
-        let usize_bytes = std::mem::size_of::<usize>() as u64;
-        let quant = match &self.quant {
-            None => 0,
-            Some(QuantSection::F32 { data }) => (data.len() as u64) * 4,
-            Some(QuantSection::Sq8 { mins, steps, codes }) => {
-                (mins.len() as u64) * 8 + (steps.len() as u64) * 8 + codes.len() as u64
-            }
-        };
-        let bands = self.bands.as_ref().map_or(0, |b| {
-            (b.offsets.len() as u64) * usize_bytes + (b.exps.len() as u64) * 6
-        });
-        (self.offsets.len() as u64) * usize_bytes
-            + (self.targets.len() as u64) * 4
-            + (self.coords.len() as u64) * 8
-            + self.meta.n * 24
-            + quant
-            + bands
-    }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reads the `n: u64` a section payload leads with, checked against META's.
+fn read_n(cur: &mut Reader<'_>, tag: SectionTag, meta: &IndexMeta) -> Result<u64, SnapshotError> {
+    let n: u64 = cur.read("section n")?;
+    if n != meta.n {
+        return Err(invalid(format!(
+            "{tag} section stores n = {n}, META stores n = {}",
+            meta.n
+        )));
+    }
+    Ok(n)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize, context: &'static str) -> Result<&'a [u8], SnapshotError> {
-        if self.bytes.len() - self.pos < len {
-            return Err(SnapshotError::Truncated { context });
-        }
-        // pg-lint: allow(no-panic-path, length-checked above: pos + len <= bytes.len())
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
-    }
+/// Reads the `n: u64` a `GRPH` or `BAND` payload leads with and returns
+/// the number of row offsets that follow, `n + 1`.
+fn read_rows(
+    cur: &mut Reader<'_>,
+    tag: SectionTag,
+    meta: &IndexMeta,
+) -> Result<usize, SnapshotError> {
+    addressable(read_n(cur, tag, meta)?.saturating_add(1), "n + 1")
+}
 
-    fn u16(&mut self, context: &'static str) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(
-            // pg-lint: allow(no-panic-path, take(2) returns exactly 2 bytes; try_into cannot fail)
-            self.take(2, context)?.try_into().unwrap(),
-        ))
+/// Reads the `n: u64` and `dims: u32` every points section leads with, both
+/// checked against META, and returns the coordinate count `n * dims`.
+fn read_point_count(
+    cur: &mut Reader<'_>,
+    tag: SectionTag,
+    meta: &IndexMeta,
+) -> Result<usize, SnapshotError> {
+    let n = read_n(cur, tag, meta)?;
+    let dims: u32 = cur.read("section dims")?;
+    if dims != meta.dims {
+        return Err(invalid(format!(
+            "{tag} section stores dims = {dims}, META stores dims = {}",
+            meta.dims
+        )));
     }
+    addressable(n.saturating_mul(u64::from(dims)), "n * dims")
+}
 
-    fn u32(&mut self, context: &'static str) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            // pg-lint: allow(no-panic-path, take(4) returns exactly 4 bytes; try_into cannot fail)
-            self.take(4, context)?.try_into().unwrap(),
-        ))
-    }
+fn addressable(count: u64, what: &str) -> Result<usize, SnapshotError> {
+    usize::try_from(count).map_err(|_| invalid(format!("{what} exceeds addressable memory")))
+}
 
-    fn u64(&mut self, context: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            // pg-lint: allow(no-panic-path, take(8) returns exactly 8 bytes; try_into cannot fail)
-            self.take(8, context)?.try_into().unwrap(),
-        ))
-    }
-
-    /// Reads one section frame: verifies the tag and the payload checksum,
-    /// returns the payload slice.
-    fn section(&mut self, expect: SectionTag) -> Result<&'a [u8], SnapshotError> {
-        let tag = self.take(4, "section tag")?;
-        if tag != expect.bytes() {
-            return Err(invalid(format!(
-                "expected section {expect}, found tag {:?}",
-                tag
-            )));
-        }
-        let len = self.u64("section length")?;
-        let len: usize = len
-            .try_into()
-            .map_err(|_| invalid("section length exceeds addressable memory"))?;
-        let stored = self.u64("section checksum")?;
-        let payload = self.take(len, "section payload")?;
-        if checksum(payload) != stored {
-            return Err(SnapshotError::ChecksumMismatch { section: expect });
-        }
-        Ok(payload)
-    }
-
-    /// Reads the fourth section of a version-2 snapshot, whose tag may be
-    /// either quantized kind: verifies the tag is `PN32` or `PNQ8` and the
-    /// payload checksum, returns the kind and the payload slice.
-    fn quant_section(&mut self) -> Result<(QuantTag, &'a [u8]), SnapshotError> {
-        let tag_bytes = self.take(4, "section tag")?;
-        let tag = if tag_bytes == SectionTag::Points32.bytes() {
-            QuantTag::F32
-        } else if tag_bytes == SectionTag::PointsSq8.bytes() {
-            QuantTag::Sq8
-        } else {
-            return Err(invalid(format!(
-                "expected a quantized section (PN32 or PNQ8), found tag {:?}",
-                tag_bytes
-            )));
-        };
-        let len = self.u64("section length")?;
-        let len: usize = len
-            .try_into()
-            .map_err(|_| invalid("section length exceeds addressable memory"))?;
-        let stored = self.u64("section checksum")?;
-        let payload = self.take(len, "section payload")?;
-        if checksum(payload) != stored {
-            return Err(SnapshotError::ChecksumMismatch {
-                section: tag.section(),
-            });
-        }
-        Ok((tag, payload))
-    }
+/// Refuses a section payload that is not exactly what its counts imply —
+/// checked before any array is allocated, so a corrupt count cannot force
+/// an oversized buffer.
+fn exactly(
+    cur: &Reader<'_>,
+    tag: SectionTag,
+    arrays: &[(usize, usize)],
+) -> Result<(), SnapshotError> {
+    cur.exactly(arrays).map_err(|implied| match implied {
+        Some(implied) => invalid(format!(
+            "{tag} section holds {} bytes, counts imply {implied}",
+            cur.pos() + cur.rest().len()
+        )),
+        None => invalid(format!("{tag} section size overflows")),
+    })
 }
 
 fn decode_meta(payload: &[u8]) -> Result<IndexMeta, SnapshotError> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let metric_code = cur.u32("metric tag")?;
-    let metric = MetricTag::from_code(metric_code)
-        .ok_or_else(|| invalid(format!("unknown metric tag code {metric_code}")))?;
-    let dims = cur.u32("dims")?;
-    let n = cur.u64("n")?;
-    let entry_point = cur.u32("entry point")?;
-    let has_build = cur.u32("build-params flag")?;
+    let mut cur = Reader::new(payload);
+    let code: u32 = cur.read("metric tag")?;
+    let metric = MetricTag::from_code(code)
+        .ok_or_else(|| invalid(format!("unknown metric tag code {code}")))?;
+    let (dims, n, entry_point) = (cur.read("dims")?, cur.read("n")?, cur.read("entry point")?);
+    let has_build: u32 = cur.read("build-params flag")?;
     if has_build > 1 {
         return Err(invalid(format!(
             "build-params flag must be 0 or 1, found {has_build}"
         )));
     }
-    let epsilon = f64::from_bits(cur.u64("epsilon")?);
-    let eta = cur.u32("eta")?;
-    let phi = f64::from_bits(cur.u64("phi")?);
-    if cur.pos != payload.len() {
+    let build = BuildParams {
+        epsilon: cur.read("epsilon")?,
+        eta: cur.read("eta")?,
+        phi: cur.read("phi")?,
+    };
+    if !cur.rest().is_empty() {
         return Err(invalid("META section has trailing bytes"));
     }
-    let build = (has_build == 1).then_some(BuildParams { epsilon, eta, phi });
     Ok(IndexMeta {
         metric,
         dims,
         n,
         entry_point,
-        build,
+        build: (has_build == 1).then_some(build),
     })
 }
 
 fn decode_graph(payload: &[u8], meta: &IndexMeta) -> Result<(Vec<u64>, Vec<u32>), SnapshotError> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let n = cur.u64("graph n")?;
-    if n != meta.n {
-        return Err(invalid(format!(
-            "GRPH section stores n = {n}, META stores n = {}",
-            meta.n
-        )));
-    }
-    let edges = cur.u64("edge count")?;
-    let rows: usize = (n + 1)
-        .try_into()
-        .map_err(|_| invalid("n + 1 exceeds addressable memory"))?;
-    let edges: usize = edges
-        .try_into()
-        .map_err(|_| invalid("edge count exceeds addressable memory"))?;
-    // Exact-size check before any allocation: a corrupt count cannot force
-    // an oversized buffer.
-    let expect = 16usize
-        .checked_add(
-            rows.checked_mul(8)
-                .ok_or_else(|| invalid("offsets size overflows"))?,
-        )
-        .and_then(|b| b.checked_add(edges.checked_mul(4)?))
-        .ok_or_else(|| invalid("GRPH section size overflows"))?;
-    if payload.len() != expect {
-        return Err(invalid(format!(
-            "GRPH section holds {} bytes, counts imply {expect}",
-            payload.len()
-        )));
-    }
-    let mut offsets = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        offsets.push(cur.u64("offset")?);
-    }
-    let mut targets = Vec::with_capacity(edges);
-    for _ in 0..edges {
-        targets.push(cur.u32("edge target")?);
-    }
-    Ok((offsets, targets))
+    let mut cur = Reader::new(payload);
+    let rows = read_rows(&mut cur, SectionTag::Graph, meta)?;
+    let edges = addressable(cur.read("edge count")?, "edge count")?;
+    exactly(&cur, SectionTag::Graph, &[(rows, 8), (edges, 4)])?;
+    Ok((cur.array(rows, "offset")?, cur.array(edges, "edge target")?))
 }
 
 fn decode_points(payload: &[u8], meta: &IndexMeta) -> Result<Vec<f64>, SnapshotError> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let n = cur.u64("points n")?;
-    if n != meta.n {
-        return Err(invalid(format!(
-            "PNTS section stores n = {n}, META stores n = {}",
-            meta.n
-        )));
-    }
-    let dims = cur.u32("points dims")?;
-    if dims != meta.dims {
-        return Err(invalid(format!(
-            "PNTS section stores dims = {dims}, META stores dims = {}",
-            meta.dims
-        )));
-    }
-    let count: usize = n
-        .checked_mul(dims as u64)
-        .and_then(|c| c.try_into().ok())
-        .ok_or_else(|| invalid("n * dims exceeds addressable memory"))?;
-    let expect = 12usize
-        .checked_add(
-            count
-                .checked_mul(8)
-                .ok_or_else(|| invalid("coords size overflows"))?,
-        )
-        .ok_or_else(|| invalid("PNTS section size overflows"))?;
-    if payload.len() != expect {
-        return Err(invalid(format!(
-            "PNTS section holds {} bytes, counts imply {expect}",
-            payload.len()
-        )));
-    }
-    let mut coords = Vec::with_capacity(count);
-    for _ in 0..count {
-        coords.push(f64::from_bits(cur.u64("coordinate")?));
-    }
-    Ok(coords)
+    let mut cur = Reader::new(payload);
+    let count = read_point_count(&mut cur, SectionTag::Points, meta)?;
+    exactly(&cur, SectionTag::Points, &[(count, 8)])?;
+    Ok(cur.array(count, "coordinate")?)
 }
 
 /// Encodes a quantized-points section payload. Both layouts lead with the
 /// same `n: u64` + `dims: u32` counts as `PNTS`, cross-checked against
-/// `META` on read; `PNQ8` then stores `dims` `f64` minima, `dims` `f64`
-/// steps, and `n * dims` code bytes.
+/// `META` on read; `PN32` then stores `n * dims` `f32` coordinates, `PNQ8`
+/// `dims` `f64` minima, `dims` `f64` steps, and `n * dims` code bytes.
 fn encode_quant(quant: &QuantSection, n: u64, dims: u32) -> Vec<u8> {
+    let mut p = Vec::new();
+    push(&mut p, n);
+    push(&mut p, dims);
     match quant {
-        QuantSection::F32 { data } => {
-            let mut p = Vec::with_capacity(12 + 4 * data.len());
-            push_u64(&mut p, n);
-            push_u32(&mut p, dims);
-            for &c in data {
-                push_u32(&mut p, c.to_bits());
-            }
-            p
-        }
+        QuantSection::F32 { data } => push_all(&mut p, data),
         QuantSection::Sq8 { mins, steps, codes } => {
-            let mut p = Vec::with_capacity(12 + 16 * mins.len() + codes.len());
-            push_u64(&mut p, n);
-            push_u32(&mut p, dims);
-            for &m in mins {
-                push_f64(&mut p, m);
-            }
-            for &s in steps {
-                push_f64(&mut p, s);
-            }
+            push_all(&mut p, mins);
+            push_all(&mut p, steps);
             p.extend_from_slice(codes);
-            p
         }
     }
+    p
 }
 
+/// Decodes a `PN32` or `PNQ8` payload (see [`encode_quant`]).
 fn decode_quant(
-    tag: QuantTag,
+    tag: SectionTag,
     payload: &[u8],
     meta: &IndexMeta,
 ) -> Result<QuantSection, SnapshotError> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let label = tag.section();
-    let n = cur.u64("quantized points n")?;
-    if n != meta.n {
-        return Err(invalid(format!(
-            "{label} section stores n = {n}, META stores n = {}",
-            meta.n
-        )));
+    let mut cur = Reader::new(payload);
+    let count = read_point_count(&mut cur, tag, meta)?;
+    if tag == SectionTag::Points32 {
+        exactly(&cur, tag, &[(count, 4)])?;
+        let data = cur.array(count, "f32 coordinate")?;
+        return Ok(QuantSection::F32 { data });
     }
-    let dims = cur.u32("quantized points dims")?;
-    if dims != meta.dims {
-        return Err(invalid(format!(
-            "{label} section stores dims = {dims}, META stores dims = {}",
-            meta.dims
-        )));
-    }
-    let count: usize = n
-        .checked_mul(dims as u64)
-        .and_then(|c| c.try_into().ok())
-        .ok_or_else(|| invalid("n * dims exceeds addressable memory"))?;
-    match tag {
-        QuantTag::F32 => {
-            // Exact-size check before any allocation, as for PNTS.
-            let expect = 12usize
-                .checked_add(
-                    count
-                        .checked_mul(4)
-                        .ok_or_else(|| invalid("PN32 size overflows"))?,
-                )
-                .ok_or_else(|| invalid("PN32 section size overflows"))?;
-            if payload.len() != expect {
-                return Err(invalid(format!(
-                    "PN32 section holds {} bytes, counts imply {expect}",
-                    payload.len()
-                )));
-            }
-            let mut data = Vec::with_capacity(count);
-            for _ in 0..count {
-                data.push(f32::from_bits(cur.u32("f32 coordinate")?));
-            }
-            Ok(QuantSection::F32 { data })
-        }
-        QuantTag::Sq8 => {
-            let dims_usize = dims as usize;
-            let expect = 12usize
-                .checked_add(
-                    dims_usize
-                        .checked_mul(16)
-                        .ok_or_else(|| invalid("PNQ8 parameter size overflows"))?,
-                )
-                .and_then(|b| b.checked_add(count))
-                .ok_or_else(|| invalid("PNQ8 section size overflows"))?;
-            if payload.len() != expect {
-                return Err(invalid(format!(
-                    "PNQ8 section holds {} bytes, counts imply {expect}",
-                    payload.len()
-                )));
-            }
-            let mut mins = Vec::with_capacity(dims_usize);
-            for _ in 0..dims_usize {
-                mins.push(f64::from_bits(cur.u64("sq8 minimum")?));
-            }
-            let mut steps = Vec::with_capacity(dims_usize);
-            for _ in 0..dims_usize {
-                steps.push(f64::from_bits(cur.u64("sq8 step")?));
-            }
-            let codes = cur.take(count, "sq8 codes")?.to_vec();
-            Ok(QuantSection::Sq8 { mins, steps, codes })
-        }
-    }
+    let dims = meta.dims as usize;
+    exactly(&cur, tag, &[(dims, 16), (count, 1)])?;
+    Ok(QuantSection::Sq8 {
+        mins: cur.array(dims, "sq8 minimum")?,
+        steps: cur.array(dims, "sq8 step")?,
+        codes: cur.take(count, "sq8 codes")?.to_vec(),
+    })
 }
 
 /// Encodes a `BAND` section payload: `n: u64`, the band count `B: u64`,
@@ -1343,19 +1220,13 @@ fn decode_quant(
 /// version 4, i.e. unless it is 0 — the resolution (`u8`).
 fn encode_bands(bands: &BandSection, n: u64) -> Vec<u8> {
     let mut p = Vec::with_capacity(17 + 8 * bands.offsets.len() + 6 * bands.exps.len());
-    push_u64(&mut p, n);
-    push_u64(&mut p, bands.exps.len() as u64);
-    for &o in &bands.offsets {
-        push_u64(&mut p, o);
-    }
-    for &e in &bands.exps {
-        p.extend_from_slice(&e.to_le_bytes());
-    }
-    for &e in &bands.ends {
-        push_u32(&mut p, e);
-    }
+    push(&mut p, n);
+    push(&mut p, bands.exps.len() as u64);
+    push_all(&mut p, &bands.offsets);
+    push_all(&mut p, &bands.exps);
+    push_all(&mut p, &bands.ends);
     if bands.resolution != 0 {
-        p.push(bands.resolution);
+        push(&mut p, bands.resolution);
     }
     p
 }
@@ -1367,57 +1238,21 @@ fn decode_bands(
     meta: &IndexMeta,
     with_resolution: bool,
 ) -> Result<BandSection, SnapshotError> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let n = cur.u64("bands n")?;
-    if n != meta.n {
-        return Err(invalid(format!(
-            "BAND section stores n = {n}, META stores n = {}",
-            meta.n
-        )));
-    }
-    let count = cur.u64("band count")?;
-    let rows: usize = (n + 1)
-        .try_into()
-        .map_err(|_| invalid("n + 1 exceeds addressable memory"))?;
-    let count: usize = count
-        .try_into()
-        .map_err(|_| invalid("band count exceeds addressable memory"))?;
-    // Exact-size check before any allocation, as for GRPH.
-    let expect = (16 + usize::from(with_resolution))
-        .checked_add(
-            rows.checked_mul(8)
-                .ok_or_else(|| invalid("band offsets size overflows"))?,
-        )
-        .and_then(|b| b.checked_add(count.checked_mul(6)?))
-        .ok_or_else(|| invalid("BAND section size overflows"))?;
-    if payload.len() != expect {
-        return Err(invalid(format!(
-            "BAND section holds {} bytes, counts imply {expect}",
-            payload.len()
-        )));
-    }
-    let mut offsets = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        offsets.push(cur.u64("band offset")?);
-    }
-    let mut exps = Vec::with_capacity(count);
-    for _ in 0..count {
-        exps.push(cur.u16("band exponent")?);
-    }
-    let mut ends = Vec::with_capacity(count);
-    for _ in 0..count {
-        ends.push(cur.u32("band end")?);
-    }
+    let mut cur = Reader::new(payload);
+    let rows = read_rows(&mut cur, SectionTag::Bands, meta)?;
+    let count = addressable(cur.read("band count")?, "band count")?;
+    let tail = (usize::from(with_resolution), 1);
+    exactly(&cur, SectionTag::Bands, &[(rows, 8), (count, 2 + 4), tail])?;
+    let offsets = cur.array(rows, "band offset")?;
+    let exps = cur.array(count, "band exponent")?;
+    let ends = cur.array(count, "band end")?;
     // A resolution of 0 is version 3's to write: refusing it here keeps
     // every readable file re-saving byte for byte.
     let resolution = match with_resolution {
         false => 0,
-        true => match cur.take(1, "band resolution")? {
-            [0] | [] => return Err(invalid("a version 4 band ladder declares resolution 0")),
-            [resolution, ..] => *resolution,
+        true => match cur.read("band resolution")? {
+            0 => return Err(invalid("a version 4 band ladder declares resolution 0")),
+            resolution => resolution,
         },
     };
     Ok(BandSection {
@@ -1467,14 +1302,12 @@ pub fn shard_file_name(i: usize) -> String {
 ///
 /// # File format (version 1)
 ///
-/// Little-endian, following the [`GroundTruth`-cache] conventions: magic
-/// [`SHARD_MANIFEST_MAGIC`], `format_version` (u32), then a checksummed
-/// payload — `n` (u64), shard count (u64), and per shard its length (u64)
-/// followed by that many ids (u32 each) — terminated by the FNV-1a 64
-/// [`checksum`] of the payload (bytes 12 up to the checksum itself).
-/// Reads never panic and never return a partially-validated manifest.
-///
-/// [`GroundTruth`-cache]: crate::checksum
+/// Little-endian, through [`codec`]: the magic [`SHARD_MANIFEST_MAGIC`]
+/// (8 bytes), `format_version: u32`, then the payload — `n: u64`, the shard
+/// count `u64`, and per shard its length `u64` followed by that many ids
+/// (`u32` each) — and last the FNV-1a 64 [`checksum`] (`u64`) of the
+/// payload, i.e. of bytes 12 up to the checksum itself. Reads never panic
+/// and never return a partially-validated manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {
     n: u64,
@@ -1564,20 +1397,18 @@ impl ShardManifest {
     pub fn to_bytes(&self) -> Vec<u8> {
         let cells: usize = self.shards.iter().map(|s| s.len()).sum();
         let mut payload = Vec::with_capacity(16 + self.shards.len() * 8 + cells * 4);
-        push_u64(&mut payload, self.n);
-        push_u64(&mut payload, self.shards.len() as u64);
+        push(&mut payload, self.n);
+        push(&mut payload, self.shards.len() as u64);
         for ids in &self.shards {
-            push_u64(&mut payload, ids.len() as u64);
-            for &id in ids {
-                push_u32(&mut payload, id);
-            }
+            push(&mut payload, ids.len() as u64);
+            push_all(&mut payload, ids);
         }
         let mut out = Vec::with_capacity(8 + 4 + payload.len() + 8);
         out.extend_from_slice(&SHARD_MANIFEST_MAGIC);
-        push_u32(&mut out, SHARD_MANIFEST_VERSION);
+        push(&mut out, SHARD_MANIFEST_VERSION);
         let sum = checksum(&payload);
         out.append(&mut payload);
-        push_u64(&mut out, sum);
+        push(&mut out, sum);
         out
     }
 
@@ -1590,45 +1421,23 @@ impl ShardManifest {
         if magic_prefix != SHARD_MANIFEST_MAGIC.get(..magic_len).unwrap_or_default() {
             return Err(SnapshotError::BadMagic);
         }
-        let mut cur = Cursor { bytes, pos: 0 };
+        let mut cur = Reader::new(bytes);
         cur.take(8, "manifest magic")?;
-        let version = cur.u32("manifest version")?;
+        let version: u32 = cur.read("manifest version")?;
         if version != SHARD_MANIFEST_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
-        let payload_start = cur.pos;
-        if bytes.len() < payload_start + 8 {
-            return Err(SnapshotError::Truncated {
-                context: "manifest checksum",
-            });
-        }
-        let payload_end = bytes.len() - 8;
-        let payload = bytes
-            .get(payload_start..payload_end)
-            .ok_or(SnapshotError::Truncated {
-                context: "manifest payload",
-            })?;
-        let stored = bytes
-            .get(payload_end..)
-            .and_then(|t| <[u8; 8]>::try_from(t).ok())
-            .map(u64::from_le_bytes)
-            .ok_or(SnapshotError::Truncated {
-                context: "manifest checksum",
-            })?;
-        if checksum(payload) != stored {
+        let (payload, stored) = cur.rest().split_last_chunk().ok_or(Truncated {
+            context: "manifest checksum",
+        })?;
+        if checksum(payload) != u64::from_le_bytes(*stored) {
             return Err(SnapshotError::ChecksumMismatch {
                 section: SectionTag::Manifest,
             });
         }
-        let mut cur = Cursor {
-            bytes: payload,
-            pos: 0,
-        };
-        let n = cur.u64("manifest n")?;
-        let shard_count = cur.u64("manifest shard count")?;
-        let shard_count: usize = shard_count
-            .try_into()
-            .map_err(|_| invalid("shard count exceeds addressable memory"))?;
+        let mut cur = Reader::new(payload);
+        let n: u64 = cur.read("manifest n")?;
+        let shard_count = addressable(cur.read("manifest shard count")?, "shard count")?;
         // A shard frame is at least 12 bytes (len + one id); reject an
         // impossible count before allocating for it.
         if shard_count > payload.len() / 12 {
@@ -1639,25 +1448,13 @@ impl ShardManifest {
         }
         let mut shards = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
-            let len = cur.u64("shard length")?;
-            let len: usize = len
-                .try_into()
-                .map_err(|_| invalid("shard length exceeds addressable memory"))?;
-            if len > (payload.len() - cur.pos) / 4 {
-                return Err(SnapshotError::Truncated {
-                    context: "shard ids",
-                });
-            }
-            let mut ids = Vec::with_capacity(len);
-            for _ in 0..len {
-                ids.push(cur.u32("shard id")?);
-            }
-            shards.push(ids);
+            let len = addressable(cur.read("shard length")?, "shard length")?;
+            shards.push(cur.array(len, "shard ids")?);
         }
-        if cur.pos != payload.len() {
+        if !cur.rest().is_empty() {
             return Err(invalid(format!(
                 "{} trailing bytes after the last shard",
-                payload.len() - cur.pos
+                cur.rest().len()
             )));
         }
         ShardManifest::new(n, shards)
@@ -1667,14 +1464,7 @@ impl ShardManifest {
     /// temp-file + `sync_all` + rename sequence as [`Snapshot::save`], so a
     /// reader never observes a torn manifest.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let bytes = self.to_bytes();
-        let path = path.as_ref();
-        let tmp = tmp_sibling(path);
-        let result = write_atomically(&tmp, path, &bytes);
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        Ok(result?)
+        save_bytes(path.as_ref(), &self.to_bytes())
     }
 
     /// Loads and validates a manifest from a file.
@@ -1984,13 +1774,6 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_bytes_adds_the_quant_store() {
-        let base = sample().in_memory_bytes();
-        assert_eq!(sample_f32().in_memory_bytes(), base + 6 * 4);
-        assert_eq!(sample_sq8().in_memory_bytes(), base + 2 * 8 + 2 * 8 + 6);
-    }
-
-    #[test]
     fn roundtrip_through_a_file() {
         let snap = sample();
         let path = std::env::temp_dir().join(format!("pg_store_unit_{}.pgix", std::process::id()));
@@ -2037,6 +1820,7 @@ mod tests {
         let cases: Vec<(&str, Mutation)> = vec![
             ("zero points", Box::new(|s| s.meta.n = 0)),
             ("zero dims", Box::new(|s| s.meta.dims = 0)),
+            ("n + 1 overflows", Box::new(|s| s.meta.n = u64::MAX)),
             (
                 "offsets length",
                 Box::new(|s| s.offsets.pop().map(|_| ()).unwrap()),
@@ -2068,8 +1852,27 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = SnapshotError::UnsupportedVersion { found: 9 };
-        assert!(e.to_string().contains("version 9"));
+        // Too new, too old (version 0), and a shard manifest's version: the
+        // message names the version found and what is supported, and claims
+        // nothing about which side of it the file is.
+        let at_version = |mut bytes: Vec<u8>, version: u32| {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            bytes
+        };
+        let snapshot = |v| Snapshot::from_bytes(&at_version(sample().to_bytes().unwrap(), v));
+        let manifest = |v| ShardManifest::from_bytes(&at_version(sample_manifest().to_bytes(), v));
+        for (found, e) in [
+            (9, snapshot(9).unwrap_err()),
+            (0, snapshot(0).unwrap_err()),
+            (2, manifest(2).unwrap_err()),
+        ] {
+            assert!(matches!(e, SnapshotError::UnsupportedVersion { .. }));
+            let text = e.to_string();
+            assert!(text.contains(&format!("version {found} ")), "{text}");
+            assert!(text.contains("versions 1 to 4"), "{text}");
+            assert!(text.contains("shard manifests version 1"), "{text}");
+            assert!(!text.contains("newer"), "{text}");
+        }
         let e = SnapshotError::MetricMismatch {
             expected: MetricTag::Euclidean,
             found: MetricTag::Manhattan,
@@ -2080,16 +1883,6 @@ mod tests {
             section: SectionTag::Points,
         };
         assert!(e.to_string().contains("PNTS"));
-    }
-
-    #[test]
-    fn in_memory_bytes_counts_all_three_arrays() {
-        let snap = sample();
-        let usize_bytes = std::mem::size_of::<usize>() as u64;
-        assert_eq!(
-            snap.in_memory_bytes(),
-            4 * usize_bytes + 4 * 4 + 6 * 8 + 3 * 24
-        );
     }
 
     fn sample_manifest() -> ShardManifest {
