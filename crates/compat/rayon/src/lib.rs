@@ -19,6 +19,8 @@
 //! * [`par_for_each_mut`] — parallel in-place update of a mutable slice
 //!   (`par_iter_mut().enumerate().for_each()` morally);
 //! * [`scope`] / [`Scope::spawn`] — structured fork/join on borrowed data;
+//! * [`spawn_task`] / [`TaskHandle::join`] — an owned (`'static`) task on
+//!   the persistent workers (below);
 //! * [`current_num_threads`], [`set_default_threads`], [`with_threads`] —
 //!   pool sizing, overridable per call site, per process, or via the
 //!   `PG_THREADS` environment variable.
@@ -26,6 +28,26 @@
 //! Thread-count resolution order: [`with_threads`] scope (thread-local) >
 //! [`set_default_threads`] (process-global, e.g. a `--threads` flag) >
 //! `PG_THREADS` > `std::thread::available_parallelism()`.
+//!
+//! # Two ways to run work, and why both
+//!
+//! The scoped helpers above take **borrowed** closures: each call starts
+//! its workers inside a `std::thread::scope` and joins them before it
+//! returns, which is what lets a closure read the caller's stack without
+//! `unsafe`. Their cost is a thread spawn and join per call — nothing next
+//! to a graph build or a batch of thousands of walks, most of a sub-
+//! millisecond call.
+//!
+//! [`spawn_task`] takes an **owned** closure instead and hands it to a
+//! small set of **persistent workers**: at most `available_parallelism() −
+//! 1` threads (named `pool-worker-<n>`), created the first time a task
+//! finds none idle and parked on a condvar between tasks. No thread is
+//! started per call once they exist. Owning its data (`Arc`s, moved
+//! values) is the price of never borrowing across a thread that outlives
+//! the call; it is also what keeps this crate `#![forbid(unsafe_code)]`.
+//! [`TaskHandle::join`] runs the task on the caller when no worker has
+//! claimed it yet, so a caller that joins its tasks always makes progress,
+//! whatever the workers are busy with; and it re-raises the task's panic.
 //!
 //! Unlike the `rand` and `proptest` stand-ins, this API is *not*
 //! call-site-compatible with the real crate (rayon's iterator traits cannot
@@ -36,8 +58,10 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0); // 0 = unset
 
@@ -317,6 +341,213 @@ where
     std::thread::scope(|s| f(&Scope { inner: s }))
 }
 
+/// Locks `m`, ignoring poison: no lock in this module is held while user
+/// code runs, so a panic cannot leave a guarded value half-updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How many times a worker out of tasks, or a joiner whose task runs
+/// elsewhere, yields its core and looks again before it sleeps on a
+/// condvar — a few tens of µs (a yield costs a few hundred ns on an idle
+/// x86 core), about one short walk. A caller sending one query after
+/// another then finds its worker still awake, and a join that waits less
+/// than that pays no wake-up. Counted, not timed: the pool reads no clock.
+const SPINS: u32 = 128;
+
+/// Polls `ready` until it holds or [`SPINS`] yields have passed.
+fn spin_until(ready: impl Fn() -> bool) {
+    for _ in 0..SPINS {
+        if ready() {
+            return;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// One owned task: its closure until a thread claims it, then its outcome
+/// once it has run.
+struct Slot<R> {
+    state: Mutex<SlotState<R>>,
+    /// Set after the outcome, for a joiner that polls. A hint only (the
+    /// joiner reads the outcome under the lock), so its Release/Acquire
+    /// pair publishes nothing the lock does not.
+    finished: AtomicBool,
+    done: Condvar,
+}
+
+struct SlotState<R> {
+    task: Option<Box<dyn FnOnce() -> R + Send>>,
+    outcome: Option<std::thread::Result<R>>,
+}
+
+/// What the worker queue holds: a task of any result type.
+trait Job: Send + Sync {
+    /// Runs the task if no thread has claimed it yet, keeping its outcome
+    /// (a panic included) for the joiner.
+    fn run_unclaimed(&self);
+}
+
+impl<R: Send> Job for Slot<R> {
+    fn run_unclaimed(&self) {
+        let Some(task) = lock(&self.state).task.take() else {
+            return;
+        };
+        let outcome = panic::catch_unwind(AssertUnwindSafe(task));
+        lock(&self.state).outcome = Some(outcome);
+        self.finished.store(true, Ordering::Release);
+        self.done.notify_one();
+    }
+}
+
+/// The persistent workers and the tasks waiting for them.
+struct Workers {
+    queue: Mutex<Queue>,
+    /// `queue.jobs.len()`, for a worker that polls; a hint like
+    /// `Slot::finished` (the worker pops under the lock).
+    queued: AtomicUsize,
+    wake: Condvar,
+    limit: usize,
+}
+
+struct Queue {
+    /// Tasks in submission order. An entry its joiner already ran stays
+    /// until a worker pops and skips it.
+    jobs: VecDeque<Arc<dyn Job>>,
+    started: usize,
+    /// Workers out of tasks: polling or parked.
+    idle: usize,
+    parked: usize,
+}
+
+fn workers() -> &'static Workers {
+    static WORKERS: OnceLock<Workers> = OnceLock::new();
+    WORKERS.get_or_init(|| Workers {
+        queue: Mutex::new(Queue {
+            jobs: VecDeque::new(),
+            started: 0,
+            idle: 0,
+            parked: 0,
+        }),
+        queued: AtomicUsize::new(0),
+        wake: Condvar::new(),
+        limit: std::thread::available_parallelism().map_or(1, |n| n.get()) - 1,
+    })
+}
+
+impl Workers {
+    /// Queues `job`, waking a parked worker, and starts one more worker
+    /// while the queue holds more jobs than there are idle workers and the
+    /// limit allows. On a one-core machine nothing is queued: the joiner
+    /// runs every task.
+    fn submit(&'static self, job: Arc<dyn Job>) {
+        if self.limit == 0 {
+            return;
+        }
+        let mut q = lock(&self.queue);
+        q.jobs.push_back(job);
+        self.queued.store(q.jobs.len(), Ordering::Release);
+        if q.parked > 0 {
+            self.wake.notify_one();
+        }
+        if q.jobs.len() > q.idle && q.started < self.limit {
+            q.started += 1;
+            let name = format!("pool-worker-{}", q.started);
+            drop(q);
+            // Workers live as long as the process, so their handles are
+            // dropped; a task's panic is caught and handed to its joiner,
+            // so none is lost with them.
+            let spawned = std::thread::Builder::new()
+                .name(name)
+                .spawn(move || self.serve());
+            if spawned.is_err() {
+                // The queued task still runs: its joiner claims it.
+                lock(&self.queue).started -= 1;
+            }
+        }
+    }
+
+    /// A worker's life: pop and run tasks; out of tasks, poll for
+    /// [`SPINS`] yields, then park until a submit wakes it.
+    fn serve(&self) {
+        let mut q = lock(&self.queue);
+        loop {
+            if let Some(job) = q.jobs.pop_front() {
+                self.queued.store(q.jobs.len(), Ordering::Release);
+                drop(q);
+                job.run_unclaimed();
+                q = lock(&self.queue);
+                continue;
+            }
+            q.idle += 1;
+            drop(q);
+            spin_until(|| self.queued.load(Ordering::Acquire) > 0);
+            q = lock(&self.queue);
+            if q.jobs.is_empty() {
+                q.parked += 1;
+                q = self.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
+                q.parked -= 1;
+            }
+            q.idle -= 1;
+        }
+    }
+}
+
+/// The handle of a task started by [`spawn_task`].
+#[must_use = "a task that is never joined may never run"]
+pub struct TaskHandle<R> {
+    slot: Arc<Slot<R>>,
+}
+
+impl<R> TaskHandle<R> {
+    /// The task's result. Runs the task on the calling thread if no worker
+    /// has claimed it yet, waits if a worker is running it, and re-raises
+    /// the task's panic with its original payload.
+    pub fn join(self) -> R {
+        let mut state = lock(&self.slot.state);
+        if let Some(task) = state.task.take() {
+            drop(state);
+            return task();
+        }
+        drop(state);
+        spin_until(|| self.slot.finished.load(Ordering::Acquire));
+        let state = lock(&self.slot.state);
+        let mut state = self
+            .slot
+            .done
+            .wait_while(state, |s| s.outcome.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        match state.outcome.take() {
+            Some(Ok(value)) => value,
+            Some(Err(payload)) => panic::resume_unwind(payload),
+            None => unreachable!("waited until the outcome was set"),
+        }
+    }
+}
+
+/// Starts `f` on the persistent workers (module docs) and returns its
+/// handle. A worker that is idle, or the next one to finish its task, takes
+/// it; if none has by the time the caller [`join`](TaskHandle::join)s, the
+/// caller runs it. Tasks may spawn and join tasks of their own. A task
+/// obeys the pool size its own thread sees, not its spawner's
+/// [`with_threads`] scope.
+pub fn spawn_task<F, R>(f: F) -> TaskHandle<R>
+where
+    F: FnOnce() -> R + Send + 'static,
+    R: Send + 'static,
+{
+    let slot = Arc::new(Slot {
+        state: Mutex::new(SlotState {
+            task: Some(Box::new(f)),
+            outcome: None,
+        }),
+        finished: AtomicBool::new(false),
+        done: Condvar::new(),
+    });
+    workers().submit(slot.clone());
+    TaskHandle { slot }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,5 +713,178 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert!(msg.contains("planted failure"), "payload lost: {msg:?}");
+    }
+
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// Serializes the tests that hold every worker: two of them holding
+    /// some workers each would wait for each other forever.
+    static HOLDING: Mutex<()> = Mutex::new(());
+
+    /// Every persistent worker parked inside a task until released (or
+    /// dropped), so that tasks spawned meanwhile find none free.
+    struct Held {
+        gate: Arc<(Mutex<bool>, Condvar)>,
+        blockers: Vec<TaskHandle<ThreadId>>,
+        _turn: MutexGuard<'static, ()>,
+    }
+
+    fn hold_every_worker() -> Held {
+        let turn = lock(&HOLDING);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let started = Arc::new(AtomicUsize::new(0));
+        let blockers = (0..workers().limit)
+            .map(|_| {
+                let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+                spawn_task(move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let (open, opened) = &*gate;
+                    drop(opened.wait_while(lock(open), |open| !*open));
+                    std::thread::current().id()
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while started.load(Ordering::SeqCst) < workers().limit {
+            assert!(
+                Instant::now() < deadline,
+                "the workers never all took a blocker"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Held {
+            gate,
+            blockers,
+            _turn: turn,
+        }
+    }
+
+    impl Held {
+        /// Opens the gate and returns the thread ids the blockers ran on.
+        fn release(mut self) -> Vec<ThreadId> {
+            self.open();
+            std::mem::take(&mut self.blockers)
+                .into_iter()
+                .map(TaskHandle::join)
+                .collect()
+        }
+
+        fn open(&self) {
+            *lock(&self.gate.0) = true;
+            self.gate.1.notify_all();
+        }
+    }
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            self.open();
+        }
+    }
+
+    fn is_worker() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("pool-worker-"))
+    }
+
+    #[test]
+    fn tasks_answer_in_join_order() {
+        let handles: Vec<TaskHandle<u64>> =
+            (0..200u64).map(|i| spawn_task(move || i * i)).collect();
+        let got: Vec<u64> = handles.into_iter().map(TaskHandle::join).collect();
+        assert_eq!(got, (0..200u64).map(|i| i * i).collect::<Vec<_>>());
+        // Joined back to front, each handle still answers for its own task.
+        let handles: Vec<TaskHandle<u64>> =
+            (0..200u64).map(|i| spawn_task(move || i + 7)).collect();
+        let mut got: Vec<u64> = handles.into_iter().rev().map(TaskHandle::join).collect();
+        got.reverse();
+        assert_eq!(got, (7..207u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_task_no_worker_claims_runs_on_the_caller() {
+        let held = hold_every_worker();
+        let me = std::thread::current().id();
+        let ran_on = spawn_task(|| std::thread::current().id()).join();
+        assert_eq!(ran_on, me);
+        let blockers = held.release();
+        assert_eq!(blockers.len(), workers().limit);
+        assert!(!blockers.contains(&me));
+    }
+
+    #[test]
+    fn a_panicking_task_reraises_at_join_and_its_worker_keeps_serving() {
+        let on_worker = Arc::new(Mutex::new(None));
+        let claimed = Arc::clone(&on_worker);
+        let task = spawn_task(move || {
+            if is_worker() {
+                *lock(&claimed) = Some(std::thread::current().id());
+            }
+            panic!("planted task failure");
+        });
+        // Give a worker the chance to claim it first (there is none on a
+        // one-core machine, and then the caller runs it at `join`).
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while workers().limit > 0 && lock(&on_worker).is_none() {
+            assert!(Instant::now() < deadline, "no worker claimed the task");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| task.join()))
+            .expect_err("the task's panic must reach its joiner");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"planted task failure")
+        );
+        // Held busy, the workers are every worker there is: the one that
+        // caught the panic is among them, so it is still serving.
+        let serving = hold_every_worker().release();
+        let worker = *lock(&on_worker);
+        if let Some(worker) = worker {
+            assert!(
+                serving.contains(&worker),
+                "the panicking task's worker is gone"
+            );
+        }
+    }
+
+    #[test]
+    fn a_task_may_spawn_and_join_tasks_of_its_own() {
+        let outer: Vec<TaskHandle<u64>> = (0..16u64)
+            .map(|i| {
+                spawn_task(move || {
+                    let inner: Vec<TaskHandle<u64>> =
+                        (0..16u64).map(|j| spawn_task(move || i * 16 + j)).collect();
+                    inner.into_iter().map(TaskHandle::join).sum()
+                })
+            })
+            .collect();
+        let total: u64 = outer.into_iter().map(TaskHandle::join).sum();
+        assert_eq!(total, (0..256u64).sum());
+    }
+
+    #[test]
+    fn ten_thousand_tasks_run_on_at_most_the_worker_limit_of_threads() {
+        let me = std::thread::current().id();
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..100 {
+            let handles: Vec<_> = (0..100)
+                .map(|_| spawn_task(|| (std::thread::current().id(), is_worker())))
+                .collect();
+            for (id, worker) in handles.into_iter().map(TaskHandle::join) {
+                assert!(
+                    id == me || worker,
+                    "a task ran on a thread outside the pool"
+                );
+                seen.insert(id);
+            }
+        }
+        seen.remove(&me);
+        assert!(
+            seen.len() <= workers().limit,
+            "{} worker threads, limit {}",
+            seen.len(),
+            workers().limit
+        );
     }
 }

@@ -651,7 +651,8 @@ struct SearchScratch {
 /// Scratch of finished walks, waiting for the next one. Process-wide rather
 /// than per thread, so live scratch memory is bounded by the walks running
 /// at once, not by the threads that ever searched (`pg_serve` runs a thread
-/// per connection; the pool shim spawns workers per batch call).
+/// per connection; the pool shim's scoped maps start workers per batch
+/// call, and its persistent workers run sharded searches for any caller).
 static SCRATCH_POOL: Mutex<Vec<SearchScratch>> = Mutex::new(Vec::new());
 
 /// Scratches kept at rest; a walk that finds the pool full drops its own.

@@ -16,17 +16,19 @@
 //!   [`GNet`] + [`QueryEngine`] over a compact copy of
 //!   its points; shard-local ids are positions in the ascending global-id
 //!   list, so local id order agrees with global id order.
-//! * **Parallel search** — a batch fans out over contiguous **blocks of
-//!   queries** (about four per pool thread) through the order-preserving
-//!   pool (`rayon::par_map_indexed_with`), so the schedule can never
-//!   reorder results. One task walks every query of its block through
-//!   shard 0, then through shard 1, and so on — shard-major, so a shard's
-//!   hot rows are re-read from cache across the block — and then merges
-//!   per query. Each walk depends only on its query and its shard, so the
-//!   block cut and the shard order are answer-neutral. A batch of one is
-//!   one block and runs on the calling thread (the pool starts no more
-//!   workers than it has items) instead of paying a thread spawn and join
-//!   for eight short walks.
+//! * **Parallel search** — a batch is cut into `(query block, shard
+//!   group)` tasks that run on the pool's **persistent workers**
+//!   (`rayon::spawn_task`) and on the calling thread, which takes tasks
+//!   too; no search starts a thread. A batch with fewer queries than
+//!   threads splits the shard list into `min(threads, shards)` contiguous
+//!   groups, so one query's walks run side by side (at two threads, eight
+//!   shards: shards 0–3 on the caller, 4–7 on a worker). A larger batch is
+//!   cut into contiguous **blocks of queries** (about four per thread),
+//!   each walked through shard 0, then shard 1, and so on — shard-major,
+//!   so a shard's hot rows are re-read from cache across the block. At one
+//!   thread nothing leaves the caller. Each walk depends only on its query
+//!   and its shard, and results are reassembled in task order, so the cut
+//!   and the schedule are answer-neutral.
 //! * **Surrogate-space merge** — per-shard top-`k` lists come back still
 //!   in surrogate space ([`BeamSurrogate`]) and are merged on the
 //!   key `(surrogate, global id)`, then mapped to true distances once.
@@ -80,7 +82,9 @@
 //! assert_eq!(batch.dist_comps, 120); // every point visited exactly once
 //! ```
 
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 use pg_metric::{CompactPoints, FlatPoints, FlatRow, Metric, QuantKind, Quantized};
 use pg_store::{shard_file_name, BuildParams, ShardManifest, SnapshotError, SHARD_MANIFEST_FILE};
@@ -150,11 +154,19 @@ impl ShardAssignment {
 /// surrogate space (see the module docs for the full contract).
 #[derive(Debug, Clone)]
 pub struct ShardedEngine<M> {
-    shards: Vec<QueryEngine<FlatRow, M>>,
-    global_ids: Vec<Vec<u32>>,
+    parts: Arc<Parts<M>>,
     build: Option<BuildParams>,
     threads: usize,
     n: usize,
+}
+
+/// What every search task reads, shared by the engine and its clones and
+/// owned by each task in flight through the `Arc` (pool tasks own their
+/// data; see `rayon::spawn_task`).
+#[derive(Debug)]
+struct Parts<M> {
+    shards: Vec<QueryEngine<FlatRow, M>>,
+    global_ids: Vec<Vec<u32>>,
 }
 
 /// How [`ShardedEngine::build`] and [`ShardedEngine::load`] spend `threads`
@@ -208,8 +220,7 @@ impl<M: Metric<FlatRow> + Metric<[f64]> + Clone + Send + Sync> ShardedEngine<M> 
             })
         });
         ShardedEngine {
-            shards,
-            global_ids,
+            parts: Arc::new(Parts { shards, global_ids }),
             build: Some(GNetParams::new(epsilon).into()),
             threads,
             n,
@@ -230,18 +241,18 @@ impl<M> ShardedEngine<M> {
 
     /// Number of shards `S`.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.parts.shards.len()
     }
 
     /// The per-shard engines, in shard order.
     pub fn shards(&self) -> &[QueryEngine<FlatRow, M>] {
-        &self.shards
+        &self.parts.shards
     }
 
     /// The per-shard global-id lists (strictly ascending; entry `s` maps
     /// shard `s`'s local ids to global ids).
     pub fn global_ids(&self) -> &[Vec<u32>] {
-        &self.global_ids
+        &self.parts.global_ids
     }
 
     /// The recorded build parameters, if any (saved into every shard's
@@ -265,57 +276,135 @@ impl<M> ShardedEngine<M> {
     }
 }
 
-impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
-    /// The one fan-out + merge, shard-major over blocks of queries: the
-    /// batch is cut into contiguous blocks of `len.div_ceil(4 · threads)`
-    /// queries, one pool task each. A task runs `search(shard index,
-    /// query)` — a surrogate-space top-`k` in shard-local ids — for every
-    /// query of its block on shard 0, then on shard 1, and so on (one
-    /// shard's hot rows stay in cache across the block), remapping ids to
-    /// global as it goes; then per query it merges on `(surrogate, global
-    /// id)`, keeps `k` and maps to true distances once. Each walk depends
-    /// only on its query and its shard, so neither the block cut nor the
-    /// shard order can change an answer or a count.
-    fn fan_out(
-        &self,
-        queries: &[FlatRow],
-        k: usize,
-        search: impl Fn(usize, &FlatRow) -> BeamSurrogate + Sync,
-    ) -> BatchBeamDetail {
-        let block = queries.len().div_ceil(4 * self.threads).max(1);
-        let blocks: Vec<&[FlatRow]> = queries.chunks(block).collect();
-        let per_block = rayon::par_map_indexed_with(self.threads, &blocks, |_, block| {
-            let mut merged: Vec<BeamSurrogate> = block
+/// Walks every query of `queries` through the shards `shards` of `parts`,
+/// shard-major (one shard's hot rows stay in cache across the queries),
+/// remapping ids to global as it goes; then per query keeps the `k` best
+/// by `(surrogate, global id)`, with the walks' summed counts. One
+/// fan-out task.
+fn walk_shards<M, S>(
+    parts: &Parts<M>,
+    queries: &[FlatRow],
+    shards: Range<usize>,
+    k: usize,
+    search: &S,
+) -> Vec<BeamSurrogate>
+where
+    S: Fn(&QueryEngine<FlatRow, M>, usize, &FlatRow) -> BeamSurrogate,
+{
+    let mut merged: Vec<BeamSurrogate> = queries
+        .iter()
+        .map(|_| BeamSurrogate {
+            results: Vec::with_capacity(shards.len() * k),
+            dist_comps: 0,
+            expansions: 0,
+        })
+        .collect();
+    for i in shards {
+        let (shard, ids) = (&parts.shards[i], &parts.global_ids[i]);
+        for (m, q) in merged.iter_mut().zip(queries) {
+            let out = search(shard, i, q);
+            m.dist_comps += out.dist_comps;
+            m.expansions += out.expansions;
+            let global = out
+                .results
                 .iter()
-                .map(|_| BeamSurrogate {
-                    results: Vec::with_capacity(self.shards.len() * k),
-                    dist_comps: 0,
-                    expansions: 0,
-                })
+                .map(|&(local, sur)| (ids[local as usize], sur));
+            m.results.extend(global);
+        }
+    }
+    for m in &mut merged {
+        sort_by_key_then_id(&mut m.results);
+        m.results.truncate(k);
+    }
+    merged
+}
+
+/// One fan-out task: a block of the batch's queries and a group of shards.
+type Cut = (Range<usize>, Range<usize>);
+
+/// The cut of one batch into fan-out tasks, block-major, and the number of
+/// shard groups per block. A batch with fewer queries than `threads` is one
+/// block over `min(threads, shards)` contiguous shard groups; a larger one
+/// is cut into blocks of `len.div_ceil(4 · threads)` queries that each
+/// walk every shard.
+fn plan(len: usize, shards: usize, threads: usize) -> (usize, Vec<Cut>) {
+    let (block, groups) = match len < threads {
+        true => (len, threads.min(shards)),
+        false => (len.div_ceil(4 * threads).max(1), 1),
+    };
+    let tasks = (0..len)
+        .step_by(block.max(1))
+        .flat_map(|start| {
+            (0..groups).map(move |g| {
+                let queries = start..(start + block).min(len);
+                (queries, g * shards / groups..(g + 1) * shards / groups)
+            })
+        })
+        .collect();
+    (groups, tasks)
+}
+
+impl<M: Metric<FlatRow> + Send + Sync + 'static> ShardedEngine<M> {
+    /// The one fan-out + merge. The batch is cut into `(query block, shard
+    /// group)` tasks ([`plan`]): a batch of fewer queries than `threads`
+    /// splits the shard list into `min(threads, shards)` contiguous groups
+    /// (so one query's walks run side by side), a larger one keeps whole
+    /// shard lists per block of `len.div_ceil(4 · threads)` queries. Each
+    /// task ([`walk_shards`]) runs `search(shard, shard index, query)` — a
+    /// surrogate-space top-`k` in shard-local ids — shard-major over its
+    /// block and keeps each query's `k` best by `(surrogate, global id)`.
+    /// Every task but the first goes to the pool's persistent workers
+    /// (`rayon::spawn_task`); the caller runs the first, then joins the
+    /// rest last to first, running any that no worker has claimed, so
+    /// workers take tasks from the front and the caller from the back. At
+    /// `threads = 1` nothing leaves the calling thread. Per query the
+    /// groups' lists are merged on `(surrogate, global id)`, cut to `k` and
+    /// mapped to true distances once. Each walk depends only on its query
+    /// and its shard, and the key is a total order, so neither the cut nor
+    /// the schedule can change an answer or a count.
+    fn fan_out<S>(&self, queries: &[FlatRow], k: usize, search: S) -> BatchBeamDetail
+    where
+        S: Fn(&QueryEngine<FlatRow, M>, usize, &FlatRow) -> BeamSurrogate + Send + Sync + 'static,
+    {
+        let (groups, plan) = plan(queries.len(), self.shard_count(), self.threads);
+        let owned: Arc<[FlatRow]> = queries.into();
+        let search = Arc::new(search);
+        let mut tasks = plan.into_iter().map(|(qs, ss)| {
+            let (parts, queries, search) = (self.parts.clone(), owned.clone(), search.clone());
+            move || walk_shards(&parts, &queries[qs], ss, k, &*search)
+        });
+        let partials: Vec<Vec<BeamSurrogate>> = if self.threads == 1 {
+            tasks.map(|task| task()).collect()
+        } else {
+            let first = tasks.next();
+            let handles: Vec<_> = tasks.map(rayon::spawn_task).collect();
+            let first = first.map(|task| task());
+            let rest: Vec<_> = handles
+                .into_iter()
+                .rev()
+                .map(rayon::TaskHandle::join)
                 .collect();
-            for (i, ids) in self.global_ids.iter().enumerate() {
-                for (m, q) in merged.iter_mut().zip(block.iter()) {
-                    let out = search(i, q);
-                    m.dist_comps += out.dist_comps;
-                    m.expansions += out.expansions;
-                    let global = out
-                        .results
-                        .iter()
-                        .map(|&(local, sur)| (ids[local as usize], sur));
-                    m.results.extend(global);
+            first.into_iter().chain(rest.into_iter().rev()).collect()
+        };
+        let data = self.shards()[0].data();
+        let mut outcomes = Vec::with_capacity(queries.len());
+        let mut partials = partials.into_iter();
+        while let Some(mut merged) = partials.next() {
+            for group in partials.by_ref().take(groups - 1) {
+                for (m, g) in merged.iter_mut().zip(group) {
+                    m.dist_comps += g.dist_comps;
+                    m.expansions += g.expansions;
+                    m.results.extend(g.results);
                 }
             }
-            let data = self.shards[0].data();
-            merged
-                .into_iter()
-                .map(|mut m| {
+            for mut m in merged {
+                if groups > 1 {
                     sort_by_key_then_id(&mut m.results);
                     m.results.truncate(k);
-                    m.into_outcome(data)
-                })
-                .collect::<Vec<_>>()
-        });
-        let outcomes: Vec<_> = per_block.into_iter().flatten().collect();
+                }
+                outcomes.push(m.into_outcome(data));
+            }
+        }
         let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
         BatchBeamDetail {
             outcomes,
@@ -333,8 +422,7 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
     /// results are global ids with true distances, ascending by
     /// `(distance, id)` like every search routine in the workspace.
     pub fn batch_beam_detailed(&self, queries: &[FlatRow], ef: usize, k: usize) -> BatchBeamDetail {
-        self.fan_out(queries, k, |i, q| {
-            let shard = &self.shards[i];
+        self.fan_out(queries, k, move |shard, _, q| {
             beam_search_surrogate(shard.graph(), shard.data(), 0, q, ef, k)
         })
     }
@@ -343,9 +431,10 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
     /// one store per shard. SQ8 codebooks are therefore **per-shard**
     /// (each shard trains its own per-dimension ranges on its own points)
     /// — tighter ranges than one global codebook, and no cross-shard
-    /// coordination on the write path.
-    pub fn quantize(&self, kind: QuantKind) -> Result<Vec<CompactPoints>, String> {
-        self.shards.iter().map(|s| s.quantize(kind)).collect()
+    /// coordination on the write path. The stores come back shareable, so
+    /// every quantized batch hands them to its search tasks without a copy.
+    pub fn quantize(&self, kind: QuantKind) -> Result<Arc<[CompactPoints]>, String> {
+        self.shards().iter().map(|s| s.quantize(kind)).collect()
     }
 
     /// The quantized counterpart of [`ShardedEngine::batch_beam_detailed`]:
@@ -361,20 +450,20 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
     /// # Panics
     /// If `compacts` was not produced for these shards (count or per-shard
     /// length mismatch).
-    pub fn batch_beam_quantized_detailed<C: Quantized + Sync>(
+    pub fn batch_beam_quantized_detailed<C: Quantized + Send + Sync + 'static>(
         &self,
-        compacts: &[C],
+        compacts: &Arc<[C]>,
         queries: &[FlatRow],
         ef: usize,
         k: usize,
     ) -> BatchBeamDetail {
         assert_eq!(
             compacts.len(),
-            self.shards.len(),
+            self.shard_count(),
             "one compact store per shard required"
         );
-        self.fan_out(queries, k, |i, q| {
-            let shard = &self.shards[i];
+        let compacts = Arc::clone(compacts);
+        self.fan_out(queries, k, move |shard, i, q| {
             beam_search_quantized_surrogate(shard.graph(), shard.data(), &compacts[i], 0, q, ef, k)
         })
     }
@@ -389,10 +478,10 @@ impl<M: Metric<FlatRow> + SnapshotMetric + Sync> ShardedEngine<M> {
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), SnapshotError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, shard) in self.shards().iter().enumerate() {
             shard.save_with(dir.join(shard_file_name(i)), 0, self.build)?;
         }
-        let manifest = ShardManifest::new(self.n as u64, self.global_ids.clone())?;
+        let manifest = ShardManifest::new(self.n as u64, self.global_ids().to_vec())?;
         manifest.save(dir.join(SHARD_MANIFEST_FILE))
     }
 }
@@ -447,8 +536,7 @@ impl<M: Metric<FlatRow> + SnapshotMetric + Send + Sync> ShardedEngine<M> {
             shards.push(engine);
         }
         Ok(ShardedEngine {
-            shards,
-            global_ids,
+            parts: Arc::new(Parts { shards, global_ids }),
             build,
             threads,
             n,
@@ -684,21 +772,28 @@ mod tests {
         }
     }
 
-    /// Euclidean, recording which threads computed a distance.
+    /// Euclidean, recording which threads computed a distance, and whether
+    /// each was a persistent pool worker.
     #[derive(Clone, Default)]
     struct ThreadProbe(
-        std::sync::Arc<std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>>,
+        std::sync::Arc<std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, bool>>>,
     );
 
     impl<P: AsRef<[f64]> + ?Sized> Metric<P> for ThreadProbe {
         fn dist(&self, a: &P, b: &P) -> f64 {
-            self.0.lock().unwrap().insert(std::thread::current().id());
+            let me = std::thread::current();
+            let worker = me.name().is_some_and(|n| n.starts_with("pool-worker-"));
+            self.0.lock().unwrap().insert(me.id(), worker);
             Euclidean.dist(a, b)
         }
     }
 
+    fn machine_threads() -> usize {
+        std::thread::available_parallelism().map_or(1, |t| t.get())
+    }
+
     #[test]
-    fn a_batch_of_one_runs_on_the_calling_thread_and_a_large_one_on_the_pool() {
+    fn sharded_searches_run_on_the_caller_and_the_persistent_workers_only() {
         let probe = ThreadProbe::default();
         let engine = ShardedEngine::build(
             &grid(128),
@@ -708,19 +803,124 @@ mod tests {
             &ShardAssignment::SeededRandom { seed: 4 },
         )
         .with_threads(4);
-        let threads_used = |queries: &[FlatRow]| {
-            probe.0.lock().unwrap().clear();
-            let batch = engine.batch_beam_detailed(queries, 8, 3);
-            assert!(batch.dist_comps > 0);
-            std::mem::take(&mut *probe.0.lock().unwrap())
+        probe.0.lock().unwrap().clear();
+        let me = std::thread::current().id();
+        let search =
+            |queries: &[FlatRow]| assert!(engine.batch_beam_detailed(queries, 8, 3).dist_comps > 0);
+        search(&queries(1));
+        for _ in 0..100 {
+            search(&queries(1));
+        }
+        search(&queries(64));
+        // A thread spawned per call would be a new id each time (ids are
+        // never reused) and no pool worker: 102 calls see the caller and at
+        // most the pool's `available_parallelism() − 1` workers.
+        let seen = std::mem::take(&mut *probe.0.lock().unwrap());
+        assert!(seen.contains_key(&me));
+        assert!(
+            seen.iter().all(|(&id, &worker)| id == me || worker),
+            "{seen:?}"
+        );
+        assert!(seen.len() <= machine_threads(), "{} threads", seen.len());
+        // At one thread nothing leaves the caller.
+        let engine = engine.with_threads(1);
+        for len in [1, 64] {
+            assert!(engine.batch_beam_detailed(&queries(len), 8, 3).dist_comps > 0);
+        }
+        let seen = std::mem::take(&mut *probe.0.lock().unwrap());
+        assert_eq!(seen.into_keys().collect::<Vec<_>>(), vec![me]);
+    }
+
+    #[test]
+    fn a_single_query_answers_alike_at_every_thread_count_in_both_precisions() {
+        let engine = ShardedEngine::build(
+            &grid(160),
+            Euclidean,
+            1.0,
+            5,
+            &ShardAssignment::SeededRandom { seed: 9 },
+        );
+        let compacts = engine.quantize(QuantKind::Sq8).unwrap();
+        let bits = |b: &BatchBeamDetail| {
+            let outcome = |o: &crate::search::BeamOutcome| {
+                let results: Vec<(u32, u64)> =
+                    o.results.iter().map(|&(id, d)| (id, d.to_bits())).collect();
+                (results, o.dist_comps, o.expansions)
+            };
+            (
+                b.outcomes.iter().map(outcome).collect::<Vec<_>>(),
+                b.dist_comps,
+            )
         };
-        // Pool workers are spawned threads and the caller only joins them:
-        // all eight walks of a single query on the calling thread means no
-        // worker was started for them.
-        let me = std::collections::HashSet::from([std::thread::current().id()]);
-        assert_eq!(threads_used(&queries(1)), me);
-        let used = threads_used(&queries(64));
-        assert!(!used.is_empty() && used.is_disjoint(&me));
+        // 2 and 3 threads split the 5 shards unevenly, 7 is more than 5.
+        for quantized in [false, true] {
+            let run = |e: &ShardedEngine<Euclidean>, q: &[FlatRow]| match quantized {
+                false => e.batch_beam_detailed(q, 6, 4),
+                true => e.batch_beam_quantized_detailed(&compacts, q, 6, 4),
+            };
+            for q in queries(12).chunks(1) {
+                let want = bits(&run(&engine.clone().with_threads(1), q));
+                for threads in [2, 3, 7] {
+                    let got = bits(&run(&engine.clone().with_threads(threads), q));
+                    assert_eq!(got, want, "quantized {quantized}, {threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_query_finishes_on_the_caller_while_every_worker_is_busy() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Condvar, Mutex};
+        use std::time::{Duration, Instant};
+        // Park every persistent worker inside a task of its own.
+        let workers = machine_threads() - 1;
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let started = Arc::new(AtomicUsize::new(0));
+        let blockers: Vec<_> = (0..workers)
+            .map(|_| {
+                let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+                rayon::spawn_task(move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let (open, opened) = &*gate;
+                    drop(opened.wait_while(open.lock().unwrap(), |open| !*open));
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while started.load(Ordering::SeqCst) < workers {
+            assert!(
+                Instant::now() < deadline,
+                "the workers never all took a blocker"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let probe = ThreadProbe::default();
+        let engine = ShardedEngine::build(
+            &grid(160),
+            probe.clone(),
+            1.0,
+            5,
+            &ShardAssignment::SeededRandom { seed: 9 },
+        );
+        let one = engine
+            .clone()
+            .with_threads(1)
+            .batch_beam_detailed(&queries(1), 6, 4);
+        probe.0.lock().unwrap().clear();
+        let busy = engine
+            .with_threads(4)
+            .batch_beam_detailed(&queries(1), 6, 4);
+        let seen = std::mem::take(&mut *probe.0.lock().unwrap());
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        blockers.into_iter().for_each(rayon::TaskHandle::join);
+        assert_eq!(busy.outcomes, one.outcomes);
+        assert_eq!(busy.dist_comps, one.dist_comps);
+        assert_eq!(
+            seen.into_keys().collect::<Vec<_>>(),
+            vec![std::thread::current().id()]
+        );
     }
 
     #[test]

@@ -280,27 +280,29 @@ impl<P, M: Metric<P>> Dataset<P, M> {
     /// Exact `k` nearest neighbors of `q` by brute force, ascending by
     /// distance (ties broken by id).
     ///
-    /// Partition-based: `select_nth_unstable_by` isolates the top `k` in
-    /// `O(n)`, then only those `k` are sorted — `O(n + k log k)` instead of
-    /// the full `O(n log n)` sort. Comparisons run in surrogate space.
+    /// One pass over the points in id order through
+    /// [`surrogates_to`](Dataset::surrogates_to), keeping the `k` best
+    /// `(surrogate, id)` pairs sorted: a point enters only if it beats the
+    /// current `k`-th, so the work past the first `k` points is one
+    /// comparison each and the memory `O(k)`, not an `n`-entry list per
+    /// query. Ids arrive ascending, so a later point ties an earlier one
+    /// behind it and a new entry goes after every equal surrogate.
     pub fn k_nearest_brute(&self, q: &P, k: usize) -> Vec<(usize, f64)> {
-        if k == 0 {
-            return Vec::new();
+        let score = self.surrogates_to(q);
+        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(self.len()) + 1);
+        for i in 0..self.len() {
+            let s = score(i);
+            if best.len() == k && best.last().is_none_or(|&(_, worst)| s >= worst) {
+                continue;
+            }
+            let at = best.partition_point(|&(_, e)| e <= s);
+            best.insert(at, (i, s));
+            best.truncate(k);
         }
-        let mut all: Vec<(usize, f64)> = (0..self.len())
-            .map(|i| (i, self.surrogate_to(i, q)))
-            .collect();
-        let by_dist_then_id =
-            |a: &(usize, f64), b: &(usize, f64)| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0));
-        if k < all.len() {
-            all.select_nth_unstable_by(k - 1, by_dist_then_id);
-            all.truncate(k);
-        }
-        all.sort_by(by_dist_then_id);
-        for e in &mut all {
+        for e in &mut best {
             e.1 = self.dist_from_surrogate(e.1);
         }
-        all
+        best
     }
 
     /// Nearest *other* data point to data point `i`: returns `(id, dist)`.

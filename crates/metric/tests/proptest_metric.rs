@@ -3,7 +3,7 @@
 
 use pg_metric::aspect::{approx_diameter, ceil_log2};
 use pg_metric::metric::axioms;
-use pg_metric::{Chebyshev, Counting, Dataset, Euclidean, Manhattan, Metric, Scaled};
+use pg_metric::{Chebyshev, Counting, Dataset, Euclidean, FlatPoints, Manhattan, Metric, Scaled};
 use proptest::prelude::*;
 
 fn vec3() -> impl Strategy<Value = Vec<f64>> {
@@ -99,5 +99,36 @@ proptest! {
         let (nn, d) = ds.nearest_brute(&q);
         prop_assert_eq!(knn[0].1, d);
         let _ = nn;
+    }
+
+    #[test]
+    fn brute_force_knn_equals_sorting_every_point_on_tie_heavy_data(
+        pts in prop::collection::vec(prop::collection::vec(0i32..4, 2), 1..60),
+        q in prop::collection::vec(0i32..4, 2),
+        k in 0usize..70,
+    ) {
+        let rows: Vec<Vec<f64>> = pts
+            .iter()
+            .map(|p| p.iter().map(|&c| c as f64).collect())
+            .collect();
+        let q: Vec<f64> = q.iter().map(|&c| c as f64).collect();
+        let flat = FlatPoints::from_fn(rows.len(), 2, |i, out| out.extend_from_slice(&rows[i]));
+        fn reference<P, M: Metric<P>>(ds: &Dataset<P, M>, q: &P, k: usize) -> Vec<(usize, u64)> {
+            let mut all: Vec<(usize, f64)> =
+                (0..ds.len()).map(|i| (i, ds.surrogate_to(i, q))).collect();
+            all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+            all.truncate(k);
+            all.iter().map(|&(i, s)| (i, ds.dist_from_surrogate(s).to_bits())).collect()
+        }
+        fn bits(knn: Vec<(usize, f64)>) -> Vec<(usize, u64)> {
+            knn.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
+        }
+        let euclid = Dataset::new(rows.clone(), Euclidean);
+        prop_assert_eq!(bits(euclid.k_nearest_brute(&q, k)), reference(&euclid, &q, k));
+        let manhattan = Dataset::new(rows, Manhattan);
+        prop_assert_eq!(bits(manhattan.k_nearest_brute(&q, k)), reference(&manhattan, &q, k));
+        let flat = flat.into_dataset(Euclidean);
+        let fq = pg_metric::FlatRow::from(q);
+        prop_assert_eq!(bits(flat.k_nearest_brute(&fq, k)), reference(&flat, &fq, k));
     }
 }

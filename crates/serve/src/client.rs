@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use crate::error::{malformed, ServeError};
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, IndexInfo, QueryReply, Request,
-    Response,
+    check_name, decode_response, encode_request, read_frame, write_frame, IndexInfo, QueryReply,
+    Request, Response,
 };
 
 /// A connected client. Not thread-safe by design — one connection carries
@@ -49,8 +49,13 @@ impl Client {
     }
 
     /// Sends one request and returns the server's response, mapping error
-    /// frames to [`ServeError::Remote`].
+    /// frames to [`ServeError::Remote`]. A request naming an index longer
+    /// than a frame can carry fails with [`ServeError::NameTooLong`] before
+    /// anything is sent.
     pub fn call(&mut self, request: &Request) -> Result<Response, ServeError> {
+        if let Request::Query { index, .. } | Request::Info { index } = request {
+            check_name(index)?;
+        }
         match self.call_raw(&encode_request(request))? {
             Response::Error { code, message } => Err(ServeError::Remote { code, message }),
             response => Ok(response),

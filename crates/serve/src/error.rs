@@ -16,8 +16,9 @@ use pg_store::SnapshotError;
 /// frame-level variants (`Truncated`, `ChecksumMismatch`,
 /// `UnsupportedVersion`, `UnknownKind`, `FrameTooLarge`, `Malformed`);
 /// request handling adds the semantic ones (`UnknownIndex`, `DimMismatch`,
-/// `BadRequest`); `Remote` is how a client surfaces an error frame the
-/// server sent back.
+/// `BadRequest`); `NameTooLong` is refused where a name enters (registry,
+/// client); `Remote` is how a client surfaces an error frame the server
+/// sent back.
 #[derive(Debug)]
 pub enum ServeError {
     /// Underlying socket or file I/O failed.
@@ -60,6 +61,13 @@ pub enum ServeError {
     UnknownIndex {
         /// The name the request carried.
         name: String,
+    },
+    /// An index name longer than a frame's string field carries
+    /// ([`MAX_STRING_LEN`](crate::protocol::MAX_STRING_LEN) bytes), refused
+    /// before it is registered or sent.
+    NameTooLong {
+        /// The name's length in bytes.
+        len: usize,
     },
     /// A query's coordinate count does not match the index.
     DimMismatch {
@@ -146,6 +154,11 @@ impl fmt::Display for ServeError {
             }
             ServeError::Malformed { reason } => write!(f, "malformed frame: {reason}"),
             ServeError::UnknownIndex { name } => write!(f, "unknown index {name:?}"),
+            ServeError::NameTooLong { len } => write!(
+                f,
+                "a {len}-byte index name exceeds the {}-byte wire limit",
+                crate::protocol::MAX_STRING_LEN
+            ),
             ServeError::DimMismatch { expected, found } => write!(
                 f,
                 "query has {found} coordinates, index stores {expected}-dimensional points"
@@ -292,7 +305,7 @@ impl ErrorCode {
             ServeError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
             ServeError::UnknownIndex { .. } => ErrorCode::UnknownIndex,
             ServeError::DimMismatch { .. } => ErrorCode::DimMismatch,
-            ServeError::BadRequest { .. } => ErrorCode::BadRequest,
+            ServeError::BadRequest { .. } | ServeError::NameTooLong { .. } => ErrorCode::BadRequest,
             ServeError::ShuttingDown => ErrorCode::ShuttingDown,
             ServeError::Overloaded => ErrorCode::Overloaded,
             // WorkerPanicked, Io, Snapshot, …: server-side trouble the

@@ -62,6 +62,20 @@ pub const MIN_FRAME_LEN: u32 = 2 + 8;
 /// Bytes of the `frame_len` prefix itself.
 pub const LEN_PREFIX: usize = 4;
 
+/// The longest string field, in UTF-8 bytes: a string is written behind a
+/// `u16` length. Index names longer than this are refused where they
+/// enter (registry, client, [`check_name`]); error messages are cut to it.
+pub const MAX_STRING_LEN: usize = u16::MAX as usize;
+
+/// Refuses an index name that a frame cannot carry, with
+/// [`ServeError::NameTooLong`].
+pub fn check_name(name: &str) -> Result<(), ServeError> {
+    match name.len() {
+        len if len > MAX_STRING_LEN => Err(ServeError::NameTooLong { len }),
+        _ => Ok(()),
+    }
+}
+
 // Frame kinds. Requests are 0..=127, responses 128..=255; codes are frozen
 // forever (new message types append new codes).
 const KIND_PING: u8 = 0;
@@ -167,10 +181,28 @@ pub enum Response {
 // ---------------------------------------------------------------------------
 
 /// Appends a string field: `len: u16`, then that many UTF-8 bytes.
+///
+/// # Panics
+/// If `s` is longer than [`MAX_STRING_LEN`] bytes: its length would wrap
+/// and the peer would read a malformed frame.
 fn push_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
+    assert!(
+        s.len() <= MAX_STRING_LEN,
+        "a {}-byte string does not fit a string field",
+        s.len()
+    );
     push(buf, s.len() as u16);
     buf.extend_from_slice(s.as_bytes());
+}
+
+/// The longest prefix of `s` a string field carries, cut at a char
+/// boundary.
+fn fit_str(s: &str) -> &str {
+    let mut end = s.len().min(MAX_STRING_LEN);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    s.get(..end).unwrap_or_default()
 }
 
 /// Reads a string field written by [`push_str`].
@@ -298,6 +330,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ServeError> {
 // ---------------------------------------------------------------------------
 
 /// Encodes a request as one complete frame.
+///
+/// # Panics
+/// If the request names an index longer than [`MAX_STRING_LEN`] bytes
+/// ([`check_name`] is the fallible check; the client makes it).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::Ping => encode_frame(KIND_PING, &[]),
@@ -366,7 +402,12 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, ServeError> {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Encodes a response as one complete frame.
+/// Encodes a response as one complete frame. An error message longer
+/// than [`MAX_STRING_LEN`] bytes is cut, at a char boundary, to fit.
+///
+/// # Panics
+/// If an index list holds a name longer than [`MAX_STRING_LEN`] bytes
+/// (an [`IndexRegistry`](crate::registry::IndexRegistry) refuses those).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
         Response::Pong => encode_frame(KIND_PONG, &[]),
@@ -400,6 +441,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             encode_frame(KIND_LIST_OK, &body)
         }
         Response::Error { code, message } => {
+            let message = fit_str(message);
             let mut body = Vec::with_capacity(4 + message.len());
             push(&mut body, code.code());
             push_str(&mut body, message);
@@ -543,6 +585,36 @@ mod tests {
             let frame = encode_response(&resp);
             assert_eq!(decode_response(&frame).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    #[test]
+    fn an_error_message_too_long_for_its_field_is_cut_at_a_char_boundary() {
+        // 35 000 two-byte chars: 70 000 bytes, and the 65 535-byte limit
+        // falls inside a char.
+        let long = "é".repeat(35_000);
+        let frame = encode_response(&Response::Error {
+            code: ErrorCode::Internal,
+            message: long.clone(),
+        });
+        match decode_response(&frame).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert_eq!(message.len(), MAX_STRING_LEN - 1);
+                assert!(long.starts_with(&message));
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        // A message that fits goes out whole.
+        let fits = "x".repeat(MAX_STRING_LEN);
+        assert_eq!(fit_str(&fits), fits);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a string field")]
+    fn a_request_naming_an_index_too_long_for_its_field_is_not_encoded() {
+        let _ = encode_request(&Request::Info {
+            index: "n".repeat(MAX_STRING_LEN + 1),
+        });
     }
 
     #[test]

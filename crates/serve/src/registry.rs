@@ -32,6 +32,7 @@ use pg_core::AnyEngine;
 use pg_store::MetricTag;
 
 use crate::error::ServeError;
+use crate::protocol::check_name;
 
 /// One immutable snapshot generation of one index: the engine, the entry
 /// point queries start from, and the epoch stamp. Shared as
@@ -164,17 +165,20 @@ impl IndexRegistry {
     }
 
     /// Registers (or replaces) the index under `name`, serving from
-    /// `entry`. Returns the new generation's epoch.
+    /// `entry`. Returns the new generation's epoch. A name longer than a
+    /// frame can carry fails with [`ServeError::NameTooLong`].
     pub fn register(
         &self,
         name: impl Into<String>,
         engine: impl Into<AnyEngine>,
         entry: u32,
     ) -> Result<u64, ServeError> {
+        let name = name.into();
+        check_name(&name)?;
         let index = self.make_index(engine.into(), entry)?;
         let epoch = index.epoch;
         let mut cells = write_lock(&self.cells);
-        match cells.entry(name.into()) {
+        match cells.entry(name) {
             std::collections::hash_map::Entry::Occupied(slot) => slot.get().swap(index),
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(Arc::new(ServingCell {
@@ -186,12 +190,15 @@ impl IndexRegistry {
     }
 
     /// Loads a snapshot file and registers it under `name`, serving from
-    /// the entry point recorded in the file's metadata.
+    /// the entry point recorded in the file's metadata. The name is
+    /// checked before the file is read.
     pub fn register_from_path(
         &self,
         name: impl Into<String>,
         path: impl AsRef<Path>,
     ) -> Result<u64, ServeError> {
+        let name = name.into();
+        check_name(&name)?;
         let (engine, meta) = AnyEngine::load(path)?;
         self.register(name, engine, meta.entry_point)
     }
@@ -199,13 +206,15 @@ impl IndexRegistry {
     /// Hot-swaps the index under `name` to a new engine. Fails with
     /// [`ServeError::UnknownIndex`] if the name was never registered —
     /// swapping is an update, not an insert, so a typo cannot silently
-    /// create a tenant. Returns the new generation's epoch.
+    /// create a tenant — or with [`ServeError::NameTooLong`] for a name no
+    /// registration can hold. Returns the new generation's epoch.
     pub fn swap(
         &self,
         name: &str,
         engine: impl Into<AnyEngine>,
         entry: u32,
     ) -> Result<u64, ServeError> {
+        check_name(name)?;
         let cell = {
             let cells = read_lock(&self.cells);
             cells
@@ -224,6 +233,7 @@ impl IndexRegistry {
     /// entirely **before** the swap: a corrupt or missing file returns a
     /// typed error and leaves the serving generation untouched.
     pub fn swap_from_path(&self, name: &str, path: impl AsRef<Path>) -> Result<u64, ServeError> {
+        check_name(name)?;
         let (engine, meta) = AnyEngine::load(path)?;
         self.swap(name, engine, meta.entry_point)
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use pg_serve::client::Client;
 use pg_serve::protocol::{
     decode_request, decode_response, encode_request, encode_response, IndexInfo, QueryReply,
-    Request, Response, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    Request, Response, MAX_FRAME_LEN, MAX_STRING_LEN, PROTOCOL_VERSION,
 };
 use pg_serve::registry::IndexRegistry;
 use pg_serve::server::{ServeConfig, Server};
@@ -314,6 +314,79 @@ fn corrupt_frames_get_error_frames_and_the_connection_survives() {
     client.ping().unwrap();
     let reply = client.query("main", &[3.0, 4.0], 16, 3).unwrap();
     assert_eq!(reply.results.len(), 3);
+}
+
+/// A request naming an unknown index near the string-field limit is
+/// answered with a decodable `UnknownIndex` frame (the echoed name cut to
+/// fit), and the connection keeps serving; a name past the limit is
+/// refused by the client before anything is sent.
+#[test]
+fn a_name_too_long_to_echo_whole_gets_a_cut_unknown_index_frame() {
+    let (server, _registry) = serving_fixture();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let name = "n".repeat(65_530);
+    for _ in 0..2 {
+        match client.info(&name).unwrap_err() {
+            ServeError::Remote {
+                code: ErrorCode::UnknownIndex,
+                message,
+            } => {
+                assert_eq!(message.len(), MAX_STRING_LEN);
+                assert!(
+                    message.starts_with("unknown index \"nnn"),
+                    "{}",
+                    &message[..20]
+                );
+            }
+            other => panic!("expected an UnknownIndex frame, got {other:?}"),
+        }
+        client.ping().unwrap();
+    }
+    let too_long = "n".repeat(MAX_STRING_LEN + 1);
+    assert!(matches!(
+        client.query(&too_long, &[1.0, 2.0], 8, 2),
+        Err(ServeError::NameTooLong { len }) if len == MAX_STRING_LEN + 1
+    ));
+    assert_eq!(
+        client
+            .query("main", &[3.0, 4.0], 16, 3)
+            .unwrap()
+            .results
+            .len(),
+        3
+    );
+}
+
+#[test]
+fn names_a_frame_cannot_carry_are_refused_where_they_enter() {
+    let registry = IndexRegistry::new();
+    let too_long = "n".repeat(MAX_STRING_LEN + 1);
+    let refused = |r: Result<u64, ServeError>| matches!(r, Err(ServeError::NameTooLong { len }) if len == MAX_STRING_LEN + 1);
+    assert!(refused(registry.register(
+        too_long.clone(),
+        common::build_engine(40, 1),
+        0
+    )));
+    assert!(refused(
+        registry.register_from_path(too_long.clone(), "no such file")
+    ));
+    assert!(refused(registry.swap(
+        &too_long,
+        common::build_engine(40, 1),
+        0
+    )));
+    assert!(refused(registry.swap_from_path(&too_long, "no such file")));
+    assert!(registry.is_empty());
+    // The longest name a frame carries registers, and lists.
+    let longest = "n".repeat(MAX_STRING_LEN);
+    assert_eq!(
+        registry
+            .register(longest.clone(), common::build_engine(40, 1), 0)
+            .unwrap(),
+        1
+    );
+    let listed = decode_response(&encode_response(&Response::IndexList(registry.names()))).unwrap();
+    assert_eq!(listed, Response::IndexList(vec![longest]));
 }
 
 #[test]
